@@ -281,7 +281,7 @@ func benchCapturePipeline(b *testing.B, window int, delay time.Duration) {
 	}
 	elapsed := time.Since(start)
 	b.StopTimer()
-	st := client.Stats()
+	st := client.StatsSnapshot()
 	b.ReportMetric(float64(st.BytesPublished)/float64(b.N), "wire_bytes/task")
 	b.ReportMetric(float64(st.FramesPublished)/elapsed.Seconds(), "frames/s")
 }
@@ -855,7 +855,7 @@ func BenchmarkTranslatorPipeline(b *testing.B) {
 			server.Drain()
 			elapsed := time.Since(start)
 			b.StopTimer()
-			frames := client.Stats().FramesPublished
+			frames := client.StatsSnapshot().FramesPublished
 			b.ReportMetric(float64(frames)/elapsed.Seconds(), "frames/s")
 		})
 	}
@@ -963,7 +963,7 @@ func BenchmarkTranslatorPipelineSessions(b *testing.B) {
 			b.StopTimer()
 			var frames uint64
 			for _, c := range clients {
-				frames += c.Stats().FramesPublished
+				frames += c.StatsSnapshot().FramesPublished
 			}
 			b.ReportMetric(float64(frames)/elapsed.Seconds(), "frames/s")
 		})

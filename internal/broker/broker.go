@@ -57,6 +57,9 @@ import (
 // so a publication can never echo between nodes.
 const BridgeSessionPrefix = "!bridge/"
 
+// handlerQueue bounds each shard's pending-packet queue.
+const handlerQueue = 256
+
 // ForwardFrame is one released publish offered to the Forward hook.
 // The payload is owned by the receiver (publish payloads are copied at
 // decode and never pooled), so the hook may retain it.
@@ -98,8 +101,6 @@ type Config struct {
 	// Shards is the number of session-table stripes, each with its own
 	// mutex and handler goroutine. Default 16.
 	Shards int
-	// HandlerQueue bounds each shard's pending-packet queue. Default 256.
-	HandlerQueue int
 	// MaxSessions caps concurrently live sessions (0 = unlimited). A
 	// CONNECT from a *new* client id over the cap is rejected with a
 	// congestion CONNACK; a reconnect of an existing session always
@@ -536,9 +537,6 @@ func New(cfg Config) (*Broker, error) {
 	if cfg.Shards <= 0 {
 		cfg.Shards = 16
 	}
-	if cfg.HandlerQueue <= 0 {
-		cfg.HandlerQueue = 256
-	}
 	conn := cfg.Conn
 	if conn == nil {
 		var err error
@@ -590,7 +588,7 @@ func New(cfg Config) (*Broker, error) {
 	for i := 0; i < cfg.Shards; i++ {
 		sh := &shard{
 			sessions: map[string]*session{},
-			inbox:    make(chan inPacket, cfg.HandlerQueue),
+			inbox:    make(chan inPacket, handlerQueue),
 		}
 		b.shards = append(b.shards, sh)
 		b.wg.Add(1)

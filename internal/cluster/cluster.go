@@ -45,14 +45,10 @@ type Config struct {
 	// Partitions is the hash-space size (default 64). It bounds
 	// migration granularity, not throughput; it cannot change after New.
 	Partitions int
-	// RetryInterval / MaxRetries / LinkWindow tune the bridge links'
-	// QoS machinery (defaults: client defaults, window 64).
+	// RetryInterval / MaxRetries tune the bridge links' QoS machinery
+	// (defaults: client defaults).
 	RetryInterval time.Duration
 	MaxRetries    int
-	LinkWindow    int
-	// LinkQueue bounds each link's submission queue (default 1024);
-	// a full queue applies backpressure to the releasing broker.
-	LinkQueue int
 	// DrainTimeout bounds how long a migration waits for an old owner to
 	// drain before detaching its remaining frames (at-least-once) and
 	// proceeding. Default 30s.
@@ -125,12 +121,6 @@ func New(cfg Config) (*Cluster, error) {
 	if cfg.Partitions <= 0 {
 		cfg.Partitions = 64
 	}
-	if cfg.LinkWindow <= 0 {
-		cfg.LinkWindow = 64
-	}
-	if cfg.LinkQueue <= 0 {
-		cfg.LinkQueue = 1024
-	}
 	if cfg.DrainTimeout <= 0 {
 		cfg.DrainTimeout = 30 * time.Second
 	}
@@ -172,7 +162,7 @@ func New(cfg Config) (*Cluster, error) {
 		}
 	}
 	c.install(c.computeTopology(c.order))
-	c.meshLinks()
+	c.meshLinks(context.Background())
 	if cfg.HeartbeatInterval > 0 {
 		c.wg.Add(1)
 		go c.detector()
@@ -313,16 +303,28 @@ func (c *Cluster) syncMembers() {
 	}
 }
 
-// meshLinks eagerly dials every ordered node pair so propagated filters
-// exist on peers before the first matching frame, not after.
-func (c *Cluster) meshLinks() {
+// meshLinks dials every ordered node pair and waits (bounded by ctx and
+// DrainTimeout) until each link's first session is set up, so propagated
+// filters exist on peers before the first matching frame, not after.
+func (c *Cluster) meshLinks(ctx context.Context) {
+	var ready []chan struct{}
 	for _, id := range c.order {
 		n := c.nodes[id]
 		for _, pid := range c.order {
 			if pid == id {
 				continue
 			}
-			n.linkTo(pid, c.nodes[pid].b.Addr())
+			if l := n.linkTo(pid, c.nodes[pid].b.Addr()); l != nil {
+				ready = append(ready, l.ready)
+			}
+		}
+	}
+	ctx, cancel := context.WithTimeout(ctx, c.cfg.DrainTimeout)
+	defer cancel()
+	for _, r := range ready {
+		select {
+		case <-r:
+		case <-ctx.Done():
 		}
 	}
 }
@@ -376,13 +378,7 @@ func (c *Cluster) Join(ctx context.Context) (string, error) {
 		epoch:      full.epoch,
 	}
 	c.install(interim)
-	for _, pid := range c.order {
-		if pid == n.id {
-			continue
-		}
-		c.nodes[pid].linkTo(n.id, n.b.Addr())
-		n.linkTo(pid, c.nodes[pid].b.Addr())
-	}
+	c.meshLinks(ctx)
 	c.migrate(ctx, c.computeTopology(c.order))
 	return n.id, nil
 }

@@ -24,43 +24,46 @@ import (
 //     delivered by the peer when IT releases a matching frame and
 //     re-injected into the local broker for local subscribers only.
 //
-// The link is supervised: the session is dialed (and re-dialed, with
-// jittered exponential backoff) by the runner itself, each dial stamping
+// The link's session is supervised (mqttsn.Session), each dial stamping
 // the node's current epoch into the bridge client id. Frames are
 // RETAINED in an ordered unacked table until their QoS handshake
-// completes — a failed handshake no longer counts the frame lost, it
-// keeps it for replay on the next session (at-least-once across a link
-// outage; per-topic order preserved because replay is in submission
-// order and newer frames only leave the queue after replay finishes).
-// Two exits are terminal: the link being closed, and the peer refusing
-// the dial with RejectedInvalidID — the membership gate's verdict that
-// this node has been fenced out, which demotes the whole node.
+// completes — a failed handshake does not count the frame lost, it keeps
+// it for replay on the next session (at-least-once across a link outage;
+// per-topic order preserved because replay is in submission order and
+// newer frames only leave the queue after replay finishes). Two exits
+// are terminal: the link being closed, and the peer refusing the dial
+// with RejectedInvalidID — the membership gate's verdict that this node
+// has been fenced out, which demotes the whole node.
 type link struct {
-	n    *Node
-	peer string
-	addr string
+	n       *Node
+	peer    string
+	session *mqttsn.Session
 
 	q    chan queuedFrame
 	done chan struct{}
 	once sync.Once
 	wg   sync.WaitGroup
 
-	mu       sync.Mutex
-	mc       *mqttsn.Client // live session, nil while redialing
-	dialing  *mqttsn.Client // client mid-Connect, closable by shutdown
-	sessDown chan struct{}  // closed when the current session fails
-	downSess func()         // idempotent closer for sessDown
-	gen      uint64         // session generation; stale failures are ignored
-	nextSeq  uint64
-	unacked  map[uint64]queuedFrame // send seq -> frame awaiting handshake
-	state    LinkState
-	epoch    uint64 // epoch stamped into the current session's client id
-	redials  uint64
+	ready     chan struct{} // closed once the first session is set up
+	readyOnce sync.Once
+
+	mu      sync.Mutex
+	nextSeq uint64
+	unacked map[uint64]queuedFrame // send seq -> frame awaiting handshake
+	fenced  bool
+	epoch   uint64 // epoch stamped into the current session's client id
 
 	// hbBusy suppresses heartbeat pile-up: at most one heartbeat publish
 	// in flight per link, so a wedged window can't leak goroutines.
 	hbBusy bool
 }
+
+// Bridge link sizing: in-flight frames per session, and the submission
+// queue (a full queue applies backpressure to the releasing broker).
+const (
+	linkWindow = 64
+	linkQueue  = 1024
+)
 
 // LinkState labels a link's session for stats.
 type LinkState string
@@ -81,126 +84,66 @@ type queuedFrame struct {
 }
 
 // newLink starts a supervised link; the first dial happens on the
-// runner, so construction never blocks and never fails.
+// session's goroutine, so construction never blocks and never fails.
 func newLink(n *Node, peer, addr string) *link {
 	l := &link{
 		n:       n,
 		peer:    peer,
-		addr:    addr,
-		q:       make(chan queuedFrame, n.c.cfg.LinkQueue),
+		q:       make(chan queuedFrame, linkQueue),
 		done:    make(chan struct{}),
+		ready:   make(chan struct{}),
 		unacked: map[uint64]queuedFrame{},
-		state:   LinkDown,
 	}
-	l.wg.Add(1)
-	go l.run()
+	cfg := n.c.cfg
+	var dialEpoch uint64 // read and written only on the session's goroutine
+	l.session = mqttsn.NewSession(mqttsn.SessionConfig{
+		Client: mqttsn.ClientConfig{
+			Gateway:        addr,
+			Transport:      n.c.tr,
+			KeepAlive:      cfg.LinkKeepAlive,
+			RetryInterval:  cfg.RetryInterval,
+			MaxRetries:     cfg.MaxRetries,
+			InflightWindow: linkWindow,
+			CleanSession:   true,
+		},
+		ClientID: func() string {
+			dialEpoch = n.currentEpoch()
+			return bridgeClientID(n.id, dialEpoch)
+		},
+		Setup: func(mc *mqttsn.Client) error {
+			l.mu.Lock()
+			l.epoch = dialEpoch
+			l.mu.Unlock()
+			for _, filter := range n.filterSnapshot() {
+				l.subscribeOn(mc, filter)
+			}
+			l.readyOnce.Do(func() { close(l.ready) })
+			return nil
+		},
+		Serve: func(mc *mqttsn.Client, down <-chan struct{}) {
+			if l.replay(mc) {
+				l.pump(mc, down)
+			}
+		},
+		Backoff:     resilience.Backoff{Min: 50 * time.Millisecond, Max: 2 * time.Second},
+		OnDialError: l.dialFailed,
+	})
+	l.session.Start()
 	return l
 }
 
-// run supervises the session: dial (with backoff), replay the retained
-// unacked frames in order, then pump new frames until the session fails;
-// repeat. Exits on link close or fencing.
-func (l *link) run() {
-	defer l.wg.Done()
-	bo := resilience.Backoff{Min: 50 * time.Millisecond, Max: 2 * time.Second}
-	attempt := 0
-	for {
-		select {
-		case <-l.done:
-			return
-		default:
-		}
-		mc := l.session()
-		if mc == nil {
-			m, err := l.dial()
-			if err != nil {
-				var rej *mqttsn.ConnectRejectedError
-				if errors.As(err, &rej) && rej.Code == mqttsn.RejectedInvalidID {
-					l.fence()
-					return
-				}
-				attempt++
-				if attempt == 1 || attempt%8 == 0 {
-					l.n.c.logf("cluster: %s->%s: dial: %v (attempt %d)", l.n.id, l.peer, err, attempt)
-				}
-				if !l.sleep(bo.Delay(attempt - 1)) {
-					return
-				}
-				continue
-			}
-			attempt = 0
-			mc = m
-		}
-		if l.replay(mc) {
-			l.pump(mc)
-		}
-		select {
-		case <-l.done:
-			return
-		default:
-			l.dropSession(mc)
-		}
+// dialFailed logs a failed dial (throttled) and turns the peer's
+// RejectedInvalidID refusal into the permanent fencing exit.
+func (l *link) dialFailed(attempt int, err error) error {
+	var rej *mqttsn.ConnectRejectedError
+	if errors.As(err, &rej) && rej.Code == mqttsn.RejectedInvalidID {
+		l.fence()
+		return resilience.Permanent(err)
 	}
-}
-
-// dial establishes a fresh session stamped with the node's current
-// epoch, installs it, and re-subscribes the propagated filters.
-func (l *link) dial() (*mqttsn.Client, error) {
-	cfg := l.n.c.cfg
-	epoch := l.n.currentEpoch()
-	sd := make(chan struct{})
-	var sdOnce sync.Once
-	downSess := func() { sdOnce.Do(func() { close(sd) }) }
-	mc, err := mqttsn.NewClient(mqttsn.ClientConfig{
-		ClientID:       bridgeClientID(l.n.id, epoch),
-		Gateway:        l.addr,
-		Transport:      l.n.c.tr,
-		KeepAlive:      cfg.LinkKeepAlive,
-		RetryInterval:  cfg.RetryInterval,
-		MaxRetries:     cfg.MaxRetries,
-		InflightWindow: cfg.LinkWindow,
-		CleanSession:   true,
-		OnDisconnect:   func(error) { downSess() },
-	})
-	if err != nil {
-		return nil, err
+	if attempt == 1 || attempt%8 == 0 {
+		l.n.c.logf("cluster: %s->%s: dial: %v (attempt %d)", l.n.id, l.peer, err, attempt)
 	}
-	// Expose the client to shutdown while Connect blocks, so a takeover
-	// harvest never waits out a dead peer's full retry budget.
-	l.mu.Lock()
-	select {
-	case <-l.done:
-		l.mu.Unlock()
-		mc.Close()
-		return nil, mqttsn.ErrClosed
-	default:
-	}
-	l.dialing = mc
-	l.mu.Unlock()
-	err = mc.Connect()
-	l.mu.Lock()
-	l.dialing = nil
-	l.mu.Unlock()
-	if err != nil {
-		mc.Close()
-		return nil, err
-	}
-	l.mu.Lock()
-	wasConnected := l.gen > 0
-	l.mc = mc
-	l.sessDown = sd
-	l.downSess = downSess
-	l.gen++
-	l.epoch = epoch
-	l.state = LinkConnected
-	if wasConnected {
-		l.redials++
-	}
-	l.mu.Unlock()
-	for _, filter := range l.n.filterSnapshot() {
-		l.subscribeOn(mc, filter)
-	}
-	return mc, nil
+	return err
 }
 
 // replay re-publishes the retained unacked frames in send order on a
@@ -210,21 +153,10 @@ func (l *link) dial() (*mqttsn.Client, error) {
 // the at-least-once degradation is absorbed downstream (QoS 2 / store
 // dedup). Returns false if the session died mid-replay.
 func (l *link) replay(mc *mqttsn.Client) bool {
-	l.mu.Lock()
-	if len(l.unacked) == 0 {
-		l.mu.Unlock()
+	seqs, frames := l.retained()
+	if len(frames) == 0 {
 		return true
 	}
-	seqs := make([]uint64, 0, len(l.unacked))
-	for seq := range l.unacked {
-		seqs = append(seqs, seq)
-	}
-	sort.Slice(seqs, func(i, j int) bool { return seqs[i] < seqs[j] })
-	frames := make([]queuedFrame, len(seqs))
-	for i, seq := range seqs {
-		frames[i] = l.unacked[seq]
-	}
-	l.mu.Unlock()
 	l.n.c.logf("cluster: %s->%s: replaying %d retained frame(s)", l.n.id, l.peer, len(frames))
 	for i, qf := range frames {
 		if err := mc.Publish(qf.f.Topic, qf.f.Payload, qf.f.QoS); err != nil {
@@ -239,18 +171,12 @@ func (l *link) replay(mc *mqttsn.Client) bool {
 // pump is the submission loop for one session: PublishAsync transmits
 // each initial PUBLISH before returning, so frames hit the wire in queue
 // order; completions (which may finish out of order) settle the unacked
-// table. A failed completion leaves its frame retained and declares the
-// session down.
-func (l *link) pump(mc *mqttsn.Client) {
-	l.mu.Lock()
-	sd := l.sessDown
-	gen := l.gen
-	l.mu.Unlock()
+// table. A failed completion leaves its frame retained and closes the
+// client, which ends the session (down closes) for a redial.
+func (l *link) pump(mc *mqttsn.Client, down <-chan struct{}) {
 	for {
 		select {
-		case <-l.done:
-			return
-		case <-sd:
+		case <-down:
 			return
 		case qf := <-l.q:
 			l.mu.Lock()
@@ -264,7 +190,8 @@ func (l *link) pump(mc *mqttsn.Client) {
 				defer l.wg.Done()
 				if err := <-errc; err != nil {
 					// Retained for replay; no pending release, no loss count.
-					l.sessionFailed(gen, topic, err)
+					l.n.c.logf("cluster: %s->%s: forward %q: %v (retained for replay)", l.n.id, l.peer, topic, err)
+					mc.Close()
 					return
 				}
 				l.settle(seq, part)
@@ -288,58 +215,13 @@ func (l *link) settle(seq uint64, part int) {
 	}
 }
 
-// sessionFailed declares the generation's session dead (waking pump);
-// stale generations are ignored.
-func (l *link) sessionFailed(gen uint64, topic string, err error) {
-	l.mu.Lock()
-	if l.gen != gen {
-		l.mu.Unlock()
-		return
-	}
-	down := l.downSess
-	l.mu.Unlock()
-	l.n.c.logf("cluster: %s->%s: forward %q: %v (retained for replay)", l.n.id, l.peer, topic, err)
-	down()
-}
-
-// dropSession discards the current session after a failure; the runner
-// redials.
-func (l *link) dropSession(mc *mqttsn.Client) {
-	mc.Close()
-	l.mu.Lock()
-	if l.mc == mc {
-		l.mc = nil
-		l.state = LinkDown
-	}
-	l.mu.Unlock()
-}
-
-// session returns the live session, or nil while redialing.
-func (l *link) session() *mqttsn.Client {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.mc
-}
-
-// sleep waits d or until the link closes; false means closed.
-func (l *link) sleep(d time.Duration) bool {
-	t := time.NewTimer(d)
-	defer t.Stop()
-	select {
-	case <-l.done:
-		return false
-	case <-t.C:
-		return true
-	}
-}
-
 // fence handles the terminal RejectedInvalidID dial: this node is no
 // longer a member. The retained frames are discarded (their partitions'
 // new owners serve the streams now; redelivering from a fenced node is
 // exactly the fork fencing exists to prevent) and the node demotes.
 func (l *link) fence() {
 	l.mu.Lock()
-	l.state = LinkFenced
+	l.fenced = true
 	dropped := len(l.unacked)
 	parts := make([]int, 0, dropped)
 	for _, qf := range l.unacked {
@@ -350,9 +232,7 @@ func (l *link) fence() {
 	for _, p := range parts {
 		l.n.decPending(p)
 	}
-	if dropped > 0 {
-		l.n.linkLost.Add(uint64(dropped))
-	}
+	l.n.linkLost.Add(uint64(dropped))
 	l.n.c.logf("cluster: %s->%s: fenced by peer (not a member); demoting", l.n.id, l.peer)
 	go l.n.demote()
 }
@@ -362,11 +242,9 @@ func (l *link) fence() {
 // injected for this node's local subscribers. While the link is down the
 // call is a no-op — every dial re-subscribes the full filter snapshot.
 func (l *link) subscribe(filter string) {
-	mc := l.session()
-	if mc == nil {
-		return
+	if mc := l.session.Client(); mc != nil {
+		l.subscribeOn(mc, filter)
 	}
-	l.subscribeOn(mc, filter)
 }
 
 func (l *link) subscribeOn(mc *mqttsn.Client, filter string) {
@@ -379,12 +257,10 @@ func (l *link) subscribeOn(mc *mqttsn.Client, filter string) {
 }
 
 func (l *link) unsubscribe(filter string) {
-	mc := l.session()
-	if mc == nil {
-		return
-	}
-	if err := mc.Unsubscribe(filter); err != nil {
-		l.n.c.logf("cluster: %s->%s: propagate unsubscribe %q: %v", l.n.id, l.peer, filter, err)
+	if mc := l.session.Client(); mc != nil {
+		if err := mc.Unsubscribe(filter); err != nil {
+			l.n.c.logf("cluster: %s->%s: propagate unsubscribe %q: %v", l.n.id, l.peer, filter, err)
+		}
 	}
 }
 
@@ -392,8 +268,8 @@ func (l *link) unsubscribe(filter string) {
 // the current session, skipping while the link is down or the previous
 // beat is still in flight.
 func (l *link) heartbeat(topic string, payload []byte) {
+	mc := l.session.Client()
 	l.mu.Lock()
-	mc := l.mc
 	if mc == nil || l.hbBusy {
 		l.mu.Unlock()
 		return
@@ -415,27 +291,25 @@ func (l *link) heartbeat(topic string, payload []byte) {
 
 // health snapshots the link's supervision state for stats.
 func (l *link) health() (state LinkState, redials, epoch uint64) {
+	state = LinkDown
+	if l.session.Client() != nil {
+		state = LinkConnected
+	}
+	redials = l.session.Stats().Redials()
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	return l.state, l.redials, l.epoch
+	if l.fenced {
+		state = LinkFenced
+	}
+	return state, redials, l.epoch
 }
 
-// shutdown stops the runner and the session, then waits for every
-// in-flight completion to settle, so the retained table is final.
+// shutdown stops the session (aborting a dial blocked in Connect, so a
+// takeover harvest never waits out a dead peer's retry budget) and waits
+// for in-flight completions, so the retained table is final.
 func (l *link) shutdown() {
 	l.once.Do(func() { close(l.done) })
-	l.mu.Lock()
-	mc := l.mc
-	l.mc = nil
-	d := l.dialing
-	l.dialing = nil
-	l.mu.Unlock()
-	if d != nil {
-		d.Close() // fails the in-flight Connect promptly
-	}
-	if mc != nil {
-		mc.Close()
-	}
+	l.session.Close()
 	l.wg.Wait()
 }
 
@@ -448,17 +322,20 @@ func (l *link) shutdown() {
 // which re-counts them. Used by Remove: a crashed owner's frames go to
 // the partitions' new owners instead of dying as linkLost.
 func (l *link) harvest() []queuedFrame {
+	out := l.stopAndTake()
+	for _, qf := range out {
+		l.n.decPending(qf.part)
+	}
+	return out
+}
+
+// stopAndTake stops the link and takes everything it still holds for
+// the peer, oldest first: the retained frames in send order, then the
+// queued frames that never went out.
+func (l *link) stopAndTake() []queuedFrame {
 	l.shutdown()
+	_, out := l.retained()
 	l.mu.Lock()
-	seqs := make([]uint64, 0, len(l.unacked))
-	for seq := range l.unacked {
-		seqs = append(seqs, seq)
-	}
-	sort.Slice(seqs, func(i, j int) bool { return seqs[i] < seqs[j] })
-	out := make([]queuedFrame, 0, len(seqs)+len(l.q))
-	for _, seq := range seqs {
-		out = append(out, l.unacked[seq])
-	}
 	l.unacked = map[uint64]queuedFrame{}
 	l.mu.Unlock()
 	for {
@@ -466,12 +343,25 @@ func (l *link) harvest() []queuedFrame {
 		case qf := <-l.q:
 			out = append(out, qf)
 		default:
-			for _, qf := range out {
-				l.n.decPending(qf.part)
-			}
 			return out
 		}
 	}
+}
+
+// retained lists the unacked frames, and their send seqs, in send order.
+func (l *link) retained() ([]uint64, []queuedFrame) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	seqs := make([]uint64, 0, len(l.unacked))
+	for seq := range l.unacked {
+		seqs = append(seqs, seq)
+	}
+	sort.Slice(seqs, func(i, j int) bool { return seqs[i] < seqs[j] })
+	frames := make([]queuedFrame, len(seqs))
+	for i, seq := range seqs {
+		frames[i] = l.unacked[seq]
+	}
+	return seqs, frames
 }
 
 // enqueue commits a frame to the link. Blocking when the queue is full
@@ -493,28 +383,7 @@ func (l *link) enqueue(part int, f broker.ForwardFrame) {
 // shutdown the redirect delivers to the partition's new owner (or counts
 // the frame lost if this whole node is closing).
 func (l *link) close() {
-	l.shutdown()
-	l.mu.Lock()
-	seqs := make([]uint64, 0, len(l.unacked))
-	for seq := range l.unacked {
-		seqs = append(seqs, seq)
-	}
-	sort.Slice(seqs, func(i, j int) bool { return seqs[i] < seqs[j] })
-	frames := make([]queuedFrame, 0, len(seqs))
-	for _, seq := range seqs {
-		frames = append(frames, l.unacked[seq])
-	}
-	l.unacked = map[uint64]queuedFrame{}
-	l.mu.Unlock()
-	for _, qf := range frames {
+	for _, qf := range l.stopAndTake() {
 		l.n.redirect(qf.part, qf.f)
-	}
-	for {
-		select {
-		case qf := <-l.q:
-			l.n.redirect(qf.part, qf.f)
-		default:
-			return
-		}
 	}
 }

@@ -16,7 +16,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"github.com/provlight/provlight/internal/ctxutil"
 	"github.com/provlight/provlight/internal/mqttsn"
 	"github.com/provlight/provlight/internal/obs"
 	"github.com/provlight/provlight/internal/provdm"
@@ -56,8 +55,6 @@ type Config struct {
 	// immediately so users can still track started tasks at runtime
 	// (§IV-C2: "group data just from ended tasks").
 	GroupSize int
-	// GroupAll additionally groups begin records (used by ablations).
-	GroupAll bool
 	// DisableCompression turns off payload compression (ablation).
 	DisableCompression bool
 	// Synchronous makes Capture block until the QoS flow completes
@@ -76,10 +73,8 @@ type Config struct {
 	QueueCapacity int
 	// SpoolDir, when set, enables store-and-forward capture: frames are
 	// appended to a segmented write-ahead log in this directory before
-	// (instead of) the in-memory transmit queue, a background drainer
-	// publishes them — auto-reconnecting to the broker with exponential
-	// backoff and re-establishing the session, topic registration, and
-	// acknowledgement subscription each time — and frames are released
+	// (instead of) the in-memory transmit queue, a supervised broker
+	// session (mqttsn.Session) drains them, and frames are released
 	// (and their disk space reclaimed) only on end-to-end acknowledgements
 	// from the translator. Capture therefore survives client crashes and
 	// arbitrarily long partitions; redelivered frames carry durable ids so
@@ -97,22 +92,15 @@ type Config struct {
 	// SpoolSegmentSize is the WAL segment rotation size. Default 8 MiB.
 	SpoolSegmentSize int64
 	// SpoolQuota caps the spool's on-disk bytes (0 = unlimited). When
-	// usage crosses SpoolHighWatermark×SpoolQuota the spool degrades
-	// according to SpoolPolicy until usage falls below
-	// SpoolLowWatermark×SpoolQuota. See spool.DegradePolicy.
-	SpoolQuota         int64
-	SpoolHighWatermark float64
-	SpoolLowWatermark  float64
+	// usage crosses the spool's high watermark (90 % of the quota) it
+	// degrades according to SpoolPolicy until usage falls below the low
+	// watermark (70 %). See spool.DegradePolicy.
+	SpoolQuota int64
 	// SpoolPolicy selects degraded-mode behavior: spool.Block (default)
 	// stalls capture with ErrSpoolDegraded, spool.DropNew sheds arriving
 	// QoS 0 frames first, spool.DropOldestUnacked sheds the oldest
 	// spooled frames (freshest-data-wins).
 	SpoolPolicy spool.DegradePolicy
-	// CongestionRetryAfter is the minimum (pre-jitter) delay before
-	// re-dialing a broker that rejected the CONNECT for congestion.
-	// Default 1 s. The actual sleep is jittered upward so a rejected
-	// herd does not re-arrive in lockstep.
-	CongestionRetryAfter time.Duration
 	// AckWindow caps how many frames the drainer publishes ahead of the
 	// acknowledged floor. Default 64.
 	AckWindow int
@@ -124,7 +112,9 @@ type Config struct {
 	// ReconnectMinDelay / ReconnectMaxDelay bound the drainer's
 	// exponential reconnect backoff. Defaults 250 ms and 10 s. Each sleep
 	// is jittered uniformly over [d/2, d] so a fleet of edge clients that
-	// lost the same broker or translator does not reconnect in lockstep.
+	// lost the same broker or translator does not reconnect in lockstep;
+	// after a congestion rejection the sleep is at least
+	// mqttsn.CongestionRetryAfter.
 	ReconnectMinDelay time.Duration
 	ReconnectMaxDelay time.Duration
 	// DialConn, when set, supplies a fresh packet socket for each broker
@@ -266,14 +256,12 @@ type Client struct {
 	wg    sync.WaitGroup // sender goroutine
 	inFly sync.WaitGroup // outstanding frames
 
-	// Spool mode (Config.SpoolDir): the drainer owns the broker session
-	// lifecycle; c.mqtt is nil and sendQ is unused.
-	spool     *spool.Spool
-	drainStop chan struct{} // graceful stop (after drain or deadline)
-	drainKill chan struct{} // hard stop (Abort: simulate a crash)
-	drainWG   sync.WaitGroup
-	sessMu    sync.Mutex
-	sess      *mqttsn.Client // current drainer session, nil when down
+	// Spool mode (Config.SpoolDir): a supervised session drains the
+	// spool; c.mqtt is nil and sendQ is unused. drainWG is released when
+	// Shutdown/Abort has stopped the session.
+	spool   *spool.Spool
+	session *mqttsn.Session
+	drainWG sync.WaitGroup
 }
 
 // framePool recycles encoded frame buffers. A frame is leased in
@@ -296,14 +284,9 @@ type counters struct {
 	queueFull        atomic.Uint64
 	framesSpooled    atomic.Uint64
 	redeliveries     atomic.Uint64
-	reconnects       atomic.Uint64
 	staleAcks        atomic.Uint64
 	ackTerm          atomic.Uint64
 	framesShed       atomic.Uint64
-	// Reconnect backoff state (spool-mode drainer).
-	reconnectAttempts atomic.Uint64
-	consecFailures    atomic.Uint64
-	nextRetryNano     atomic.Int64
 }
 
 // NewClient connects to the broker and returns a ready capture client.
@@ -336,7 +319,10 @@ func NewClient(ctx context.Context, cfg Config) (*Client, error) {
 	if cfg.SpoolDir != "" {
 		return newSpoolClient(cfg)
 	}
-	mc, err := mqttsn.NewClient(mqttsn.ClientConfig{
+	// Register the topic once up front: the long-lived connection and
+	// pre-registered topic are part of why per-event cost stays low
+	// (§VII-A: "keeps the connection to the remote server open").
+	mc, err := mqttsn.Dial(ctx, mqttsn.ClientConfig{
 		ClientID:       cfg.ClientID,
 		Gateway:        cfg.Broker,
 		Conn:           cfg.Conn,
@@ -346,24 +332,14 @@ func NewClient(ctx context.Context, cfg Config) (*Client, error) {
 		MaxRetries:     cfg.MaxRetries,
 		InflightWindow: cfg.WindowSize,
 		CleanSession:   true,
-	})
-	if err != nil {
-		return nil, err
-	}
-	if err := mc.WithContext(ctx, func() error {
-		if err := mc.Connect(); err != nil {
-			return fmt.Errorf("provlight: connect broker %s: %w", cfg.Broker, err)
-		}
-		// Register the topic once up front: the long-lived connection and
-		// pre-registered topic are part of why per-event cost stays low
-		// (§VII-A: "keeps the connection to the remote server open").
+	}, func(mc *mqttsn.Client) error {
 		if _, err := mc.RegisterTopic(cfg.Topic); err != nil {
-			return fmt.Errorf("provlight: register topic %q: %w", cfg.Topic, err)
+			return fmt.Errorf("register topic %q: %w", cfg.Topic, err)
 		}
 		return nil
-	}); err != nil {
-		mc.Close()
-		return nil, err
+	})
+	if err != nil {
+		return nil, fmt.Errorf("provlight: connect broker %s: %w", cfg.Broker, err)
 	}
 	c := &Client{
 		cfg:   cfg,
@@ -442,7 +418,7 @@ func (c *Client) initMetrics() {
 // one in spool mode (nil while disconnected).
 func (c *Client) sessionForMetrics() *mqttsn.Client {
 	if c.spool != nil {
-		return c.currentSession()
+		return c.session.Client()
 	}
 	return c.mqtt
 }
@@ -463,16 +439,16 @@ func (c *Client) StatsSnapshot() Stats {
 		QueueFull:         c.ctr.queueFull.Load(),
 		FramesSpooled:     c.ctr.framesSpooled.Load(),
 		SpoolRedeliveries: c.ctr.redeliveries.Load(),
-		SpoolReconnects:   c.ctr.reconnects.Load(),
 		StaleAcks:         c.ctr.staleAcks.Load(),
 		AckTerm:           c.ctr.ackTerm.Load(),
-
-		ReconnectAttempts:       c.ctr.reconnectAttempts.Load(),
-		ReconnectConsecFailures: c.ctr.consecFailures.Load(),
-		NextRetryUnixNano:       c.ctr.nextRetryNano.Load(),
-		FramesShed:              c.ctr.framesShed.Load(),
+		FramesShed:        c.ctr.framesShed.Load(),
 	}
 	if c.spool != nil {
+		ss := c.session.Stats()
+		st.SpoolReconnects = ss.Connects
+		st.ReconnectAttempts = ss.Attempts
+		st.ReconnectConsecFailures = ss.ConsecFailures
+		st.NextRetryUnixNano = ss.NextRetryUnixNano
 		st.SpoolAcked = c.spool.Floor()
 		st.SpoolPending = c.spool.Pending()
 		sp := c.spool.Stats()
@@ -491,22 +467,14 @@ func (c *Client) StatsSnapshot() Stats {
 	return st
 }
 
-// Stats returns a snapshot of capture counters.
-//
-// Deprecated: use StatsSnapshot, which documents the atomicity contract.
-func (c *Client) Stats() Stats { return c.StatsSnapshot() }
-
 // MQTTStats exposes the underlying transport counters. In spool mode the
 // counters are those of the drainer's *current* broker session (zero
 // while disconnected); they reset on reconnect.
 func (c *Client) MQTTStats() mqttsn.ClientStats {
-	if c.spool != nil {
-		if mc := c.currentSession(); mc != nil {
-			return mc.Stats()
-		}
-		return mqttsn.ClientStats{}
+	if mc := c.sessionForMetrics(); mc != nil {
+		return mc.Stats()
 	}
-	return c.mqtt.Stats()
+	return mqttsn.ClientStats{}
 }
 
 // sender keeps the publish window full: it submits each queued frame as an
@@ -549,7 +517,7 @@ func (c *Client) Capture(rec *provdm.Record) error {
 	}
 	c.ctr.recordsCaptured.Add(1)
 	groupable := c.cfg.GroupSize > 0 &&
-		(c.cfg.GroupAll || rec.Event == provdm.EventTaskEnd || rec.Event == provdm.EventWorkflowEnd)
+		(rec.Event == provdm.EventTaskEnd || rec.Event == provdm.EventWorkflowEnd)
 	if groupable {
 		c.mu.Lock()
 		cp := *rec
@@ -646,7 +614,7 @@ func (c *Client) Shutdown(ctx context.Context) error {
 		// drain contract by waiting for that teardown under our ctx
 		// instead of returning early.
 		if !c.cfg.Synchronous {
-			if werr := ctxutil.Wait(ctx, func() { c.wg.Wait(); c.inFly.Wait() }); werr != nil && err == nil {
+			if werr := waitCtx(ctx, func() { c.wg.Wait(); c.inFly.Wait() }); werr != nil && err == nil {
 				err = werr
 			}
 		}
@@ -664,7 +632,7 @@ func (c *Client) Shutdown(ctx context.Context) error {
 	c.txMu.Lock()
 	c.txMu.Unlock() //nolint:staticcheck // empty critical section is the barrier
 	close(c.sendQ)
-	if werr := ctxutil.Wait(ctx, func() { c.wg.Wait(); c.inFly.Wait() }); werr != nil {
+	if werr := waitCtx(ctx, func() { c.wg.Wait(); c.inFly.Wait() }); werr != nil {
 		// Force-close the transport: pending handshakes fail with
 		// ErrClosed, their collectors count AsyncErrors and release the
 		// in-flight slots, so the abandoned waiter goroutine (and the
@@ -772,4 +740,24 @@ func Attrs(m map[string]any) []provdm.Attribute {
 		out = append(out, provdm.Attribute{Name: k, Value: m[k]})
 	}
 	return out
+}
+
+// waitCtx runs wait (typically a WaitGroup.Wait), returning early with
+// the context error if ctx expires first.
+func waitCtx(ctx context.Context, wait func()) error {
+	if ctx == nil || ctx.Done() == nil {
+		wait()
+		return nil
+	}
+	if err := ctx.Err(); err != nil {
+		return err
+	}
+	done := make(chan struct{})
+	go func() { wait(); close(done) }()
+	select {
+	case <-done:
+		return nil
+	case <-ctx.Done():
+		return ctx.Err()
+	}
 }

@@ -134,7 +134,7 @@ func TestGroupingEndedTasksOnly(t *testing.T) {
 	}
 	waitRecords(t, mem, 22)
 
-	st := client.Stats()
+	st := client.StatsSnapshot()
 	// begins (10) + workflow.begin are immediate; 10 ends + workflow.end
 	// grouped by 5: 11 immediate frames + 3 group frames.
 	if st.RecordsCaptured != 22 {
@@ -169,7 +169,7 @@ func TestCompressionStats(t *testing.T) {
 		t.Fatal(err)
 	}
 	records := waitRecords(t, mem, 4)
-	st := client.Stats()
+	st := client.StatsSnapshot()
 	if st.FramesCompressed < 2 {
 		t.Errorf("compressed frames = %d, want >= 2 (100-attr payloads)", st.FramesCompressed)
 	}
@@ -216,7 +216,7 @@ func TestWindowSizeOneStopAndWait(t *testing.T) {
 	if last := records[len(records)-1]; last.Event != provdm.EventWorkflowEnd {
 		t.Errorf("last record = %s, want workflow.end", last.Event)
 	}
-	if st := client.Stats(); st.FramesPublished != uint64(2+2*tasks) {
+	if st := client.StatsSnapshot(); st.FramesPublished != uint64(2+2*tasks) {
 		t.Errorf("frames = %d, want %d", st.FramesPublished, 2+2*tasks)
 	}
 }

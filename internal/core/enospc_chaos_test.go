@@ -16,26 +16,53 @@ import (
 	"github.com/provlight/provlight/internal/provdm"
 	"github.com/provlight/provlight/internal/spool"
 	"github.com/provlight/provlight/internal/translate"
+	"github.com/provlight/provlight/internal/transport"
 	"github.com/provlight/provlight/internal/wal"
 )
 
-// deadBrokerAddr reserves a UDP address and closes it, so a client's
-// drainer spools everything locally until a real broker appears there.
-func deadBrokerAddr(t *testing.T) string {
+// loopAddr names the broker on a test's in-process loopback network. No
+// broker listens there until a test starts one, so a client's drainer
+// spools everything locally meanwhile; and a broker stopped there can be
+// started again under the same name, where a closed UDP port could be
+// taken by another socket before the relisten.
+const loopAddr = "broker"
+
+// loopServer is a broker plus one translator on a loopback network.
+type loopServer struct {
+	b  *broker.Broker
+	tr *translate.Translator
+}
+
+func startLoopServer(t *testing.T, lb *transport.Loopback, targets ...translate.Target) *loopServer {
 	t.Helper()
-	b, err := broker.New(broker.Config{Addr: "127.0.0.1:0"})
+	b, err := broker.New(broker.Config{Addr: loopAddr, Transport: lb, RetryInterval: 150 * time.Millisecond})
 	if err != nil {
 		t.Fatal(err)
 	}
-	addr := b.Addr()
-	b.Close()
-	return addr
+	tr, err := translate.New(context.Background(), translate.Config{
+		Broker:        loopAddr,
+		Transport:     lb,
+		Targets:       targets,
+		RetryInterval: 150 * time.Millisecond,
+	})
+	if err != nil {
+		b.Close()
+		t.Fatal(err)
+	}
+	return &loopServer{b: b, tr: tr}
 }
 
-func enospcClient(t *testing.T, addr string, policy spool.DegradePolicy) *Client {
+// Close stops the translator, then the broker.
+func (s *loopServer) Close() {
+	s.tr.Close()
+	s.b.Close()
+}
+
+func enospcClient(t *testing.T, lb *transport.Loopback, policy spool.DegradePolicy) *Client {
 	t.Helper()
 	client, err := NewClient(context.Background(), Config{
-		Broker:            addr,
+		Broker:            loopAddr,
+		Transport:         lb,
 		ClientID:          "enospc-" + policy.String(),
 		SpoolDir:          t.TempDir(),
 		SpoolSegmentSize:  256, // several sealed segments from a small stream
@@ -61,27 +88,20 @@ func captureOne(c *Client, i int) error {
 	})
 }
 
-// drainAndCount frees the quota fault, brings a broker+translator up on
-// addr, shuts the client down (draining the spool), and returns the
-// record count that reached the target.
-func drainAndCount(t *testing.T, client *Client, addr string) (Stats, int) {
+// drainAndCount brings a broker+translator up on lb, shuts the client
+// down (draining the spool), and returns the record count that reached
+// the target.
+func drainAndCount(t *testing.T, client *Client, lb *transport.Loopback) (Stats, int) {
 	t.Helper()
 	mem := translate.NewMemoryTarget()
-	srv, err := StartServer(context.Background(), ServerConfig{
-		Addr:          addr,
-		Targets:       []translate.Target{mem},
-		RetryInterval: 150 * time.Millisecond,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
+	srv := startLoopServer(t, lb, mem)
 	defer srv.Close()
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
 	if err := client.Shutdown(ctx); err != nil {
 		t.Fatalf("shutdown: %v (stats %+v)", err, client.StatsSnapshot())
 	}
-	srv.Drain()
+	srv.tr.Drain()
 	return client.StatsSnapshot(), mem.Len()
 }
 
@@ -90,8 +110,8 @@ func drainAndCount(t *testing.T, client *Client, addr string) (Stats, int) {
 // — no frame is shed — and freeing space lets capture resume and the
 // spool drain cleanly with every admitted frame delivered exactly once.
 func TestENOSPCBlockStallsThenDrains(t *testing.T) {
-	addr := deadBrokerAddr(t)
-	client := enospcClient(t, addr, spool.Block)
+	lb := transport.NewLoopback()
+	client := enospcClient(t, lb, spool.Block)
 
 	const before = 20
 	for i := 0; i < before; i++ {
@@ -123,7 +143,7 @@ func TestENOSPCBlockStallsThenDrains(t *testing.T) {
 		t.Fatalf("capture after freeing space: %v", err)
 	}
 
-	st, got := drainAndCount(t, client, addr)
+	st, got := drainAndCount(t, client, lb)
 	want := before + 1 // the stalled captures were rejected, not queued
 	if got != want {
 		t.Fatalf("target has %d records, want %d", got, want)
@@ -140,11 +160,12 @@ func TestENOSPCBlockStallsThenDrains(t *testing.T) {
 // Detection must not break recovery: after the faults heal, every
 // admitted frame still drains exactly once.
 func TestENOSPCMetricsSurfaceSpoolFailures(t *testing.T) {
-	addr := deadBrokerAddr(t)
+	lb := transport.NewLoopback()
 	reg := obs.NewRegistry()
 	dir := t.TempDir()
 	client, err := NewClient(context.Background(), Config{
-		Broker:            addr,
+		Broker:            loopAddr,
+		Transport:         lb,
 		ClientID:          "enospc-metrics",
 		SpoolDir:          dir,
 		SpoolSegmentSize:  256,
@@ -220,7 +241,7 @@ func TestENOSPCMetricsSurfaceSpoolFailures(t *testing.T) {
 	if err := os.Remove(markPath); err != nil {
 		t.Fatal(err)
 	}
-	st, got := drainAndCount(t, client, addr)
+	st, got := drainAndCount(t, client, lb)
 	if got != before {
 		t.Fatalf("target has %d records, want %d", got, before)
 	}
@@ -233,8 +254,8 @@ func TestENOSPCMetricsSurfaceSpoolFailures(t *testing.T) {
 // sheds arriving frames (Capture reports success; the policy chose the
 // loss) and counts them; surviving frames drain exactly once.
 func TestENOSPCDropNewShedsAndCounts(t *testing.T) {
-	addr := deadBrokerAddr(t)
-	client := enospcClient(t, addr, spool.DropNew)
+	lb := transport.NewLoopback()
+	client := enospcClient(t, lb, spool.DropNew)
 
 	const before = 20
 	for i := 0; i < before; i++ {
@@ -261,7 +282,7 @@ func TestENOSPCDropNewShedsAndCounts(t *testing.T) {
 		t.Fatalf("capture after freeing space: %v", err)
 	}
 
-	st, got := drainAndCount(t, client, addr)
+	st, got := drainAndCount(t, client, lb)
 	want := before + 1
 	if got != want {
 		t.Fatalf("target has %d records, want %d (shed frames must not reappear)", got, want)
@@ -276,8 +297,8 @@ func TestENOSPCDropNewShedsAndCounts(t *testing.T) {
 // floor only ever advances, sheds are counted by class, and after space
 // returns the surviving tail drains cleanly.
 func TestENOSPCDropOldestShedsPrefix(t *testing.T) {
-	addr := deadBrokerAddr(t)
-	client := enospcClient(t, addr, spool.DropOldestUnacked)
+	lb := transport.NewLoopback()
+	client := enospcClient(t, lb, spool.DropOldestUnacked)
 
 	const before = 60 // enough to seal several 2 KiB segments
 	for i := 0; i < before; i++ {
@@ -304,7 +325,7 @@ func TestENOSPCDropOldestShedsPrefix(t *testing.T) {
 	}
 
 	dq.Free()
-	st, got := drainAndCount(t, client, addr)
+	st, got := drainAndCount(t, client, lb)
 	if client.spool.Floor() < floorAfterShed {
 		t.Fatalf("floor regressed %d -> %d", floorAfterShed, client.spool.Floor())
 	}

@@ -5,8 +5,8 @@ import (
 	"testing"
 	"time"
 
-	"github.com/provlight/provlight/internal/broker"
 	"github.com/provlight/provlight/internal/translate"
+	"github.com/provlight/provlight/internal/transport"
 )
 
 // TestReconnectCountersSurface: while the broker is down, the drainer's
@@ -15,16 +15,11 @@ import (
 // reconnect clears the failure streak. Run with -race: the counters are
 // read here while the drainer goroutine writes them.
 func TestReconnectCountersSurface(t *testing.T) {
-	// Reserve an address, then close it so the drainer's dials fail.
-	b, err := broker.New(broker.Config{Addr: "127.0.0.1:0"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	addr := b.Addr()
-	b.Close()
-
+	// No broker listens on loopAddr yet, so the drainer's dials fail.
+	lb := transport.NewLoopback()
 	client, err := NewClient(context.Background(), Config{
-		Broker:            addr,
+		Broker:            loopAddr,
+		Transport:         lb,
 		ClientID:          "retry-stats-device",
 		SpoolDir:          t.TempDir(),
 		RetryInterval:     100 * time.Millisecond,
@@ -54,15 +49,7 @@ func TestReconnectCountersSurface(t *testing.T) {
 		time.Sleep(5 * time.Millisecond)
 	}
 
-	mem := translate.NewMemoryTarget()
-	srv, err := StartServer(context.Background(), ServerConfig{
-		Addr:          addr,
-		Targets:       []translate.Target{mem},
-		RetryInterval: 150 * time.Millisecond,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
+	srv := startLoopServer(t, lb, translate.NewMemoryTarget())
 	defer srv.Close()
 
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)

@@ -4,11 +4,8 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"net"
-	"sync"
 	"time"
 
-	"github.com/provlight/provlight/internal/ctxutil"
 	"github.com/provlight/provlight/internal/mqttsn"
 	"github.com/provlight/provlight/internal/obs"
 	"github.com/provlight/provlight/internal/provdm"
@@ -18,23 +15,12 @@ import (
 )
 
 // This file implements the client's store-and-forward mode
-// (Config.SpoolDir): captures append to a disk spool, and a single
-// drainer goroutine owns the broker session lifecycle — dialing with
-// exponential backoff, re-establishing the topic registration and the
-// end-to-end acknowledgement subscription on every (re)connect, sliding
-// an ack window over the spool, and rewinding to redeliver frames whose
-// acknowledgements never arrived. The mqtt transport below it still runs
-// QoS 2, but broker receipt no longer releases a frame: only the
-// translator's ack (published after durable delivery to every target)
-// advances the spool's persisted floor.
-
-// Sentinel results of a drain session.
-var (
-	errDrainStop    = errors.New("provlight: drain stopped")
-	errDrainKill    = errors.New("provlight: drain killed")
-	errSessionDown  = errors.New("provlight: broker session down")
-	errSpoolReadEnd = errors.New("provlight: spool read failed")
-)
+// (Config.SpoolDir): captures append to a disk spool, and a supervised
+// broker session (mqttsn.Session) drains it — sliding an ack window over
+// the spool and rewinding to redeliver frames whose acknowledgements
+// never arrived. The transport still runs QoS 2, but broker receipt does
+// not release a frame: only the translator's ack (published after durable
+// delivery to every target) advances the spool's persisted floor.
 
 // newSpoolClient opens the spool and starts the drainer; the broker does
 // not need to be reachable.
@@ -54,33 +40,47 @@ func newSpoolClient(cfg Config) (*Client, error) {
 	if cfg.ReconnectMaxDelay <= 0 {
 		cfg.ReconnectMaxDelay = 10 * time.Second
 	}
-	if cfg.CongestionRetryAfter <= 0 {
-		cfg.CongestionRetryAfter = time.Second
-	}
 	sp, err := spool.Open(spool.Options{
-		Dir:           cfg.SpoolDir,
-		Sync:          cfg.SpoolSync,
-		SyncInterval:  cfg.SpoolSyncInterval,
-		SegmentSize:   cfg.SpoolSegmentSize,
-		Quota:         cfg.SpoolQuota,
-		HighWatermark: cfg.SpoolHighWatermark,
-		LowWatermark:  cfg.SpoolLowWatermark,
-		Policy:        cfg.SpoolPolicy,
+		Dir:          cfg.SpoolDir,
+		Sync:         cfg.SpoolSync,
+		SyncInterval: cfg.SpoolSyncInterval,
+		SegmentSize:  cfg.SpoolSegmentSize,
+		Quota:        cfg.SpoolQuota,
+		Policy:       cfg.SpoolPolicy,
 	})
 	if err != nil {
 		return nil, fmt.Errorf("provlight: open spool: %w", err)
 	}
 	c := &Client{
-		cfg:       cfg,
-		topic:     cfg.Topic,
-		enc:       wire.Encoder{DisableCompression: cfg.DisableCompression},
-		spool:     sp,
-		drainStop: make(chan struct{}),
-		drainKill: make(chan struct{}),
+		cfg:   cfg,
+		topic: cfg.Topic,
+		enc:   wire.Encoder{DisableCompression: cfg.DisableCompression},
+		spool: sp,
 	}
+	c.session = mqttsn.NewSession(mqttsn.SessionConfig{
+		Client: mqttsn.ClientConfig{
+			ClientID:       cfg.ClientID,
+			Gateway:        cfg.Broker,
+			Conn:           cfg.Conn,
+			Transport:      cfg.Transport,
+			KeepAlive:      cfg.KeepAlive,
+			RetryInterval:  cfg.RetryInterval,
+			MaxRetries:     cfg.MaxRetries,
+			InflightWindow: cfg.WindowSize,
+			CleanSession:   true,
+		},
+		DialConn: cfg.DialConn,
+		Setup:    c.setupSession,
+		Serve:    c.drainWith,
+		Backoff:  resilience.Backoff{Min: cfg.ReconnectMinDelay, Max: cfg.ReconnectMaxDelay},
+		OnDialError: func(_ int, err error) error {
+			c.reportAsync(fmt.Errorf("provlight: spool connect %s: %w", cfg.Broker, err))
+			return err
+		},
+	})
 	c.initMetrics()
 	c.drainWG.Add(1)
-	go c.drainer()
+	c.session.Start()
 	return c, nil
 }
 
@@ -135,162 +135,14 @@ func (c *Client) reportAsync(err error) {
 	}
 }
 
-func (c *Client) currentSession() *mqttsn.Client {
-	c.sessMu.Lock()
-	defer c.sessMu.Unlock()
-	return c.sess
-}
-
-func (c *Client) setSession(mc *mqttsn.Client) {
-	c.sessMu.Lock()
-	c.sess = mc
-	c.sessMu.Unlock()
-}
-
-// drainer owns the broker connection: dial, drain, tear down, back off,
-// repeat — until stopped (graceful) or killed (crash simulation). Backoff
-// comes from the shared resilience schedule: exponential with [d/2, d]
-// jitter, which matters at fleet scale — after a broker or translator
-// failover every edge client notices the outage within the same retry
-// interval, and without jitter their backoffs stay phase-locked,
-// thousands of devices re-dialing in synchronized waves. A congestion
-// rejection from the broker's admission control raises the sleep to at
-// least CongestionRetryAfter (jittered upward), honoring the broker's
-// "come back later" instead of hammering it at the dial cadence.
-func (c *Client) drainer() {
-	defer c.drainWG.Done()
-	bo := resilience.Backoff{Min: c.cfg.ReconnectMinDelay, Max: c.cfg.ReconnectMaxDelay}
-	attempt := 0
-	for {
-		select {
-		case <-c.drainStop:
-			return
-		case <-c.drainKill:
-			return
-		default:
-		}
-		c.ctr.reconnectAttempts.Add(1)
-		mc, conn, down, err := c.dialSession()
-		if err != nil {
-			c.ctr.consecFailures.Add(1)
-			c.reportAsync(fmt.Errorf("provlight: spool connect %s: %w", c.cfg.Broker, err))
-			sleep := bo.Delay(attempt)
-			if errors.Is(err, mqttsn.ErrCongestion) && sleep < c.cfg.CongestionRetryAfter {
-				// Jitter over [after, 2×after]: at least what the broker
-				// asked for, never the whole herd at once.
-				after := c.cfg.CongestionRetryAfter
-				sleep = resilience.Backoff{Min: 2 * after, Max: 2 * after}.Delay(0)
-			}
-			attempt++
-			if !c.backoffSleep(sleep) {
-				return
-			}
-			continue
-		}
-		c.ctr.reconnects.Add(1)
-		c.ctr.consecFailures.Store(0)
-		c.ctr.nextRetryNano.Store(0)
-		attempt = 0
-		c.setSession(mc)
-		err = c.drainWith(mc, down)
-		c.setSession(nil)
-		if err == errDrainStop {
-			_ = mc.Disconnect() // clean goodbye: the broker releases the session now
-		} else {
-			mc.Close()
-		}
-		if conn != nil {
-			conn.Close() // DialConn-supplied sockets are ours to close
-		}
-		switch err {
-		case errDrainStop, errDrainKill:
-			return
-		}
-		sleep := bo.Delay(attempt)
-		attempt++
-		if !c.backoffSleep(sleep) {
-			return
-		}
-	}
-}
-
-// backoffSleep waits out one backoff delay, publishing the wake deadline
-// in stats (NextRetryUnixNano) so an operator can see when a disconnected
-// client will try again. Returns false when the drainer should exit.
-func (c *Client) backoffSleep(d time.Duration) bool {
-	c.ctr.nextRetryNano.Store(time.Now().Add(d).UnixNano())
-	timer := time.NewTimer(d)
-	defer timer.Stop()
-	select {
-	case <-timer.C:
-		c.ctr.nextRetryNano.Store(0)
-		return true
-	case <-c.drainStop:
-		return false
-	case <-c.drainKill:
-		return false
-	}
-}
-
-// dialSession establishes one broker session: connect, register the
-// records topic, subscribe to the ack topic. down is closed when the
-// session dies (broker disconnect, socket error, or a publish giving up
-// its retries).
-func (c *Client) dialSession() (*mqttsn.Client, net.PacketConn, <-chan struct{}, error) {
-	var conn net.PacketConn
-	var dialed bool
-	if c.cfg.DialConn != nil {
-		var err error
-		if conn, err = c.cfg.DialConn(); err != nil {
-			return nil, nil, nil, err
-		}
-		dialed = true
-	} else if c.cfg.Conn != nil {
-		conn = c.cfg.Conn // reused across sessions; caller-owned
-	}
-	down := make(chan struct{})
-	var downOnce sync.Once
-	closeDown := func(error) { downOnce.Do(func() { close(down) }) }
-	mc, err := mqttsn.NewClient(mqttsn.ClientConfig{
-		ClientID:       c.cfg.ClientID,
-		Gateway:        c.cfg.Broker,
-		Conn:           conn,
-		Transport:      c.cfg.Transport,
-		KeepAlive:      c.cfg.KeepAlive,
-		RetryInterval:  c.cfg.RetryInterval,
-		MaxRetries:     c.cfg.MaxRetries,
-		InflightWindow: c.cfg.WindowSize,
-		CleanSession:   true,
-		OnDisconnect:   closeDown,
-	})
-	if err != nil {
-		if dialed && conn != nil {
-			conn.Close()
-		}
-		return nil, nil, nil, err
-	}
-	fail := func(err error) (*mqttsn.Client, net.PacketConn, <-chan struct{}, error) {
-		mc.Close()
-		if dialed && conn != nil {
-			conn.Close()
-		}
-		return nil, nil, nil, err
-	}
-	if err := mc.Connect(); err != nil {
-		return fail(err)
-	}
+// setupSession re-establishes what a fresh broker session needs: the
+// records topic registration and the per-device ack subscription, on
+// which the translator reports end-to-end durable delivery.
+func (c *Client) setupSession(mc *mqttsn.Client) error {
 	if _, err := mc.RegisterTopic(c.topic); err != nil {
-		return fail(err)
+		return err
 	}
-	// Subscription re-establishment: the per-device ack topic, on which
-	// the translator reports end-to-end durable delivery.
-	if err := mc.Subscribe(wire.AckTopic(c.topic), mqttsn.QoS1, c.onAck); err != nil {
-		return fail(err)
-	}
-	if !dialed {
-		conn = nil // not ours to close
-	}
-	return mc, conn, down, nil
+	return mc.Subscribe(wire.AckTopic(c.topic), mqttsn.QoS1, c.onAck)
 }
 
 // onAck advances the spool floor from a translator acknowledgement. Runs
@@ -329,11 +181,12 @@ func (c *Client) onAck(_ string, payload []byte) {
 	}
 }
 
-// drainWith pumps spooled frames through one session until it dies or the
-// client stops. Frames are published in order within an ack window above
-// the floor; completion of the QoS handshake releases the frame buffer
-// but not the frame — only acks do that.
-func (c *Client) drainWith(mc *mqttsn.Client, down <-chan struct{}) error {
+// drainWith pumps spooled frames through one session until it dies (the
+// session closes down, also when the client stops it). Frames are
+// published in order within an ack window above the floor; completion of
+// the QoS handshake releases the frame buffer but not the frame — only
+// acks do that.
+func (c *Client) drainWith(mc *mqttsn.Client, down <-chan struct{}) {
 	r := c.spool.NewReader()
 	defer r.Close()
 	window := uint64(c.cfg.AckWindow)
@@ -360,22 +213,10 @@ func (c *Client) drainWith(mc *mqttsn.Client, down <-chan struct{}) error {
 		lastFloor = floor
 	}
 
-	// The session is gone when either `down` fires (broker DISCONNECT or
-	// socket death, via OnDisconnect) or the client is closed — which
-	// includes the publish-failure collector below recycling it with
-	// mc.Close(), a path OnDisconnect deliberately does NOT report.
-	// Selecting on both is what lets the drainer notice its own recycle.
-	sessionGone := mc.Done()
 	for {
 		select {
-		case <-c.drainKill:
-			return errDrainKill
-		case <-c.drainStop:
-			return errDrainStop
 		case <-down:
-			return errSessionDown
-		case <-sessionGone:
-			return errSessionDown
+			return
 		default:
 		}
 		// Sliding ack window: never run more than AckWindow frames ahead
@@ -386,13 +227,7 @@ func (c *Client) drainWith(mc *mqttsn.Client, down <-chan struct{}) error {
 			case <-stall.C:
 				checkStall()
 			case <-down:
-				return errSessionDown
-			case <-sessionGone:
-				return errSessionDown
-			case <-c.drainStop:
-				return errDrainStop
-			case <-c.drainKill:
-				return errDrainKill
+				return
 			}
 		}
 		bufp := framePool.Get().(*[]byte)
@@ -400,7 +235,7 @@ func (c *Client) drainWith(mc *mqttsn.Client, down <-chan struct{}) error {
 		if err != nil {
 			framePool.Put(bufp)
 			c.reportAsync(fmt.Errorf("provlight: read spool: %w", err))
-			return errSpoolReadEnd
+			return
 		}
 		if !ok {
 			framePool.Put(bufp)
@@ -412,13 +247,7 @@ func (c *Client) drainWith(mc *mqttsn.Client, down <-chan struct{}) error {
 			case <-stall.C:
 				checkStall()
 			case <-down:
-				return errSessionDown
-			case <-sessionGone:
-				return errSessionDown
-			case <-c.drainStop:
-				return errDrainStop
-			case <-c.drainKill:
-				return errDrainKill
+				return
 			}
 			continue
 		}
@@ -428,7 +257,7 @@ func (c *Client) drainWith(mc *mqttsn.Client, down <-chan struct{}) error {
 		if err := c.spool.EnsureSynced(seq); err != nil {
 			framePool.Put(bufp)
 			c.reportAsync(fmt.Errorf("provlight: sync spool before publish: %w", err))
-			return errSpoolReadEnd
+			return
 		}
 		if c.stageCapture != nil {
 			if ns, ok := wire.FrameCaptureNS(frame); ok {
@@ -448,7 +277,8 @@ func (c *Client) drainWith(mc *mqttsn.Client, down <-chan struct{}) error {
 					c.reportAsync(fmt.Errorf("provlight: publish spooled frame %d: %w", seq, err))
 				}
 				// A handshake that exhausted its retries means the link is
-				// gone: recycle the session, the next one redelivers.
+				// gone: recycle the session (closing the client closes
+				// down), the next one redelivers.
 				mc.Close()
 			}
 		}()
@@ -483,14 +313,14 @@ func (c *Client) shutdownSpool(ctx context.Context) error {
 	if !c.closed.CompareAndSwap(false, true) {
 		// Another Shutdown/Close/Abort owns the teardown; wait for it
 		// under our ctx.
-		if werr := ctxutil.Wait(ctx, c.drainWG.Wait); werr != nil && err == nil {
+		if werr := waitCtx(ctx, c.drainWG.Wait); werr != nil && err == nil {
 			err = werr
 		}
 		return err
 	}
 	werr := c.waitDrained(ctx)
-	close(c.drainStop)
-	c.drainWG.Wait()
+	c.session.Disconnect() // clean goodbye: the broker releases the session now
+	c.drainWG.Done()
 	if cerr := c.spool.Close(); err == nil {
 		err = cerr
 	}
@@ -510,11 +340,8 @@ func (c *Client) Abort() {
 		return
 	}
 	if c.spool != nil {
-		close(c.drainKill)
-		if mc := c.currentSession(); mc != nil {
-			mc.Close()
-		}
-		c.drainWG.Wait()
+		c.session.Close()
+		c.drainWG.Done()
 		c.spool.Crash()
 		return
 	}

@@ -11,6 +11,7 @@ import (
 	"github.com/provlight/provlight/internal/dfanalyzer"
 	"github.com/provlight/provlight/internal/provdm"
 	"github.com/provlight/provlight/internal/translate"
+	"github.com/provlight/provlight/internal/transport"
 )
 
 func captureTask(t testing.TB, c *Client, wf string, i int) {
@@ -119,16 +120,11 @@ func TestSpoolPipelineEndToEnd(t *testing.T) {
 // then brings the server up: the drainer's reconnect loop must find it
 // and drain everything without losing a record.
 func TestSpoolSurvivesBrokerOutage(t *testing.T) {
-	// Reserve an address, then close it so the drainer's first dials fail.
-	b, err := broker.New(broker.Config{Addr: "127.0.0.1:0"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	addr := b.Addr()
-	b.Close()
-
+	// No broker listens on loopAddr yet, so the drainer's first dials fail.
+	lb := transport.NewLoopback()
 	client, err := NewClient(context.Background(), Config{
-		Broker:            addr,
+		Broker:            loopAddr,
+		Transport:         lb,
 		ClientID:          "outage-device",
 		SpoolDir:          t.TempDir(),
 		RetryInterval:     100 * time.Millisecond,
@@ -149,14 +145,7 @@ func TestSpoolSurvivesBrokerOutage(t *testing.T) {
 	}
 
 	mem := translate.NewMemoryTarget()
-	srv, err := StartServer(context.Background(), ServerConfig{
-		Addr:          addr,
-		Targets:       []translate.Target{mem},
-		RetryInterval: 150 * time.Millisecond,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
+	srv := startLoopServer(t, lb, mem)
 	defer srv.Close()
 
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
@@ -171,7 +160,7 @@ func TestSpoolSurvivesBrokerOutage(t *testing.T) {
 	if st.SpoolReconnects == 0 {
 		t.Fatal("no reconnects counted")
 	}
-	srv.Drain()
+	srv.tr.Drain()
 	if got := mem.Len(); got != 2*n {
 		t.Fatalf("memory target has %d records, want %d", got, 2*n)
 	}
@@ -257,17 +246,11 @@ func TestSpoolReconnectsAfterMidStreamBrokerDeath(t *testing.T) {
 	// is assertable across the outage (frames acked by either server land
 	// in the same store).
 	store := translate.NewStoreTarget(dfanalyzer.NewStore(), "provlight")
-	srv, err := StartServer(context.Background(), ServerConfig{
-		Addr:          "127.0.0.1:0",
-		Targets:       []translate.Target{store},
-		RetryInterval: 100 * time.Millisecond,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	addr := srv.Addr()
+	lb := transport.NewLoopback()
+	srv := startLoopServer(t, lb, store)
 	client, err := NewClient(context.Background(), Config{
-		Broker:            addr,
+		Broker:            loopAddr,
+		Transport:         lb,
 		ClientID:          "midstream-device",
 		SpoolDir:          t.TempDir(),
 		RetryInterval:     100 * time.Millisecond,
@@ -296,14 +279,7 @@ func TestSpoolReconnectsAfterMidStreamBrokerDeath(t *testing.T) {
 	// the session (the wedge this test guards against).
 	time.Sleep(600 * time.Millisecond)
 
-	srv2, err := StartServer(context.Background(), ServerConfig{
-		Addr:          addr,
-		Targets:       []translate.Target{store},
-		RetryInterval: 100 * time.Millisecond,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
+	srv2 := startLoopServer(t, lb, store)
 	defer srv2.Close()
 	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
 	defer cancel()
@@ -314,7 +290,7 @@ func TestSpoolReconnectsAfterMidStreamBrokerDeath(t *testing.T) {
 	if st.SpoolPending != 0 || st.SpoolReconnects < 2 {
 		t.Fatalf("pending=%d reconnects=%d (want 0 pending, >=2 sessions)", st.SpoolPending, st.SpoolReconnects)
 	}
-	srv2.Drain()
+	srv2.tr.Drain()
 	if got := store.Store().TaskCount("provlight"); got != n {
 		t.Fatalf("store has %d tasks, want exactly %d", got, n)
 	}

@@ -191,13 +191,6 @@ func (c *Client) Select(ctx context.Context, q Query) ([]Row, error) {
 	return rows, nil
 }
 
-// Query runs a query on the server.
-//
-// Deprecated: use Select, which takes a context for request deadlines.
-func (c *Client) Query(q Query) ([]Row, error) {
-	return c.Select(context.Background(), q)
-}
-
 // getJSON GETs path (already query-encoded) and decodes the JSON response
 // into out. A 404 is reported as errNotFound when non-nil, so callers can
 // map it onto source.ErrNotFound with their own context.

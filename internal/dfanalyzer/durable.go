@@ -133,9 +133,9 @@ func OpenStore(opts StoreOptions) (*Store, error) {
 // set). Best effort on ingest errors: a record the live path accepted
 // cannot fail replay, but quarantined-gap WALs may reference a dataflow
 // whose registration was lost — those ops are skipped rather than fatal.
-// Frames are dedup-marked before the best-effort apply, matching the
-// live path's poison-frame rule (see Store.IngestFrames): a frame that
-// cannot apply is counted as handled rather than redelivered forever.
+// Frames go through applyFrames, the live ingest path's own function, so
+// the poison-frame rule (see Store.IngestFrames) and in-batch dedup hold
+// identically on replay.
 func (s *Store) applyOp(op *walOp) error {
 	switch op.Op {
 	case "register":
@@ -147,13 +147,7 @@ func (s *Store) applyOp(op *walOp) error {
 		_ = s.ingestTasksApply(op.Tasks)
 		return nil
 	case "frames":
-		for i := range op.Frames {
-			f := &op.Frames[i]
-			if f.Origin != "" && f.Seq > 0 && !s.dedup.mark(f.Origin, f.Seq) {
-				continue // already applied before the snapshot
-			}
-			_ = s.ingestTasksApply(f.Tasks)
-		}
+		_, _ = s.applyFrames(op.Frames)
 		return nil
 	case "term":
 		s.setTermState(op.Term, op.TermStart)

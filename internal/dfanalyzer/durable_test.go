@@ -203,6 +203,69 @@ func TestFrameDedupAcrossRestart(t *testing.T) {
 	checkRows(t, s3, "df", 4)
 }
 
+// TestInBatchDuplicateFrameAppliedOnce: a batch holding the same
+// (origin, seq) twice applies it once, and the state a close + reopen
+// recovers from the WAL equals the live state.
+func TestInBatchDuplicateFrameAppliedOnce(t *testing.T) {
+	dir := t.TempDir()
+	s := mustOpen(t, dir, -1)
+	if err := s.RegisterDataflow(testSpec("df")); err != nil {
+		t.Fatal(err)
+	}
+	frame := func(seq uint64, i int) FrameMsg {
+		return FrameMsg{Origin: "provlight/dev-1/records", Seq: seq, Tasks: taskPair("df", i)}
+	}
+	applied, err := s.IngestFrames([]FrameMsg{frame(1, 0), frame(2, 1), frame(1, 0)})
+	if err != nil || applied != 2 {
+		t.Fatalf("ingest: applied=%d err=%v, want 2", applied, err)
+	}
+	checkRows(t, s, "df", 2)
+	live := dumpSets(t, s, "df")
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	s2 := mustOpen(t, dir, -1)
+	defer s2.Close()
+	checkRows(t, s2, "df", 2)
+	if got := dumpSets(t, s2, "df"); got != live {
+		t.Fatalf("recovered state differs from live state:\nlive:      %s\nrecovered: %s", live, got)
+	}
+}
+
+// TestFramesEndpointInBatchDuplicate: POST /frames with the same
+// (origin, seq) twice in one body applies it once.
+func TestFramesEndpointInBatchDuplicate(t *testing.T) {
+	srv := NewServer(nil)
+	if err := srv.Start("127.0.0.1:0"); err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	client := NewClient("http://" + srv.Addr())
+	if err := client.RegisterDataflow(testSpec("df")); err != nil {
+		t.Fatal(err)
+	}
+	f := FrameMsg{Origin: "provlight/dev-1/records", Seq: 1, Tasks: taskPair("df", 0)}
+	if err := client.SendFrames([]FrameMsg{f, f}); err != nil {
+		t.Fatal(err)
+	}
+	checkRows(t, srv.Store(), "df", 1)
+}
+
+// dumpSets renders every row of the test spec's sets as one string, for
+// comparing two stores' states.
+func dumpSets(t *testing.T, s *Store, dataflow string) string {
+	t.Helper()
+	var out string
+	for _, set := range []string{"train_input", "train_output"} {
+		rows, err := s.Select(context.Background(), Query{Dataflow: dataflow, Set: set})
+		if err != nil {
+			t.Fatalf("select %s: %v", set, err)
+		}
+		out += fmt.Sprintf("%s=%v;", set, rows)
+	}
+	return out
+}
+
 // TestInMemoryStoreDedupsFrames: even without durability, redeliveries
 // within one process lifetime are deduplicated.
 func TestInMemoryStoreDedupsFrames(t *testing.T) {

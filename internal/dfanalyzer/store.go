@@ -311,19 +311,36 @@ func (s *Store) IngestFramesTerm(term uint64, frames []FrameMsg) (applied int, e
 			return 0, err
 		}
 	}
-	for _, f := range fresh {
-		if f.Origin != "" && f.Seq > 0 {
-			s.dedup.mark(f.Origin, f.Seq)
-		}
-		if err := s.ingestTasksApply(f.Tasks); err != nil {
-			return applied, err
-		}
-		applied++
+	applied, err = s.applyFrames(fresh)
+	if err != nil {
+		return applied, err
 	}
 	if s.dur != nil {
 		return applied, s.maybeSnapshotLocked()
 	}
 	return applied, nil
+}
+
+// applyFrames is the frame-apply path shared by live ingest and WAL
+// replay, so their states cannot diverge: a frame with a durable id is
+// applied only if its dedup mark is new (also within one batch); every
+// frame is attempted and the first error returned. Callers hold
+// s.commitMu (or own the store, during recovery).
+func (s *Store) applyFrames(frames []FrameMsg) (applied int, err error) {
+	for i := range frames {
+		f := &frames[i]
+		if f.Origin != "" && f.Seq > 0 && !s.dedup.mark(f.Origin, f.Seq) {
+			continue
+		}
+		if aerr := s.ingestTasksApply(f.Tasks); aerr != nil {
+			if err == nil {
+				err = aerr
+			}
+			continue
+		}
+		applied++
+	}
+	return applied, err
 }
 
 // AppliedFrameCount returns how many distinct frames the store has

@@ -27,11 +27,8 @@ var (
 
 // ConnectRejectedError is returned by Connect for a non-congestion
 // CONNACK refusal, carrying the gateway's return code so callers can
-// tell a permanent refusal apart from a transient one. The cluster's
-// link supervisor depends on this: RejectedInvalidID from a peer's
-// membership gate means this node has been fenced out of the cluster
-// (retrying is useless — the node must demote and rejoin), while any
-// other failure is retried with backoff.
+// tell a permanent refusal from a transient one (a cluster link treats
+// RejectedInvalidID — its node was fenced out — as permanent).
 type ConnectRejectedError struct {
 	Code ReturnCode
 }
@@ -84,9 +81,7 @@ type ClientConfig struct {
 	Will *Will
 	// OnDisconnect, when set, is invoked (once, on its own goroutine) when
 	// the session dies without a local Close/Disconnect: the broker sent a
-	// DISCONNECT, or the socket failed. Reconnect loops use it to replace
-	// the session promptly instead of waiting for the next publish to time
-	// out.
+	// DISCONNECT, or the socket failed. Session sets it to redial promptly.
 	OnDisconnect func(err error)
 }
 

@@ -60,6 +60,21 @@ func (b Backoff) Delay(attempt int) time.Duration {
 	return b.jitter(d)
 }
 
+// DelayFor is Delay(attempt) after a failure with err: when err carries
+// a RetryAfterError the delay is raised to at least its After, with
+// upward jitter of half that window so a herd told "come back later"
+// does not return in lockstep.
+func (b Backoff) DelayFor(attempt int, err error) time.Duration {
+	d := b.Delay(attempt)
+	var ra *RetryAfterError
+	if errors.As(err, &ra) && ra.After > 0 {
+		if min := ra.After + b.jitter(ra.After) - ra.After/2; d < min {
+			d = min
+		}
+	}
+	return d
+}
+
 // jitter maps d to a uniform value in [d/2, d].
 func (b Backoff) jitter(d time.Duration) time.Duration {
 	if d <= 1 {
@@ -157,16 +172,7 @@ func (r Retry) Do(ctx context.Context, op func(ctx context.Context) error) error
 		if r.Budget > 0 && attempt+1 >= r.Budget {
 			return fmt.Errorf("%w after %d attempts: %w", ErrBudgetExhausted, r.Budget, err)
 		}
-		sleep := r.Backoff.Delay(attempt)
-		var ra *RetryAfterError
-		if errors.As(err, &ra) && ra.After > 0 {
-			// Honor the server's ask as a floor, with upward jitter of
-			// half the window so rejected clients don't re-arrive at once.
-			min := ra.After + r.Backoff.jitter(ra.After) - ra.After/2
-			if sleep < min {
-				sleep = min
-			}
-		}
+		sleep := r.Backoff.DelayFor(attempt, err)
 		if r.OnRetry != nil {
 			r.OnRetry(attempt, err, sleep)
 		}

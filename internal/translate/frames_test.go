@@ -82,3 +82,22 @@ func TestStoreTargetWorkflowOnlyFrameAppliedOnce(t *testing.T) {
 		t.Fatalf("workflow-only frame not marked applied (applied=%d)", applied)
 	}
 }
+
+// TestStoreTargetInBatchDuplicateAppliedOnce: the same (origin, seq)
+// twice in one micro-batch — a spool redelivery landing next to a
+// takeover redelivery — must apply once, not once per copy.
+func TestStoreTargetInBatchDuplicateAppliedOnce(t *testing.T) {
+	store := dfanalyzer.NewStore()
+	target := NewStoreTarget(store, "df")
+	f := frameOf(t, "provlight/d1/records", 1, "t1")
+	if err := target.DeliverFrames([]Frame{f, f}); err != nil {
+		t.Fatal(err)
+	}
+	rows, err := store.Select(context.Background(), dfanalyzer.Query{Dataflow: "df", Set: "train_output"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rows) != 1 {
+		t.Fatalf("rows = %d, want 1 (in-batch duplicate applied twice)", len(rows))
+	}
+}

@@ -13,7 +13,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"github.com/provlight/provlight/internal/ctxutil"
 	"github.com/provlight/provlight/internal/mqttsn"
 	"github.com/provlight/provlight/internal/obs"
 	"github.com/provlight/provlight/internal/provdm"
@@ -99,10 +98,8 @@ type Config struct {
 	// on every node — the cluster routes a group frame to a member LOCAL
 	// to the topic's owning node, so a node without a member would
 	// silently drop its share of the stream. The shared subscription is
-	// forced (even with one address) and a supervisor redials its home
-	// node first, rotating through the others when it is gone (how a
-	// session survives its node leaving the cluster). A single address
-	// behaves exactly like Broker.
+	// forced (even with one address), and a session redials its home node
+	// first, then the others (mqttsn.SessionConfig.Gateways).
 	ClusterAddrs []string
 	// Transport dials broker sessions over an alternate packet substrate
 	// (in-process loopback, TCP stream); nil means UDP. DialConn takes
@@ -194,45 +191,6 @@ type Config struct {
 	Metrics *obs.Registry
 }
 
-// sessionSlot is one supervised broker session: the current client and
-// (when DialConn supplied it) its socket, swapped atomically by the
-// supervisor on redial. Readers take the mutex to get the live client —
-// nil while the slot is between sessions.
-type sessionSlot struct {
-	mu   sync.Mutex
-	mc   *mqttsn.Client
-	conn net.PacketConn
-}
-
-func (s *sessionSlot) get() *mqttsn.Client {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.mc
-}
-
-// take empties the slot and returns what it held, for teardown.
-func (s *sessionSlot) take() (*mqttsn.Client, net.PacketConn) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	mc, conn := s.mc, s.conn
-	s.mc, s.conn = nil, nil
-	return mc, conn
-}
-
-func (s *sessionSlot) set(mc *mqttsn.Client, conn net.PacketConn) {
-	s.mu.Lock()
-	s.mc, s.conn = mc, conn
-	s.mu.Unlock()
-}
-
-// Redial backoff for dead translator sessions: jittered exponential via
-// the shared resilience schedule, capped low enough that the pipeline
-// comes back within seconds of the broker recovering.
-const (
-	redialMinDelay = 250 * time.Millisecond
-	redialMaxDelay = 8 * time.Second
-)
-
 // Translator subscribes to device topics and pumps records into targets.
 // With Config.Sessions > 1 it holds several broker sessions in one
 // consumer group, all feeding the same work queue.
@@ -242,38 +200,27 @@ type Translator struct {
 	// prefixed when consuming as a group); supervisors re-subscribe with
 	// it on every redial.
 	filter string
-	// slots are the consumer sessions, each kept alive by its own
-	// supervisor goroutine: a session that dies — broker restart, retry
-	// exhaustion during an overload window, expired by the broker janitor
-	// — is closed and redialed with jittered backoff. Without this the
-	// translator goes permanently deaf while every device spool backs up
-	// against its quota.
-	slots []*sessionSlot
-	// ackSlot is a dedicated broker session for publishing end-to-end
-	// acks, supervised like the consumer slots. Sharing a consumer
-	// session for acks deadlocks under load: the worker blocks in
-	// PublishAsync waiting for a REGACK/PUBACK that only that session's
-	// read loop can process, while the read loop blocks in onMessage on
-	// the full work queue waiting for the worker. A session that never
-	// consumes frames breaks the cycle — ack publishing can stall only on
-	// the broker itself, never on the translator's own backlog. nil when
-	// DisableAcks.
-	ackSlot *sessionSlot
-
-	// stop ends the supervisors; supWG waits them out so teardown cannot
-	// race a redial into a fresh session whose read loop would enqueue
-	// onto the closed work channel.
-	stop  chan struct{}
-	supWG sync.WaitGroup
+	// consumers are the supervised consumer sessions: one that dies is
+	// redialed, so the translator never goes permanently deaf while every
+	// device spool backs up against its quota.
+	consumers []*mqttsn.Session
+	// acks is a dedicated supervised session for publishing end-to-end
+	// acks. Sharing a consumer session for acks deadlocks under load: the
+	// worker blocks in PublishAsync waiting for a REGACK/PUBACK that only
+	// that session's read loop can process, while the read loop blocks in
+	// onMessage on the full work queue waiting for the worker. A session
+	// that never consumes frames breaks the cycle — ack publishing can
+	// stall only on the broker itself, never on the translator's own
+	// backlog. nil when DisableAcks.
+	acks *mqttsn.Session
 
 	frames       atomic.Uint64
 	records      atomic.Uint64
 	batches      atomic.Uint64
 	decodeErrs   atomic.Uint64
 	deliveryErrs atomic.Uint64
-	acks         atomic.Uint64
+	acksSent     atomic.Uint64
 	ackErrs      atomic.Uint64
-	redials      atomic.Uint64
 
 	// term is the replication term stamped into acks (Config.Term,
 	// updated by SetTerm after a failover).
@@ -341,9 +288,24 @@ func New(ctx context.Context, cfg Config) (*Translator, error) {
 		cfg:    cfg,
 		filter: filter,
 		work:   make(chan Frame, 256),
-		stop:   make(chan struct{}),
 	}
 	t.term.Store(cfg.Term)
+	subscribe := func(mc *mqttsn.Client) error {
+		if err := mc.Subscribe(t.filter, cfg.QoS, t.onMessage); err != nil {
+			return fmt.Errorf("subscribe %q: %w", t.filter, err)
+		}
+		return nil
+	}
+	for i := 0; i < cfg.Sessions; i++ {
+		id := cfg.ClientID
+		if i > 0 {
+			id = fmt.Sprintf("%s-s%d", cfg.ClientID, i+1)
+		}
+		t.consumers = append(t.consumers, t.newSession(id, i, subscribe))
+	}
+	if !cfg.DisableAcks {
+		t.acks = t.newSession(cfg.ClientID+"-acks", 0, nil)
+	}
 	if r := cfg.Metrics; r != nil {
 		t.stageTranslate = obs.StageLatency(r).With(obs.StageTranslate)
 		t.stageApply = obs.StageLatency(r).With(obs.StageDurableApply)
@@ -375,161 +337,53 @@ func New(ctx context.Context, cfg Config) (*Translator, error) {
 		t.wg.Add(1)
 		go t.worker()
 	}
-	// The ack session must exist before any consumer session can feed a
-	// frame to the workers: publishAcks reads t.ackSlot unsynchronized,
-	// relying on the frame's trip through t.work for visibility — a frame
-	// can only be enqueued by a session dialed after this write.
-	if !cfg.DisableAcks {
-		clientID := cfg.ClientID + "-acks"
-		mc, conn, down, err := t.dialSession(ctx, clientID, false, t.sessionAddr(0, 0))
-		if err != nil {
+	// The ack session opens first: a consumer must never hand a frame to
+	// a worker before acks can be published.
+	if t.acks != nil {
+		if err := t.acks.Open(ctx); err != nil {
 			t.Close()
 			return nil, fmt.Errorf("translate: ack session: %w", err)
 		}
-		t.ackSlot = &sessionSlot{mc: mc, conn: conn}
-		t.supWG.Add(1)
-		go t.supervise(t.ackSlot, clientID, false, 0, down)
 	}
-	for i := 0; i < cfg.Sessions; i++ {
-		clientID := t.slotClientID(i)
-		mc, conn, down, err := t.dialSession(ctx, clientID, true, t.sessionAddr(i, 0))
-		if err != nil {
+	for i, s := range t.consumers {
+		if err := s.Open(ctx); err != nil {
 			t.Close()
 			return nil, fmt.Errorf("translate: session %d: %w", i+1, err)
 		}
-		slot := &sessionSlot{mc: mc, conn: conn}
-		t.slots = append(t.slots, slot)
-		t.supWG.Add(1)
-		go t.supervise(slot, clientID, true, i, down)
 	}
 	return t, nil
 }
 
-// sessionAddr resolves the gateway a session dials: its home node on the
-// first attempt, rotating through the other cluster nodes on redials so
-// a session outlives its home leaving the tier. Outside cluster mode it
-// is always Config.Broker.
-func (t *Translator) sessionAddr(home, attempt int) string {
-	if len(t.cfg.ClusterAddrs) == 0 {
-		return t.cfg.Broker
-	}
-	return t.cfg.ClusterAddrs[(home+attempt)%len(t.cfg.ClusterAddrs)]
-}
-
-func (t *Translator) slotClientID(i int) string {
-	if i == 0 {
-		return t.cfg.ClientID
-	}
-	return fmt.Sprintf("%s-s%d", t.cfg.ClientID, i+1)
-}
-
-// dialSession dials one broker session: connect and, for a consumer
-// session, subscribe to the resolved filter. The returned channel closes
-// when the session dies without a local teardown.
-func (t *Translator) dialSession(ctx context.Context, clientID string, consumer bool, gateway string) (*mqttsn.Client, net.PacketConn, <-chan struct{}, error) {
-	var conn net.PacketConn
-	if t.cfg.DialConn != nil {
-		var err error
-		if conn, err = t.cfg.DialConn(); err != nil {
-			return nil, nil, nil, fmt.Errorf("dial: %w", err)
-		}
-	}
-	down := make(chan struct{})
-	var downOnce sync.Once
-	mc, err := mqttsn.NewClient(mqttsn.ClientConfig{
-		ClientID:      clientID,
-		Gateway:       gateway,
-		Conn:          conn,
-		Transport:     t.cfg.Transport,
-		KeepAlive:     t.cfg.KeepAlive,
-		RetryInterval: t.cfg.RetryInterval,
-		MaxRetries:    t.cfg.MaxRetries,
-		CleanSession:  true,
-		OnDisconnect:  func(error) { downOnce.Do(func() { close(down) }) },
+// newSession configures one supervised broker session; in cluster mode
+// node home%len(ClusterAddrs) is its home.
+func (t *Translator) newSession(clientID string, home int, setup func(*mqttsn.Client) error) *mqttsn.Session {
+	return mqttsn.NewSession(mqttsn.SessionConfig{
+		Client: mqttsn.ClientConfig{
+			ClientID:      clientID,
+			Gateway:       t.cfg.Broker,
+			Transport:     t.cfg.Transport,
+			KeepAlive:     t.cfg.KeepAlive,
+			RetryInterval: t.cfg.RetryInterval,
+			MaxRetries:    t.cfg.MaxRetries,
+			CleanSession:  true,
+		},
+		Gateways: t.cfg.ClusterAddrs,
+		Home:     home,
+		DialConn: t.cfg.DialConn,
+		Setup:    setup,
+		// Capped low so the pipeline returns within seconds of the broker.
+		Backoff: resilience.Backoff{Min: 250 * time.Millisecond, Max: 8 * time.Second},
+		OnDialError: func(_ int, err error) error {
+			if t.cfg.OnError != nil {
+				t.cfg.OnError(fmt.Errorf("translate: redial %s: %w", clientID, err))
+			}
+			return err
+		},
 	})
-	if err != nil {
-		if conn != nil {
-			conn.Close()
-		}
-		return nil, nil, nil, err
-	}
-	fail := func(err error) (*mqttsn.Client, net.PacketConn, <-chan struct{}, error) {
-		mc.Close()
-		if conn != nil {
-			conn.Close()
-		}
-		return nil, nil, nil, err
-	}
-	if err := mc.WithContext(ctx, mc.Connect); err != nil {
-		return fail(fmt.Errorf("connect broker: %w", err))
-	}
-	if consumer {
-		if err := mc.WithContext(ctx, func() error {
-			return mc.Subscribe(t.filter, t.cfg.QoS, t.onMessage)
-		}); err != nil {
-			return fail(fmt.Errorf("subscribe %q: %w", t.filter, err))
-		}
-	}
-	return mc, conn, down, nil
-}
-
-// supervise keeps one session slot alive: when the session dies without a
-// local teardown (broker restart, retry exhaustion during an overload
-// window, janitor expiry surfaced as a DISCONNECT to our next ping), the
-// remains are closed and the slot is redialed under the shared jittered
-// backoff until the broker admits it again or the translator stops.
-func (t *Translator) supervise(slot *sessionSlot, clientID string, consumer bool, home int, down <-chan struct{}) {
-	defer t.supWG.Done()
-	bo := resilience.Backoff{Min: redialMinDelay, Max: redialMaxDelay}
-	for {
-		select {
-		case <-t.stop:
-			return
-		case <-down:
-		}
-		old, oldConn := slot.take()
-		if old != nil {
-			// Close waits for the read loop — the onMessage caller — to
-			// exit, so a dead consumer session cannot race an enqueue
-			// against teardown's later channel close.
-			old.Close()
-		}
-		if oldConn != nil {
-			oldConn.Close()
-		}
-		for attempt := 0; ; attempt++ {
-			if !t.sleepStop(bo.Delay(attempt)) {
-				return
-			}
-			mc, conn, nd, err := t.dialSession(context.Background(), clientID, consumer, t.sessionAddr(home, attempt))
-			if err != nil {
-				if t.cfg.OnError != nil {
-					t.cfg.OnError(fmt.Errorf("translate: redial %s: %w", clientID, err))
-				}
-				continue
-			}
-			slot.set(mc, conn)
-			t.redials.Add(1)
-			down = nd
-			break
-		}
-	}
-}
-
-// sleepStop sleeps d unless the translator stops first.
-func (t *Translator) sleepStop(d time.Duration) bool {
-	timer := time.NewTimer(d)
-	defer timer.Stop()
-	select {
-	case <-timer.C:
-		return true
-	case <-t.stop:
-		return false
-	}
 }
 
 // Sessions reports how many broker sessions the translator holds.
-func (t *Translator) Sessions() int { return len(t.slots) }
+func (t *Translator) Sessions() int { return len(t.consumers) }
 
 // SetTerm updates the replication term stamped into end-to-end acks —
 // called after a failover, when the translator is repointed at a promoted
@@ -552,16 +406,28 @@ func (t *Translator) Term() uint64 { return t.term.Load() }
 
 // Stats returns a snapshot of translator counters.
 func (t *Translator) Stats() Stats {
+	var redials uint64
+	for _, s := range t.sessions() {
+		redials += s.Stats().Redials()
+	}
 	return Stats{
 		FramesReceived:    t.frames.Load(),
 		RecordsTranslated: t.records.Load(),
 		BatchesDelivered:  t.batches.Load(),
 		DecodeErrors:      t.decodeErrs.Load(),
 		DeliveryErrors:    t.deliveryErrs.Load(),
-		AcksPublished:     t.acks.Load(),
+		AcksPublished:     t.acksSent.Load(),
 		AckErrors:         t.ackErrs.Load(),
-		SessionRedials:    t.redials.Load(),
+		SessionRedials:    redials,
 	}
+}
+
+// sessions lists every supervised session, the ack session included.
+func (t *Translator) sessions() []*mqttsn.Session {
+	if t.acks == nil {
+		return t.consumers
+	}
+	return append([]*mqttsn.Session{t.acks}, t.consumers...)
 }
 
 func (t *Translator) onMessage(topic string, payload []byte) {
@@ -723,8 +589,8 @@ func (t *Translator) publishAcks(batch []Frame) {
 		return
 	}
 	var mc *mqttsn.Client
-	if t.ackSlot != nil {
-		mc = t.ackSlot.get()
+	if t.acks != nil {
+		mc = t.acks.Client()
 	}
 	if mc == nil {
 		// Ack session mid-redial: skip the batch's acks rather than borrow
@@ -746,7 +612,7 @@ func (t *Translator) publishAcks(batch []Frame) {
 				}
 				return
 			}
-			t.acks.Add(1)
+			t.acksSent.Add(1)
 		}()
 	}
 }
@@ -772,41 +638,22 @@ func (t *Translator) Shutdown(ctx context.Context) error {
 		// Another Shutdown/Close owns the teardown: wait for its workers
 		// to drain under this call's ctx instead of returning early (so a
 		// deadline-free Close after a timed-out Shutdown really drains).
-		return ctxutil.Wait(ctx, t.wg.Wait)
+		return waitCtx(ctx, t.wg.Wait)
 	}
-	// Stop the supervisors first and wait them out: a redial racing the
-	// teardown could otherwise produce a fresh session whose read loop
-	// enqueues onto the closed work channel.
-	close(t.stop)
-	t.supWG.Wait()
-	// Disconnect cleanly so the broker releases the sessions at once —
-	// in a consumer group the survivors take the partitions over
-	// immediately instead of waiting for keepalive expiry. Disconnect
-	// closes the client, and Close returns only after its read loop (the
-	// onMessage caller) has exited, so no enqueue can race the channel
-	// close below.
-	for _, slot := range t.slots {
-		mc, conn := slot.take()
-		if mc != nil {
-			_ = mc.Disconnect()
-		}
-		if conn != nil {
-			conn.Close()
-		}
+	// Disconnect cleanly so the broker releases the sessions at once (a
+	// consumer group's survivors take their partitions over immediately).
+	// It stops the supervisor and returns only after the read loop — the
+	// onMessage caller — has exited, so no enqueue races the close below.
+	for _, s := range t.consumers {
+		s.Disconnect()
 	}
 	close(t.work) // workers drain the queue, then exit
-	err := ctxutil.Wait(ctx, t.wg.Wait)
+	err := waitCtx(ctx, t.wg.Wait)
 	// The ack session goes last: the workers publish acks for every frame
 	// they drain after inbound is cut, and those acks are what lets the
 	// devices reclaim their spools.
-	if t.ackSlot != nil {
-		mc, conn := t.ackSlot.take()
-		if mc != nil {
-			_ = mc.Disconnect()
-		}
-		if conn != nil {
-			conn.Close()
-		}
+	if t.acks != nil {
+		t.acks.Disconnect()
 	}
 	return err
 }
@@ -826,30 +673,33 @@ func (t *Translator) Abort() {
 		t.wg.Wait()
 		return
 	}
-	close(t.stop)
-	t.supWG.Wait()
-	// Close (not Disconnect): the broker sees the session vanish exactly
-	// as it would on a SIGKILL. Close returns only after the read loop —
-	// the onMessage caller — has exited, so the channel close cannot race
-	// an enqueue.
-	for _, slot := range t.slots {
-		mc, conn := slot.take()
-		if mc != nil {
-			mc.Close()
-		}
-		if conn != nil {
-			conn.Close()
-		}
-	}
-	if t.ackSlot != nil {
-		mc, conn := t.ackSlot.take()
-		if mc != nil {
-			mc.Close() // crash semantics: in-flight acks die too
-		}
-		if conn != nil {
-			conn.Close()
-		}
+	// Close (not Disconnect): the broker sees the sessions vanish exactly
+	// as it would on a SIGKILL, and in-flight acks die too. Close returns
+	// only after the read loop — the onMessage caller — has exited, so the
+	// channel close cannot race an enqueue.
+	for _, s := range t.sessions() {
+		s.Close()
 	}
 	close(t.work)
 	t.wg.Wait()
+}
+
+// waitCtx runs wait (typically a WaitGroup.Wait), returning early with
+// the context error if ctx expires first.
+func waitCtx(ctx context.Context, wait func()) error {
+	if ctx == nil || ctx.Done() == nil {
+		wait()
+		return nil
+	}
+	if err := ctx.Err(); err != nil {
+		return err
+	}
+	done := make(chan struct{})
+	go func() { wait(); close(done) }()
+	select {
+	case <-done:
+		return nil
+	case <-ctx.Done():
+		return ctx.Err()
+	}
 }
