@@ -779,18 +779,13 @@ func BenchmarkStoreSelectTopK(b *testing.B) {
 
 // BenchmarkTranslatorPipeline measures end-to-end server-side ingestion:
 // device client -> UDP broker -> translator -> DfAnalyzer HTTP server ->
-// column store, sweeping the translator micro-batch size. The legacy case
-// replays the pre-PR per-frame target (full-history spec re-derivation
-// plus one POST /task per record) as the measured baseline.
+// column store, sweeping the translator micro-batch size.
 func BenchmarkTranslatorPipeline(b *testing.B) {
 	cases := []struct {
 		name   string
 		batch  int
 		target func(url string) provlight.Target
 	}{
-		{"legacy", 1, func(url string) provlight.Target {
-			return &legacyDfAnalyzerTarget{client: dfanalyzer.NewClient(url), dataflow: "bench"}
-		}},
 		{"batch1", 1, func(url string) provlight.Target { return provlight.NewDfAnalyzerTarget(url, "bench") }},
 		{"batch16", 16, func(url string) provlight.Target { return provlight.NewDfAnalyzerTarget(url, "bench") }},
 		{"batch64", 64, func(url string) provlight.Target { return provlight.NewDfAnalyzerTarget(url, "bench") }},
@@ -842,9 +837,7 @@ func BenchmarkTranslatorPipeline(b *testing.B) {
 				b.Fatal(err)
 			}
 			// Flush only guarantees the broker holds the frames; wait until
-			// every task reached the store through the translator. The
-			// failsafe scales with b.N so the quadratic legacy baseline
-			// isn't mistaken for a stall.
+			// every task reached the store through the translator.
 			deadline := time.Now().Add(30*time.Second + time.Duration(b.N)*10*time.Millisecond)
 			for dfaSrv.Store().TaskCount("bench") < b.N {
 				if time.Now().After(deadline) {
@@ -970,63 +963,6 @@ func BenchmarkTranslatorPipelineSessions(b *testing.B) {
 	}
 }
 
-// legacyDfAnalyzerTarget replicates the pre-batching DfAnalyzer target:
-// every frame appends to the full record history, re-derives the dataflow
-// spec from scratch (O(n^2) over the run), and ships each record with its
-// own blocking POST /task. Kept here as the measured baseline for
-// BenchmarkTranslatorPipeline.
-type legacyDfAnalyzerTarget struct {
-	client   *dfanalyzer.Client
-	dataflow string
-
-	mu   sync.Mutex
-	seen []provlight.Record
-	spec string
-}
-
-func (*legacyDfAnalyzerTarget) Name() string { return "dfanalyzer-legacy" }
-
-func (d *legacyDfAnalyzerTarget) Deliver(records []provlight.Record) error {
-	d.mu.Lock()
-	d.seen = append(d.seen, records...)
-	df := dfanalyzer.DataflowFromRecords(d.dataflow, d.seen)
-	fp := legacyFingerprint(df)
-	needRegister := fp != d.spec
-	if needRegister {
-		d.spec = fp
-	}
-	d.mu.Unlock()
-	if needRegister {
-		if err := d.client.RegisterDataflow(df); err != nil {
-			return err
-		}
-	}
-	for i := range records {
-		msg, ok := dfanalyzer.RecordToTaskMsg(d.dataflow, &records[i])
-		if !ok {
-			continue
-		}
-		if err := d.client.SendTask(msg); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-func legacyFingerprint(df *dfanalyzer.Dataflow) string {
-	s := df.Tag
-	for _, tr := range df.Transformations {
-		s += "|" + tr.Tag
-		for _, set := range append(append([]dfanalyzer.SetSchema{}, tr.Input...), tr.Output...) {
-			s += ";" + set.Tag
-			for _, a := range set.Attributes {
-				s += "," + a.Name + ":" + string(a.Type)
-			}
-		}
-	}
-	return s
-}
-
 // BenchmarkSourceSelect measures the backend-agnostic read path: the same
 // predicate + top-k query through the Source interface against the
 // in-memory target's column-store view and against a local DfAnalyzer
@@ -1058,7 +994,7 @@ func BenchmarkSourceSelect(b *testing.B) {
 	}
 
 	mem := provlight.NewMemoryTargetForDataflow("bench")
-	if err := mem.Deliver(records); err != nil {
+	if err := mem.DeliverFrames([]provlight.Frame{{Records: records}}); err != nil {
 		b.Fatal(err)
 	}
 	store := dfanalyzer.NewStore()

@@ -64,9 +64,9 @@ import (
 
 // writeAtomic writes the PROV-JSON document via temp-file + fsync +
 // rename, so readers (and restarts) only ever see a complete document.
-func writeAtomic(path string, pj *translate.PROVJSONTarget) error {
+func writeAtomic(path string, mem *translate.MemoryTarget) error {
 	err := wal.WriteFileAtomic(path, func(w io.Writer) error {
-		_, werr := pj.WriteTo(w)
+		_, werr := mem.WriteTo(w)
 		return werr
 	})
 	if err != nil {
@@ -124,8 +124,13 @@ func main() {
 		log.Printf("provlight-translate: recovered %s in %v (%d tasks in %q)",
 			*dataDir, time.Since(start).Round(time.Millisecond), durable.TaskCount(*dataflow), *dataflow)
 		targets = append(targets, translate.NewStoreTarget(durable, *dataflow))
-	} else {
-		targets = append(targets, translate.NewMemoryTarget())
+	}
+	// The in-memory target holds every record of a run without a durable
+	// store, and is what the -provjson document is written from.
+	var mem *translate.MemoryTarget
+	if *dataDir == "" || *provjson != "" {
+		mem = translate.NewMemoryTarget()
+		targets = append(targets, mem)
 	}
 	if *dfaURL != "" {
 		cl := dfanalyzer.NewClient(*dfaURL)
@@ -136,11 +141,6 @@ func main() {
 	}
 	if *plURL != "" {
 		targets = append(targets, translate.NewProvLakeTarget(provlake.NewClient(*plURL)))
-	}
-	var pj *translate.PROVJSONTarget
-	if *provjson != "" {
-		pj = translate.NewPROVJSONTarget()
-		targets = append(targets, pj)
 	}
 
 	// End-to-end acks tell spooling clients their frames are durable and
@@ -206,7 +206,7 @@ func main() {
 	ticker := time.NewTicker(10 * time.Second)
 	defer ticker.Stop()
 	var output <-chan time.Time
-	if pj != nil && *outputInterval > 0 {
+	if *provjson != "" && *outputInterval > 0 {
 		outputTicker := time.NewTicker(*outputInterval)
 		defer outputTicker.Stop()
 		output = outputTicker.C
@@ -218,7 +218,7 @@ func main() {
 			log.Printf("provlight-translate: frames=%d records=%d batches=%d acks=%d decode_errs=%d delivery_errs=%d redials=%d",
 				st.FramesReceived, st.RecordsTranslated, st.BatchesDelivered, st.AcksPublished, st.DecodeErrors, st.DeliveryErrors, st.SessionRedials)
 		case <-output:
-			if err := writeAtomic(*provjson, pj); err != nil {
+			if err := writeAtomic(*provjson, mem); err != nil {
 				log.Printf("provlight-translate: %v", err)
 			}
 		case <-sig:
@@ -227,8 +227,8 @@ func main() {
 				log.Printf("provlight-translate: shutdown: %v", err)
 			}
 			cancel()
-			if pj != nil {
-				if err := writeAtomic(*provjson, pj); err != nil {
+			if *provjson != "" {
+				if err := writeAtomic(*provjson, mem); err != nil {
 					log.Fatalf("provlight-translate: %v", err)
 				}
 				log.Printf("provlight-translate: wrote %s", *provjson)

@@ -25,11 +25,10 @@ const frames = 6
 
 func main() {
 	ctx := context.Background()
-	pj := provlight.NewPROVJSONTarget()
 	mem := provlight.NewMemoryTarget()
 	server, err := provlight.StartServer(ctx, provlight.ServerConfig{
 		Addr:    "127.0.0.1:0",
-		Targets: []provlight.Target{mem, pj},
+		Targets: []provlight.Target{mem},
 	})
 	if err != nil {
 		log.Fatal(err)
@@ -90,7 +89,7 @@ func main() {
 	}
 	server.Drain()
 
-	doc, err := pj.Document()
+	doc, err := mem.Document()
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -101,7 +100,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	n, err := pj.WriteTo(out)
+	n, err := mem.WriteTo(out)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -435,7 +435,7 @@ func (c *Cluster) Leave(ctx context.Context, id string) error {
 // Redelivered frames may already have been routed by the dead broker
 // before it died (the ack is what's missing), so takeover is
 // at-least-once per moved flow; QoS 2 end-to-end dedup (device spool +
-// store FrameTarget dedup) restores exactly-once above it. Per-link
+// store target dedup) restores exactly-once above it. Per-link
 // send order is preserved; interleaving ACROSS surviving forwarders is
 // not (each survivor redelivers its own retained frames independently).
 func (c *Cluster) Remove(id string) error {

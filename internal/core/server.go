@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"github.com/provlight/provlight/internal/broker"
-	"github.com/provlight/provlight/internal/mqttsn"
 	"github.com/provlight/provlight/internal/obs"
 	"github.com/provlight/provlight/internal/provdm"
 	"github.com/provlight/provlight/internal/translate"
@@ -103,8 +102,6 @@ func StartServer(ctx context.Context, cfg ServerConfig) (*Server, error) {
 			Broker:        b.Addr(),
 			ClientID:      fmt.Sprintf("translator-%d", i+1),
 			TopicFilter:   filter,
-			QoS:           mqttsn.QoS2,
-			QoSSet:        true,
 			Targets:       cfg.Targets,
 			Sessions:      cfg.Sessions,
 			Workers:       cfg.Workers,

@@ -78,13 +78,14 @@ func buildSources(t *testing.T) map[string]source.Source {
 	dfaTarget := translate.NewDfAnalyzerTarget(
 		dfanalyzer.NewClient("http://"+dfaSrv.Addr()), dataflow)
 
-	// Deliver frame by frame, as the translator would.
+	// Deliver one-record frames, one batch per frame, as a translator with
+	// BatchSize 1 would.
 	for i := range records {
-		frame := records[i : i+1]
-		if err := mem.Deliver(frame); err != nil {
+		batch := []translate.Frame{{Records: records[i : i+1]}}
+		if err := mem.DeliverFrames(batch); err != nil {
 			t.Fatal(err)
 		}
-		if err := dfaTarget.Deliver(frame); err != nil {
+		if err := dfaTarget.DeliverFrames(batch); err != nil {
 			t.Fatal(err)
 		}
 	}

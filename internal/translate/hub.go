@@ -154,13 +154,14 @@ func (h *Hub) Subscribe(ctx context.Context, filter Filter) (<-chan provdm.Recor
 
 // Publish fans a batch of decoded frames out to every matching subscriber,
 // dropping records for subscribers whose buffer is full.
-func (h *Hub) Publish(frames [][]provdm.Record) {
+func (h *Hub) Publish(frames []Frame) {
 	h.mu.RLock()
 	defer h.mu.RUnlock()
 	if len(h.subs) == 0 {
 		return
 	}
-	for _, records := range frames {
+	for f := range frames {
+		records := frames[f].Records
 		for i := range records {
 			for s := range h.subs {
 				if !s.filter.match(&records[i]) {

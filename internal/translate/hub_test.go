@@ -10,16 +10,16 @@ import (
 	"github.com/provlight/provlight/internal/provdm"
 )
 
-func hubRecords(n int) [][]provdm.Record {
-	frames := make([][]provdm.Record, 0, n)
+func hubRecords(n int) []Frame {
+	frames := make([]Frame, 0, n)
 	for i := 0; i < n; i++ {
-		frames = append(frames, []provdm.Record{{
+		frames = append(frames, Frame{Records: []provdm.Record{{
 			Event:          provdm.EventTaskEnd,
 			WorkflowID:     "w",
 			TaskID:         fmt.Sprintf("t%d", i),
 			Transformation: "tr",
 			Time:           time.Unix(int64(i), 0),
-		}})
+		}}})
 	}
 	return frames
 }

@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"github.com/provlight/provlight/internal/broker"
-	"github.com/provlight/provlight/internal/provdm"
 )
 
 type countTarget struct {
@@ -18,9 +17,11 @@ type countTarget struct {
 
 func (c *countTarget) Name() string { return "count" }
 
-func (c *countTarget) Deliver(records []provdm.Record) error {
+func (c *countTarget) DeliverFrames(frames []Frame) error {
 	c.mu.Lock()
-	c.n += len(records)
+	for i := range frames {
+		c.n += len(frames[i].Records)
+	}
 	c.mu.Unlock()
 	return nil
 }

@@ -12,11 +12,50 @@ import (
 	"github.com/provlight/provlight/internal/source"
 )
 
+// schemaSync is the schema-registration contract of every target that
+// feeds a DfAnalyzer-model store: each batch is folded into a
+// SchemaTracker, the spec is (re-)registered only when it grew, and the
+// dirty flag is cleared only after a registration succeeds, so a failed
+// attempt (e.g. server briefly down) is retried on the next batch instead
+// of leaving the dataflow unregistered forever. register runs under the
+// lock, so a parallel worker observing an already-tracked attribute cannot
+// send tasks for it before the grown spec reaches the store.
+type schemaSync struct {
+	mu      sync.Mutex
+	tracker *dfanalyzer.SchemaTracker
+	dirty   bool
+}
+
+func newSchemaSync(dataflow string) *schemaSync {
+	return &schemaSync{tracker: dfanalyzer.NewSchemaTracker(dataflow)}
+}
+
+// sync observes the frames' records and registers the spec if needed.
+func (s *schemaSync) sync(frames []Frame, register func(*dfanalyzer.Dataflow) error) error {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	for i := range frames {
+		if s.tracker.Observe(frames[i].Records) {
+			s.dirty = true
+		}
+	}
+	if !s.dirty {
+		return nil
+	}
+	if err := register(s.tracker.Dataflow()); err != nil {
+		return err
+	}
+	s.dirty = false
+	return nil
+}
+
 // DefaultMemoryDataflow is the dataflow tag MemoryTarget exposes its
 // records under through the Source interface when none is chosen.
 const DefaultMemoryDataflow = "provlight"
 
-// MemoryTarget accumulates records in memory (tests, queries, examples).
+// MemoryTarget accumulates records in memory (tests, queries, examples)
+// and exports them as a W3C PROV-JSON document (Document, WriteTo) for
+// interoperability with PROV-based tools.
 //
 // It doubles as a source.Source: delivered records are folded on demand
 // into an internal DfAnalyzer column-store view (the same translation the
@@ -31,17 +70,11 @@ type MemoryTarget struct {
 	// Lazy Source view: records[:viewLen] have been folded into view.
 	dataflow string
 	view     *dfanalyzer.Store
-	tracker  *dfanalyzer.SchemaTracker
+	schema   *schemaSync
 	viewLen  int
-	// viewDirty means the tracked schema grew past what the view has
-	// registered; cleared only on successful registration so a failure is
-	// retried on the next read (the same contract as DfAnalyzerTarget).
-	viewDirty bool
 	// viewSkipped counts records the view could not ingest (e.g. an
 	// attribute whose type flipped mid-stream). They are skipped so one
-	// bad record cannot wedge the read side forever — the per-frame
-	// delivery path of a real DfAnalyzer backend drops exactly the same
-	// records.
+	// bad record cannot wedge the read side forever.
 	viewSkipped int
 }
 
@@ -59,27 +92,19 @@ func NewMemoryTargetForDataflow(tag string) *MemoryTarget {
 	return &MemoryTarget{
 		dataflow: tag,
 		view:     dfanalyzer.NewStore(),
-		tracker:  dfanalyzer.NewSchemaTracker(tag),
+		schema:   newSchemaSync(tag),
 	}
 }
 
 // Name implements Target.
 func (*MemoryTarget) Name() string { return "memory" }
 
-// Deliver implements Target.
-func (m *MemoryTarget) Deliver(records []provdm.Record) error {
+// DeliverFrames implements Target: one lock acquisition per batch.
+func (m *MemoryTarget) DeliverFrames(frames []Frame) error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	m.records = append(m.records, records...)
-	return nil
-}
-
-// DeliverBatch implements BatchTarget: one lock acquisition per batch.
-func (m *MemoryTarget) DeliverBatch(frames [][]provdm.Record) error {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	for _, records := range frames {
-		m.records = append(m.records, records...)
+	for i := range frames {
+		m.records = append(m.records, frames[i].Records...)
 	}
 	return nil
 }
@@ -98,22 +123,34 @@ func (m *MemoryTarget) Len() int {
 	return len(m.records)
 }
 
+// Document builds the PROV-DM document of everything delivered so far.
+func (m *MemoryTarget) Document() (*provdm.Document, error) {
+	return provdm.BuildDocument(m.Records())
+}
+
+// WriteTo serializes the delivered records as a PROV-JSON document.
+func (m *MemoryTarget) WriteTo(w io.Writer) (int64, error) {
+	doc, err := m.Document()
+	if err != nil {
+		return 0, err
+	}
+	data, err := provdm.MarshalPROVJSON(doc)
+	if err != nil {
+		return 0, err
+	}
+	n, err := w.Write(data)
+	return int64(n), err
+}
+
 // syncView folds records delivered since the last read into the column
-// store view, mirroring DfAnalyzerTarget.DeliverBatch: observe the schema,
-// (re-)register on growth, then ingest the translated task messages.
-// Callers must hold m.mu.
+// store view, as DfAnalyzerTarget.DeliverFrames does: sync the schema,
+// then ingest the translated task messages. Callers must hold m.mu.
 func (m *MemoryTarget) syncView() error {
 	if m.viewLen == len(m.records) {
 		return nil
 	}
-	if m.tracker.Observe(m.records[m.viewLen:]) {
-		m.viewDirty = true
-	}
-	if m.viewDirty {
-		if err := m.view.RegisterDataflow(m.tracker.Dataflow()); err != nil {
-			return err // viewDirty stays set: retried on the next read
-		}
-		m.viewDirty = false
+	if err := m.schema.sync([]Frame{{Records: m.records[m.viewLen:]}}, m.view.RegisterDataflow); err != nil {
+		return err // retried on the next read
 	}
 	for ; m.viewLen < len(m.records); m.viewLen++ {
 		if msg, ok := dfanalyzer.RecordToTaskMsg(m.dataflow, &m.records[m.viewLen]); ok {
@@ -190,89 +227,41 @@ func (m *MemoryTarget) Workflows(ctx context.Context) ([]string, error) {
 type DfAnalyzerTarget struct {
 	client   *dfanalyzer.Client
 	dataflow string
-
-	mu     sync.Mutex
-	schema *dfanalyzer.SchemaTracker
-	// dirty means the tracked schema grew past what the server has
-	// acknowledged; it is cleared only on successful registration, so a
-	// failed attempt (e.g. server briefly down) is retried on the next
-	// delivery instead of leaving the dataflow unregistered forever.
-	dirty bool
+	schema   *schemaSync
 }
 
 // NewDfAnalyzerTarget creates a target for the given DfAnalyzer server
 // client and dataflow tag.
 func NewDfAnalyzerTarget(client *dfanalyzer.Client, dataflow string) *DfAnalyzerTarget {
-	return &DfAnalyzerTarget{client: client, dataflow: dataflow, schema: dfanalyzer.NewSchemaTracker(dataflow)}
+	return &DfAnalyzerTarget{client: client, dataflow: dataflow, schema: newSchemaSync(dataflow)}
 }
 
 // Name implements Target.
 func (*DfAnalyzerTarget) Name() string { return "dfanalyzer" }
 
-// Deliver implements Target.
-func (d *DfAnalyzerTarget) Deliver(records []provdm.Record) error {
-	return d.DeliverBatch([][]provdm.Record{records})
-}
-
-// DeliverBatch implements BatchTarget: the whole batch is shipped with one
-// POST /tasks round trip. Registration happens while holding the tracker
-// lock so that a parallel worker observing an already-tracked attribute
-// cannot send tasks for it before the grown spec reaches the server.
-func (d *DfAnalyzerTarget) DeliverBatch(frames [][]provdm.Record) error {
-	if err := d.observeAndRegister(frames); err != nil {
+// DeliverFrames implements Target with one HTTP round trip per batch.
+// Identified frames go to the exactly-once POST /frames endpoint, where
+// the server deduplicates redeliveries by (origin, seq). Batches without
+// any durable id go to the plain POST /tasks path, which any
+// DfAnalyzer-protocol server accepts.
+func (d *DfAnalyzerTarget) DeliverFrames(frames []Frame) error {
+	if err := d.schema.sync(frames, d.client.RegisterDataflow); err != nil {
 		return err
 	}
+	for i := range frames {
+		if frames[i].Seq > 0 {
+			return d.client.SendFrames(frameMsgs(d.dataflow, frames))
+		}
+	}
 	msgs := make([]*dfanalyzer.TaskMsg, 0, len(frames))
-	for _, records := range frames {
-		for i := range records {
-			if msg, ok := dfanalyzer.RecordToTaskMsg(d.dataflow, &records[i]); ok {
+	for i := range frames {
+		for j := range frames[i].Records {
+			if msg, ok := dfanalyzer.RecordToTaskMsg(d.dataflow, &frames[i].Records[j]); ok {
 				msgs = append(msgs, msg)
 			}
 		}
 	}
 	return d.client.SendTasks(msgs)
-}
-
-// observeAndRegister folds the batch into the schema tracker and
-// (re-)registers the spec with the server when it grew.
-func (d *DfAnalyzerTarget) observeAndRegister(frames [][]provdm.Record) error {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	for _, records := range frames {
-		if d.schema.Observe(records) {
-			d.dirty = true
-		}
-	}
-	if d.dirty {
-		if err := d.client.RegisterDataflow(d.schema.Dataflow()); err != nil {
-			return err
-		}
-		d.dirty = false
-	}
-	return nil
-}
-
-// DeliverFrames implements FrameTarget: identified frames go to the
-// exactly-once POST /frames endpoint, where the server deduplicates
-// redeliveries by (origin, seq). Batches without any durable id fall back
-// to the plain POST /tasks path, which any DfAnalyzer-protocol server
-// accepts.
-func (d *DfAnalyzerTarget) DeliverFrames(frames []Frame) error {
-	identified := false
-	recordsView := make([][]provdm.Record, len(frames))
-	for i := range frames {
-		recordsView[i] = frames[i].Records
-		if frames[i].Seq > 0 {
-			identified = true
-		}
-	}
-	if !identified {
-		return d.DeliverBatch(recordsView)
-	}
-	if err := d.observeAndRegister(recordsView); err != nil {
-		return err
-	}
-	return d.client.SendFrames(frameMsgs(d.dataflow, frames))
 }
 
 // frameMsgs translates identified frames into the store's ingestion
@@ -303,22 +292,19 @@ func frameMsgs(dataflow string, frames []Frame) []dfanalyzer.FrameMsg {
 type StoreTarget struct {
 	store    *dfanalyzer.Store
 	dataflow string
+	schema   *schemaSync
 
 	// term, when non-zero, is stamped into every ingest so a store on a
 	// different replication term rejects the write (fenced failover; see
 	// dfanalyzer's replication.go). Updated via SetTerm after a failover,
 	// alongside Translator.SetTerm.
 	term atomic.Uint64
-
-	mu     sync.Mutex
-	schema *dfanalyzer.SchemaTracker
-	dirty  bool
 }
 
 // NewStoreTarget creates a target that ingests into store under the given
 // dataflow tag.
 func NewStoreTarget(store *dfanalyzer.Store, dataflow string) *StoreTarget {
-	return &StoreTarget{store: store, dataflow: dataflow, schema: dfanalyzer.NewSchemaTracker(dataflow)}
+	return &StoreTarget{store: store, dataflow: dataflow, schema: newSchemaSync(dataflow)}
 }
 
 // Store returns the backing store (for queries and snapshots).
@@ -331,37 +317,12 @@ func (s *StoreTarget) SetTerm(term uint64) { s.term.Store(term) }
 // Name implements Target.
 func (*StoreTarget) Name() string { return "store" }
 
-// Deliver implements Target.
-func (s *StoreTarget) Deliver(records []provdm.Record) error {
-	return s.DeliverFrames([]Frame{{Records: records}})
-}
-
-// DeliverBatch implements BatchTarget.
-func (s *StoreTarget) DeliverBatch(frames [][]provdm.Record) error {
-	wrapped := make([]Frame, len(frames))
-	for i := range frames {
-		wrapped[i].Records = frames[i]
-	}
-	return s.DeliverFrames(wrapped)
-}
-
-// DeliverFrames implements FrameTarget: one IngestFrames call per batch,
+// DeliverFrames implements Target: one IngestFrames call per batch,
 // deduplicated by the store.
 func (s *StoreTarget) DeliverFrames(frames []Frame) error {
-	s.mu.Lock()
-	for i := range frames {
-		if s.schema.Observe(frames[i].Records) {
-			s.dirty = true
-		}
+	if err := s.schema.sync(frames, s.store.RegisterDataflow); err != nil {
+		return err
 	}
-	if s.dirty {
-		if err := s.store.RegisterDataflow(s.schema.Dataflow()); err != nil {
-			s.mu.Unlock()
-			return err
-		}
-		s.dirty = false
-	}
-	s.mu.Unlock()
 	_, err := s.store.IngestFramesTerm(s.term.Load(), frameMsgs(s.dataflow, frames))
 	return err
 }
@@ -379,68 +340,17 @@ func NewProvLakeTarget(client *provlake.Client) *ProvLakeTarget {
 // Name implements Target.
 func (*ProvLakeTarget) Name() string { return "provlake" }
 
-// Deliver implements Target.
-func (p *ProvLakeTarget) Deliver(records []provdm.Record) error {
-	for i := range records {
-		if err := p.client.Capture(&records[i]); err != nil {
-			return err
+// DeliverFrames implements Target: every record of the batch is tried,
+// so one bad record does not drop the rest, and the first error is
+// returned.
+func (p *ProvLakeTarget) DeliverFrames(frames []Frame) error {
+	var first error
+	for i := range frames {
+		for j := range frames[i].Records {
+			if err := p.client.Capture(&frames[i].Records[j]); err != nil && first == nil {
+				first = err
+			}
 		}
 	}
-	return nil
-}
-
-// PROVJSONTarget folds records into a W3C PROV-JSON document that can be
-// written out at any time (interoperability with PROV-based tools).
-type PROVJSONTarget struct {
-	mu      sync.Mutex
-	records []provdm.Record
-}
-
-// NewPROVJSONTarget returns an empty PROV-JSON accumulator.
-func NewPROVJSONTarget() *PROVJSONTarget { return &PROVJSONTarget{} }
-
-// Name implements Target.
-func (*PROVJSONTarget) Name() string { return "prov-json" }
-
-// Deliver implements Target.
-func (p *PROVJSONTarget) Deliver(records []provdm.Record) error {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	p.records = append(p.records, records...)
-	return nil
-}
-
-// DeliverBatch implements BatchTarget: one lock acquisition per batch.
-func (p *PROVJSONTarget) DeliverBatch(frames [][]provdm.Record) error {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	for _, records := range frames {
-		p.records = append(p.records, records...)
-	}
-	return nil
-}
-
-// WriteTo serializes the accumulated document as PROV-JSON.
-func (p *PROVJSONTarget) WriteTo(w io.Writer) (int64, error) {
-	p.mu.Lock()
-	records := append([]provdm.Record(nil), p.records...)
-	p.mu.Unlock()
-	doc, err := provdm.BuildDocument(records)
-	if err != nil {
-		return 0, err
-	}
-	data, err := provdm.MarshalPROVJSON(doc)
-	if err != nil {
-		return 0, err
-	}
-	n, err := w.Write(data)
-	return int64(n), err
-}
-
-// Document builds and returns the current PROV-DM document.
-func (p *PROVJSONTarget) Document() (*provdm.Document, error) {
-	p.mu.Lock()
-	records := append([]provdm.Record(nil), p.records...)
-	p.mu.Unlock()
-	return provdm.BuildDocument(records)
+	return first
 }

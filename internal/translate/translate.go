@@ -1,8 +1,11 @@
 // Package translate implements the ProvLight provenance data translator
 // (paper §IV-B1): a broker subscriber that decodes the binary wire frames
 // published by devices and forwards the records to one or more provenance
-// systems. Users extend it by implementing Target for their system's data
-// model, enabling "seamless integration with existing systems".
+// systems. Every target takes the same thing through one method: a
+// micro-batch of identified frames (origin topic, durable sequence number,
+// records) via Target.DeliverFrames. Users extend the translator by
+// implementing Target for their system's data model, enabling "seamless
+// integration with existing systems".
 package translate
 
 import (
@@ -21,25 +24,25 @@ import (
 	"github.com/provlight/provlight/internal/wire"
 )
 
-// Target receives translated provenance records. Implementations exist for
-// DfAnalyzer, ProvLake, PROV-JSON, and an in-memory store.
+// Target receives translated provenance records: the translator hands
+// over each micro-batch of decoded frames in one call, so a target can
+// amortize its own per-delivery cost (one HTTP round trip, one lock
+// acquisition, ...), and with their identities, so a durable target can
+// apply them exactly once (skipping already-applied (origin, seq) pairs)
+// and make a spooling client's redeliveries idempotent end to end.
+// Implementations exist for DfAnalyzer, a local DfAnalyzer store,
+// ProvLake, and an in-memory store with PROV-JSON export.
 type Target interface {
 	// Name identifies the target in logs and stats.
 	Name() string
-	// Deliver forwards a batch of records (one decoded frame).
-	Deliver(records []provdm.Record) error
+	// DeliverFrames forwards a micro-batch of identified frames. An error
+	// fails the whole batch: it is counted once and left unacknowledged.
+	DeliverFrames(frames []Frame) error
 }
 
-// BatchTarget is an optional Target extension: when a target implements
-// it, the translator hands over a micro-batch of decoded frames in one
-// call so the target can amortize its own per-delivery cost (one HTTP
-// round trip, one lock acquisition, ...). Targets without it fall back to
-// one Deliver call per frame.
-type BatchTarget interface {
-	Target
-	// DeliverBatch forwards several decoded frames at once.
-	DeliverBatch(frames [][]provdm.Record) error
-}
+// FrameTarget is the former name of Target, kept as an alias because the
+// benchmark module (capbench/wrap.go) still names it.
+type FrameTarget = Target
 
 // Frame is one decoded capture frame with its provenance identity: the
 // topic it arrived on and the durable sequence number a spooling client
@@ -57,17 +60,6 @@ type Frame struct {
 	CaptureNS int64
 }
 
-// FrameTarget is the durable-delivery extension of Target: the translator
-// hands over frames *with their identities*, and the target applies them
-// exactly once (skipping already-applied (origin, seq) pairs). Targets
-// implementing it are what make a spooling client's redeliveries
-// idempotent end to end.
-type FrameTarget interface {
-	Target
-	// DeliverFrames forwards a micro-batch of identified frames.
-	DeliverFrames(frames []Frame) error
-}
-
 // Stats counts translator activity.
 type Stats struct {
 	FramesReceived    uint64
@@ -76,7 +68,9 @@ type Stats struct {
 	// BatchesDelivered is the achieved mean micro-batch size.
 	BatchesDelivered uint64
 	DecodeErrors     uint64
-	DeliveryErrors   uint64
+	// DeliveryErrors counts failed DeliverFrames calls: one per failed
+	// batch per target, however many frames the batch held.
+	DeliveryErrors uint64
 	// AcksPublished counts end-to-end acknowledgements sent back to
 	// spooling devices (one ack message may cover several frames);
 	// AckErrors counts ack publishes that failed.
@@ -129,13 +123,6 @@ type Config struct {
 	// session (called once per session). Used by benchmarks and tests to
 	// interpose netem-shaped links; nil means plain UDP.
 	DialConn func() (net.PacketConn, error)
-	// QoS of the subscription; default QoS 2 to preserve exactly-once.
-	// The zero value means QoS 2 unless QoSSet is true.
-	QoS mqttsn.QoS
-	// QoSSet marks QoS as explicitly chosen. Without it a zero QoS is
-	// promoted to the QoS 2 default, which would make a genuine QoS 0
-	// subscription impossible to express.
-	QoSSet bool
 	// Targets receive every decoded record batch.
 	Targets []Target
 	// Workers parallelizes delivery (paper §IV-B1: translators "may be
@@ -267,9 +254,6 @@ func New(ctx context.Context, cfg Config) (*Translator, error) {
 	if cfg.BatchSize <= 0 {
 		cfg.BatchSize = 64
 	}
-	if cfg.QoS == 0 && !cfg.QoSSet {
-		cfg.QoS = mqttsn.QoS2
-	}
 	if len(cfg.Targets) == 0 {
 		return nil, fmt.Errorf("translate: at least one target required")
 	}
@@ -291,7 +275,7 @@ func New(ctx context.Context, cfg Config) (*Translator, error) {
 	}
 	t.term.Store(cfg.Term)
 	subscribe := func(mc *mqttsn.Client) error {
-		if err := mc.Subscribe(t.filter, cfg.QoS, t.onMessage); err != nil {
+		if err := mc.Subscribe(t.filter, mqttsn.QoS2, t.onMessage); err != nil {
 			return fmt.Errorf("subscribe %q: %w", t.filter, err)
 		}
 		return nil
@@ -448,18 +432,13 @@ func (t *Translator) onMessage(topic string, payload []byte) {
 }
 
 // worker drains the frame queue into micro-batches and delivers each to
-// every target, preferring the FrameTarget / BatchTarget fast paths.
+// every target.
 func (t *Translator) worker() {
 	defer t.wg.Done()
 	batch := make([]Frame, 0, t.cfg.BatchSize)
-	recordsView := make([][]provdm.Record, 0, t.cfg.BatchSize)
 	for frame := range t.work {
 		batch = t.fillBatch(append(batch[:0], frame))
-		recordsView = recordsView[:0]
-		for i := range batch {
-			recordsView = append(recordsView, batch[i].Records)
-		}
-		t.deliver(batch, recordsView)
+		t.deliver(batch)
 	}
 }
 
@@ -498,7 +477,7 @@ func (t *Translator) fillBatch(batch []Frame) []Frame {
 	return batch
 }
 
-func (t *Translator) deliver(batch []Frame, recordsView [][]provdm.Record) {
+func (t *Translator) deliver(batch []Frame) {
 	if t.aborted.Load() {
 		// Crash simulation (Abort): drop without delivering, as a killed
 		// process would have. Undelivered frames are unacked and so will
@@ -512,34 +491,16 @@ func (t *Translator) deliver(batch []Frame, recordsView [][]provdm.Record) {
 	}
 	delivered := true
 	for _, target := range t.cfg.Targets {
-		if ft, ok := target.(FrameTarget); ok {
-			if err := ft.DeliverFrames(batch); err != nil {
-				t.reportDeliveryError(target, err)
-				delivered = false
-			}
-			continue
-		}
-		if bt, ok := target.(BatchTarget); ok {
-			if err := bt.DeliverBatch(recordsView); err != nil {
-				t.reportDeliveryError(target, err)
-				delivered = false
-			}
-			continue
-		}
-		// Per-frame fallback keeps the pre-batching error contract: every
-		// failing frame counts and reaches OnError.
-		for _, records := range recordsView {
-			if err := target.Deliver(records); err != nil {
-				t.reportDeliveryError(target, err)
-				delivered = false
-			}
+		if err := target.DeliverFrames(batch); err != nil {
+			t.reportDeliveryError(target, err)
+			delivered = false
 		}
 	}
 	if t.cfg.Hub != nil {
 		// Live fan-out after target delivery: a subscription observes the
 		// same stream the targets ingested, and Drain implies the hub saw
 		// every drained frame.
-		t.cfg.Hub.Publish(recordsView)
+		t.cfg.Hub.Publish(batch)
 	}
 	if delivered && !t.cfg.DisableAcks {
 		// Acks only when *every* target took the whole batch: a failed

@@ -89,14 +89,12 @@ func TestTranslatorToAllTargets(t *testing.T) {
 	defer plSrv.Close()
 
 	mem := NewMemoryTarget()
-	pj := NewPROVJSONTarget()
 	tr, err := New(context.Background(), Config{
 		Broker:        b.Addr(),
 		RetryInterval: 150 * time.Millisecond,
 		MaxRetries:    10,
 		Targets: []Target{
 			mem,
-			pj,
 			NewDfAnalyzerTarget(dfanalyzer.NewClient("http://"+dfaSrv.Addr()), "wf"),
 			NewProvLakeTarget(provlake.NewClient("http://" + plSrv.Addr())),
 		},
@@ -143,7 +141,7 @@ func TestTranslatorToAllTargets(t *testing.T) {
 	}
 
 	// PROV-JSON document is valid and complete.
-	doc, err := pj.Document()
+	doc, err := mem.Document()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -151,7 +149,7 @@ func TestTranslatorToAllTargets(t *testing.T) {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
-	if _, err := pj.WriteTo(&buf); err != nil {
+	if _, err := mem.WriteTo(&buf); err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(buf.String(), "wasGeneratedBy") {
@@ -228,9 +226,9 @@ func TestConfigValidation(t *testing.T) {
 	}
 }
 
-// countingBatchTarget records how records arrive: every record exactly
-// once, whether through Deliver or DeliverBatch.
-type countingBatchTarget struct {
+// countingTarget records how records arrive: every record exactly once,
+// in batches of at most BatchSize frames.
+type countingTarget struct {
 	mu         sync.Mutex
 	records    int
 	frames     int
@@ -238,13 +236,9 @@ type countingBatchTarget struct {
 	maxBatch   int
 }
 
-func (*countingBatchTarget) Name() string { return "counting" }
+func (*countingTarget) Name() string { return "counting" }
 
-func (c *countingBatchTarget) Deliver(records []provdm.Record) error {
-	return c.DeliverBatch([][]provdm.Record{records})
-}
-
-func (c *countingBatchTarget) DeliverBatch(frames [][]provdm.Record) error {
+func (c *countingTarget) DeliverFrames(frames []Frame) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.batchCalls++
@@ -252,8 +246,8 @@ func (c *countingBatchTarget) DeliverBatch(frames [][]provdm.Record) error {
 	if len(frames) > c.maxBatch {
 		c.maxBatch = len(frames)
 	}
-	for _, records := range frames {
-		c.records += len(records)
+	for i := range frames {
+		c.records += len(frames[i].Records)
 	}
 	return nil
 }
@@ -267,7 +261,7 @@ func TestTranslatorBatchDelivery(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer b.Close()
-	counting := &countingBatchTarget{}
+	counting := &countingTarget{}
 	tr, err := New(context.Background(), Config{
 		Broker:        b.Addr(),
 		RetryInterval: 150 * time.Millisecond,
@@ -313,42 +307,11 @@ func TestTranslatorBatchDelivery(t *testing.T) {
 	if st.BatchesDelivered == 0 || st.BatchesDelivered > st.FramesReceived {
 		t.Errorf("BatchesDelivered = %d out of range (frames %d)", st.BatchesDelivered, st.FramesReceived)
 	}
+	if counting.maxBatch > 8 {
+		t.Errorf("largest batch = %d frames, want at most BatchSize 8", counting.maxBatch)
+	}
 	if st.DeliveryErrors != 0 || st.DecodeErrors != 0 {
 		t.Errorf("translator errors: %+v", st)
-	}
-}
-
-// TestTranslatorQoSZeroExplicit: QoSSet makes a real QoS 0 subscription
-// expressible (the zero value used to be silently promoted to QoS 2).
-func TestTranslatorQoSZeroExplicit(t *testing.T) {
-	b, err := broker.New(broker.Config{Addr: "127.0.0.1:0", RetryInterval: 150 * time.Millisecond})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer b.Close()
-	mem := NewMemoryTarget()
-	tr, err := New(context.Background(), Config{
-		Broker:        b.Addr(),
-		RetryInterval: 150 * time.Millisecond,
-		MaxRetries:    10,
-		QoS:           mqttsn.QoS0,
-		QoSSet:        true,
-		Targets:       []Target{mem},
-		OnError:       func(err error) { t.Errorf("translator error: %v", err) },
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer tr.Close()
-
-	records := sampleRecords(3)
-	publishRecords(t, b.Addr(), records)
-	deadline := time.Now().Add(5 * time.Second)
-	for mem.Len() < len(records) {
-		if time.Now().After(deadline) {
-			t.Fatalf("QoS0 subscription delivered %d records, want %d", mem.Len(), len(records))
-		}
-		time.Sleep(20 * time.Millisecond)
 	}
 }
 
@@ -365,8 +328,8 @@ func TestDfAnalyzerTargetRetriesRegistration(t *testing.T) {
 	probe.Close()
 
 	target := NewDfAnalyzerTarget(dfanalyzer.NewClient("http://"+addr), "wf")
-	records := sampleRecords(2)
-	if err := target.Deliver(records); err == nil {
+	batch := []Frame{{Records: sampleRecords(2)}}
+	if err := target.DeliverFrames(batch); err == nil {
 		t.Fatal("delivery with the server down should fail")
 	}
 	srv := dfanalyzer.NewServer(nil)
@@ -375,7 +338,7 @@ func TestDfAnalyzerTargetRetriesRegistration(t *testing.T) {
 	}
 	defer srv.Close()
 	// Same records, no schema growth — registration must still be retried.
-	if err := target.Deliver(records); err != nil {
+	if err := target.DeliverFrames(batch); err != nil {
 		t.Fatalf("delivery after server came back: %v", err)
 	}
 	if _, ok := srv.Store().Dataflow("wf"); !ok {

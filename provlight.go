@@ -142,17 +142,9 @@ type StoreOptions = dfanalyzer.StoreOptions
 // Target receives translated provenance records on the server side.
 type Target = translate.Target
 
-// BatchTarget is the optional batch-delivery extension of Target.
-type BatchTarget = translate.BatchTarget
-
 // Frame is one decoded capture frame with its provenance identity
-// (origin topic + durable sequence number), as handed to FrameTargets.
+// (origin topic + durable sequence number), as handed to Targets.
 type Frame = translate.Frame
-
-// FrameTarget is the durable-delivery extension of Target: targets
-// implementing it receive frames with their identities and deduplicate
-// redeliveries, enabling exactly-once ingestion from spooling clients.
-type FrameTarget = translate.FrameTarget
 
 // StoreTarget delivers records straight into a local DfStore; paired
 // with OpenStore it forms a durable, exactly-once translator backend.
@@ -164,11 +156,9 @@ type Translator = translate.Translator
 // TranslatorConfig configures a standalone Translator.
 type TranslatorConfig = translate.Config
 
-// MemoryTarget accumulates records in memory and doubles as a Source.
+// MemoryTarget accumulates records in memory, exports them as a W3C
+// PROV-JSON document, and doubles as a Source.
 type MemoryTarget = translate.MemoryTarget
-
-// PROVJSONTarget folds records into a W3C PROV-JSON document.
-type PROVJSONTarget = translate.PROVJSONTarget
 
 // Source is the backend-agnostic read interface over captured provenance:
 // Select (predicate/order/limit queries), Task (catalog lookup), and
@@ -257,9 +247,6 @@ func NewMemoryTargetForDataflow(tag string) *MemoryTarget {
 	return translate.NewMemoryTargetForDataflow(tag)
 }
 
-// NewPROVJSONTarget returns a W3C PROV-JSON accumulator.
-func NewPROVJSONTarget() *PROVJSONTarget { return translate.NewPROVJSONTarget() }
-
 // NewDfAnalyzerTarget forwards records to a DfAnalyzer server (the setup
 // used by the paper's E2Clab Provenance Manager).
 func NewDfAnalyzerTarget(baseURL, dataflowTag string) Target {
@@ -283,8 +270,8 @@ func NewStore() *DfStore { return dfanalyzer.NewStore() }
 // the rest of the Store API is unchanged.
 func OpenStore(opts StoreOptions) (*DfStore, error) { return dfanalyzer.OpenStore(opts) }
 
-// NewStoreTarget returns a Target (and FrameTarget) that ingests into a
-// local store under the given dataflow tag.
+// NewStoreTarget returns a Target that ingests into a local store under
+// the given dataflow tag.
 func NewStoreTarget(store *DfStore, dataflow string) *StoreTarget {
 	return translate.NewStoreTarget(store, dataflow)
 }
