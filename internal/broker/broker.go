@@ -7,14 +7,15 @@
 // Features: client sessions with keepalive expiry, topic registration with
 // gateway-scoped 16-bit ids, exact and wildcard ('+', '#') subscriptions,
 // shared-subscription consumer groups ("$share/<group>/<filter>"),
-// QoS 0/1/2 inbound and outbound flows with exactly-once semantics at
-// QoS 2, retained messages, and last-will publication when a session is
-// lost. A janitor goroutine retransmits unacknowledged outbound messages
-// and expires dead sessions.
+// and QoS 0/1/2 inbound and outbound flows with exactly-once semantics at
+// QoS 2. A janitor goroutine retransmits unacknowledged outbound messages
+// and expires dead sessions. It speaks only the MQTT-SN the pipeline
+// uses: a CONNECT asking for a last will is refused, and the retain flag
+// is ignored (a retained publish is routed live and never stored).
 //
 // One broker process is a complete gateway on its own, and it is also
 // the building block of internal/cluster's multi-node tier: the Forward
-// hook intercepts released publishes so the cluster can ship them to a
+// hook intercepts accepted publishes so the cluster can ship them to a
 // topic's owning node, Submit/Inject re-enter frames that arrived over
 // inter-node links, the OnSubscribe/OnUnsubscribe hooks let individual
 // subscriptions propagate across nodes, and PendingForTopics /
@@ -30,7 +31,7 @@
 // (reads are lock-free; registrations clone the maps), routed message and
 // outbound-flow structs are pooled, and counters are atomics. Lock order:
 // clientMu before any shard mutex; a shard mutex may be held when taking
-// groupMu, never the reverse; retained and topic-write locks are leaves;
+// groupMu, never the reverse; the topic-write lock is a leaf;
 // no two shard mutexes are ever held at once.
 package broker
 
@@ -60,14 +61,13 @@ const BridgeSessionPrefix = "!bridge/"
 // handlerQueue bounds each shard's pending-packet queue.
 const handlerQueue = 256
 
-// ForwardFrame is one released publish offered to the Forward hook.
+// ForwardFrame is one accepted inbound publish offered to the Forward hook.
 // The payload is owned by the receiver (publish payloads are copied at
 // decode and never pooled), so the hook may retain it.
 type ForwardFrame struct {
 	Topic   string
 	Payload []byte
 	QoS     mqttsn.QoS
-	Retain  bool
 	// Bridge marks frames published by an inter-node bridge session
 	// (clientID prefixed BridgeSessionPrefix): the frame already crossed a
 	// forwarding link from a peer. The cluster uses it to record
@@ -115,9 +115,9 @@ type Config struct {
 	// ConnectBurst is the token-bucket depth for ConnectRate. Default
 	// max(2×ConnectRate, 1).
 	ConnectBurst int
-	// Forward, when set, is consulted once for every fully-released
-	// inbound publish (after QoS 2 ordered release, so it sees frames in
-	// the same order local routing would). Returning true takes ownership
+	// Forward, when set, is consulted once for every accepted inbound
+	// publish, in the order local routing would see it (a QoS 2 frame at
+	// its first PUBLISH, before the PUBREC). Returning true takes ownership
 	// of the frame — it is not routed locally and counts as Forwarded.
 	// internal/cluster uses this to ship frames to a topic's owning node.
 	// The hook may block briefly (backpressure propagates to the
@@ -160,7 +160,6 @@ type Stats struct {
 	MessagesRouted    uint64
 	DuplicatesDropped uint64
 	Retransmissions   uint64
-	WillsPublished    uint64
 	SessionsExpired   uint64
 	// DeliveryGiveUps counts QoS 1/2 frames dropped for good: abandoned
 	// after MaxRetries (or at session teardown) with no consumer group to
@@ -177,7 +176,7 @@ type Stats struct {
 	// CongestionRejected counts CONNECTs refused by admission control
 	// (session cap or connection-rate limit) with a congestion CONNACK.
 	CongestionRejected uint64
-	// Forwarded counts released publishes the Forward hook took ownership
+	// Forwarded counts accepted publishes the Forward hook took ownership
 	// of instead of local routing — in a cluster, frames this node shipped
 	// to their topic's owning node (or buffered during a migration pause).
 	Forwarded uint64
@@ -225,7 +224,7 @@ func EmitStats(e *obs.Emitter, st Stats, lbl ...string) {
 	e.Counter("provlight_broker_group_rerouted_total", "Frames re-delivered to a surviving consumer-group member.", float64(st.GroupRerouted), lbl...)
 	e.Counter("provlight_broker_backlog_dropped_total", "Frames discarded because their subscriber session ended.", float64(st.BacklogDropped), lbl...)
 	e.Counter("provlight_broker_congestion_rejected_total", "CONNECTs refused by admission control.", float64(st.CongestionRejected), lbl...)
-	e.Counter("provlight_broker_forwarded_total", "Released publishes the cluster Forward hook took.", float64(st.Forwarded), lbl...)
+	e.Counter("provlight_broker_forwarded_total", "Accepted publishes the cluster Forward hook took.", float64(st.Forwarded), lbl...)
 	e.Counter("provlight_broker_injected_total", "Frames delivered locally after arriving over a bridge link.", float64(st.Injected), lbl...)
 	e.Counter("provlight_broker_migrated_total", "Frames detached during partition handoffs.", float64(st.Migrated), lbl...)
 }
@@ -235,11 +234,9 @@ type message struct {
 	topicID uint16
 	payload []byte
 	qos     mqttsn.QoS
-	retain  bool
-	seq     uint64 // per-publisher arrival sequence (QoS 2 ordered release)
 	// injected marks frames re-entered via Inject (arrived over an
 	// inter-node bridge): routed to local individual non-bridge
-	// subscribers only — no groups, no retained store, no bridge echo.
+	// subscribers only — no groups, no bridge echo.
 	injected bool
 	// bridge marks frames whose *publisher* is a bridge session; carried
 	// into ForwardFrame so the cluster can spot a completed forward hop.
@@ -301,11 +298,9 @@ type session struct {
 	// member's in-flight frames hand off to the group in order.
 	sendSeq uint64
 
-	will             *mqttsn.Will
-	awaitingWill     bool
-	pendingConnackKA uint16
-
-	inbound2    map[uint16]*message
+	// inbound2 holds the msgIDs of inbound QoS 2 flows routed at their
+	// first PUBLISH and still awaiting the publisher's PUBREL.
+	inbound2    map[uint16]struct{}
 	outbound    map[uint16]*outbound
 	sendQ       []*message // QoS 1/2 backlog awaiting a window slot
 	nextMsgID   uint16
@@ -317,19 +312,9 @@ type session struct {
 	// to their group) when the subscriber never answers.
 	regFlows map[uint16]*regFlow
 
-	// QoS 2 ordered release: with a windowed publisher, PUBRELs can arrive
-	// out of publish order; messages are stamped with an arrival sequence
-	// and routed strictly in that order (MQTT's per-client ordered
-	// delivery), holding early releases until their turn.
-	pubSeq    uint64              // next sequence stamped on a fresh inbound QoS 2 publish
-	routeSeq  uint64              // next sequence eligible for routing
-	held      map[uint64]*message // released but waiting for their turn
-	heldSince time.Time           // when the current head-of-line gap appeared
-
 	// recentRel remembers the last released msgIDs so a duplicated or
 	// reordered PUBLISH arriving *after* its PUBREL completed is dropped
-	// as the duplicate it is, instead of being re-admitted under a fresh
-	// sequence that no PUBREL would ever release.
+	// as the duplicate it is, instead of being routed a second time.
 	recentRel  [64]uint16
 	recentRelN int // valid entries
 	recentRelI int // next write slot
@@ -354,36 +339,6 @@ func (s *session) recentlyReleased(msgID uint16) bool {
 		}
 	}
 	return false
-}
-
-// releaseInOrder registers a PUBREL-released message and returns every
-// held message that is now consecutive from routeSeq. Callers must hold
-// the session's shard mutex.
-func (s *session) releaseInOrder(msg *message) []*message {
-	if msg.seq < s.routeSeq {
-		// The sweep's head-of-line recovery already skipped past this
-		// sequence; deliver the straggler immediately rather than
-		// re-holding it (which would drag routeSeq backwards at the next
-		// recovery and stall the session).
-		return []*message{msg}
-	}
-	s.held[msg.seq] = msg
-	var ready []*message
-	for {
-		m, ok := s.held[s.routeSeq]
-		if !ok {
-			break
-		}
-		delete(s.held, s.routeSeq)
-		s.routeSeq++
-		ready = append(ready, m)
-	}
-	if len(s.held) == 0 {
-		s.heldSince = time.Time{}
-	} else if s.heldSince.IsZero() {
-		s.heldSince = time.Now()
-	}
-	return ready
 }
 
 func (s *session) allocMsgID() uint16 {
@@ -419,7 +374,6 @@ type counters struct {
 	messagesRouted     atomic.Uint64
 	duplicatesDropped  atomic.Uint64
 	retransmissions    atomic.Uint64
-	willsPublished     atomic.Uint64
 	sessionsExpired    atomic.Uint64
 	deliveryGiveUps    atomic.Uint64
 	groupRerouted      atomic.Uint64
@@ -498,10 +452,6 @@ type Broker struct {
 	groupMu sync.RWMutex
 	groups  map[string]*consumerGroup
 
-	// retMu guards the retained-message store.
-	retMu    sync.Mutex
-	retained map[string]*message
-
 	ctr counters
 
 	// stageRoute is the broker-route stage of the e2e latency histogram
@@ -567,7 +517,6 @@ func New(cfg Config) (*Broker, error) {
 		seed:       maphash.MakeSeed(),
 		byClientID: map[string]*session{},
 		groups:     map[string]*consumerGroup{},
-		retained:   map[string]*message{},
 		bufPool: sync.Pool{
 			New: func() any { buf := make([]byte, 65536); return &buf },
 		},
@@ -618,7 +567,6 @@ func (b *Broker) Stats() Stats {
 		MessagesRouted:     b.ctr.messagesRouted.Load(),
 		DuplicatesDropped:  b.ctr.duplicatesDropped.Load(),
 		Retransmissions:    b.ctr.retransmissions.Load(),
-		WillsPublished:     b.ctr.willsPublished.Load(),
 		SessionsExpired:    b.ctr.sessionsExpired.Load(),
 		DeliveryGiveUps:    b.ctr.deliveryGiveUps.Load(),
 		GroupRerouted:      b.ctr.groupRerouted.Load(),
@@ -787,55 +735,16 @@ func (b *Broker) sweep() {
 		groups []*consumerGroup
 	}
 	var resends []resend
-	var wills []*message
 	var expired []expiry
-	var unblocked []*message
 	var givenUp []giveUp
 	var evictions []eviction
-	holDeadline := time.Duration(b.cfg.MaxRetries+1) * b.cfg.RetryInterval
 	for _, sh := range b.shards {
 		sh.mu.Lock()
 		for key, s := range sh.sessions {
 			lastGivenUp := len(givenUp)
-			// Head-of-line recovery: if a publisher abandoned a QoS 2 flow
-			// (its PUBREL never arrived), skip the gap after the publisher
-			// itself would have given up, releasing the held messages.
-			if len(s.held) > 0 && !s.heldSince.IsZero() && now.Sub(s.heldSince) > holDeadline {
-				min := uint64(0)
-				first := true
-				for seq := range s.held {
-					if first || seq < min {
-						min, first = seq, false
-					}
-				}
-				s.routeSeq = min
-				for {
-					m, ok := s.held[s.routeSeq]
-					if !ok {
-						break
-					}
-					delete(s.held, s.routeSeq)
-					s.routeSeq++
-					unblocked = append(unblocked, m)
-				}
-				if len(s.held) == 0 {
-					s.heldSince = time.Time{}
-				} else {
-					s.heldSince = now
-				}
-			}
 			// Keepalive expiry with 1.5x grace (spec §6.13 suggests tolerance).
 			if s.keepalive > 0 && now.Sub(s.lastSeen) > s.keepalive+s.keepalive/2 {
 				b.ctr.sessionsExpired.Add(1)
-				if s.will != nil {
-					w := b.getMsg()
-					*w = message{
-						topic: s.will.Topic, payload: s.will.Payload,
-						qos: s.will.QoS, retain: s.will.Retain,
-					}
-					wills = append(wills, w)
-					b.ctr.willsPublished.Add(1)
-				}
 				delete(sh.sessions, key)
 				expired = append(expired, expiry{s: s, r: b.collectRemainsLocked(s)})
 				continue
@@ -947,19 +856,13 @@ func (b *Broker) sweep() {
 	for _, g := range givenUp {
 		b.settleUndeliverable(g.s, g.msg)
 	}
-	for _, m := range unblocked {
-		b.routeAndRelease(m)
-	}
-	for _, w := range wills {
-		b.routeAndRelease(w)
-	}
 }
 
 // publishPacket builds the PUBLISH for an outbound entry. Callers must
 // hold the session's shard mutex.
 func publishPacket(ob *outbound) *mqttsn.Publish {
 	return &mqttsn.Publish{
-		Flags:   mqttsn.Flags{QoS: ob.msg.qos, DUP: ob.dup, Retain: ob.msg.retain},
+		Flags:   mqttsn.Flags{QoS: ob.msg.qos, DUP: ob.dup},
 		TopicID: ob.msg.topicID,
 		MsgID:   ob.msgID,
 		Data:    ob.msg.payload,
@@ -1010,10 +913,6 @@ func (b *Broker) handle(addr net.Addr, pkt mqttsn.Packet) {
 	switch p := pkt.(type) {
 	case *mqttsn.Connect:
 		b.handleConnect(addr, p)
-	case *mqttsn.WillTopic:
-		b.handleWillTopic(addr, p)
-	case *mqttsn.WillMsg:
-		b.handleWillMsg(addr, p)
 	case *mqttsn.Register:
 		b.handleRegister(addr, p)
 	case *mqttsn.Regack:
@@ -1087,6 +986,10 @@ func (b *Broker) admitConnect(clientID string) bool {
 }
 
 func (b *Broker) handleConnect(addr net.Addr, p *mqttsn.Connect) {
+	if p.Flags.Will {
+		b.sendTo(addr, &mqttsn.Connack{ReturnCode: mqttsn.RejectedNotSupported})
+		return
+	}
 	if !b.admitConnect(p.ClientID) {
 		b.ctr.congestionRejected.Add(1)
 		b.sendTo(addr, &mqttsn.Connack{ReturnCode: mqttsn.RejectedCongestion})
@@ -1099,20 +1002,18 @@ func (b *Broker) handleConnect(addr net.Addr, p *mqttsn.Connect) {
 		}
 	}
 	s := &session{
-		clientID:     p.ClientID,
-		addr:         addr,
-		addrKey:      addr.String(),
-		keepalive:    time.Duration(p.Duration) * time.Second,
-		lastSeen:     time.Now(),
-		subs:         map[string]mqttsn.QoS{},
-		groupSubs:    map[string]*consumerGroup{},
-		inbound2:     map[uint16]*message{},
-		outbound:     map[uint16]*outbound{},
-		knownTopics:  map[uint16]bool{},
-		pendingReg:   map[uint16][]*message{},
-		regFlows:     map[uint16]*regFlow{},
-		held:         map[uint64]*message{},
-		awaitingWill: p.Flags.Will,
+		clientID:    p.ClientID,
+		addr:        addr,
+		addrKey:     addr.String(),
+		keepalive:   time.Duration(p.Duration) * time.Second,
+		lastSeen:    time.Now(),
+		subs:        map[string]mqttsn.QoS{},
+		groupSubs:   map[string]*consumerGroup{},
+		inbound2:    map[uint16]struct{}{},
+		outbound:    map[uint16]*outbound{},
+		knownTopics: map[uint16]bool{},
+		pendingReg:  map[uint16][]*message{},
+		regFlows:    map[uint16]*regFlow{},
 	}
 	// Replace any session with the same client id (possibly at an old
 	// addr): the old session leaves its groups and its backlog is handed
@@ -1121,68 +1022,14 @@ func (b *Broker) handleConnect(addr net.Addr, p *mqttsn.Connect) {
 	old := b.byClientID[p.ClientID]
 	b.byClientID[p.ClientID] = s
 	b.clientMu.Unlock()
-	var oldRemains sessionRemains
 	if old != nil {
-		osh := b.shardFor(old.addrKey)
-		osh.mu.Lock()
-		if osh.sessions[old.addrKey] == old {
-			delete(osh.sessions, old.addrKey)
-		}
-		oldRemains = b.collectRemainsLocked(old)
-		osh.mu.Unlock()
+		b.endSession(old)
 	}
 	sh := b.shardFor(s.addrKey)
 	sh.mu.Lock()
 	sh.sessions[s.addrKey] = s
 	sh.mu.Unlock()
-	if old != nil {
-		b.settleRemains(old, oldRemains)
-	}
-
-	if s.awaitingWill {
-		b.sendTo(addr, &mqttsn.WillTopicReq{})
-		return
-	}
 	b.sendTo(addr, &mqttsn.Connack{ReturnCode: mqttsn.Accepted})
-}
-
-func (b *Broker) handleWillTopic(addr net.Addr, p *mqttsn.WillTopic) {
-	key := addr.String()
-	sh := b.shardFor(key)
-	sh.mu.Lock()
-	s := sh.sessions[key]
-	if s != nil {
-		if s.will == nil {
-			s.will = &mqttsn.Will{}
-		}
-		s.will.Topic = p.Topic
-		s.will.QoS = p.Flags.QoS
-		s.will.Retain = p.Flags.Retain
-		s.lastSeen = time.Now()
-	}
-	sh.mu.Unlock()
-	if s != nil {
-		b.sendTo(addr, &mqttsn.WillMsgReq{})
-	}
-}
-
-func (b *Broker) handleWillMsg(addr net.Addr, p *mqttsn.WillMsg) {
-	key := addr.String()
-	sh := b.shardFor(key)
-	sh.mu.Lock()
-	s := sh.sessions[key]
-	if s != nil {
-		if s.will == nil {
-			s.will = &mqttsn.Will{}
-		}
-		s.will.Payload = p.Msg
-		s.awaitingWill = false
-		s.lastSeen = time.Now()
-	}
-	sh.mu.Unlock()
-	if s != nil {
-		b.sendTo(addr, &mqttsn.Connack{ReturnCode: mqttsn.Accepted})
-	}
 }
 
 func (b *Broker) handleRegister(addr net.Addr, p *mqttsn.Register) {
@@ -1232,7 +1079,7 @@ func (b *Broker) handleRegack(addr net.Addr, p *mqttsn.Regack) {
 					s.sendQ = append(s.sendQ, m)
 				default:
 					pubs = append(pubs, &mqttsn.Publish{
-						Flags:   mqttsn.Flags{QoS: m.qos, Retain: m.retain},
+						Flags:   mqttsn.Flags{QoS: m.qos},
 						TopicID: m.topicID,
 						Data:    m.payload,
 					})
@@ -1288,30 +1135,34 @@ func (b *Broker) handlePublish(addr net.Addr, p *mqttsn.Publish) {
 		return
 	}
 	fromBridge := s != nil && strings.HasPrefix(s.clientID, BridgeSessionPrefix)
-	switch p.Flags.QoS {
-	case mqttsn.QoS0, mqttsn.QoSMinusOne:
-		msg := b.getMsg()
-		*msg = message{topic: topic, topicID: p.TopicID, payload: p.Data, qos: p.Flags.QoS, retain: p.Flags.Retain, bridge: fromBridge}
-		b.routeAndRelease(msg)
-	case mqttsn.QoS1:
-		msg := b.getMsg()
-		*msg = message{topic: topic, topicID: p.TopicID, payload: p.Data, qos: p.Flags.QoS, retain: p.Flags.Retain, bridge: fromBridge}
-		b.routeAndRelease(msg)
-		b.sendTo(addr, &mqttsn.Puback{TopicID: p.TopicID, MsgID: p.MsgID, ReturnCode: mqttsn.Accepted})
-	case mqttsn.QoS2:
+	fresh := true
+	if p.Flags.QoS == mqttsn.QoS2 {
+		// Routed at the first PUBLISH (MQTT's "method B"): the shard worker
+		// sees one client's PUBLISHes in arrival order, so routing here keeps
+		// that order with no state beyond the msgID, and the frame has passed
+		// the Forward hook or reached every local subscriber before the
+		// PUBREC (and so long before the PUBCOMP the cluster's migration
+		// drain waits for). Until the PUBREL, and for a while after it, a
+		// retransmitted PUBLISH is recognised by its msgID and dropped.
 		sh.mu.Lock()
-		if _, dup := s.inbound2[p.MsgID]; dup || s.recentlyReleased(p.MsgID) {
-			b.ctr.duplicatesDropped.Add(1)
-		} else {
-			msg := b.getMsg()
-			*msg = message{
-				topic: topic, topicID: p.TopicID, payload: p.Data,
-				qos: p.Flags.QoS, retain: p.Flags.Retain, seq: s.pubSeq, bridge: fromBridge,
-			}
-			s.pubSeq++
-			s.inbound2[p.MsgID] = msg
+		_, inFlight := s.inbound2[p.MsgID]
+		fresh = !inFlight && !s.recentlyReleased(p.MsgID)
+		if fresh {
+			s.inbound2[p.MsgID] = struct{}{}
 		}
 		sh.mu.Unlock()
+	}
+	if fresh {
+		msg := b.getMsg()
+		*msg = message{topic: topic, topicID: p.TopicID, payload: p.Data, qos: p.Flags.QoS, bridge: fromBridge}
+		b.routeAndRelease(msg)
+	} else {
+		b.ctr.duplicatesDropped.Add(1)
+	}
+	switch p.Flags.QoS {
+	case mqttsn.QoS1:
+		b.sendTo(addr, &mqttsn.Puback{TopicID: p.TopicID, MsgID: p.MsgID, ReturnCode: mqttsn.Accepted})
+	case mqttsn.QoS2:
 		rec := &mqttsn.Pubrec{}
 		rec.MsgID = p.MsgID
 		b.sendTo(addr, rec)
@@ -1322,30 +1173,14 @@ func (b *Broker) handlePubrel(addr net.Addr, p *mqttsn.Pubrel) {
 	key := addr.String()
 	sh := b.shardFor(key)
 	sh.mu.Lock()
-	s := sh.sessions[key]
-	var ready []*message
-	if s != nil {
+	if s := sh.sessions[key]; s != nil {
 		s.lastSeen = time.Now()
-		if msg := s.inbound2[p.MsgID]; msg != nil {
+		if _, ok := s.inbound2[p.MsgID]; ok {
 			delete(s.inbound2, p.MsgID)
 			s.markReleased(p.MsgID)
-			// Exactly once (only the first PUBREL finds the message), and
-			// in publish-arrival order even when a windowed publisher's
-			// PUBRELs arrive scrambled.
-			ready = s.releaseInOrder(msg)
 		}
 	}
 	sh.mu.Unlock()
-	// Route released frames BEFORE acknowledging the release: once the
-	// publisher sees PUBCOMP, each released frame has passed the Forward
-	// hook or been enqueued to every local subscriber. The cluster's
-	// migration drain relies on this ordering — a forwarding link whose
-	// in-flight count hits zero knows its frames are accounted for at the
-	// owner. A delayed PUBCOMP just makes the publisher retransmit its
-	// PUBREL, which is answered as the duplicate it is.
-	for _, m := range ready {
-		b.routeAndRelease(m)
-	}
 	comp := &mqttsn.Pubcomp{}
 	comp.MsgID = p.MsgID
 	b.sendTo(addr, comp)
@@ -1485,10 +1320,8 @@ func (b *Broker) handleSubscribe(addr net.Addr, p *mqttsn.Subscribe) {
 	grantedQoS := p.Flags.QoS
 	if groupName, inner, shared := mqttsn.ParseSharedFilter(filter); shared {
 		// Shared subscription: join the consumer group instead of adding
-		// an individual subscription. No retained delivery (the group
-		// shares one logical subscription; replaying state to every
-		// joining member would duplicate it) and no immediate topic id —
-		// ids are registered on first delivery.
+		// an individual subscription. No immediate topic id — ids are
+		// registered on first delivery.
 		g := b.joinGroup(groupName, inner, s, grantedQoS)
 		s.groupSubs[filter] = g
 		sh.mu.Unlock()
@@ -1515,28 +1348,10 @@ func (b *Broker) handleSubscribe(addr net.Addr, p *mqttsn.Subscribe) {
 		}
 		sh.mu.Unlock()
 	}
-	// Collect matching retained messages for delivery after SUBACK.
-	var retained []*message
-	b.retMu.Lock()
-	for topic, m := range b.retained {
-		if mqttsn.TopicMatches(filter, topic) {
-			retained = append(retained, m)
-		}
-	}
-	b.retMu.Unlock()
-
 	b.sendTo(addr, &mqttsn.Suback{
 		Flags:   mqttsn.Flags{QoS: grantedQoS},
 		TopicID: topicID, MsgID: p.MsgID, ReturnCode: mqttsn.Accepted,
 	})
-	for _, m := range retained {
-		out := b.getMsg()
-		*out = *m
-		if out.qos > grantedQoS {
-			out.qos = grantedQoS
-		}
-		b.deliverOrSettle(s, out)
-	}
 }
 
 func (b *Broker) handleUnsubscribe(addr net.Addr, p *mqttsn.Unsubscribe) {
@@ -1579,22 +1394,36 @@ func (b *Broker) handleDisconnect(addr net.Addr) {
 	sh := b.shardFor(key)
 	sh.mu.Lock()
 	s := sh.sessions[key]
-	var remains sessionRemains
-	if s != nil {
-		// Clean disconnect: will is discarded (spec §6.14).
-		delete(sh.sessions, key)
-		remains = b.collectRemainsLocked(s)
-	}
 	sh.mu.Unlock()
 	if s != nil {
-		b.clientMu.Lock()
-		if b.byClientID[s.clientID] == s {
-			delete(b.byClientID, s.clientID)
-		}
-		b.clientMu.Unlock()
-		b.settleRemains(s, remains)
+		b.endSession(s)
 	}
 	b.sendTo(addr, &mqttsn.Disconnect{})
+}
+
+// endSession tears s down: it leaves its shard (unless a reconnect
+// already put a newer session at its address), its client id is freed
+// unless a newer session holds it, and its remains are settled — group
+// frames handed back, the rest released. Repeating it on a session
+// already torn down is harmless: its remains are already empty. It
+// reports whether s was still live in its shard. Must be called without
+// any shard mutex held.
+func (b *Broker) endSession(s *session) bool {
+	sh := b.shardFor(s.addrKey)
+	sh.mu.Lock()
+	live := sh.sessions[s.addrKey] == s
+	if live {
+		delete(sh.sessions, s.addrKey)
+	}
+	remains := b.collectRemainsLocked(s)
+	sh.mu.Unlock()
+	b.clientMu.Lock()
+	if b.byClientID[s.clientID] == s {
+		delete(b.byClientID, s.clientID)
+	}
+	b.clientMu.Unlock()
+	b.settleRemains(s, remains)
+	return live
 }
 
 // DisconnectClientsPrefix tears down every session whose client id has
@@ -1615,68 +1444,49 @@ func (b *Broker) DisconnectClientsPrefix(prefix string) int {
 	}
 	b.clientMu.Unlock()
 	for _, s := range victims {
-		sh := b.shardFor(s.addrKey)
-		sh.mu.Lock()
-		if sh.sessions[s.addrKey] != s {
-			sh.mu.Unlock()
-			continue // already replaced or expired
+		if b.endSession(s) { // else already replaced or expired
+			b.sendTo(s.addr, &mqttsn.Disconnect{})
 		}
-		delete(sh.sessions, s.addrKey)
-		remains := b.collectRemainsLocked(s)
-		sh.mu.Unlock()
-		b.clientMu.Lock()
-		if b.byClientID[s.clientID] == s {
-			delete(b.byClientID, s.clientID)
-		}
-		b.clientMu.Unlock()
-		b.settleRemains(s, remains)
-		b.sendTo(s.addr, &mqttsn.Disconnect{})
 	}
 	return len(victims)
 }
 
-// routeAndRelease routes msg, then returns it to the message pool unless
-// the retained store took ownership of it. When a Forward hook is set it
-// gets first refusal: frames it takes (another node owns the topic, or a
-// migration pause is buffering it) never reach local routing, which is
-// what keeps cluster delivery exactly-once.
+// routeAndRelease routes msg, then returns it to the message pool. When
+// a Forward hook is set it gets first refusal: frames it takes (another
+// node owns the topic, or a migration pause is buffering it) never reach
+// local routing, which is what keeps cluster delivery exactly-once.
 func (b *Broker) routeAndRelease(msg *message) {
-	if b.cfg.Forward != nil && !msg.injected {
-		if b.cfg.Forward(ForwardFrame{Topic: msg.topic, Payload: msg.payload, QoS: msg.qos, Retain: msg.retain, Bridge: msg.bridge}) {
-			b.ctr.forwarded.Add(1)
-			b.putMsg(msg)
-			return
-		}
+	if b.cfg.Forward != nil && !msg.injected &&
+		b.cfg.Forward(ForwardFrame{Topic: msg.topic, Payload: msg.payload, QoS: msg.qos, Bridge: msg.bridge}) {
+		b.ctr.forwarded.Add(1)
+	} else {
+		b.route(msg)
 	}
-	if !b.route(msg) {
-		b.putMsg(msg)
-	}
+	b.putMsg(msg)
 }
 
-// Submit routes a frame as if a local publisher had just released it,
+// Submit routes a frame as if a local publisher had just published it,
 // bypassing the Forward hook. The cluster uses it to re-enter frames
 // that already completed cluster routing: a forwarded frame flushed from
 // a migration buffer whose partition this node now owns.
-func (b *Broker) Submit(topic string, payload []byte, qos mqttsn.QoS, retain bool) {
+func (b *Broker) Submit(topic string, payload []byte, qos mqttsn.QoS) {
 	msg := b.getMsg()
-	*msg = message{topic: topic, payload: payload, qos: qos, retain: retain}
-	if !b.route(msg) {
-		b.putMsg(msg)
-	}
+	*msg = message{topic: topic, payload: payload, qos: qos}
+	b.route(msg)
+	b.putMsg(msg)
 }
 
 // Inject delivers a frame that arrived over an inter-node bridge link to
-// this node's local individual subscribers only: consumer groups, the
-// retained store, and bridge sessions are all skipped (the topic's owner
-// already handled those), so a publication can neither double-deliver
-// nor echo between nodes.
+// this node's local individual subscribers only: consumer groups and
+// bridge sessions are skipped (the topic's owner already served its
+// groups), so a publication can neither double-deliver nor echo between
+// nodes.
 func (b *Broker) Inject(topic string, payload []byte, qos mqttsn.QoS) {
 	msg := b.getMsg()
 	*msg = message{topic: topic, payload: payload, qos: qos, injected: true}
 	b.ctr.injected.Add(1)
-	if !b.route(msg) {
-		b.putMsg(msg)
-	}
+	b.route(msg)
+	b.putMsg(msg)
 }
 
 // PendingForTopics counts QoS 1/2 frames still queued or in flight
@@ -1736,7 +1546,7 @@ func (b *Broker) DetachMatching(match func(topic string) bool) []ForwardFrame {
 					continue
 				}
 				m := ob.msg
-				inflight = append(inflight, seqFrame{ob.seq, ForwardFrame{Topic: m.topic, Payload: m.payload, QoS: m.qos, Retain: m.retain}})
+				inflight = append(inflight, seqFrame{ob.seq, ForwardFrame{Topic: m.topic, Payload: m.payload, QoS: m.qos}})
 				delete(s.outbound, id)
 				ob.msg = nil
 				b.putMsg(m)
@@ -1750,7 +1560,7 @@ func (b *Broker) DetachMatching(match func(topic string) bool) []ForwardFrame {
 				kept := s.sendQ[:0]
 				for _, m := range s.sendQ {
 					if match(m.topic) {
-						out = append(out, ForwardFrame{Topic: m.topic, Payload: m.payload, QoS: m.qos, Retain: m.retain})
+						out = append(out, ForwardFrame{Topic: m.topic, Payload: m.payload, QoS: m.qos})
 						b.putMsg(m)
 					} else {
 						kept = append(kept, m)
@@ -1765,7 +1575,7 @@ func (b *Broker) DetachMatching(match func(topic string) bool) []ForwardFrame {
 				var kept []*message
 				for _, m := range pending {
 					if match(m.topic) {
-						out = append(out, ForwardFrame{Topic: m.topic, Payload: m.payload, QoS: m.qos, Retain: m.retain})
+						out = append(out, ForwardFrame{Topic: m.topic, Payload: m.payload, QoS: m.qos})
 						b.putMsg(m)
 					} else {
 						kept = append(kept, m)
@@ -1786,32 +1596,21 @@ func (b *Broker) DetachMatching(match func(topic string) bool) []ForwardFrame {
 }
 
 // route fans a message out to all matching subscribers — every individual
-// subscription, plus exactly one member per matching consumer group,
-// chosen by the topic-affinity hash — and stores it if retained. It walks
-// the shards one at a time, so a hot shard never blocks matching on the
-// others. route does not take ownership of msg (each delivery gets its
-// own pooled copy); it reports whether the retained store kept msg.
+// subscription, plus exactly one member per matching consumer group: the
+// member the group's sticky least-loaded assignment gives the topic (see
+// group.go). It walks the shards one at a time, so a hot shard never
+// blocks matching on the others. route does not take ownership of msg
+// (each delivery gets its own pooled copy).
 //
 // Injected frames (arrived over an inter-node bridge) take a narrower
 // path: individual non-bridge subscribers only. The topic's owning node
-// already served its consumer groups and retained store, and delivering
-// to another bridge session would echo the frame around the cluster.
-func (b *Broker) route(msg *message) bool {
+// already served its consumer groups, and delivering to another bridge
+// session would echo the frame around the cluster.
+func (b *Broker) route(msg *message) {
 	if b.stageRoute != nil {
 		if ns, ok := wire.FrameCaptureNS(msg.payload); ok {
 			obs.ObserveSince(b.stageRoute, ns)
 		}
-	}
-	stored := false
-	if msg.retain && !msg.injected {
-		b.retMu.Lock()
-		if len(msg.payload) == 0 {
-			delete(b.retained, msg.topic)
-		} else {
-			b.retained[msg.topic] = msg
-			stored = true
-		}
-		b.retMu.Unlock()
 	}
 	if msg.topicID == 0 {
 		msg.topicID = b.topicID(msg.topic)
@@ -1864,7 +1663,6 @@ func (b *Broker) route(msg *message) bool {
 		out.group = t.g
 		b.deliverOrSettle(t.s, out)
 	}
-	return stored
 }
 
 // deliverOrSettle delivers msg to s, and settles ownership if the session
@@ -1924,7 +1722,7 @@ func (b *Broker) deliver(s *session, msg *message) bool {
 		pubs = s.pumpLocked(b, b.cfg.SendWindow)
 	default:
 		pubs = append(pubs, &mqttsn.Publish{
-			Flags:   mqttsn.Flags{QoS: msg.qos, Retain: msg.retain},
+			Flags:   mqttsn.Flags{QoS: msg.qos},
 			TopicID: msg.topicID,
 			Data:    msg.payload,
 		})

@@ -94,19 +94,14 @@ func TestPublishSubscribeQoS2(t *testing.T) {
 	pub := newTestClient(t, b, "pub2")
 	sub := newTestClient(t, b, "sub2")
 	ch := collect(t, sub, "prov/records", mqttsn.QoS2)
-	for i := 0; i < 10; i++ {
-		if err := pub.Publish("prov/records", []byte(fmt.Sprintf("m%d", i)), mqttsn.QoS2); err != nil {
+	want := make([]string, 10)
+	for i := range want {
+		want[i] = fmt.Sprintf("m%d", i)
+		if err := pub.Publish("prov/records", []byte(want[i]), mqttsn.QoS2); err != nil {
 			t.Fatal(err)
 		}
 	}
-	for i := 0; i < 10; i++ {
-		waitFor(t, ch, fmt.Sprintf("m%d", i))
-	}
-	select {
-	case extra := <-ch:
-		t.Fatalf("unexpected extra message %q", extra)
-	case <-time.After(300 * time.Millisecond):
-	}
+	expectOnly(t, ch, want...)
 }
 
 func TestQoS2ExactlyOnceUnderLossAndDuplication(t *testing.T) {
@@ -183,122 +178,6 @@ func TestWildcardSubscriptionTriggersRegister(t *testing.T) {
 		t.Fatal(err)
 	}
 	waitFor(t, ch, "provlight/dev42/records=x")
-}
-
-func TestRetainedMessageDeliveredOnSubscribe(t *testing.T) {
-	b := newTestBroker(t)
-	pub := newTestClient(t, b, "pub-ret")
-	// Publish retained via a raw QoS0 publish with the retain flag: the
-	// client API doesn't expose retain, so drive the flow manually.
-	id, err := pub.RegisterTopic("cfg/latest")
-	if err != nil {
-		t.Fatal(err)
-	}
-	_ = id
-	// The mqttsn client has no retain knob; publish through a bare socket.
-	conn, err := net.ListenPacket("udp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
-	gw, _ := net.ResolveUDPAddr("udp", b.Addr())
-	connect := &mqttsn.Connect{Flags: mqttsn.Flags{CleanSession: true}, Duration: 60, ClientID: "raw-ret"}
-	conn.WriteTo(mqttsn.Marshal(connect), gw)
-	time.Sleep(100 * time.Millisecond)
-	reg := &mqttsn.Register{MsgID: 1, TopicName: "cfg/latest"}
-	conn.WriteTo(mqttsn.Marshal(reg), gw)
-	// Read REGACK to learn the topic id.
-	buf := make([]byte, 1024)
-	var topicID uint16
-	deadline := time.Now().Add(2 * time.Second)
-	for {
-		conn.SetReadDeadline(deadline)
-		n, _, err := conn.ReadFrom(buf)
-		if err != nil {
-			t.Fatal("no REGACK received")
-		}
-		pkt, err := mqttsn.Unmarshal(buf[:n])
-		if err == nil {
-			if ra, ok := pkt.(*mqttsn.Regack); ok {
-				topicID = ra.TopicID
-				break
-			}
-		}
-	}
-	pubPkt := &mqttsn.Publish{
-		Flags:   mqttsn.Flags{QoS: mqttsn.QoS0, Retain: true},
-		TopicID: topicID,
-		Data:    []byte("retained-v1"),
-	}
-	conn.WriteTo(mqttsn.Marshal(pubPkt), gw)
-	time.Sleep(200 * time.Millisecond)
-
-	// A fresh subscriber must get the retained message immediately.
-	sub := newTestClient(t, b, "sub-ret")
-	ch := collect(t, sub, "cfg/latest", mqttsn.QoS1)
-	waitFor(t, ch, "retained-v1")
-}
-
-func TestWillPublishedOnSessionExpiry(t *testing.T) {
-	b := newTestBroker(t)
-	sub := newTestClient(t, b, "sub-will")
-	ch := collect(t, sub, "devices/+/status", mqttsn.QoS1)
-
-	dying, err := mqttsn.NewClient(mqttsn.ClientConfig{
-		ClientID:      "edge-dying",
-		Gateway:       b.Addr(),
-		KeepAlive:     time.Second, // expires after ~1.5s without traffic
-		RetryInterval: 100 * time.Millisecond,
-		MaxRetries:    10,
-		CleanSession:  true,
-		Will: &mqttsn.Will{
-			Topic:   "devices/edge-dying/status",
-			Payload: []byte("lost"),
-			QoS:     mqttsn.QoS1,
-		},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := dying.Connect(); err != nil {
-		t.Fatal(err)
-	}
-	// Kill the client without DISCONNECT: the broker must publish the will.
-	dying.Close()
-	waitFor(t, ch, "lost")
-}
-
-func TestCleanDisconnectSuppressesWill(t *testing.T) {
-	b := newTestBroker(t)
-	sub := newTestClient(t, b, "sub-nw")
-	ch := collect(t, sub, "devices/+/status", mqttsn.QoS1)
-
-	leaving, err := mqttsn.NewClient(mqttsn.ClientConfig{
-		ClientID:      "edge-leaving",
-		Gateway:       b.Addr(),
-		KeepAlive:     time.Second,
-		RetryInterval: 100 * time.Millisecond,
-		CleanSession:  true,
-		Will: &mqttsn.Will{
-			Topic:   "devices/edge-leaving/status",
-			Payload: []byte("lost"),
-			QoS:     mqttsn.QoS1,
-		},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := leaving.Connect(); err != nil {
-		t.Fatal(err)
-	}
-	if err := leaving.Disconnect(); err != nil {
-		t.Fatal(err)
-	}
-	select {
-	case got := <-ch:
-		t.Fatalf("will %q published despite clean disconnect", got)
-	case <-time.After(2 * time.Second):
-	}
 }
 
 func TestMultipleSubscribersAllReceive(t *testing.T) {
@@ -398,33 +277,187 @@ func TestManyParallelPublishers(t *testing.T) {
 
 func TestPublishToUnknownTopicIDRejected(t *testing.T) {
 	b := newTestBroker(t)
+	raw := newRawClient(t, b)
+	if rc := raw.connect("raw-bad", mqttsn.Flags{CleanSession: true}); rc != mqttsn.Accepted {
+		t.Fatalf("connect: %v", rc)
+	}
+	raw.send(&mqttsn.Publish{Flags: mqttsn.Flags{QoS: mqttsn.QoS1}, TopicID: 9999, MsgID: 7, Data: []byte("x")})
+	if rc := raw.await(mqttsn.PUBACK).(*mqttsn.Puback).ReturnCode; rc != mqttsn.RejectedInvalidID {
+		t.Fatalf("return code = %v, want invalid topic id", rc)
+	}
+}
+
+// rawClient drives the broker with hand-built packets, for the flows the
+// mqttsn client never produces: scrambled or missing PUBRELs, DUP
+// retransmissions, and the will and retain flags.
+type rawClient struct {
+	t    *testing.T
+	conn net.PacketConn
+	gw   net.Addr
+}
+
+func newRawClient(t *testing.T, b *Broker) *rawClient {
+	t.Helper()
 	conn, err := net.ListenPacket("udp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer conn.Close()
-	gw, _ := net.ResolveUDPAddr("udp", b.Addr())
-	connect := &mqttsn.Connect{Flags: mqttsn.Flags{CleanSession: true}, Duration: 60, ClientID: "raw-bad"}
-	conn.WriteTo(mqttsn.Marshal(connect), gw)
-	time.Sleep(100 * time.Millisecond)
-	pub := &mqttsn.Publish{Flags: mqttsn.Flags{QoS: mqttsn.QoS1}, TopicID: 9999, MsgID: 7, Data: []byte("x")}
-	conn.WriteTo(mqttsn.Marshal(pub), gw)
-	buf := make([]byte, 256)
-	conn.SetReadDeadline(time.Now().Add(2 * time.Second))
+	t.Cleanup(func() { conn.Close() })
+	gw, err := net.ResolveUDPAddr("udp", b.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return &rawClient{t: t, conn: conn, gw: gw}
+}
+
+func (c *rawClient) send(p mqttsn.Packet) {
+	c.t.Helper()
+	if _, err := c.conn.WriteTo(mqttsn.Marshal(p), c.gw); err != nil {
+		c.t.Fatalf("send %s: %v", p.Type(), err)
+	}
+}
+
+// await returns the next packet of type typ, skipping any other.
+func (c *rawClient) await(typ mqttsn.MsgType) mqttsn.Packet {
+	c.t.Helper()
+	buf := make([]byte, 2048)
+	c.conn.SetReadDeadline(time.Now().Add(3 * time.Second))
 	for {
-		n, _, err := conn.ReadFrom(buf)
+		n, _, err := c.conn.ReadFrom(buf)
 		if err != nil {
-			t.Fatal("no PUBACK rejection received")
+			c.t.Fatalf("waiting for %s: %v", typ, err)
 		}
-		pkt, err := mqttsn.Unmarshal(buf[:n])
-		if err != nil {
-			continue
+		if p, err := mqttsn.Unmarshal(buf[:n]); err == nil && p.Type() == typ {
+			return p
 		}
-		if pa, ok := pkt.(*mqttsn.Puback); ok {
-			if pa.ReturnCode != mqttsn.RejectedInvalidID {
-				t.Fatalf("return code = %v, want invalid topic id", pa.ReturnCode)
+	}
+}
+
+func (c *rawClient) connect(id string, flags mqttsn.Flags) mqttsn.ReturnCode {
+	c.t.Helper()
+	c.send(&mqttsn.Connect{Flags: flags, Duration: 60, ClientID: id})
+	return c.await(mqttsn.CONNACK).(*mqttsn.Connack).ReturnCode
+}
+
+func (c *rawClient) register(topic string) uint16 {
+	c.t.Helper()
+	c.send(&mqttsn.Register{MsgID: 1, TopicName: topic})
+	return c.await(mqttsn.REGACK).(*mqttsn.Regack).TopicID
+}
+
+// publish2 sends a QoS 2 PUBLISH and waits for its PUBREC.
+func (c *rawClient) publish2(topicID, msgID uint16, dup bool, data string) {
+	c.t.Helper()
+	c.send(&mqttsn.Publish{Flags: mqttsn.Flags{QoS: mqttsn.QoS2, DUP: dup}, TopicID: topicID, MsgID: msgID, Data: []byte(data)})
+	if got := c.await(mqttsn.PUBREC).(*mqttsn.Pubrec).MsgID; got != msgID {
+		c.t.Fatalf("PUBREC for msgID %d, want %d", got, msgID)
+	}
+}
+
+// release sends a PUBREL and waits for its PUBCOMP.
+func (c *rawClient) release(msgID uint16) {
+	c.t.Helper()
+	rel := &mqttsn.Pubrel{}
+	rel.MsgID = msgID
+	c.send(rel)
+	if got := c.await(mqttsn.PUBCOMP).(*mqttsn.Pubcomp).MsgID; got != msgID {
+		c.t.Fatalf("PUBCOMP for msgID %d, want %d", got, msgID)
+	}
+}
+
+// expectOnly receives want in order, then asserts nothing else arrives.
+func expectOnly(t *testing.T, ch <-chan string, want ...string) {
+	t.Helper()
+	for _, w := range want {
+		waitFor(t, ch, w)
+	}
+	select {
+	case extra := <-ch:
+		t.Fatalf("unexpected extra message %q", extra)
+	case <-time.After(300 * time.Millisecond):
+	}
+}
+
+// TestQoS2Receive pins the broker's inbound QoS 2 rule: a frame is routed
+// at its first PUBLISH, in PUBLISH-arrival order, exactly once; PUBREL
+// only ends the flow. It also pins the protocol edges the broker does not
+// support: last wills and retained messages.
+func TestQoS2Receive(t *testing.T) {
+	const topic = "wf/qos2"
+	cases := []struct {
+		name string
+		run  func(t *testing.T, b *Broker, pub *rawClient, id uint16, got <-chan string)
+	}{
+		{"scrambled PUBRELs keep PUBLISH order", func(t *testing.T, b *Broker, pub *rawClient, id uint16, got <-chan string) {
+			for m := uint16(1); m <= 5; m++ {
+				pub.publish2(id, m, false, fmt.Sprintf("m%d", m))
 			}
-			return
-		}
+			for _, m := range []uint16{3, 1, 5, 2, 4} {
+				pub.release(m)
+			}
+			expectOnly(t, got, "m1", "m2", "m3", "m4", "m5")
+		}},
+		{"abandoned flow does not delay the frames behind it", func(t *testing.T, b *Broker, pub *rawClient, id uint16, got <-chan string) {
+			// msgID 1 never gets its PUBREL. Holding 2 and 3 behind it
+			// would stall them for (MaxRetries+1)·RetryInterval = 6 s,
+			// twice waitFor's timeout.
+			for m := uint16(1); m <= 3; m++ {
+				pub.publish2(id, m, false, fmt.Sprintf("m%d", m))
+			}
+			pub.release(2)
+			pub.release(3)
+			expectOnly(t, got, "m1", "m2", "m3")
+		}},
+		{"DUP PUBLISH before and after PUBREL is routed once", func(t *testing.T, b *Broker, pub *rawClient, id uint16, got <-chan string) {
+			pub.publish2(id, 7, false, "x")
+			pub.publish2(id, 7, true, "x")
+			pub.release(7)
+			pub.publish2(id, 7, true, "x")
+			expectOnly(t, got, "x")
+			if st := b.Stats(); st.DuplicatesDropped != 2 || st.MessagesRouted != 1 {
+				t.Fatalf("duplicates dropped = %d, routed = %d; want 2 and 1", st.DuplicatesDropped, st.MessagesRouted)
+			}
+		}},
+		{"Will-flag CONNECT is refused", func(t *testing.T, b *Broker, pub *rawClient, id uint16, got <-chan string) {
+			c := newRawClient(t, b)
+			if rc := c.connect("raw-will", mqttsn.Flags{CleanSession: true, Will: true}); rc != mqttsn.RejectedNotSupported {
+				t.Fatalf("CONNACK %v, want %v", rc, mqttsn.RejectedNotSupported)
+			}
+			if n := b.Stats().Sessions; n != 2 {
+				t.Fatalf("%d sessions after a refused CONNECT, want 2", n)
+			}
+		}},
+		{"Retain-flagged publish is live only", func(t *testing.T, b *Broker, pub *rawClient, id uint16, got <-chan string) {
+			rs := newRawClient(t, b)
+			if rc := rs.connect("raw-sub", mqttsn.Flags{CleanSession: true}); rc != mqttsn.Accepted {
+				t.Fatalf("connect: %v", rc)
+			}
+			rs.send(&mqttsn.Subscribe{Flags: mqttsn.Flags{QoS: mqttsn.QoS0}, MsgID: 1, TopicName: topic})
+			rs.await(mqttsn.SUBACK)
+			pub.send(&mqttsn.Publish{Flags: mqttsn.Flags{QoS: mqttsn.QoS0, Retain: true}, TopicID: id, Data: []byte("r")})
+			expectOnly(t, got, "r")
+			if p := rs.await(mqttsn.PUBLISH).(*mqttsn.Publish); string(p.Data) != "r" || p.Flags.Retain {
+				t.Fatalf("raw subscriber got %q with retain %v, want %q without retain", p.Data, p.Flags.Retain, "r")
+			}
+			late := newTestClient(t, b, "sub-late")
+			expectOnly(t, collect(t, late, topic, mqttsn.QoS2))
+		}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			// A 1 s retry interval with the default 5 retries: any
+			// head-of-line hold would outlast every wait below.
+			b, err := New(Config{Addr: "127.0.0.1:0", RetryInterval: time.Second})
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(b.Close)
+			got := collect(t, newTestClient(t, b, "sub"), topic, mqttsn.QoS2)
+			pub := newRawClient(t, b)
+			if rc := pub.connect("raw-pub", mqttsn.Flags{CleanSession: true}); rc != mqttsn.Accepted {
+				t.Fatalf("connect: %v", rc)
+			}
+			tc.run(t, b, pub, pub.register(topic), got)
+		})
 	}
 }

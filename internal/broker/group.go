@@ -294,17 +294,6 @@ func (b *Broker) collectRemainsLocked(s *session) sessionRemains {
 		delete(s.pendingReg, id)
 	}
 	s.regFlows = nil
-	// Pending inbound QoS 2 state: publishes whose PUBREL never arrived
-	// die with the session (the publisher's retransmissions will fail its
-	// own flow); free them so churn cannot accumulate held frames.
-	for id, m := range s.inbound2 {
-		delete(s.inbound2, id)
-		b.putMsg(m)
-	}
-	for seq, m := range s.held {
-		delete(s.held, seq)
-		b.putMsg(m)
-	}
 	for _, g := range s.groupSubs {
 		r.groups = append(r.groups, g)
 	}

@@ -4,11 +4,11 @@
 // shared state and any node computes any frame's owner locally. A device
 // or translator session may connect to ANY node: frames released on a
 // non-owner are forwarded over a pooled MQTT-SN bridge link to the
-// owner, whose ordered-release and consumer-group machinery then behaves
+// owner, whose routing and consumer-group machinery then behaves
 // exactly as in the single-broker case — per-workflow (per-topic) order
 // and QoS 2 exactly-once both survive the extra hop because each
 // (source node, owner) pair shares one link session whose frames are
-// submitted in release order.
+// submitted in routing order.
 //
 // Membership is static-first: New starts a fixed set of nodes; Join and
 // Leave change it at runtime by migrating the moved partitions live —

@@ -262,7 +262,7 @@ func (n *Node) redirect(part int, f broker.ForwardFrame) {
 	owner := tp.owner[part]
 	if owner == n.id {
 		n.fmu.Unlock()
-		n.b.Submit(f.Topic, f.Payload, f.QoS, f.Retain)
+		n.b.Submit(f.Topic, f.Payload, f.QoS)
 		return
 	}
 	addr := tp.addrs[owner]
@@ -559,7 +559,7 @@ func (n *Node) switchAndFlush(tp *topology, moved map[int]bool) {
 			owner := tp.owner[bf.part]
 			n.migratedBuf.Add(1)
 			if owner == n.id {
-				n.b.Submit(bf.f.Topic, bf.f.Payload, bf.f.QoS, bf.f.Retain)
+				n.b.Submit(bf.f.Topic, bf.f.Payload, bf.f.QoS)
 				continue
 			}
 			n.addPending(bf.part)

@@ -57,10 +57,6 @@ type Config struct {
 	GroupSize int
 	// DisableCompression turns off payload compression (ablation).
 	DisableCompression bool
-	// Synchronous makes Capture block until the QoS flow completes
-	// (ablation; the paper's client is asynchronous). Incompatible with
-	// SpoolDir.
-	Synchronous bool
 	// QueueCapacity bounds the async transmit queue. Default 1024.
 	//
 	// Backpressure contract: when the queue is full (the broker is slower
@@ -349,10 +345,8 @@ func NewClient(ctx context.Context, cfg Config) (*Client, error) {
 		sendQ: make(chan *[]byte, cfg.QueueCapacity),
 	}
 	c.initMetrics()
-	if !cfg.Synchronous {
-		c.wg.Add(1)
-		go c.sender()
-	}
+	c.wg.Add(1)
+	go c.sender()
 	return c, nil
 }
 
@@ -600,29 +594,14 @@ func (c *Client) Shutdown(ctx context.Context) error {
 	}
 	// Flush the buffered group before claiming the shutdown, so the
 	// closed-client check in the transmit path doesn't reject our own
-	// group frame. In synchronous mode the flush publishes inline through
-	// the retry budget; WithContext bounds it by force-closing the
-	// transport when ctx expires.
-	var err error
-	if c.cfg.Synchronous {
-		err = c.mqtt.WithContext(ctx, func() error { return c.flushGroup(nil) })
-	} else {
-		err = c.flushGroup(ctx)
-	}
+	// group frame.
+	err := c.flushGroup(ctx)
 	if !c.closed.CompareAndSwap(false, true) {
 		// Another Shutdown/Close owns the teardown: honour this call's
 		// drain contract by waiting for that teardown under our ctx
 		// instead of returning early.
-		if !c.cfg.Synchronous {
-			if werr := waitCtx(ctx, func() { c.wg.Wait(); c.inFly.Wait() }); werr != nil && err == nil {
-				err = werr
-			}
-		}
-		return err
-	}
-	if c.cfg.Synchronous {
-		if derr := c.mqtt.Disconnect(); derr != nil && err == nil {
-			err = derr
+		if werr := waitCtx(ctx, func() { c.wg.Wait(); c.inFly.Wait() }); werr != nil && err == nil {
+			err = werr
 		}
 		return err
 	}
@@ -649,10 +628,9 @@ func (c *Client) Shutdown(ctx context.Context) error {
 	return err
 }
 
-// transmitOrdered encodes records into one frame and enqueues (or, in
-// synchronous mode, publishes) it. Callers must hold c.txMu, which makes
-// the encode+enqueue atomic with respect to other transmits and so
-// preserves capture order in sendQ.
+// transmitOrdered encodes records into one frame and enqueues it. Callers
+// must hold c.txMu, which makes the encode+enqueue atomic with respect to
+// other transmits and so preserves capture order in sendQ.
 func (c *Client) transmitOrdered(records ...*provdm.Record) error {
 	return c.transmitOrderedCtx(nil, records...)
 }
@@ -686,15 +664,6 @@ func (c *Client) transmitOrderedCtx(ctx context.Context, records ...*provdm.Reco
 		if compressed {
 			c.ctr.framesCompressed.Add(1)
 		}
-	}
-	if c.cfg.Synchronous {
-		countPublished()
-		if ns, ok := wire.FrameCaptureNS(frame); ok {
-			obs.ObserveSince(c.stageCapture, ns)
-		}
-		err := c.mqtt.Publish(c.topic, frame, c.cfg.QoS)
-		framePool.Put(bufp)
-		return err
 	}
 	if c.closed.Load() {
 		framePool.Put(bufp)

@@ -289,22 +289,6 @@ func TestLifecycleErrors(t *testing.T) {
 	}
 }
 
-func TestSynchronousMode(t *testing.T) {
-	client, mem, _ := startPipeline(t, func(c *Config) {
-		c.Synchronous = true
-	})
-	wf := client.NewWorkflow("s")
-	if err := wf.Begin(); err != nil {
-		t.Fatal(err)
-	}
-	if err := wf.End(); err != nil {
-		t.Fatal(err)
-	}
-	// Synchronous publishes complete before End returns; one poll pass is
-	// enough for the translator to drain.
-	waitRecords(t, mem, 2)
-}
-
 func TestParallelTranslatorsPerDeviceTopics(t *testing.T) {
 	// Table IX setup: each device publishes to its own topic; one
 	// translator per topic consumes in parallel.

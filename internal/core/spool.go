@@ -25,9 +25,6 @@ import (
 // newSpoolClient opens the spool and starts the drainer; the broker does
 // not need to be reachable.
 func newSpoolClient(cfg Config) (*Client, error) {
-	if cfg.Synchronous {
-		return nil, fmt.Errorf("provlight: Synchronous and SpoolDir are mutually exclusive")
-	}
 	if cfg.AckWindow <= 0 {
 		cfg.AckWindow = 64
 	}

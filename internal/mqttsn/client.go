@@ -37,15 +37,6 @@ func (e *ConnectRejectedError) Error() string {
 	return fmt.Sprintf("mqttsn: connect rejected: %s", e.Code)
 }
 
-// Will configures a last-will message published by the gateway if the
-// session dies without a clean disconnect.
-type Will struct {
-	Topic   string
-	Payload []byte
-	QoS     QoS
-	Retain  bool
-}
-
 // ClientConfig configures a gateway client.
 type ClientConfig struct {
 	// ClientID identifies the session (1-23 characters per spec).
@@ -77,8 +68,6 @@ type ClientConfig struct {
 	InflightWindow int
 	// CleanSession requests a fresh session.
 	CleanSession bool
-	// Will is the optional last-will message.
-	Will *Will
 	// OnDisconnect, when set, is invoked (once, on its own goroutine) when
 	// the session dies without a local Close/Disconnect: the broker sent a
 	// DISCONNECT, or the socket failed. Session sets it to redial promptly.
@@ -337,18 +326,14 @@ func (c *Client) awaitAck(p Packet, key ackKey, ch chan Packet, markDup func()) 
 	return nil, fmt.Errorf("%w: %s", ErrTimeout, p.Type())
 }
 
-// Connect establishes the session, negotiating the will if configured.
+// Connect establishes the session.
 func (c *Client) Connect() error {
-	flags := Flags{CleanSession: c.cfg.CleanSession, Will: c.cfg.Will != nil}
+	flags := Flags{CleanSession: c.cfg.CleanSession}
 	keepalive := uint16(c.cfg.KeepAlive / time.Second)
 	if keepalive == 0 {
 		keepalive = 1
 	}
 	conn := &Connect{Flags: flags, Duration: keepalive, ClientID: c.cfg.ClientID}
-
-	// With a will, the gateway interleaves WILLTOPICREQ/WILLMSGREQ before
-	// CONNACK; the read loop answers those (see handleWillReq), so here we
-	// still just wait for the CONNACK.
 	ack, err := c.request(conn, ackKey{CONNACK, 0}, nil)
 	if err != nil {
 		return err
@@ -736,8 +721,8 @@ func (c *Client) dispatch(pkt Packet) {
 		c.mu.Unlock()
 		c.deliverAck(ackKey{REGACK, p.MsgID}, p)
 	case *Suback:
-		// Install the handler before waking the caller so a retained
-		// message delivered right behind the SUBACK is not dropped.
+		// Install the handler before waking the caller so a publication
+		// delivered right behind the SUBACK is not dropped.
 		c.mu.Lock()
 		if ps, ok := c.pendingSubs[p.MsgID]; ok && p.ReturnCode == Accepted {
 			c.subs[ps.topic] = ps.handler
@@ -758,14 +743,6 @@ func (c *Client) dispatch(pkt Packet) {
 		c.deliverAck(ackKey{PUBCOMP, p.MsgID}, p)
 	case *Pingresp:
 		c.deliverAck(ackKey{PINGRESP, 0}, p)
-	case *WillTopicReq:
-		if w := c.cfg.Will; w != nil {
-			_ = c.send(&WillTopic{Flags: Flags{QoS: w.QoS, Retain: w.Retain}, Topic: w.Topic})
-		}
-	case *WillMsgReq:
-		if w := c.cfg.Will; w != nil {
-			_ = c.send(&WillMsg{Msg: w.Payload})
-		}
 	case *Register:
 		// Broker informs us of a topic id (wildcard subscription match).
 		c.mu.Lock()

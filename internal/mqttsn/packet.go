@@ -3,10 +3,11 @@
 // protocol ProvLight uses over UDP (paper Table VI: "MQTT-SN, QoS 2:
 // exactly once").
 //
-// The package provides packet-level encoding/decoding for the full message
-// set and a gateway client with QoS -1/0/1/2 publish flows, topic
-// registration, subscriptions, keepalive, and last-will support. The broker
-// (gateway) side lives in the internal/broker package.
+// The package provides packet-level encoding/decoding for the messages the
+// pipeline exchanges and a gateway client with QoS -1/0/1/2 publish flows,
+// topic registration, subscriptions, and keepalive. Last-will messages
+// are not supported: their packets are not decoded, and the broker
+// (internal/broker) refuses a CONNECT that asks for one.
 package mqttsn
 
 import (
@@ -260,14 +261,6 @@ func Unmarshal(data []byte) (Packet, error) {
 		p = &Connect{}
 	case CONNACK:
 		p = &Connack{}
-	case WILLTOPICREQ:
-		p = &WillTopicReq{}
-	case WILLTOPIC:
-		p = &WillTopic{}
-	case WILLMSGREQ:
-		p = &WillMsgReq{}
-	case WILLMSG:
-		p = &WillMsg{}
 	case REGISTER:
 		p = &Register{}
 	case REGACK:
@@ -412,57 +405,6 @@ func (p *Connack) parse(b []byte) error {
 		return err
 	}
 	p.ReturnCode = ReturnCode(b[0])
-	return nil
-}
-
-// WillTopicReq asks the client for its will topic during connect.
-type WillTopicReq struct{}
-
-// Type implements Packet.
-func (*WillTopicReq) Type() MsgType          { return WILLTOPICREQ }
-func (p *WillTopicReq) body(b []byte) []byte { return b }
-func (p *WillTopicReq) parse([]byte) error   { return nil }
-
-// WillTopic carries the will topic.
-type WillTopic struct {
-	Flags Flags
-	Topic string
-}
-
-// Type implements Packet.
-func (*WillTopic) Type() MsgType { return WILLTOPIC }
-func (p *WillTopic) body(b []byte) []byte {
-	if p.Topic == "" {
-		return b // empty WILLTOPIC deletes the will
-	}
-	b = append(b, p.Flags.Encode())
-	return append(b, p.Topic...)
-}
-func (p *WillTopic) parse(b []byte) error {
-	if len(b) == 0 {
-		return nil
-	}
-	p.Flags = DecodeFlags(b[0])
-	p.Topic = string(b[1:])
-	return nil
-}
-
-// WillMsgReq asks the client for its will message during connect.
-type WillMsgReq struct{}
-
-// Type implements Packet.
-func (*WillMsgReq) Type() MsgType          { return WILLMSGREQ }
-func (p *WillMsgReq) body(b []byte) []byte { return b }
-func (p *WillMsgReq) parse([]byte) error   { return nil }
-
-// WillMsg carries the will payload.
-type WillMsg struct{ Msg []byte }
-
-// Type implements Packet.
-func (*WillMsg) Type() MsgType          { return WILLMSG }
-func (p *WillMsg) body(b []byte) []byte { return append(b, p.Msg...) }
-func (p *WillMsg) parse(b []byte) error {
-	p.Msg = append([]byte(nil), b...)
 	return nil
 }
 

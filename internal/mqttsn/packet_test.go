@@ -20,35 +20,34 @@ func roundTrip(t *testing.T, p Packet) Packet {
 	return got
 }
 
+// roundTripPackets is one of each packet the codec handles; the fuzzer
+// seeds its corpus from them too.
+var roundTripPackets = []Packet{
+	&Advertise{GwID: 3, Duration: 900},
+	&SearchGw{Radius: 2},
+	&GwInfo{GwID: 1, GwAdd: []byte{10, 0, 0, 1}},
+	&Connect{Flags: Flags{CleanSession: true, Will: true}, Duration: 30, ClientID: "edge-device-7"},
+	&Connack{ReturnCode: Accepted},
+	&Register{TopicID: 7, MsgID: 21, TopicName: "provlight/wf/1"},
+	&Regack{TopicID: 7, MsgID: 21, ReturnCode: Accepted},
+	&Publish{Flags: Flags{QoS: QoS2}, TopicID: 7, MsgID: 99, Data: []byte{1, 2, 3}},
+	&Puback{TopicID: 7, MsgID: 99, ReturnCode: RejectedInvalidID},
+	&Pubrec{msgIDOnly{MsgID: 99}},
+	&Pubrel{msgIDOnly{MsgID: 99}},
+	&Pubcomp{msgIDOnly{MsgID: 99}},
+	&Subscribe{Flags: Flags{QoS: QoS1}, MsgID: 5, TopicName: "provlight/+/tasks"},
+	&Suback{Flags: Flags{QoS: QoS1}, TopicID: 9, MsgID: 5, ReturnCode: Accepted},
+	&Unsubscribe{MsgID: 6, TopicName: "provlight/+/tasks"},
+	&Unsuback{msgIDOnly{MsgID: 6}},
+	&Pingreq{ClientID: "edge-device-7"},
+	&Pingreq{},
+	&Pingresp{},
+	&Disconnect{},
+	&Disconnect{Duration: 120, HasDuration: true},
+}
+
 func TestPacketRoundTrips(t *testing.T) {
-	packets := []Packet{
-		&Advertise{GwID: 3, Duration: 900},
-		&SearchGw{Radius: 2},
-		&GwInfo{GwID: 1, GwAdd: []byte{10, 0, 0, 1}},
-		&Connect{Flags: Flags{CleanSession: true, Will: true}, Duration: 30, ClientID: "edge-device-7"},
-		&Connack{ReturnCode: Accepted},
-		&WillTopicReq{},
-		&WillTopic{Flags: Flags{QoS: QoS1, Retain: true}, Topic: "wf/will"},
-		&WillMsgReq{},
-		&WillMsg{Msg: []byte("device lost")},
-		&Register{TopicID: 7, MsgID: 21, TopicName: "provlight/wf/1"},
-		&Regack{TopicID: 7, MsgID: 21, ReturnCode: Accepted},
-		&Publish{Flags: Flags{QoS: QoS2}, TopicID: 7, MsgID: 99, Data: []byte{1, 2, 3}},
-		&Puback{TopicID: 7, MsgID: 99, ReturnCode: RejectedInvalidID},
-		&Pubrec{msgIDOnly{MsgID: 99}},
-		&Pubrel{msgIDOnly{MsgID: 99}},
-		&Pubcomp{msgIDOnly{MsgID: 99}},
-		&Subscribe{Flags: Flags{QoS: QoS1}, MsgID: 5, TopicName: "provlight/+/tasks"},
-		&Suback{Flags: Flags{QoS: QoS1}, TopicID: 9, MsgID: 5, ReturnCode: Accepted},
-		&Unsubscribe{MsgID: 6, TopicName: "provlight/+/tasks"},
-		&Unsuback{msgIDOnly{MsgID: 6}},
-		&Pingreq{ClientID: "edge-device-7"},
-		&Pingreq{},
-		&Pingresp{},
-		&Disconnect{},
-		&Disconnect{Duration: 120, HasDuration: true},
-	}
-	for _, p := range packets {
+	for _, p := range roundTripPackets {
 		got := roundTrip(t, p)
 		if !reflect.DeepEqual(got, p) {
 			t.Errorf("%s round trip mismatch:\n got %#v\nwant %#v", p.Type(), got, p)

@@ -108,8 +108,9 @@ type Config struct {
 	// Sessions is how many broker sessions the translator opens in one
 	// shared-subscription consumer group ("$share/<group>/<filter>").
 	// The broker partitions the device topic space across the sessions by
-	// a topic-affinity hash, so each device's stream stays on one session
-	// (per-workflow order preserved) while the group's aggregate outbound
+	// sticky least-loaded assignment (a topic goes to the session owning
+	// the fewest topics and stays there while it lives), so each device's
+	// stream stays on one session (per-workflow order preserved) while the group's aggregate outbound
 	// window — the fan-in bottleneck on high-latency links — scales with
 	// the session count. All sessions feed the same worker/batch/target
 	// machinery. Default 1: a plain (unshared) subscription.
