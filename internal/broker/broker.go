@@ -299,13 +299,17 @@ type session struct {
 	sendSeq uint64
 
 	// inbound2 holds the msgIDs of inbound QoS 2 flows routed at their
-	// first PUBLISH and still awaiting the publisher's PUBREL.
-	inbound2    map[uint16]struct{}
-	outbound    map[uint16]*outbound
-	sendQ       []*message // QoS 1/2 backlog awaiting a window slot
-	nextMsgID   uint16
-	knownTopics map[uint16]bool
-	pendingReg  map[uint16][]*message // awaiting REGACK before delivery
+	// first PUBLISH and still awaiting the publisher's PUBREL. A flow the
+	// publisher abandoned is dropped once its counter has moved far enough
+	// past the msgID (reapInbound2), so the msgID is fresh again when the
+	// counter wraps round to it.
+	inbound2     map[uint16]struct{}
+	inbound2Reap uint16 // the newest fresh msgID at the last reap
+	outbound     map[uint16]*outbound
+	sendQ        []*message // QoS 1/2 backlog awaiting a window slot
+	nextMsgID    uint16
+	knownTopics  map[uint16]bool
+	pendingReg   map[uint16][]*message // awaiting REGACK before delivery
 	// regFlows tracks the in-flight REGISTER exchange per pending topic
 	// id so the janitor can retransmit a lost REGISTER instead of letting
 	// pendingReg wedge forever, and give the frames up (or hand them back
@@ -339,6 +343,34 @@ func (s *session) recentlyReleased(msgID uint16) bool {
 		}
 	}
 	return false
+}
+
+// An abandoned inbound QoS 2 flow is dropped once the publisher's counter
+// has moved more than half the 16-bit msgID space past it. In serial-number
+// arithmetic its msgID then looks ahead of the newest one. A live flow is
+// never that far behind: its publisher would have to use 32k msgIDs while
+// still retrying it. Flows at most inbound2Reorder ahead are kept, since a
+// reordered PUBLISH can arrive after a newer one. The check runs each time
+// the newest msgID has moved inbound2ReapStep, so an abandoned msgID is
+// dropped before the counter wraps round to it. Counting msgIDs, not time,
+// decides, so the publisher's retry timing need not be known.
+const (
+	inbound2Reorder  = 1 << 12
+	inbound2ReapStep = 1 << 12
+)
+
+// reapInbound2 drops the abandoned inbound QoS 2 flows, given the newest
+// fresh msgID. Callers must hold the session's shard mutex.
+func (s *session) reapInbound2(newest uint16) {
+	if d := int16(newest - s.inbound2Reap); d < inbound2ReapStep && d > -inbound2ReapStep {
+		return
+	}
+	s.inbound2Reap = newest
+	for msgID := range s.inbound2 {
+		if int16(msgID-newest) > inbound2Reorder {
+			delete(s.inbound2, msgID)
+		}
+	}
 }
 
 func (s *session) allocMsgID() uint16 {
@@ -1149,6 +1181,7 @@ func (b *Broker) handlePublish(addr net.Addr, p *mqttsn.Publish) {
 		fresh = !inFlight && !s.recentlyReleased(p.MsgID)
 		if fresh {
 			s.inbound2[p.MsgID] = struct{}{}
+			s.reapInbound2(p.MsgID)
 		}
 		sh.mu.Unlock()
 	}

@@ -461,3 +461,46 @@ func TestQoS2Receive(t *testing.T) {
 		})
 	}
 }
+
+// TestAbandonedQoS2Flow: a QoS 2 flow whose publisher never sends the
+// PUBREL keeps its msgID however long the publisher goes on retrying, even
+// past the broker's own retry horizon. It gives the msgID up only once the
+// publisher's 16-bit counter has moved half the msgID space past it, so a
+// fresh PUBLISH reusing the msgID after the wrap is routed, not dropped as a
+// duplicate.
+func TestAbandonedQoS2Flow(t *testing.T) {
+	const topic = "wf/abandoned"
+	// The broker's retry horizon, (MaxRetries+1)·RetryInterval, is 40 ms.
+	b, err := New(Config{Addr: "127.0.0.1:0", RetryInterval: 20 * time.Millisecond, MaxRetries: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(b.Close)
+	got := collect(t, newTestClient(t, b, "sub"), topic, mqttsn.QoS2)
+	pub := newRawClient(t, b)
+	if rc := pub.connect("raw-pub", mqttsn.Flags{CleanSession: true}); rc != mqttsn.Accepted {
+		t.Fatalf("connect: %v", rc)
+	}
+	id := pub.register(topic)
+	pub.publish2(id, 9, false, "a")
+	time.Sleep(300 * time.Millisecond)
+	pub.publish2(id, 9, true, "a") // a late retransmission
+	want := []string{"a"}
+	// The counter goes round the msgID space; these flows complete.
+	for k := 1; k < 65; k++ {
+		msgID := uint16(9 + 1000*k)
+		data := fmt.Sprint(msgID)
+		pub.publish2(id, msgID, false, data)
+		pub.release(msgID)
+		want = append(want, data)
+		if k == 20 {
+			pub.publish2(id, 9, true, "a") // still retried 20000 msgIDs on
+		}
+	}
+	pub.publish2(id, 9, false, "b")
+	want = append(want, "b")
+	expectOnly(t, got, want...)
+	if st := b.Stats(); st.DuplicatesDropped != 2 || st.MessagesRouted != uint64(len(want)) {
+		t.Fatalf("duplicates dropped = %d, routed = %d; want 2 and %d", st.DuplicatesDropped, st.MessagesRouted, len(want))
+	}
+}

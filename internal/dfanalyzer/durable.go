@@ -1,12 +1,10 @@
 package dfanalyzer
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
 	"os"
 	"path/filepath"
-	"sort"
 	"time"
 
 	"github.com/provlight/provlight/internal/wal"
@@ -20,15 +18,27 @@ import (
 // frames idempotent (exactly-once ingestion across client, translator,
 // and server restarts).
 //
+// WAL ops and snapshots are binary and versioned (codec.go); nothing on
+// disk is JSON, and a store refuses a file in a format it does not know
+// rather than skipping it. The HTTP API (server.go) stays JSON.
+//
 // A Store from NewStore stays purely in-memory (the historical behaviour,
 // zero overhead); OpenStore returns a durable one. The ingestion fast
 // path is unchanged for in-memory stores; durable stores serialize
 // mutations through the WAL so that replay order equals apply order.
 
+// snapFile is the snapshot's file name in the data directory;
+// legacySnapFile is the JSON snapshot of earlier versions, which a store
+// refuses to open beside.
+const (
+	snapFile       = "snapshot.bin"
+	legacySnapFile = "snapshot.json"
+)
+
 // StoreOptions configures a durable store.
 type StoreOptions struct {
-	// Dir is the data directory (created if missing): WAL segments under
-	// "wal/", snapshots as "snapshot.json".
+	// Dir is the data directory (created if missing): binary WAL segments
+	// under "wal/" and the binary snapshot "snapshot.bin".
 	Dir string
 	// Sync is the WAL fsync policy (wal.SyncEach / SyncInterval / SyncOff).
 	// Default SyncInterval.
@@ -53,20 +63,22 @@ type durability struct {
 	// the store's commit lock (Store.commitMu).
 	opsSinceSnap int
 	snapSeq      uint64 // WAL seq covered by the latest snapshot
+	// opBuf is logOp's encoding scratch. Guarded by commitMu.
+	opBuf []byte
 }
 
-// walOp is one logged mutation, JSON-encoded into a WAL record.
+// walOp is one logged mutation, encoded into a WAL record by appendOp.
 type walOp struct {
-	Op       string     `json:"op"` // "register" | "ingest" | "frames" | "term"
-	Dataflow *Dataflow  `json:"dataflow,omitempty"`
-	Tasks    []*TaskMsg `json:"tasks,omitempty"`
-	Frames   []FrameMsg `json:"frames,omitempty"`
-	// Term/TermStart record a replication term adoption (Op == "term"):
-	// the new term and the WAL position where it began. Logging the term
-	// makes fencing survive restarts and ship to followers through the
-	// ordinary replication stream (see replication.go).
-	Term      uint64 `json:"term,omitempty"`
-	TermStart uint64 `json:"term_start,omitempty"`
+	Kind     opKind
+	Dataflow *Dataflow  // opRegister
+	Tasks    []*TaskMsg // opIngest
+	Frames   []FrameMsg // opFrames
+	// Term/TermStart record a replication term adoption (opTerm): the new
+	// term and the WAL position where it began. Logging the term makes
+	// fencing survive restarts and ship to followers through the ordinary
+	// replication stream (see replication.go).
+	Term      uint64
+	TermStart uint64
 }
 
 // FrameMsg is one decoded capture frame with its provenance identity: the
@@ -81,7 +93,9 @@ type FrameMsg struct {
 
 // OpenStore opens a durable store in opts.Dir, recovering the latest
 // snapshot plus the WAL tail. The returned store behaves exactly like an
-// in-memory one, with every mutation write-ahead logged.
+// in-memory one, with every mutation write-ahead logged. A snapshot or
+// WAL op in a format this store does not know, or a truncated one, fails
+// the open with an error naming the file.
 func OpenStore(opts StoreOptions) (*Store, error) {
 	if opts.Dir == "" {
 		return nil, fmt.Errorf("dfanalyzer: StoreOptions.Dir required")
@@ -92,9 +106,12 @@ func OpenStore(opts StoreOptions) (*Store, error) {
 	if err := os.MkdirAll(opts.Dir, 0o755); err != nil {
 		return nil, fmt.Errorf("dfanalyzer: create data dir: %w", err)
 	}
+	legacy := filepath.Join(opts.Dir, legacySnapFile)
+	if _, err := os.Stat(legacy); err == nil {
+		return nil, fmt.Errorf("dfanalyzer: %s is a JSON snapshot, which this store no longer reads; it reads %s", legacy, snapFile)
+	}
 	s := NewStore()
-	s.dedup = newDedupTable()
-	snapPath := filepath.Join(opts.Dir, "snapshot.json")
+	snapPath := filepath.Join(opts.Dir, snapFile)
 	snapSeq, err := s.loadSnapshot(snapPath)
 	if err != nil {
 		return nil, err
@@ -109,11 +126,11 @@ func OpenStore(opts StoreOptions) (*Store, error) {
 	}
 	// Replay the tail: every op after the snapshot point, in append order.
 	err = log.Replay(snapSeq+1, func(seq uint64, payload []byte) error {
-		var op walOp
-		if err := json.Unmarshal(payload, &op); err != nil {
-			return fmt.Errorf("dfanalyzer: corrupt WAL op at seq %d: %w", seq, err)
+		op, err := decodeOp(payload)
+		if err != nil {
+			return fmt.Errorf("dfanalyzer: %s: WAL op %d: %w", log.SegmentPath(seq), seq, err)
 		}
-		return s.applyOp(&op)
+		return s.applyOp(op)
 	})
 	if err != nil {
 		log.Close()
@@ -128,42 +145,40 @@ func OpenStore(opts StoreOptions) (*Store, error) {
 	return s, nil
 }
 
-// applyOp applies one recovered WAL operation to the in-memory state,
-// including the dedup table (so recovery rebuilds exactly the applied
-// set). Best effort on ingest errors: a record the live path accepted
-// cannot fail replay, but quarantined-gap WALs may reference a dataflow
-// whose registration was lost — those ops are skipped rather than fatal.
-// Frames go through applyFrames, the live ingest path's own function, so
-// the poison-frame rule (see Store.IngestFrames) and in-batch dedup hold
-// identically on replay.
+// applyOp applies one recovered or replicated WAL operation to the
+// in-memory state, including the dedup table (so recovery rebuilds exactly
+// the applied set). Best effort on ingest errors: a record the live path
+// accepted cannot fail replay, but quarantined-gap WALs may reference a
+// dataflow whose registration was lost — those ops are skipped rather
+// than fatal. Frames go through applyFrames, the live ingest path's own
+// function, so the poison-frame rule (see Store.IngestFrames) and in-batch
+// dedup hold identically on replay.
 func (s *Store) applyOp(op *walOp) error {
-	switch op.Op {
-	case "register":
-		if op.Dataflow == nil {
-			return nil
-		}
+	switch op.Kind {
+	case opRegister:
 		return s.registerDataflowApply(op.Dataflow)
-	case "ingest":
+	case opIngest:
 		_ = s.ingestTasksApply(op.Tasks)
 		return nil
-	case "frames":
+	case opFrames:
 		_, _ = s.applyFrames(op.Frames)
 		return nil
-	case "term":
+	case opTerm:
 		s.setTermState(op.Term, op.TermStart)
 		return nil
 	default:
-		return fmt.Errorf("dfanalyzer: unknown WAL op %q", op.Op)
+		return fmt.Errorf("dfanalyzer: unknown WAL op kind %d", op.Kind)
 	}
 }
 
 // logOp appends a mutation to the WAL (write-ahead: callers apply only
 // after this returns). Callers hold s.commitMu.
 func (s *Store) logOp(op *walOp) error {
-	payload, err := json.Marshal(op)
+	payload, err := appendOp(s.dur.opBuf[:0], op)
 	if err != nil {
 		return fmt.Errorf("dfanalyzer: encode WAL op: %w", err)
 	}
+	s.dur.opBuf = payload
 	if _, err := s.dur.log.Append(payload); err != nil {
 		return err
 	}
@@ -207,100 +222,21 @@ func (s *Store) Close() error {
 	return s.dur.log.Close()
 }
 
-// ---- snapshot format ----
-
-// snapFile is the on-disk snapshot document.
-type snapFile struct {
-	// WalSeq is the WAL sequence number the snapshot covers: recovery
-	// replays strictly after it.
-	WalSeq uint64                `json:"wal_seq"`
-	Dedup  map[string]originSnap `json:"dedup,omitempty"`
-	Shards map[string]shardSnap  `json:"shards"`
-	// Term/TermStart carry the replication term the snapshot was cut
-	// under, so fencing state survives WAL truncation behind the snapshot.
-	Term      uint64 `json:"term,omitempty"`
-	TermStart uint64 `json:"term_start,omitempty"`
-}
-
-type shardSnap struct {
-	Spec   *Dataflow            `json:"spec,omitempty"`
-	Tasks  []*TaskMsg           `json:"tasks,omitempty"` // in taskOrder
-	Tables map[string]tableSnap `json:"tables,omitempty"`
-}
-
-type tableSnap struct {
-	Schema  SetSchema `json:"schema"`
-	TaskIDs []string  `json:"task_ids,omitempty"`
-	Cols    []colSnap `json:"cols,omitempty"`
-}
-
-type colSnap struct {
-	Name string    `json:"name"`
-	Type AttrType  `json:"type"`
-	Nums []float64 `json:"nums,omitempty"`
-	Strs []string  `json:"strs,omitempty"`
-}
-
-// snapshotLocked marshals the whole store under its shard locks and
-// writes it atomically. Callers hold s.commitMu, which excludes every
-// durable mutation, so the cut is consistent with the WAL position.
+// snapshotLocked streams the store into the snapshot file atomically.
+// Callers hold s.commitMu, which excludes every durable mutation, so the
+// cut is consistent with the WAL position.
 func (s *Store) snapshotLocked() error {
-	snap := snapFile{
-		WalSeq:    s.dur.log.LastSeq(),
-		Dedup:     s.dedup.snapshot(),
-		Shards:    map[string]shardSnap{},
-		Term:      s.repl.term.Load(),
-		TermStart: s.repl.termStart.Load(),
-	}
-	s.mu.RLock()
-	tags := make([]string, 0, len(s.shards))
-	for tag := range s.shards {
-		tags = append(tags, tag)
-	}
-	s.mu.RUnlock()
-	sort.Strings(tags)
-	for _, tag := range tags {
-		sh := s.shard(tag)
-		if sh == nil {
-			continue
-		}
-		sh.mu.RLock()
-		ss := shardSnap{Spec: sh.spec, Tables: map[string]tableSnap{}}
-		for _, id := range sh.taskOrder {
-			cp := *sh.tasks[id]
-			cp.Dependencies = append([]string(nil), cp.Dependencies...)
-			ss.Tasks = append(ss.Tasks, &cp)
-		}
-		for setTag, table := range sh.tables {
-			ts := tableSnap{Schema: table.Schema, TaskIDs: append([]string(nil), table.taskIDs...)}
-			for i := range table.cols {
-				c := &table.cols[i]
-				ts.Cols = append(ts.Cols, colSnap{
-					Name: c.name, Type: c.typ,
-					Nums: append([]float64(nil), c.nums...),
-					Strs: append([]string(nil), c.strs...),
-				})
-			}
-			ss.Tables[setTag] = ts
-		}
-		sh.mu.RUnlock()
-		snap.Shards[tag] = ss
-	}
-	data, err := json.Marshal(&snap)
-	if err != nil {
-		return err
-	}
+	walSeq := s.dur.log.LastSeq()
 	if err := wal.WriteFileAtomic(s.dur.snapPath, func(w io.Writer) error {
-		_, werr := w.Write(data)
-		return werr
+		return s.writeSnapshot(w, walSeq)
 	}); err != nil {
 		return err
 	}
-	s.dur.snapSeq = snap.WalSeq
+	s.dur.snapSeq = walSeq
 	s.dur.opsSinceSnap = 0
-	// The snapshot covers everything up to WalSeq; older WAL segments are
+	// The snapshot covers everything up to walSeq; older WAL segments are
 	// dead weight now.
-	return s.dur.log.TruncateFront(snap.WalSeq)
+	return s.dur.log.TruncateFront(walSeq)
 }
 
 // loadSnapshot restores the store from the latest snapshot, returning the
@@ -313,43 +249,23 @@ func (s *Store) loadSnapshot(path string) (uint64, error) {
 	if err != nil {
 		return 0, fmt.Errorf("dfanalyzer: read snapshot: %w", err)
 	}
-	var snap snapFile
-	if err := json.Unmarshal(data, &snap); err != nil {
-		return 0, fmt.Errorf("dfanalyzer: corrupt snapshot %s: %w", path, err)
+	snap, err := decodeSnapshot(data)
+	if err != nil {
+		return 0, fmt.Errorf("dfanalyzer: snapshot %s: %w", path, err)
 	}
-	s.installSnapshotState(&snap)
-	return snap.WalSeq, nil
+	s.install(snap)
+	return snap.walSeq, nil
 }
 
-// installSnapshotState loads a parsed snapshot into the in-memory state
+// install replaces the in-memory state with a decoded snapshot's
 // (recovery-on-open, and InstallSnapshot on a bootstrapping follower).
-func (s *Store) installSnapshotState(snap *snapFile) {
-	s.dedup.restore(snap.Dedup)
-	s.setTermState(snap.Term, snap.TermStart)
-	for tag, ss := range snap.Shards {
-		sh := s.ensureShard(tag)
-		sh.mu.Lock()
-		sh.spec = ss.Spec
-		for setTag, ts := range ss.Tables {
-			table := &Table{
-				Schema:  ts.Schema,
-				taskIDs: ts.TaskIDs,
-				rows:    len(ts.TaskIDs),
-				cols:    make([]column, len(ts.Cols)),
-			}
-			for i, cs := range ts.Cols {
-				table.cols[i] = column{name: cs.Name, typ: cs.Type, nums: cs.Nums, strs: cs.Strs}
-				// JSON round trips nil and empty slices loosely; rows is
-				// authoritative via taskIDs.
-			}
-			sh.tables[setTag] = table
-		}
-		for _, task := range ss.Tasks {
-			sh.tasks[task.ID] = task
-			sh.taskOrder = append(sh.taskOrder, task.ID)
-		}
-		sh.mu.Unlock()
-	}
+// Callers hold s.commitMu or own the store.
+func (s *Store) install(snap *snapshot) {
+	s.mu.Lock()
+	s.shards = snap.shards
+	s.mu.Unlock()
+	s.dedup = snap.dedup
+	s.setTermState(snap.term, snap.termStart)
 }
 
 // ---- frame deduplication ----
@@ -364,11 +280,6 @@ type dedupTable struct {
 type originState struct {
 	floor uint64
 	seen  map[uint64]struct{}
-}
-
-type originSnap struct {
-	Floor uint64   `json:"floor"`
-	Seen  []uint64 `json:"seen,omitempty"`
 }
 
 func newDedupTable() *dedupTable {
@@ -411,30 +322,4 @@ func (d *dedupTable) applied(origin string, seq uint64) bool {
 	}
 	_, dup := st.seen[seq]
 	return dup
-}
-
-func (d *dedupTable) snapshot() map[string]originSnap {
-	if d == nil || len(d.origins) == 0 {
-		return nil
-	}
-	out := make(map[string]originSnap, len(d.origins))
-	for origin, st := range d.origins {
-		seen := make([]uint64, 0, len(st.seen))
-		for s := range st.seen {
-			seen = append(seen, s)
-		}
-		sort.Slice(seen, func(i, j int) bool { return seen[i] < seen[j] })
-		out[origin] = originSnap{Floor: st.floor, Seen: seen}
-	}
-	return out
-}
-
-func (d *dedupTable) restore(snap map[string]originSnap) {
-	for origin, os := range snap {
-		st := &originState{floor: os.Floor, seen: map[uint64]struct{}{}}
-		for _, s := range os.Seen {
-			st.seen[s] = struct{}{}
-		}
-		d.origins[origin] = st
-	}
 }

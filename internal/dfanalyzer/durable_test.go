@@ -143,7 +143,7 @@ func TestPeriodicSnapshotReclaimsWAL(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if _, err := os.Stat(filepath.Join(dir, "snapshot.json")); err != nil {
+	if _, err := os.Stat(filepath.Join(dir, "snapshot.bin")); err != nil {
 		t.Fatalf("no snapshot written: %v", err)
 	}
 	segs, _ := filepath.Glob(filepath.Join(dir, "wal", "*.wal"))

@@ -1,7 +1,6 @@
 package dfanalyzer
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -132,7 +131,7 @@ func (s *Store) adoptTermLocked(term uint64) error {
 	if s.dur != nil {
 		_, err := s.dur.log.AppendWith(func(seq uint64) ([]byte, error) {
 			start = seq
-			return json.Marshal(&walOp{Op: "term", Term: term, TermStart: seq})
+			return appendOp(nil, &walOp{Kind: opTerm, Term: term, TermStart: seq})
 		})
 		if err != nil {
 			return fmt.Errorf("dfanalyzer: log term record: %w", err)
@@ -229,7 +228,7 @@ func (s *Store) SnapshotSeq() uint64 {
 	return s.dur.snapSeq
 }
 
-// SnapshotBytes returns the on-disk snapshot document and the WAL
+// SnapshotBytes returns the on-disk snapshot file and the WAL
 // sequence it covers, taking a fresh snapshot first when none exists —
 // the bootstrap payload for a follower too far behind the retained WAL.
 func (s *Store) SnapshotBytes() ([]byte, uint64, error) {
@@ -318,18 +317,13 @@ func (s *Store) ApplyReplicatedBatch(recs []ReplRecord) error {
 		}
 		for k := i; k < j; k++ {
 			s.dur.opsSinceSnap++
-			var op walOp
-			if err := json.Unmarshal(recs[k].Payload, &op); err != nil {
+			op, err := decodeOp(recs[k].Payload)
+			if err != nil {
 				return fmt.Errorf("dfanalyzer: corrupt replicated op at seq %d: %w", recs[k].Seq, err)
 			}
-			if op.Op == "term" {
-				// Replicated term records carry their primary-side position;
-				// trust it rather than the local append (they are equal by
-				// construction, but the payload is the authority).
-				s.setTermState(op.Term, op.TermStart)
-				continue
-			}
-			if err := s.applyOp(&op); err != nil {
+			// A term record carries its primary-side position, which applyOp
+			// installs as it is (equal to the local one by construction).
+			if err := s.applyOp(op); err != nil {
 				return err
 			}
 		}
@@ -352,33 +346,29 @@ func (s *Store) InstallSnapshot(data []byte) (uint64, error) {
 	}
 	s.commitMu.Lock()
 	defer s.commitMu.Unlock()
-	var snap snapFile
-	if err := json.Unmarshal(data, &snap); err != nil {
+	snap, err := decodeSnapshot(data)
+	if err != nil {
 		return 0, fmt.Errorf("dfanalyzer: corrupt replication snapshot: %w", err)
 	}
-	if last := s.dur.log.LastSeq(); last > snap.WalSeq {
-		return 0, fmt.Errorf("%w: local log at %d, snapshot covers %d", ErrDiverged, last, snap.WalSeq)
+	if last := s.dur.log.LastSeq(); last > snap.walSeq {
+		return 0, fmt.Errorf("%w: local log at %d, snapshot covers %d", ErrDiverged, last, snap.walSeq)
 	}
-	// Reset and reload: shards and dedup state are replaced wholesale.
-	s.mu.Lock()
-	s.shards = map[string]*dataflowShard{}
-	s.mu.Unlock()
-	s.dedup = newDedupTable()
-	s.installSnapshotState(&snap)
+	// Shards and dedup state are replaced wholesale.
+	s.install(snap)
 	if err := wal.WriteFileAtomic(s.dur.snapPath, func(w io.Writer) error {
 		_, werr := w.Write(data)
 		return werr
 	}); err != nil {
 		return 0, err
 	}
-	s.dur.snapSeq = snap.WalSeq
+	s.dur.snapSeq = snap.walSeq
 	s.dur.opsSinceSnap = 0
-	s.dur.log.Reserve(snap.WalSeq)
-	if err := s.dur.log.TruncateFront(snap.WalSeq); err != nil {
+	s.dur.log.Reserve(snap.walSeq)
+	if err := s.dur.log.TruncateFront(snap.walSeq); err != nil {
 		return 0, err
 	}
-	s.repl.applied.Store(snap.WalSeq)
-	return snap.WalSeq, nil
+	s.repl.applied.Store(snap.walSeq)
+	return snap.walSeq, nil
 }
 
 // StoreStats is the replication-aware health snapshot served by the HTTP

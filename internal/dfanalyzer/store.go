@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"sort"
 	"sync"
+	"time"
 
 	"github.com/provlight/provlight/internal/source"
 )
@@ -147,7 +148,7 @@ func (s *Store) RegisterDataflow(df *Dataflow) error {
 	if s.dur != nil {
 		s.commitMu.Lock()
 		defer s.commitMu.Unlock()
-		if err := s.logOp(&walOp{Op: "register", Dataflow: df}); err != nil {
+		if err := s.logOp(&walOp{Kind: opRegister, Dataflow: df}); err != nil {
 			return err
 		}
 		if err := s.registerDataflowApply(df); err != nil {
@@ -230,7 +231,7 @@ func (s *Store) IngestTasks(msgs []*TaskMsg) error {
 	}
 	s.commitMu.Lock()
 	defer s.commitMu.Unlock()
-	if err := s.logOp(&walOp{Op: "ingest", Tasks: msgs}); err != nil {
+	if err := s.logOp(&walOp{Kind: opIngest, Tasks: msgs}); err != nil {
 		return err
 	}
 	if err := s.ingestTasksApply(msgs); err != nil {
@@ -307,7 +308,7 @@ func (s *Store) IngestFramesTerm(term uint64, frames []FrameMsg) (applied int, e
 		return 0, nil
 	}
 	if s.dur != nil {
-		if err := s.logOp(&walOp{Op: "frames", Frames: fresh}); err != nil {
+		if err := s.logOp(&walOp{Kind: opFrames, Frames: fresh}); err != nil {
 			return 0, err
 		}
 	}
@@ -406,10 +407,10 @@ func (sh *dataflowShard) ingestLocked(m *TaskMsg) error {
 	if existing, ok := sh.tasks[m.ID]; ok {
 		existing.Status = m.Status
 		if m.EndTime != nil {
-			existing.EndTime = m.EndTime
+			existing.EndTime = inUTC(m.EndTime)
 		}
 		if m.StartTime != nil && existing.StartTime == nil {
-			existing.StartTime = m.StartTime
+			existing.StartTime = inUTC(m.StartTime)
 		}
 		// Merge dependencies without duplicating edges already recorded
 		// (begin and end messages usually repeat the same list).
@@ -421,6 +422,7 @@ func (sh *dataflowShard) ingestLocked(m *TaskMsg) error {
 	} else {
 		cp := *m
 		cp.Sets = nil
+		cp.StartTime, cp.EndTime = inUTC(m.StartTime), inUTC(m.EndTime)
 		sh.tasks[m.ID] = &cp
 		sh.taskOrder = append(sh.taskOrder, m.ID)
 	}
@@ -436,8 +438,20 @@ func (sh *dataflowShard) ingestLocked(m *TaskMsg) error {
 	return nil
 }
 
+// inUTC returns t in UTC, the zone the store keeps every time in: the log
+// records instants, so only a UTC time reads back the same after replay.
+func inUTC(t *time.Time) *time.Time {
+	if t == nil || t.Location() == time.UTC {
+		return t
+	}
+	u := t.UTC()
+	return &u
+}
+
 // appendElements bulk-appends rows: columns are resolved positionally, so
-// the inner loop touches slices only.
+// the inner loop touches slices only. An element that fails part way is
+// taken back out of the columns it reached, so every column keeps exactly
+// one value per row.
 func (t *Table) appendElements(taskID string, elements []Element) error {
 	for _, el := range elements {
 		if len(el) != len(t.cols) {
@@ -449,6 +463,13 @@ func (t *Table) appendElements(taskID string, elements []Element) error {
 			if c.typ == Numeric {
 				f, ok := toFloat(el[i])
 				if !ok {
+					for j := range t.cols[:i] {
+						if p := &t.cols[j]; p.typ == Numeric {
+							p.nums = p.nums[:t.rows]
+						} else {
+							p.strs = p.strs[:t.rows]
+						}
+					}
 					return fmt.Errorf("dfanalyzer: attribute %q expects numeric, got %T", c.name, el[i])
 				}
 				c.nums = append(c.nums, f)

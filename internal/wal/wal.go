@@ -396,6 +396,20 @@ func (l *Log) FirstSeq() uint64 {
 	return l.first
 }
 
+// SegmentPath returns the path of the retained segment holding record
+// seq, or the log directory when no segment does: the file to name when
+// a record fails to decode.
+func (l *Log) SegmentPath(seq uint64) string {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	for i := len(l.segs) - 1; i >= 0; i-- {
+		if l.segs[i].first <= seq {
+			return l.segs[i].path
+		}
+	}
+	return l.dir
+}
+
 func segPath(dir string, first uint64) string {
 	return filepath.Join(dir, fmt.Sprintf("%020d%s", first, suffix))
 }

@@ -77,26 +77,26 @@ func DecodeAckPayload(p []byte) (seqs []uint64, term uint64, err error) {
 	if p[0] != AckVersion && p[0] != AckVersionTerm {
 		return nil, 0, fmt.Errorf("wire: unsupported ack version %d", p[0])
 	}
-	rd := &reader{b: p[1:]}
+	rd := &Reader{b: p[1:]}
 	if p[0] == AckVersionTerm {
-		if term, err = rd.uvarint(); err != nil {
+		if term, err = rd.Uvarint(); err != nil {
 			return nil, 0, err
 		}
 	}
-	count, err := rd.listLen()
+	count, err := rd.ListLen()
 	if err != nil {
 		return nil, 0, err
 	}
 	seqs = make([]uint64, 0, count)
 	for i := 0; i < count; i++ {
-		s, err := rd.uvarint()
+		s, err := rd.Uvarint()
 		if err != nil {
 			return nil, 0, err
 		}
 		seqs = append(seqs, s)
 	}
-	if rd.remain() != 0 {
-		return nil, 0, fmt.Errorf("wire: %d trailing bytes in ack payload", rd.remain())
+	if rd.Remain() != 0 {
+		return nil, 0, fmt.Errorf("wire: %d trailing bytes in ack payload", rd.Remain())
 	}
 	return seqs, term, nil
 }

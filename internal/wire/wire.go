@@ -114,8 +114,11 @@ func appendString(b []byte, s string) []byte {
 	return append(b, s...)
 }
 
-// appendValue appends a tagged attribute value.
-func appendValue(b []byte, v any) ([]byte, error) {
+// AppendValue appends a tagged attribute value: one type tag byte, then
+// the value (zigzag varint int64, big-endian float64 bits, length-prefixed
+// string or bytes; nothing for nil and the two booleans). It accepts nil,
+// int64, float64, string, bool and []byte; Reader.Value decodes it.
+func AppendValue(b []byte, v any) ([]byte, error) {
 	switch x := v.(type) {
 	case nil:
 		return append(b, tagNil), nil
@@ -181,7 +184,7 @@ func appendDataRef(b []byte, d *provdm.DataRef) ([]byte, error) {
 	for _, a := range d.Attributes {
 		b = appendString(b, a.Name)
 		var err error
-		b, err = appendValue(b, a.Value)
+		b, err = AppendValue(b, a.Value)
 		if err != nil {
 			return nil, err
 		}
@@ -332,15 +335,32 @@ func FrameCaptureNS(frame []byte) (int64, bool) {
 	return ns, true
 }
 
-// reader consumes a record body.
-type reader struct {
+// Reader consumes varint-encoded bytes: frame bodies here, and any other
+// format built on the same primitives. Every method fails with an error,
+// never a panic, on truncated or malformed input.
+type Reader struct {
 	b   []byte
 	pos int
 }
 
-func (r *reader) remain() int { return len(r.b) - r.pos }
+// NewReader returns a Reader over b.
+func NewReader(b []byte) *Reader { return &Reader{b: b} }
 
-func (r *reader) byte() (byte, error) {
+// Remain returns the number of unread bytes.
+func (r *Reader) Remain() int { return len(r.b) - r.pos }
+
+// Next returns the next n bytes as a view into the underlying slice.
+func (r *Reader) Next(n int) ([]byte, error) {
+	if n < 0 || n > r.Remain() {
+		return nil, io.ErrUnexpectedEOF
+	}
+	v := r.b[r.pos : r.pos+n]
+	r.pos += n
+	return v, nil
+}
+
+// Byte reads one byte.
+func (r *Reader) Byte() (byte, error) {
 	if r.pos >= len(r.b) {
 		return 0, io.ErrUnexpectedEOF
 	}
@@ -349,7 +369,8 @@ func (r *reader) byte() (byte, error) {
 	return c, nil
 }
 
-func (r *reader) uvarint() (uint64, error) {
+// Uvarint reads an unsigned varint.
+func (r *Reader) Uvarint() (uint64, error) {
 	v, n := binary.Uvarint(r.b[r.pos:])
 	if n <= 0 {
 		return 0, fmt.Errorf("wire: bad uvarint")
@@ -358,7 +379,8 @@ func (r *reader) uvarint() (uint64, error) {
 	return v, nil
 }
 
-func (r *reader) varint() (int64, error) {
+// Varint reads a zigzag varint.
+func (r *Reader) Varint() (int64, error) {
 	v, n := binary.Varint(r.b[r.pos:])
 	if n <= 0 {
 		return 0, fmt.Errorf("wire: bad varint")
@@ -367,12 +389,13 @@ func (r *reader) varint() (int64, error) {
 	return v, nil
 }
 
-func (r *reader) string() (string, error) {
-	n, err := r.uvarint()
+// Str reads a length-prefixed string (a copy).
+func (r *Reader) Str() (string, error) {
+	n, err := r.Uvarint()
 	if err != nil {
 		return "", err
 	}
-	if n > uint64(r.remain()) {
+	if n > uint64(r.Remain()) {
 		return "", io.ErrUnexpectedEOF
 	}
 	s := string(r.b[r.pos : r.pos+int(n)])
@@ -380,12 +403,13 @@ func (r *reader) string() (string, error) {
 	return s, nil
 }
 
-func (r *reader) bytes() ([]byte, error) {
-	n, err := r.uvarint()
+// Bytes reads a length-prefixed byte slice (a copy).
+func (r *Reader) Bytes() ([]byte, error) {
+	n, err := r.Uvarint()
 	if err != nil {
 		return nil, err
 	}
-	if n > uint64(r.remain()) {
+	if n > uint64(r.Remain()) {
 		return nil, io.ErrUnexpectedEOF
 	}
 	out := append([]byte(nil), r.b[r.pos:r.pos+int(n)]...)
@@ -393,8 +417,9 @@ func (r *reader) bytes() ([]byte, error) {
 	return out, nil
 }
 
-func (r *reader) value() (any, error) {
-	tag, err := r.byte()
+// Value reads one value written by AppendValue.
+func (r *Reader) Value() (any, error) {
+	tag, err := r.Byte()
 	if err != nil {
 		return nil, err
 	}
@@ -402,79 +427,80 @@ func (r *reader) value() (any, error) {
 	case tagNil:
 		return nil, nil
 	case tagInt:
-		return r.varint()
+		return r.Varint()
 	case tagFloat:
-		if r.remain() < 8 {
+		if r.Remain() < 8 {
 			return nil, io.ErrUnexpectedEOF
 		}
 		bits := binary.BigEndian.Uint64(r.b[r.pos:])
 		r.pos += 8
 		return math.Float64frombits(bits), nil
 	case tagString:
-		return r.string()
+		return r.Str()
 	case tagTrue:
 		return true, nil
 	case tagFalse:
 		return false, nil
 	case tagBytes:
-		return r.bytes()
+		return r.Bytes()
 	default:
 		return nil, fmt.Errorf("wire: unknown value tag %d", tag)
 	}
 }
 
-// listCap bounds a decoded list length both by a sanity constant and by the
-// bytes actually remaining (each element needs >= 1 byte).
-func (r *reader) listLen() (int, error) {
-	n, err := r.uvarint()
+// ListLen reads a list length and bounds it by the bytes remaining (each
+// element needs >= 1 byte), so a corrupt length cannot make the caller
+// allocate more than the input justifies.
+func (r *Reader) ListLen() (int, error) {
+	n, err := r.Uvarint()
 	if err != nil {
 		return 0, err
 	}
-	if n > uint64(r.remain()) {
-		return 0, fmt.Errorf("wire: list length %d exceeds remaining %d bytes", n, r.remain())
+	if n > uint64(r.Remain()) {
+		return 0, fmt.Errorf("wire: list length %d exceeds remaining %d bytes", n, r.Remain())
 	}
 	return int(n), nil
 }
 
-func (r *reader) record() (provdm.Record, error) {
+func (r *Reader) record() (provdm.Record, error) {
 	var rec provdm.Record
-	ev, err := r.byte()
+	ev, err := r.Byte()
 	if err != nil {
 		return rec, err
 	}
 	rec.Event = provdm.EventKind(ev)
-	if rec.WorkflowID, err = r.string(); err != nil {
+	if rec.WorkflowID, err = r.Str(); err != nil {
 		return rec, err
 	}
-	ns, err := r.varint()
+	ns, err := r.Varint()
 	if err != nil {
 		return rec, err
 	}
 	rec.Time = time.Unix(0, ns).UTC()
 	if rec.Event == provdm.EventTaskBegin || rec.Event == provdm.EventTaskEnd {
-		if rec.TaskID, err = r.string(); err != nil {
+		if rec.TaskID, err = r.Str(); err != nil {
 			return rec, err
 		}
-		if rec.Transformation, err = r.string(); err != nil {
+		if rec.Transformation, err = r.Str(); err != nil {
 			return rec, err
 		}
-		ndeps, err := r.listLen()
+		ndeps, err := r.ListLen()
 		if err != nil {
 			return rec, err
 		}
 		for i := 0; i < ndeps; i++ {
-			d, err := r.string()
+			d, err := r.Str()
 			if err != nil {
 				return rec, err
 			}
 			rec.Dependencies = append(rec.Dependencies, d)
 		}
-		st, err := r.byte()
+		st, err := r.Byte()
 		if err != nil {
 			return rec, err
 		}
 		rec.Status = provdm.TaskStatus(st)
-		ndata, err := r.listLen()
+		ndata, err := r.ListLen()
 		if err != nil {
 			return rec, err
 		}
@@ -492,36 +518,36 @@ func (r *reader) record() (provdm.Record, error) {
 	return rec, nil
 }
 
-func (r *reader) dataRef() (provdm.DataRef, error) {
+func (r *Reader) dataRef() (provdm.DataRef, error) {
 	var d provdm.DataRef
 	var err error
-	if d.ID, err = r.string(); err != nil {
+	if d.ID, err = r.Str(); err != nil {
 		return d, err
 	}
-	if d.WorkflowID, err = r.string(); err != nil {
+	if d.WorkflowID, err = r.Str(); err != nil {
 		return d, err
 	}
-	nderiv, err := r.listLen()
+	nderiv, err := r.ListLen()
 	if err != nil {
 		return d, err
 	}
 	for i := 0; i < nderiv; i++ {
-		s, err := r.string()
+		s, err := r.Str()
 		if err != nil {
 			return d, err
 		}
 		d.Derivations = append(d.Derivations, s)
 	}
-	nattrs, err := r.listLen()
+	nattrs, err := r.ListLen()
 	if err != nil {
 		return d, err
 	}
 	for i := 0; i < nattrs; i++ {
-		name, err := r.string()
+		name, err := r.Str()
 		if err != nil {
 			return d, err
 		}
-		v, err := r.value()
+		v, err := r.Value()
 		if err != nil {
 			return d, err
 		}
@@ -630,43 +656,43 @@ func DecodeFrame(frame []byte) ([]provdm.Record, error) {
 
 // decodeBody parses the (decompressed) frame body.
 func decodeBody(head byte, body []byte) ([]provdm.Record, error) {
-	rd := &reader{b: body}
+	rd := &Reader{b: body}
 	if head&flagGroup == 0 {
 		rec, err := rd.record()
 		if err != nil {
 			return nil, err
 		}
-		if rd.remain() != 0 {
-			return nil, fmt.Errorf("wire: %d trailing bytes", rd.remain())
+		if rd.Remain() != 0 {
+			return nil, fmt.Errorf("wire: %d trailing bytes", rd.Remain())
 		}
 		return []provdm.Record{rec}, nil
 	}
-	count, err := rd.listLen()
+	count, err := rd.ListLen()
 	if err != nil {
 		return nil, err
 	}
 	records := make([]provdm.Record, 0, count)
 	for i := 0; i < count; i++ {
-		n, err := rd.uvarint()
+		n, err := rd.Uvarint()
 		if err != nil {
 			return nil, err
 		}
-		if n > uint64(rd.remain()) {
+		if n > uint64(rd.Remain()) {
 			return nil, io.ErrUnexpectedEOF
 		}
-		sub := &reader{b: rd.b[rd.pos : rd.pos+int(n)]}
+		sub := &Reader{b: rd.b[rd.pos : rd.pos+int(n)]}
 		rd.pos += int(n)
 		rec, err := sub.record()
 		if err != nil {
 			return nil, err
 		}
-		if sub.remain() != 0 {
-			return nil, fmt.Errorf("wire: record %d has %d trailing bytes", i, sub.remain())
+		if sub.Remain() != 0 {
+			return nil, fmt.Errorf("wire: record %d has %d trailing bytes", i, sub.Remain())
 		}
 		records = append(records, rec)
 	}
-	if rd.remain() != 0 {
-		return nil, fmt.Errorf("wire: %d trailing bytes after group", rd.remain())
+	if rd.Remain() != 0 {
+		return nil, fmt.Errorf("wire: %d trailing bytes after group", rd.Remain())
 	}
 	return records, nil
 }
