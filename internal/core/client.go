@@ -4,6 +4,14 @@
 // exchange model (Table V), binary payload compression, optional grouping
 // of captured data from ended tasks, and asynchronous publish/subscribe
 // transmission over MQTT-SN/UDP at QoS 2 (Table VI).
+//
+// Capture never waits on zlib or on an fsync. In memory mode it encodes
+// the frame uncompressed and queues it; the sender goroutine compresses
+// it just before publishing, with the same bytes on the wire as a
+// one-step encode. In spool mode the frame is compressed before its WAL
+// append, so it is on disk in its wire form when Capture returns, and the
+// drainer's fsync (the publish barrier) runs outside the WAL's append
+// lock.
 package core
 
 import (
@@ -56,6 +64,9 @@ type Config struct {
 	// (§IV-C2: "group data just from ended tasks").
 	GroupSize int
 	// DisableCompression turns off payload compression (ablation).
+	// Compression runs on the sender goroutine in memory mode and before
+	// the WAL append in spool mode; either way the frame on the wire is
+	// the one a single wire.Encoder pass would produce.
 	DisableCompression bool
 	// QueueCapacity bounds the async transmit queue. Default 1024.
 	//
@@ -164,7 +175,13 @@ type Config struct {
 // by StatsSnapshot; read fields from the returned copy, never from shared
 // storage.
 type Stats struct {
-	RecordsCaptured  uint64
+	RecordsCaptured uint64
+	// FramesPublished counts frames queued for the sender in memory mode
+	// (never one dropped before leaving the client) and frames the drainer
+	// publishes in spool mode. BytesPublished and FramesCompressed count
+	// wire frames where they are compressed: on the sender in memory mode,
+	// so they can trail FramesPublished until Flush; at the spool append
+	// in spool mode.
 	FramesPublished  uint64
 	BytesPublished   uint64
 	FramesCompressed uint64
@@ -260,14 +277,19 @@ type Client struct {
 	drainWG sync.WaitGroup
 }
 
-// framePool recycles encoded frame buffers. A frame is leased in
-// transmitOrdered and returned once its publish handshake has fully
+// framePool recycles encoded frame buffers. A raw frame is leased in
+// transmitOrdered and returned once the sender has compressed it into a
+// second lease, which is returned when its publish handshake has fully
 // completed (the transport does not retain the payload after the flow's
 // error is delivered), so the steady-state capture path allocates nothing
 // per frame.
 var framePool = sync.Pool{
 	New: func() any { b := make([]byte, 0, 512); return &b },
 }
+
+// rawEncoder encodes the uncompressed frames memory mode queues; the
+// sender compresses them with Client.enc (wire.Encoder.CompressFrame).
+var rawEncoder = wire.Encoder{DisableCompression: true}
 
 // counters are the lock-free internals behind Stats.
 type counters struct {
@@ -471,14 +493,21 @@ func (c *Client) MQTTStats() mqttsn.ClientStats {
 	return mqttsn.ClientStats{}
 }
 
-// sender keeps the publish window full: it submits each queued frame as an
-// asynchronous handshake and only blocks when WindowSize handshakes are
-// already in flight, instead of waiting out the full QoS 2 double round
-// trip per frame. Completion (and error accounting) happens on a small
-// per-frame collector; Flush/Close observe it through the inFly group.
+// sender keeps the publish window full: it compresses each queued frame
+// and submits it as an asynchronous handshake, blocking only when
+// WindowSize handshakes are already in flight, instead of waiting out the
+// full QoS 2 double round trip per frame. Completion (and error
+// accounting) happens on a small per-frame collector; Flush/Close observe
+// it through the inFly group.
 func (c *Client) sender() {
 	defer c.wg.Done()
-	for bufp := range c.sendQ {
+	for raw := range c.sendQ {
+		bufp, err := c.wireFrame(raw)
+		if err != nil {
+			c.reportAsync(err)
+			c.inFly.Done()
+			continue
+		}
 		if c.stageCapture != nil {
 			if ns, ok := wire.FrameCaptureNS(*bufp); ok {
 				obs.ObserveSince(c.stageCapture, ns)
@@ -487,17 +516,31 @@ func (c *Client) sender() {
 		errc := c.mqtt.PublishAsync(c.topic, *bufp, c.cfg.QoS)
 		go func() {
 			if err := <-errc; err != nil {
-				c.ctr.asyncErrors.Add(1)
-				if cb := c.cfg.OnError; cb != nil {
-					c.errMu.Lock()
-					cb(err)
-					c.errMu.Unlock()
-				}
+				c.reportAsync(err)
 			}
 			framePool.Put(bufp)
 			c.inFly.Done()
 		}()
 	}
+}
+
+// wireFrame compresses a queued raw frame into a fresh pooled buffer (see
+// Config.DisableCompression), recycles the raw one, and counts the bytes
+// that will go on the wire.
+func (c *Client) wireFrame(raw *[]byte) (*[]byte, error) {
+	bufp := framePool.Get().(*[]byte)
+	frame, err := c.enc.CompressFrame((*bufp)[:0], *raw)
+	framePool.Put(raw)
+	if err != nil {
+		framePool.Put(bufp)
+		return nil, fmt.Errorf("provlight: compress frame: %w", err)
+	}
+	*bufp = frame
+	c.ctr.bytesPublished.Add(uint64(len(frame)))
+	if wire.IsCompressed(frame) {
+		c.ctr.framesCompressed.Add(1)
+	}
+	return bufp, nil
 }
 
 // Capture implements the capture.Client interface: encodes and transmits
@@ -640,31 +683,21 @@ func (c *Client) transmitOrdered(records ...*provdm.Record) error {
 // full past ctx, the frame is dropped and counted as an async error. With
 // a nil or background ctx a full queue drops the frame immediately
 // (ErrQueueFull + StatsSnapshot.QueueFull) — capture never blocks the
-// instrumented workload. In spool mode the frame goes to disk instead.
+// instrumented workload. The queued frame is uncompressed; the sender
+// compresses it. In spool mode the frame goes to disk instead.
 func (c *Client) transmitOrderedCtx(ctx context.Context, records ...*provdm.Record) error {
 	if c.spool != nil {
 		return c.spoolAppend(records...)
 	}
+	// Encode uncompressed: zlib runs on the sender, so Capture pays only
+	// for the raw encode.
 	bufp := framePool.Get().(*[]byte)
-	frame, err := c.enc.AppendFrameSeqCapture((*bufp)[:0], 0, c.captureNow(), records...)
+	frame, err := rawEncoder.AppendFrameSeqCapture((*bufp)[:0], 0, c.captureNow(), records...)
 	if err != nil {
 		framePool.Put(bufp)
 		return err
 	}
 	*bufp = frame
-	// Counted only once the frame is actually handed to the transport (or
-	// enqueued), so StatsSnapshot never reports a frame that was dropped
-	// before leaving the client. Sized up front: after the enqueue the
-	// sender may already have recycled the buffer.
-	size := uint64(len(frame))
-	compressed := wire.IsCompressed(frame)
-	countPublished := func() {
-		c.ctr.framesPublished.Add(1)
-		c.ctr.bytesPublished.Add(size)
-		if compressed {
-			c.ctr.framesCompressed.Add(1)
-		}
-	}
 	if c.closed.Load() {
 		framePool.Put(bufp)
 		return fmt.Errorf("provlight: client closed")
@@ -675,7 +708,7 @@ func (c *Client) transmitOrderedCtx(ctx context.Context, records ...*provdm.Reco
 		// capture, or unreachable) drops the frame and tells the caller.
 		select {
 		case c.sendQ <- bufp:
-			countPublished()
+			c.ctr.framesPublished.Add(1)
 			return nil
 		default:
 			c.inFly.Done()
@@ -686,7 +719,7 @@ func (c *Client) transmitOrderedCtx(ctx context.Context, records ...*provdm.Reco
 	}
 	select {
 	case c.sendQ <- bufp:
-		countPublished()
+		c.ctr.framesPublished.Add(1)
 		return nil
 	case <-ctx.Done():
 		c.inFly.Done()

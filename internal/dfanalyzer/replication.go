@@ -84,7 +84,7 @@ type replState struct {
 	// the WAL tail inside a batched apply (records are logged in one write
 	// before their ops run), which is exactly why it exists — "caught up"
 	// for read routing and follower acks must mean applied, not just
-	// logged. Zero until the first replicated apply; see Store.AppliedSeq.
+	// logged. Set to the WAL tail by BeginFollowing; see Store.AppliedSeq.
 	applied atomic.Uint64
 }
 
@@ -180,8 +180,13 @@ func (s *Store) BecomePrimary() error {
 }
 
 // BeginFollowing marks the store a read replica: every external write
-// path is rejected with ErrNotPrimary until Promote.
+// path is rejected with ErrNotPrimary until Promote. Recovery has applied
+// everything the WAL retains, so the apply cursor starts at its tail.
 func (s *Store) BeginFollowing() {
+	s.commitMu.Lock()
+	defer s.commitMu.Unlock()
+	_, last := s.WALSeqs()
+	s.repl.applied.Store(last)
 	s.repl.role.Store(int32(RoleReplica))
 }
 
@@ -205,13 +210,12 @@ func (s *Store) WALSeqs() (first, last uint64) {
 }
 
 // AppliedSeq returns the highest WAL sequence whose effects are visible
-// to queries on this store. On a replica it is the apply cursor (which
-// can trail the WAL tail mid-batch); elsewhere — and on a freshly
-// recovered replica that has not applied a replicated record yet — it is
-// the WAL tail, since recovery replays everything it retains.
+// to queries on this store. On a replica it is the apply cursor, which
+// trails the WAL tail while a replicated batch is logged but not yet
+// applied; elsewhere it is the WAL tail.
 func (s *Store) AppliedSeq() uint64 {
-	if a := s.repl.applied.Load(); a > 0 {
-		return a
+	if s.Role() == RoleReplica {
+		return s.repl.applied.Load()
 	}
 	_, last := s.WALSeqs()
 	return last
@@ -283,11 +287,6 @@ func (s *Store) ApplyReplicatedBatch(recs []ReplRecord) error {
 	}
 	s.commitMu.Lock()
 	defer s.commitMu.Unlock()
-	if s.repl.applied.Load() == 0 {
-		// First replicated apply since open: everything the recovery
-		// replayed is applied, so the cursor starts at the current tail.
-		s.repl.applied.Store(s.dur.log.LastSeq())
-	}
 	for i := 0; i < len(recs); {
 		last := s.dur.log.LastSeq()
 		if recs[i].Seq <= last {

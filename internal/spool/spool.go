@@ -2,9 +2,12 @@
 // disk-backed buffer of encoded capture frames that survives client
 // crashes and long network partitions.
 //
-// Captured frames are appended to a segmented WAL (internal/wal) before
-// transmission; a drainer reads them back in order and publishes them,
-// and *end-to-end* acknowledgements — not mere broker receipt — advance a
+// Captured frames are appended, already compressed into their wire form,
+// to a segmented WAL (internal/wal) before transmission; a drainer reads
+// them back in order, makes each durable with EnsureSynced and publishes
+// it. EnsureSynced's fsync holds neither the spool's lock nor the WAL's
+// append lock (a group commit), so appends never wait on the disk.
+// *End-to-end* acknowledgements — not mere broker receipt — advance a
 // persisted low-water mark ("floor"). Everything at or below the floor is
 // durably applied on the server, so fully-acked segments are reclaimed.
 // Acks may arrive out of order (the publish window completes handshakes
@@ -160,6 +163,10 @@ type Spool struct {
 	lastMarkErr     error
 
 	ackCh chan struct{} // coalesced ack-progress signal
+
+	// beforeSync, when set, runs in EnsureSynced just before the WAL
+	// fsync. A test hook, to hold the barrier inside its sync.
+	beforeSync func()
 }
 
 // Stats is a snapshot of the spool's degradation and durability health.
@@ -561,6 +568,13 @@ func (s *Spool) Ack(seq uint64) error {
 // barrier, every published sequence number is durable, so the persisted
 // ack mark can never outrun the log and sequence reuse is impossible.
 //
+// It holds no lock across the fsync, so appends (and acks) go on while it
+// runs. The barrier still holds: LastSeq is read before wal.Log.Sync is
+// called, and Sync returns only after an fsync that began after every
+// record appended before the call, so every seq up to that LastSeq
+// (which includes seq, already appended when the drainer read it) is
+// durable when syncedUpTo advances to it.
+//
 // No-op under wal.SyncOff: that policy explicitly trades power-loss
 // safety away. Under SyncEach the data is already durable and the call
 // is nearly free; under SyncInterval it fsyncs only when the drainer
@@ -570,15 +584,23 @@ func (s *Spool) EnsureSynced(seq uint64) error {
 		return nil
 	}
 	s.mu.Lock()
-	defer s.mu.Unlock()
-	if seq <= s.syncedUpTo {
+	synced := seq <= s.syncedUpTo
+	s.mu.Unlock()
+	if synced {
 		return nil
 	}
-	last := s.log.LastSeq() // everything appended so far is covered by Sync
+	last := s.log.LastSeq()
+	if s.beforeSync != nil {
+		s.beforeSync()
+	}
 	if err := s.log.Sync(); err != nil {
 		return err
 	}
-	s.syncedUpTo = last
+	s.mu.Lock()
+	if last > s.syncedUpTo {
+		s.syncedUpTo = last
+	}
+	s.mu.Unlock()
 	return nil
 }
 

@@ -202,13 +202,22 @@ type Log struct {
 	dir  string
 	opts Options
 
+	// syncMu serialises Sync and Close. It is taken before mu and held
+	// across Sync's fsync, which runs without mu, so appends never wait on
+	// the disk.
+	syncMu sync.Mutex
+	// fsync syncs the active segment in Sync (nil: (*os.File).Sync). A
+	// test hook, to hold a Sync inside its fsync.
+	fsync func(*os.File) error
+
 	mu          sync.Mutex
 	segs        []*segment // ascending by first; last entry is active
 	active      *os.File
 	buf         []byte // append scratch: header + payload in one write
 	last        uint64 // last assigned sequence number
 	first       uint64 // first retained sequence number (after TruncateFront); 0 if none written yet
-	dirty       bool
+	dirty       bool   // records appended since the last fsync began
+	syncing     bool   // a Sync's fsync of active is in flight
 	closed      bool
 	forceRotate bool // next append must start a fresh segment (after Reserve)
 
@@ -420,7 +429,9 @@ func segPath(dir string, first uint64) string {
 // forever). Callers hold l.mu.
 func (l *Log) rotateLocked(seq uint64) error {
 	if l.active != nil {
-		if l.dirty && l.opts.Sync != SyncOff {
+		// A Sync in flight may have claimed the dirty flag for this file
+		// and can still fail: seal it synced either way.
+		if (l.dirty || l.syncing) && l.opts.Sync != SyncOff {
 			if err := l.active.Sync(); err != nil {
 				return fmt.Errorf("wal: sync sealed segment: %w", err)
 			}
@@ -619,13 +630,57 @@ func (l *Log) Reserve(seq uint64) {
 	l.mu.Unlock()
 }
 
-// Sync flushes the active segment to stable storage.
+// Sync flushes the active segment to stable storage: when it returns nil,
+// every record appended before the call is durable. It is a group commit.
+// Under l.mu it only notes what the fsync covers (the active file, and
+// clears the dirty flag); the fsync itself runs outside l.mu, so appends
+// go on while it is in flight and the next Sync covers them. Syncs are
+// serialised by syncMu, so a Sync that finds nothing dirty returns only
+// after the fsync that covered its records has finished. A failed fsync
+// puts the dirty flag back and is counted in SyncErrors. A segment
+// rotated away during the fsync was fsynced by the rotation itself, and
+// Close waits for an fsync in flight.
 func (l *Log) Sync() error {
+	l.syncMu.Lock()
+	defer l.syncMu.Unlock()
+	l.mu.Lock()
+	if l.closed || l.active == nil || !l.dirty {
+		l.mu.Unlock()
+		return nil
+	}
+	f := l.active
+	l.dirty = false
+	l.syncing = true
+	l.mu.Unlock()
+
+	var err error
+	if l.fsync != nil {
+		err = l.fsync(f)
+	} else {
+		err = f.Sync()
+	}
+
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	return l.syncLocked()
+	l.syncing = false
+	if l.active != f {
+		// Rotation sealed f with its own fsync (under l.mu, which fails the
+		// append that rotated if it fails), so f is durable whatever this
+		// fsync of the possibly closed file returned.
+		err = nil
+	}
+	if err != nil {
+		l.dirty = true
+		l.syncErrs++
+		l.lastSyncErr = err
+		return fmt.Errorf("wal: fsync: %w", err)
+	}
+	l.lastSyncErr = nil
+	return nil
 }
 
+// syncLocked fsyncs the active segment while holding l.mu (Close's final
+// sync). Callers hold l.mu.
 func (l *Log) syncLocked() error {
 	if l.closed || l.active == nil || !l.dirty {
 		return nil
@@ -747,9 +802,11 @@ func (l *Log) TruncateFront(upto uint64) error {
 
 // Close syncs and releases the log. Appends after Close fail.
 func (l *Log) Close() error {
+	l.syncMu.Lock() // wait out a Sync's fsync in flight
 	l.mu.Lock()
 	if l.closed {
 		l.mu.Unlock()
+		l.syncMu.Unlock()
 		return nil
 	}
 	err := l.syncLocked()
@@ -761,6 +818,7 @@ func (l *Log) Close() error {
 		l.active = nil
 	}
 	l.mu.Unlock()
+	l.syncMu.Unlock()
 	if l.syncStop != nil {
 		close(l.syncStop)
 		<-l.syncDone
@@ -852,6 +910,19 @@ func (r *Reader) locate() (segment, bool) {
 	return segment{}, false
 }
 
+// retains reports whether the segment starting at first is still part of
+// the log.
+func (l *Log) retains(first uint64) bool {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	for _, s := range l.segs {
+		if s.first == first {
+			return true
+		}
+	}
+	return false
+}
+
 // Next appends the next record's payload to buf and returns it with its
 // sequence number. ok is false when the reader has caught up with the
 // tail (wait on Log.Notify and retry). Errors are permanent for the
@@ -869,6 +940,9 @@ func (r *Reader) Next(buf []byte) (seq uint64, payload []byte, ok bool, err erro
 			}
 			f, oerr := os.Open(seg.path)
 			if oerr != nil {
+				if os.IsNotExist(oerr) && !r.l.retains(seg.first) {
+					continue // TruncateFront removed it after locate: skip past it
+				}
 				return 0, buf, false, fmt.Errorf("wal: open segment: %w", oerr)
 			}
 			r.f = f

@@ -253,29 +253,13 @@ func (e *Encoder) AppendFrameSeqCapture(dst []byte, seq uint64, captureNS int64,
 		s.rec = rec
 	}
 	s.body = body
-	threshold := e.CompressThreshold
-	if threshold <= 0 {
-		threshold = DefaultCompressThreshold
+	body, compressed, err := e.compressBody(s, body)
+	if err != nil {
+		putEncScratch(s)
+		return nil, err
 	}
-	if !e.DisableCompression && len(body) > threshold {
-		s.comp.b = s.comp.b[:0]
-		if s.zw == nil {
-			s.zw = zlib.NewWriter(&s.comp)
-		} else {
-			s.zw.Reset(&s.comp)
-		}
-		if _, err := s.zw.Write(body); err != nil {
-			putEncScratch(s)
-			return nil, err
-		}
-		if err := s.zw.Close(); err != nil {
-			putEncScratch(s)
-			return nil, err
-		}
-		if len(s.comp.b) < len(body) {
-			body = s.comp.b
-			flags |= flagCompressed
-		}
+	if compressed {
+		flags |= flagCompressed
 	}
 	need := 1 + 2*binary.MaxVarintLen64 + len(body)
 	if cap(dst)-len(dst) < need {
@@ -299,6 +283,92 @@ func (e *Encoder) AppendFrameSeqCapture(dst []byte, seq uint64, captureNS int64,
 	dst = append(dst, body...)
 	putEncScratch(s)
 	return dst, nil
+}
+
+// compressBody returns the body a frame carries under e's settings: the
+// zlib stream when compression is on, body exceeds the threshold and zlib
+// makes it smaller, else body itself. The result may alias s.comp.
+func (e *Encoder) compressBody(s *encScratch, body []byte) ([]byte, bool, error) {
+	threshold := e.CompressThreshold
+	if threshold <= 0 {
+		threshold = DefaultCompressThreshold
+	}
+	if e.DisableCompression || len(body) <= threshold {
+		return body, false, nil
+	}
+	s.comp.b = s.comp.b[:0]
+	if s.zw == nil {
+		s.zw = zlib.NewWriter(&s.comp)
+	} else {
+		s.zw.Reset(&s.comp)
+	}
+	if _, err := s.zw.Write(body); err != nil {
+		return nil, false, err
+	}
+	if err := s.zw.Close(); err != nil {
+		return nil, false, err
+	}
+	if len(s.comp.b) >= len(body) {
+		return body, false, nil
+	}
+	return s.comp.b, true, nil
+}
+
+// CompressFrame appends to dst the wire form of raw, a frame encoded with
+// compression disabled: the same header, seq and capture stamp, and the
+// body compressed under e's settings. Encoding a frame uncompressed and
+// then calling CompressFrame gives exactly the bytes one
+// AppendFrameSeqCapture call with e would have, so the zlib work can move
+// off the capturing goroutine without changing what goes on the wire.
+func (e *Encoder) CompressFrame(dst, raw []byte) ([]byte, error) {
+	n, err := headerLen(raw)
+	if err != nil {
+		return nil, err
+	}
+	if raw[0]&flagCompressed != 0 {
+		return nil, fmt.Errorf("wire: frame is already compressed")
+	}
+	s := encPool.Get().(*encScratch)
+	defer putEncScratch(s)
+	body, compressed, err := e.compressBody(s, raw[n:])
+	if err != nil {
+		return nil, err
+	}
+	head := raw[0]
+	if compressed {
+		head |= flagCompressed
+	}
+	dst = append(dst, head)
+	dst = append(dst, raw[1:n]...)
+	return append(dst, body...), nil
+}
+
+// headerLen returns the length of frame's header: the version|flags byte
+// plus the seq and capture stamp fields its flags announce.
+func headerLen(frame []byte) (int, error) {
+	if len(frame) < 2 {
+		return 0, fmt.Errorf("wire: frame too short (%d bytes)", len(frame))
+	}
+	head := frame[0]
+	if head>>4 != Version {
+		return 0, fmt.Errorf("wire: unsupported version %d", head>>4)
+	}
+	n := 1
+	if head&flagSeq != 0 {
+		_, k := binary.Uvarint(frame[n:])
+		if k <= 0 {
+			return 0, fmt.Errorf("wire: bad frame sequence field")
+		}
+		n += k
+	}
+	if head&flagTrace != 0 {
+		_, k := binary.Varint(frame[n:])
+		if k <= 0 {
+			return 0, fmt.Errorf("wire: bad frame capture timestamp field")
+		}
+		n += k
+	}
+	return n, nil
 }
 
 // FrameSeq returns the durable frame id carried by a frame, if any,
@@ -615,28 +685,11 @@ func (s *decScratch) decompress(body []byte) ([]byte, error) {
 // DecodeFrame decodes a frame produced by EncodeFrame, returning the
 // records in order.
 func DecodeFrame(frame []byte) ([]provdm.Record, error) {
-	if len(frame) < 2 {
-		return nil, fmt.Errorf("wire: frame too short (%d bytes)", len(frame))
+	n, err := headerLen(frame)
+	if err != nil {
+		return nil, err
 	}
-	head := frame[0]
-	if head>>4 != Version {
-		return nil, fmt.Errorf("wire: unsupported version %d", head>>4)
-	}
-	body := frame[1:]
-	if head&flagSeq != 0 {
-		_, n := binary.Uvarint(body)
-		if n <= 0 {
-			return nil, fmt.Errorf("wire: bad frame sequence field")
-		}
-		body = body[n:]
-	}
-	if head&flagTrace != 0 {
-		_, n := binary.Varint(body)
-		if n <= 0 {
-			return nil, fmt.Errorf("wire: bad frame capture timestamp field")
-		}
-		body = body[n:]
-	}
+	head, body := frame[0], frame[n:]
 	var scratch *decScratch
 	if head&flagCompressed != 0 {
 		scratch = decPool.Get().(*decScratch)
