@@ -10,10 +10,7 @@ package provlight_test
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
-	"os"
-	"path/filepath"
 	"testing"
 	"time"
 
@@ -220,24 +217,6 @@ func TestClusterPipelineCrash(t *testing.T) {
 	rate := float64(2*n+devices) / elapsed.Seconds()
 	t.Logf("takeover in %v; %d records at %.0f frames/s; %d redelivered, %d link-lost",
 		detectLatency, n, rate, redelivered, lost)
-
-	if os.Getenv("BENCH_JSON") != "" {
-		out := map[string]any{
-			"benchmark":          "ClusterTakeover",
-			"detect_takeover_ms": float64(detectLatency.Microseconds()) / 1000,
-			"suspect_timeout_ms": float64(crashSuspectTimeout.Microseconds()) / 1000,
-			"budget_ms":          float64((2 * crashSuspectTimeout).Microseconds()) / 1000,
-			"pass_2x_suspicion":  detectLatency <= 2*crashSuspectTimeout,
-			"records":            n,
-			"pipeline_fps":       rate,
-			"takeover_redeliv":   redelivered,
-			"link_lost":          lost,
-		}
-		data, _ := json.MarshalIndent(out, "", "  ")
-		if err := os.WriteFile(filepath.Join(".", "BENCH_cluster_takeover.json"), append(data, '\n'), 0o644); err != nil {
-			t.Logf("write BENCH_cluster_takeover.json: %v", err)
-		}
-	}
 }
 
 // TestTranslatorFailoverOnNodeDeath: a node dies WITHOUT a clean Leave —

@@ -79,7 +79,6 @@ func main() {
 	}
 
 	srv := dfanalyzer.NewServer(store)
-	srv.ReadyMaxLag = *readyMaxLag
 	srv.Metrics = obs.NewRegistry()
 	srv.EnablePProf = *enablePProf
 
@@ -98,7 +97,7 @@ func main() {
 		if err := repl.Start(*replListen); err != nil {
 			log.Fatalf("dfanalyzer-server: replication listen: %v", err)
 		}
-		repl.AttachStats(srv)
+		srv.Metrics.Collect(repl.Collect)
 		log.Printf("dfanalyzer-server: primary, term %d, shipping WAL on %s (min-sync %d)",
 			store.CurrentTerm(), repl.Addr(), *minSync)
 	case *replFrom != "":
@@ -115,8 +114,9 @@ func main() {
 		if err != nil {
 			log.Fatalf("dfanalyzer-server: replica: %v", err)
 		}
-		follower.AttachStats(srv)
-		log.Printf("dfanalyzer-server: read replica %q following %s (writes rejected; reads and /stats served)", id, *replFrom)
+		srv.Metrics.Collect(follower.Collect)
+		srv.Ready = func() error { return follower.Health().Ready(*readyMaxLag) }
+		log.Printf("dfanalyzer-server: read replica %q following %s (writes rejected; reads served)", id, *replFrom)
 	}
 
 	if err := srv.Start(*addr); err != nil {
@@ -124,7 +124,7 @@ func main() {
 	}
 	defer srv.Close()
 	log.Printf("dfanalyzer-server: serving on http://%s", srv.Addr())
-	log.Printf("dfanalyzer-server: endpoints: POST /dataflow, POST /task, POST /tasks (batch), POST /frames (exactly-once), POST /query, GET /dataflow/{tag}, GET /stats, GET /metrics, GET /healthz, GET /readyz")
+	log.Printf("dfanalyzer-server: endpoints: POST /dataflow, POST /task, POST /tasks (batch), POST /frames (exactly-once), POST /query, GET /dataflow/{tag}, GET /metrics, GET /healthz, GET /readyz")
 
 	sig := make(chan os.Signal, 1)
 	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)

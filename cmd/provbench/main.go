@@ -16,10 +16,6 @@
 //	                               # live node leave mid-run (N >= 2)
 //	provbench -soak -devices 2000 -duration 2m -churn-mtbf 20s \
 //	          -loss 0.25 -quota 1048576   # churn soak with exactly-once check
-//
-// The -brokers sweep writes BENCH_cluster_fanin.json; with BENCH_JSON=1
-// in the environment, the -sessions sweep also writes a
-// BENCH_pipeline.json trajectory entry (frames/s, allocations).
 package main
 
 import (
@@ -59,8 +55,6 @@ func main() {
 	devices := flag.Int("devices", 16, "parallel devices for the -sessions / -brokers sweeps and -soak")
 	tasks := flag.Int("tasks", 50, "tasks per device for the -sessions / -brokers sweeps")
 	netemDelay := flag.Duration("netem-delay", 25*time.Millisecond, "one-way translator link delay for the -brokers sweep")
-	clusterOut := flag.String("cluster-out", "BENCH_cluster_fanin.json", "cluster fan-in report output path for -brokers")
-	pipelineOut := flag.String("pipeline-out", "BENCH_pipeline.json", "pipeline trajectory output path for -sessions under BENCH_JSON=1")
 	runSoak := flag.Bool("soak", false, "run the churn soak harness and verify exactly-once delivery")
 	soakDuration := flag.Duration("duration", time.Minute, "soak capture-phase length")
 	soakSeed := flag.Int64("seed", 1, "soak churn/loss seed (same seed replays the same run)")
@@ -74,7 +68,7 @@ func main() {
 	soakDrainTimeout := flag.Duration("drain-timeout", 2*time.Minute, "soak post-run spool drain deadline")
 	soakDrainConc := flag.Int("drain-concurrency", 64, "soak devices draining concurrently in the post-run phase")
 	soakOut := flag.String("out", "BENCH_soak.json", "soak report output path")
-	statsListen := flag.String("stats-listen", "", "serve /metrics, /stats and /healthz on this address during -soak (e.g. 127.0.0.1:9300)")
+	statsListen := flag.String("stats-listen", "", "serve /metrics and /healthz on this address during -soak (e.g. 127.0.0.1:9300)")
 	enablePProf := flag.Bool("pprof", false, "also mount net/http/pprof on the -stats-listen mux")
 	flag.Parse()
 
@@ -134,17 +128,17 @@ func main() {
 		}
 		fmt.Println("soak: exactly-once verified")
 	case *sessions != "":
-		counts, err := parseSessions(*sessions)
+		counts, err := parseCounts("-sessions", *sessions)
 		if err != nil {
 			log.Fatalf("provbench: %v", err)
 		}
-		fmt.Println(sessionsSweep(counts, *devices, *tasks, *pipelineOut).String())
+		fmt.Println(sessionsSweep(counts, *devices, *tasks).String())
 	case *brokers != "":
-		counts, err := parseSessions(*brokers)
+		counts, err := parseCounts("-brokers", *brokers)
 		if err != nil {
 			log.Fatalf("provbench: %v", err)
 		}
-		fmt.Println(clusterSweep(counts, *devices, *tasks, *netemDelay, *clusterOut).String())
+		fmt.Println(clusterSweep(counts, *devices, *tasks, *netemDelay).String())
 	case *all:
 		for _, tr := range experiment.AllTables() {
 			fmt.Println(tr.Table.String())
@@ -181,86 +175,40 @@ func main() {
 	}
 }
 
-func parseSessions(list string) ([]int, error) {
+// parseCounts parses the comma-separated positive integers given to the
+// named flag (-sessions or -brokers).
+func parseCounts(name, list string) ([]int, error) {
 	var counts []int
 	for _, part := range strings.Split(list, ",") {
 		n, err := strconv.Atoi(strings.TrimSpace(part))
 		if err != nil || n <= 0 {
-			return nil, fmt.Errorf("invalid -sessions entry %q (want positive integers)", part)
+			return nil, fmt.Errorf("invalid %s entry %q (want positive integers)", name, part)
 		}
 		counts = append(counts, n)
 	}
 	return counts, nil
 }
 
-// pipelineRun is one -sessions sweep point in the BENCH_pipeline.json
-// trajectory: throughput plus the allocation cost of moving the frames.
-type pipelineRun struct {
-	Sessions        int     `json:"sessions"`
-	ElapsedMS       float64 `json:"elapsed_ms"`
-	Frames          uint64  `json:"frames"`
-	FramesPerSec    float64 `json:"frames_per_sec"`
-	Records         int     `json:"records"`
-	Allocs          uint64  `json:"allocs"`
-	AllocsPerRecord float64 `json:"allocs_per_record"`
-}
-
-type pipelineReport struct {
-	Bench   string        `json:"bench"`
-	Devices int           `json:"devices"`
-	Tasks   int           `json:"tasks"`
-	Runs    []pipelineRun `json:"runs"`
-}
-
-// writeJSON writes an indented report, fataling on failure: a bench that
-// cannot record its result has failed.
-func writeJSON(path string, v any) {
-	data, err := json.MarshalIndent(v, "", "  ")
-	if err != nil {
-		log.Fatalf("provbench: encode %s: %v", path, err)
-	}
-	data = append(data, '\n')
-	if err := os.WriteFile(path, data, 0o644); err != nil {
-		log.Fatalf("provbench: write %s: %v", path, err)
-	}
-}
-
 // sessionsSweep reproduces the Table IX fan-in scenario on the real
 // pipeline — many devices publishing concurrently into one server — while
 // sweeping how many shared-subscription consumer-group sessions the
 // translator holds. The reported frames/s is the aggregate ingest rate
-// (capture start to last record delivered to the target). With
-// BENCH_JSON=1 the sweep also appends a machine-readable trajectory
-// entry (frames/s and allocations per record) to out, so CI can track
-// the core pipeline across commits.
-func sessionsSweep(counts []int, devices, tasks int, out string) *stats.Table {
+// (capture start to last record delivered to the target); allocs/record
+// is the allocation cost of moving the frames.
+func sessionsSweep(counts []int, devices, tasks int) *stats.Table {
 	tbl := stats.NewTable(
 		fmt.Sprintf("Table IX (real pipeline): %d devices x %d tasks, consumer-group fan-in", devices, tasks),
-		"sessions", "elapsed", "frames/s", "records")
-	rep := pipelineReport{Bench: "pipeline_fanin", Devices: devices, Tasks: tasks}
+		"sessions", "elapsed", "frames/s", "records", "allocs/record")
 	for _, n := range counts {
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
 		elapsed, frames, records := runFanIn(n, devices, tasks)
 		runtime.ReadMemStats(&after)
-		allocs := after.Mallocs - before.Mallocs
 		tbl.AddRow(fmt.Sprint(n),
 			elapsed.Truncate(time.Millisecond).String(),
 			fmt.Sprintf("%.0f", float64(frames)/elapsed.Seconds()),
-			fmt.Sprint(records))
-		rep.Runs = append(rep.Runs, pipelineRun{
-			Sessions:        n,
-			ElapsedMS:       float64(elapsed.Microseconds()) / 1000,
-			Frames:          frames,
-			FramesPerSec:    float64(frames) / elapsed.Seconds(),
-			Records:         records,
-			Allocs:          allocs,
-			AllocsPerRecord: float64(allocs) / float64(records),
-		})
-	}
-	if os.Getenv("BENCH_JSON") == "1" {
-		writeJSON(out, rep)
-		fmt.Printf("pipeline trajectory written to %s\n", out)
+			fmt.Sprint(records),
+			fmt.Sprintf("%.1f", float64(after.Mallocs-before.Mallocs)/float64(records)))
 	}
 	return tbl
 }
@@ -296,7 +244,7 @@ func runFanIn(sessions, devices, tasks int) (time.Duration, uint64, int) {
 				return
 			}
 			for i := 0; i < tasks; i++ {
-				task := wf.NewTask(fmt.Sprintf("t%d", i), "bench")
+				task := wf.NewTask(fmt.Sprintf("t%04d", i), "bench")
 				if err := task.Begin(); err != nil {
 					errs <- err
 					return
@@ -319,9 +267,9 @@ func runFanIn(sessions, devices, tasks int) (time.Duration, uint64, int) {
 	// begin; wait for full delivery, then stop the clock.
 	want := devices * (1 + 2*tasks)
 	deadline := time.Now().Add(2 * time.Minute)
-	for len(mem.Records()) < want {
+	for mem.Len() < want {
 		if time.Now().After(deadline) {
-			log.Fatalf("provbench: fan-in stalled at %d/%d records", len(mem.Records()), want)
+			log.Fatalf("provbench: fan-in stalled at %d/%d records", mem.Len(), want)
 		}
 		time.Sleep(time.Millisecond)
 	}
@@ -330,38 +278,26 @@ func runFanIn(sessions, devices, tasks int) (time.Duration, uint64, int) {
 	for _, tr := range server.Translators {
 		frames += tr.Stats().FramesReceived
 	}
-	return elapsed, frames, len(mem.Records())
+	if got := mem.Len(); got != want {
+		log.Fatalf("provbench: fan-in delivered %d records, want exactly %d (duplicate delivery)", got, want)
+	}
+	assertWorkflowOrder(mem.Records(), devices, tasks)
+	return elapsed, frames, want
 }
 
 // clusterPartitions fixes the hash-space size for the -brokers sweep so
 // device placement below and the cluster agree on topic -> partition.
 const clusterPartitions = 64
 
-// clusterRun is one -brokers sweep point in BENCH_cluster_fanin.json.
-// ExactlyOnce and OrderOK record assertions the run also enforces (a
-// violation aborts the bench), so a written report is a passing one.
+// clusterRun is one -brokers sweep point. The run itself enforces
+// exactly-once delivery and per-workflow order (a violation aborts the
+// bench), so a returned run is a passing one.
 type clusterRun struct {
-	Nodes        int     `json:"nodes"`
-	ElapsedMS    float64 `json:"elapsed_ms"`
-	Frames       uint64  `json:"frames"`
-	FramesPerSec float64 `json:"frames_per_sec"`
-	Records      int     `json:"records"`
-	ForwardedOut uint64  `json:"forwarded_out"`
-	Migrated     uint64  `json:"migrated"`
-	LinkLost     uint64  `json:"link_lost"`
-	Leave        bool    `json:"leave"`
-	ExactlyOnce  bool    `json:"exactly_once"`
-	OrderOK      bool    `json:"order_ok"`
-}
-
-type clusterFanInReport struct {
-	Bench        string       `json:"bench"`
-	Devices      int          `json:"devices"`
-	Tasks        int          `json:"tasks"`
-	NetemDelayMS float64      `json:"netem_delay_ms"`
-	Runs         []clusterRun `json:"runs"`
-	// Speedup is frames/s of the largest node count over the smallest.
-	Speedup float64 `json:"speedup_max_vs_min"`
+	elapsed       time.Duration
+	recordsPerSec float64
+	forwardedOut  uint64
+	migrated      uint64
+	linkLost      uint64
 }
 
 // clusterSweep measures fan-in throughput against a clustered broker
@@ -372,37 +308,19 @@ type clusterFanInReport struct {
 // runs against edge uplinks. Every run with N >= 2 also exercises a live
 // node leave mid-stream and asserts per-workflow order and exactly-once
 // delivery across the migration.
-func clusterSweep(counts []int, devices, tasks int, delay time.Duration, out string) *stats.Table {
+func clusterSweep(counts []int, devices, tasks int, delay time.Duration) *stats.Table {
 	tbl := stats.NewTable(
 		fmt.Sprintf("Cluster fan-in: %d devices x %d tasks, %s link delay, mid-run leave at N>=2", devices, tasks, delay),
-		"nodes", "elapsed", "frames/s", "forwarded", "migrated")
-	rep := clusterFanInReport{
-		Bench: "cluster_fanin", Devices: devices, Tasks: tasks,
-		NetemDelayMS: float64(delay.Microseconds()) / 1000,
-	}
-	minRate, maxRate := 0.0, 0.0
-	minNodes, maxNodes := 0, 0
+		"nodes", "elapsed", "records/s", "forwarded", "migrated", "link lost")
 	for _, n := range counts {
 		run := runClusterFanIn(n, devices, tasks, delay)
 		tbl.AddRow(fmt.Sprint(n),
-			(time.Duration(run.ElapsedMS) * time.Millisecond).String(),
-			fmt.Sprintf("%.0f", run.FramesPerSec),
-			fmt.Sprint(run.ForwardedOut),
-			fmt.Sprint(run.Migrated))
-		rep.Runs = append(rep.Runs, run)
-		if minNodes == 0 || n < minNodes {
-			minNodes, minRate = n, run.FramesPerSec
-		}
-		if n > maxNodes {
-			maxNodes, maxRate = n, run.FramesPerSec
-		}
+			run.elapsed.Truncate(time.Millisecond).String(),
+			fmt.Sprintf("%.0f", run.recordsPerSec),
+			fmt.Sprint(run.forwardedOut),
+			fmt.Sprint(run.migrated),
+			fmt.Sprint(run.linkLost))
 	}
-	if minNodes != 0 && minRate > 0 {
-		rep.Speedup = maxRate / minRate
-	}
-	writeJSON(out, rep)
-	fmt.Printf("cluster fan-in report written to %s (%.2fx at %d nodes vs %d)\n",
-		out, rep.Speedup, maxNodes, minNodes)
 	return tbl
 }
 
@@ -552,20 +470,11 @@ func runClusterFanIn(n, devices, tasks int, delay time.Duration) clusterRun {
 	}
 	assertWorkflowOrder(mem.Records(), devices, tasks)
 
-	run := clusterRun{
-		Nodes:        n,
-		ElapsedMS:    float64(elapsed.Microseconds()) / 1000,
-		Frames:       tr.Stats().FramesReceived,
-		FramesPerSec: float64(want) / elapsed.Seconds(),
-		Records:      got,
-		Leave:        leaver != "",
-		ExactlyOnce:  true,
-		OrderOK:      true,
-	}
+	run := clusterRun{elapsed: elapsed, recordsPerSec: float64(want) / elapsed.Seconds()}
 	for _, ns := range cl.Stats() {
-		run.ForwardedOut += ns.ForwardedOut
-		run.Migrated += ns.Migrated
-		run.LinkLost += ns.LinkLost
+		run.forwardedOut += ns.ForwardedOut
+		run.migrated += ns.Migrated
+		run.linkLost += ns.LinkLost
 	}
 	return run
 }

@@ -23,14 +23,12 @@
 // node. The default -cluster 1 is byte-for-byte the single broker: no
 // forwarding, no links, zero extra configuration.
 //
-// -stats-listen serves counters as JSON on GET /stats (plus GET
-// /healthz and Prometheus text exposition on GET /metrics; -pprof
-// additionally mounts net/http/pprof). In cluster mode /stats carries
-// the full ownership table: per node its id, listen address, owned
-// partitions, broker counters, the forwarded/migrated/link-lost
-// cluster counters, the membership epoch, and per-peer link health
-// (state, suspect flag, redials, last heartbeat age), alongside the
-// partition->owner map.
+// -stats-listen serves Prometheus text exposition on GET /metrics and a
+// liveness probe on GET /healthz (-pprof additionally mounts
+// net/http/pprof). In cluster mode the broker counters carry a node
+// label, and the cluster series give per node its owned partitions, the
+// forwarded/migrated/link-lost counters, the membership epoch, and
+// per-peer link health.
 //
 // In cluster mode a heartbeat failure detector runs between the nodes:
 // a node silent for -suspect-timeout (confirmed by a second peer when
@@ -53,27 +51,18 @@ import (
 	"github.com/provlight/provlight/internal/obs"
 )
 
-// clusterStats is the /stats document in cluster mode: the partition
-// ownership table plus every node's identity, owned partitions, broker
-// counters, and cluster-layer forwarded/migrated counters.
-type clusterStats struct {
-	Topology cluster.TopologyInfo `json:"topology"`
-	Nodes    []cluster.NodeStats  `json:"nodes"`
-}
-
-// serveStats starts the shared stats listener: GET /stats returns
-// payload() as JSON, /metrics the registry, /healthz a liveness probe,
-// and -pprof mounts net/http/pprof. Returns a shutdown func.
-func serveStats(listen string, reg *obs.Registry, pprofOn bool, payload func() any) func() {
+// serveStats starts the shared stats listener: /metrics the registry,
+// /healthz a liveness probe, and -pprof mounts net/http/pprof. Returns a
+// shutdown func.
+func serveStats(listen string, reg *obs.Registry, pprofOn bool) func() {
 	addr, stop, err := obs.Serve(listen, obs.NewMux(obs.MuxOptions{
 		Registry: reg,
-		Stats:    payload,
 		PProf:    pprofOn,
 	}))
 	if err != nil {
 		log.Fatalf("provlight-broker: stats listener: %v", err)
 	}
-	log.Printf("provlight-broker: serving stats on http://%s/stats (metrics on /metrics)", addr)
+	log.Printf("provlight-broker: serving metrics on http://%s/metrics", addr)
 	return stop
 }
 
@@ -91,7 +80,7 @@ func main() {
 	partitions := flag.Int("partitions", 64, "cluster topic hash-space size (fixed for the cluster's lifetime)")
 	heartbeat := flag.Duration("heartbeat", time.Second, "cluster failure-detector heartbeat interval (<0: disable detection)")
 	suspectTimeout := flag.Duration("suspect-timeout", 0, "silence before a cluster node is suspected dead (0: 5x -heartbeat)")
-	statsListen := flag.String("stats-listen", "", "serve broker stats on this HTTP address (GET /stats, /metrics, /healthz)")
+	statsListen := flag.String("stats-listen", "", "serve broker metrics on this HTTP address (GET /metrics, /healthz)")
 	enablePProf := flag.Bool("pprof", false, "also mount net/http/pprof on the -stats-listen mux")
 	verbose := flag.Bool("v", false, "verbose protocol logging")
 	flag.Parse()
@@ -132,9 +121,7 @@ func main() {
 			log.Printf("provlight-broker: node %s serving MQTT-SN on udp://%s", ids[i], a)
 		}
 		if *statsListen != "" {
-			stop := serveStats(*statsListen, reg, *enablePProf, func() any {
-				return clusterStats{Topology: cl.Topology(), Nodes: cl.Stats()}
-			})
+			stop := serveStats(*statsListen, reg, *enablePProf)
 			defer stop()
 		}
 		<-sig
@@ -182,7 +169,7 @@ func main() {
 	log.Printf("provlight-broker: serving MQTT-SN on udp://%s", b.Addr())
 
 	if *statsListen != "" {
-		stop := serveStats(*statsListen, reg, *enablePProf, func() any { return b.Stats() })
+		stop := serveStats(*statsListen, reg, *enablePProf)
 		defer stop()
 	}
 

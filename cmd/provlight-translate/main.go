@@ -15,10 +15,9 @@
 //	    [-provjson out.json] [-output-interval 30s] \
 //	    [-stats-listen 127.0.0.1:9201] [-pprof]
 //
-// -stats-listen serves translator counters as JSON on GET /stats,
-// Prometheus text exposition (including the end-to-end stage latency
-// histograms) on GET /metrics, and a liveness probe on GET /healthz;
-// -pprof additionally mounts net/http/pprof.
+// -stats-listen serves Prometheus text exposition (including the
+// end-to-end stage latency histograms) on GET /metrics and a liveness
+// probe on GET /healthz; -pprof additionally mounts net/http/pprof.
 //
 // With -sessions > 1 (or an explicit -group) the translator consumes
 // through a shared-subscription consumer group ($share/<group>/<topic>):
@@ -98,7 +97,7 @@ func main() {
 	keepAlive := flag.Duration("keepalive", 0, "broker session keep-alive; a silent broker is declared dead after 1.5x this (0: library default). Lower it to fail over faster when a cluster node crashes")
 	connectTimeout := flag.Duration("connect-timeout", 30*time.Second, "broker connect/subscribe deadline")
 	drainTimeout := flag.Duration("drain-timeout", 30*time.Second, "graceful shutdown drain deadline")
-	statsListen := flag.String("stats-listen", "", "serve translator stats on this HTTP address (GET /stats, /metrics, /healthz)")
+	statsListen := flag.String("stats-listen", "", "serve translator metrics on this HTTP address (GET /metrics, /healthz)")
 	enablePProf := flag.Bool("pprof", false, "also mount net/http/pprof on the -stats-listen mux")
 	flag.Parse()
 
@@ -191,14 +190,13 @@ func main() {
 	if *statsListen != "" {
 		addr, stop, err := obs.Serve(*statsListen, obs.NewMux(obs.MuxOptions{
 			Registry: reg,
-			Stats:    func() any { return tr.Stats() },
 			PProf:    *enablePProf,
 		}))
 		if err != nil {
 			log.Fatalf("provlight-translate: stats listener: %v", err)
 		}
 		defer stop()
-		log.Printf("provlight-translate: serving stats on http://%s/stats (metrics on /metrics)", addr)
+		log.Printf("provlight-translate: serving metrics on http://%s/metrics", addr)
 	}
 
 	sig := make(chan os.Signal, 1)

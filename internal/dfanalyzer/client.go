@@ -238,16 +238,6 @@ func (c *Client) Tasks(ctx context.Context, dataflow string) ([]source.TaskInfo,
 	return infos, nil
 }
 
-// Stats fetches the server's replication-aware health snapshot from
-// GET /stats.
-func (c *Client) Stats(ctx context.Context) (*StoreStats, error) {
-	var st StoreStats
-	if err := c.getJSON(ctx, "/stats", "stats", &st, nil); err != nil {
-		return nil, err
-	}
-	return &st, nil
-}
-
 // Workflows implements source.Source over GET /dataflow (the registered
 // dataflow tags, sorted by the server).
 func (c *Client) Workflows(ctx context.Context) ([]string, error) {

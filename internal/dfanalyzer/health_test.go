@@ -2,9 +2,17 @@ package dfanalyzer
 
 import (
 	"encoding/json"
+	"errors"
 	"net/http"
+	"sync/atomic"
 	"testing"
 )
+
+// readyzBody is the /readyz response body.
+type readyzBody struct {
+	Ready  bool   `json:"ready"`
+	Reason string `json:"reason"`
+}
 
 func getJSONStatus(t *testing.T, url string, out any) int {
 	t.Helper()
@@ -21,66 +29,66 @@ func getJSONStatus(t *testing.T, url string, out any) int {
 	return resp.StatusCode
 }
 
-// TestHealthEndpointsStandalone: a serving standalone store is live and
-// ready.
-func TestHealthEndpointsStandalone(t *testing.T) {
-	srv := NewServer(NewStore())
+func startServer(t *testing.T, srv *Server) string {
+	t.Helper()
 	if err := srv.Start("127.0.0.1:0"); err != nil {
 		t.Fatal(err)
 	}
-	defer srv.Close()
-	base := "http://" + srv.Addr()
+	t.Cleanup(func() { srv.Close() })
+	return "http://" + srv.Addr()
+}
+
+// TestHealthEndpointsStandalone: a serving standalone store is live and
+// ready, and /metrics is its only operator view.
+func TestHealthEndpointsStandalone(t *testing.T) {
+	base := startServer(t, NewServer(NewStore()))
 
 	if code := getJSONStatus(t, base+"/healthz", nil); code != http.StatusOK {
 		t.Fatalf("/healthz = %d, want 200", code)
 	}
-	var ready readyzResponse
-	if code := getJSONStatus(t, base+"/readyz", &ready); code != http.StatusOK {
-		t.Fatalf("/readyz = %d, want 200", code)
+	var ready readyzBody
+	if code := getJSONStatus(t, base+"/readyz", &ready); code != http.StatusOK || !ready.Ready {
+		t.Fatalf("/readyz = %d %+v, want 200 ready", code, ready)
 	}
-	if !ready.Ready || ready.Role != "standalone" {
-		t.Fatalf("readyz = %+v, want ready standalone", ready)
+	if code := getJSONStatus(t, base+"/stats", nil); code != http.StatusNotFound {
+		t.Fatalf("/stats = %d, want 404", code)
 	}
 }
 
-// TestHealthEndpointsReplica: a replica's readiness tracks its
-// replication stream — attached and under the lag threshold.
+// TestHealthEndpointsReplica: a replica's readiness is its replication
+// stream's, reported through Server.Ready; without one attached it is
+// not ready.
 func TestHealthEndpointsReplica(t *testing.T) {
+	detached := NewStore()
+	detached.BeginFollowing()
+	var ready readyzBody
+	base := startServer(t, NewServer(detached))
+	if code := getJSONStatus(t, base+"/readyz", &ready); code != http.StatusServiceUnavailable || ready.Reason == "" {
+		t.Fatalf("replica without a stream: /readyz = %d %+v, want 503 with reason", code, ready)
+	}
+
 	store := NewStore()
 	store.BeginFollowing()
 	srv := NewServer(store)
-	srv.ReadyMaxLag = 10
-
-	// The replication layer's half of /stats, as replica.Follower's
-	// AttachStats would fill it in.
-	replica := &ReplicaStats{Connected: true, LagRecords: 3}
-	srv.OnStats = func(st *StoreStats) { st.Replica = replica }
-
-	if err := srv.Start("127.0.0.1:0"); err != nil {
-		t.Fatal(err)
+	var streamErr atomic.Pointer[error]
+	srv.Ready = func() error {
+		if err := streamErr.Load(); err != nil {
+			return *err
+		}
+		return nil
 	}
-	defer srv.Close()
-	base := "http://" + srv.Addr()
+	base = startServer(t, srv)
 
-	var ready readyzResponse
-	if code := getJSONStatus(t, base+"/readyz", &ready); code != http.StatusOK {
-		t.Fatalf("connected replica under threshold: /readyz = %d, want 200", code)
+	if code := getJSONStatus(t, base+"/readyz", &ready); code != http.StatusOK || !ready.Ready {
+		t.Fatalf("healthy replica: /readyz = %d %+v, want 200 ready", code, ready)
 	}
-	if !ready.Ready || ready.LagRecords != 3 {
-		t.Fatalf("readyz = %+v, want ready with lag 3", ready)
-	}
-
-	replica.LagRecords = 11
+	lagging := errors.New("replica lag 11 records exceeds threshold 10")
+	streamErr.Store(&lagging)
+	ready = readyzBody{}
 	if code := getJSONStatus(t, base+"/readyz", &ready); code != http.StatusServiceUnavailable {
 		t.Fatalf("lagging replica: /readyz = %d, want 503", code)
 	}
-	if ready.Ready || ready.Reason == "" {
-		t.Fatalf("readyz = %+v, want not ready with reason", ready)
-	}
-
-	replica.LagRecords = 3
-	replica.Connected = false
-	if code := getJSONStatus(t, base+"/readyz", &ready); code != http.StatusServiceUnavailable {
-		t.Fatalf("disconnected replica: /readyz = %d, want 503", code)
+	if ready.Ready || ready.Reason != lagging.Error() {
+		t.Fatalf("readyz = %+v, want not ready with the stream's reason", ready)
 	}
 }

@@ -370,76 +370,28 @@ func (s *Store) InstallSnapshot(data []byte) (uint64, error) {
 	return snap.walSeq, nil
 }
 
-// StoreStats is the replication-aware health snapshot served by the HTTP
-// /stats endpoint. The core fields come from Store.Stats; the Replication
-// and Replica halves are filled in by the replication layer (internal/
-// replica) through Server.OnStats — whichever side this store is on.
+// StoreStats is the store's health snapshot: role, term, WAL tail and
+// catalog sizes. The replication layer (internal/replica) reports its
+// own half — follower lag on a primary, staleness on a replica.
 type StoreStats struct {
-	Role      string `json:"role"`
-	Term      uint64 `json:"term"`
-	TermStart uint64 `json:"term_start,omitempty"`
-	Dataflows int    `json:"dataflows"`
-	Tasks     int    `json:"tasks"`
-	// WAL bounds and snapshot position (0 for in-memory stores).
-	WALFirstSeq uint64 `json:"wal_first_seq,omitempty"`
-	WALLastSeq  uint64 `json:"wal_last_seq,omitempty"`
-	SnapshotSeq uint64 `json:"snapshot_seq,omitempty"`
+	Role      string
+	Term      uint64
+	Dataflows int
+	Tasks     int
+	// WAL tail and snapshot position (0 for in-memory stores).
+	WALLastSeq  uint64
+	SnapshotSeq uint64
 	// Background WAL sync failures: silent durability degradation an
-	// operator must see (zero/empty when healthy or in-memory).
-	WALSyncErrors    uint64 `json:"wal_sync_errors,omitempty"`
-	LastWALSyncError string `json:"last_wal_sync_error,omitempty"`
-	// Replication is the primary-side view (nil unless this store ships
-	// its WAL to followers).
-	Replication *ReplicationStats `json:"replication,omitempty"`
-	// Replica is the follower-side view (nil unless this store replays a
-	// primary's WAL).
-	Replica *ReplicaStats `json:"replica,omitempty"`
+	// operator must see (zero when healthy or in-memory).
+	WALSyncErrors uint64
 }
 
-// ReplicationStats is the primary's view of its followers.
-type ReplicationStats struct {
-	Listen    string          `json:"listen"`
-	MinSync   int             `json:"min_sync"`
-	Followers []FollowerStats `json:"followers"`
-}
-
-// FollowerStats is one follower's replication health as seen from the
-// primary.
-type FollowerStats struct {
-	ID string `json:"id"`
-	// AckedSeq is the highest WAL sequence the follower has confirmed
-	// durable; SentSeq is the highest streamed to it.
-	AckedSeq uint64 `json:"acked_seq"`
-	SentSeq  uint64 `json:"sent_seq"`
-	// LagRecords/LagBytes measure how far the follower trails the
-	// primary's WAL tail: records behind the last appended sequence, and
-	// bytes sent but not yet acknowledged.
-	LagRecords uint64 `json:"lag_records"`
-	LagBytes   uint64 `json:"lag_bytes"`
-}
-
-// ReplicaStats is the follower's view of its primary.
-type ReplicaStats struct {
-	Primary string `json:"primary"`
-	// AppliedSeq is the last WAL sequence replayed locally; PrimarySeq is
-	// the primary's tail as of the last record or heartbeat received.
-	AppliedSeq uint64 `json:"applied_seq"`
-	PrimarySeq uint64 `json:"primary_seq"`
-	LagRecords uint64 `json:"lag_records"`
-	// StalenessMillis is how long ago the last record or heartbeat
-	// arrived — the read-routing staleness bound's input.
-	StalenessMillis int64 `json:"staleness_ms"`
-	Connected       bool  `json:"connected"`
-}
-
-// Stats returns the store-local half of StoreStats (role, term, WAL
-// bounds, catalog sizes). The server's /stats handler merges in the
-// replication layer's half via Server.OnStats.
+// Stats returns the store's health snapshot (role, term, WAL tail,
+// catalog sizes).
 func (s *Store) Stats() StoreStats {
 	st := StoreStats{
-		Role:      s.Role().String(),
-		Term:      s.CurrentTerm(),
-		TermStart: s.TermStartSeq(),
+		Role: s.Role().String(),
+		Term: s.CurrentTerm(),
 	}
 	tags := s.Dataflows()
 	st.Dataflows = len(tags)
@@ -447,9 +399,9 @@ func (s *Store) Stats() StoreStats {
 		st.Tasks += s.TaskCount(tag)
 	}
 	if s.dur != nil {
-		st.WALFirstSeq, st.WALLastSeq = s.WALSeqs()
+		_, st.WALLastSeq = s.WALSeqs()
 		st.SnapshotSeq = s.SnapshotSeq()
-		st.WALSyncErrors, st.LastWALSyncError = s.dur.log.SyncErrors()
+		st.WALSyncErrors, _ = s.dur.log.SyncErrors()
 	}
 	return st
 }

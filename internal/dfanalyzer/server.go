@@ -31,20 +31,18 @@ type Server struct {
 	// integration tests that emulate the slower Python/uWSGI backend.
 	ProcessingDelay time.Duration
 
-	// OnStats, when set, decorates the /stats response with the
-	// replication layer's half (follower lag on a primary, staleness on a
-	// replica) before it is served. Set before Start.
-	OnStats func(*StoreStats)
-
-	// ReadyMaxLag bounds how many records a read replica may trail its
-	// primary and still report ready on /readyz. 0 means any connected
-	// replica is ready regardless of lag. Set before Start.
-	ReadyMaxLag uint64
+	// Ready reports a read replica's traffic readiness from its
+	// replication stream (see replica.ReplicaHealth.Ready); nil error is
+	// ready. /readyz consults it only while the store is a replica: a
+	// standalone or primary store that serves is always ready, and a
+	// replica without Ready is not (no stream attached). Set before
+	// Start.
+	Ready func() error
 
 	// Metrics, when set before Start, mounts GET /metrics on the API
 	// listener and registers a scrape-time collector exporting the store's
-	// role/term/WAL health, per-follower replication lag (primary), and
-	// applied-seq/staleness (replica).
+	// catalog sizes, role, term and WAL health. The replication layer
+	// exports its own series into the same registry.
 	Metrics *obs.Registry
 
 	// EnablePProf mounts net/http/pprof under /debug/pprof/ (opt-in; set
@@ -85,31 +83,20 @@ func (s *Server) Start(addr string) error {
 	mux.HandleFunc("/tasks", s.handleTasks)
 	mux.HandleFunc("/frames", s.handleFrames)
 	mux.HandleFunc("/query", s.handleQuery)
-	mux.HandleFunc("/stats", s.handleStats)
-	// Liveness comes from the shared obs wiring; /stats and /readyz stay
-	// local because they carry store semantics (OnStats decoration,
-	// replica-lag readiness) the generic handlers do not know.
-	mux.Handle("/healthz", obs.HealthHandler())
-	mux.HandleFunc("/readyz", s.handleReadyz)
 	if s.Metrics != nil {
-		mux.Handle("/metrics", obs.MetricsHandler(s.Metrics))
 		s.registerMetrics(s.Metrics)
 	}
-	if s.EnablePProf {
-		obs.AttachPProf(mux)
-	}
+	obs.Attach(mux, obs.MuxOptions{Registry: s.Metrics, Ready: s.ready, PProf: s.EnablePProf})
 	s.http = &http.Server{Handler: s.count(mux)}
 	go s.http.Serve(lis)
 	return nil
 }
 
 // registerMetrics installs the server's scrape-time collector: store
-// catalog sizes, WAL health, and both sides of the replication picture —
-// per-follower lag labeled follower=<id> on a primary, applied/staleness
-// on a replica.
+// catalog sizes, role, term and WAL health.
 func (s *Server) registerMetrics(r *obs.Registry) {
 	r.Collect(func(e *obs.Emitter) {
-		st := s.statsDoc()
+		st := s.store.Stats()
 		e.Counter("provlight_store_http_requests_total", "API requests served.", float64(s.requests.Load()))
 		e.Gauge("provlight_store_dataflows", "Dataflows in the catalog.", float64(st.Dataflows))
 		e.Gauge("provlight_store_tasks", "Tasks in the catalog.", float64(st.Tasks))
@@ -122,36 +109,19 @@ func (s *Server) registerMetrics(r *obs.Registry) {
 		e.Gauge("provlight_store_wal_last_seq", "Highest WAL sequence appended (0 for in-memory stores).", float64(st.WALLastSeq))
 		e.Gauge("provlight_store_snapshot_seq", "WAL sequence of the last compaction snapshot.", float64(st.SnapshotSeq))
 		e.Counter("provlight_store_wal_sync_errors_total", "Background WAL fsync failures — silent durability degradation.", float64(st.WALSyncErrors))
-		if st.Replication != nil {
-			e.Gauge("provlight_store_min_sync_followers", "Followers required durable before acks release.", float64(st.Replication.MinSync))
-			for _, f := range st.Replication.Followers {
-				lbl := []string{"follower", f.ID}
-				e.Gauge("provlight_store_follower_acked_seq", "Highest WAL sequence the follower confirmed durable.", float64(f.AckedSeq), lbl...)
-				e.Gauge("provlight_store_follower_lag_records", "Records the follower trails the primary's WAL tail.", float64(f.LagRecords), lbl...)
-				e.Gauge("provlight_store_follower_lag_bytes", "Bytes sent to the follower but not yet acknowledged.", float64(f.LagBytes), lbl...)
-			}
-		}
-		if st.Replica != nil {
-			connected := 0.0
-			if st.Replica.Connected {
-				connected = 1
-			}
-			e.Gauge("provlight_store_replica_connected", "1 while the replication stream to the primary is live.", connected)
-			e.Gauge("provlight_store_replica_applied_seq", "Last WAL sequence replayed locally.", float64(st.Replica.AppliedSeq))
-			e.Gauge("provlight_store_replica_lag_records", "Records this replica trails its primary.", float64(st.Replica.LagRecords))
-			e.Gauge("provlight_store_replica_staleness_seconds", "Time since the last record or heartbeat from the primary.", float64(st.Replica.StalenessMillis)/1000)
-		}
 	})
 }
 
-// statsDoc builds the replication-decorated stats snapshot served by
-// /stats and /readyz and exported by the metrics collector.
-func (s *Server) statsDoc() StoreStats {
-	st := s.store.Stats()
-	if s.OnStats != nil {
-		s.OnStats(&st)
+// ready backs /readyz: recovery is complete (implied by serving), and a
+// read replica's replication stream is attached and healthy.
+func (s *Server) ready() error {
+	if s.store.Role() != RoleReplica {
+		return nil
 	}
-	return st
+	if s.Ready == nil {
+		return errors.New("replication stream not attached")
+	}
+	return s.Ready()
 }
 
 // Addr returns the listen address.
@@ -341,56 +311,6 @@ func (s *Server) handleFrames(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, map[string]any{
 		"status": "ok", "applied": applied, "deduplicated": len(frames) - applied,
 	})
-}
-
-// handleStats serves the replication-aware health snapshot: role, term,
-// WAL bounds, catalog sizes, plus whatever half the replication layer
-// fills in through OnStats.
-func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		w.WriteHeader(http.StatusMethodNotAllowed)
-		return
-	}
-	writeJSON(w, http.StatusOK, s.statsDoc())
-}
-
-// readyzResponse is the /readyz body: whether this node should receive
-// traffic, and why not when it shouldn't.
-type readyzResponse struct {
-	Ready  bool   `json:"ready"`
-	Role   string `json:"role"`
-	Reason string `json:"reason,omitempty"`
-	// LagRecords is how far a replica trails its primary (replica only).
-	LagRecords uint64 `json:"lag_records,omitempty"`
-}
-
-// handleReadyz is traffic readiness: recovery is complete (implied by
-// serving), and a read replica is connected to its primary and — when
-// ReadyMaxLag is set — trailing by no more than that many records. A
-// standalone or primary store that is serving is always ready.
-func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) {
-	st := s.statsDoc()
-	resp := readyzResponse{Ready: true, Role: st.Role}
-	if st.Role == RoleReplica.String() {
-		switch {
-		case st.Replica == nil:
-			resp.Ready, resp.Reason = false, "replication stream not attached"
-		case !st.Replica.Connected:
-			resp.Ready, resp.Reason = false, "disconnected from primary"
-		case s.ReadyMaxLag > 0 && st.Replica.LagRecords > s.ReadyMaxLag:
-			resp.Ready = false
-			resp.Reason = fmt.Sprintf("replica lag %d records exceeds threshold %d",
-				st.Replica.LagRecords, s.ReadyMaxLag)
-		}
-		if st.Replica != nil {
-			resp.LagRecords = st.Replica.LagRecords
-		}
-	}
-	code := http.StatusOK
-	if !resp.Ready {
-		code = http.StatusServiceUnavailable
-	}
-	writeJSON(w, code, resp)
 }
 
 func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {

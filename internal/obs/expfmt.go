@@ -2,6 +2,7 @@ package obs
 
 import (
 	"bufio"
+	"errors"
 	"fmt"
 	"io"
 	"sort"
@@ -21,6 +22,8 @@ type Scrape struct {
 	Samples []ScrapedSample
 	// Types maps family name to its declared TYPE.
 	Types map[string]string
+	// typeLines counts TYPE lines per family (Lint rejects repeats).
+	typeLines map[string]int
 }
 
 // ParseText is a minimal line-oriented parser for the Prometheus text
@@ -31,8 +34,8 @@ type Scrape struct {
 // a malformed line should fail the smoke test).
 func ParseText(r io.Reader) (*Scrape, error) {
 	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 1<<20), 1<<20)
-	out := &Scrape{Types: map[string]string{}}
+	sc.Buffer(nil, 1<<20)
+	out := &Scrape{Types: map[string]string{}, typeLines: map[string]int{}}
 	lineNo := 0
 	for sc.Scan() {
 		lineNo++
@@ -52,6 +55,7 @@ func ParseText(r io.Reader) (*Scrape, error) {
 					return nil, fmt.Errorf("obs: line %d: unknown TYPE %q", lineNo, fields[3])
 				}
 				out.Types[fields[2]] = fields[3]
+				out.typeLines[fields[2]]++
 			}
 			continue
 		}
@@ -238,19 +242,23 @@ func (sc *Scrape) Has(name string) bool {
 	return false
 }
 
+// family returns the family a sample name belongs to: histogram
+// suffixes fold into their declared base name.
+func (sc *Scrape) family(name string) string {
+	for _, suf := range []string{"_bucket", "_sum", "_count"} {
+		if base := strings.TrimSuffix(name, suf); base != name && sc.Types[base] == "histogram" {
+			return base
+		}
+	}
+	return name
+}
+
 // Families returns the sorted distinct family names seen in samples,
 // histogram suffixes folded into their base name.
 func (sc *Scrape) Families() []string {
 	set := map[string]bool{}
 	for _, s := range sc.Samples {
-		n := s.Name
-		for _, suf := range []string{"_bucket", "_sum", "_count"} {
-			if base := strings.TrimSuffix(n, suf); base != n && sc.Types[base] == "histogram" {
-				n = base
-				break
-			}
-		}
-		set[n] = true
+		set[sc.family(s.Name)] = true
 	}
 	out := make([]string, 0, len(set))
 	for n := range set {
@@ -258,4 +266,64 @@ func (sc *Scrape) Families() []string {
 	}
 	sort.Strings(out)
 	return out
+}
+
+// Lint checks the naming and labelling rules every ProvLight exposition
+// follows, returning one error per violation (nil when clean):
+//
+//   - every family name starts with "provlight_";
+//   - a counter's name ends in "_total", and no other family's does;
+//   - every family has exactly one TYPE line;
+//   - all samples of a family carry the same label names ("le" aside).
+func (sc *Scrape) Lint() error {
+	var errs []error
+	labelSets := map[string]string{}
+	for _, s := range sc.Samples {
+		fam := sc.family(s.Name)
+		if _, ok := labelSets[fam]; !ok && sc.typeLines[fam] == 0 {
+			errs = append(errs, fmt.Errorf("%s: no TYPE line", fam))
+		}
+		names := make([]string, 0, len(s.Labels))
+		for n := range s.Labels {
+			if n != "le" {
+				names = append(names, n)
+			}
+		}
+		sort.Strings(names)
+		key := strings.Join(names, ",")
+		if prev, ok := labelSets[fam]; !ok {
+			labelSets[fam] = key
+		} else if prev != key {
+			errs = append(errs, fmt.Errorf("%s: samples carry label names {%s} and {%s}", fam, prev, key))
+			labelSets[fam] = key
+		}
+	}
+	names := make([]string, 0, len(labelSets)+len(sc.Types))
+	for fam := range labelSets {
+		names = append(names, fam)
+	}
+	for fam := range sc.Types {
+		if _, ok := labelSets[fam]; !ok {
+			names = append(names, fam)
+		}
+	}
+	sort.Strings(names)
+	for _, fam := range names {
+		if !strings.HasPrefix(fam, "provlight_") {
+			errs = append(errs, fmt.Errorf("%s: name lacks the provlight_ prefix", fam))
+		}
+		if n := sc.typeLines[fam]; n > 1 {
+			errs = append(errs, fmt.Errorf("%s: %d TYPE lines", fam, n))
+		}
+		kind, typed := sc.Types[fam]
+		total := strings.HasSuffix(fam, "_total")
+		switch {
+		case !typed:
+		case kind == "counter" && !total:
+			errs = append(errs, fmt.Errorf("%s: counter name does not end in _total", fam))
+		case kind != "counter" && total:
+			errs = append(errs, fmt.Errorf("%s: %s name ends in _total", fam, kind))
+		}
+	}
+	return errors.Join(errs...)
 }

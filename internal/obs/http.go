@@ -7,15 +7,13 @@ import (
 	"net/http/pprof"
 )
 
-// MuxOptions configures the shared stats/metrics/health HTTP wiring every
-// ProvLight daemon mounts on its stats listener.
+// MuxOptions configures the shared metrics/health HTTP wiring every
+// ProvLight daemon mounts: on its stats listener, or on its API mux
+// (dfanalyzer-server).
 type MuxOptions struct {
 	// Registry backs GET /metrics (Prometheus text exposition). Nil
 	// omits the endpoint.
 	Registry *Registry
-	// Stats, when set, backs GET /stats with its JSON-encoded result —
-	// the pre-existing per-daemon snapshot document.
-	Stats func() any
 	// Ready, when set, backs GET /readyz: nil error is ready (200),
 	// non-nil is not (503, message in the body). Omitted when nil —
 	// /healthz (pure liveness) is always mounted.
@@ -25,43 +23,21 @@ type MuxOptions struct {
 	PProf bool
 }
 
-// MetricsHandler serves r in Prometheus text exposition format.
-func MetricsHandler(r *Registry) http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {
-		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-		_, _ = r.WriteTo(w)
-	})
-}
-
-// StatsHandler serves payload() as JSON.
-func StatsHandler(payload func() any) http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {
-		w.Header().Set("Content-Type", "application/json")
-		_ = json.NewEncoder(w).Encode(payload())
-	})
-}
-
-// HealthHandler is the shared liveness probe.
-func HealthHandler() http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {
-		w.Header().Set("Content-Type", "application/json")
-		_, _ = w.Write([]byte(`{"ok":true}` + "\n"))
-	})
-}
-
 // Attach mounts the selected endpoints on mux. Daemons with their own
 // API mux (dfanalyzer-server) call this directly; standalone stats
 // listeners use NewMux.
 func Attach(mux *http.ServeMux, o MuxOptions) {
-	if o.Stats != nil {
-		mux.Handle("/stats", StatsHandler(o.Stats))
+	if r := o.Registry; r != nil {
+		mux.HandleFunc("/metrics", func(w http.ResponseWriter, req *http.Request) {
+			w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
+			_, _ = r.WriteTo(w)
+		})
 	}
-	if o.Registry != nil {
-		mux.Handle("/metrics", MetricsHandler(o.Registry))
-	}
-	mux.Handle("/healthz", HealthHandler())
-	if o.Ready != nil {
-		ready := o.Ready
+	mux.HandleFunc("/healthz", func(w http.ResponseWriter, req *http.Request) {
+		w.Header().Set("Content-Type", "application/json")
+		_, _ = w.Write([]byte(`{"ok":true}` + "\n"))
+	})
+	if ready := o.Ready; ready != nil {
 		mux.HandleFunc("/readyz", func(w http.ResponseWriter, req *http.Request) {
 			w.Header().Set("Content-Type", "application/json")
 			if err := ready(); err != nil {
@@ -73,19 +49,12 @@ func Attach(mux *http.ServeMux, o MuxOptions) {
 		})
 	}
 	if o.PProf {
-		AttachPProf(mux)
+		mux.HandleFunc("/debug/pprof/", pprof.Index)
+		mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
+		mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
+		mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
+		mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
 	}
-}
-
-// AttachPProf mounts net/http/pprof on mux. Exported separately for
-// daemons (dfanalyzer-server) that own their mux and only want the
-// profiling endpoints from this package.
-func AttachPProf(mux *http.ServeMux) {
-	mux.HandleFunc("/debug/pprof/", pprof.Index)
-	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
-	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
-	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
-	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
 }
 
 // NewMux returns a fresh mux with the selected endpoints mounted.

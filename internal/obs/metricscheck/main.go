@@ -1,9 +1,10 @@
 // Command metricscheck is the CI smoke checker for /metrics endpoints:
 // it fetches a Prometheus text exposition, validates that every line
-// parses (obs.ParseText rejects anything malformed), asserts the given
-// metric families are present, and optionally writes the raw snapshot
-// to a file for artifact upload. It polls until -timeout so it doubles
-// as a readiness wait for freshly started daemons.
+// parses (obs.ParseText rejects anything malformed) and that names and
+// labels follow the project's rules (obs.Scrape.Lint), asserts the
+// given metric families are present, and optionally writes the raw
+// snapshot to a file for artifact upload. It polls until -timeout so it
+// doubles as a readiness wait for freshly started daemons.
 //
 // Usage:
 //
@@ -57,8 +58,8 @@ func main() {
 	}
 }
 
-// check scrapes url once, requiring a parseable exposition containing
-// every family. Returns the raw body on success.
+// check scrapes url once, requiring a parseable, lint-clean exposition
+// containing every family. Returns the raw body on success.
 func check(url string, families []string) ([]byte, error) {
 	resp, err := http.Get(url)
 	if err != nil {
@@ -75,6 +76,9 @@ func check(url string, families []string) ([]byte, error) {
 	sc, err := obs.ParseText(bytes.NewReader(body))
 	if err != nil {
 		return nil, fmt.Errorf("exposition does not parse: %w", err)
+	}
+	if err := sc.Lint(); err != nil {
+		return nil, fmt.Errorf("exposition breaks naming rules:\n%w", err)
 	}
 	for _, f := range families {
 		if !sc.Has(f) {

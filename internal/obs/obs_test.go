@@ -235,7 +235,7 @@ func TestObserveSince(t *testing.T) {
 	}
 }
 
-// TestMuxEndpoints exercises the shared HTTP wiring: /stats, /metrics,
+// TestMuxEndpoints exercises the shared HTTP wiring: /metrics,
 // /healthz, /readyz, and the opt-in pprof mount.
 func TestMuxEndpoints(t *testing.T) {
 	r := NewRegistry()
@@ -243,7 +243,6 @@ func TestMuxEndpoints(t *testing.T) {
 	ready := true
 	mux := NewMux(MuxOptions{
 		Registry: r,
-		Stats:    func() any { return map[string]int{"frames": 5} },
 		Ready: func() error {
 			if !ready {
 				return errTest
@@ -273,9 +272,6 @@ func TestMuxEndpoints(t *testing.T) {
 		return resp.StatusCode, sb.String()
 	}
 
-	if code, body := get("/stats"); code != 200 || !strings.Contains(body, `"frames":5`) {
-		t.Fatalf("/stats = %d %q", code, body)
-	}
 	code, body := get("/metrics")
 	if code != 200 {
 		t.Fatalf("/metrics = %d", code)

@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"github.com/provlight/provlight/internal/dfanalyzer"
+	"github.com/provlight/provlight/internal/obs"
 	"github.com/provlight/provlight/internal/resilience"
 )
 
@@ -392,26 +393,18 @@ func (f *Follower) Health() ReplicaHealth {
 	return h
 }
 
-// Stats returns the follower's replication health for /stats.
-func (f *Follower) Stats() dfanalyzer.ReplicaStats {
+// Collect exports the replica's replication health: stream state,
+// applied position, lag and staleness. Pass it to obs.Registry.Collect.
+func (f *Follower) Collect(e *obs.Emitter) {
 	h := f.Health()
-	return dfanalyzer.ReplicaStats{
-		Primary:         f.opts.Primary,
-		AppliedSeq:      f.AppliedSeq(),
-		PrimarySeq:      f.primarySeq.Load(),
-		LagRecords:      h.LagRecords,
-		StalenessMillis: h.Staleness.Milliseconds(),
-		Connected:       h.Connected,
+	connected := 0.0
+	if h.Connected {
+		connected = 1
 	}
-}
-
-// AttachStats wires the follower's health into a dfanalyzer HTTP
-// server's /stats response (the read-replica serving endpoint).
-func (f *Follower) AttachStats(hs *dfanalyzer.Server) {
-	hs.OnStats = func(st *dfanalyzer.StoreStats) {
-		rs := f.Stats()
-		st.Replica = &rs
-	}
+	e.Gauge("provlight_store_replica_connected", "1 while the replication stream to the primary is live.", connected)
+	e.Gauge("provlight_store_replica_applied_seq", "Last WAL sequence replayed locally.", float64(f.AppliedSeq()))
+	e.Gauge("provlight_store_replica_lag_records", "Records this replica trails its primary.", float64(h.LagRecords))
+	e.Gauge("provlight_store_replica_staleness_seconds", "Time since the last record or heartbeat from the primary.", float64(h.Staleness.Milliseconds())/1000)
 }
 
 func maxU64(a, b uint64) uint64 {

@@ -5,11 +5,14 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"net/http"
+	"strings"
 	"testing"
 	"time"
 
 	"github.com/provlight/provlight/internal/chaos"
 	"github.com/provlight/provlight/internal/dfanalyzer"
+	"github.com/provlight/provlight/internal/obs"
 	"github.com/provlight/provlight/internal/source"
 	"github.com/provlight/provlight/internal/wal"
 )
@@ -466,7 +469,8 @@ func TestLaggedFollowerResumesAcrossPromotion(t *testing.T) {
 	assertSameReads(t, r1, r2)
 }
 
-// TestReplicationStats checks both halves of the stats surface.
+// TestReplicationStats checks both halves of the replication health
+// view in process, and the series each half exports to /metrics.
 func TestReplicationStats(t *testing.T) {
 	primary := openStore(t, t.TempDir(), 0)
 	defer primary.Close()
@@ -493,17 +497,107 @@ func TestReplicationStats(t *testing.T) {
 		t.Fatalf("caught-up follower shows lag: %+v", st.Followers[0])
 	}
 
-	rs := f.Stats()
-	if !rs.Connected || rs.AppliedSeq != last || rs.LagRecords != 0 {
-		t.Fatalf("unexpected replica stats: %+v", rs)
+	h := f.Health()
+	if !h.Connected || f.AppliedSeq() != last || h.LagRecords != 0 {
+		t.Fatalf("unexpected replica health: %+v at applied %d, want %d", h, f.AppliedSeq(), last)
 	}
-	if rs.StalenessMillis < 0 || rs.StalenessMillis > 5000 {
-		t.Fatalf("implausible staleness: %d ms", rs.StalenessMillis)
+	if h.Staleness < 0 || h.Staleness > 5*time.Second {
+		t.Fatalf("implausible staleness: %v", h.Staleness)
 	}
 
 	ss := primary.Stats()
 	if ss.Role != "primary" || ss.Term == 0 || ss.WALLastSeq != last {
 		t.Fatalf("unexpected store stats: %+v", ss)
+	}
+
+	// Each half exports its own series through its collect method.
+	scrape := func(collect func(*obs.Emitter)) *obs.Scrape {
+		t.Helper()
+		reg := obs.NewRegistry()
+		reg.Collect(collect)
+		var b strings.Builder
+		if _, err := reg.WriteTo(&b); err != nil {
+			t.Fatal(err)
+		}
+		sc, err := obs.ParseText(strings.NewReader(b.String()))
+		if err != nil {
+			t.Fatalf("exposition does not parse: %v", err)
+		}
+		return sc
+	}
+	ps := scrape(srv.Collect)
+	if v, ok := ps.Value("provlight_store_min_sync_followers"); !ok || v != 1 {
+		t.Errorf("primary min_sync_followers = %v (present %v), want 1", v, ok)
+	}
+	for name, want := range map[string]float64{
+		"provlight_store_follower_acked_seq":   float64(last),
+		"provlight_store_follower_lag_records": 0,
+		"provlight_store_follower_lag_bytes":   0,
+	} {
+		if v, ok := ps.Value(name, "follower", "r1"); !ok || v != want {
+			t.Errorf("primary %s{follower=r1} = %v (present %v), want %v", name, v, ok, want)
+		}
+	}
+	rs := scrape(f.Collect)
+	for name, want := range map[string]float64{
+		"provlight_store_replica_connected":   1,
+		"provlight_store_replica_applied_seq": float64(last),
+		"provlight_store_replica_lag_records": 0,
+	} {
+		if v, ok := rs.Value(name); !ok || v != want {
+			t.Errorf("replica %s = %v (present %v), want %v", name, v, ok, want)
+		}
+	}
+	if v, ok := rs.Value("provlight_store_replica_staleness_seconds"); !ok || v < 0 || v > 5 {
+		t.Errorf("replica staleness = %v (present %v)", v, ok)
+	}
+}
+
+// TestReplicaReadiness checks the readiness rule Health produces, and
+// that a replica store's /readyz follows its live stream through
+// dfanalyzer.Server.Ready.
+func TestReplicaReadiness(t *testing.T) {
+	for _, tc := range []struct {
+		h      ReplicaHealth
+		maxLag uint64
+		ready  bool
+	}{
+		{ReplicaHealth{Connected: true, LagRecords: 3}, 10, true},
+		{ReplicaHealth{Connected: true, LagRecords: 10}, 10, true},
+		{ReplicaHealth{Connected: true, LagRecords: 11}, 10, false},
+		{ReplicaHealth{Connected: true, LagRecords: 1 << 40}, 0, true},
+		{ReplicaHealth{Connected: false}, 0, false},
+	} {
+		if err := tc.h.Ready(tc.maxLag); (err == nil) != tc.ready {
+			t.Errorf("%+v.Ready(%d) = %v, want ready %v", tc.h, tc.maxLag, err, tc.ready)
+		}
+	}
+
+	primary := openStore(t, t.TempDir(), 0)
+	defer primary.Close()
+	srv := startPrimary(t, primary, Options{HeartbeatInterval: 20 * time.Millisecond})
+	replica := openStore(t, t.TempDir(), 0)
+	defer replica.Close()
+	f := startFollower(t, replica, FollowerOptions{Primary: srv.Addr(), ID: "r1"})
+
+	hs := dfanalyzer.NewServer(replica)
+	hs.Ready = func() error { return f.Health().Ready(10) }
+	if err := hs.Start("127.0.0.1:0"); err != nil {
+		t.Fatal(err)
+	}
+	defer hs.Close()
+	readyz := func() int {
+		resp, err := http.Get("http://" + hs.Addr() + "/readyz")
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		return resp.StatusCode
+	}
+	waitFor(t, "replica ready", func() bool { return readyz() == http.StatusOK })
+	f.Stop()
+	if code := readyz(); code != http.StatusServiceUnavailable {
+		t.Fatalf("stopped replica: /readyz = %d, want 503", code)
 	}
 }
 

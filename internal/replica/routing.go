@@ -2,6 +2,8 @@ package replica
 
 import (
 	"context"
+	"errors"
+	"fmt"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -9,7 +11,7 @@ import (
 	"github.com/provlight/provlight/internal/source"
 )
 
-// ReplicaHealth is the routing view of one replica.
+// ReplicaHealth is the routing and readiness view of one replica.
 type ReplicaHealth struct {
 	// LagRecords is how many WAL records the replica trails the primary.
 	LagRecords uint64
@@ -18,6 +20,19 @@ type ReplicaHealth struct {
 	Staleness time.Duration
 	// Connected reports a live replication session.
 	Connected bool
+}
+
+// Ready reports whether the replica should receive traffic: connected,
+// and trailing by no more than maxLag records (0: any lag). It backs
+// dfanalyzer.Server.Ready.
+func (h ReplicaHealth) Ready(maxLag uint64) error {
+	switch {
+	case !h.Connected:
+		return errors.New("disconnected from primary")
+	case maxLag > 0 && h.LagRecords > maxLag:
+		return fmt.Errorf("replica lag %d records exceeds threshold %d", h.LagRecords, maxLag)
+	}
+	return nil
 }
 
 // RoutingOptions bound how stale a replica may be and still serve reads.
@@ -70,7 +85,7 @@ func NewRoutingSource(primary source.Source, opts RoutingOptions) *RoutingSource
 
 // AddReplica registers a replica and its health probe (typically
 // Follower.Store and Follower.Health, or a remote dfanalyzer.Client
-// paired with a /stats poll).
+// paired with a poll of the replica's /metrics).
 func (r *RoutingSource) AddReplica(src source.Source, health func() ReplicaHealth) {
 	r.mu.Lock()
 	r.replicas = append(r.replicas, routedReplica{src: src, health: health})

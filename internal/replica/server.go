@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"github.com/provlight/provlight/internal/dfanalyzer"
+	"github.com/provlight/provlight/internal/obs"
 	"github.com/provlight/provlight/internal/wal"
 )
 
@@ -59,7 +60,6 @@ type followerConn struct {
 	wake chan struct{}
 
 	mu          sync.Mutex
-	sentSeq     uint64
 	ackedSeq    uint64
 	lagBytes    uint64
 	outstanding []recMeta // sent, unacked records (pruned on ack)
@@ -381,7 +381,6 @@ func (s *Server) unregister(f *followerConn) {
 
 func (f *followerConn) noteSent(seq, bytes uint64) {
 	f.mu.Lock()
-	f.sentSeq = seq
 	f.lagBytes += bytes
 	f.outstanding = append(f.outstanding, recMeta{seq: seq, bytes: bytes})
 	f.mu.Unlock()
@@ -469,11 +468,31 @@ func (s *Server) CommitGate(timeout time.Duration) func() error {
 	}
 }
 
+// ReplicationStats is the primary's view of its followers.
+type ReplicationStats struct {
+	MinSync   int
+	Followers []FollowerStats
+}
+
+// FollowerStats is one follower's replication health as seen from the
+// primary.
+type FollowerStats struct {
+	ID string
+	// AckedSeq is the highest WAL sequence the follower has confirmed
+	// durable.
+	AckedSeq uint64
+	// LagRecords/LagBytes measure how far the follower trails the
+	// primary's WAL tail: records behind the last appended sequence, and
+	// bytes sent but not yet acknowledged.
+	LagRecords uint64
+	LagBytes   uint64
+}
+
 // Stats reports per-follower replication lag (records behind the primary
 // tail, bytes sent but unacked).
-func (s *Server) Stats() dfanalyzer.ReplicationStats {
+func (s *Server) Stats() ReplicationStats {
 	last := s.log.LastSeq()
-	st := dfanalyzer.ReplicationStats{Listen: s.Addr(), MinSync: s.opts.MinSync}
+	st := ReplicationStats{MinSync: s.opts.MinSync}
 	s.mu.Lock()
 	ids := make([]string, 0, len(s.followers))
 	for id := range s.followers {
@@ -483,10 +502,9 @@ func (s *Server) Stats() dfanalyzer.ReplicationStats {
 	for _, id := range ids {
 		f := s.followers[id]
 		f.mu.Lock()
-		fs := dfanalyzer.FollowerStats{
+		fs := FollowerStats{
 			ID:       f.id,
 			AckedSeq: f.ackedSeq,
-			SentSeq:  f.sentSeq,
 			LagBytes: f.lagBytes,
 		}
 		if last > f.ackedSeq {
@@ -499,11 +517,16 @@ func (s *Server) Stats() dfanalyzer.ReplicationStats {
 	return st
 }
 
-// AttachStats wires the server's follower view into a dfanalyzer HTTP
-// server's /stats response.
-func (s *Server) AttachStats(hs *dfanalyzer.Server) {
-	hs.OnStats = func(st *dfanalyzer.StoreStats) {
-		repl := s.Stats()
-		st.Replication = &repl
+// Collect exports the primary's replication health: the semi-sync
+// requirement and per-follower lag labeled follower=<id>. Pass it to
+// obs.Registry.Collect.
+func (s *Server) Collect(e *obs.Emitter) {
+	st := s.Stats()
+	e.Gauge("provlight_store_min_sync_followers", "Followers required durable before acks release.", float64(st.MinSync))
+	for _, f := range st.Followers {
+		lbl := []string{"follower", f.ID}
+		e.Gauge("provlight_store_follower_acked_seq", "Highest WAL sequence the follower confirmed durable.", float64(f.AckedSeq), lbl...)
+		e.Gauge("provlight_store_follower_lag_records", "Records the follower trails the primary's WAL tail.", float64(f.LagRecords), lbl...)
+		e.Gauge("provlight_store_follower_lag_bytes", "Bytes sent to the follower but not yet acknowledged.", float64(f.LagBytes), lbl...)
 	}
 }

@@ -8,11 +8,8 @@ package provlight_test
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
-	"os"
-	"path/filepath"
 	"testing"
 	"time"
 
@@ -317,8 +314,7 @@ func TestFailoverExactlyOnce(t *testing.T) {
 // ingesting frames at a paced 10k frames/s (each iteration is one frame).
 // The reported lag_ms is how long the follower needs to drain the
 // residual gap once ingest stops — the real-world answer to "how much do
-// I lose if I promote right now". Set BENCH_JSON=1 to write
-// BENCH_replica_lag.json next to the test binary's working directory.
+// I lose if I promote right now".
 func BenchmarkReplicaLag(b *testing.B) {
 	dirP, dirF := b.TempDir(), b.TempDir()
 	primary, err := dfanalyzer.OpenStore(dfanalyzer.StoreOptions{
@@ -404,21 +400,6 @@ func BenchmarkReplicaLag(b *testing.B) {
 	b.ReportMetric(float64(maxLagRecords), "max_lag_records")
 	b.ReportMetric(achieved, "frames/s")
 
-	if os.Getenv("BENCH_JSON") != "" {
-		out := map[string]any{
-			"benchmark":       "BenchmarkReplicaLag",
-			"frames":          b.N,
-			"target_rate_fps": rate,
-			"achieved_fps":    achieved,
-			"lag_ms":          float64(lag.Microseconds()) / 1000,
-			"max_lag_records": maxLagRecords,
-			"pass_100ms":      lag < 100*time.Millisecond,
-		}
-		data, _ := json.MarshalIndent(out, "", "  ")
-		if err := os.WriteFile(filepath.Join(".", "BENCH_replica_lag.json"), append(data, '\n'), 0o644); err != nil {
-			b.Logf("write BENCH_replica_lag.json: %v", err)
-		}
-	}
 	if b.N >= 1000 && lag >= 100*time.Millisecond {
 		b.Fatalf("replica lag %v >= 100ms at %d frames (%.0f frames/s)", lag, b.N, achieved)
 	}
