@@ -437,7 +437,7 @@ func BenchmarkMQTTSNPublishWindowed(b *testing.B) {
 			start := time.Now()
 			acks := make([]<-chan error, 0, b.N)
 			for i := 0; i < b.N; i++ {
-				acks = append(acks, c.PublishAsync("bench/windowed", payload, mqttsn.QoS2))
+				acks = append(acks, publishAsync(c, "bench/windowed", payload, mqttsn.QoS2))
 			}
 			for i, ch := range acks {
 				if err := <-ch; err != nil {
@@ -532,7 +532,7 @@ func BenchmarkBrokerFanIn(b *testing.B) {
 					acks := make([]<-chan error, 0, n)
 					for i := 0; i < n; i++ {
 						topic := fmt.Sprintf("fanin/%d/records", p*topicsPerPub+i%topicsPerPub)
-						acks = append(acks, clients[p].PublishAsync(topic, payload, mqttsn.QoS2))
+						acks = append(acks, publishAsync(clients[p], topic, payload, mqttsn.QoS2))
 					}
 					for i, ch := range acks {
 						if err := <-ch; err != nil {
@@ -1030,4 +1030,12 @@ func BenchmarkSourceSelect(b *testing.B) {
 			}
 		})
 	}
+}
+
+// publishAsync starts a publish and returns a channel that receives its
+// outcome.
+func publishAsync(c *mqttsn.Client, topic string, payload []byte, qos mqttsn.QoS) <-chan error {
+	errc := make(chan error, 1)
+	c.PublishAsync(topic, payload, qos, func(err error) { errc <- err })
+	return errc
 }

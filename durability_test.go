@@ -151,9 +151,9 @@ func TestKillRestartExactlyOnce(t *testing.T) {
 	captureRange(t, client1, 0, n/3)
 	time.Sleep(400 * time.Millisecond)
 
-	// SIGKILL the translator mid-stream: frames already QoS2-acked by the
-	// broker but not yet durably applied die with it; unacked spool
-	// frames must cover them.
+	// SIGKILL the translator mid-stream: frames the broker already
+	// acknowledged (the hop's PUBACK) but not yet durably applied die
+	// with it; unacked spool frames must cover them.
 	tr1.Abort()
 	if err := store1.Close(); err != nil { // crash-equivalent: no snapshot, WAL only
 		t.Fatal(err)

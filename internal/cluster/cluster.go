@@ -5,10 +5,12 @@
 // or translator session may connect to ANY node: frames released on a
 // non-owner are forwarded over a pooled MQTT-SN bridge link to the
 // owner, whose routing and consumer-group machinery then behaves
-// exactly as in the single-broker case — per-workflow (per-topic) order
-// and QoS 2 exactly-once both survive the extra hop because each
-// (source node, owner) pair shares one link session whose frames are
-// submitted in routing order.
+// exactly as in the single-broker case. A frame crosses the link at the
+// QoS it arrived with (QoS 2 from memory-mode devices; QoS 1 from spooled
+// ones, whose exactly-once is the store's dedup), and per-workflow
+// (per-topic) order survives the extra hop on a loss-free link because
+// each (source node, owner) pair shares one link session whose frames
+// are submitted in routing order.
 //
 // Membership is static-first: New starts a fixed set of nodes; Join and
 // Leave change it at runtime by migrating the moved partitions live —

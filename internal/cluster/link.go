@@ -16,10 +16,12 @@ import (
 // routing never echoes frames back), carrying two flows:
 //
 //   - outbound publishes: frames this node releases for partitions the
-//     peer owns, forwarded at the frame's original QoS through a single
-//     runner, so one link's frames reach the peer in submission order
-//     and the peer's ordered-release machinery preserves per-topic order
-//     end to end;
+//     peer owns, forwarded at the frame's original QoS (QoS 2 from
+//     memory-mode devices, QoS 1 from spooled ones) through a single
+//     runner, so one link's frames leave in submission order and the peer
+//     routes each as its PUBLISH arrives: per-topic order holds end to
+//     end on a loss-free link, and a lost PUBLISH is overtaken by the
+//     frames behind it;
 //   - inbound subscriptions: the node's propagated individual filters,
 //     delivered by the peer when IT releases a matching frame and
 //     re-injected into the local broker for local subscribers only.
@@ -170,9 +172,9 @@ func (l *link) replay(mc *mqttsn.Client) bool {
 
 // pump is the submission loop for one session: PublishAsync transmits
 // each initial PUBLISH before returning, so frames hit the wire in queue
-// order; completions (which may finish out of order) settle the unacked
-// table. A failed completion leaves its frame retained and closes the
-// client, which ends the session (down closes) for a redial.
+// order; completion callbacks (which may run out of order) settle the
+// unacked table. A failed completion leaves its frame retained and closes
+// the client, which ends the session (down closes) for a redial.
 func (l *link) pump(mc *mqttsn.Client, down <-chan struct{}) {
 	for {
 		select {
@@ -184,18 +186,19 @@ func (l *link) pump(mc *mqttsn.Client, down <-chan struct{}) {
 			l.nextSeq++
 			l.unacked[seq] = qf
 			l.mu.Unlock()
-			errc := mc.PublishAsync(qf.f.Topic, qf.f.Payload, qf.f.QoS)
 			l.wg.Add(1)
-			go func(seq uint64, part int, topic string) {
+			mc.PublishAsync(qf.f.Topic, qf.f.Payload, qf.f.QoS, func(err error) {
 				defer l.wg.Done()
-				if err := <-errc; err != nil {
+				if err != nil {
 					// Retained for replay; no pending release, no loss count.
-					l.n.c.logf("cluster: %s->%s: forward %q: %v (retained for replay)", l.n.id, l.peer, topic, err)
-					mc.Close()
+					l.n.c.logf("cluster: %s->%s: forward %q: %v (retained for replay)", l.n.id, l.peer, qf.f.Topic, err)
+					// Not from the callback itself, which may run on the
+					// client's own loops.
+					go mc.Close()
 					return
 				}
-				l.settle(seq, part)
-			}(seq, qf.part, qf.f.Topic)
+				l.settle(seq, qf.part)
+			})
 		}
 	}
 }
@@ -282,7 +285,7 @@ func (l *link) heartbeat(topic string, payload []byte) {
 	// wedged link must not starve beats to healthy peers and turn into
 	// false suspicions.
 	go func() {
-		<-mc.PublishAsync(topic, payload, mqttsn.QoS0)
+		_ = mc.Publish(topic, payload, mqttsn.QoS0)
 		l.mu.Lock()
 		l.hbBusy = false
 		l.mu.Unlock()

@@ -57,6 +57,10 @@ type Config struct {
 	// ("exactly once", Table VI); the zero value is mapped to QoS 2 (as in
 	// translate.Config). Fire-and-forget capture is available via
 	// mqttsn.QoSMinusOne; QoS 0 cannot be requested through this field.
+	// In memory mode every hop runs the configured QoS. In spool mode QoS 2
+	// is delivered end to end, by the frame's durable seq, the translator's
+	// ack after durable apply and the store's (origin, seq) dedup, and the
+	// hops run QoS 1.
 	QoS mqttsn.QoS
 	// GroupSize, when > 0, buffers the records of that many *ended tasks*
 	// and transmits them in one frame. Task-begin records are always sent
@@ -130,9 +134,10 @@ type Config struct {
 	// precedence over Conn.
 	DialConn func() (net.PacketConn, error)
 	// WindowSize bounds how many publish handshakes the async sender keeps
-	// in flight at once. At QoS 2 each frame costs two round trips; the
-	// window overlaps those handshakes so throughput is no longer capped at
-	// 1/(2*RTT) frames/s on high-latency edge links. 1 restores the
+	// in flight at once. Each frame holds its slot for one round trip at
+	// QoS 1 (spool mode) and two at QoS 2 (memory mode); the window
+	// overlaps those handshakes so throughput is no longer capped at one
+	// frame per handshake on high-latency edge links. 1 restores the
 	// stop-and-wait behaviour (one frame fully acknowledged before the
 	// next is sent); frames are always *submitted* in capture order, but
 	// with WindowSize > 1 they may complete (and be routed by the broker)
@@ -496,9 +501,9 @@ func (c *Client) MQTTStats() mqttsn.ClientStats {
 // sender keeps the publish window full: it compresses each queued frame
 // and submits it as an asynchronous handshake, blocking only when
 // WindowSize handshakes are already in flight, instead of waiting out the
-// full QoS 2 double round trip per frame. Completion (and error
-// accounting) happens on a small per-frame collector; Flush/Close observe
-// it through the inFly group.
+// full QoS 2 double round trip per frame. The handshake's completion
+// callback does the error accounting and recycles the buffer; Flush/Close
+// observe it through the inFly group.
 func (c *Client) sender() {
 	defer c.wg.Done()
 	for raw := range c.sendQ {
@@ -513,14 +518,13 @@ func (c *Client) sender() {
 				obs.ObserveSince(c.stageCapture, ns)
 			}
 		}
-		errc := c.mqtt.PublishAsync(c.topic, *bufp, c.cfg.QoS)
-		go func() {
-			if err := <-errc; err != nil {
+		c.mqtt.PublishAsync(c.topic, *bufp, c.cfg.QoS, func(err error) {
+			if err != nil {
 				c.reportAsync(err)
 			}
 			framePool.Put(bufp)
 			c.inFly.Done()
-		}()
+		})
 	}
 }
 

@@ -18,9 +18,13 @@ import (
 // (Config.SpoolDir): captures append to a disk spool, and a supervised
 // broker session (mqttsn.Session) drains it — sliding an ack window over
 // the spool and rewinding to redeliver frames whose acknowledgements
-// never arrived. The transport still runs QoS 2, but broker receipt does
-// not release a frame: only the translator's ack (published after durable
-// delivery to every target) advances the spool's persisted floor.
+// never arrived. Delivery is exactly once end to end: each frame carries
+// its durable seq, the translator acks it only after durable delivery to
+// every target, and the store deduplicates on (origin, seq). Broker
+// receipt does not release a frame; only that ack advances the spool's
+// persisted floor. So the hops need no exactly-once of their own, and a
+// frame configured at QoS 2 crosses each of them at QoS 1: two packets
+// per hop instead of four.
 
 // newSpoolClient opens the spool and starts the drainer; the broker does
 // not need to be reachable.
@@ -191,6 +195,12 @@ func (c *Client) drainWith(mc *mqttsn.Client, down <-chan struct{}) {
 	defer stall.Stop()
 	lastFloor := c.spool.Floor()
 	var lastPub uint64
+	// A configured QoS 2 is delivered end to end (see the file comment),
+	// so the hop runs QoS 1.
+	hopQoS := c.cfg.QoS
+	if hopQoS == mqttsn.QoS2 {
+		hopQoS = mqttsn.QoS1
+	}
 
 	// checkStall rewinds the reader when published frames sit unacked
 	// with no floor progress for a full tick: the ack was lost, or the
@@ -263,35 +273,34 @@ func (c *Client) drainWith(mc *mqttsn.Client, down <-chan struct{}) {
 		}
 		// Blocks only while the transport's in-flight window is full;
 		// Close/Abort unblocks it.
-		errc := mc.PublishAsync(c.topic, frame, c.cfg.QoS)
-		c.ctr.framesPublished.Add(1)
-		lastPub = seq
-		go func() {
-			err := <-errc
+		mc.PublishAsync(c.topic, frame, hopQoS, func(err error) {
 			framePool.Put(bufp)
-			if err != nil {
-				if !errors.Is(err, mqttsn.ErrClosed) {
-					c.reportAsync(fmt.Errorf("provlight: publish spooled frame %d: %w", seq, err))
-				}
+			if err != nil && !errors.Is(err, mqttsn.ErrClosed) {
+				c.reportAsync(fmt.Errorf("provlight: publish spooled frame %d: %w", seq, err))
 				// A handshake that exhausted its retries means the link is
 				// gone: recycle the session (closing the client closes
-				// down), the next one redelivers.
-				mc.Close()
+				// down), the next one redelivers. Not from the callback
+				// itself, which may run on the client's own loops.
+				go mc.Close()
 			}
-		}()
+		})
+		c.ctr.framesPublished.Add(1)
+		lastPub = seq
 	}
 }
 
 // waitDrained blocks until every spooled frame is acked, or ctx expires.
+// It polls rather than wait on AckSignal: that signal has room for one
+// wakeup, and taking it here would leave the drainer asleep in its ack
+// window until the next stall tick (RedeliverAfter).
 func (c *Client) waitDrained(ctx context.Context) error {
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	tick := time.NewTicker(25 * time.Millisecond)
+	tick := time.NewTicker(5 * time.Millisecond)
 	defer tick.Stop()
 	for !c.spool.Drained() {
 		select {
-		case <-c.spool.AckSignal():
 		case <-tick.C:
 		case <-ctx.Done():
 			return ctx.Err()

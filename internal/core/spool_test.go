@@ -295,3 +295,39 @@ func TestSpoolReconnectsAfterMidStreamBrokerDeath(t *testing.T) {
 		t.Fatalf("store has %d tasks, want exactly %d", got, n)
 	}
 }
+
+// TestShutdownDrainKeepsAckWindowMoving: Shutdown waiting for the spool
+// to drain must not take the ack-progress wakeup the drainer sleeps on in
+// a full ack window, or the drain stalls until RedeliverAfter.
+func TestShutdownDrainKeepsAckWindowMoving(t *testing.T) {
+	srv, err := StartServer(context.Background(), ServerConfig{
+		Addr:    "127.0.0.1:0",
+		Targets: []translate.Target{translate.NewMemoryTarget()},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	client, err := NewClient(context.Background(), Config{
+		Broker:         srv.Addr(),
+		ClientID:       "window-drain",
+		SpoolDir:       t.TempDir(),
+		AckWindow:      1,
+		RedeliverAfter: time.Minute,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const tasks = 50
+	for i := 0; i < tasks; i++ {
+		captureTask(t, client, "wf", i)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	if err := client.Shutdown(ctx); err != nil {
+		t.Fatalf("shutdown: %v (stats %+v)", err, client.StatsSnapshot())
+	}
+	if st := client.StatsSnapshot(); st.SpoolAcked != 2*tasks {
+		t.Fatalf("acked %d frames, want %d", st.SpoolAcked, 2*tasks)
+	}
+}

@@ -44,6 +44,14 @@ func connectClient(t *testing.T, cfg mqttsn.ClientConfig) *mqttsn.Client {
 	return c
 }
 
+// publishAsync starts a publish and returns a channel that receives its
+// outcome.
+func publishAsync(c *mqttsn.Client, topic string, payload []byte, qos mqttsn.QoS) <-chan error {
+	errc := make(chan error, 1)
+	c.PublishAsync(topic, payload, qos, func(err error) { errc <- err })
+	return errc
+}
+
 // TestConcurrentPublishAsyncQoS2ExactlyOnceLossy overlaps many QoS 2
 // handshakes through a lossy, duplicating link and checks that every flow
 // completes, acknowledgements are matched to the right msgID, and the
@@ -81,7 +89,7 @@ func TestConcurrentPublishAsyncQoS2ExactlyOnceLossy(t *testing.T) {
 	const n = 40
 	chans := make([]<-chan error, n)
 	for i := 0; i < n; i++ {
-		chans[i] = pub.PublishAsync("eo/async", []byte(fmt.Sprintf("am-%d", i)), mqttsn.QoS2)
+		chans[i] = publishAsync(pub, "eo/async", []byte(fmt.Sprintf("am-%d", i)), mqttsn.QoS2)
 	}
 	for i, ch := range chans {
 		if err := <-ch; err != nil {
@@ -142,7 +150,7 @@ func TestPublishAsyncWindowLimitsInflight(t *testing.T) {
 	start := time.Now()
 	chans := make([]<-chan error, n)
 	for i := 0; i < n; i++ {
-		chans[i] = pub.PublishAsync("win/topic", []byte{byte(i)}, mqttsn.QoS2)
+		chans[i] = publishAsync(pub, "win/topic", []byte{byte(i)}, mqttsn.QoS2)
 	}
 	for i, ch := range chans {
 		if err := <-ch; err != nil {
@@ -166,10 +174,10 @@ func TestPublishAsyncQoS0And1(t *testing.T) {
 		t.Fatal(err)
 	}
 	pub := connectClient(t, mqttsn.ClientConfig{ClientID: "pub-q01", Gateway: b.Addr()})
-	if err := <-pub.PublishAsync("q01/topic", []byte("zero"), mqttsn.QoS0); err != nil {
+	if err := <-publishAsync(pub, "q01/topic", []byte("zero"), mqttsn.QoS0); err != nil {
 		t.Fatal(err)
 	}
-	if err := <-pub.PublishAsync("q01/topic", []byte("one"), mqttsn.QoS1); err != nil {
+	if err := <-publishAsync(pub, "q01/topic", []byte("one"), mqttsn.QoS1); err != nil {
 		t.Fatal(err)
 	}
 	deadline := time.Now().Add(3 * time.Second)
@@ -189,7 +197,7 @@ func TestPublishAsyncAfterClose(t *testing.T) {
 		t.Fatal(err)
 	}
 	pub.Close()
-	err := <-pub.PublishAsync("closed/topic", []byte("x"), mqttsn.QoS2)
+	err := <-publishAsync(pub, "closed/topic", []byte("x"), mqttsn.QoS2)
 	if err == nil {
 		t.Fatal("publish after close succeeded")
 	}

@@ -61,10 +61,11 @@ type ClientConfig struct {
 	// MaxRetries bounds retransmissions per in-flight message. Defaults to 5.
 	MaxRetries int
 	// InflightWindow bounds how many publish handshakes may be in flight at
-	// once via PublishAsync (and Publish, which wraps it). Each in-flight
-	// message runs its own QoS 1/2 handshake with a per-message retry
-	// timer; the waiters map matches acknowledgements by msgID. 1 restores
-	// strictly serial stop-and-wait publishing. Defaults to 16.
+	// once via PublishAsync (and Publish, which wraps it). The handshakes
+	// live in one in-flight table keyed by msgID: the read loop advances
+	// them on their acknowledgements and one retransmit loop re-sends the
+	// ones that went unanswered. 1 restores strictly serial stop-and-wait
+	// publishing. Defaults to 16.
 	InflightWindow int
 	// CleanSession requests a fresh session.
 	CleanSession bool
@@ -86,6 +87,35 @@ type pendingSub struct {
 type ackKey struct {
 	typ   MsgType
 	msgID uint16
+}
+
+// flowState is where a publish handshake stands.
+type flowState uint8
+
+const (
+	awaitPuback  flowState = iota // QoS 1: PUBLISH sent
+	awaitPubrec                   // QoS 2: PUBLISH sent
+	awaitPubcomp                  // QoS 2: PUBREC received, PUBREL sent
+)
+
+// flow is one QoS 1 or QoS 2 publish handshake in flight. It lives in the
+// client's in-flight table and is read and written only under Client.mu;
+// whoever removes it from the table completes it, so each flow completes
+// exactly once.
+type flow struct {
+	pub      Publish // re-sent with DUP until the first acknowledgement
+	rel      Pubrel
+	state    flowState
+	lastSent time.Time
+	retries  int
+	done     func(error)
+}
+
+// completion is a finished flow's callback and outcome, reported outside
+// Client.mu.
+type completion struct {
+	done func(error)
+	err  error
 }
 
 // Client is an MQTT-SN client (the device side of ProvLight's transport).
@@ -121,6 +151,14 @@ type Client struct {
 	// window is the in-flight publish semaphore: one slot per outstanding
 	// PublishAsync handshake.
 	window chan struct{}
+
+	// flows is the in-flight publish table (msgID -> handshake), and
+	// freeFlows recycles finished entries. retransmitting records that the
+	// retransmit loop has been started (on the first QoS 1/2 publish).
+	// Guarded by mu.
+	flows          map[uint16]*flow
+	freeFlows      []*flow
+	retransmitting bool
 
 	// downNotified ensures OnDisconnect fires at most once. Guarded by mu.
 	downNotified bool
@@ -215,6 +253,7 @@ func NewClient(cfg ClientConfig) (*Client, error) {
 		pendingSubs: map[uint16]pendingSub{},
 		pendingRegs: map[uint16]string{},
 		window:      make(chan struct{}, cfg.InflightWindow),
+		flows:       map[uint16]*flow{},
 		done:        make(chan struct{}),
 	}
 	c.wg.Add(1)
@@ -245,9 +284,19 @@ func (c *Client) nextMsgID() uint16 {
 	}
 }
 
-func (c *Client) send(p Packet) error {
+func (c *Client) send(p Packet) error { return c.write(marshal(p)) }
+
+// marshal encodes p into a pooled buffer, which write returns to the pool.
+// Once p is marshalled the datagram no longer refers to p's payload.
+func marshal(p Packet) *[]byte {
 	bufp := sendBufPool.Get().(*[]byte)
-	data := AppendPacket((*bufp)[:0], p)
+	*bufp = AppendPacket((*bufp)[:0], p)
+	return bufp
+}
+
+// write sends one marshalled datagram to the gateway and recycles it.
+func (c *Client) write(bufp *[]byte) error {
+	data := *bufp
 	_, err := c.conn.WriteTo(data, c.gwAddr)
 	n := len(data)
 	*bufp = data[:0]
@@ -260,60 +309,37 @@ func (c *Client) send(p Packet) error {
 	return err
 }
 
-// await registers interest in an acknowledgement before sending, so the
-// response cannot be lost to a race.
-func (c *Client) await(key ackKey) chan Packet {
+// request sends p and waits for the matching acknowledgement, driving
+// retransmissions from a retry timer. It serves the control exchanges
+// (CONNECT, REGISTER, SUBSCRIBE, UNSUBSCRIBE, PING); publishes use the
+// in-flight table instead. Many requests with distinct msgIDs may run
+// concurrently; the waiters map matches each acknowledgement to its
+// exchange. markDup marks retransmissions when non-nil.
+func (c *Client) request(p Packet, key ackKey, markDup func()) (Packet, error) {
+	// Register before sending, so the response cannot be lost to a race.
 	ch := make(chan Packet, 1)
 	c.mu.Lock()
 	c.waiters[key] = ch
 	c.mu.Unlock()
-	return ch
-}
-
-func (c *Client) cancelAwait(key ackKey) {
-	c.mu.Lock()
-	delete(c.waiters, key)
-	c.mu.Unlock()
-}
-
-// request sends p and waits for the matching acknowledgement, driving
-// retransmissions from a per-message retry timer. Many requests with
-// distinct msgIDs may run concurrently; the waiters map matches each
-// acknowledgement to its exchange. markDup marks retransmissions when
-// non-nil.
-func (c *Client) request(p Packet, key ackKey, markDup func()) (Packet, error) {
-	ch := c.await(key)
-	if err := c.send(p); err != nil {
-		c.cancelAwait(key)
-		return nil, err
-	}
-	return c.awaitAck(p, key, ch, markDup)
-}
-
-// awaitAck waits on an already-sent, already-registered exchange,
-// retransmitting p on its retry timer. It consumes the waiter entry.
-func (c *Client) awaitAck(p Packet, key ackKey, ch chan Packet, markDup func()) (Packet, error) {
-	defer c.cancelAwait(key)
+	defer func() {
+		c.mu.Lock()
+		delete(c.waiters, key)
+		c.mu.Unlock()
+	}()
 	timer := time.NewTimer(c.cfg.RetryInterval)
 	defer timer.Stop()
 	for attempt := 0; attempt <= c.cfg.MaxRetries; attempt++ {
-		if attempt > 0 {
+		if attempt > 0 { // the timer fired: retransmit
 			if markDup != nil {
 				markDup()
 			}
 			c.mu.Lock()
 			c.stats.Retransmissions++
 			c.mu.Unlock()
-			if err := c.send(p); err != nil {
-				return nil, err
-			}
-			if !timer.Stop() {
-				select {
-				case <-timer.C:
-				default:
-				}
-			}
 			timer.Reset(c.cfg.RetryInterval)
+		}
+		if err := c.send(p); err != nil {
+			return nil, err
 		}
 		select {
 		case ack := <-ch:
@@ -397,93 +423,227 @@ func (c *Client) RegisterTopic(topic string) (uint16, error) {
 // guaranteeing exactly-once receipt at the gateway). It is a blocking
 // wrapper around PublishAsync and therefore shares the in-flight window.
 func (c *Client) Publish(topic string, payload []byte, qos QoS) error {
-	return <-c.PublishAsync(topic, payload, qos)
+	errc := make(chan error, 1)
+	c.PublishAsync(topic, payload, qos, func(err error) { errc <- err })
+	return <-errc
 }
 
-// PublishAsync starts a publish handshake and returns a 1-buffered channel
-// that receives the flow's final error (nil on success). The call blocks
-// only while the in-flight window is full, so a sender can keep
-// InflightWindow handshakes running concurrently instead of paying the
-// QoS 2 double round trip per message.
+// PublishAsync starts a publish handshake and calls done exactly once with
+// the flow's outcome: nil on success, ErrTimeout (wrapped) once MaxRetries
+// retransmissions went unanswered, a rejection from the gateway, a socket
+// error, or ErrClosed when the client closes first. The call blocks only
+// while the in-flight window is full, so a sender can keep InflightWindow
+// handshakes running without paying the QoS 2 double round trip per
+// message.
 //
 // The initial PUBLISH is transmitted before PublishAsync returns, so a
-// single caller's messages reach the gateway in submission order; the rest
-// of the handshake (acks, retries on the per-message timer, the QoS 2
-// PUBREL leg) runs on a per-message goroutine, matched to inbound
-// acknowledgements by msgID. Flows may therefore *complete* out of
-// submission order.
-func (c *Client) PublishAsync(topic string, payload []byte, qos QoS) <-chan error {
-	done := make(chan error, 1)
+// single caller's messages reach the gateway in submission order. The rest
+// of the handshake runs in the client's in-flight table: the read loop
+// completes a QoS 1 flow on its PUBACK and steps a QoS 2 flow through
+// PUBREC, PUBREL and PUBCOMP; the retransmit loop re-sends unanswered
+// packets (a PUBLISH with DUP set) every RetryInterval. Flows may therefore
+// complete out of submission order. No goroutine is started per message.
+//
+// The client keeps payload until done is called; the caller may reuse it
+// from then on. done runs on the read loop, the retransmit loop, inside
+// PublishAsync, or inside Close, after the flow's window slot has been
+// released. It must not block, and it must not call Close (close the
+// client from another goroutine instead).
+func (c *Client) PublishAsync(topic string, payload []byte, qos QoS, done func(error)) {
 	topicID, err := c.RegisterTopic(topic)
 	if err != nil {
-		done <- err
-		return done
+		done(err)
+		return
 	}
 	switch qos {
 	case QoS0, QoSMinusOne, QoS1, QoS2:
 	default:
-		done <- fmt.Errorf("mqttsn: unsupported QoS %d", qos)
-		return done
+		done(fmt.Errorf("mqttsn: unsupported QoS %d", qos))
+		return
 	}
 	// Acquire a window slot; this is where PublishAsync blocks when the
 	// window is full.
 	select {
 	case c.window <- struct{}{}:
 	case <-c.done:
-		done <- ErrClosed
-		return done
+		done(ErrClosed)
+		return
 	}
 	c.mu.Lock()
+	if c.closed {
+		c.mu.Unlock()
+		<-c.window
+		done(ErrClosed)
+		return
+	}
 	c.stats.PublishesSent++
-	c.mu.Unlock()
-
 	if qos == QoS0 || qos == QoSMinusOne {
-		pub := &Publish{Flags: Flags{QoS: qos}, TopicID: topicID, Data: payload}
-		err := c.send(pub)
+		c.mu.Unlock()
+		err := c.send(&Publish{Flags: Flags{QoS: qos}, TopicID: topicID, Data: payload})
 		<-c.window
-		done <- err
-		return done
+		done(err)
+		return
 	}
-
 	msgID := c.nextMsgID()
-	pub := &Publish{Flags: Flags{QoS: qos}, TopicID: topicID, MsgID: msgID, Data: payload}
-	firstAck := PUBACK
+	for c.flows[msgID] != nil {
+		msgID = c.nextMsgID()
+	}
+	f := c.newFlowLocked()
+	f.pub = Publish{Flags: Flags{QoS: qos}, TopicID: topicID, MsgID: msgID, Data: payload}
+	f.state = awaitPuback
 	if qos == QoS2 {
-		firstAck = PUBREC
+		f.state = awaitPubrec
 	}
-	key := ackKey{firstAck, msgID}
-	ch := c.await(key)
-	if err := c.send(pub); err != nil {
-		c.cancelAwait(key)
-		<-c.window
-		done <- err
-		return done
+	f.lastSent = time.Now()
+	f.done = done
+	c.flows[msgID] = f
+	if !c.retransmitting {
+		c.retransmitting = true
+		c.wg.Add(1)
+		go c.retransmitLoop()
 	}
-	go func() {
-		done <- c.finishPublish(pub, key, ch, msgID)
-		<-c.window
-	}()
-	return done
+	// Marshal under mu: as soon as mu is released an acknowledgement or
+	// Close may complete the flow, and the caller may then reuse payload.
+	bufp := marshal(&f.pub)
+	c.mu.Unlock()
+	if err := c.write(bufp); err != nil {
+		c.fail(msgID, f, err)
+	}
 }
 
-// finishPublish completes an in-flight handshake whose initial PUBLISH is
-// already on the wire.
-func (c *Client) finishPublish(pub *Publish, key ackKey, ch chan Packet, msgID uint16) error {
-	ack, err := c.awaitAck(pub, key, ch, func() { pub.Flags.DUP = true })
-	if err != nil {
-		return err
+// newFlowLocked takes a recycled flow or allocates one. Callers hold mu.
+func (c *Client) newFlowLocked() *flow {
+	if n := len(c.freeFlows); n > 0 {
+		f := c.freeFlows[n-1]
+		c.freeFlows = c.freeFlows[:n-1]
+		return f
 	}
-	if pub.Flags.QoS == QoS1 {
-		if pa := ack.(*Puback); pa.ReturnCode != Accepted {
-			return fmt.Errorf("mqttsn: publish rejected: %s", pa.ReturnCode)
+	return &flow{}
+}
+
+// finishLocked removes a flow from the in-flight table, recycles it and
+// returns its completion, which the caller reports once mu is released.
+// Callers hold mu.
+func (c *Client) finishLocked(msgID uint16, f *flow, err error) completion {
+	delete(c.flows, msgID)
+	cm := completion{done: f.done, err: err}
+	*f = flow{}
+	c.freeFlows = append(c.freeFlows, f)
+	return cm
+}
+
+// report releases a finished flow's window slot and calls its callback.
+func (c *Client) report(cm completion) {
+	<-c.window
+	cm.done(cm.err)
+}
+
+// fail completes flow f with err, unless it has completed already.
+func (c *Client) fail(msgID uint16, f *flow, err error) {
+	c.mu.Lock()
+	if c.flows[msgID] != f {
+		c.mu.Unlock()
+		return
+	}
+	cm := c.finishLocked(msgID, f, err)
+	c.mu.Unlock()
+	c.report(cm)
+}
+
+// advance moves a publish flow along on a PUBACK, PUBREC or PUBCOMP from
+// the gateway. A QoS 1 flow completes on its PUBACK; a QoS 2 flow answers
+// its PUBREC with a PUBREL and completes on the PUBCOMP. A PUBACK carrying
+// a rejection fails a flow at either QoS, since the gateway refuses a
+// PUBLISH that way. An ack that matches no flow in the state it expects (a
+// duplicate, or one that arrived after the flow ended) is dropped.
+func (c *Client) advance(typ MsgType, msgID uint16, code ReturnCode) {
+	var rel *[]byte
+	var cm completion
+	c.mu.Lock()
+	f := c.flows[msgID]
+	switch {
+	case f == nil:
+	case typ == PUBACK && code != Accepted && f.state != awaitPubcomp:
+		cm = c.finishLocked(msgID, f, fmt.Errorf("mqttsn: publish rejected: %s", code))
+	case typ == PUBACK && f.state == awaitPuback, typ == PUBCOMP && f.state == awaitPubcomp:
+		cm = c.finishLocked(msgID, f, nil)
+	case typ == PUBREC && f.state == awaitPubrec:
+		f.state = awaitPubcomp
+		f.retries = 0
+		f.lastSent = time.Now()
+		f.rel.MsgID = msgID
+		rel = marshal(&f.rel)
+	}
+	c.mu.Unlock()
+	if rel != nil {
+		if err := c.write(rel); err != nil {
+			c.fail(msgID, f, err)
 		}
-		return nil
 	}
-	rel := &Pubrel{msgIDOnly{MsgID: msgID}}
-	if _, err := c.request(rel, ackKey{PUBCOMP, msgID}, nil); err != nil {
-		return err
+	if cm.done != nil {
+		c.report(cm)
 	}
-	return nil
+}
+
+// retransmitLoop drives the in-flight table's retries, like the broker's
+// janitor: every quarter RetryInterval it sweeps the table.
+func (c *Client) retransmitLoop() {
+	defer c.wg.Done()
+	every := c.cfg.RetryInterval / 4
+	if every < time.Millisecond {
+		every = time.Millisecond
+	}
+	tick := time.NewTicker(every)
+	defer tick.Stop()
+	for {
+		select {
+		case <-c.done:
+			return
+		case now := <-tick.C:
+			c.sweep(now)
+		}
+	}
+}
+
+// sweep re-sends every flow whose last packet went unanswered for
+// RetryInterval (the PUBLISH with DUP set, or the PUBREL) and fails, with
+// ErrTimeout, every flow that has already been re-sent MaxRetries times.
+func (c *Client) sweep(now time.Time) {
+	type resend struct {
+		msgID uint16
+		f     *flow
+		bufp  *[]byte
+	}
+	var resends []resend
+	var failed []completion
+	c.mu.Lock()
+	for msgID, f := range c.flows {
+		if now.Sub(f.lastSent) < c.cfg.RetryInterval {
+			continue
+		}
+		var p Packet = &f.pub
+		if f.state == awaitPubcomp {
+			p = &f.rel
+		}
+		if f.retries >= c.cfg.MaxRetries {
+			failed = append(failed, c.finishLocked(msgID, f, fmt.Errorf("%w: %s", ErrTimeout, p.Type())))
+			continue
+		}
+		f.retries++
+		f.lastSent = now
+		f.pub.Flags.DUP = true
+		c.stats.Retransmissions++
+		resends = append(resends, resend{msgID, f, marshal(p)})
+	}
+	c.mu.Unlock()
+	for _, r := range resends {
+		if err := c.write(r.bufp); err != nil {
+			c.fail(r.msgID, r.f, err)
+		}
+	}
+	for _, cm := range failed {
+		c.report(cm)
+	}
 }
 
 // Subscribe registers handler for a topic name or wildcard filter. The
@@ -586,7 +746,8 @@ func (c *Client) WithContext(ctx context.Context, op func() error) error {
 	}
 }
 
-// Close releases resources without the protocol goodbye.
+// Close releases resources without the protocol goodbye. Every publish
+// still in flight completes with ErrClosed before Close returns.
 func (c *Client) Close() {
 	c.mu.Lock()
 	if c.closed {
@@ -604,6 +765,17 @@ func (c *Client) Close() {
 		c.conn.SetReadDeadline(time.Now())
 	}
 	c.wg.Wait()
+	// The loops have stopped and closed admits no new flow: fail what is
+	// left in the table.
+	c.mu.Lock()
+	failed := make([]completion, 0, len(c.flows))
+	for msgID, f := range c.flows {
+		failed = append(failed, c.finishLocked(msgID, f, ErrClosed))
+	}
+	c.mu.Unlock()
+	for _, cm := range failed {
+		c.report(cm)
+	}
 }
 
 func (c *Client) keepaliveLoop() {
@@ -674,8 +846,8 @@ func (c *Client) readLoop() {
 			c.sessionDown(fmt.Errorf("mqttsn: read: %w", err))
 			return
 		}
-		if addr.String() != c.gwAddr.String() {
-			continue // not our gateway
+		if !c.fromGateway(addr) {
+			continue
 		}
 		pkt, err := Unmarshal(buf[:n])
 		if err != nil {
@@ -688,6 +860,18 @@ func (c *Client) readLoop() {
 		c.mu.Unlock()
 		c.dispatch(pkt)
 	}
+}
+
+// fromGateway reports whether a datagram came from the gateway. UDP
+// addresses are compared field by field: formatting both as strings costs
+// several allocations per datagram.
+func (c *Client) fromGateway(addr net.Addr) bool {
+	if a, ok := addr.(*net.UDPAddr); ok {
+		if g, ok := c.gwAddr.(*net.UDPAddr); ok {
+			return a.Port == g.Port && a.Zone == g.Zone && a.IP.Equal(g.IP)
+		}
+	}
+	return addr.String() == c.gwAddr.String()
 }
 
 // deliverAck hands pkt to the waiter registered under key, if any.
@@ -736,11 +920,11 @@ func (c *Client) dispatch(pkt Packet) {
 	case *Unsuback:
 		c.deliverAck(ackKey{UNSUBACK, p.MsgID}, p)
 	case *Puback:
-		c.deliverAck(ackKey{PUBACK, p.MsgID}, p)
+		c.advance(PUBACK, p.MsgID, p.ReturnCode)
 	case *Pubrec:
-		c.deliverAck(ackKey{PUBREC, p.MsgID}, p)
+		c.advance(PUBREC, p.MsgID, Accepted)
 	case *Pubcomp:
-		c.deliverAck(ackKey{PUBCOMP, p.MsgID}, p)
+		c.advance(PUBCOMP, p.MsgID, Accepted)
 	case *Pingresp:
 		c.deliverAck(ackKey{PINGRESP, 0}, p)
 	case *Register:

@@ -395,6 +395,8 @@ func (f *Follower) Health() ReplicaHealth {
 
 // Collect exports the replica's replication health: stream state,
 // applied position, lag and staleness. Pass it to obs.Registry.Collect.
+// Staleness is left out until the replica first hears from its primary:
+// Health's "never" value is for routing, not a number of seconds.
 func (f *Follower) Collect(e *obs.Emitter) {
 	h := f.Health()
 	connected := 0.0
@@ -404,7 +406,9 @@ func (f *Follower) Collect(e *obs.Emitter) {
 	e.Gauge("provlight_store_replica_connected", "1 while the replication stream to the primary is live.", connected)
 	e.Gauge("provlight_store_replica_applied_seq", "Last WAL sequence replayed locally.", float64(f.AppliedSeq()))
 	e.Gauge("provlight_store_replica_lag_records", "Records this replica trails its primary.", float64(h.LagRecords))
-	e.Gauge("provlight_store_replica_staleness_seconds", "Time since the last record or heartbeat from the primary.", float64(h.Staleness.Milliseconds())/1000)
+	if f.lastContact.Load() > 0 {
+		e.Gauge("provlight_store_replica_staleness_seconds", "Time since the last record or heartbeat from the primary.", float64(h.Staleness.Milliseconds())/1000)
+	}
 }
 
 func maxU64(a, b uint64) uint64 {

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"net"
 	"net/http"
 	"strings"
 	"testing"
@@ -550,6 +551,42 @@ func TestReplicationStats(t *testing.T) {
 	}
 	if v, ok := rs.Value("provlight_store_replica_staleness_seconds"); !ok || v < 0 || v > 5 {
 		t.Errorf("replica staleness = %v (present %v)", v, ok)
+	}
+}
+
+// TestStalenessOmittedBeforeFirstContact: a replica that has never heard
+// from its primary exports no staleness sample (Health keeps its "never"
+// value for routing), and its other series are there.
+func TestStalenessOmittedBeforeFirstContact(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	dead := ln.Addr().String()
+	ln.Close()
+	replica := openStore(t, t.TempDir(), 0)
+	defer replica.Close()
+	f := startFollower(t, replica, FollowerOptions{Primary: dead, ID: "r1"})
+	time.Sleep(50 * time.Millisecond) // a few refused dials
+
+	reg := obs.NewRegistry()
+	reg.Collect(f.Collect)
+	var b strings.Builder
+	if _, err := reg.WriteTo(&b); err != nil {
+		t.Fatal(err)
+	}
+	sc, err := obs.ParseText(strings.NewReader(b.String()))
+	if err != nil {
+		t.Fatalf("exposition does not parse: %v", err)
+	}
+	if v, ok := sc.Value("provlight_store_replica_staleness_seconds"); ok {
+		t.Errorf("staleness exported as %v before any contact with the primary", v)
+	}
+	if v, ok := sc.Value("provlight_store_replica_connected"); !ok || v != 0 {
+		t.Errorf("replica connected = %v (present %v), want 0", v, ok)
+	}
+	if h := f.Health(); h.Connected || h.Staleness != time.Duration(1<<63-1) {
+		t.Errorf("health before first contact = %+v, want disconnected and never heard from", h)
 	}
 }
 

@@ -14,6 +14,7 @@ import (
 	"net"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -24,6 +25,7 @@ import (
 	"github.com/provlight/provlight/internal/obs"
 	"github.com/provlight/provlight/internal/provdm"
 	"github.com/provlight/provlight/internal/simulation"
+	"github.com/provlight/provlight/internal/source"
 	"github.com/provlight/provlight/internal/spool"
 	"github.com/provlight/provlight/internal/translate"
 	"github.com/provlight/provlight/internal/workload"
@@ -103,6 +105,7 @@ type Report struct {
 	FramesShedNew      uint64 `json:"frames_shed_new"`
 	FramesShedOldest   uint64 `json:"frames_shed_oldest"`
 	FramesApplied      uint64 `json:"frames_applied"`
+	RowsQueried        uint64 `json:"rows_queried"`
 	SpoolBlocked       uint64 `json:"spool_blocked_appends"`
 	ReconnectAttempts  uint64 `json:"reconnect_attempts"`
 	CongestionRejected uint64 `json:"congestion_rejected"`
@@ -184,7 +187,7 @@ func Run(ctx context.Context, opts Options) (*Report, error) {
 	// group -> deduplicating store. The store's (origin, seq) ledger is
 	// the exactly-once ground truth the verification phase reads back.
 	store := dfanalyzer.NewStore()
-	target := translate.NewStoreTarget(store, "soak")
+	target := translate.NewStoreTarget(store, soakDataflow)
 	srv, err := core.StartServer(ctx, core.ServerConfig{
 		Addr:         "127.0.0.1:0",
 		Targets:      []translate.Target{target},
@@ -463,7 +466,15 @@ func Run(ctx context.Context, opts Options) (*Report, error) {
 
 	// Verification: per device, the store must hold exactly the frames
 	// the spool admitted minus the frames the policy shed — no loss, no
-	// double-apply (the dedup ledger counts distinct frames only).
+	// double-apply. The dedup ledger counts distinct frames only, so the
+	// rows a user reads back through Select are checked as well: every
+	// frame is one record with one data row, and a frame applied twice
+	// is two rows.
+	rows, err := rowsByWorkflow(ctx, store)
+	if err != nil {
+		report.ExactlyOnce = false
+		report.Violations = append(report.Violations, fmt.Sprintf("read rows back: %v", err))
+	}
 	for _, d := range devices {
 		d.mu.Lock()
 		var floor, pending uint64
@@ -495,13 +506,46 @@ func Run(ctx context.Context, opts Options) (*Report, error) {
 				fmt.Sprintf("%s: store applied %d frames, want %d (floor %d - shed %d)",
 					d.id, applied, want, floor, shedWAL))
 		}
+		got := rows[workflowID(d.id)]
+		report.RowsQueried += got
+		if rows != nil && got != want {
+			report.ExactlyOnce = false
+			report.Violations = append(report.Violations,
+				fmt.Sprintf("%s: Select returns %d rows, want %d (floor %d - shed %d)",
+					d.id, got, want, floor, shedWAL))
+		}
 	}
 	report.CongestionRejected = srv.Broker.Stats().CongestionRejected
 	report.Elapsed = time.Since(runStart).Truncate(time.Millisecond).String()
-	logf("soak: verified %d devices: applied=%d admitted=%d shed=%d+%d exactly_once=%v",
-		opts.Devices, report.FramesApplied, report.FramesAdmitted,
+	logf("soak: verified %d devices: applied=%d rows=%d admitted=%d shed=%d+%d exactly_once=%v",
+		opts.Devices, report.FramesApplied, report.RowsQueried, report.FramesAdmitted,
 		report.FramesShedNew, report.FramesShedOldest, report.ExactlyOnce)
 	return report, nil
+}
+
+// soakDataflow is the store dataflow the soak's records land in; its
+// transformation names the two sets, soakDataflow+"_input" and "_output".
+const soakDataflow = "soak"
+
+// workflowID is the workflow a device's records belong to.
+func workflowID(device string) string { return device + "-wf" }
+
+// rowsByWorkflow counts the rows Select returns from the soak's two sets,
+// per workflow.
+func rowsByWorkflow(ctx context.Context, store *dfanalyzer.Store) (map[string]uint64, error) {
+	out := map[string]uint64{}
+	for _, set := range []string{soakDataflow + "_input", soakDataflow + "_output"} {
+		rows, err := store.Select(ctx, source.Query{Dataflow: soakDataflow, Set: set, Project: []string{"task_id"}})
+		if err != nil {
+			return nil, err
+		}
+		for _, row := range rows {
+			id, _ := row["task_id"].(string) // "<workflow>/<task>"
+			wf, _, _ := strings.Cut(id, "/")
+			out[wf]++
+		}
+	}
+	return out, nil
 }
 
 // taskRecord builds the n-th capture record for a device: alternating
@@ -509,9 +553,9 @@ func Run(ctx context.Context, opts Options) (*Report, error) {
 func taskRecord(id string, n uint64, payload []byte) *provdm.Record {
 	task := (n - 1) / 2
 	rec := &provdm.Record{
-		WorkflowID:     id + "-wf",
+		WorkflowID:     workflowID(id),
 		TaskID:         fmt.Sprintf("t%d", task),
-		Transformation: "soak",
+		Transformation: soakDataflow,
 		Time:           time.Now(),
 	}
 	if n%2 == 1 {

@@ -565,18 +565,20 @@ func (t *Translator) publishAcks(batch []Frame) {
 	term := t.term.Load()
 	for origin, seqs := range acks {
 		payload := wire.AppendAckPayload(nil, term, seqs)
-		errc := mc.PublishAsync(wire.AckTopic(origin), payload, mqttsn.QoS1)
-		go func() {
-			if err := <-errc; err != nil {
-				t.ackErrs.Add(1)
-				if t.cfg.OnError != nil {
-					t.cfg.OnError(fmt.Errorf("translate: publish acks: %w", err))
-				}
-				return
-			}
-			t.acksSent.Add(1)
-		}()
+		mc.PublishAsync(wire.AckTopic(origin), payload, mqttsn.QoS1, t.ackDone)
 	}
+}
+
+// ackDone counts one ack publish's outcome.
+func (t *Translator) ackDone(err error) {
+	if err != nil {
+		t.ackErrs.Add(1)
+		if t.cfg.OnError != nil {
+			t.cfg.OnError(fmt.Errorf("translate: publish acks: %w", err))
+		}
+		return
+	}
+	t.acksSent.Add(1)
 }
 
 func (t *Translator) reportDeliveryError(target Target, err error) {
