@@ -40,6 +40,7 @@ import (
 	"hash/maphash"
 	"log"
 	"net"
+	"net/netip"
 	"sort"
 	"strings"
 	"sync"
@@ -672,11 +673,48 @@ func (b *Broker) sendTo(addr net.Addr, p mqttsn.Packet) {
 	b.outPool.Put(bufp)
 }
 
+// maxPeerCache bounds the read loop's source-address cache; past it the
+// cache starts over.
+const maxPeerCache = 4096
+
+// peer is a source address as the handlers take it, with its session key.
+type peer struct {
+	addr net.Addr
+	key  string
+}
+
 // readLoop pulls datagrams off the socket and fans them out to the shard
 // workers; it does no protocol work itself, so a slow handler only stalls
-// its own shard's queue.
+// its own shard's queue. When the socket offers ReadFromUDPAddrPort, a
+// source address is a value, and the *net.UDPAddr and key the handlers
+// use are built once per peer, not once per datagram.
 func (b *Broker) readLoop() {
 	defer b.wg.Done()
+	apr, _ := b.conn.(mqttsn.AddrPortReader)
+	peers := map[netip.AddrPort]peer{}
+	read := func(buf []byte) (int, peer, error) {
+		if apr == nil {
+			n, addr, err := b.conn.ReadFrom(buf)
+			if err != nil {
+				return n, peer{}, err
+			}
+			return n, peer{addr, addr.String()}, nil
+		}
+		n, ap, err := apr.ReadFromUDPAddrPort(buf)
+		if err != nil {
+			return n, peer{}, err
+		}
+		p, ok := peers[ap]
+		if !ok {
+			if len(peers) >= maxPeerCache {
+				clear(peers)
+			}
+			addr := net.UDPAddrFromAddrPort(mqttsn.UnmapAddrPort(ap))
+			p = peer{addr, addr.String()}
+			peers[ap] = p
+		}
+		return n, p, nil
+	}
 	for {
 		select {
 		case <-b.done:
@@ -684,10 +722,10 @@ func (b *Broker) readLoop() {
 		default:
 		}
 		// No per-read deadline: Close() closes the socket, which unblocks
-		// ReadFrom; a deadline syscall per packet costs ~30% of the
+		// the read; a deadline syscall per packet costs ~30% of the
 		// loopback read budget.
 		bufp := b.bufPool.Get().(*[]byte)
-		n, addr, err := b.conn.ReadFrom(*bufp)
+		n, from, err := read(*bufp)
 		if err != nil {
 			b.bufPool.Put(bufp)
 			if ne, ok := err.(net.Error); ok && ne.Timeout() {
@@ -703,9 +741,9 @@ func (b *Broker) readLoop() {
 				return
 			}
 		}
-		sh := b.shardFor(addr.String())
+		sh := b.shardFor(from.key)
 		select {
-		case sh.inbox <- inPacket{addr: addr, buf: bufp, n: n}:
+		case sh.inbox <- inPacket{addr: from.addr, buf: bufp, n: n}:
 		case <-b.done:
 			b.bufPool.Put(bufp)
 			return

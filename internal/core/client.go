@@ -12,6 +12,14 @@
 // append, so it is on disk in its wire form when Capture returns, and the
 // drainer's fsync (the publish barrier) runs outside the WAL's append
 // lock.
+//
+// In memory mode the sender also packs every frame already queued when it
+// takes one (up to 16 KiB of raw frame) into one group frame, compressed
+// once and sent in one PUBLISH at the configured QoS. It never waits for
+// more frames to arrive: a lone frame leaves at once, byte for byte as it
+// would alone, while a burst shares one zlib pass and one QoS 2 handshake.
+// This is the paper's record grouping (§IV-C2) applied to whatever the
+// link has not yet taken, with no added latency.
 package core
 
 import (
@@ -65,7 +73,10 @@ type Config struct {
 	// GroupSize, when > 0, buffers the records of that many *ended tasks*
 	// and transmits them in one frame. Task-begin records are always sent
 	// immediately so users can still track started tasks at runtime
-	// (§IV-C2: "group data just from ended tasks").
+	// (§IV-C2: "group data just from ended tasks"). Independently of it, in
+	// memory mode frames already queued for the sender share a PUBLISH
+	// (see the package doc); that adds no wait, so a task-begin record
+	// still leaves at once.
 	GroupSize int
 	// DisableCompression turns off payload compression (ablation).
 	// Compression runs on the sender goroutine in memory mode and before
@@ -141,7 +152,9 @@ type Config struct {
 	// stop-and-wait behaviour (one frame fully acknowledged before the
 	// next is sent); frames are always *submitted* in capture order, but
 	// with WindowSize > 1 they may complete (and be routed by the broker)
-	// out of order. Default 16.
+	// out of order. In memory mode a slot holds one PUBLISH, which carries
+	// every frame queued when the sender built it: frames that queue up
+	// behind a full window leave together in the next PUBLISH. Default 16.
 	WindowSize int
 	// KeepAlive, RetryInterval, MaxRetries tune the MQTT-SN session.
 	KeepAlive     time.Duration
@@ -183,11 +196,15 @@ type Stats struct {
 	RecordsCaptured uint64
 	// FramesPublished counts frames queued for the sender in memory mode
 	// (never one dropped before leaving the client) and frames the drainer
-	// publishes in spool mode. BytesPublished and FramesCompressed count
-	// wire frames where they are compressed: on the sender in memory mode,
-	// so they can trail FramesPublished until Flush; at the spool append
-	// in spool mode.
+	// publishes in spool mode. Publishes counts the PUBLISHes handed to the
+	// transport: in memory mode the sender packs every frame already queued
+	// into one, so RecordsCaptured / Publishes is the records each PUBLISH
+	// carries. BytesPublished and FramesCompressed count PUBLISH payloads
+	// where they are compressed: on the sender in memory mode, so they can
+	// trail FramesPublished until Flush; at the spool append in spool mode,
+	// where every frame is its own PUBLISH.
 	FramesPublished  uint64
+	Publishes        uint64
 	BytesPublished   uint64
 	FramesCompressed uint64
 	RecordsGrouped   uint64
@@ -293,13 +310,15 @@ var framePool = sync.Pool{
 }
 
 // rawEncoder encodes the uncompressed frames memory mode queues; the
-// sender compresses them with Client.enc (wire.Encoder.CompressFrame).
+// sender packs and compresses them with Client.enc
+// (wire.Encoder.CompressFrames).
 var rawEncoder = wire.Encoder{DisableCompression: true}
 
 // counters are the lock-free internals behind Stats.
 type counters struct {
 	recordsCaptured  atomic.Uint64
 	framesPublished  atomic.Uint64
+	publishes        atomic.Uint64
 	bytesPublished   atomic.Uint64
 	framesCompressed atomic.Uint64
 	recordsGrouped   atomic.Uint64
@@ -405,7 +424,8 @@ func (c *Client) initMetrics() {
 		lbl := []string{"client", id}
 		e.Counter("provlight_client_records_captured_total", "Records captured by the client library.", float64(st.RecordsCaptured), lbl...)
 		e.Counter("provlight_client_frames_published_total", "Frames handed to the transport (or spooled).", float64(st.FramesPublished+st.FramesSpooled), lbl...)
-		e.Counter("provlight_client_bytes_published_total", "Encoded frame bytes published or spooled.", float64(st.BytesPublished), lbl...)
+		e.Counter("provlight_client_publishes_total", "PUBLISHes handed to the transport (several frames each in memory mode).", float64(st.Publishes), lbl...)
+		e.Counter("provlight_client_bytes_published_total", "Encoded PUBLISH payload bytes published or spooled.", float64(st.BytesPublished), lbl...)
 		e.Counter("provlight_client_async_errors_total", "Asynchronous publish errors.", float64(st.AsyncErrors), lbl...)
 		e.Counter("provlight_client_queue_full_total", "Frames dropped on a full transmit queue.", float64(st.QueueFull), lbl...)
 		e.Counter("provlight_client_frames_shed_total", "Frames shed by the spool degradation policy.", float64(st.FramesShed), lbl...)
@@ -453,6 +473,7 @@ func (c *Client) StatsSnapshot() Stats {
 	st := Stats{
 		RecordsCaptured:   c.ctr.recordsCaptured.Load(),
 		FramesPublished:   c.ctr.framesPublished.Load(),
+		Publishes:         c.ctr.publishes.Load(),
 		BytesPublished:    c.ctr.bytesPublished.Load(),
 		FramesCompressed:  c.ctr.framesCompressed.Load(),
 		RecordsGrouped:    c.ctr.recordsGrouped.Load(),
@@ -498,43 +519,87 @@ func (c *Client) MQTTStats() mqttsn.ClientStats {
 	return mqttsn.ClientStats{}
 }
 
-// sender keeps the publish window full: it compresses each queued frame
-// and submits it as an asynchronous handshake, blocking only when
-// WindowSize handshakes are already in flight, instead of waiting out the
-// full QoS 2 double round trip per frame. The handshake's completion
-// callback does the error accounting and recycles the buffer; Flush/Close
-// observe it through the inFly group.
+// maxPackBytes caps the raw frame bytes the memory-mode sender packs
+// into one PUBLISH, far below MQTT-SN's 65,535-byte packet. A frame larger
+// than the cap still goes out, alone.
+const maxPackBytes = 16 << 10
+
+// sender keeps the publish window full. It takes the next queued frame
+// and every frame already waiting behind it (up to maxPackBytes, with no
+// wait for more), compresses them into one frame and submits it as one
+// asynchronous handshake, blocking only when WindowSize handshakes are
+// already in flight. The handshake's completion callback does the error
+// accounting for every frame in the pack and recycles the buffer;
+// Flush/Close observe it through the inFly group.
 func (c *Client) sender() {
 	defer c.wg.Done()
-	for raw := range c.sendQ {
-		bufp, err := c.wireFrame(raw)
+	var pack []*[]byte
+	var raws [][]byte
+	var next *[]byte // a frame that did not fit the previous pack
+	for {
+		raw := next
+		next = nil
+		if raw == nil {
+			var ok bool
+			if raw, ok = <-c.sendQ; !ok {
+				return
+			}
+		}
+		pack = append(pack[:0], raw)
+		size := len(*raw)
+	fill:
+		for size < maxPackBytes {
+			select {
+			case f, ok := <-c.sendQ:
+				if !ok {
+					break fill
+				}
+				if size+len(*f) > maxPackBytes {
+					next = f
+					break fill
+				}
+				pack = append(pack, f)
+				size += len(*f)
+			default:
+				break fill
+			}
+		}
+		raws = raws[:0]
+		for _, f := range pack {
+			raws = append(raws, *f)
+			if c.stageCapture != nil {
+				if ns, ok := wire.FrameCaptureNS(*f); ok {
+					obs.ObserveSince(c.stageCapture, ns)
+				}
+			}
+		}
+		bufp, err := c.wireFrame(raws)
+		for _, f := range pack {
+			framePool.Put(f)
+		}
+		n := len(pack)
 		if err != nil {
-			c.reportAsync(err)
-			c.inFly.Done()
+			c.reportLost(n, err)
+			c.inFly.Add(-n)
 			continue
 		}
-		if c.stageCapture != nil {
-			if ns, ok := wire.FrameCaptureNS(*bufp); ok {
-				obs.ObserveSince(c.stageCapture, ns)
-			}
-		}
+		c.ctr.publishes.Add(1)
 		c.mqtt.PublishAsync(c.topic, *bufp, c.cfg.QoS, func(err error) {
 			if err != nil {
-				c.reportAsync(err)
+				c.reportLost(n, err)
 			}
 			framePool.Put(bufp)
-			c.inFly.Done()
+			c.inFly.Add(-n)
 		})
 	}
 }
 
-// wireFrame compresses a queued raw frame into a fresh pooled buffer (see
-// Config.DisableCompression), recycles the raw one, and counts the bytes
-// that will go on the wire.
-func (c *Client) wireFrame(raw *[]byte) (*[]byte, error) {
+// wireFrame packs queued raw frames into one compressed frame in a fresh
+// pooled buffer (see Config.DisableCompression) and counts the bytes that
+// will go on the wire.
+func (c *Client) wireFrame(raws [][]byte) (*[]byte, error) {
 	bufp := framePool.Get().(*[]byte)
-	frame, err := c.enc.CompressFrame((*bufp)[:0], *raw)
-	framePool.Put(raw)
+	frame, err := c.enc.CompressFrames((*bufp)[:0], raws...)
 	if err != nil {
 		framePool.Put(bufp)
 		return nil, fmt.Errorf("provlight: compress frame: %w", err)

@@ -169,19 +169,25 @@ func TestCompressionStats(t *testing.T) {
 		t.Fatal(err)
 	}
 	records := waitRecords(t, mem, 4)
+	// The sender may pack the four records into fewer PUBLISHes; every
+	// PUBLISH that carries a 100-attribute record is compressed.
 	st := client.StatsSnapshot()
-	if st.FramesCompressed < 2 {
-		t.Errorf("compressed frames = %d, want >= 2 (100-attr payloads)", st.FramesCompressed)
+	if st.FramesCompressed < 1 || st.FramesCompressed > st.Publishes {
+		t.Errorf("compressed PUBLISHes = %d of %d, want >= 1 (100-attr payloads)", st.FramesCompressed, st.Publishes)
 	}
 	// The attribute values survived.
-	var taskBegin *provdm.Record
-	for i := range records {
-		if records[i].Event == provdm.EventTaskBegin {
-			taskBegin = &records[i]
+	var tasks int
+	for _, r := range records {
+		if r.Event != provdm.EventTaskBegin && r.Event != provdm.EventTaskEnd {
+			continue
+		}
+		tasks++
+		if len(r.Data) != 1 || len(r.Data[0].Attributes) != 100 {
+			t.Fatalf("%s data corrupted: %+v", r.Event, r)
 		}
 	}
-	if taskBegin == nil || len(taskBegin.Data) != 1 || len(taskBegin.Data[0].Attributes) != 100 {
-		t.Fatalf("task begin data corrupted: %+v", taskBegin)
+	if tasks != 2 {
+		t.Fatalf("got %d task records, want 2", tasks)
 	}
 }
 
@@ -344,10 +350,11 @@ func TestParallelTranslatorsPerDeviceTopics(t *testing.T) {
 			t.Errorf("workflow wf-%d has %d records, want 4", d, wfs[fmt.Sprintf("wf-%d", d)])
 		}
 	}
-	// Each translator consumed only its own topic.
+	// Each translator consumed only its own topic. Count records: the
+	// device may have packed its four into fewer frames.
 	for i, tr := range srv.Translators {
-		if st := tr.Stats(); st.FramesReceived != 4 {
-			t.Errorf("translator %d received %d frames, want 4", i, st.FramesReceived)
+		if st := tr.Stats(); st.RecordsTranslated != 4 {
+			t.Errorf("translator %d translated %d records, want 4", i, st.RecordsTranslated)
 		}
 	}
 }

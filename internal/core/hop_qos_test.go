@@ -65,9 +65,11 @@ func (c *tallyConn) ReadFrom(b []byte) (int, net.Addr, error) {
 // TestHopQoSPerMode pins the QoS of the device hop in each mode. A
 // spooled frame crosses it at QoS 1 (PUBLISH + PUBACK): its durable seq,
 // the translator's ack and the store's dedup already make it exactly
-// once. A memory-mode frame keeps the paper's QoS 2 and its four packets.
+// once. Memory mode keeps the paper's QoS 2: its sender packs the frames
+// already queued into one PUBLISH, and each PUBLISH gets its own four
+// packets.
 func TestHopQoSPerMode(t *testing.T) {
-	const tasks = 10 // two frames each
+	const tasks = 10 // two records each
 	const frames = 2 * tasks
 	for _, spooled := range []bool{false, true} {
 		name := "memory"
@@ -75,9 +77,10 @@ func TestHopQoSPerMode(t *testing.T) {
 			name = "spool"
 		}
 		t.Run(name, func(t *testing.T) {
+			mem := translate.NewMemoryTarget()
 			srv, err := StartServer(context.Background(), ServerConfig{
 				Addr:          "127.0.0.1:0",
-				Targets:       []translate.Target{translate.NewMemoryTarget()},
+				Targets:       []translate.Target{mem},
 				RetryInterval: 150 * time.Millisecond,
 			})
 			if err != nil {
@@ -128,13 +131,18 @@ func TestHopQoSPerMode(t *testing.T) {
 			if err := client.Shutdown(ctx); err != nil {
 				t.Fatalf("shutdown: %v", err)
 			}
+			publishes := client.StatsSnapshot().Publishes
+			waitRecords(t, mem, frames)
 
 			tally.mu.Lock()
 			defer tally.mu.Unlock()
-			// Frames on the hop at QoS 1 and at QoS 2.
-			q1, q2 := 0, frames
+			// PUBLISHes on the hop at QoS 1 and at QoS 2: one per frame in
+			// spool mode, one per pack in memory mode.
+			q1, q2 := 0, tally.sent[mqttsn.PUBLISH]
 			if spooled {
 				q1, q2 = frames, 0
+			} else if q2 < 1 || q2 > frames || uint64(q2) != publishes {
+				t.Errorf("memory mode sent %d PUBLISHes for %d frames, Stats.Publishes %d", q2, frames, publishes)
 			}
 			for _, c := range []struct {
 				what      string

@@ -1,0 +1,147 @@
+package core
+
+import (
+	"fmt"
+	"net"
+	"sync/atomic"
+	"testing"
+	"time"
+
+	"github.com/provlight/provlight/internal/netem"
+	"github.com/provlight/provlight/internal/provdm"
+)
+
+// captureBurst captures one workflow of n tasks as fast as possible and
+// returns the records' identities in capture order.
+func captureBurst(t *testing.T, c *Client, wf string, n int) []string {
+	t.Helper()
+	id := func(ev provdm.EventKind, task string) string { return fmt.Sprintf("%s/%s/%s", wf, ev, task) }
+	order := []string{id(provdm.EventWorkflowBegin, "")}
+	w := c.NewWorkflow(wf)
+	if err := w.Begin(); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < n; i++ {
+		task := w.NewTask(fmt.Sprintf("t%d", i), "tr")
+		if err := task.Begin(); err != nil {
+			t.Fatal(err)
+		}
+		if err := task.End(); err != nil {
+			t.Fatal(err)
+		}
+		order = append(order, id(provdm.EventTaskBegin, task.ID()), id(provdm.EventTaskEnd, task.ID()))
+	}
+	if err := w.End(); err != nil {
+		t.Fatal(err)
+	}
+	return append(order, id(provdm.EventWorkflowEnd, ""))
+}
+
+// TestPackExactlyOnceInOrderUnderLoss sends a burst through a lossy,
+// duplicating device link at QoS 2. The sender packs the frames that queue
+// behind each handshake, so fewer PUBLISHes than records leave, and every
+// record still arrives exactly once, in capture order (WindowSize 1 keeps
+// the hop's order; the broker-translator leg is loss-free).
+func TestPackExactlyOnceInOrderUnderLoss(t *testing.T) {
+	raw, err := net.ListenPacket("udp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { raw.Close() }) // after the client's own cleanup
+	lossy := netem.WrapPacketConn(raw, netem.Profile{LossRate: 0.25, DupRate: 0.25, Seed: 11})
+	client, mem, _ := startPipeline(t, func(c *Config) {
+		c.Conn = lossy
+		c.WindowSize = 1
+		c.RetryInterval = 100 * time.Millisecond
+		c.MaxRetries = 30
+	})
+	// Bursts paced below the handshake time, so several packs leave.
+	var want []string
+	for b := 0; b < 8; b++ {
+		want = append(want, captureBurst(t, client, fmt.Sprintf("burst-%d", b), 5)...)
+		time.Sleep(20 * time.Millisecond)
+	}
+	if err := client.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	records := waitRecords(t, mem, len(want))
+	if len(records) != len(want) {
+		t.Fatalf("received %d records, want %d", len(records), len(want))
+	}
+	for i, r := range records {
+		if got := fmt.Sprintf("%s/%s/%s", r.WorkflowID, r.Event, r.TaskID); got != want[i] {
+			t.Fatalf("record %d is %s, want %s (capture order)", i, got, want[i])
+		}
+	}
+	st := client.StatsSnapshot()
+	t.Logf("%d records in %d PUBLISHes, %d retransmissions", st.RecordsCaptured, st.Publishes, client.MQTTStats().Retransmissions)
+	if st.AsyncErrors != 0 {
+		t.Errorf("async errors = %d, want 0", st.AsyncErrors)
+	}
+	if st.Publishes == 0 || st.Publishes >= st.RecordsCaptured {
+		t.Errorf("%d PUBLISHes for %d records, want fewer PUBLISHes than records", st.Publishes, st.RecordsCaptured)
+	}
+	if client.MQTTStats().Retransmissions == 0 {
+		t.Error("no retransmissions: the link did not lose anything")
+	}
+}
+
+// blackholeConn drops every datagram written while dropping is set.
+type blackholeConn struct {
+	net.PacketConn
+	dropping atomic.Bool
+}
+
+func (c *blackholeConn) WriteTo(b []byte, addr net.Addr) (int, error) {
+	if c.dropping.Load() {
+		return len(b), nil
+	}
+	return c.PacketConn.WriteTo(b, addr)
+}
+
+// TestPackFailureCountsEveryFrame: when a packed PUBLISH exhausts its
+// retries, every frame in it is lost, so each counts one AsyncError, and
+// Flush still returns once the handshakes have failed.
+func TestPackFailureCountsEveryFrame(t *testing.T) {
+	raw, err := net.ListenPacket("udp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { raw.Close() }) // after the client's own cleanup
+	conn := &blackholeConn{PacketConn: raw}
+	var reported atomic.Int64
+	client, _, _ := startPipeline(t, func(c *Config) {
+		c.Conn = conn
+		c.WindowSize = 1
+		c.RetryInterval = 20 * time.Millisecond
+		c.MaxRetries = 2
+		c.OnError = func(error) { reported.Add(1) }
+	})
+	conn.dropping.Store(true)
+	const tasks = 10
+	captureBurst(t, client, "lost", tasks)
+	flushed := make(chan error, 1)
+	go func() { flushed <- client.Flush() }()
+	select {
+	case err := <-flushed:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("Flush did not return after the PUBLISHes failed")
+	}
+	st := client.StatsSnapshot()
+	t.Logf("%d frames in %d failed PUBLISHes", st.FramesPublished, st.Publishes)
+	if st.FramesPublished != 2*tasks+2 {
+		t.Fatalf("frames queued = %d, want %d", st.FramesPublished, 2*tasks+2)
+	}
+	if st.AsyncErrors != st.FramesPublished {
+		t.Errorf("async errors = %d, want one per lost frame (%d)", st.AsyncErrors, st.FramesPublished)
+	}
+	if st.Publishes >= st.FramesPublished {
+		t.Errorf("%d PUBLISHes for %d frames: nothing was packed", st.Publishes, st.FramesPublished)
+	}
+	if n := reported.Load(); n < 1 || uint64(n) > st.Publishes {
+		t.Errorf("OnError called %d times for %d failed PUBLISHes", n, st.Publishes)
+	}
+}

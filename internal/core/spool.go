@@ -136,6 +136,13 @@ func (c *Client) reportAsync(err error) {
 	}
 }
 
+// reportLost is reportAsync for n frames lost to one error (a packed
+// PUBLISH): it counts one AsyncError per frame and reports err once.
+func (c *Client) reportLost(n int, err error) {
+	c.ctr.asyncErrors.Add(uint64(n - 1))
+	c.reportAsync(err)
+}
+
 // setupSession re-establishes what a fresh broker session needs: the
 // records topic registration and the per-device ack subscription, on
 // which the translator reports end-to-end durable delivery.
@@ -193,6 +200,9 @@ func (c *Client) drainWith(mc *mqttsn.Client, down <-chan struct{}) {
 	window := uint64(c.cfg.AckWindow)
 	stall := time.NewTicker(c.cfg.RedeliverAfter)
 	defer stall.Stop()
+	// Taken before any check of the floor, and again each time it fires,
+	// so no floor advance goes unseen.
+	ackSig := c.spool.AckSignal()
 	lastFloor := c.spool.Floor()
 	var lastPub uint64
 	// A configured QoS 2 is delivered end to end (see the file comment),
@@ -230,7 +240,8 @@ func (c *Client) drainWith(mc *mqttsn.Client, down <-chan struct{}) {
 		// of the acknowledged floor.
 		for lastPub >= c.spool.Floor()+window {
 			select {
-			case <-c.spool.AckSignal():
+			case <-ackSig:
+				ackSig = c.spool.AckSignal()
 			case <-stall.C:
 				checkStall()
 			case <-down:
@@ -250,7 +261,8 @@ func (c *Client) drainWith(mc *mqttsn.Client, down <-chan struct{}) {
 			// expose skipped frames after a Reset), or a stall tick.
 			select {
 			case <-c.spool.Notify():
-			case <-c.spool.AckSignal():
+			case <-ackSig:
+				ackSig = c.spool.AckSignal()
 			case <-stall.C:
 				checkStall()
 			case <-down:
@@ -285,28 +297,29 @@ func (c *Client) drainWith(mc *mqttsn.Client, down <-chan struct{}) {
 			}
 		})
 		c.ctr.framesPublished.Add(1)
+		c.ctr.publishes.Add(1)
 		lastPub = seq
 	}
 }
 
 // waitDrained blocks until every spooled frame is acked, or ctx expires.
-// It polls rather than wait on AckSignal: that signal has room for one
-// wakeup, and taking it here would leave the drainer asleep in its ack
-// window until the next stall tick (RedeliverAfter).
+// It waits on AckSignal beside the drainer: the signal is a broadcast, so
+// both wake on every floor advance.
 func (c *Client) waitDrained(ctx context.Context) error {
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	tick := time.NewTicker(5 * time.Millisecond)
-	defer tick.Stop()
-	for !c.spool.Drained() {
+	for {
+		sig := c.spool.AckSignal()
+		if c.spool.Drained() {
+			return nil
+		}
 		select {
-		case <-tick.C:
+		case <-sig:
 		case <-ctx.Done():
 			return ctx.Err()
 		}
 	}
-	return nil
 }
 
 // shutdownSpool is Shutdown for spool mode: flush the group to disk, wait

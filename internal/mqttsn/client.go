@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"net/netip"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -822,9 +823,31 @@ func (c *Client) keepaliveLoop() {
 	}
 }
 
+// AddrPortReader is the allocation-free read a *net.UDPConn offers:
+// ReadFrom allocates a *net.UDPAddr for every datagram, this returns the
+// source as a value. The client and the broker read through it when their
+// socket has it; a wrapping PacketConn opts in by implementing it.
+type AddrPortReader interface {
+	ReadFromUDPAddrPort(b []byte) (int, netip.AddrPort, error)
+}
+
+// UnmapAddrPort returns ap with an IPv4-mapped IPv6 address unmapped, the
+// form to compare sources in: a dual-stack socket reports IPv4 peers as
+// ::ffff:a.b.c.d.
+func UnmapAddrPort(ap netip.AddrPort) netip.AddrPort {
+	return netip.AddrPortFrom(ap.Addr().Unmap(), ap.Port())
+}
+
 func (c *Client) readLoop() {
 	defer c.wg.Done()
 	buf := make([]byte, 65536)
+	// Read source addresses as values when the socket allows it and the
+	// gateway has a UDP address to compare them with.
+	apr, _ := c.conn.(AddrPortReader)
+	var gw netip.AddrPort
+	if g, ok := c.gwAddr.(*net.UDPAddr); ok && apr != nil {
+		gw = UnmapAddrPort(g.AddrPort())
+	}
 	for {
 		select {
 		case <-c.done:
@@ -832,8 +855,19 @@ func (c *Client) readLoop() {
 		default:
 		}
 		// No per-read deadline: Close() either closes the socket or sets
-		// an immediate deadline, both of which unblock ReadFrom.
-		n, addr, err := c.conn.ReadFrom(buf)
+		// an immediate deadline, both of which unblock the read.
+		var n int
+		var err error
+		var fromGW bool
+		if gw.IsValid() {
+			var ap netip.AddrPort
+			n, ap, err = apr.ReadFromUDPAddrPort(buf)
+			fromGW = UnmapAddrPort(ap) == gw
+		} else {
+			var addr net.Addr
+			n, addr, err = c.conn.ReadFrom(buf)
+			fromGW = err == nil && c.fromGateway(addr)
+		}
 		if err != nil {
 			if ne, ok := err.(net.Error); ok && ne.Timeout() {
 				select {
@@ -846,7 +880,7 @@ func (c *Client) readLoop() {
 			c.sessionDown(fmt.Errorf("mqttsn: read: %w", err))
 			return
 		}
-		if !c.fromGateway(addr) {
+		if !fromGW {
 			continue
 		}
 		pkt, err := Unmarshal(buf[:n])

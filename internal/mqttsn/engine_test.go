@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"net"
+	"net/netip"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -388,10 +389,10 @@ func TestInFlightPublishesStartNoGoroutines(t *testing.T) {
 	}
 }
 
-// maxQoS1PublishAllocs: the socket read's source address and the
-// decoded PUBACK are 3 allocations on linux/amd64; the bound leaves room
-// for a platform's socket layer. A goroutine, channel or timer per
-// publish would exceed it.
+// maxQoS1PublishAllocs: the decoded PUBACK is 1 allocation on
+// linux/amd64, and a socket read through ReadFrom adds the source
+// address's 2; the bound leaves room for a platform's socket layer. A
+// goroutine, channel or timer per publish would exceed it.
 const maxQoS1PublishAllocs = 5
 
 // TestPublishQoS1Allocs bounds the allocations of one QoS 1 publish over
@@ -415,5 +416,62 @@ func TestPublishQoS1Allocs(t *testing.T) {
 	t.Logf("%.1f allocs per QoS 1 publish", allocs)
 	if allocs > maxQoS1PublishAllocs {
 		t.Errorf("%.1f allocs per QoS 1 publish, want <= %d", allocs, maxQoS1PublishAllocs)
+	}
+}
+
+// hiddenConn hides the socket's ReadFromUDPAddrPort: only the
+// net.PacketConn methods are promoted.
+type hiddenConn struct{ net.PacketConn }
+
+// addrPortConn is a wrapper that opts in to the allocation-free read.
+type addrPortConn struct {
+	net.PacketConn
+	udp *net.UDPConn
+}
+
+func (c addrPortConn) ReadFromUDPAddrPort(b []byte) (int, netip.AddrPort, error) {
+	return c.udp.ReadFromUDPAddrPort(b)
+}
+
+// TestReadAddrPortAllocs: a client whose socket offers ReadFromUDPAddrPort
+// (a *net.UDPConn, or a wrapper that implements it) reads its gateway's
+// answers without allocating a source address, so a QoS 1 publish costs
+// only the decoded PUBACK. A wrapper that hides the method falls back to
+// ReadFrom and still works.
+func TestReadAddrPortAllocs(t *testing.T) {
+	g := startFakeGateway(t)
+	g.ack.Store(true)
+	payload := make([]byte, 200)
+	measure := func(t *testing.T, conn net.PacketConn) float64 {
+		c := engineClient(t, g, mqttsn.ClientConfig{RetryInterval: 10 * time.Second, Conn: conn})
+		errc := make(chan error, 1)
+		done := func(err error) { errc <- err }
+		publish := func() {
+			c.PublishAsync("e/t", payload, mqttsn.QoS1, done)
+			if err := <-errc; err != nil {
+				t.Fatal(err)
+			}
+		}
+		publish()
+		return testing.AllocsPerRun(200, publish)
+	}
+	udp := func(t *testing.T) *net.UDPConn {
+		conn, err := net.ListenUDP("udp", &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { conn.Close() })
+		return conn
+	}
+	own := measure(t, nil) // the client's own dual-stack socket
+	optIn := func() float64 { u := udp(t); return measure(t, addrPortConn{u, u}) }()
+	hidden := measure(t, hiddenConn{udp(t)})
+	t.Logf("allocs per QoS 1 publish: own socket %.1f, opt-in wrapper %.1f, ReadFrom %.1f", own, optIn, hidden)
+	const maxAddrPortPublishAllocs = 1 // the decoded PUBACK
+	if own > maxAddrPortPublishAllocs || optIn > maxAddrPortPublishAllocs {
+		t.Errorf("own socket %.1f, opt-in wrapper %.1f allocs per publish, want <= %d", own, optIn, maxAddrPortPublishAllocs)
+	}
+	if hidden <= own {
+		t.Errorf("ReadFrom path %.1f allocs, own socket %.1f: the source address should cost ReadFrom allocations", hidden, own)
 	}
 }

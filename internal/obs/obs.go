@@ -46,7 +46,10 @@ import (
 // frames carry, see wire.FrameCaptureNS) to the moment the frame passed
 // that stage, so the exposed histograms are cumulative end-to-end
 // distributions: durable_apply is the full capture->apply provenance
-// latency, and the differences between stages isolate each hop.
+// latency, and the differences between stages isolate each hop. A
+// memory-mode client packs the frames already queued into one PUBLISH:
+// capture_publish observes each frame, the later stages observe the pack
+// once, at its oldest frame's stamp.
 const (
 	// StageCapturePublish: frame handed to the client's transport (spool
 	// dwell time included for store-and-forward clients).

@@ -162,7 +162,10 @@ type Spool struct {
 	markPersistErrs uint64
 	lastMarkErr     error
 
-	ackCh chan struct{} // coalesced ack-progress signal
+	// ackCh is closed by the next floor advance; nil until a waiter takes
+	// it (AckSignal), so an advance nobody waits for costs nothing.
+	ackMu sync.Mutex
+	ackCh chan struct{}
 
 	// beforeSync, when set, runs in EnsureSynced just before the WAL
 	// fsync. A test hook, to hold the barrier inside its sync.
@@ -250,7 +253,6 @@ func Open(opts Options) (*Spool, error) {
 		acked:        map[uint64]struct{}{},
 		lowPrio:      map[uint64]struct{}{},
 		policy:       opts.Policy,
-		ackCh:        make(chan struct{}, 1),
 	}
 	s.setQuotaLocked(opts.Quota, opts.HighWatermark, opts.LowWatermark)
 	floor, err := readMark(s.markPath)
@@ -489,6 +491,7 @@ func (s *Spool) shedOldest() {
 		}
 		err := s.persistMarkLocked()
 		s.mu.Unlock()
+		s.signalAck() // the floor may have moved, even if the mark failed
 		if err != nil {
 			// Without a persisted mark covering the truncation, deleting
 			// segments would violate persist-before-truncate; stop here.
@@ -496,10 +499,6 @@ func (s *Spool) shedOldest() {
 		}
 		if terr := s.log.TruncateFront(last); terr != nil {
 			return
-		}
-		select {
-		case s.ackCh <- struct{}{}:
-		default:
 		}
 	}
 }
@@ -551,10 +550,7 @@ func (s *Spool) Ack(seq uint64) error {
 		}
 	}
 	if advanced {
-		select {
-		case s.ackCh <- struct{}{}:
-		default:
-		}
+		s.signalAck()
 	}
 	return err
 }
@@ -639,10 +635,33 @@ func (s *Spool) Pending() uint64 {
 // Drained reports whether every appended frame is acknowledged.
 func (s *Spool) Drained() bool { return s.Pending() == 0 }
 
-// Notify signals appended frames (coalesced); AckSignal signals floor
-// advances. Drain loops sleep on these instead of polling.
-func (s *Spool) Notify() <-chan struct{}    { return s.log.Notify() }
-func (s *Spool) AckSignal() <-chan struct{} { return s.ackCh }
+// Notify signals appended frames (coalesced). Drain loops sleep on it and
+// on AckSignal instead of polling.
+func (s *Spool) Notify() <-chan struct{} { return s.log.Notify() }
+
+// AckSignal returns a channel that the next floor advance closes. It is a
+// broadcast: every waiter wakes, so one reader cannot take another's
+// wakeup. Take the channel before checking the condition it guards (the
+// floor, Drained), or an advance between the check and the call is
+// missed; after it fires, take a fresh one.
+func (s *Spool) AckSignal() <-chan struct{} {
+	s.ackMu.Lock()
+	defer s.ackMu.Unlock()
+	if s.ackCh == nil {
+		s.ackCh = make(chan struct{})
+	}
+	return s.ackCh
+}
+
+// signalAck wakes every AckSignal waiter.
+func (s *Spool) signalAck() {
+	s.ackMu.Lock()
+	if s.ackCh != nil {
+		close(s.ackCh)
+		s.ackCh = nil
+	}
+	s.ackMu.Unlock()
+}
 
 // SyncMark persists the ack mark now (used on clean shutdown).
 func (s *Spool) SyncMark() error {

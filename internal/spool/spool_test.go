@@ -241,11 +241,37 @@ func TestAckSignalAndNotify(t *testing.T) {
 	case <-time.After(time.Second):
 		t.Fatal("no append notification")
 	}
+	// AckSignal is a broadcast: two waiters that took the channel before
+	// the advance both wake, and neither takes the other's wakeup.
+	woke := make(chan int, 2)
+	for w := 0; w < 2; w++ {
+		sig := s.AckSignal()
+		go func() {
+			select {
+			case <-sig:
+				woke <- w
+			case <-time.After(time.Second):
+				woke <- -1
+			}
+		}()
+	}
 	_ = s.Ack(1)
+	for i := 0; i < 2; i++ {
+		if w := <-woke; w < 0 {
+			t.Fatal("an ack signal waiter did not wake")
+		}
+	}
+	// A fired signal stays fired; the next advance closes a fresh one.
+	fired := s.AckSignal()
+	appendFrames(t, s, 1, 1)
+	_ = s.Ack(2)
 	select {
-	case <-s.AckSignal():
+	case <-fired:
 	case <-time.After(time.Second):
-		t.Fatal("no ack signal")
+		t.Fatal("no ack signal for the second advance")
+	}
+	if next := s.AckSignal(); next == fired {
+		t.Fatal("AckSignal returned a channel that already fired")
 	}
 }
 

@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"reflect"
 	"testing"
+	"time"
 
 	"github.com/provlight/provlight/internal/provdm"
 )
@@ -151,6 +152,202 @@ func FuzzCompressFrame(f *testing.F) {
 			nsB, okB := FrameCaptureNS(out)
 			if nsA != nsB || okA != okB {
 				t.Fatalf("FrameCaptureNS (%d, %v) -> (%d, %v)", nsA, okA, nsB, okB)
+			}
+		}
+	})
+}
+
+// packRaws encodes each record list as one raw (uncompressed) frame,
+// stamped with stamps[i] when non-zero.
+func packRaws(t testing.TB, stamps []int64, frames ...[]*provdm.Record) [][]byte {
+	t.Helper()
+	raws := make([][]byte, len(frames))
+	for i, recs := range frames {
+		var ns int64
+		if i < len(stamps) {
+			ns = stamps[i]
+		}
+		raw, err := rawEncoder.AppendFrameSeqCapture(nil, 0, ns, recs...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		raws[i] = raw
+	}
+	return raws
+}
+
+// TestCompressFramesPackOfOneIsCompressFrame checks that a lone queued
+// frame goes out exactly as CompressFrame would send it.
+func TestCompressFramesPackOfOneIsCompressFrame(t *testing.T) {
+	shapes := map[string][]*provdm.Record{
+		"single below threshold": {taskRecord(1)},
+		"single above threshold": {taskRecord(100)},
+		"single incompressible":  {noiseRecord(400)},
+		"group above threshold":  {taskRecord(10), taskRecord(20)},
+	}
+	for name, recs := range shapes {
+		for _, ns := range []int64{0, 1700000000000000000} {
+			for _, enc := range []Encoder{{}, {DisableCompression: true}} {
+				raw := packRaws(t, []int64{ns}, recs)[0]
+				want, err := enc.CompressFrame([]byte("p"), raw)
+				if err != nil {
+					t.Fatal(err)
+				}
+				got, err := enc.CompressFrames([]byte("p"), raw)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !bytes.Equal(got, want) {
+					t.Errorf("%s ns=%d %+v: pack of one %x, CompressFrame %x", name, ns, enc, got, want)
+				}
+			}
+		}
+	}
+}
+
+// TestCompressFramesFlattensInOrder packs singles and GroupSize groups,
+// below and above the compression threshold: the pack decodes to every
+// record in order, carries the first frame's stamp, and is byte for byte
+// the frame one AppendFrameSeqCapture call over all the records gives.
+func TestCompressFramesFlattensInOrder(t *testing.T) {
+	end := func(wf string) *provdm.Record {
+		return &provdm.Record{Event: provdm.EventWorkflowEnd, WorkflowID: wf, Time: time.Unix(0, 42).UTC()}
+	}
+	cases := []struct {
+		name       string
+		frames     [][]*provdm.Record
+		compressed bool
+	}{
+		{"singles below threshold", [][]*provdm.Record{{end("a")}, {end("b")}}, false},
+		{"singles above threshold", [][]*provdm.Record{{taskRecord(5)}, {taskRecord(6)}, {taskRecord(7)}}, true},
+		{"groups below threshold", [][]*provdm.Record{{end("a"), end("b")}, {end("c")}}, false},
+		{"singles and groups above threshold", [][]*provdm.Record{
+			{taskRecord(1)}, {taskRecord(2), taskRecord(3), end("w")}, {taskRecord(4)}, {end("x"), end("y")},
+		}, true},
+	}
+	for _, tc := range cases {
+		for _, stamped := range []bool{false, true} {
+			t.Run(fmt.Sprintf("%s/stamped=%v", tc.name, stamped), func(t *testing.T) {
+				var stamps []int64
+				var first int64
+				if stamped {
+					first = 1700000000000000000
+					stamps = []int64{first, first + 5, first + 9, first + 12}
+				}
+				var all []*provdm.Record
+				for _, recs := range tc.frames {
+					all = append(all, recs...)
+				}
+				raws := packRaws(t, stamps, tc.frames...)
+				enc := Encoder{}
+				pack, err := enc.CompressFrames(nil, raws...)
+				if err != nil {
+					t.Fatal(err)
+				}
+				want, err := enc.AppendFrameSeqCapture(nil, 0, first, all...)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !bytes.Equal(pack, want) {
+					t.Fatalf("pack differs from a one-call encode:\n pack %x\n want %x", pack, want)
+				}
+				if IsCompressed(pack) != tc.compressed || !IsGroup(pack) {
+					t.Fatalf("compressed=%v group=%v, want compressed=%v group", IsCompressed(pack), IsGroup(pack), tc.compressed)
+				}
+				if ns, ok := FrameCaptureNS(pack); ns != first || ok != stamped {
+					t.Fatalf("stamp (%d, %v), want (%d, %v)", ns, ok, first, stamped)
+				}
+				got, err := DecodeFrame(pack)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if len(got) != len(all) {
+					t.Fatalf("decoded %d records, want %d", len(got), len(all))
+				}
+				for i := range all {
+					if !reflect.DeepEqual(got[i], *all[i]) {
+						t.Fatalf("record %d:\n got  %+v\n want %+v", i, got[i], *all[i])
+					}
+				}
+			})
+		}
+	}
+}
+
+func TestCompressFramesRejects(t *testing.T) {
+	plain := packRaws(t, nil, []*provdm.Record{taskRecord(1)})[0]
+	seqd, err := rawEncoder.AppendFrameSeq(nil, 7, taskRecord(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	compressed, err := (&Encoder{}).EncodeFrame(taskRecord(100))
+	if err != nil {
+		t.Fatal(err)
+	}
+	badGroup := []byte{Version<<4 | flagGroup, 0x02, 0x01, 0x00} // count 2, one record
+	for name, raws := range map[string][][]byte{
+		"empty pack":          nil,
+		"lone seq'd":          {seqd},
+		"seq'd in a pack":     {plain, seqd},
+		"compressed":          {compressed},
+		"compressed in pack":  {plain, compressed},
+		"truncated header":    {plain, {Version << 4}},
+		"group count overrun": {plain, badGroup},
+	} {
+		if _, err := (&Encoder{}).CompressFrames(nil, raws...); err == nil {
+			t.Errorf("%s: CompressFrames accepted %x", name, raws)
+		}
+	}
+}
+
+// FuzzCompressFrames: packing random raw singles and groups yields one
+// frame that decodes to their records concatenated, stamped like the
+// first, under a default and an always-compress encoder. Each shape byte
+// makes one raw frame: its low two bits plus one records, its high bits
+// the attribute count.
+func FuzzCompressFrames(f *testing.F) {
+	f.Add(int64(1), []byte{0x00})
+	f.Add(int64(2), []byte{0x00, 0x01, 0xff})
+	f.Add(int64(3), []byte{0x83, 0x40, 0x02, 0x10, 0x00})
+	encoders := []Encoder{{}, {CompressThreshold: 1}}
+	f.Fuzz(func(t *testing.T, seed int64, shape []byte) {
+		if len(shape) == 0 || len(shape) > 64 {
+			return
+		}
+		rng := rand.New(rand.NewSource(seed))
+		var frames [][]*provdm.Record
+		var stamps []int64
+		var want []provdm.Record
+		for _, b := range shape {
+			var recs []*provdm.Record
+			for i := 0; i <= int(b&3); i++ {
+				rec := taskRecord(int(b >> 2))
+				rec.TaskID = fmt.Sprintf("t%d", rng.Intn(1000))
+				if rng.Intn(4) == 0 {
+					rec = &provdm.Record{Event: provdm.EventWorkflowEnd, WorkflowID: rec.TaskID, Time: rec.Time}
+				}
+				recs = append(recs, rec)
+				want = append(want, *rec)
+			}
+			frames = append(frames, recs)
+			stamps = append(stamps, rng.Int63n(2)*(1700000000000000000+rng.Int63n(1e9)))
+		}
+		raws := packRaws(t, stamps, frames...)
+		for _, enc := range encoders {
+			pack, err := enc.CompressFrames(nil, raws...)
+			if err != nil {
+				t.Fatalf("CompressFrames: %v", err)
+			}
+			got, err := DecodeFrame(pack)
+			if err != nil {
+				t.Fatalf("pack does not decode: %v", err)
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("records differ:\n got  %+v\n want %+v", got, want)
+			}
+			ns, ok := FrameCaptureNS(pack)
+			if ns != stamps[0] || ok != (stamps[0] != 0) {
+				t.Fatalf("stamp (%d, %v), want %d", ns, ok, stamps[0])
 			}
 		}
 	})

@@ -343,6 +343,96 @@ func (e *Encoder) CompressFrame(dst, raw []byte) ([]byte, error) {
 	return append(dst, body...), nil
 }
 
+// CompressFrames packs raw frames, each encoded with compression
+// disabled and without a seq, into one frame appended to dst, and
+// compresses its body once. A pack of one is exactly CompressFrame's
+// output. A larger pack is one group frame holding every record in order
+// (a raw group frame contributes its records, not a nested group),
+// stamped with the first frame's capture timestamp: the same bytes one
+// AppendFrameSeqCapture call over all the records would give.
+func (e *Encoder) CompressFrames(dst []byte, raws ...[]byte) ([]byte, error) {
+	if len(raws) == 0 {
+		return nil, fmt.Errorf("wire: empty pack")
+	}
+	count := 0
+	for _, raw := range raws {
+		n, err := headerLen(raw)
+		if err != nil {
+			return nil, err
+		}
+		switch {
+		case raw[0]&flagCompressed != 0:
+			return nil, fmt.Errorf("wire: cannot pack a compressed frame")
+		case raw[0]&flagSeq != 0:
+			return nil, fmt.Errorf("wire: cannot pack a frame with a seq")
+		case raw[0]&flagGroup == 0:
+			count++
+			continue
+		}
+		k, err := groupLen(raw[n:])
+		if err != nil {
+			return nil, err
+		}
+		count += k
+	}
+	if len(raws) == 1 {
+		return e.CompressFrame(dst, raws[0])
+	}
+	s := encPool.Get().(*encScratch)
+	defer putEncScratch(s)
+	body := binary.AppendUvarint(s.body[:0], uint64(count))
+	for _, raw := range raws {
+		n, _ := headerLen(raw)
+		if raw[0]&flagGroup == 0 {
+			body = binary.AppendUvarint(body, uint64(len(raw)-n))
+			body = append(body, raw[n:]...)
+			continue
+		}
+		// Validated by groupLen: the records follow the count verbatim.
+		_, k := binary.Uvarint(raw[n:])
+		body = append(body, raw[n+k:]...)
+	}
+	s.body = body
+	body, compressed, err := e.compressBody(s, body)
+	if err != nil {
+		return nil, err
+	}
+	// With no seq, what follows the first frame's flags byte in its
+	// header is its capture stamp, if it has one.
+	head := Version<<4 | flagGroup | raws[0][0]&flagTrace
+	if compressed {
+		head |= flagCompressed
+	}
+	n, _ := headerLen(raws[0])
+	dst = append(dst, head)
+	dst = append(dst, raws[0][1:n]...)
+	return append(dst, body...), nil
+}
+
+// groupLen validates a group body's framing (a count, then that many
+// length-prefixed records, then nothing) and returns the count.
+func groupLen(body []byte) (int, error) {
+	rd := Reader{b: body}
+	count, err := rd.ListLen()
+	if err != nil {
+		return 0, err
+	}
+	for i := 0; i < count; i++ {
+		n, err := rd.Uvarint()
+		if err != nil {
+			return 0, err
+		}
+		if n > uint64(rd.Remain()) {
+			return 0, io.ErrUnexpectedEOF
+		}
+		rd.pos += int(n)
+	}
+	if rd.Remain() != 0 {
+		return 0, fmt.Errorf("wire: %d trailing bytes after group", rd.Remain())
+	}
+	return count, nil
+}
+
 // headerLen returns the length of frame's header: the version|flags byte
 // plus the seq and capture stamp fields its flags announce.
 func headerLen(frame []byte) (int, error) {

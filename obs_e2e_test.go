@@ -164,11 +164,18 @@ func TestObservabilityEndToEnd(t *testing.T) {
 		t.Errorf("n1->n0 link_up = %v (present=%v), want 1", v, ok)
 	}
 
-	// Per-client capture counters, labeled by client id.
+	// Per-client capture counters, labeled by client id. The sender packs
+	// queued frames, so a client sends at most one PUBLISH per record.
 	for _, id := range []string{localID, remoteID} {
 		if v, ok := sc.Value("provlight_client_records_captured_total", "client", id); !ok || v != float64(1+2*tasks) {
 			t.Errorf("client %s records_captured = %v (present=%v), want %d", id, v, ok, 1+2*tasks)
 		}
+		if v, ok := sc.Value("provlight_client_publishes_total", "client", id); !ok || v < 1 || v > float64(1+2*tasks) {
+			t.Errorf("client %s publishes = %v (present=%v), want 1..%d", id, v, ok, 1+2*tasks)
+		}
+	}
+	if err := sc.Lint(); err != nil {
+		t.Errorf("exposition fails the naming lint: %v", err)
 	}
 
 	// Translator counters from the same registry.
