@@ -798,18 +798,22 @@ func BenchmarkTranslatorPipeline(b *testing.B) {
 				b.Fatal(err)
 			}
 			defer dfaSrv.Close()
-			server, err := provlight.StartServer(context.Background(), provlight.ServerConfig{
-				Addr:        "127.0.0.1:0",
-				Targets:     []provlight.Target{bc.target("http://" + dfaSrv.Addr())},
-				BatchSize:   bc.batch,
-				BatchLinger: time.Millisecond,
+			gw, err := broker.New(broker.Config{Addr: "127.0.0.1:0"})
+			if err != nil {
+				b.Fatal(err)
+			}
+			defer gw.Close()
+			tr, err := translate.New(context.Background(), translate.Config{
+				Broker:    gw.Addr(),
+				Targets:   []translate.Target{bc.target("http://" + dfaSrv.Addr())},
+				BatchSize: bc.batch,
 			})
 			if err != nil {
 				b.Fatal(err)
 			}
-			defer server.Close()
+			defer tr.Close()
 			client, err := provlight.NewClient(context.Background(), provlight.Config{
-				Broker:     server.Addr(),
+				Broker:     gw.Addr(),
 				ClientID:   "bench-ingest",
 				WindowSize: 64,
 			})
@@ -845,7 +849,7 @@ func BenchmarkTranslatorPipeline(b *testing.B) {
 				}
 				time.Sleep(time.Millisecond)
 			}
-			server.Drain()
+			tr.Drain()
 			elapsed := time.Since(start)
 			b.StopTimer()
 			frames := client.StatsSnapshot().FramesPublished

@@ -257,7 +257,6 @@ func runFanIn(sessions, devices, tasks int) (time.Duration, uint64, int) {
 			errs <- client.Flush()
 		}(d)
 	}
-	var frames uint64
 	for d := 0; d < devices; d++ {
 		if err := <-errs; err != nil {
 			log.Fatalf("provbench: device capture: %v", err)
@@ -275,9 +274,7 @@ func runFanIn(sessions, devices, tasks int) (time.Duration, uint64, int) {
 	}
 	server.Drain()
 	elapsed := time.Since(start)
-	for _, tr := range server.Translators {
-		frames += tr.Stats().FramesReceived
-	}
+	frames := server.Translator.Stats().FramesReceived
 	if got := mem.Len(); got != want {
 		log.Fatalf("provbench: fan-in delivered %d records, want exactly %d (duplicate delivery)", got, want)
 	}

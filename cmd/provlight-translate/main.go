@@ -6,9 +6,8 @@
 //
 //	provlight-translate -broker 127.0.0.1:1883 \
 //	    [-brokers node0:1883,node1:1883,...] \
-//	    [-topic 'provlight/+/records'] [-workers 4] \
-//	    [-sessions 4] [-group translators] \
-//	    [-batch 64] [-linger 0s] \
+//	    [-topic 'provlight/+/records'] \
+//	    [-sessions 4] [-group translators] [-batch 64] \
 //	    [-data-dir ./translator-data] [-fsync interval] \
 //	    [-dfanalyzer http://host:port -dataflow tag] \
 //	    [-provlake http://host:port] \
@@ -22,9 +21,10 @@
 // With -sessions > 1 (or an explicit -group) the translator consumes
 // through a shared-subscription consumer group ($share/<group>/<topic>):
 // the broker partitions the device topics across the sessions, scaling
-// the fan-in path while keeping each device's stream ordered. Several
-// provlight-translate processes sharing one -group split the stream the
-// same way across processes.
+// the fan-in path while keeping each device's stream ordered. Each
+// process delivers through one ordered loop; several provlight-translate
+// processes sharing one -group split the stream the same way across
+// processes, which is how delivery is parallelized.
 //
 // With -brokers (a comma-separated list of clustered broker node
 // addresses) the translator spreads its consumer-group sessions across
@@ -81,9 +81,7 @@ func main() {
 	clientID := flag.String("client-id", "translator", "broker client id (must differ between processes sharing a -group)")
 	sessions := flag.Int("sessions", 1, "broker sessions in one consumer group (scales fan-in)")
 	group := flag.String("group", "", "consumer-group name (default: the client id; implies a shared subscription)")
-	workers := flag.Int("workers", 1, "parallel delivery workers")
 	batch := flag.Int("batch", 64, "delivery micro-batch size (1 disables batching)")
-	linger := flag.Duration("linger", 0, "max wait for an underfull batch to fill")
 	dataDir := flag.String("data-dir", "", "embed a durable (WAL + snapshot) store in this directory; enables exactly-once acks for spooling clients")
 	fsync := flag.String("fsync", "interval", "embedded store WAL fsync policy: each|interval|off")
 	fsyncInterval := flag.Duration("fsync-interval", 100*time.Millisecond, "background fsync period for -fsync interval")
@@ -167,9 +165,7 @@ func main() {
 		TopicFilter:  *topic,
 		Sessions:     *sessions,
 		Group:        *group,
-		Workers:      *workers,
 		BatchSize:    *batch,
-		BatchLinger:  *linger,
 		KeepAlive:    *keepAlive,
 		Targets:      targets,
 		DisableAcks:  disableAcks,

@@ -1,8 +1,8 @@
 // Package broker implements an MQTT-SN gateway/broker: the Go
 // equivalent of the Eclipse RSMB (Really Small Message Broker) that
 // ProvLight's server side builds on (paper §IV-C1). It serves plain UDP
-// by default, or any transport.Transport (in-process loopback, TCP
-// stream) — one datagram-shaped packet per MQTT-SN message either way.
+// by default, or any transport.Transport (the in-process loopback) — one
+// datagram-shaped packet per MQTT-SN message either way.
 //
 // Features: client sessions with keepalive expiry, topic registration with
 // gateway-scoped 16-bit ids, exact and wildcard ('+', '#') subscriptions,
@@ -79,13 +79,13 @@ type ForwardFrame struct {
 // Config configures a broker.
 type Config struct {
 	// Addr is the listen address in the transport's format (e.g.
-	// "127.0.0.1:1883" for UDP/TCP). Ignored if Conn is set.
+	// "127.0.0.1:1883" for UDP). Ignored if Conn is set.
 	Addr string
 	// Conn optionally supplies a pre-made (possibly netem-shaped) socket.
 	Conn net.PacketConn
 	// Transport, when set and Conn is nil, listens over an alternate
-	// packet substrate (in-process loopback, TCP stream). The default is
-	// plain UDP.
+	// packet substrate (the in-process loopback). The default is plain
+	// UDP.
 	Transport transport.Transport
 	// RetryInterval is the outbound acknowledgement timeout. Default 1s.
 	RetryInterval time.Duration
@@ -394,9 +394,10 @@ type shard struct {
 }
 
 // inPacket is one raw datagram handed from the read loop to a shard
-// worker; buf comes from (and returns to) the broker's buffer pool.
+// worker with its source's session key; buf comes from (and returns to)
+// the broker's buffer pool.
 type inPacket struct {
-	addr net.Addr
+	from peer
 	buf  *[]byte
 	n    int
 }
@@ -590,7 +591,7 @@ func (b *Broker) shardFor(addrKey string) *shard {
 }
 
 // Addr returns the address the broker serves on, in its transport's
-// format (a UDP/TCP host:port, or a loopback endpoint name).
+// format (a UDP host:port, or a loopback endpoint name).
 func (b *Broker) Addr() string { return b.conn.LocalAddr().String() }
 
 // Stats returns a snapshot of broker counters.
@@ -743,7 +744,7 @@ func (b *Broker) readLoop() {
 		}
 		sh := b.shardFor(from.key)
 		select {
-		case sh.inbox <- inPacket{addr: from.addr, buf: bufp, n: n}:
+		case sh.inbox <- inPacket{from: from, buf: bufp, n: n}:
 		case <-b.done:
 			b.bufPool.Put(bufp)
 			return
@@ -762,9 +763,9 @@ func (b *Broker) shardWorker(sh *shard) {
 		case in := <-sh.inbox:
 			pkt, err := mqttsn.Unmarshal((*in.buf)[:in.n])
 			if err != nil {
-				b.logf("broker: drop malformed datagram from %s: %v", in.addr, err)
+				b.logf("broker: drop malformed datagram from %s: %v", in.from.addr, err)
 			} else {
-				b.handle(in.addr, pkt)
+				b.handle(in.from.addr, in.from.key, pkt)
 			}
 			b.bufPool.Put(in.buf)
 		}
@@ -979,30 +980,32 @@ func (b *Broker) topicName(id uint16) (string, bool) {
 	return name, ok
 }
 
-func (b *Broker) handle(addr net.Addr, pkt mqttsn.Packet) {
+// handle dispatches one decoded packet; key is addr's session key, built
+// once per peer by the read loop.
+func (b *Broker) handle(addr net.Addr, key string, pkt mqttsn.Packet) {
 	switch p := pkt.(type) {
 	case *mqttsn.Connect:
-		b.handleConnect(addr, p)
+		b.handleConnect(addr, key, p)
 	case *mqttsn.Register:
-		b.handleRegister(addr, p)
+		b.handleRegister(addr, key, p)
 	case *mqttsn.Regack:
-		b.handleRegack(addr, p)
+		b.handleRegack(addr, key, p)
 	case *mqttsn.Publish:
-		b.handlePublish(addr, p)
+		b.handlePublish(addr, key, p)
 	case *mqttsn.Pubrel:
-		b.handlePubrel(addr, p)
+		b.handlePubrel(addr, key, p)
 	case *mqttsn.Puback:
-		b.handlePuback(addr, p)
+		b.handlePuback(addr, key, p)
 	case *mqttsn.Pubrec:
-		b.handlePubrec(addr, p)
+		b.handlePubrec(addr, key, p)
 	case *mqttsn.Pubcomp:
-		b.handlePubcomp(addr, p)
+		b.handlePubcomp(addr, key, p)
 	case *mqttsn.Subscribe:
-		b.handleSubscribe(addr, p)
+		b.handleSubscribe(addr, key, p)
 	case *mqttsn.Unsubscribe:
-		b.handleUnsubscribe(addr, p)
+		b.handleUnsubscribe(addr, key, p)
 	case *mqttsn.Pingreq:
-		if !b.touch(addr) {
+		if !b.touch(key) {
 			// The session is gone (expired by the janitor, typically after
 			// an overload window swallowed its pings). Answering with a
 			// plain PINGRESP would keep the client in a zombie state —
@@ -1013,7 +1016,7 @@ func (b *Broker) handle(addr net.Addr, pkt mqttsn.Packet) {
 		}
 		b.sendTo(addr, &mqttsn.Pingresp{})
 	case *mqttsn.Disconnect:
-		b.handleDisconnect(addr)
+		b.handleDisconnect(addr, key)
 	case *mqttsn.SearchGw:
 		b.sendTo(addr, &mqttsn.GwInfo{GwID: 1})
 	default:
@@ -1021,10 +1024,9 @@ func (b *Broker) handle(addr net.Addr, pkt mqttsn.Packet) {
 	}
 }
 
-// touch refreshes the session's liveness clock and reports whether the
-// address still maps to a live session.
-func (b *Broker) touch(addr net.Addr) bool {
-	key := addr.String()
+// touch refreshes the liveness clock of the session at key and reports
+// whether it is still live.
+func (b *Broker) touch(key string) bool {
 	sh := b.shardFor(key)
 	sh.mu.Lock()
 	s := sh.sessions[key]
@@ -1055,7 +1057,7 @@ func (b *Broker) admitConnect(clientID string) bool {
 	return true
 }
 
-func (b *Broker) handleConnect(addr net.Addr, p *mqttsn.Connect) {
+func (b *Broker) handleConnect(addr net.Addr, key string, p *mqttsn.Connect) {
 	if p.Flags.Will {
 		b.sendTo(addr, &mqttsn.Connack{ReturnCode: mqttsn.RejectedNotSupported})
 		return
@@ -1074,7 +1076,7 @@ func (b *Broker) handleConnect(addr net.Addr, p *mqttsn.Connect) {
 	s := &session{
 		clientID:    p.ClientID,
 		addr:        addr,
-		addrKey:     addr.String(),
+		addrKey:     key,
 		keepalive:   time.Duration(p.Duration) * time.Second,
 		lastSeen:    time.Now(),
 		subs:        map[string]mqttsn.QoS{},
@@ -1102,8 +1104,7 @@ func (b *Broker) handleConnect(addr net.Addr, p *mqttsn.Connect) {
 	b.sendTo(addr, &mqttsn.Connack{ReturnCode: mqttsn.Accepted})
 }
 
-func (b *Broker) handleRegister(addr net.Addr, p *mqttsn.Register) {
-	key := addr.String()
+func (b *Broker) handleRegister(addr net.Addr, key string, p *mqttsn.Register) {
 	sh := b.shardFor(key)
 	sh.mu.Lock()
 	s := sh.sessions[key]
@@ -1124,8 +1125,7 @@ func (b *Broker) handleRegister(addr net.Addr, p *mqttsn.Register) {
 	b.sendTo(addr, &mqttsn.Regack{TopicID: id, MsgID: p.MsgID, ReturnCode: mqttsn.Accepted})
 }
 
-func (b *Broker) handleRegack(addr net.Addr, p *mqttsn.Regack) {
-	key := addr.String()
+func (b *Broker) handleRegack(addr net.Addr, key string, p *mqttsn.Regack) {
 	sh := b.shardFor(key)
 	sh.mu.Lock()
 	s := sh.sessions[key]
@@ -1178,8 +1178,7 @@ func (b *Broker) handleRegack(addr net.Addr, p *mqttsn.Regack) {
 	}
 }
 
-func (b *Broker) handlePublish(addr net.Addr, p *mqttsn.Publish) {
-	key := addr.String()
+func (b *Broker) handlePublish(addr net.Addr, key string, p *mqttsn.Publish) {
 	sh := b.shardFor(key)
 	sh.mu.Lock()
 	s := sh.sessions[key]
@@ -1240,8 +1239,7 @@ func (b *Broker) handlePublish(addr net.Addr, p *mqttsn.Publish) {
 	}
 }
 
-func (b *Broker) handlePubrel(addr net.Addr, p *mqttsn.Pubrel) {
-	key := addr.String()
+func (b *Broker) handlePubrel(addr net.Addr, key string, p *mqttsn.Pubrel) {
 	sh := b.shardFor(key)
 	sh.mu.Lock()
 	if s := sh.sessions[key]; s != nil {
@@ -1257,8 +1255,7 @@ func (b *Broker) handlePubrel(addr net.Addr, p *mqttsn.Pubrel) {
 	b.sendTo(addr, comp)
 }
 
-func (b *Broker) handlePuback(addr net.Addr, p *mqttsn.Puback) {
-	key := addr.String()
+func (b *Broker) handlePuback(addr net.Addr, key string, p *mqttsn.Puback) {
 	sh := b.shardFor(key)
 	sh.mu.Lock()
 	var pubs []*mqttsn.Publish
@@ -1283,8 +1280,7 @@ func (b *Broker) handlePuback(addr net.Addr, p *mqttsn.Puback) {
 	}
 }
 
-func (b *Broker) handlePubrec(addr net.Addr, p *mqttsn.Pubrec) {
-	key := addr.String()
+func (b *Broker) handlePubrec(addr net.Addr, key string, p *mqttsn.Pubrec) {
 	sh := b.shardFor(key)
 	sh.mu.Lock()
 	s := sh.sessions[key]
@@ -1342,8 +1338,7 @@ func (s *session) releasableLocked() []uint16 {
 	return rels
 }
 
-func (b *Broker) handlePubcomp(addr net.Addr, p *mqttsn.Pubcomp) {
-	key := addr.String()
+func (b *Broker) handlePubcomp(addr net.Addr, key string, p *mqttsn.Pubcomp) {
 	sh := b.shardFor(key)
 	sh.mu.Lock()
 	var pubs []*mqttsn.Publish
@@ -1368,8 +1363,7 @@ func (b *Broker) handlePubcomp(addr net.Addr, p *mqttsn.Pubcomp) {
 	}
 }
 
-func (b *Broker) handleSubscribe(addr net.Addr, p *mqttsn.Subscribe) {
-	key := addr.String()
+func (b *Broker) handleSubscribe(addr net.Addr, key string, p *mqttsn.Subscribe) {
 	sh := b.shardFor(key)
 	sh.mu.Lock()
 	s := sh.sessions[key]
@@ -1425,8 +1419,7 @@ func (b *Broker) handleSubscribe(addr net.Addr, p *mqttsn.Subscribe) {
 	})
 }
 
-func (b *Broker) handleUnsubscribe(addr net.Addr, p *mqttsn.Unsubscribe) {
-	key := addr.String()
+func (b *Broker) handleUnsubscribe(addr net.Addr, key string, p *mqttsn.Unsubscribe) {
 	sh := b.shardFor(key)
 	sh.mu.Lock()
 	var left *consumerGroup
@@ -1460,8 +1453,7 @@ func (b *Broker) handleUnsubscribe(addr net.Addr, p *mqttsn.Unsubscribe) {
 	b.sendTo(addr, ack)
 }
 
-func (b *Broker) handleDisconnect(addr net.Addr) {
-	key := addr.String()
+func (b *Broker) handleDisconnect(addr net.Addr, key string) {
 	sh := b.shardFor(key)
 	sh.mu.Lock()
 	s := sh.sessions[key]

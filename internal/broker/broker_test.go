@@ -504,3 +504,40 @@ func TestAbandonedQoS2Flow(t *testing.T) {
 		t.Fatalf("duplicates dropped = %d, routed = %d; want 2 and %d", st.DuplicatesDropped, st.MessagesRouted, len(want))
 	}
 }
+
+// maxQoS2RoundTripAllocs bounds one QoS 2 publish/subscribe round trip
+// through the broker: decoded packets, payload copies, the routed message
+// and the broker's outbound QoS 2 bookkeeping, 23 allocations on
+// linux/amd64 (29-30 under the race detector). Handlers that re-derive
+// the session key from the source address (2 allocations per packet)
+// add 12 per round trip and exceed it.
+const maxQoS2RoundTripAllocs = 32
+
+// TestPublishSubscribeQoS2Allocs bounds the allocations of one QoS 2
+// publish, broker routing and QoS 2 delivery to a subscriber over
+// loopback UDP, every handshake included.
+func TestPublishSubscribeQoS2Allocs(t *testing.T) {
+	b := newTestBroker(t)
+	pub := newTestClient(t, b, "alloc-pub")
+	sub := newTestClient(t, b, "alloc-sub")
+	got := make(chan struct{}, 1)
+	if err := sub.Subscribe("a/q2", mqttsn.QoS2, func(string, []byte) { got <- struct{}{} }); err != nil {
+		t.Fatal(err)
+	}
+	payload := make([]byte, 200)
+	errc := make(chan error, 1)
+	done := func(err error) { errc <- err }
+	roundTrip := func() {
+		pub.PublishAsync("a/q2", payload, mqttsn.QoS2, done)
+		if err := <-errc; err != nil {
+			t.Fatal(err)
+		}
+		<-got
+	}
+	roundTrip() // register the topic on both sides and warm the pools
+	allocs := testing.AllocsPerRun(200, roundTrip)
+	t.Logf("%.1f allocs per QoS 2 publish/subscribe round trip", allocs)
+	if allocs > maxQoS2RoundTripAllocs {
+		t.Errorf("%.1f allocs per QoS 2 round trip, want <= %d", allocs, maxQoS2RoundTripAllocs)
+	}
+}

@@ -163,8 +163,8 @@ type Config struct {
 	// Conn optionally supplies the UDP socket (e.g. netem-shaped).
 	Conn net.PacketConn
 	// Transport dials the broker over an alternate packet substrate
-	// (in-process loopback, TCP stream — see internal/transport); nil
-	// means UDP. DialConn and Conn take precedence when set.
+	// (the in-process loopback — see internal/transport); nil means
+	// UDP. DialConn and Conn take precedence when set.
 	Transport transport.Transport
 	// OnError receives asynchronous transmission errors. Default: drop.
 	//

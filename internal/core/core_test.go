@@ -295,70 +295,6 @@ func TestLifecycleErrors(t *testing.T) {
 	}
 }
 
-func TestParallelTranslatorsPerDeviceTopics(t *testing.T) {
-	// Table IX setup: each device publishes to its own topic; one
-	// translator per topic consumes in parallel.
-	mem := translate.NewMemoryTarget()
-	const devices = 4
-	var filters []string
-	for d := 0; d < devices; d++ {
-		filters = append(filters, fmt.Sprintf("provlight/device-%d/records", d))
-	}
-	srv, err := StartServer(context.Background(), ServerConfig{
-		Addr:          "127.0.0.1:0",
-		Targets:       []translate.Target{mem},
-		TopicFilters:  filters,
-		RetryInterval: 150 * time.Millisecond,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(srv.Close)
-	for d := 0; d < devices; d++ {
-		client, err := NewClient(context.Background(), Config{
-			Broker:        srv.Addr(),
-			ClientID:      fmt.Sprintf("device-%d", d),
-			RetryInterval: 150 * time.Millisecond,
-			MaxRetries:    10,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		wf := client.NewWorkflow(fmt.Sprintf("wf-%d", d))
-		if err := wf.Begin(); err != nil {
-			t.Fatal(err)
-		}
-		task := wf.NewTask("t0", "tr")
-		if err := task.Begin(); err != nil {
-			t.Fatal(err)
-		}
-		if err := task.End(); err != nil {
-			t.Fatal(err)
-		}
-		if err := wf.End(); err != nil {
-			t.Fatal(err)
-		}
-		client.Close()
-	}
-	records := waitRecords(t, mem, devices*4)
-	wfs := map[string]int{}
-	for _, r := range records {
-		wfs[r.WorkflowID]++
-	}
-	for d := 0; d < devices; d++ {
-		if wfs[fmt.Sprintf("wf-%d", d)] != 4 {
-			t.Errorf("workflow wf-%d has %d records, want 4", d, wfs[fmt.Sprintf("wf-%d", d)])
-		}
-	}
-	// Each translator consumed only its own topic. Count records: the
-	// device may have packed its four into fewer frames.
-	for i, tr := range srv.Translators {
-		if st := tr.Stats(); st.RecordsTranslated != 4 {
-			t.Errorf("translator %d translated %d records, want 4", i, st.RecordsTranslated)
-		}
-	}
-}
-
 func TestSubscribeEndToEnd(t *testing.T) {
 	// Live subscription: device -> broker -> translator -> subscriber.
 	// Records must arrive on the subscription channel as the workflow runs,
@@ -588,7 +524,7 @@ func TestServerSessionsConsumerGroup(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Cleanup(srv.Close)
-	if got := srv.Translators[0].Sessions(); got != 3 {
+	if got := srv.Translator.Sessions(); got != 3 {
 		t.Fatalf("translator sessions = %d, want 3", got)
 	}
 	const devices = 4

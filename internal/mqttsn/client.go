@@ -49,8 +49,8 @@ type ClientConfig struct {
 	// netem-shaped one). If nil, Transport (or UDP) opens one.
 	Conn net.PacketConn
 	// Transport, when set and Conn is nil, dials the gateway over an
-	// alternate packet substrate (in-process loopback, TCP stream). The
-	// default is plain UDP. With Conn set it is ignored: the borrowed
+	// alternate packet substrate (the in-process loopback). The default
+	// is plain UDP. With Conn set it is ignored: the borrowed
 	// conn's Gateway is resolved as a UDP address.
 	Transport transport.Transport
 	// KeepAlive is the session keepalive; the client pings at half this

@@ -9,7 +9,7 @@ import (
 // Transport wraps an inner transport.Transport so every dialed
 // connection's writes are shaped by a Profile: the device/client side of
 // a link sees the configured delay, bandwidth, loss, and duplication,
-// whatever substrate (UDP, loopback, TCP stream) carries the packets.
+// whatever substrate (UDP, loopback) carries the packets.
 // Listen is passed through unshaped — shaping the uplink is enough to
 // model a constrained edge link, and the server side stays observable.
 type Transport struct {

@@ -6,22 +6,21 @@ import (
 )
 
 // seedExposition renders a registry holding every kind the daemons
-// emit: a counter, a gauge, labelled counter and gauge families (one
-// label value needing escapes), a labelled histogram, and a collector
-// sample. want lists each written value by name and label pairs.
+// emit: collected counters and gauges, unlabelled and labelled (one label
+// value needing escapes), and a labelled histogram. want lists each
+// written value by name and label pairs.
 func seedExposition(t testing.TB) (string, []seedValue) {
 	t.Helper()
 	r := NewRegistry()
-	r.Counter("provlight_seed_frames_total", "Frames.").Add(7)
-	r.Gauge("provlight_seed_queue_depth", "Depth.").Set(2.5)
-	sent := r.CounterVec("provlight_seed_sent_total", "Sent per peer.", "peer")
-	sent.With("a").Add(3)
-	sent.With(`b"q\`).Add(4)
-	r.GaugeVec("provlight_seed_window", "Window per peer.", "peer").With("a").Set(-1.5)
 	h := r.HistogramVec("provlight_seed_latency_seconds", "Latency.", LatencyBuckets, "stage").With("x")
 	h.Observe(0.25)
 	h.Observe(0.5)
 	r.Collect(func(e *Emitter) {
+		e.Counter("provlight_seed_frames_total", "Frames.", 7)
+		e.Gauge("provlight_seed_queue_depth", "Depth.", 2.5)
+		e.Counter("provlight_seed_sent_total", "Sent per peer.", 3, "peer", "a")
+		e.Counter("provlight_seed_sent_total", "Sent per peer.", 4, "peer", `b"q\`)
+		e.Gauge("provlight_seed_window", "Window per peer.", -1.5, "peer", "a")
 		e.Gauge("provlight_seed_lag_records", "Lag.", 9, "follower", "r1")
 		e.Counter("provlight_seed_acks_total", "Acks.", 11)
 	})

@@ -3,28 +3,23 @@
 // (version 0.0.4), designed so that every recording operation on a hot
 // path costs at most a couple of uncontended atomic adds.
 //
-// Three concrete instrument kinds cover the stack:
+// Counters and gauges have one way in: a component keeps its counts in
+// its own Stats()/StatsSnapshot() struct and registers a Collect callback
+// that, at scrape time only, reads the snapshot and emits samples through
+// an Emitter — including dynamically labeled ones (per cluster peer, per
+// replication follower). The hot path pays nothing for these.
 //
-//   - Counter: a monotonically increasing atomic uint64.
-//   - Gauge: a settable float64 (atomic bits).
-//   - Histogram: fixed upper-bound buckets with atomic per-bucket counts
-//     plus an atomically accumulated sum — safe to Observe concurrently.
+// Distributions are the one registered instrument: a Histogram has fixed
+// upper-bound buckets with atomic per-bucket counts plus an atomically
+// accumulated sum, safe to Observe concurrently. Its labeled variant,
+// HistogramVec, resolves children through a copy-on-write map snapshot,
+// so the steady-state With lookup is lock-free; callers on hot paths
+// should still cache the child pointer.
 //
-// Each kind has a labeled *Vec variant. Vec children are resolved through
-// a copy-on-write map snapshot, so the steady-state With lookup is
-// lock-free; callers on hot paths should still cache the child pointer.
-//
-// Components whose counters already live in a Stats()/StatsSnapshot()
-// struct do not duplicate them into instruments: they register a Collect
-// callback that, at scrape time only, reads the snapshot and emits
-// samples — including dynamically labeled ones (per cluster peer, per
-// replication follower) that a static instrument cannot express. The hot
-// path pays nothing for these.
-//
-// Every constructor is get-or-create: asking for an existing name with a
-// matching kind and label set returns the registered instrument, so
-// several components can share one family (e.g. the per-stage frame
-// latency histogram). A nil *Registry is valid everywhere and yields nil
+// Histogram constructors are get-or-create: asking for an existing name
+// with a matching label set returns the registered instrument, so several
+// components can share one family (e.g. the per-stage frame latency
+// histogram). A nil *Registry is valid everywhere and yields nil
 // instruments whose methods no-op, so metrics wiring is always optional.
 package obs
 
@@ -122,67 +117,6 @@ func (k kind) String() string {
 	}
 }
 
-// Counter is a monotonically increasing metric.
-type Counter struct {
-	v atomic.Uint64
-}
-
-// Inc adds one. Safe on a nil receiver (no-op).
-func (c *Counter) Inc() {
-	if c != nil {
-		c.v.Add(1)
-	}
-}
-
-// Add adds n.
-func (c *Counter) Add(n uint64) {
-	if c != nil {
-		c.v.Add(n)
-	}
-}
-
-// Value returns the current count (0 on nil).
-func (c *Counter) Value() uint64 {
-	if c == nil {
-		return 0
-	}
-	return c.v.Load()
-}
-
-// Gauge is a metric that can go up and down.
-type Gauge struct {
-	bits atomic.Uint64
-}
-
-// Set stores v.
-func (g *Gauge) Set(v float64) {
-	if g != nil {
-		g.bits.Store(math.Float64bits(v))
-	}
-}
-
-// Add adds delta (CAS loop; gauges are not hot-path instruments).
-func (g *Gauge) Add(delta float64) {
-	if g == nil {
-		return
-	}
-	for {
-		old := g.bits.Load()
-		nw := math.Float64bits(math.Float64frombits(old) + delta)
-		if g.bits.CompareAndSwap(old, nw) {
-			return
-		}
-	}
-}
-
-// Value returns the current value (0 on nil).
-func (g *Gauge) Value() float64 {
-	if g == nil {
-		return 0
-	}
-	return math.Float64frombits(g.bits.Load())
-}
-
 // Histogram counts observations into fixed upper-bound buckets. Observe
 // is two uncontended atomic adds plus a CAS for the sum; buckets are
 // shared by every child of a family.
@@ -236,22 +170,22 @@ func (h *Histogram) Sum() float64 {
 	return math.Float64frombits(h.sumBits.Load())
 }
 
-// family is one registered metric name: its metadata and children (one
-// per label-value combination; the empty key for unlabeled instruments).
+// family is one registered histogram name: its metadata and children
+// (one per label-value combination; the empty key for an unlabeled
+// histogram).
 type family struct {
 	name    string
 	help    string
-	kind    kind
 	labels  []string
 	buckets []float64
 
-	mu       sync.Mutex                     // guards child creation
-	children atomic.Pointer[map[string]any] // copy-on-write snapshot
+	mu       sync.Mutex                            // guards child creation
+	children atomic.Pointer[map[string]*Histogram] // copy-on-write snapshot
 }
 
-// child returns the instrument for key, creating it with mk on first use.
-// The read path is a single atomic pointer load plus a map lookup.
-func (f *family) child(key string, mk func() any) any {
+// child returns the histogram for key, creating it on first use. The
+// read path is a single atomic pointer load plus a map lookup.
+func (f *family) child(key string) *Histogram {
 	if m := f.children.Load(); m != nil {
 		if c, ok := (*m)[key]; ok {
 			return c
@@ -265,13 +199,13 @@ func (f *family) child(key string, mk func() any) any {
 			return c
 		}
 	}
-	next := make(map[string]any, 1)
+	next := make(map[string]*Histogram, 1)
 	if old != nil {
 		for k, v := range *old {
 			next[k] = v
 		}
 	}
-	c := mk()
+	c := newHistogram(f.buckets)
 	next[key] = c
 	f.children.Store(&next)
 	return c
@@ -280,31 +214,6 @@ func (f *family) child(key string, mk func() any) any {
 // labelSep joins label values into child keys; 0xff cannot appear in
 // UTF-8 text, so joined keys never collide.
 const labelSep = "\xff"
-
-// CounterVec is a labeled counter family.
-type CounterVec struct{ f *family }
-
-// With returns the child counter for the given label values (in the
-// family's label order). Nil-safe; hot paths should cache the child.
-func (v *CounterVec) With(lvs ...string) *Counter {
-	if v == nil {
-		return nil
-	}
-	v.f.checkArity(len(lvs))
-	return v.f.child(strings.Join(lvs, labelSep), func() any { return &Counter{} }).(*Counter)
-}
-
-// GaugeVec is a labeled gauge family.
-type GaugeVec struct{ f *family }
-
-// With returns the child gauge for the given label values.
-func (v *GaugeVec) With(lvs ...string) *Gauge {
-	if v == nil {
-		return nil
-	}
-	v.f.checkArity(len(lvs))
-	return v.f.child(strings.Join(lvs, labelSep), func() any { return &Gauge{} }).(*Gauge)
-}
 
 // HistogramVec is a labeled histogram family.
 type HistogramVec struct{ f *family }
@@ -315,7 +224,7 @@ func (v *HistogramVec) With(lvs ...string) *Histogram {
 		return nil
 	}
 	v.f.checkArity(len(lvs))
-	return v.f.child(strings.Join(lvs, labelSep), func() any { return newHistogram(v.f.buckets) }).(*Histogram)
+	return v.f.child(strings.Join(lvs, labelSep))
 }
 
 func (f *family) checkArity(n int) {
@@ -340,40 +249,23 @@ func NewRegistry() *Registry {
 	return &Registry{fams: map[string]*family{}}
 }
 
-// register resolves name to its family, creating it on first use and
-// panicking on a kind or label-arity conflict — two components disagreeing
-// about a metric's shape is a programming error worth failing loudly on.
-func (r *Registry) register(name, help string, k kind, buckets []float64, labels []string) *family {
+// register resolves name to its histogram family, creating it on first
+// use and panicking on a label-arity conflict — two components
+// disagreeing about a metric's shape is a programming error worth failing
+// loudly on.
+func (r *Registry) register(name, help string, buckets []float64, labels []string) *family {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if f, ok := r.fams[name]; ok {
-		if f.kind != k || len(f.labels) != len(labels) {
-			panic(fmt.Sprintf("obs: %s re-registered as %s with %d labels (was %s with %d)",
-				name, k, len(labels), f.kind, len(f.labels)))
+		if len(f.labels) != len(labels) {
+			panic(fmt.Sprintf("obs: %s re-registered with %d labels (was %d)",
+				name, len(labels), len(f.labels)))
 		}
 		return f
 	}
-	f := &family{name: name, help: help, kind: k, labels: labels, buckets: buckets}
+	f := &family{name: name, help: help, labels: labels, buckets: buckets}
 	r.fams[name] = f
 	return f
-}
-
-// Counter returns the (unlabeled) counter registered under name.
-func (r *Registry) Counter(name, help string) *Counter {
-	if r == nil {
-		return nil
-	}
-	f := r.register(name, help, kindCounter, nil, nil)
-	return f.child("", func() any { return &Counter{} }).(*Counter)
-}
-
-// Gauge returns the (unlabeled) gauge registered under name.
-func (r *Registry) Gauge(name, help string) *Gauge {
-	if r == nil {
-		return nil
-	}
-	f := r.register(name, help, kindGauge, nil, nil)
-	return f.child("", func() any { return &Gauge{} }).(*Gauge)
 }
 
 // Histogram returns the (unlabeled) histogram registered under name.
@@ -383,24 +275,7 @@ func (r *Registry) Histogram(name, help string, buckets []float64) *Histogram {
 	if r == nil {
 		return nil
 	}
-	f := r.register(name, help, kindHistogram, buckets, nil)
-	return f.child("", func() any { return newHistogram(f.buckets) }).(*Histogram)
-}
-
-// CounterVec returns the labeled counter family registered under name.
-func (r *Registry) CounterVec(name, help string, labels ...string) *CounterVec {
-	if r == nil {
-		return nil
-	}
-	return &CounterVec{f: r.register(name, help, kindCounter, nil, labels)}
-}
-
-// GaugeVec returns the labeled gauge family registered under name.
-func (r *Registry) GaugeVec(name, help string, labels ...string) *GaugeVec {
-	if r == nil {
-		return nil
-	}
-	return &GaugeVec{f: r.register(name, help, kindGauge, nil, labels)}
+	return r.register(name, help, buckets, nil).child("")
 }
 
 // HistogramVec returns the labeled histogram family registered under name.
@@ -408,7 +283,7 @@ func (r *Registry) HistogramVec(name, help string, buckets []float64, labels ...
 	if r == nil {
 		return nil
 	}
-	return &HistogramVec{f: r.register(name, help, kindHistogram, buckets, labels)}
+	return &HistogramVec{f: r.register(name, help, buckets, labels)}
 }
 
 // Collect registers a scrape-time callback: fn runs on every exposition
@@ -551,7 +426,7 @@ func formatValue(v float64) string {
 }
 
 // WriteTo writes the registry's current state in Prometheus text
-// exposition format 0.0.4: instruments first, then everything the
+// exposition format 0.0.4: histograms first, then everything the
 // Collect callbacks emit, families sorted by name, HELP/TYPE once per
 // family.
 func (r *Registry) WriteTo(w io.Writer) (int64, error) {
@@ -571,7 +446,7 @@ func (r *Registry) WriteTo(w io.Writer) (int64, error) {
 	e := &Emitter{fams: out, order: &order}
 
 	for name, f := range fams {
-		of := &outFam{help: f.help, kind: f.kind}
+		of := &outFam{help: f.help, kind: kindHistogram}
 		out[name] = of
 		order = append(order, name)
 		m := f.children.Load()
@@ -585,29 +460,23 @@ func (r *Registry) WriteTo(w io.Writer) (int64, error) {
 		sort.Strings(keys)
 		for _, key := range keys {
 			lbl := renderInstrumentLabels(f.labels, key)
-			switch c := (*m)[key].(type) {
-			case *Counter:
-				of.samples = append(of.samples, sample{labels: lbl, uvalue: c.Value(), isUint: true})
-			case *Gauge:
-				of.samples = append(of.samples, sample{labels: lbl, value: c.Value()})
-			case *Histogram:
-				cum := uint64(0)
-				for i := range c.counts {
-					cum += c.counts[i].Load()
-					le := "+Inf"
-					if i < len(c.upper) {
-						le = formatValue(c.upper[i])
-					}
-					bl := lbl
-					if bl != "" {
-						bl += ","
-					}
-					bl += `le="` + le + `"`
-					of.samples = append(of.samples, sample{suffix: "_bucket", labels: bl, uvalue: cum, isUint: true})
+			c := (*m)[key]
+			cum := uint64(0)
+			for i := range c.counts {
+				cum += c.counts[i].Load()
+				le := "+Inf"
+				if i < len(c.upper) {
+					le = formatValue(c.upper[i])
 				}
-				of.samples = append(of.samples, sample{suffix: "_sum", labels: lbl, value: c.Sum()})
-				of.samples = append(of.samples, sample{suffix: "_count", labels: lbl, uvalue: c.Count(), isUint: true})
+				bl := lbl
+				if bl != "" {
+					bl += ","
+				}
+				bl += `le="` + le + `"`
+				of.samples = append(of.samples, sample{suffix: "_bucket", labels: bl, uvalue: cum, isUint: true})
 			}
+			of.samples = append(of.samples, sample{suffix: "_sum", labels: lbl, value: c.Sum()})
+			of.samples = append(of.samples, sample{suffix: "_count", labels: lbl, uvalue: c.Count(), isUint: true})
 		}
 	}
 	for _, fn := range collectors {

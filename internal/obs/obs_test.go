@@ -6,18 +6,20 @@ import (
 	"net/http/httptest"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 )
 
-// TestCounterHistogramConcurrency hammers the hot-path instruments from
-// many goroutines (run under -race in CI) and checks the totals add up.
-func TestCounterHistogramConcurrency(t *testing.T) {
+// TestHistogramConcurrency hammers the histograms from many goroutines
+// (run under -race in CI) while a collector emits a counter the same
+// goroutines bump, and checks the totals add up.
+func TestHistogramConcurrency(t *testing.T) {
 	r := NewRegistry()
-	c := r.Counter("test_ops_total", "ops")
 	h := r.Histogram("test_latency_seconds", "lat", LatencyBuckets)
-	cv := r.CounterVec("test_labeled_total", "labeled ops", "worker")
 	hv := r.HistogramVec("test_labeled_seconds", "labeled lat", BatchBuckets, "worker")
+	var ops atomic.Uint64
+	r.Collect(func(e *Emitter) { e.Counter("test_ops_total", "ops", float64(ops.Load())) })
 
 	const goroutines = 8
 	const perG = 10000
@@ -26,13 +28,10 @@ func TestCounterHistogramConcurrency(t *testing.T) {
 		wg.Add(1)
 		go func(id int) {
 			defer wg.Done()
-			worker := string(rune('a' + id%4))
-			lc := cv.With(worker)
-			lh := hv.With(worker)
+			lh := hv.With(string(rune('a' + id%4)))
 			for i := 0; i < perG; i++ {
-				c.Inc()
+				ops.Add(1)
 				h.Observe(float64(i%100) / 1000)
-				lc.Add(2)
 				lh.Observe(float64(i % 300))
 			}
 		}(g)
@@ -52,18 +51,15 @@ func TestCounterHistogramConcurrency(t *testing.T) {
 	wg.Wait()
 	<-done
 
-	if got := c.Value(); got != goroutines*perG {
-		t.Fatalf("counter = %d, want %d", got, goroutines*perG)
-	}
 	if got := h.Count(); got != goroutines*perG {
 		t.Fatalf("histogram count = %d, want %d", got, goroutines*perG)
 	}
 	var labeledTotal uint64
 	for _, w := range []string{"a", "b", "c", "d"} {
-		labeledTotal += cv.With(w).Value()
+		labeledTotal += hv.With(w).Count()
 	}
-	if labeledTotal != goroutines*perG*2 {
-		t.Fatalf("labeled counters sum = %d, want %d", labeledTotal, goroutines*perG*2)
+	if labeledTotal != goroutines*perG {
+		t.Fatalf("labeled histogram counts sum = %d, want %d", labeledTotal, goroutines*perG)
 	}
 	// Bucket counts must sum to the observation count.
 	var bucketSum uint64
@@ -73,20 +69,31 @@ func TestCounterHistogramConcurrency(t *testing.T) {
 	if bucketSum != h.Count() {
 		t.Fatalf("bucket sum %d != count %d", bucketSum, h.Count())
 	}
+	var sb strings.Builder
+	if _, err := r.WriteTo(&sb); err != nil {
+		t.Fatal(err)
+	}
+	sc, err := ParseText(strings.NewReader(sb.String()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if v, ok := sc.Value("test_ops_total"); !ok || v != goroutines*perG {
+		t.Fatalf("collected test_ops_total = %v (present %v), want %d", v, ok, goroutines*perG)
+	}
 }
 
 // TestGetOrCreateSharing verifies two registrations of the same family
-// return the same instrument, and that shape conflicts panic.
+// return the same histogram, and that a label-arity conflict panics.
 func TestGetOrCreateSharing(t *testing.T) {
 	r := NewRegistry()
-	a := r.Counter("shared_total", "x")
-	b := r.Counter("shared_total", "x")
+	a := r.Histogram("shared_seconds", "x", LatencyBuckets)
+	b := r.Histogram("shared_seconds", "x", LatencyBuckets)
 	if a != b {
-		t.Fatal("same name returned distinct counters")
+		t.Fatal("same name returned distinct histograms")
 	}
-	a.Inc()
-	if b.Value() != 1 {
-		t.Fatal("shared counter not shared")
+	a.Observe(1)
+	if b.Count() != 1 {
+		t.Fatal("shared histogram not shared")
 	}
 	h1 := StageLatency(r).With(StageTranslate)
 	h2 := StageLatency(r).With(StageTranslate)
@@ -95,20 +102,16 @@ func TestGetOrCreateSharing(t *testing.T) {
 	}
 	defer func() {
 		if recover() == nil {
-			t.Fatal("kind conflict did not panic")
+			t.Fatal("label-arity conflict did not panic")
 		}
 	}()
-	r.Gauge("shared_total", "x")
+	r.HistogramVec("shared_seconds", "x", LatencyBuckets, "stage")
 }
 
 // TestNilRegistrySafe exercises every instrument path on a nil registry.
 func TestNilRegistrySafe(t *testing.T) {
 	var r *Registry
-	r.Counter("a", "").Inc()
-	r.Gauge("b", "").Set(1)
 	r.Histogram("c", "", LatencyBuckets).Observe(1)
-	r.CounterVec("d", "", "l").With("x").Add(3)
-	r.GaugeVec("e", "", "l").With("x").Add(1)
 	r.HistogramVec("f", "", BatchBuckets, "l").With("x").Observe(2)
 	r.Collect(func(e *Emitter) {})
 	ObserveSince(nil, time.Now().UnixNano())
@@ -122,14 +125,14 @@ func TestNilRegistrySafe(t *testing.T) {
 // the minimal parser.
 func TestExpositionGolden(t *testing.T) {
 	r := NewRegistry()
-	r.Counter("app_requests_total", "Requests served.").Add(42)
-	r.Gauge("app_depth", "Queue depth.").Set(3.5)
 	h := r.Histogram("app_wait_seconds", "Wait time.", []float64{0.1, 1})
 	h.Observe(0.05)
 	h.Observe(0.5)
 	h.Observe(5)
-	r.CounterVec("app_errs_total", "Errors.", "kind").With(`we"ird\x` + "\n").Add(7)
 	r.Collect(func(e *Emitter) {
+		e.Counter("app_requests_total", "Requests served.", 42)
+		e.Gauge("app_depth", "Queue depth.", 3.5)
+		e.Counter("app_errs_total", "Errors.", 7, "kind", `we"ird\x`+"\n")
 		e.Gauge("app_lag", "Per-peer lag.", 12, "peer", "n1")
 		e.Gauge("app_lag", "Per-peer lag.", 0.25, "peer", "n2")
 		e.Counter("app_scrapes_total", "", 1)
@@ -239,7 +242,7 @@ func TestObserveSince(t *testing.T) {
 // /healthz, /readyz, and the opt-in pprof mount.
 func TestMuxEndpoints(t *testing.T) {
 	r := NewRegistry()
-	r.Counter("mux_hits_total", "").Add(9)
+	r.Collect(func(e *Emitter) { e.Counter("mux_hits_total", "", 9) })
 	ready := true
 	mux := NewMux(MuxOptions{
 		Registry: r,
@@ -304,16 +307,11 @@ type errTestType struct{}
 
 func (errTestType) Error() string { return "not ready" }
 
-// TestGaugeMath covers Add/Set and special values surviving exposition.
-func TestGaugeMath(t *testing.T) {
+// TestSpecialValues checks an emitted +Inf survives exposition and
+// parsing.
+func TestSpecialValues(t *testing.T) {
 	r := NewRegistry()
-	g := r.Gauge("math_gauge", "")
-	g.Set(1.5)
-	g.Add(-0.5)
-	if g.Value() != 1 {
-		t.Fatalf("gauge = %v", g.Value())
-	}
-	g.Set(math.Inf(1))
+	r.Collect(func(e *Emitter) { e.Gauge("math_gauge", "", math.Inf(1)) })
 	var sb strings.Builder
 	_, _ = r.WriteTo(&sb)
 	if !strings.Contains(sb.String(), "math_gauge +Inf") {

@@ -192,8 +192,6 @@ func Run(ctx context.Context, opts Options) (*Report, error) {
 		Addr:         "127.0.0.1:0",
 		Targets:      []translate.Target{target},
 		Sessions:     opts.Sessions,
-		Workers:      2,
-		BatchSize:    64,
 		MaxSessions:  opts.MaxSessions,
 		ConnectRate:  opts.ConnectRate,
 		ConnectBurst: opts.ConnectBurst,
@@ -415,15 +413,10 @@ func Run(ctx context.Context, opts Options) (*Report, error) {
 			case <-progressStop:
 				return
 			case <-tick.C:
-				var frames, redials uint64
-				for _, tr := range srv.Translators {
-					st := tr.Stats()
-					frames += st.FramesReceived
-					redials += st.SessionRedials
-				}
+				st := srv.Translator.Stats()
 				bst := srv.Broker.Stats()
 				logf("soak: drain progress %d/%d devices (translator frames=%d redials=%d; broker sessions=%d recv=%d routed=%d dup=%d rexmit=%d giveup=%d reroute=%d)",
-					drained.Load(), opts.Devices, frames, redials,
+					drained.Load(), opts.Devices, st.FramesReceived, st.SessionRedials,
 					bst.Sessions, bst.PublishesReceived, bst.MessagesRouted,
 					bst.DuplicatesDropped, bst.Retransmissions, bst.DeliveryGiveUps, bst.GroupRerouted)
 			}

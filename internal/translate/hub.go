@@ -69,9 +69,10 @@ type HubStats struct {
 	Dropped uint64
 }
 
-// Hub fans translated records out to live subscribers. The translator's
-// delivery path publishes every decoded batch after target delivery, so a
-// subscription observes exactly the record stream the targets ingest.
+// Hub fans translated records out to live subscribers. Each Translator
+// owns one (Translator.Subscribe): its delivery loop publishes every
+// decoded batch after target delivery, so a subscription observes exactly
+// the record stream the targets ingest, in the same order.
 //
 // Slow-consumer semantics: delivery to a subscriber is non-blocking. A
 // subscriber whose bounded buffer is full loses the record (counted in
@@ -84,16 +85,7 @@ type Hub struct {
 
 	delivered atomic.Uint64
 	dropped   atomic.Uint64
-
-	// metricsClaimed lets the first translator wired to a registry claim
-	// this hub's export: several translators may share one hub AND one
-	// registry, and a shared counter emitted by each would double-count.
-	metricsClaimed atomic.Bool
 }
-
-// claimMetrics returns true exactly once per hub: the caller that wins
-// exports the hub's stats.
-func (h *Hub) claimMetrics() bool { return h.metricsClaimed.CompareAndSwap(false, true) }
 
 type hubSub struct {
 	ch       chan provdm.Record
@@ -106,8 +98,8 @@ type hubSub struct {
 // finish signals the subscription's ctx-watcher goroutine to exit.
 func (s *hubSub) finish() { s.doneOnce.Do(func() { close(s.done) }) }
 
-// NewHub returns an empty hub.
-func NewHub() *Hub { return &Hub{subs: map[*hubSub]struct{}{}} }
+// newHub returns an empty hub.
+func newHub() *Hub { return &Hub{subs: map[*hubSub]struct{}{}} }
 
 // Subscribe registers a live record stream matching filter and returns the
 // receive channel plus a cancel function. The channel is closed when the

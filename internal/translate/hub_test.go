@@ -25,7 +25,7 @@ func hubRecords(n int) []Frame {
 }
 
 func TestHubSlowConsumerDrops(t *testing.T) {
-	h := NewHub()
+	h := newHub()
 	ch, cancel := h.Subscribe(context.Background(), Filter{Buffer: 4})
 	defer cancel()
 
@@ -53,7 +53,7 @@ func TestHubSlowConsumerDrops(t *testing.T) {
 }
 
 func TestHubKeepingUpLosesNothing(t *testing.T) {
-	h := NewHub()
+	h := newHub()
 	ch, cancel := h.Subscribe(context.Background(), Filter{Buffer: 64})
 	defer cancel()
 
@@ -78,7 +78,7 @@ func TestHubKeepingUpLosesNothing(t *testing.T) {
 }
 
 func TestHubFilters(t *testing.T) {
-	h := NewHub()
+	h := newHub()
 	byWorkflow, cancel1 := h.Subscribe(context.Background(), Filter{Workflow: "w"})
 	defer cancel1()
 	otherWorkflow, cancel2 := h.Subscribe(context.Background(), Filter{Workflow: "nope"})
@@ -107,7 +107,7 @@ func TestHubFilters(t *testing.T) {
 }
 
 func TestHubContextCancelClosesChannel(t *testing.T) {
-	h := NewHub()
+	h := newHub()
 	ctx, cancelCtx := context.WithCancel(context.Background())
 	ch, cancel := h.Subscribe(ctx, Filter{})
 	defer cancel()
@@ -130,7 +130,7 @@ func TestHubContextCancelClosesChannel(t *testing.T) {
 }
 
 func TestHubCancelIdempotentAndClose(t *testing.T) {
-	h := NewHub()
+	h := newHub()
 	ch, cancel := h.Subscribe(context.Background(), Filter{})
 	cancel()
 	cancel() // must not panic

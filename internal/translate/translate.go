@@ -96,8 +96,8 @@ type Config struct {
 	// first, then the others (mqttsn.SessionConfig.Gateways).
 	ClusterAddrs []string
 	// Transport dials broker sessions over an alternate packet substrate
-	// (in-process loopback, TCP stream); nil means UDP. DialConn takes
-	// precedence when both are set.
+	// (the in-process loopback); nil means UDP. DialConn takes precedence
+	// when both are set.
 	Transport transport.Transport
 	// ClientID of the translator's broker session. Default "translator".
 	// With Sessions > 1 each session appends its index ("-s2", "-s3", …).
@@ -110,10 +110,11 @@ type Config struct {
 	// The broker partitions the device topic space across the sessions by
 	// sticky least-loaded assignment (a topic goes to the session owning
 	// the fewest topics and stays there while it lives), so each device's
-	// stream stays on one session (per-workflow order preserved) while the group's aggregate outbound
-	// window — the fan-in bottleneck on high-latency links — scales with
-	// the session count. All sessions feed the same worker/batch/target
-	// machinery. Default 1: a plain (unshared) subscription.
+	// stream stays on one session (per-workflow order preserved) while the
+	// group's aggregate outbound window — the fan-in bottleneck on
+	// high-latency links — scales with the session count. All sessions
+	// feed the translator's one delivery loop. Default 1: a plain
+	// (unshared) subscription.
 	Sessions int
 	// Group names the consumer group. Default: ClientID. Two translator
 	// processes using the same Group and TopicFilter split the stream
@@ -126,16 +127,10 @@ type Config struct {
 	DialConn func() (net.PacketConn, error)
 	// Targets receive every decoded record batch.
 	Targets []Target
-	// Workers parallelizes delivery (paper §IV-B1: translators "may be
-	// parallelized to scale the data capture"). Default 1.
-	Workers int
-	// BatchSize caps how many decoded frames a worker drains from the
-	// queue into one delivery round. Default 64; 1 disables batching.
+	// BatchSize caps how many decoded frames the delivery loop drains from
+	// the queue into one delivery round; it never waits for more than are
+	// already queued. Default 64; 1 disables batching.
 	BatchSize int
-	// BatchLinger is how long a worker holding at least one frame waits
-	// for more before delivering an underfull batch. Default 0: deliver
-	// whatever is immediately available without waiting.
-	BatchLinger time.Duration
 	// KeepAlive / RetryInterval / MaxRetries tune the broker session.
 	KeepAlive     time.Duration
 	RetryInterval time.Duration
@@ -168,20 +163,19 @@ type Config struct {
 	// purely in-memory pipeline promise durability the pipeline does not
 	// have.
 	DisableAcks bool
-	// Hub, when set, receives every delivered batch for fan-out to live
-	// subscribers (Server.Subscribe). Several translators may share one
-	// hub.
-	Hub *Hub
-	// Metrics, when set, exports the translator's counters (and the hub's,
-	// when Hub is set) at scrape time, plus the translate and
-	// durable-apply stages of the e2e frame latency histogram and a
-	// delivered micro-batch size histogram.
+	// Metrics, when set, exports the translator's counters and its live
+	// subscriptions' at scrape time, plus the translate and durable-apply
+	// stages of the e2e frame latency histogram and a delivered
+	// micro-batch size histogram.
 	Metrics *obs.Registry
 }
 
 // Translator subscribes to device topics and pumps records into targets.
-// With Config.Sessions > 1 it holds several broker sessions in one
-// consumer group, all feeding the same work queue.
+// One goroutine delivers every frame, so frames reach the targets (and
+// the live subscriptions) in the order the broker sessions received them:
+// per-workflow order. With Config.Sessions > 1 it holds several broker
+// sessions in one consumer group, all feeding that one work queue; more
+// delivery parallelism means more translators sharing a Group.
 type Translator struct {
 	cfg Config
 	// filter is the resolved subscription filter (shared-subscription
@@ -201,6 +195,8 @@ type Translator struct {
 	// stall only on the broker itself, never on the translator's own
 	// backlog. nil when DisableAcks.
 	acks *mqttsn.Session
+	// hub fans every delivered batch out to live subscriptions.
+	hub *Hub
 
 	frames       atomic.Uint64
 	records      atomic.Uint64
@@ -249,9 +245,6 @@ func New(ctx context.Context, cfg Config) (*Translator, error) {
 			cfg.Broker = cfg.ClusterAddrs[0]
 		}
 	}
-	if cfg.Workers <= 0 {
-		cfg.Workers = 1
-	}
 	if cfg.BatchSize <= 0 {
 		cfg.BatchSize = 64
 	}
@@ -272,6 +265,7 @@ func New(ctx context.Context, cfg Config) (*Translator, error) {
 	t := &Translator{
 		cfg:    cfg,
 		filter: filter,
+		hub:    newHub(),
 		work:   make(chan Frame, 256),
 	}
 	t.term.Store(cfg.Term)
@@ -295,10 +289,6 @@ func New(ctx context.Context, cfg Config) (*Translator, error) {
 		t.stageTranslate = obs.StageLatency(r).With(obs.StageTranslate)
 		t.stageApply = obs.StageLatency(r).With(obs.StageDurableApply)
 		t.batchSizes = r.Histogram("provlight_translate_batch_frames", "Frames per delivered micro-batch.", obs.BatchBuckets)
-		var hub *Hub
-		if cfg.Hub != nil && cfg.Hub.claimMetrics() {
-			hub = cfg.Hub
-		}
 		r.Collect(func(e *obs.Emitter) {
 			st := t.Stats()
 			e.Counter("provlight_translate_frames_received_total", "Frames consumed from the broker.", float64(st.FramesReceived))
@@ -310,20 +300,16 @@ func New(ctx context.Context, cfg Config) (*Translator, error) {
 			e.Counter("provlight_translate_ack_errors_total", "Failed or skipped ack publishes.", float64(st.AckErrors))
 			e.Counter("provlight_translate_session_redials_total", "Broker sessions replaced after dying.", float64(st.SessionRedials))
 			e.Gauge("provlight_translate_term", "Replication term stamped into acks.", float64(t.Term()))
-			if hub != nil {
-				hs := hub.Stats()
-				e.Gauge("provlight_translate_hub_subscribers", "Active live subscriptions.", float64(hs.Subscribers))
-				e.Counter("provlight_translate_hub_delivered_total", "Records handed to subscriber channels.", float64(hs.Delivered))
-				e.Counter("provlight_translate_hub_dropped_total", "Records dropped on full subscriber buffers.", float64(hs.Dropped))
-			}
+			hs := t.hub.Stats()
+			e.Gauge("provlight_translate_hub_subscribers", "Active live subscriptions.", float64(hs.Subscribers))
+			e.Counter("provlight_translate_hub_delivered_total", "Records handed to subscriber channels.", float64(hs.Delivered))
+			e.Counter("provlight_translate_hub_dropped_total", "Records dropped on full subscriber buffers.", float64(hs.Dropped))
 		})
 	}
-	for i := 0; i < cfg.Workers; i++ {
-		t.wg.Add(1)
-		go t.worker()
-	}
+	t.wg.Add(1)
+	go t.worker()
 	// The ack session opens first: a consumer must never hand a frame to
-	// a worker before acks can be published.
+	// the worker before acks can be published.
 	if t.acks != nil {
 		if err := t.acks.Open(ctx); err != nil {
 			t.Close()
@@ -432,8 +418,9 @@ func (t *Translator) onMessage(topic string, payload []byte) {
 	t.work <- Frame{Origin: topic, Seq: seq, Records: records, CaptureNS: captureNS}
 }
 
-// worker drains the frame queue into micro-batches and delivers each to
-// every target.
+// worker is the translator's one delivery loop: it drains the frame
+// queue into micro-batches and delivers each to every target in queue
+// order.
 func (t *Translator) worker() {
 	defer t.wg.Done()
 	batch := make([]Frame, 0, t.cfg.BatchSize)
@@ -443,11 +430,9 @@ func (t *Translator) worker() {
 	}
 }
 
-// fillBatch tops the batch up to BatchSize with frames already queued; if
-// BatchLinger is set it also waits up to that long for stragglers so
-// slow-trickling devices still form batches.
+// fillBatch tops the batch up to BatchSize with frames already queued,
+// without waiting for more.
 func (t *Translator) fillBatch(batch []Frame) []Frame {
-	var linger <-chan time.Time
 	for len(batch) < cap(batch) {
 		select {
 		case frame, ok := <-t.work:
@@ -456,23 +441,7 @@ func (t *Translator) fillBatch(batch []Frame) []Frame {
 			}
 			batch = append(batch, frame)
 		default:
-			if t.cfg.BatchLinger <= 0 {
-				return batch
-			}
-			if linger == nil {
-				timer := time.NewTimer(t.cfg.BatchLinger)
-				defer timer.Stop()
-				linger = timer.C
-			}
-			select {
-			case frame, ok := <-t.work:
-				if !ok {
-					return batch
-				}
-				batch = append(batch, frame)
-			case <-linger:
-				return batch
-			}
+			return batch
 		}
 	}
 	return batch
@@ -497,12 +466,10 @@ func (t *Translator) deliver(batch []Frame) {
 			delivered = false
 		}
 	}
-	if t.cfg.Hub != nil {
-		// Live fan-out after target delivery: a subscription observes the
-		// same stream the targets ingested, and Drain implies the hub saw
-		// every drained frame.
-		t.cfg.Hub.Publish(batch)
-	}
+	// Live fan-out after target delivery: a subscription observes the
+	// same stream the targets ingested, and Drain implies the hub saw
+	// every drained frame.
+	t.hub.Publish(batch)
 	if delivered && !t.cfg.DisableAcks {
 		// Acks only when *every* target took the whole batch: a failed
 		// target leaves the batch unacked so the spooling client
@@ -591,15 +558,34 @@ func (t *Translator) reportDeliveryError(target Target, err error) {
 // Drain waits until all frames received so far have been delivered.
 func (t *Translator) Drain() { t.inFl.Wait() }
 
+// Subscribe opens a live stream of the records this translator delivers:
+// every record matching filter arrives on the returned channel after the
+// targets took its batch, in delivery order. The channel is closed when
+// the subscription ends — cancel is called, ctx is cancelled, or the
+// translator shuts down.
+//
+// Delivery is non-blocking with a bounded per-subscriber buffer
+// (Filter.Buffer, default DefaultSubscribeBuffer): a slow consumer loses
+// records rather than backpressuring ingestion, and every such drop is
+// counted in SubscriptionStats().Dropped.
+func (t *Translator) Subscribe(ctx context.Context, filter Filter) (<-chan provdm.Record, func()) {
+	return t.hub.Subscribe(ctx, filter)
+}
+
+// SubscriptionStats returns a snapshot of live-subscription counters
+// (active subscribers, records delivered, slow-consumer drops).
+func (t *Translator) SubscriptionStats() HubStats { return t.hub.Stats() }
+
 // Shutdown stops consumption and drains gracefully: inbound is cut first,
-// then every already-received frame is delivered and the workers exit. If
-// ctx expires before the drain completes (e.g. a target hangs), Shutdown
-// returns the context error; the work queue is already closed by then, so
-// the workers deliver their remaining frames and exit whenever the target
-// unblocks — nothing leaks past that point.
+// then every already-received frame is delivered, the worker exits and
+// the live subscriptions end. If ctx expires before the drain completes
+// (e.g. a target hangs), Shutdown ends the subscriptions and returns the
+// context error; the work queue is already closed by then, so the worker
+// delivers its remaining frames and exits whenever the target unblocks —
+// nothing leaks past that point.
 func (t *Translator) Shutdown(ctx context.Context) error {
 	if !t.closed.CompareAndSwap(false, true) {
-		// Another Shutdown/Close owns the teardown: wait for its workers
+		// Another Shutdown/Close owns the teardown: wait for its worker
 		// to drain under this call's ctx instead of returning early (so a
 		// deadline-free Close after a timed-out Shutdown really drains).
 		return waitCtx(ctx, t.wg.Wait)
@@ -611,10 +597,11 @@ func (t *Translator) Shutdown(ctx context.Context) error {
 	for _, s := range t.consumers {
 		s.Disconnect()
 	}
-	close(t.work) // workers drain the queue, then exit
+	close(t.work) // the worker drains the queue, then exits
 	err := waitCtx(ctx, t.wg.Wait)
-	// The ack session goes last: the workers publish acks for every frame
-	// they drain after inbound is cut, and those acks are what lets the
+	t.hub.Close()
+	// The ack session goes last: the worker publishes acks for every frame
+	// it drains after inbound is cut, and those acks are what lets the
 	// devices reclaim their spools.
 	if t.acks != nil {
 		t.acks.Disconnect()
@@ -646,6 +633,7 @@ func (t *Translator) Abort() {
 	}
 	close(t.work)
 	t.wg.Wait()
+	t.hub.Close()
 }
 
 // waitCtx runs wait (typically a WaitGroup.Wait), returning early with

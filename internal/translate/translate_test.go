@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"fmt"
+	"math/rand/v2"
 	"strings"
 	"sync"
 	"testing"
@@ -267,7 +268,6 @@ func TestTranslatorBatchDelivery(t *testing.T) {
 		RetryInterval: 150 * time.Millisecond,
 		MaxRetries:    10,
 		BatchSize:     8,
-		BatchLinger:   50 * time.Millisecond,
 		Targets:       []Target{counting},
 		OnError:       func(err error) { t.Errorf("translator error: %v", err) },
 	})
@@ -313,6 +313,90 @@ func TestTranslatorBatchDelivery(t *testing.T) {
 	if st.DeliveryErrors != 0 || st.DecodeErrors != 0 {
 		t.Errorf("translator errors: %+v", st)
 	}
+}
+
+// slowOrderTarget records every record it is handed and sleeps a random
+// 0-300µs per delivery, like a target doing I/O.
+type slowOrderTarget struct {
+	mu      sync.Mutex
+	records []provdm.Record
+}
+
+func (*slowOrderTarget) Name() string { return "slow-order" }
+
+func (o *slowOrderTarget) DeliverFrames(frames []Frame) error {
+	time.Sleep(time.Duration(rand.Int64N(int64(300 * time.Microsecond))))
+	o.mu.Lock()
+	defer o.mu.Unlock()
+	for i := range frames {
+		o.records = append(o.records, frames[i].Records...)
+	}
+	return nil
+}
+
+func (o *slowOrderTarget) snapshot() []provdm.Record {
+	o.mu.Lock()
+	defer o.mu.Unlock()
+	return append([]provdm.Record(nil), o.records...)
+}
+
+// TestTranslatorDeliversWorkflowInOrder sends one workflow from one
+// publisher through a real broker into a target whose deliveries take
+// varying time: the records must reach the target, and a live
+// subscription, in capture order.
+func TestTranslatorDeliversWorkflowInOrder(t *testing.T) {
+	b, err := broker.New(broker.Config{Addr: "127.0.0.1:0", RetryInterval: 150 * time.Millisecond})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer b.Close()
+	target := &slowOrderTarget{}
+	tr, err := New(context.Background(), Config{
+		Broker:        b.Addr(),
+		RetryInterval: 150 * time.Millisecond,
+		MaxRetries:    10,
+		Targets:       []Target{target},
+		OnError:       func(err error) { t.Errorf("translator error: %v", err) },
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer tr.Close()
+	records := sampleRecords(100)
+	live, cancel := tr.Subscribe(context.Background(), Filter{Buffer: len(records)})
+	defer cancel()
+
+	publishRecords(t, b.Addr(), records)
+	deadline := time.Now().Add(10 * time.Second)
+	for len(target.snapshot()) < len(records) {
+		if time.Now().After(deadline) {
+			t.Fatalf("target has %d/%d records", len(target.snapshot()), len(records))
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+	tr.Drain()
+
+	inOrder := func(what string, got []provdm.Record) {
+		t.Helper()
+		if len(got) != len(records) {
+			t.Fatalf("%s has %d records, want exactly %d", what, len(got), len(records))
+		}
+		misplaced := 0
+		for i := range got {
+			if got[i].Event != records[i].Event || got[i].TaskID != records[i].TaskID {
+				misplaced++
+			}
+		}
+		if misplaced > 0 {
+			t.Errorf("%s: %d of %d records out of capture order", what, misplaced, len(records))
+		}
+	}
+	inOrder("target", target.snapshot())
+	var streamed []provdm.Record
+	for len(live) > 0 {
+		streamed = append(streamed, <-live)
+	}
+	inOrder("subscription", streamed)
 }
 
 // TestDfAnalyzerTargetRetriesRegistration: if registration fails (server

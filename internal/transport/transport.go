@@ -5,10 +5,7 @@
 //
 //   - UDP is the production path (one datagram per MQTT-SN packet),
 //   - Loopback is an in-process channel-backed substrate for fast,
-//     deterministic tests and single-binary multi-node clusters,
-//   - TCP carries each MQTT-SN packet as a length-prefixed frame over a
-//     stream, for deployments where UDP is filtered or unreliable paths
-//     need kernel retransmission underneath the MQTT-SN QoS machinery.
+//     deterministic tests and single-binary multi-node clusters.
 //
 // Transports compose with netem.WrapTransport for shaped links and are
 // interchangeable across internal/broker, internal/mqttsn,
@@ -26,7 +23,7 @@ import (
 // (the mqttsn client's Close path depends on both).
 type Transport interface {
 	// Listen opens a server endpoint. An empty addr picks a transport
-	// default (UDP/TCP: 127.0.0.1 with an ephemeral port; loopback: an
+	// default (UDP: 127.0.0.1 with an ephemeral port; loopback: an
 	// auto-generated name). The returned conn's LocalAddr().String() is
 	// the address clients Dial.
 	Listen(addr string) (net.PacketConn, error)

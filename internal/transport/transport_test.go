@@ -20,7 +20,6 @@ func testTransports(t *testing.T) map[string]transport.Transport {
 	return map[string]transport.Transport{
 		"udp":      transport.UDP{},
 		"loopback": transport.NewLoopback(),
-		"tcp":      transport.TCP{},
 	}
 }
 
@@ -157,46 +156,6 @@ func TestLoopbackSemantics(t *testing.T) {
 		}
 	case <-time.After(2 * time.Second):
 		t.Fatal("close did not unblock ReadFrom")
-	}
-}
-
-// TestStreamFraming pushes packets big enough to span several TCP
-// segments and checks the framing keeps packet boundaries.
-func TestStreamFraming(t *testing.T) {
-	srv, err := transport.TCP{}.Listen("")
-	if err != nil {
-		t.Fatalf("listen: %v", err)
-	}
-	defer srv.Close()
-	cli, gw, err := transport.TCP{}.Dial(srv.LocalAddr().String())
-	if err != nil {
-		t.Fatalf("dial: %v", err)
-	}
-	defer cli.Close()
-
-	payload := make([]byte, 200_000)
-	for i := range payload {
-		payload[i] = byte(i)
-	}
-	for i := 0; i < 3; i++ {
-		if _, err := cli.WriteTo(payload, gw); err != nil {
-			t.Fatalf("write %d: %v", i, err)
-		}
-	}
-	buf := make([]byte, len(payload)+1)
-	for i := 0; i < 3; i++ {
-		n, _, err := srv.ReadFrom(buf)
-		if err != nil {
-			t.Fatalf("read %d: %v", i, err)
-		}
-		if n != len(payload) {
-			t.Fatalf("read %d: got %d bytes, want %d", i, n, len(payload))
-		}
-		for j := 0; j < n; j++ {
-			if buf[j] != byte(j) {
-				t.Fatalf("read %d: corrupt byte at %d", i, j)
-			}
-		}
 	}
 }
 

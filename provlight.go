@@ -110,7 +110,7 @@ type NopCapture = capture.Nop
 // CaptureFunc adapts a function to the CaptureClient interface.
 type CaptureFunc = capture.Func
 
-// Server bundles the MQTT-SN broker and the provenance data translators.
+// Server bundles the MQTT-SN broker and its provenance data translator.
 type Server = core.Server
 
 // ServerConfig configures StartServer.
@@ -150,7 +150,8 @@ type Frame = translate.Frame
 // with OpenStore it forms a durable, exactly-once translator backend.
 type StoreTarget = translate.StoreTarget
 
-// Translator consumes device topics and feeds targets.
+// Translator consumes device topics and feeds targets through one ordered
+// delivery loop; Translator.Subscribe streams what it delivers.
 type Translator = translate.Translator
 
 // TranslatorConfig configures a standalone Translator.
@@ -225,8 +226,10 @@ func NewData(id string, attributes []Attribute) *Data { return core.NewData(id, 
 // Attrs builds a deterministic attribute list from a map.
 func Attrs(m map[string]any) []Attribute { return core.Attrs(m) }
 
-// StartServer launches the broker plus translators; ctx bounds the
-// translators' connect/subscribe handshakes.
+// StartServer launches the broker plus one translator with one ordered
+// delivery loop; ctx bounds the translator's connect/subscribe
+// handshakes. Scale fan-in with ServerConfig.Sessions, and delivery with
+// more translators (NewTranslator) sharing a TranslatorConfig.Group.
 func StartServer(ctx context.Context, cfg ServerConfig) (*Server, error) {
 	return core.StartServer(ctx, cfg)
 }
