@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"github.com/provlight/provlight/internal/broker"
 	"github.com/provlight/provlight/internal/capture"
 	"github.com/provlight/provlight/internal/provdm"
 	"github.com/provlight/provlight/internal/translate"
@@ -292,6 +293,83 @@ func TestLifecycleErrors(t *testing.T) {
 	}
 	if err := wf.End(); err == nil {
 		t.Error("double workflow end should fail")
+	}
+}
+
+func TestTranslatorsShareConsumerGroup(t *testing.T) {
+	// Table IX setup: each device publishes to its own topic and
+	// translators consume in parallel. They scale out by sharing one
+	// consumer group, so the broker splits the device topics between them
+	// and every record is stored exactly once.
+	b, err := broker.New(broker.Config{Addr: "127.0.0.1:0", RetryInterval: 150 * time.Millisecond})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(b.Close)
+	mem := translate.NewMemoryTarget()
+	var trs []*translate.Translator
+	for i := 0; i < 2; i++ {
+		tr, err := translate.New(context.Background(), translate.Config{
+			Broker:        b.Addr(),
+			ClientID:      fmt.Sprintf("tableix-%d", i),
+			Group:         "tableix",
+			Targets:       []translate.Target{mem},
+			RetryInterval: 150 * time.Millisecond,
+			MaxRetries:    10,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(tr.Close)
+		trs = append(trs, tr)
+	}
+	const devices = 4
+	for d := 0; d < devices; d++ {
+		client, err := NewClient(context.Background(), Config{
+			Broker:        b.Addr(),
+			ClientID:      fmt.Sprintf("device-%d", d),
+			RetryInterval: 150 * time.Millisecond,
+			MaxRetries:    10,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		wf := client.NewWorkflow(fmt.Sprintf("wf-%d", d))
+		if err := wf.Begin(); err != nil {
+			t.Fatal(err)
+		}
+		task := wf.NewTask("t0", "tr")
+		if err := task.Begin(); err != nil {
+			t.Fatal(err)
+		}
+		if err := task.End(); err != nil {
+			t.Fatal(err)
+		}
+		if err := wf.End(); err != nil {
+			t.Fatal(err)
+		}
+		client.Close()
+	}
+	waitRecords(t, mem, devices*4)
+	for _, tr := range trs {
+		tr.Drain()
+	}
+	wfs := map[string]int{}
+	for _, r := range mem.Records() {
+		wfs[r.WorkflowID]++
+	}
+	for d := 0; d < devices; d++ {
+		if wfs[fmt.Sprintf("wf-%d", d)] != 4 {
+			t.Errorf("workflow wf-%d has %d records, want 4", d, wfs[fmt.Sprintf("wf-%d", d)])
+		}
+	}
+	// The group assigns each new topic to the member owning the fewest, so
+	// the four device topics split two and two. Count records: a device
+	// may have packed its four into fewer frames.
+	for i, tr := range trs {
+		if st := tr.Stats(); st.RecordsTranslated != 8 {
+			t.Errorf("translator %d translated %d records, want 8", i, st.RecordsTranslated)
+		}
 	}
 }
 
