@@ -10,7 +10,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"net"
 	"os"
 	"sync"
 	"sync/atomic"
@@ -28,6 +27,7 @@ import (
 	"github.com/provlight/provlight/internal/provdm"
 	"github.com/provlight/provlight/internal/provlake"
 	"github.com/provlight/provlight/internal/translate"
+	"github.com/provlight/provlight/internal/transport"
 	"github.com/provlight/provlight/internal/wire"
 	"github.com/provlight/provlight/internal/workload"
 )
@@ -246,13 +246,7 @@ func benchCapturePipeline(b *testing.B, window int, delay time.Duration) {
 		WindowSize: window,
 	}
 	if delay > 0 {
-		raw, err := net.ListenPacket("udp", "127.0.0.1:0")
-		if err != nil {
-			b.Fatal(err)
-		}
-		shaped := netem.WrapPacketConn(raw, netem.Profile{Delay: delay})
-		defer shaped.Close()
-		cfg.Conn = shaped
+		cfg.Transport = netem.WrapTransport(transport.UDP{}, netem.Profile{Delay: delay})
 	}
 	client, err := provlight.NewClient(context.Background(), cfg)
 	if err != nil {
@@ -409,16 +403,10 @@ func BenchmarkMQTTSNPublishWindowed(b *testing.B) {
 				b.Fatal(err)
 			}
 			defer gw.Close()
-			raw, err := net.ListenPacket("udp", "127.0.0.1:0")
-			if err != nil {
-				b.Fatal(err)
-			}
-			shaped := netem.WrapPacketConn(raw, netem.Profile{Delay: 50 * time.Millisecond})
-			defer shaped.Close()
 			c, err := mqttsn.NewClient(mqttsn.ClientConfig{
 				ClientID:       "bench-windowed",
 				Gateway:        gw.Addr(),
-				Conn:           shaped,
+				Transport:      netem.WrapTransport(transport.UDP{}, netem.Profile{Delay: 50 * time.Millisecond}),
 				RetryInterval:  2 * time.Second,
 				InflightWindow: window,
 			})
@@ -465,16 +453,12 @@ func BenchmarkBrokerFanIn(b *testing.B) {
 			}
 			defer gw.Close()
 			var received atomic.Int64
+			shaped := netem.WrapTransport(transport.UDP{}, netem.Profile{Delay: 25 * time.Millisecond})
 			for m := 0; m < members; m++ {
-				raw, err := net.ListenPacket("udp", "127.0.0.1:0")
-				if err != nil {
-					b.Fatal(err)
-				}
-				shaped := netem.WrapPacketConn(raw, netem.Profile{Delay: 25 * time.Millisecond})
 				c, err := mqttsn.NewClient(mqttsn.ClientConfig{
 					ClientID:      fmt.Sprintf("fanin-member-%d", m),
 					Gateway:       gw.Addr(),
-					Conn:          shaped,
+					Transport:     shaped,
 					RetryInterval: 2 * time.Second,
 					MaxRetries:    10,
 					CleanSession:  true,
@@ -483,7 +467,6 @@ func BenchmarkBrokerFanIn(b *testing.B) {
 					b.Fatal(err)
 				}
 				defer c.Close()
-				defer shaped.Close()
 				if err := c.Connect(); err != nil {
 					b.Fatal(err)
 				}
@@ -881,13 +864,7 @@ func BenchmarkTranslatorPipelineSessions(b *testing.B) {
 				RetryInterval: 2 * time.Second,
 				MaxRetries:    10,
 				Targets:       []translate.Target{mem},
-				DialConn: func() (net.PacketConn, error) {
-					raw, err := net.ListenPacket("udp", "127.0.0.1:0")
-					if err != nil {
-						return nil, err
-					}
-					return netem.WrapPacketConn(raw, netem.Profile{Delay: 25 * time.Millisecond}), nil
-				},
+				Transport:     netem.WrapTransport(transport.UDP{}, netem.Profile{Delay: 25 * time.Millisecond}),
 			})
 			if err != nil {
 				b.Fatal(err)

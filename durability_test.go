@@ -10,7 +10,6 @@ package provlight_test
 import (
 	"context"
 	"fmt"
-	"net"
 	"testing"
 	"time"
 
@@ -19,35 +18,20 @@ import (
 	"github.com/provlight/provlight/internal/dfanalyzer"
 	"github.com/provlight/provlight/internal/netem"
 	"github.com/provlight/provlight/internal/translate"
+	"github.com/provlight/provlight/internal/transport"
 	"github.com/provlight/provlight/internal/wal"
 )
 
-// lossyDial returns a DialConn producing 25%-loss, 10%-duplication netem
-// links (deterministic per-session seeds).
-func lossyDial(t testing.TB) func() (net.PacketConn, error) {
-	t.Helper()
-	var session int64
-	return func() (net.PacketConn, error) {
-		raw, err := net.ListenPacket("udp", "127.0.0.1:0")
-		if err != nil {
-			return nil, err
-		}
-		session++
-		return netem.WrapPacketConn(raw, netem.Profile{
-			LossRate: 0.25,
-			DupRate:  0.10,
-			Seed:     1000 + session,
-		}), nil
-	}
-}
-
 func newSpoolingClient(t testing.TB, brokerAddr, spoolDir string) *provlight.Client {
 	t.Helper()
+	// 25 % loss and 10 % duplication; the n-th session (from 0) dials a
+	// link with seed 1001+n.
+	lossy := netem.WrapTransport(transport.UDP{}, netem.Profile{LossRate: 0.25, DupRate: 0.10, Seed: 1001})
 	client, err := provlight.NewClient(context.Background(), provlight.Config{
 		Broker:            brokerAddr,
 		ClientID:          "edge-1",
 		SpoolDir:          spoolDir,
-		DialConn:          lossyDial(t),
+		Transport:         lossy,
 		RetryInterval:     100 * time.Millisecond,
 		MaxRetries:        10,
 		AckWindow:         32,

@@ -14,12 +14,12 @@ import (
 	"fmt"
 	"log"
 	"math/rand"
-	"net"
 	"time"
 
 	"github.com/provlight/provlight"
 	"github.com/provlight/provlight/internal/core"
 	"github.com/provlight/provlight/internal/netem"
+	"github.com/provlight/provlight/internal/transport"
 )
 
 const (
@@ -44,11 +44,7 @@ func main() {
 	for m := 0; m < meters; m++ {
 		go func(m int) {
 			// Shape this meter's uplink: 25 Kbit/s, 11.5 ms one-way.
-			raw, err := net.ListenPacket("udp", "127.0.0.1:0")
-			if err != nil {
-				log.Fatal(err)
-			}
-			conn := netem.WrapPacketConn(raw, netem.Profile{
+			uplink := netem.WrapTransport(transport.UDP{}, netem.Profile{
 				BandwidthBps: 25_000,
 				Delay:        11500 * time.Microsecond,
 				Seed:         int64(m + 1),
@@ -56,7 +52,7 @@ func main() {
 			client, err := provlight.NewClient(ctx, provlight.Config{
 				Broker:    server.Addr(),
 				ClientID:  fmt.Sprintf("meter-%d", m),
-				Conn:      conn,
+				Transport: uplink,
 				GroupSize: 5, // group ended windows to cut transmissions
 			})
 			if err != nil {

@@ -79,13 +79,11 @@ type ForwardFrame struct {
 // Config configures a broker.
 type Config struct {
 	// Addr is the listen address in the transport's format (e.g.
-	// "127.0.0.1:1883" for UDP). Ignored if Conn is set.
+	// "127.0.0.1:1883" for UDP).
 	Addr string
-	// Conn optionally supplies a pre-made (possibly netem-shaped) socket.
-	Conn net.PacketConn
-	// Transport, when set and Conn is nil, listens over an alternate
-	// packet substrate (the in-process loopback). The default is plain
-	// UDP.
+	// Transport opens the listening socket; nil means transport.UDP{}.
+	// Wrap it (netem.WrapTransport, chaos.Fault.Transport) to shape or
+	// fault the link.
 	Transport transport.Transport
 	// RetryInterval is the outbound acknowledgement timeout. Default 1s.
 	RetryInterval time.Duration
@@ -255,13 +253,13 @@ const (
 	// obRelPending: the PUBREC arrived, but an older QoS 2 flow on the
 	// session has not had its PUBREL sent yet, so this release is held
 	// back. A QoS 2 subscriber delivers on PUBREL, and PUBRECs follow
-	// PUBLISH *arrival* order — which the network (or two goroutines
-	// racing their post-unlock send loops) may invert. Sending PUBRELs
-	// strictly in enqueue (seq) order makes the subscriber's delivery
-	// order match the broker's release order no matter how the PUBLISH
-	// packets interleaved on the wire. The janitor retransmits the
-	// PUBLISH (DUP) for flows parked here, so a gave-up predecessor
-	// still unblocks them: the duplicate PUBREC re-runs the collection.
+	// PUBLISH *arrival* order — which the network (a lost PUBLISH, say)
+	// may invert. Sending PUBRELs strictly in enqueue (seq) order makes
+	// the subscriber's delivery order match the broker's release order no
+	// matter how the PUBLISH packets interleaved on the wire. The janitor
+	// retransmits the PUBLISH (DUP) for flows parked here, so a gave-up
+	// predecessor still unblocks them: the duplicate PUBREC re-runs the
+	// collection.
 	obRelPending
 )
 
@@ -323,6 +321,9 @@ type session struct {
 	recentRel  [64]uint16
 	recentRelN int // valid entries
 	recentRelI int // next write slot
+
+	// txMu orders the session's PUBLISH sends; see unlockAndSend.
+	txMu sync.Mutex
 }
 
 // markReleased records a completed QoS 2 msgID. Callers must hold the
@@ -521,21 +522,13 @@ func New(cfg Config) (*Broker, error) {
 	if cfg.Shards <= 0 {
 		cfg.Shards = 16
 	}
-	conn := cfg.Conn
-	if conn == nil {
-		var err error
-		if cfg.Transport != nil {
-			conn, err = cfg.Transport.Listen(cfg.Addr)
-		} else {
-			addr := cfg.Addr
-			if addr == "" {
-				addr = "127.0.0.1:0"
-			}
-			conn, err = net.ListenPacket("udp", addr)
-		}
-		if err != nil {
-			return nil, fmt.Errorf("broker: listen %q: %w", cfg.Addr, err)
-		}
+	tr := cfg.Transport
+	if tr == nil {
+		tr = transport.UDP{}
+	}
+	conn, err := tr.Listen(cfg.Addr)
+	if err != nil {
+		return nil, fmt.Errorf("broker: listen %q: %w", cfg.Addr, err)
 	}
 	// The broker is the fan-in point of the whole continuum: a burst from
 	// N windowed publishers can exceed the kernel's default receive
@@ -852,9 +845,13 @@ func (b *Broker) sweep() {
 			}
 			if gaveUp {
 				// Abandoned messages freed window slots: keep the backlog
-				// moving.
-				for _, pub := range s.pumpLocked(b, b.cfg.SendWindow) {
-					resends = append(resends, resend{s.addr, pub})
+				// moving, sent in pump order (see unlockAndSend).
+				if pubs := s.pumpLocked(b, b.cfg.SendWindow); len(pubs) > 0 {
+					s.txMu.Lock()
+					for _, pub := range pubs {
+						b.sendTo(s.addr, pub)
+					}
+					s.txMu.Unlock()
 				}
 			}
 			// REGISTER exchanges retransmit like any outbound flow: a
@@ -1132,7 +1129,6 @@ func (b *Broker) handleRegack(addr net.Addr, key string, p *mqttsn.Regack) {
 	var pubs []*mqttsn.Publish
 	var fired []*message
 	var rejected []*message
-	var saddr net.Addr
 	if s != nil {
 		s.lastSeen = time.Now()
 		if p.ReturnCode == mqttsn.Accepted {
@@ -1157,17 +1153,13 @@ func (b *Broker) handleRegack(addr net.Addr, key string, p *mqttsn.Regack) {
 				}
 			}
 			pubs = append(pubs, s.pumpLocked(b, b.cfg.SendWindow)...)
-			saddr = s.addr
 		} else {
 			rejected = s.pendingReg[p.TopicID]
 		}
 		delete(s.pendingReg, p.TopicID)
 		delete(s.regFlows, p.TopicID)
 	}
-	sh.mu.Unlock()
-	for _, pub := range pubs {
-		b.sendTo(saddr, pub)
-	}
+	b.unlockAndSend(sh, s, pubs)
 	for _, m := range fired {
 		b.putMsg(m)
 	}
@@ -1269,14 +1261,11 @@ func (b *Broker) handlePuback(addr net.Addr, key string, p *mqttsn.Puback) {
 			pubs = s.pumpLocked(b, b.cfg.SendWindow)
 		}
 	}
-	sh.mu.Unlock()
+	b.unlockAndSend(sh, s, pubs)
 	if done != nil {
 		b.putMsg(done.msg)
 		done.msg = nil
 		b.putOutbound(done)
-	}
-	for _, pub := range pubs {
-		b.sendTo(s.addr, pub)
 	}
 }
 
@@ -1352,14 +1341,11 @@ func (b *Broker) handlePubcomp(addr net.Addr, key string, p *mqttsn.Pubcomp) {
 			pubs = s.pumpLocked(b, b.cfg.SendWindow)
 		}
 	}
-	sh.mu.Unlock()
+	b.unlockAndSend(sh, s, pubs)
 	if done != nil {
 		b.putMsg(done.msg)
 		done.msg = nil
 		b.putOutbound(done)
-	}
-	for _, pub := range pubs {
-		b.sendTo(s.addr, pub)
 	}
 }
 
@@ -1791,15 +1777,31 @@ func (b *Broker) deliver(s *session, msg *message) bool {
 		})
 		release = true // fire-and-forget: done once sent
 	}
-	addr := s.addr
-	sh.mu.Unlock()
-	for _, pub := range pubs {
-		b.sendTo(addr, pub)
-	}
+	b.unlockAndSend(sh, s, pubs)
 	if release {
 		b.putMsg(msg)
 	}
 	return true
+}
+
+// unlockAndSend releases the shard lock sh, held since pubs were taken
+// from s's queue, and sends pubs to s. Each send waits for the sends of
+// every earlier pump of s: s.txMu is taken before sh is released, so two
+// goroutines pumping one session (a REGACK flushing the frames that
+// waited for it and a deliver of the next frame, say) cannot put its
+// PUBLISHes on the wire out of pump order. That order matters at QoS 1,
+// where a subscriber delivers on arrival.
+func (b *Broker) unlockAndSend(sh *shard, s *session, pubs []*mqttsn.Publish) {
+	if len(pubs) == 0 {
+		sh.mu.Unlock()
+		return
+	}
+	s.txMu.Lock()
+	sh.mu.Unlock()
+	for _, pub := range pubs {
+		b.sendTo(s.addr, pub)
+	}
+	s.txMu.Unlock()
 }
 
 // pumpLocked moves queued QoS 1/2 messages into the in-flight window.

@@ -10,6 +10,7 @@ import (
 
 	"github.com/provlight/provlight/internal/mqttsn"
 	"github.com/provlight/provlight/internal/netem"
+	"github.com/provlight/provlight/internal/transport"
 )
 
 func newTestBroker(t *testing.T) *Broker {
@@ -120,15 +121,11 @@ func TestQoS2ExactlyOnceUnderLossAndDuplication(t *testing.T) {
 	}
 
 	// Publisher over a lossy, duplicating link.
-	raw, err := net.ListenPacket("udp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	lossy := netem.WrapPacketConn(raw, netem.Profile{LossRate: 0.25, DupRate: 0.25, Seed: 11})
+	lossy := netem.WrapTransport(transport.UDP{}, netem.Profile{LossRate: 0.25, DupRate: 0.25, Seed: 11})
 	pub, err := mqttsn.NewClient(mqttsn.ClientConfig{
 		ClientID:      "pub-eo",
 		Gateway:       b.Addr(),
-		Conn:          lossy,
+		Transport:     lossy,
 		RetryInterval: 100 * time.Millisecond,
 		MaxRetries:    30,
 		CleanSession:  true,

@@ -1,8 +1,9 @@
 // Package chaos is the fault-injection harness for robustness tests:
 // runtime-togglable network faults (partition, delay, loss) wrapped
-// around net.Conn / net.PacketConn, process-style kill grouping for
-// in-process components, and disk-fault helpers that damage WAL segments
-// the way real crashes and bad sectors do.
+// around net.Conn, net.PacketConn or a transport.Transport,
+// process-style kill grouping for in-process components, and disk-fault
+// helpers that damage WAL segments the way real crashes and bad sectors
+// do.
 //
 // Unlike internal/netem — a *stationary* traffic shaper configured once —
 // a chaos.Fault is mutated while traffic flows: tests Partition() mid
@@ -17,6 +18,8 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"github.com/provlight/provlight/internal/transport"
 )
 
 // ErrPartitioned is the error injected into reads and writes crossing a
@@ -59,11 +62,12 @@ func NewFault(seed int64) *Fault {
 	}
 }
 
-// Partition severs the link: every current and future read or write on
-// wrapped connections fails with ErrPartitioned, and live connections
-// are closed so blocked I/O unblocks immediately (the TCP-reset view of
-// a network partition, which is what a killed or unreachable peer looks
-// like to the other side).
+// Partition severs the link. Every current and future read or write on
+// wrapped stream connections fails with ErrPartitioned, and live stream
+// connections are closed so blocked I/O unblocks immediately (the
+// TCP-reset view of a network partition, which is what a killed or
+// unreachable peer looks like to the other side). Wrapped packet
+// connections stay open and send into a blackhole until Heal.
 func (f *Fault) Partition() {
 	f.partitioned.Store(true)
 	f.connMu.Lock()
@@ -78,9 +82,10 @@ func (f *Fault) Partition() {
 	}
 }
 
-// Heal ends the partition: new connections succeed again. Connections
-// severed by Partition stay dead — reconnection is the caller's job,
-// which is exactly what the tests exercise.
+// Heal ends the partition: new connections succeed again, and wrapped
+// packet connections carry traffic again. Stream connections severed by
+// Partition stay dead — reconnection is the caller's job, which is
+// exactly what the tests exercise.
 func (f *Fault) Heal() { f.partitioned.Store(false) }
 
 // Partitioned reports whether the link is currently partitioned.
@@ -177,15 +182,12 @@ func (c *faultConn) Close() error {
 // configured loss probability and blackholed entirely while partitioned
 // (UDP-style partitions are silent, not connection resets).
 func (f *Fault) WrapPacketConn(pc net.PacketConn) net.PacketConn {
-	fpc := &faultPacketConn{PacketConn: pc, f: f}
-	f.track(fpc)
-	return fpc
+	return &faultPacketConn{PacketConn: pc, f: f}
 }
 
 type faultPacketConn struct {
 	net.PacketConn
-	f      *Fault
-	closed atomic.Bool
+	f *Fault
 }
 
 func (c *faultPacketConn) WriteTo(p []byte, addr net.Addr) (int, error) {
@@ -196,11 +198,11 @@ func (c *faultPacketConn) WriteTo(p []byte, addr net.Addr) (int, error) {
 	return c.PacketConn.WriteTo(p, addr)
 }
 
-func (c *faultPacketConn) Close() error {
-	if c.closed.CompareAndSwap(false, true) {
-		c.f.untrack(c)
-	}
-	return c.PacketConn.Close()
+// Transport wraps t so every connection it dials carries the fault
+// (WrapPacketConn). Listen passes through: like netem.WrapTransport, the
+// fault sits on the dialing side's uplink.
+func (f *Fault) Transport(t transport.Transport) transport.Transport {
+	return transport.WrapDial(t, f.WrapPacketConn)
 }
 
 // Dialer returns a net.Dial-compatible function that fails while

@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"github.com/provlight/provlight/internal/transport"
 	"github.com/provlight/provlight/internal/wal"
 )
 
@@ -105,19 +106,28 @@ func TestFaultPartitionSeversLiveConnsAndHeals(t *testing.T) {
 	}
 }
 
+// TestPacketConnLossAndPartitionAreSilent: every conn the fault's
+// transport dials loses packets and blackholes them while partitioned,
+// with sends still reporting success, and carries traffic again after
+// Heal.
 func TestPacketConnLossAndPartitionAreSilent(t *testing.T) {
-	rx, err := net.ListenPacket("udp", "127.0.0.1:0")
+	rx, err := transport.UDP{}.Listen("")
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer rx.Close()
-	tx, err := net.ListenPacket("udp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
 	f := NewFault(1)
-	wrapped := f.WrapPacketConn(tx)
-	defer wrapped.Close()
+	tr := f.Transport(transport.UDP{})
+	var conns []net.PacketConn
+	var gw net.Addr
+	for i := 0; i < 2; i++ {
+		conn, addr, err := tr.Dial(rx.LocalAddr().String())
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer conn.Close()
+		conns, gw = append(conns, conn), addr
+	}
 
 	recv := func(timeout time.Duration) (string, bool) {
 		rx.SetReadDeadline(time.Now().Add(timeout))
@@ -128,31 +138,45 @@ func TestPacketConnLossAndPartitionAreSilent(t *testing.T) {
 		}
 		return string(buf[:n]), true
 	}
-
-	if _, err := wrapped.WriteTo([]byte("hello"), rx.LocalAddr()); err != nil {
-		t.Fatal(err)
+	// sendAll sends msg on every conn and counts the copies that arrive.
+	sendAll := func(msg string, timeout time.Duration) int {
+		arrived := 0
+		for i, conn := range conns {
+			m := fmt.Sprintf("%s-%d", msg, i)
+			if n, err := conn.WriteTo([]byte(m), gw); err != nil || n != len(m) {
+				t.Fatalf("send %q must report success: n=%d err=%v", m, n, err)
+			}
+			if got, ok := recv(timeout); ok {
+				if got != m {
+					t.Fatalf("sent %q, received %q", m, got)
+				}
+				arrived++
+			}
+		}
+		return arrived
 	}
-	if msg, ok := recv(2 * time.Second); !ok || msg != "hello" {
-		t.Fatalf("clean send: %q ok=%v", msg, ok)
+
+	if n := sendAll("hello", 2*time.Second); n != len(conns) {
+		t.Fatalf("clean send: %d of %d arrived", n, len(conns))
 	}
 
 	// Total loss: sends report success but nothing arrives.
 	f.SetLoss(1.0)
-	if n, err := wrapped.WriteTo([]byte("lost"), rx.LocalAddr()); err != nil || n != 4 {
-		t.Fatalf("lossy send must pretend success: n=%d err=%v", n, err)
-	}
-	if msg, ok := recv(100 * time.Millisecond); ok {
-		t.Fatalf("dropped packet arrived: %q", msg)
+	if n := sendAll("lost", 100*time.Millisecond); n != 0 {
+		t.Fatalf("%d dropped packets arrived", n)
 	}
 	f.SetLoss(0)
 
 	// UDP partitions blackhole silently rather than erroring.
 	f.Partition()
-	if _, err := wrapped.WriteTo([]byte("void"), rx.LocalAddr()); err != nil {
-		t.Fatalf("partitioned packet send must be silent: %v", err)
+	if n := sendAll("void", 100*time.Millisecond); n != 0 {
+		t.Fatalf("%d packets crossed the partition", n)
 	}
-	if msg, ok := recv(100 * time.Millisecond); ok {
-		t.Fatalf("packet crossed partition: %q", msg)
+
+	// Heal restores the same conns: a packet partition closes nothing.
+	f.Heal()
+	if n := sendAll("healed", 2*time.Second); n != len(conns) {
+		t.Fatalf("after heal: %d of %d arrived", n, len(conns))
 	}
 }
 

@@ -62,10 +62,3 @@ func (q *DiskQuota) Free() {
 		q.fs.SetQuota(saved)
 	}
 }
-
-// Filled reports whether the fault is currently injected.
-func (q *DiskQuota) Filled() bool {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	return q.filled
-}

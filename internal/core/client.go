@@ -26,7 +26,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"net"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -78,11 +77,6 @@ type Config struct {
 	// (see the package doc); that adds no wait, so a task-begin record
 	// still leaves at once.
 	GroupSize int
-	// DisableCompression turns off payload compression (ablation).
-	// Compression runs on the sender goroutine in memory mode and before
-	// the WAL append in spool mode; either way the frame on the wire is
-	// the one a single wire.Encoder pass would produce.
-	DisableCompression bool
 	// QueueCapacity bounds the async transmit queue. Default 1024.
 	//
 	// Backpressure contract: when the queue is full (the broker is slower
@@ -139,11 +133,6 @@ type Config struct {
 	// mqttsn.CongestionRetryAfter.
 	ReconnectMinDelay time.Duration
 	ReconnectMaxDelay time.Duration
-	// DialConn, when set, supplies a fresh packet socket for each broker
-	// session the spool drainer establishes (reconnects open new
-	// sessions). Used by tests to interpose netem-shaped links; takes
-	// precedence over Conn.
-	DialConn func() (net.PacketConn, error)
 	// WindowSize bounds how many publish handshakes the async sender keeps
 	// in flight at once. Each frame holds its slot for one round trip at
 	// QoS 1 (spool mode) and two at QoS 2 (memory mode); the window
@@ -160,11 +149,10 @@ type Config struct {
 	KeepAlive     time.Duration
 	RetryInterval time.Duration
 	MaxRetries    int
-	// Conn optionally supplies the UDP socket (e.g. netem-shaped).
-	Conn net.PacketConn
-	// Transport dials the broker over an alternate packet substrate
-	// (the in-process loopback — see internal/transport); nil means
-	// UDP. DialConn and Conn take precedence when set.
+	// Transport dials the broker, once in memory mode and once per
+	// drainer session in spool mode; nil means transport.UDP{}. Wrap it
+	// (netem.WrapTransport, chaos.Fault.Transport) to shape or fault the
+	// link.
 	Transport transport.Transport
 	// OnError receives asynchronous transmission errors. Default: drop.
 	//
@@ -367,7 +355,6 @@ func NewClient(ctx context.Context, cfg Config) (*Client, error) {
 	mc, err := mqttsn.Dial(ctx, mqttsn.ClientConfig{
 		ClientID:       cfg.ClientID,
 		Gateway:        cfg.Broker,
-		Conn:           cfg.Conn,
 		Transport:      cfg.Transport,
 		KeepAlive:      cfg.KeepAlive,
 		RetryInterval:  cfg.RetryInterval,
@@ -387,7 +374,6 @@ func NewClient(ctx context.Context, cfg Config) (*Client, error) {
 		cfg:   cfg,
 		mqtt:  mc,
 		topic: cfg.Topic,
-		enc:   wire.Encoder{DisableCompression: cfg.DisableCompression},
 		sendQ: make(chan *[]byte, cfg.QueueCapacity),
 	}
 	c.initMetrics()
@@ -595,8 +581,7 @@ func (c *Client) sender() {
 }
 
 // wireFrame packs queued raw frames into one compressed frame in a fresh
-// pooled buffer (see Config.DisableCompression) and counts the bytes that
-// will go on the wire.
+// pooled buffer and counts the bytes that will go on the wire.
 func (c *Client) wireFrame(raws [][]byte) (*[]byte, error) {
 	bufp := framePool.Get().(*[]byte)
 	frame, err := c.enc.CompressFrames((*bufp)[:0], raws...)

@@ -9,6 +9,7 @@ import (
 
 	"github.com/provlight/provlight/internal/mqttsn"
 	"github.com/provlight/provlight/internal/translate"
+	"github.com/provlight/provlight/internal/transport"
 )
 
 // packetTally counts the MQTT-SN packets crossing a device's sockets, by
@@ -41,8 +42,11 @@ func (t *packetTally) note(b []byte, sent bool) {
 	}
 }
 
-// wrap returns conn with every datagram it carries counted in t.
-func (t *packetTally) wrap(conn net.PacketConn) net.PacketConn { return &tallyConn{conn, t} }
+// transport returns a UDP transport whose dialed sockets count every
+// datagram they carry in t.
+func (t *packetTally) transport() transport.Transport {
+	return transport.WrapDial(transport.UDP{}, func(conn net.PacketConn) net.PacketConn { return &tallyConn{conn, t} })
+}
 
 type tallyConn struct {
 	net.PacketConn
@@ -88,24 +92,9 @@ func TestHopQoSPerMode(t *testing.T) {
 			}
 			defer srv.Close()
 			tally := newPacketTally()
-			dial := func() (net.PacketConn, error) {
-				conn, err := net.ListenPacket("udp", "127.0.0.1:0")
-				if err != nil {
-					return nil, err
-				}
-				return tally.wrap(conn), nil
-			}
-			cfg := Config{Broker: srv.Addr(), ClientID: "hop-" + name, RetryInterval: 2 * time.Second}
+			cfg := Config{Broker: srv.Addr(), ClientID: "hop-" + name, RetryInterval: 2 * time.Second, Transport: tally.transport()}
 			if spooled {
 				cfg.SpoolDir = t.TempDir()
-				cfg.DialConn = dial
-			} else {
-				conn, err := dial()
-				if err != nil {
-					t.Fatal(err)
-				}
-				defer conn.Close()
-				cfg.Conn = conn
 			}
 			client, err := NewClient(context.Background(), cfg)
 			if err != nil {

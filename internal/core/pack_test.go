@@ -2,13 +2,14 @@ package core
 
 import (
 	"fmt"
-	"net"
 	"sync/atomic"
 	"testing"
 	"time"
 
+	"github.com/provlight/provlight/internal/chaos"
 	"github.com/provlight/provlight/internal/netem"
 	"github.com/provlight/provlight/internal/provdm"
+	"github.com/provlight/provlight/internal/transport"
 )
 
 // captureBurst captures one workflow of n tasks as fast as possible and
@@ -43,14 +44,8 @@ func captureBurst(t *testing.T, c *Client, wf string, n int) []string {
 // record still arrives exactly once, in capture order (WindowSize 1 keeps
 // the hop's order; the broker-translator leg is loss-free).
 func TestPackExactlyOnceInOrderUnderLoss(t *testing.T) {
-	raw, err := net.ListenPacket("udp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { raw.Close() }) // after the client's own cleanup
-	lossy := netem.WrapPacketConn(raw, netem.Profile{LossRate: 0.25, DupRate: 0.25, Seed: 11})
 	client, mem, _ := startPipeline(t, func(c *Config) {
-		c.Conn = lossy
+		c.Transport = netem.WrapTransport(transport.UDP{}, netem.Profile{LossRate: 0.25, DupRate: 0.25, Seed: 11})
 		c.WindowSize = 1
 		c.RetryInterval = 100 * time.Millisecond
 		c.MaxRetries = 30
@@ -86,38 +81,20 @@ func TestPackExactlyOnceInOrderUnderLoss(t *testing.T) {
 	}
 }
 
-// blackholeConn drops every datagram written while dropping is set.
-type blackholeConn struct {
-	net.PacketConn
-	dropping atomic.Bool
-}
-
-func (c *blackholeConn) WriteTo(b []byte, addr net.Addr) (int, error) {
-	if c.dropping.Load() {
-		return len(b), nil
-	}
-	return c.PacketConn.WriteTo(b, addr)
-}
-
 // TestPackFailureCountsEveryFrame: when a packed PUBLISH exhausts its
 // retries, every frame in it is lost, so each counts one AsyncError, and
 // Flush still returns once the handshakes have failed.
 func TestPackFailureCountsEveryFrame(t *testing.T) {
-	raw, err := net.ListenPacket("udp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { raw.Close() }) // after the client's own cleanup
-	conn := &blackholeConn{PacketConn: raw}
+	fault := chaos.NewFault(1)
 	var reported atomic.Int64
 	client, _, _ := startPipeline(t, func(c *Config) {
-		c.Conn = conn
+		c.Transport = fault.Transport(transport.UDP{})
 		c.WindowSize = 1
 		c.RetryInterval = 20 * time.Millisecond
 		c.MaxRetries = 2
 		c.OnError = func(error) { reported.Add(1) }
 	})
-	conn.dropping.Store(true)
+	fault.Partition() // the device's sends vanish; its socket stays open
 	const tasks = 10
 	captureBurst(t, client, "lost", tasks)
 	flushed := make(chan error, 1)

@@ -55,14 +55,12 @@ func newSpoolClient(cfg Config) (*Client, error) {
 	c := &Client{
 		cfg:   cfg,
 		topic: cfg.Topic,
-		enc:   wire.Encoder{DisableCompression: cfg.DisableCompression},
 		spool: sp,
 	}
 	c.session = mqttsn.NewSession(mqttsn.SessionConfig{
 		Client: mqttsn.ClientConfig{
 			ClientID:       cfg.ClientID,
 			Gateway:        cfg.Broker,
-			Conn:           cfg.Conn,
 			Transport:      cfg.Transport,
 			KeepAlive:      cfg.KeepAlive,
 			RetryInterval:  cfg.RetryInterval,
@@ -70,10 +68,9 @@ func newSpoolClient(cfg Config) (*Client, error) {
 			InflightWindow: cfg.WindowSize,
 			CleanSession:   true,
 		},
-		DialConn: cfg.DialConn,
-		Setup:    c.setupSession,
-		Serve:    c.drainWith,
-		Backoff:  resilience.Backoff{Min: cfg.ReconnectMinDelay, Max: cfg.ReconnectMaxDelay},
+		Setup:   c.setupSession,
+		Serve:   c.drainWith,
+		Backoff: resilience.Backoff{Min: cfg.ReconnectMinDelay, Max: cfg.ReconnectMaxDelay},
 		OnDialError: func(_ int, err error) error {
 			c.reportAsync(fmt.Errorf("provlight: spool connect %s: %w", cfg.Broker, err))
 			return err

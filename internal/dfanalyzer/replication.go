@@ -253,19 +253,6 @@ func (s *Store) SnapshotBytes() ([]byte, uint64, error) {
 	return data, s.dur.snapSeq, nil
 }
 
-// ApplyReplicated appends one record shipped from the primary to the
-// follower's own WAL — byte-identical, at the same sequence number — and
-// applies it, reusing the recovery replay path (applyOp), so a promoted
-// follower's state and dedup table are exactly what the primary's
-// recovery would have produced. Sequence numbers below the follower's
-// tail are duplicates of already-applied records (a resumed stream
-// overlapping) and are ignored; a gap above the tail (a quarantined
-// segment on the primary) is skipped with Reserve so numbering stays
-// aligned.
-func (s *Store) ApplyReplicated(seq uint64, payload []byte) error {
-	return s.ApplyReplicatedBatch([]ReplRecord{{Seq: seq, Payload: payload}})
-}
-
 // ReplRecord is one primary WAL record in flight to a follower: the
 // primary-side sequence number and the raw record payload.
 type ReplRecord struct {
@@ -273,14 +260,20 @@ type ReplRecord struct {
 	Payload []byte
 }
 
-// ApplyReplicatedBatch applies a run of shipped records under one commit
-// lock acquisition, mirroring each contiguous run into the local WAL with
-// a single batched append (wal.Log.AppendBatch) — the difference between
-// a follower that keeps up with a 10k frames/s primary and one that
-// drowns in per-record write(2) calls. Semantics are identical to calling
-// ApplyReplicated per record: duplicates below the local tail are
-// skipped, gaps are Reserved, and a sequence-skew between the primary's
-// numbering and the local append aborts the batch.
+// ApplyReplicatedBatch appends records shipped from the primary to the
+// follower's own WAL — byte-identical, at the same sequence numbers — and
+// applies them, reusing the recovery replay path (applyOp), so a promoted
+// follower's state and dedup table are exactly what the primary's
+// recovery would have produced. Sequence numbers below the follower's
+// tail are duplicates of already-applied records (a resumed stream
+// overlapping) and are skipped; a gap above the tail (a quarantined
+// segment on the primary) is skipped with Reserve so numbering stays
+// aligned; a sequence skew between the primary's numbering and the local
+// append aborts the batch. The whole batch runs under one commit lock
+// acquisition, and each contiguous run lands in the local WAL with a
+// single batched append (wal.Log.AppendBatch) — the difference between a
+// follower that keeps up with a 10k frames/s primary and one that drowns
+// in per-record write(2) calls.
 func (s *Store) ApplyReplicatedBatch(recs []ReplRecord) error {
 	if s.dur == nil {
 		return fmt.Errorf("dfanalyzer: in-memory store cannot replicate")

@@ -3,7 +3,6 @@ package e2clab
 import (
 	"context"
 	"fmt"
-	"net"
 	"sync"
 	"time"
 
@@ -11,6 +10,7 @@ import (
 	"github.com/provlight/provlight/internal/dfanalyzer"
 	"github.com/provlight/provlight/internal/netem"
 	"github.com/provlight/provlight/internal/translate"
+	"github.com/provlight/provlight/internal/transport"
 	"github.com/provlight/provlight/internal/workload"
 )
 
@@ -76,29 +76,26 @@ func Deploy(cfg *Config) (*Deployment, error) {
 		}
 		rule, hasRule := cfg.RuleFor(layer.Name, "cloud")
 		for _, svc := range layer.Services {
+			// Client i dials the shaped link once, with seed 1+i.
+			var link transport.Transport
+			if hasRule {
+				link = netem.WrapTransport(transport.UDP{}, netem.Profile{
+					BandwidthBps: rule.BandwidthBps,
+					Delay:        rule.Delay,
+					LossRate:     rule.LossRate,
+					Seed:         1,
+				})
+			}
 			for i := 0; i < svc.Quantity; i++ {
 				clientID := fmt.Sprintf("%s-%s-%d", layer.Name, svc.Name, i)
-				ccfg := core.Config{
+				client, err := core.NewClient(context.Background(), core.Config{
 					Broker:        srv.Addr(),
 					ClientID:      clientID,
 					GroupSize:     svc.GroupSize,
 					RetryInterval: 200 * time.Millisecond,
 					MaxRetries:    15,
-				}
-				if hasRule {
-					raw, err := net.ListenPacket("udp", "127.0.0.1:0")
-					if err != nil {
-						d.Close()
-						return nil, err
-					}
-					ccfg.Conn = netem.WrapPacketConn(raw, netem.Profile{
-						BandwidthBps: rule.BandwidthBps,
-						Delay:        rule.Delay,
-						LossRate:     rule.LossRate,
-						Seed:         int64(i + 1),
-					})
-				}
-				client, err := core.NewClient(context.Background(), ccfg)
+					Transport:     link,
+				})
 				if err != nil {
 					d.Close()
 					return nil, fmt.Errorf("e2clab: start client %s: %w", clientID, err)

@@ -2,7 +2,6 @@ package mqttsn_test
 
 import (
 	"fmt"
-	"net"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -11,6 +10,7 @@ import (
 	"github.com/provlight/provlight/internal/broker"
 	"github.com/provlight/provlight/internal/mqttsn"
 	"github.com/provlight/provlight/internal/netem"
+	"github.com/provlight/provlight/internal/transport"
 )
 
 // startBroker returns a broker with fast retransmission for test pace.
@@ -72,15 +72,11 @@ func TestConcurrentPublishAsyncQoS2ExactlyOnceLossy(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	raw, err := net.ListenPacket("udp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	lossy := netem.WrapPacketConn(raw, netem.Profile{LossRate: 0.2, DupRate: 0.2, Seed: 7})
+	lossy := netem.WrapTransport(transport.UDP{}, netem.Profile{LossRate: 0.2, DupRate: 0.2, Seed: 7})
 	pub := connectClient(t, mqttsn.ClientConfig{
 		ClientID:       "pub-async",
 		Gateway:        b.Addr(),
-		Conn:           lossy,
+		Transport:      lossy,
 		RetryInterval:  100 * time.Millisecond,
 		MaxRetries:     30,
 		InflightWindow: 8,
@@ -127,17 +123,13 @@ func TestConcurrentPublishAsyncQoS2ExactlyOnceLossy(t *testing.T) {
 // must complete.
 func TestPublishAsyncWindowLimitsInflight(t *testing.T) {
 	b := startBroker(t)
-	raw, err := net.ListenPacket("udp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
 	// A 20 ms one-way delay makes each QoS 2 handshake take ~40 ms, so
 	// overlap (or its absence) is visible in wall-clock time.
-	shaped := netem.WrapPacketConn(raw, netem.Profile{Delay: 20 * time.Millisecond})
+	shaped := netem.WrapTransport(transport.UDP{}, netem.Profile{Delay: 20 * time.Millisecond})
 	pub := connectClient(t, mqttsn.ClientConfig{
 		ClientID:       "pub-window",
 		Gateway:        b.Addr(),
-		Conn:           shaped,
+		Transport:      shaped,
 		RetryInterval:  time.Second,
 		InflightWindow: 8,
 	})

@@ -45,13 +45,9 @@ type ClientConfig struct {
 	// Gateway is the address of the MQTT-SN gateway/broker, in the
 	// dialing transport's address format (UDP host:port by default).
 	Gateway string
-	// Conn optionally supplies the packet connection to use (e.g. a
-	// netem-shaped one). If nil, Transport (or UDP) opens one.
-	Conn net.PacketConn
-	// Transport, when set and Conn is nil, dials the gateway over an
-	// alternate packet substrate (the in-process loopback). The default
-	// is plain UDP. With Conn set it is ignored: the borrowed
-	// conn's Gateway is resolved as a UDP address.
+	// Transport dials the gateway; nil means transport.UDP{}. Wrap it
+	// (netem.WrapTransport, chaos.Fault.Transport) to shape or fault the
+	// link.
 	Transport transport.Transport
 	// KeepAlive is the session keepalive; the client pings at half this
 	// interval when idle. Defaults to 60s.
@@ -122,10 +118,9 @@ type completion struct {
 // Client is an MQTT-SN client (the device side of ProvLight's transport).
 // All methods are safe for concurrent use.
 type Client struct {
-	cfg     ClientConfig
-	conn    net.PacketConn
-	gwAddr  net.Addr
-	ownConn bool
+	cfg    ClientConfig
+	conn   net.PacketConn
+	gwAddr net.Addr
 
 	msgID atomic.Uint32
 
@@ -201,28 +196,13 @@ func NewClient(cfg ClientConfig) (*Client, error) {
 	if cfg.InflightWindow <= 0 {
 		cfg.InflightWindow = 16
 	}
-	conn := cfg.Conn
-	var gwAddr net.Addr
-	ownConn := false
-	if conn == nil {
-		var err error
-		if cfg.Transport != nil {
-			conn, gwAddr, err = cfg.Transport.Dial(cfg.Gateway)
-			if err != nil {
-				return nil, fmt.Errorf("mqttsn: dial gateway %q: %w", cfg.Gateway, err)
-			}
-		} else {
-			conn, err = net.ListenPacket("udp", ":0")
-			if err != nil {
-				return nil, fmt.Errorf("mqttsn: open socket: %w", err)
-			}
-		}
-		ownConn = true
-	} else {
-		// A borrowed conn may carry a stale read deadline from a previous
-		// client's Close (Close unblocks its read loop that way); clear it
-		// so sequential session reuse over one socket works.
-		_ = conn.SetReadDeadline(time.Time{})
+	tr := cfg.Transport
+	if tr == nil {
+		tr = transport.UDP{}
+	}
+	conn, gwAddr, err := tr.Dial(cfg.Gateway)
+	if err != nil {
+		return nil, fmt.Errorf("mqttsn: dial gateway %q: %w", cfg.Gateway, err)
 	}
 	// A subscriber session can receive a full broker send-window in one
 	// burst; grow the receive buffer past the kernel default so the burst
@@ -231,21 +211,10 @@ func NewClient(cfg ClientConfig) (*Client, error) {
 	if rb, ok := conn.(interface{ SetReadBuffer(int) error }); ok {
 		_ = rb.SetReadBuffer(1 << 20)
 	}
-	if gwAddr == nil {
-		var err error
-		gwAddr, err = net.ResolveUDPAddr("udp", cfg.Gateway)
-		if err != nil {
-			if ownConn {
-				conn.Close()
-			}
-			return nil, fmt.Errorf("mqttsn: resolve gateway %q: %w", cfg.Gateway, err)
-		}
-	}
 	c := &Client{
 		cfg:         cfg,
 		conn:        conn,
 		gwAddr:      gwAddr,
-		ownConn:     ownConn,
 		waiters:     map[ackKey]chan Packet{},
 		topicIDs:    map[string]uint16{},
 		topicName:   map[uint16]string{},
@@ -759,12 +728,7 @@ func (c *Client) Close() {
 	c.connected = false
 	c.mu.Unlock()
 	close(c.done)
-	if c.ownConn {
-		c.conn.Close()
-	} else {
-		// Unblock the read loop promptly.
-		c.conn.SetReadDeadline(time.Now())
-	}
+	c.conn.Close()
 	c.wg.Wait()
 	// The loops have stopped and closed admits no new flow: fail what is
 	// left in the table.
@@ -854,8 +818,8 @@ func (c *Client) readLoop() {
 			return
 		default:
 		}
-		// No per-read deadline: Close() either closes the socket or sets
-		// an immediate deadline, both of which unblock the read.
+		// No per-read deadline: Close closes the socket, which unblocks
+		// the read.
 		var n int
 		var err error
 		var fromGW bool
@@ -869,14 +833,6 @@ func (c *Client) readLoop() {
 			fromGW = err == nil && c.fromGateway(addr)
 		}
 		if err != nil {
-			if ne, ok := err.(net.Error); ok && ne.Timeout() {
-				select {
-				case <-c.done:
-					return
-				default:
-					continue
-				}
-			}
 			c.sessionDown(fmt.Errorf("mqttsn: read: %w", err))
 			return
 		}

@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"github.com/provlight/provlight/internal/mqttsn"
+	"github.com/provlight/provlight/internal/transport"
 )
 
 // fakeGateway is a scripted MQTT-SN gateway for publish-engine tests. It
@@ -442,8 +443,8 @@ func TestReadAddrPortAllocs(t *testing.T) {
 	g := startFakeGateway(t)
 	g.ack.Store(true)
 	payload := make([]byte, 200)
-	measure := func(t *testing.T, conn net.PacketConn) float64 {
-		c := engineClient(t, g, mqttsn.ClientConfig{RetryInterval: 10 * time.Second, Conn: conn})
+	measure := func(t *testing.T, tr transport.Transport) float64 {
+		c := engineClient(t, g, mqttsn.ClientConfig{RetryInterval: 10 * time.Second, Transport: tr})
 		errc := make(chan error, 1)
 		done := func(err error) { errc <- err }
 		publish := func() {
@@ -455,17 +456,13 @@ func TestReadAddrPortAllocs(t *testing.T) {
 		publish()
 		return testing.AllocsPerRun(200, publish)
 	}
-	udp := func(t *testing.T) *net.UDPConn {
-		conn, err := net.ListenUDP("udp", &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1)})
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(func() { conn.Close() })
-		return conn
-	}
-	own := measure(t, nil) // the client's own dual-stack socket
-	optIn := func() float64 { u := udp(t); return measure(t, addrPortConn{u, u}) }()
-	hidden := measure(t, hiddenConn{udp(t)})
+	own := measure(t, nil) // the default transport's dual-stack socket
+	optIn := measure(t, transport.WrapDial(transport.UDP{}, func(pc net.PacketConn) net.PacketConn {
+		return addrPortConn{pc, pc.(*net.UDPConn)}
+	}))
+	hidden := measure(t, transport.WrapDial(transport.UDP{}, func(pc net.PacketConn) net.PacketConn {
+		return hiddenConn{pc}
+	}))
 	t.Logf("allocs per QoS 1 publish: own socket %.1f, opt-in wrapper %.1f, ReadFrom %.1f", own, optIn, hidden)
 	const maxAddrPortPublishAllocs = 1 // the decoded PUBACK
 	if own > maxAddrPortPublishAllocs || optIn > maxAddrPortPublishAllocs {

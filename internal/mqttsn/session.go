@@ -3,7 +3,6 @@ package mqttsn
 import (
 	"context"
 	"errors"
-	"net"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -38,8 +37,8 @@ func Dial(ctx context.Context, cfg ClientConfig, setup func(*Client) error) (*Cl
 // SessionConfig configures a supervised Session.
 type SessionConfig struct {
 	// Client is the template for every connect; the session sets its
-	// OnDisconnect. A Client.Conn is caller-owned: reused by every
-	// connect, never closed by the session.
+	// OnDisconnect. Each connect dials a fresh socket through
+	// Client.Transport, closed with its client.
 	Client ClientConfig
 	// Gateways, when set, overrides Client.Gateway with home-first
 	// rotation: a dial after a connect goes to Gateways[Home], and each
@@ -48,9 +47,6 @@ type SessionConfig struct {
 	Home     int
 	// ClientID, when set, names each connect.
 	ClientID func() string
-	// DialConn, when set, supplies a fresh socket per connect, which the
-	// session closes with its client.
-	DialConn func() (net.PacketConn, error)
 	// Setup runs on every connect after CONNACK; an error fails the dial.
 	// The client is already visible through Session.Client, so a caller
 	// racing the connect reaches the new session.
@@ -108,11 +104,9 @@ type Session struct {
 	nextRetry atomic.Int64
 }
 
-// liveSession is one connection: the client, the socket the session
-// dialed for it (nil when caller-owned), and its down channel.
+// liveSession is one connection: the client and its down channel.
 type liveSession struct {
 	mc   *Client
-	sock net.PacketConn
 	down chan struct{}
 }
 
@@ -123,9 +117,6 @@ func (l *liveSession) close(graceful bool) {
 		_ = l.mc.Disconnect() // closes the client even when the goodbye cannot be sent
 	} else {
 		l.mc.Close()
-	}
-	if l.sock != nil {
-		l.sock.Close()
 	}
 }
 
@@ -260,21 +251,11 @@ func (s *Session) connect(ctx context.Context) (*liveSession, error) {
 		cfg.ClientID = s.cfg.ClientID()
 	}
 	l := &liveSession{down: make(chan struct{})}
-	if s.cfg.DialConn != nil {
-		sock, err := s.cfg.DialConn()
-		if err != nil {
-			return nil, err
-		}
-		cfg.Conn, l.sock = sock, sock
-	}
 	var once sync.Once
 	markDown := func() { once.Do(func() { close(l.down) }) }
 	cfg.OnDisconnect = func(error) { markDown() }
 	mc, err := Dial(ctx, cfg, nil)
 	if err != nil {
-		if l.sock != nil {
-			l.sock.Close()
-		}
 		return nil, err
 	}
 	l.mc = mc

@@ -1,10 +1,14 @@
 package netem
 
 import (
+	"fmt"
 	"net"
+	"strings"
 	"testing"
 	"testing/quick"
 	"time"
+
+	"github.com/provlight/provlight/internal/transport"
 )
 
 func TestWireBytes(t *testing.T) {
@@ -193,5 +197,55 @@ func TestWrapPacketConnDuplication(t *testing.T) {
 	}
 	if got != 2 {
 		t.Errorf("DupRate=1 delivered %d copies, want 2", got)
+	}
+}
+
+// TestWrapTransportSeedsEachDial: the conns a shaped transport dials in
+// turn drop different packets (dial n is seeded Seed+n), and a fresh
+// transport with the same profile reproduces each dial's pattern.
+func TestWrapTransportSeedsEachDial(t *testing.T) {
+	delivered := func() [2]string {
+		lb := transport.NewLoopback()
+		ln, err := lb.Listen("")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer ln.Close()
+		shaped := WrapTransport(lb, Profile{LossRate: 0.5, Seed: 7})
+		var got [2]string
+		for d := range got {
+			conn, gw, err := shaped.Dial(ln.LocalAddr().String())
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := 0; i < 64; i++ {
+				if _, err := conn.WriteTo([]byte{byte(i)}, gw); err != nil {
+					t.Fatal(err)
+				}
+			}
+			conn.Close()
+			buf := make([]byte, 8)
+			for {
+				ln.SetReadDeadline(time.Now().Add(50 * time.Millisecond))
+				n, _, err := ln.ReadFrom(buf)
+				if err != nil {
+					break
+				}
+				got[d] += fmt.Sprintf("%d,", buf[:n])
+			}
+		}
+		return got
+	}
+	first, second := delivered(), delivered()
+	if first != second {
+		t.Errorf("same profile, different drop patterns:\n%v\n%v", first, second)
+	}
+	if first[0] == first[1] {
+		t.Errorf("two dials dropped the same packets: %s", first[0])
+	}
+	for d, pattern := range first {
+		if n := strings.Count(pattern, ","); n == 0 || n == 64 {
+			t.Errorf("dial %d: 50%% loss delivered %d/64 packets", d, n)
+		}
 	}
 }

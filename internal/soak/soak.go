@@ -11,7 +11,6 @@ package soak
 import (
 	"context"
 	"fmt"
-	"net"
 	"os"
 	"path/filepath"
 	"strings"
@@ -28,6 +27,7 @@ import (
 	"github.com/provlight/provlight/internal/source"
 	"github.com/provlight/provlight/internal/spool"
 	"github.com/provlight/provlight/internal/translate"
+	"github.com/provlight/provlight/internal/transport"
 	"github.com/provlight/provlight/internal/workload"
 )
 
@@ -208,20 +208,15 @@ func Run(ctx context.Context, opts Options) (*Report, error) {
 	if opts.Loss > 0 {
 		fault.SetLoss(opts.Loss)
 	}
+	uplink := fault.Transport(transport.UDP{})
 
 	devices := make([]*device, opts.Devices)
 	start := func(d *device) error {
 		client, err := core.NewClient(context.Background(), core.Config{
-			Broker:   srv.Addr(),
-			ClientID: d.id,
-			SpoolDir: d.dir,
-			DialConn: func() (net.PacketConn, error) {
-				pc, err := net.ListenPacket("udp", "127.0.0.1:0")
-				if err != nil {
-					return nil, err
-				}
-				return fault.WrapPacketConn(pc), nil
-			},
+			Broker:      srv.Addr(),
+			ClientID:    d.id,
+			SpoolDir:    d.dir,
+			Transport:   uplink,
 			SpoolQuota:  opts.Quota,
 			SpoolPolicy: opts.Policy,
 			// Overload-tolerant pacing: at soak scale the broker runs far

@@ -1,9 +1,6 @@
 package stats
 
-import (
-	"fmt"
-	"strings"
-)
+import "strings"
 
 // Table is a minimal fixed-column text table used by the benchmark harness
 // to print the paper's tables with aligned columns.
@@ -21,16 +18,6 @@ func NewTable(title string, header ...string) *Table {
 // AddRow appends a row; cells beyond the header width are kept as-is.
 func (t *Table) AddRow(cells ...string) {
 	t.Rows = append(t.Rows, cells)
-}
-
-// AddRowf appends a row built from Sprintf-formatted cells.
-func (t *Table) AddRowf(format string, cells ...any) {
-	parts := make([]string, len(cells))
-	for i, c := range cells {
-		parts[i] = fmt.Sprint(c)
-	}
-	_ = format // reserved for future per-cell formats
-	t.Rows = append(t.Rows, parts)
 }
 
 // String renders the table with columns padded to their widest cell.

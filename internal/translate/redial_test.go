@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"github.com/provlight/provlight/internal/broker"
+	"github.com/provlight/provlight/internal/transport"
 )
 
 type countTarget struct {
@@ -46,23 +47,19 @@ func TestTranslatorRedialsDeadSession(t *testing.T) {
 
 	var mu sync.Mutex
 	var conns []net.PacketConn
-	dial := func() (net.PacketConn, error) {
-		pc, err := net.ListenPacket("udp", "127.0.0.1:0")
-		if err != nil {
-			return nil, err
-		}
+	dial := transport.WrapDial(transport.UDP{}, func(pc net.PacketConn) net.PacketConn {
 		mu.Lock()
 		conns = append(conns, pc)
 		mu.Unlock()
-		return pc, nil
-	}
+		return pc
+	})
 
 	tgt := &countTarget{}
 	tr, err := New(context.Background(), Config{
 		Broker:        b.Addr(),
 		ClientID:      "redial-tr",
 		Targets:       []Target{tgt},
-		DialConn:      dial,
+		Transport:     dial,
 		RetryInterval: 100 * time.Millisecond,
 		MaxRetries:    3,
 		DisableAcks:   true,

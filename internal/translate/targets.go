@@ -72,10 +72,6 @@ type MemoryTarget struct {
 	view     *dfanalyzer.Store
 	schema   *schemaSync
 	viewLen  int
-	// viewSkipped counts records the view could not ingest (e.g. an
-	// attribute whose type flipped mid-stream). They are skipped so one
-	// bad record cannot wedge the read side forever.
-	viewSkipped int
 }
 
 // MemoryTarget implements the backend-agnostic read interface.
@@ -154,20 +150,13 @@ func (m *MemoryTarget) syncView() error {
 	}
 	for ; m.viewLen < len(m.records); m.viewLen++ {
 		if msg, ok := dfanalyzer.RecordToTaskMsg(m.dataflow, &m.records[m.viewLen]); ok {
-			if err := m.view.IngestTask(msg); err != nil {
-				m.viewSkipped++
-			}
+			// A record the view cannot ingest (e.g. an attribute whose
+			// type flipped mid-stream) is skipped, so one bad record
+			// cannot wedge the read side forever.
+			_ = m.view.IngestTask(msg)
 		}
 	}
 	return nil
-}
-
-// SourceSkipped reports how many delivered records the Source view could
-// not ingest (and therefore skipped).
-func (m *MemoryTarget) SourceSkipped() int {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.viewSkipped
 }
 
 // sourceView returns the up-to-date column store view.

@@ -11,7 +11,6 @@ package translate
 import (
 	"context"
 	"fmt"
-	"net"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -95,9 +94,9 @@ type Config struct {
 	// forced (even with one address), and a session redials its home node
 	// first, then the others (mqttsn.SessionConfig.Gateways).
 	ClusterAddrs []string
-	// Transport dials broker sessions over an alternate packet substrate
-	// (the in-process loopback); nil means UDP. DialConn takes precedence
-	// when both are set.
+	// Transport dials every broker session, redials included; nil means
+	// transport.UDP{}. Wrap it (netem.WrapTransport, chaos.Fault.Transport)
+	// to shape or fault the link.
 	Transport transport.Transport
 	// ClientID of the translator's broker session. Default "translator".
 	// With Sessions > 1 each session appends its index ("-s2", "-s3", …).
@@ -121,10 +120,6 @@ type Config struct {
 	// between them; distinct groups each receive the full stream. Setting
 	// Group forces the shared subscription even with Sessions == 1.
 	Group string
-	// DialConn, when set, supplies the packet socket for each broker
-	// session (called once per session). Used by benchmarks and tests to
-	// interpose netem-shaped links; nil means plain UDP.
-	DialConn func() (net.PacketConn, error)
 	// Targets receive every decoded record batch.
 	Targets []Target
 	// BatchSize caps how many decoded frames the delivery loop drains from
@@ -340,7 +335,6 @@ func (t *Translator) newSession(clientID string, home int, setup func(*mqttsn.Cl
 		},
 		Gateways: t.cfg.ClusterAddrs,
 		Home:     home,
-		DialConn: t.cfg.DialConn,
 		Setup:    setup,
 		// Capped low so the pipeline returns within seconds of the broker.
 		Backoff: resilience.Backoff{Min: 250 * time.Millisecond, Max: 8 * time.Second},

@@ -7,9 +7,11 @@
 //   - Loopback is an in-process channel-backed substrate for fast,
 //     deterministic tests and single-binary multi-node clusters.
 //
-// Transports compose with netem.WrapTransport for shaped links and are
-// interchangeable across internal/broker, internal/mqttsn,
-// internal/cluster, and internal/translate.
+// A Transport is the only way to give internal/broker, internal/mqttsn,
+// internal/core, internal/translate or internal/cluster a socket; nil
+// means UDP. Shaped links (netem.WrapTransport) and injected faults
+// (chaos.Fault.Transport) wrap a Transport rather than a socket, so one
+// seam owns every socket the pipeline opens.
 package transport
 
 import (
@@ -19,8 +21,8 @@ import (
 
 // Transport produces the packet endpoints a broker listens on and a
 // client dials. Implementations must return PacketConns whose ReadFrom
-// unblocks with an error after Close, and whose SetReadDeadline works
-// (the mqttsn client's Close path depends on both).
+// unblocks with an error after Close (the broker's and the mqttsn
+// client's Close paths depend on it).
 type Transport interface {
 	// Listen opens a server endpoint. An empty addr picks a transport
 	// default (UDP: 127.0.0.1 with an ephemeral port; loopback: an
@@ -58,4 +60,24 @@ func (UDP) Dial(addr string) (net.PacketConn, net.Addr, error) {
 		return nil, nil, err
 	}
 	return conn, gw, nil
+}
+
+// WrapDial returns t with every conn it dials passed through wrap; Listen
+// is t's own. Link shaping (netem.WrapTransport) and fault injection
+// (chaos.Fault.Transport) sit on the dialing side this way.
+func WrapDial(t Transport, wrap func(net.PacketConn) net.PacketConn) Transport {
+	return wrapDial{t, wrap}
+}
+
+type wrapDial struct {
+	Transport
+	wrap func(net.PacketConn) net.PacketConn
+}
+
+func (w wrapDial) Dial(addr string) (net.PacketConn, net.Addr, error) {
+	pc, gw, err := w.Transport.Dial(addr)
+	if err != nil {
+		return nil, nil, err
+	}
+	return w.wrap(pc), gw, nil
 }
