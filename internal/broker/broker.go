@@ -28,8 +28,10 @@
 // pooled datagram buffers, so one hot session or slow subscriber contends
 // only with the clients that hash to its shard instead of serializing the
 // whole gateway. The topic registry is a copy-on-write atomic snapshot
-// (reads are lock-free; registrations clone the maps), routed message and
-// outbound-flow structs are pooled, and counters are atomics. Lock order:
+// (reads are lock-free; registrations clone the maps), routed message
+// structs are pooled, and counters are atomics. Each session sends through
+// one FIFO (sendQ) and one in-flight table (flows) kept in enqueue order,
+// with one retransmit loop (sweep) for every flow kind. Lock order:
 // clientMu before any shard mutex; a shard mutex may be held when taking
 // groupMu, never the reverse; the topic-write lock is a leaf;
 // no two shard mutexes are ever held at once.
@@ -41,7 +43,7 @@ import (
 	"log"
 	"net"
 	"net/netip"
-	"sort"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -90,8 +92,9 @@ type Config struct {
 	// MaxRetries bounds outbound retransmissions. Default 5.
 	MaxRetries int
 	// SendWindow bounds how many QoS 1/2 messages may be in flight to one
-	// subscriber at a time; the rest queue in arrival order and are sent
-	// as earlier ones complete. Without it a fan-in burst (many devices,
+	// subscriber at a time, REGISTERs in flight counted in (a REGISTER
+	// itself never waits for a slot); the rest queue in arrival order and
+	// are sent as earlier ones complete. Without it a fan-in burst (many devices,
 	// one translator) floods the subscriber's UDP socket buffer, and
 	// datagrams dropped there must all be recovered by timed
 	// retransmissions — or are lost for good once MaxRetries is spent.
@@ -246,39 +249,35 @@ type message struct {
 	group *consumerGroup
 }
 
+// Flow states.
 const (
-	obAwaitPuback = iota
-	obAwaitPubrec
-	obAwaitPubcomp
-	// obRelPending: the PUBREC arrived, but an older QoS 2 flow on the
-	// session has not had its PUBREL sent yet, so this release is held
-	// back. A QoS 2 subscriber delivers on PUBREL, and PUBRECs follow
+	obAwaitPuback = iota // QoS 1 PUBLISH sent
+	obAwaitPubrec        // QoS 2 PUBLISH sent
+	// obRelPending: the PUBREC arrived, but an older QoS 2 flow in the
+	// session's table has not had its PUBREL sent yet, so this release is
+	// held back. A QoS 2 subscriber delivers on PUBREL, and PUBRECs follow
 	// PUBLISH *arrival* order — which the network (a lost PUBLISH, say)
-	// may invert. Sending PUBRELs strictly in enqueue (seq) order makes
-	// the subscriber's delivery order match the broker's release order no
+	// may invert. The table is in enqueue order, so releasing the prefix
+	// of obRelPending flows ahead of the oldest obAwaitPubrec one makes the
+	// subscriber's delivery order match the broker's release order no
 	// matter how the PUBLISH packets interleaved on the wire. The janitor
 	// retransmits the PUBLISH (DUP) for flows parked here, so a gave-up
 	// predecessor still unblocks them: the duplicate PUBREC re-runs the
-	// collection.
+	// walk.
 	obRelPending
+	obAwaitPubcomp // PUBREL sent
+	obAwaitRegack  // REGISTER sent
 )
 
-// regFlow is one outstanding REGISTER exchange (broker -> subscriber),
-// janitor-retransmitted like any other outbound flow.
-type regFlow struct {
-	msgID    uint16
-	lastSent time.Time
-	retries  int
-}
-
-type outbound struct {
+// flow is one outbound exchange awaiting the subscriber's acknowledgement:
+// a QoS 1 or QoS 2 PUBLISH of msg, or a REGISTER of topicID (msg nil).
+type flow struct {
 	msg      *message
 	msgID    uint16
-	state    int
-	lastSent time.Time
+	topicID  uint16
+	state    uint8
 	retries  int
-	dup      bool
-	seq      uint64 // per-session enqueue order (group handoff keeps it)
+	lastSent time.Time
 }
 
 type session struct {
@@ -293,9 +292,6 @@ type session struct {
 	// "$share/<group>/<filter>" subscribe string, for unsubscribe and
 	// teardown.
 	groupSubs map[string]*consumerGroup
-	// sendSeq stamps outbound QoS 1/2 flows in enqueue order so a dead
-	// member's in-flight frames hand off to the group in order.
-	sendSeq uint64
 
 	// inbound2 holds the msgIDs of inbound QoS 2 flows routed at their
 	// first PUBLISH and still awaiting the publisher's PUBREL. A flow the
@@ -304,16 +300,18 @@ type session struct {
 	// counter wraps round to it.
 	inbound2     map[uint16]struct{}
 	inbound2Reap uint16 // the newest fresh msgID at the last reap
-	outbound     map[uint16]*outbound
-	sendQ        []*message // QoS 1/2 backlog awaiting a window slot
-	nextMsgID    uint16
-	knownTopics  map[uint16]bool
-	pendingReg   map[uint16][]*message // awaiting REGACK before delivery
-	// regFlows tracks the in-flight REGISTER exchange per pending topic
-	// id so the janitor can retransmit a lost REGISTER instead of letting
-	// pendingReg wedge forever, and give the frames up (or hand them back
-	// to their group) when the subscriber never answers.
-	regFlows map[uint16]*regFlow
+
+	// sendQ holds every frame routed to the session and not yet sent, in
+	// route order: QoS 1/2 frames waiting for a window slot, and frames of
+	// any QoS whose topic the subscriber does not know yet. pumpLocked
+	// moves its head into flows.
+	sendQ []*message
+	// flows is the in-flight table, in enqueue order: up to SendWindow
+	// PUBLISHes plus the REGISTERs of the topics sendQ waits for. It is
+	// that small, so a msgID is found by scanning it.
+	flows       []flow
+	nextMsgID   uint16
+	knownTopics map[uint16]bool
 
 	// recentRel remembers the last released msgIDs so a duplicated or
 	// reordered PUBLISH arriving *after* its PUBREL completed is dropped
@@ -381,10 +379,70 @@ func (s *session) allocMsgID() uint16 {
 		if s.nextMsgID == 0 {
 			continue
 		}
-		if _, inUse := s.outbound[s.nextMsgID]; !inUse {
+		if s.flowIndex(s.nextMsgID) < 0 {
 			return s.nextMsgID
 		}
 	}
+}
+
+// flowIndex returns the index of the in-flight flow using msgID, or -1.
+// Callers must hold the session's shard mutex.
+func (s *session) flowIndex(msgID uint16) int {
+	for i := range s.flows {
+		if s.flows[i].msgID == msgID {
+			return i
+		}
+	}
+	return -1
+}
+
+// registering reports whether a REGISTER of topicID is in flight.
+// Callers must hold the session's shard mutex.
+func (s *session) registering(topicID uint16) bool {
+	for i := range s.flows {
+		if s.flows[i].state == obAwaitRegack && s.flows[i].topicID == topicID {
+			return true
+		}
+	}
+	return false
+}
+
+// detachLocked removes the frames take selects from the in-flight table
+// and then from sendQ, and appends them to out in send order. REGISTER
+// flows stay. Callers must hold the session's shard mutex.
+func (s *session) detachLocked(take func(*message) bool, out []*message) []*message {
+	flows := s.flows[:0]
+	for _, f := range s.flows {
+		if f.msg != nil && take(f.msg) {
+			out = append(out, f.msg)
+		} else {
+			flows = append(flows, f)
+		}
+	}
+	clear(s.flows[len(flows):])
+	s.flows = flows
+	queued := s.sendQ[:0]
+	for _, m := range s.sendQ {
+		if take(m) {
+			out = append(out, m)
+		} else {
+			queued = append(queued, m)
+		}
+	}
+	clear(s.sendQ[len(queued):])
+	s.sendQ = queued
+	return out
+}
+
+// settleRegisterLocked ends a REGISTER of topicID that was given up or
+// rejected: while the topic is still unknown, its queued frames are
+// appended to out, to be settled with settleUndeliverable after
+// unlocking. Callers must hold the session's shard mutex.
+func (s *session) settleRegisterLocked(topicID uint16, out []*message) []*message {
+	if s.knownTopics[topicID] {
+		return out
+	}
+	return s.detachLocked(func(m *message) bool { return m.topicID == topicID }, out)
 }
 
 // shard is one stripe of the session table plus its inbound packet queue.
@@ -497,12 +555,11 @@ type Broker struct {
 	connLimit *connLimiter
 
 	// bufPool recycles inbound datagram buffers; outPool recycles
-	// outbound marshal buffers on the route path; msgPool and obPool
-	// recycle the per-message routing and outbound-flow structs.
+	// outbound marshal buffers on the route path; msgPool recycles the
+	// per-message routing structs.
 	bufPool sync.Pool
 	outPool sync.Pool
 	msgPool sync.Pool
-	obPool  sync.Pool
 
 	done chan struct{}
 	wg   sync.WaitGroup
@@ -551,7 +608,6 @@ func New(cfg Config) (*Broker, error) {
 			New: func() any { buf := make([]byte, 0, 2048); return &buf },
 		},
 		msgPool: sync.Pool{New: func() any { return new(message) }},
-		obPool:  sync.Pool{New: func() any { return new(outbound) }},
 		done:    make(chan struct{}),
 	}
 	if cfg.ConnectRate > 0 {
@@ -615,10 +671,10 @@ func (b *Broker) Stats() Stats {
 }
 
 // getMsg / putMsg recycle routed message structs. A message has exactly
-// one owner at a time (route copy -> sendQ / pendingReg -> outbound entry
-// -> released); payload backing arrays are never pooled, so late readers
-// of an already-released message's payload are impossible by
-// construction — only the struct is reused.
+// one owner at a time (route copy -> sendQ -> flow -> released); payload
+// backing arrays are never pooled, so late readers of an already-released
+// message's payload are impossible by construction — only the struct is
+// reused, and a PUBLISH built from a message outlives it safely.
 func (b *Broker) getMsg() *message { return b.msgPool.Get().(*message) }
 
 func (b *Broker) putMsg(m *message) {
@@ -627,14 +683,6 @@ func (b *Broker) putMsg(m *message) {
 	}
 	*m = message{}
 	b.msgPool.Put(m)
-}
-
-// putOutbound recycles an outbound-flow entry. The caller owns ob.msg
-// separately (release or hand off before or after; ob.msg must already be
-// detached when the entry could still be observed).
-func (b *Broker) putOutbound(ob *outbound) {
-	*ob = outbound{}
-	b.obPool.Put(ob)
 }
 
 // Close stops the broker and releases its socket.
@@ -787,8 +835,8 @@ func (b *Broker) sweep() {
 		pkt  mqttsn.Packet
 	}
 	type giveUp struct {
-		s   *session
-		msg *message
+		s    *session
+		msgs []*message
 	}
 	type expiry struct {
 		s *session
@@ -805,7 +853,6 @@ func (b *Broker) sweep() {
 	for _, sh := range b.shards {
 		sh.mu.Lock()
 		for key, s := range sh.sessions {
-			lastGivenUp := len(givenUp)
 			// Keepalive expiry with 1.5x grace (spec §6.13 suggests tolerance).
 			if s.keepalive > 0 && now.Sub(s.lastSeen) > s.keepalive+s.keepalive/2 {
 				b.ctr.sessionsExpired.Add(1)
@@ -813,70 +860,57 @@ func (b *Broker) sweep() {
 				expired = append(expired, expiry{s: s, r: b.collectRemainsLocked(s)})
 				continue
 			}
+			// One loop retransmits every flow kind: a lost REGISTER (or
+			// REGACK) must no more wedge the frames queued behind it than
+			// a lost PUBLISH.
 			gaveUp := false
-			for msgID, ob := range s.outbound {
-				if now.Sub(ob.lastSent) < b.cfg.RetryInterval {
+			var lost []*message
+			for i := 0; i < len(s.flows); {
+				f := &s.flows[i]
+				if now.Sub(f.lastSent) < b.cfg.RetryInterval {
+					i++
 					continue
 				}
-				if ob.retries >= b.cfg.MaxRetries {
-					// The subscriber stopped acknowledging this frame: stop
-					// retrying. Group-routed frames are handed back to the
-					// group (settled below, outside the shard mutex);
-					// individually-subscribed ones are dropped and counted.
-					delete(s.outbound, msgID)
-					givenUp = append(givenUp, giveUp{s: s, msg: ob.msg})
-					ob.msg = nil
-					b.putOutbound(ob)
+				if f.retries >= b.cfg.MaxRetries {
+					// The subscriber stopped acknowledging: stop retrying.
+					// The frame, or a REGISTER's queued frames, are settled
+					// below, outside the shard mutex: group frames are
+					// handed back to the group, the rest dropped and counted.
+					gone := *f
+					s.flows = slices.Delete(s.flows, i, i+1)
+					if gone.state == obAwaitRegack {
+						lost = s.settleRegisterLocked(gone.topicID, lost)
+					} else {
+						lost = append(lost, gone.msg)
+					}
 					gaveUp = true
 					continue
 				}
-				ob.retries++
-				ob.lastSent = now
-				ob.dup = true
+				f.retries++
+				f.lastSent = now
 				b.ctr.retransmissions.Add(1)
-				switch ob.state {
+				switch f.state {
 				case obAwaitPubcomp:
 					rel := &mqttsn.Pubrel{}
-					rel.MsgID = msgID
+					rel.MsgID = f.msgID
 					resends = append(resends, resend{s.addr, rel})
+				case obAwaitRegack:
+					topic, _ := b.topicName(f.topicID)
+					resends = append(resends, resend{s.addr, &mqttsn.Register{
+						TopicID: f.topicID, MsgID: f.msgID, TopicName: topic,
+					}})
 				default:
-					resends = append(resends, resend{s.addr, publishPacket(ob)})
+					resends = append(resends, resend{s.addr, publishPacket(f.msg, f.msgID, true)})
 				}
+				i++
 			}
 			if gaveUp {
-				// Abandoned messages freed window slots: keep the backlog
-				// moving, sent in pump order (see unlockAndSend).
-				if pubs := s.pumpLocked(b, b.cfg.SendWindow); len(pubs) > 0 {
-					s.txMu.Lock()
-					for _, pub := range pubs {
-						b.sendTo(s.addr, pub)
-					}
-					s.txMu.Unlock()
-				}
+				b.pumpAndSendLocked(s) // abandoned flows freed window slots
 			}
-			// REGISTER exchanges retransmit like any outbound flow: a
-			// lost REGISTER (or REGACK) must not wedge the pending frames
-			// behind it forever.
-			for topicID, rf := range s.regFlows {
-				if now.Sub(rf.lastSent) < b.cfg.RetryInterval {
-					continue
-				}
-				if rf.retries >= b.cfg.MaxRetries {
-					delete(s.regFlows, topicID)
-					for _, m := range s.pendingReg[topicID] {
-						givenUp = append(givenUp, giveUp{s: s, msg: m})
-					}
-					delete(s.pendingReg, topicID)
-					continue
-				}
-				rf.retries++
-				rf.lastSent = now
-				b.ctr.retransmissions.Add(1)
-				topic, _ := b.topicName(topicID)
-				resends = append(resends, resend{s.addr, &mqttsn.Register{
-					TopicID: topicID, MsgID: rf.msgID, TopicName: topic,
-				}})
+			if len(lost) == 0 {
+				continue
 			}
+			givenUp = append(givenUp, giveUp{s: s, msgs: lost})
 			// A session that exhausted MaxRetries on a flow AND has been
 			// completely silent for the whole give-up horizon (no ack,
 			// no ping — nothing moved lastSeen) is indistinguishable
@@ -886,7 +920,7 @@ func (b *Broker) sweep() {
 			// itself). A live-but-slow member keeps acknowledging or
 			// pinging, keeps lastSeen fresh, and only ever loses the
 			// individual frame — never its membership.
-			if len(givenUp) > lastGivenUp && len(s.groupSubs) > 0 &&
+			if len(s.groupSubs) > 0 &&
 				now.Sub(s.lastSeen) > time.Duration(b.cfg.MaxRetries)*b.cfg.RetryInterval {
 				ev := eviction{s: s}
 				for _, g := range s.groupSubs {
@@ -922,18 +956,21 @@ func (b *Broker) sweep() {
 		b.settleRemains(e.s, e.r)
 	}
 	for _, g := range givenUp {
-		b.settleUndeliverable(g.s, g.msg)
+		for _, m := range g.msgs {
+			b.settleUndeliverable(g.s, m)
+		}
 	}
 }
 
-// publishPacket builds the PUBLISH for an outbound entry. Callers must
-// hold the session's shard mutex.
-func publishPacket(ob *outbound) *mqttsn.Publish {
+// publishPacket builds the PUBLISH that carries msg; msgID is 0 for
+// QoS 0/-1. The packet does not reference msg, which may be released
+// once it is built.
+func publishPacket(msg *message, msgID uint16, dup bool) *mqttsn.Publish {
 	return &mqttsn.Publish{
-		Flags:   mqttsn.Flags{QoS: ob.msg.qos, DUP: ob.dup},
-		TopicID: ob.msg.topicID,
-		MsgID:   ob.msgID,
-		Data:    ob.msg.payload,
+		Flags:   mqttsn.Flags{QoS: msg.qos, DUP: dup},
+		TopicID: msg.topicID,
+		MsgID:   msgID,
+		Data:    msg.payload,
 	}
 }
 
@@ -1079,10 +1116,7 @@ func (b *Broker) handleConnect(addr net.Addr, key string, p *mqttsn.Connect) {
 		subs:        map[string]mqttsn.QoS{},
 		groupSubs:   map[string]*consumerGroup{},
 		inbound2:    map[uint16]struct{}{},
-		outbound:    map[uint16]*outbound{},
 		knownTopics: map[uint16]bool{},
-		pendingReg:  map[uint16][]*message{},
-		regFlows:    map[uint16]*regFlow{},
 	}
 	// Replace any session with the same client id (possibly at an old
 	// addr): the old session leaves its groups and its backlog is handed
@@ -1126,43 +1160,23 @@ func (b *Broker) handleRegack(addr net.Addr, key string, p *mqttsn.Regack) {
 	sh := b.shardFor(key)
 	sh.mu.Lock()
 	s := sh.sessions[key]
-	var pubs []*mqttsn.Publish
-	var fired []*message
+	var buf [4]*mqttsn.Publish
+	pubs := buf[:0]
 	var rejected []*message
 	if s != nil {
 		s.lastSeen = time.Now()
-		if p.ReturnCode == mqttsn.Accepted {
-			s.knownTopics[p.TopicID] = true
-			// The backlog must reach sendQ under the SAME lock acquisition
-			// that flips knownTopics: once the flag is visible, a deliver()
-			// for a concurrently released frame takes the known-topic fast
-			// path, and if the backlog were flushed message-by-message after
-			// unlocking, that new frame would slot into sendQ ahead of the
-			// older frames still waiting here and break per-topic order.
-			for _, m := range s.pendingReg[p.TopicID] {
-				switch m.qos {
-				case mqttsn.QoS1, mqttsn.QoS2:
-					s.sendQ = append(s.sendQ, m)
-				default:
-					pubs = append(pubs, &mqttsn.Publish{
-						Flags:   mqttsn.Flags{QoS: m.qos},
-						TopicID: m.topicID,
-						Data:    m.payload,
-					})
-					fired = append(fired, m) // fire-and-forget: done once sent
-				}
+		if i := s.flowIndex(p.MsgID); i >= 0 && s.flows[i].state == obAwaitRegack {
+			id := s.flows[i].topicID
+			s.flows = slices.Delete(s.flows, i, i+1)
+			if p.ReturnCode == mqttsn.Accepted {
+				s.knownTopics[id] = true
+			} else {
+				rejected = s.settleRegisterLocked(id, nil)
 			}
-			pubs = append(pubs, s.pumpLocked(b, b.cfg.SendWindow)...)
-		} else {
-			rejected = s.pendingReg[p.TopicID]
+			pubs = s.pumpLocked(b, pubs)
 		}
-		delete(s.pendingReg, p.TopicID)
-		delete(s.regFlows, p.TopicID)
 	}
 	b.unlockAndSend(sh, s, pubs)
-	for _, m := range fired {
-		b.putMsg(m)
-	}
 	// A rejected registration means this subscriber can never take these
 	// frames: hand group frames back, drop and count the rest.
 	for _, m := range rejected {
@@ -1248,44 +1262,53 @@ func (b *Broker) handlePubrel(addr net.Addr, key string, p *mqttsn.Pubrel) {
 }
 
 func (b *Broker) handlePuback(addr net.Addr, key string, p *mqttsn.Puback) {
+	b.completeFlow(key, p.MsgID, obAwaitPuback)
+}
+
+func (b *Broker) handlePubcomp(addr net.Addr, key string, p *mqttsn.Pubcomp) {
+	b.completeFlow(key, p.MsgID, obAwaitPubcomp)
+}
+
+// completeFlow ends the flow msgID if it is in state, the one its
+// acknowledgement (PUBACK or PUBCOMP) completes, releases its frame and
+// refills the window.
+func (b *Broker) completeFlow(key string, msgID uint16, state uint8) {
 	sh := b.shardFor(key)
 	sh.mu.Lock()
-	var pubs []*mqttsn.Publish
+	var buf [4]*mqttsn.Publish
+	pubs := buf[:0]
+	var done *message
 	s := sh.sessions[key]
-	var done *outbound
 	if s != nil {
 		s.lastSeen = time.Now()
-		if ob, ok := s.outbound[p.MsgID]; ok && ob.state == obAwaitPuback {
-			delete(s.outbound, p.MsgID)
-			done = ob
-			pubs = s.pumpLocked(b, b.cfg.SendWindow)
+		if i := s.flowIndex(msgID); i >= 0 && s.flows[i].state == state {
+			done = s.flows[i].msg
+			s.flows = slices.Delete(s.flows, i, i+1)
+			pubs = s.pumpLocked(b, pubs)
 		}
 	}
 	b.unlockAndSend(sh, s, pubs)
-	if done != nil {
-		b.putMsg(done.msg)
-		done.msg = nil
-		b.putOutbound(done)
-	}
+	b.putMsg(done)
 }
 
 func (b *Broker) handlePubrec(addr net.Addr, key string, p *mqttsn.Pubrec) {
 	sh := b.shardFor(key)
 	sh.mu.Lock()
 	s := sh.sessions[key]
-	var rels []uint16
+	var buf [8]uint16
+	rels := buf[:0]
 	if s != nil {
 		s.lastSeen = time.Now()
-		if ob, ok := s.outbound[p.MsgID]; ok {
-			switch ob.state {
+		if i := s.flowIndex(p.MsgID); i >= 0 {
+			switch s.flows[i].state {
 			case obAwaitPubrec:
-				ob.state = obRelPending
-				ob.retries = 0
-				rels = s.releasableLocked()
+				s.flows[i].state = obRelPending
+				s.flows[i].retries = 0
+				rels = s.releasableLocked(rels)
 			case obRelPending:
 				// Duplicate PUBREC (our DUP PUBLISH nudged the client):
 				// the blocker may have been given up since — try again.
-				rels = s.releasableLocked()
+				rels = s.releasableLocked(rels)
 			case obAwaitPubcomp:
 				rels = append(rels, p.MsgID) // duplicate PUBREC: re-send PUBREL
 			}
@@ -1299,54 +1322,28 @@ func (b *Broker) handlePubrec(addr net.Addr, key string, p *mqttsn.Pubrec) {
 	}
 }
 
-// releasableLocked collects, in enqueue order, the QoS 2 flows whose
-// PUBREL may go on the wire now: every flow up to (and not beyond) the
-// oldest one still awaiting its PUBREC. Marking them obAwaitPubcomp
-// under the shard lock keeps the collection exactly-once; the caller
-// sends the returned msgIDs in slice order. All PUBRECs of a session
-// arrive on its single shard worker, so collections never race each
-// other and PUBRELs hit the wire in seq order.
-func (s *session) releasableLocked() []uint16 {
-	var cand []*outbound
-	for _, ob := range s.outbound {
-		if ob.state == obAwaitPubrec || ob.state == obRelPending {
-			cand = append(cand, ob)
+// releasableLocked walks the in-flight table's prefix up to the oldest
+// QoS 2 flow still awaiting its PUBREC and releases every obRelPending
+// flow on the way: each is marked obAwaitPubcomp and its msgID appended
+// to rels, in enqueue order. Marking them under the shard lock keeps the
+// release exactly-once; the caller sends the PUBRELs in slice order. All
+// PUBRECs of a session arrive on its single shard worker, so walks never
+// race each other and PUBRELs hit the wire in table order.
+func (s *session) releasableLocked(rels []uint16) []uint16 {
+	now := time.Now()
+	for i := range s.flows {
+		f := &s.flows[i]
+		switch f.state {
+		case obAwaitPubrec:
+			return rels
+		case obRelPending:
+			f.state = obAwaitPubcomp
+			f.lastSent = now
+			f.retries = 0
+			rels = append(rels, f.msgID)
 		}
-	}
-	sort.Slice(cand, func(i, j int) bool { return cand[i].seq < cand[j].seq })
-	var rels []uint16
-	for _, ob := range cand {
-		if ob.state != obRelPending {
-			break // oldest unreleased flow still awaits its PUBREC
-		}
-		ob.state = obAwaitPubcomp
-		ob.lastSent = time.Now()
-		ob.retries = 0
-		rels = append(rels, ob.msgID)
 	}
 	return rels
-}
-
-func (b *Broker) handlePubcomp(addr net.Addr, key string, p *mqttsn.Pubcomp) {
-	sh := b.shardFor(key)
-	sh.mu.Lock()
-	var pubs []*mqttsn.Publish
-	s := sh.sessions[key]
-	var done *outbound
-	if s != nil {
-		s.lastSeen = time.Now()
-		if ob, ok := s.outbound[p.MsgID]; ok && ob.state == obAwaitPubcomp {
-			delete(s.outbound, p.MsgID)
-			done = ob
-			pubs = s.pumpLocked(b, b.cfg.SendWindow)
-		}
-	}
-	b.unlockAndSend(sh, s, pubs)
-	if done != nil {
-		b.putMsg(done.msg)
-		done.msg = nil
-		b.putOutbound(done)
-	}
 }
 
 func (b *Broker) handleSubscribe(addr net.Addr, key string, p *mqttsn.Subscribe) {
@@ -1538,18 +1535,18 @@ func (b *Broker) Inject(topic string, payload []byte, qos mqttsn.QoS) {
 	b.putMsg(msg)
 }
 
-// PendingForTopics counts QoS 1/2 frames still queued or in flight
-// toward this broker's local subscribers whose topic matches. The
-// cluster polls it during a partition drain: once the peers' forwarding
-// links are idle and this count reaches zero, every frame of the moving
-// partitions has been delivered and acknowledged.
+// PendingForTopics counts the frames still queued or in flight toward
+// this broker's local subscribers whose topic matches. The cluster polls
+// it during a partition drain: once the peers' forwarding links are idle
+// and this count reaches zero, every frame of the moving partitions has
+// been delivered and acknowledged.
 func (b *Broker) PendingForTopics(match func(topic string) bool) int {
 	n := 0
 	for _, sh := range b.shards {
 		sh.mu.Lock()
 		for _, s := range sh.sessions {
-			for _, ob := range s.outbound {
-				if ob.msg != nil && match(ob.msg.topic) {
+			for i := range s.flows {
+				if m := s.flows[i].msg; m != nil && match(m.topic) {
 					n++
 				}
 			}
@@ -1558,84 +1555,37 @@ func (b *Broker) PendingForTopics(match func(topic string) bool) int {
 					n++
 				}
 			}
-			for _, pending := range s.pendingReg {
-				for _, m := range pending {
-					if match(m.topic) {
-						n++
-					}
-				}
-			}
 		}
 		sh.mu.Unlock()
 	}
 	return n
 }
 
-// DetachMatching removes every queued or in-flight QoS 1/2 frame whose
-// topic matches from this broker's local subscribers and returns them in
-// per-session send order, counting them as Migrated. It is the
-// migration drain's escape hatch for a subscriber that stopped
-// acknowledging: the frames move to the partition's new owner instead of
-// wedging the handoff. A detached in-flight frame may already have
-// reached its subscriber (the ack just never came back), so delivery for
-// detached frames is at-least-once — same contract as a consumer-group
-// member failover.
+// DetachMatching removes every queued or in-flight frame whose topic
+// matches from this broker's local subscribers and returns them in
+// per-session send order (in flight first, then queued), counting them
+// as Migrated. It is the migration drain's escape hatch for a subscriber
+// that stopped acknowledging: the frames move to the partition's new
+// owner instead of wedging the handoff. A detached in-flight frame may
+// already have reached its subscriber (the ack just never came back), so
+// delivery for detached frames is at-least-once — same contract as a
+// consumer-group member failover.
 func (b *Broker) DetachMatching(match func(topic string) bool) []ForwardFrame {
 	var out []ForwardFrame
+	var msgs []*message
+	take := func(m *message) bool { return match(m.topic) }
 	for _, sh := range b.shards {
 		sh.mu.Lock()
 		for _, s := range sh.sessions {
-			type seqFrame struct {
-				seq uint64
-				f   ForwardFrame
-			}
-			var inflight []seqFrame
-			for id, ob := range s.outbound {
-				if ob.msg == nil || !match(ob.msg.topic) {
-					continue
-				}
-				m := ob.msg
-				inflight = append(inflight, seqFrame{ob.seq, ForwardFrame{Topic: m.topic, Payload: m.payload, QoS: m.qos}})
-				delete(s.outbound, id)
-				ob.msg = nil
+			msgs = s.detachLocked(take, msgs[:0])
+			for _, m := range msgs {
+				out = append(out, ForwardFrame{Topic: m.topic, Payload: m.payload, QoS: m.qos})
 				b.putMsg(m)
-				b.putOutbound(ob)
 			}
-			sort.Slice(inflight, func(i, j int) bool { return inflight[i].seq < inflight[j].seq })
-			for _, sf := range inflight {
-				out = append(out, sf.f)
-			}
-			if len(s.sendQ) > 0 {
-				kept := s.sendQ[:0]
-				for _, m := range s.sendQ {
-					if match(m.topic) {
-						out = append(out, ForwardFrame{Topic: m.topic, Payload: m.payload, QoS: m.qos})
-						b.putMsg(m)
-					} else {
-						kept = append(kept, m)
-					}
-				}
-				for i := len(kept); i < len(s.sendQ); i++ {
-					s.sendQ[i] = nil
-				}
-				s.sendQ = kept
-			}
-			for id, pending := range s.pendingReg {
-				var kept []*message
-				for _, m := range pending {
-					if match(m.topic) {
-						out = append(out, ForwardFrame{Topic: m.topic, Payload: m.payload, QoS: m.qos})
-						b.putMsg(m)
-					} else {
-						kept = append(kept, m)
-					}
-				}
-				if len(kept) == 0 {
-					delete(s.pendingReg, id)
-					delete(s.regFlows, id)
-				} else {
-					s.pendingReg[id] = kept
-				}
+			if len(msgs) > 0 {
+				// The detached flows freed window slots, and no ack will
+				// come for them to refill the window.
+				b.pumpAndSendLocked(s)
 			}
 		}
 		sh.mu.Unlock()
@@ -1731,10 +1681,12 @@ func (b *Broker) deliverOrSettle(s *session, msg *message) {
 	}
 }
 
-// deliver sends one message to one subscriber, respecting its QoS and
-// registering the topic first if the client does not know its id. deliver
-// takes ownership of msg; it returns false — handing ownership back to
-// the caller — when the session is no longer live.
+// deliver sends one message to one subscriber, respecting its QoS.
+// A QoS 0/-1 frame on a topic the subscriber knows goes out at once;
+// every other frame joins sendQ, and a frame whose topic the subscriber
+// does not know starts that topic's REGISTER unless one is in flight.
+// deliver takes ownership of msg; it returns false — handing ownership
+// back to the caller — when the session is no longer live.
 func (b *Broker) deliver(s *session, msg *message) bool {
 	sh := b.shardFor(s.addrKey)
 	sh.mu.Lock()
@@ -1742,44 +1694,25 @@ func (b *Broker) deliver(s *session, msg *message) bool {
 		sh.mu.Unlock()
 		return false
 	}
-	if !s.knownTopics[msg.topicID] {
-		// Queue behind a REGISTER exchange (retransmitted by the janitor
-		// until acknowledged or given up).
-		pending, already := s.pendingReg[msg.topicID]
-		s.pendingReg[msg.topicID] = append(pending, msg)
-		addr := s.addr
-		topic := msg.topic
-		id := msg.topicID
-		var regMsgID uint16
-		if !already {
-			regMsgID = s.allocMsgID()
-			s.regFlows[id] = &regFlow{msgID: regMsgID, lastSent: time.Now()}
-		}
-		sh.mu.Unlock()
-		if !already {
-			b.sendTo(addr, &mqttsn.Register{TopicID: id, MsgID: regMsgID, TopicName: topic})
-		}
-		return true
-	}
-	var pubs []*mqttsn.Publish
-	release := false
-	switch msg.qos {
-	case mqttsn.QoS1, mqttsn.QoS2:
-		// Flow-controlled path: enqueue in arrival order, then fill the
-		// in-flight window.
+	var buf [4]*mqttsn.Publish
+	pubs := buf[:0]
+	var reg *mqttsn.Register
+	known := s.knownTopics[msg.topicID]
+	if known && msg.qos != mqttsn.QoS1 && msg.qos != mqttsn.QoS2 {
+		pubs = append(pubs, publishPacket(msg, 0, false))
+		b.putMsg(msg) // fire-and-forget: done once sent
+	} else {
 		s.sendQ = append(s.sendQ, msg)
-		pubs = s.pumpLocked(b, b.cfg.SendWindow)
-	default:
-		pubs = append(pubs, &mqttsn.Publish{
-			Flags:   mqttsn.Flags{QoS: msg.qos},
-			TopicID: msg.topicID,
-			Data:    msg.payload,
-		})
-		release = true // fire-and-forget: done once sent
+		if !known && !s.registering(msg.topicID) {
+			f := flow{msgID: s.allocMsgID(), topicID: msg.topicID, state: obAwaitRegack, lastSent: time.Now()}
+			s.flows = append(s.flows, f)
+			reg = &mqttsn.Register{TopicID: f.topicID, MsgID: f.msgID, TopicName: msg.topic}
+		}
+		pubs = s.pumpLocked(b, pubs)
 	}
 	b.unlockAndSend(sh, s, pubs)
-	if release {
-		b.putMsg(msg)
+	if reg != nil {
+		b.sendTo(s.addr, reg)
 	}
 	return true
 }
@@ -1804,26 +1737,46 @@ func (b *Broker) unlockAndSend(sh *shard, s *session, pubs []*mqttsn.Publish) {
 	s.txMu.Unlock()
 }
 
-// pumpLocked moves queued QoS 1/2 messages into the in-flight window.
-// The caller holds the session's shard mutex; the returned packets must be
-// sent after unlocking.
-func (s *session) pumpLocked(b *Broker, window int) []*mqttsn.Publish {
-	var pubs []*mqttsn.Publish
-	for len(s.sendQ) > 0 && len(s.outbound) < window {
+// pumpAndSendLocked refills s's window and sends what it took, in pump
+// order, while the caller keeps holding s's shard mutex: for the paths
+// that free window slots with no acknowledgement to pump after (see
+// unlockAndSend).
+func (b *Broker) pumpAndSendLocked(s *session) {
+	if pubs := s.pumpLocked(b, nil); len(pubs) > 0 {
+		s.txMu.Lock()
+		for _, pub := range pubs {
+			b.sendTo(s.addr, pub)
+		}
+		s.txMu.Unlock()
+	}
+}
+
+// pumpLocked moves frames from the head of sendQ into the in-flight
+// table while the window has room, and stops at a head frame whose topic
+// the subscriber does not know yet. A QoS 0/-1 frame takes no window
+// slot: it is sent and released. The caller holds the session's shard
+// mutex; the returned packets must be sent after unlocking, with
+// unlockAndSend.
+func (s *session) pumpLocked(b *Broker, pubs []*mqttsn.Publish) []*mqttsn.Publish {
+	for len(s.sendQ) > 0 && s.knownTopics[s.sendQ[0].topicID] {
 		msg := s.sendQ[0]
+		acked := msg.qos == mqttsn.QoS1 || msg.qos == mqttsn.QoS2
+		if acked && len(s.flows) >= b.cfg.SendWindow {
+			break
+		}
 		s.sendQ[0] = nil
 		s.sendQ = s.sendQ[1:]
-		msgID := s.allocMsgID()
-		ob := b.obPool.Get().(*outbound)
-		*ob = outbound{msg: msg, msgID: msgID, lastSent: time.Now(), seq: s.sendSeq}
-		s.sendSeq++
-		if msg.qos == mqttsn.QoS1 {
-			ob.state = obAwaitPuback
-		} else {
-			ob.state = obAwaitPubrec
+		if !acked {
+			pubs = append(pubs, publishPacket(msg, 0, false))
+			b.putMsg(msg)
+			continue
 		}
-		s.outbound[msgID] = ob
-		pubs = append(pubs, publishPacket(ob))
+		f := flow{msg: msg, msgID: s.allocMsgID(), topicID: msg.topicID, state: obAwaitPuback, lastSent: time.Now()}
+		if msg.qos == mqttsn.QoS2 {
+			f.state = obAwaitPubrec
+		}
+		s.flows = append(s.flows, f)
+		pubs = append(pubs, publishPacket(msg, f.msgID, false))
 	}
 	if len(s.sendQ) == 0 {
 		s.sendQ = nil // release the drained backlog's backing array

@@ -1,7 +1,6 @@
 package broker
 
 import (
-	"sort"
 	"strings"
 
 	"github.com/provlight/provlight/internal/mqttsn"
@@ -260,7 +259,7 @@ func (b *Broker) matchGroupOne(g *consumerGroup, topic string, exclude *session,
 // OnUnsubscribe hook sees teardown like an explicit unsubscribe).
 // Populated under the session's shard mutex, acted on after unlocking.
 type sessionRemains struct {
-	msgs    []*message // in dead-member send order
+	msgs    []*message // in send order: in flight, then queued
 	groups  []*consumerGroup
 	filters []string // individual filters of a non-bridge session
 }
@@ -270,30 +269,9 @@ type sessionRemains struct {
 // remains must be settled with settleRemains after unlocking.
 func (b *Broker) collectRemainsLocked(s *session) sessionRemains {
 	var r sessionRemains
-	// In-flight frames first (they were enqueued before the backlog),
-	// in enqueue order.
-	if len(s.outbound) > 0 {
-		obs := make([]*outbound, 0, len(s.outbound))
-		for _, ob := range s.outbound {
-			obs = append(obs, ob)
-		}
-		sort.Slice(obs, func(i, j int) bool { return obs[i].seq < obs[j].seq })
-		for _, ob := range obs {
-			r.msgs = append(r.msgs, ob.msg)
-			ob.msg = nil
-			b.putOutbound(ob)
-		}
-		s.outbound = map[uint16]*outbound{}
-	}
-	for _, m := range s.sendQ {
-		r.msgs = append(r.msgs, m)
-	}
+	r.msgs = s.detachLocked(func(*message) bool { return true }, nil)
+	s.flows = nil // only REGISTERs are left
 	s.sendQ = nil
-	for id, pending := range s.pendingReg {
-		r.msgs = append(r.msgs, pending...)
-		delete(s.pendingReg, id)
-	}
-	s.regFlows = nil
 	for _, g := range s.groupSubs {
 		r.groups = append(r.groups, g)
 	}

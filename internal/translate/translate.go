@@ -396,9 +396,13 @@ func (t *Translator) sessions() []*mqttsn.Session {
 }
 
 func (t *Translator) onMessage(topic string, payload []byte) {
+	// Count the frame in flight before it counts as received, so a Drain
+	// that follows a FramesReceived poll waits for it.
+	t.inFl.Add(1)
 	t.frames.Add(1)
 	records, err := wire.DecodeFrame(payload)
 	if err != nil {
+		t.inFl.Done()
 		t.decodeErrs.Add(1)
 		if t.cfg.OnError != nil {
 			t.cfg.OnError(fmt.Errorf("translate: decode frame from %s: %w", topic, err))
@@ -408,7 +412,6 @@ func (t *Translator) onMessage(topic string, payload []byte) {
 	seq, _ := wire.FrameSeq(payload)
 	captureNS, _ := wire.FrameCaptureNS(payload)
 	obs.ObserveSince(t.stageTranslate, captureNS)
-	t.inFl.Add(1)
 	t.work <- Frame{Origin: topic, Seq: seq, Records: records, CaptureNS: captureNS}
 }
 
