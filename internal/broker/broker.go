@@ -295,9 +295,9 @@ type session struct {
 
 	// inbound2 holds the msgIDs of inbound QoS 2 flows routed at their
 	// first PUBLISH and still awaiting the publisher's PUBREL. A flow the
-	// publisher abandoned is dropped once its counter has moved far enough
-	// past the msgID (reapInbound2), so the msgID is fresh again when the
-	// counter wraps round to it.
+	// publisher abandoned is dropped once its counter has moved far
+	// enough past the msgID (mqttsn.ReapInbound2), so the msgID is fresh
+	// again when the counter wraps round to it.
 	inbound2     map[uint16]struct{}
 	inbound2Reap uint16 // the newest fresh msgID at the last reap
 
@@ -343,34 +343,6 @@ func (s *session) recentlyReleased(msgID uint16) bool {
 		}
 	}
 	return false
-}
-
-// An abandoned inbound QoS 2 flow is dropped once the publisher's counter
-// has moved more than half the 16-bit msgID space past it. In serial-number
-// arithmetic its msgID then looks ahead of the newest one. A live flow is
-// never that far behind: its publisher would have to use 32k msgIDs while
-// still retrying it. Flows at most inbound2Reorder ahead are kept, since a
-// reordered PUBLISH can arrive after a newer one. The check runs each time
-// the newest msgID has moved inbound2ReapStep, so an abandoned msgID is
-// dropped before the counter wraps round to it. Counting msgIDs, not time,
-// decides, so the publisher's retry timing need not be known.
-const (
-	inbound2Reorder  = 1 << 12
-	inbound2ReapStep = 1 << 12
-)
-
-// reapInbound2 drops the abandoned inbound QoS 2 flows, given the newest
-// fresh msgID. Callers must hold the session's shard mutex.
-func (s *session) reapInbound2(newest uint16) {
-	if d := int16(newest - s.inbound2Reap); d < inbound2ReapStep && d > -inbound2ReapStep {
-		return
-	}
-	s.inbound2Reap = newest
-	for msgID := range s.inbound2 {
-		if int16(msgID-newest) > inbound2Reorder {
-			delete(s.inbound2, msgID)
-		}
-	}
 }
 
 func (s *session) allocMsgID() uint16 {
@@ -1224,7 +1196,7 @@ func (b *Broker) handlePublish(addr net.Addr, key string, p *mqttsn.Publish) {
 		fresh = !inFlight && !s.recentlyReleased(p.MsgID)
 		if fresh {
 			s.inbound2[p.MsgID] = struct{}{}
-			s.reapInbound2(p.MsgID)
+			mqttsn.ReapInbound2(s.inbound2, &s.inbound2Reap, p.MsgID)
 		}
 		sh.mu.Unlock()
 	}

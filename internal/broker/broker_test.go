@@ -202,10 +202,12 @@ func TestMultipleSubscribersAllReceive(t *testing.T) {
 
 func TestPingAndKeepalive(t *testing.T) {
 	b := newTestBroker(t)
-	c := newTestClient(t, b, "pinger")
-	if err := c.Ping(); err != nil {
-		t.Fatalf("ping: %v", err)
+	c := newRawClient(t, b)
+	if rc := c.connect("pinger", mqttsn.Flags{CleanSession: true}); rc != mqttsn.Accepted {
+		t.Fatalf("connect: %s", rc)
 	}
+	c.send(&mqttsn.Pingreq{})
+	c.await(mqttsn.PINGRESP)
 }
 
 func TestUnsubscribeStopsDelivery(t *testing.T) {

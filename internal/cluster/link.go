@@ -2,7 +2,6 @@ package cluster
 
 import (
 	"errors"
-	"sort"
 	"sync"
 	"time"
 
@@ -51,7 +50,11 @@ type link struct {
 
 	mu      sync.Mutex
 	nextSeq uint64
-	unacked map[uint64]queuedFrame // send seq -> frame awaiting handshake
+	// unacked is the retained table: every frame sent and not yet
+	// released, in send order, so its seqs are consecutive. A frame whose
+	// handshake completes ahead of older ones is marked settled and
+	// popped once everything before it has settled too.
+	unacked []retainedFrame
 	fenced  bool
 	epoch   uint64 // epoch stamped into the current session's client id
 
@@ -85,16 +88,22 @@ type queuedFrame struct {
 	f    broker.ForwardFrame
 }
 
+// retainedFrame is a sent frame in the retained table.
+type retainedFrame struct {
+	queuedFrame
+	seq     uint64
+	settled bool
+}
+
 // newLink starts a supervised link; the first dial happens on the
 // session's goroutine, so construction never blocks and never fails.
 func newLink(n *Node, peer, addr string) *link {
 	l := &link{
-		n:       n,
-		peer:    peer,
-		q:       make(chan queuedFrame, linkQueue),
-		done:    make(chan struct{}),
-		ready:   make(chan struct{}),
-		unacked: map[uint64]queuedFrame{},
+		n:     n,
+		peer:  peer,
+		q:     make(chan queuedFrame, linkQueue),
+		done:  make(chan struct{}),
+		ready: make(chan struct{}),
 	}
 	cfg := n.c.cfg
 	var dialEpoch uint64 // read and written only on the session's goroutine
@@ -155,17 +164,19 @@ func (l *link) dialFailed(attempt int, err error) error {
 // the at-least-once degradation is absorbed downstream (QoS 2 / store
 // dedup). Returns false if the session died mid-replay.
 func (l *link) replay(mc *mqttsn.Client) bool {
-	seqs, frames := l.retained()
+	l.mu.Lock()
+	frames := l.retainedLocked()
+	l.mu.Unlock()
 	if len(frames) == 0 {
 		return true
 	}
 	l.n.c.logf("cluster: %s->%s: replaying %d retained frame(s)", l.n.id, l.peer, len(frames))
-	for i, qf := range frames {
-		if err := mc.Publish(qf.f.Topic, qf.f.Payload, qf.f.QoS); err != nil {
-			l.n.c.logf("cluster: %s->%s: replay %q: %v", l.n.id, l.peer, qf.f.Topic, err)
+	for _, rf := range frames {
+		if err := mc.Publish(rf.f.Topic, rf.f.Payload, rf.f.QoS); err != nil {
+			l.n.c.logf("cluster: %s->%s: replay %q: %v", l.n.id, l.peer, rf.f.Topic, err)
 			return false
 		}
-		l.settle(seqs[i], qf.part)
+		l.settle(rf.seq, rf.part)
 	}
 	return true
 }
@@ -184,7 +195,7 @@ func (l *link) pump(mc *mqttsn.Client, down <-chan struct{}) {
 			l.mu.Lock()
 			seq := l.nextSeq
 			l.nextSeq++
-			l.unacked[seq] = qf
+			l.unacked = append(l.unacked, retainedFrame{queuedFrame: qf, seq: seq})
 			l.mu.Unlock()
 			l.wg.Add(1)
 			mc.PublishAsync(qf.f.Topic, qf.f.Payload, qf.f.QoS, func(err error) {
@@ -208,9 +219,18 @@ func (l *link) pump(mc *mqttsn.Client, down <-chan struct{}) {
 // raced a late completion.
 func (l *link) settle(seq uint64, part int) {
 	l.mu.Lock()
-	_, ok := l.unacked[seq]
-	if ok {
-		delete(l.unacked, seq)
+	ok := false
+	if len(l.unacked) > 0 {
+		// Seqs are consecutive from the front; an older seq wraps past
+		// the end.
+		if i := seq - l.unacked[0].seq; i < uint64(len(l.unacked)) && !l.unacked[i].settled {
+			l.unacked[i].settled = true
+			ok = true
+		}
+	}
+	for len(l.unacked) > 0 && l.unacked[0].settled {
+		l.unacked[0] = retainedFrame{}
+		l.unacked = l.unacked[1:]
 	}
 	l.mu.Unlock()
 	if ok {
@@ -225,17 +245,13 @@ func (l *link) settle(seq uint64, part int) {
 func (l *link) fence() {
 	l.mu.Lock()
 	l.fenced = true
-	dropped := len(l.unacked)
-	parts := make([]int, 0, dropped)
-	for _, qf := range l.unacked {
-		parts = append(parts, qf.part)
-	}
-	l.unacked = map[uint64]queuedFrame{}
+	dropped := l.retainedLocked()
+	l.unacked = nil
 	l.mu.Unlock()
-	for _, p := range parts {
-		l.n.decPending(p)
+	for _, rf := range dropped {
+		l.n.decPending(rf.part)
 	}
-	l.n.linkLost.Add(uint64(dropped))
+	l.n.linkLost.Add(uint64(len(dropped)))
 	l.n.c.logf("cluster: %s->%s: fenced by peer (not a member); demoting", l.n.id, l.peer)
 	go l.n.demote()
 }
@@ -337,9 +353,12 @@ func (l *link) harvest() []queuedFrame {
 // queued frames that never went out.
 func (l *link) stopAndTake() []queuedFrame {
 	l.shutdown()
-	_, out := l.retained()
+	var out []queuedFrame
 	l.mu.Lock()
-	l.unacked = map[uint64]queuedFrame{}
+	for _, rf := range l.retainedLocked() {
+		out = append(out, rf.queuedFrame)
+	}
+	l.unacked = nil
 	l.mu.Unlock()
 	for {
 		select {
@@ -351,20 +370,16 @@ func (l *link) stopAndTake() []queuedFrame {
 	}
 }
 
-// retained lists the unacked frames, and their send seqs, in send order.
-func (l *link) retained() ([]uint64, []queuedFrame) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	seqs := make([]uint64, 0, len(l.unacked))
-	for seq := range l.unacked {
-		seqs = append(seqs, seq)
+// retainedLocked lists the frames still awaiting their handshake, in
+// send order. Callers hold l.mu.
+func (l *link) retainedLocked() []retainedFrame {
+	out := make([]retainedFrame, 0, len(l.unacked))
+	for _, rf := range l.unacked {
+		if !rf.settled {
+			out = append(out, rf)
+		}
 	}
-	sort.Slice(seqs, func(i, j int) bool { return seqs[i] < seqs[j] })
-	frames := make([]queuedFrame, len(seqs))
-	for i, seq := range seqs {
-		frames[i] = l.unacked[seq]
-	}
-	return seqs, frames
+	return out
 }
 
 // enqueue commits a frame to the link. Blocking when the queue is full

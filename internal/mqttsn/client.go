@@ -7,7 +7,6 @@ import (
 	"net"
 	"net/netip"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"github.com/provlight/provlight/internal/transport"
@@ -59,10 +58,10 @@ type ClientConfig struct {
 	MaxRetries int
 	// InflightWindow bounds how many publish handshakes may be in flight at
 	// once via PublishAsync (and Publish, which wraps it). The handshakes
-	// live in one in-flight table keyed by msgID: the read loop advances
-	// them on their acknowledgements and one retransmit loop re-sends the
-	// ones that went unanswered. 1 restores strictly serial stop-and-wait
-	// publishing. Defaults to 16.
+	// live in the client's one in-flight table keyed by msgID: the read
+	// loop advances them on their acknowledgements and the timer loop
+	// re-sends the ones that went unanswered. 1 restores strictly serial
+	// stop-and-wait publishing. Defaults to 16.
 	InflightWindow int
 	// CleanSession requests a fresh session.
 	CleanSession bool
@@ -75,44 +74,64 @@ type ClientConfig struct {
 // MessageHandler receives inbound publications.
 type MessageHandler func(topic string, payload []byte)
 
-// pendingSub tracks an in-flight SUBSCRIBE exchange.
-type pendingSub struct {
-	topic   string
-	handler MessageHandler
-}
-
-type ackKey struct {
-	typ   MsgType
-	msgID uint16
-}
-
-// flowState is where a publish handshake stands.
+// flowState is where an acknowledged exchange stands. The publish states
+// come first: a flow in one of them holds a window slot.
 type flowState uint8
 
 const (
-	awaitPuback  flowState = iota // QoS 1: PUBLISH sent
-	awaitPubrec                   // QoS 2: PUBLISH sent
-	awaitPubcomp                  // QoS 2: PUBREC received, PUBREL sent
+	awaitPuback   flowState = iota // QoS 1: PUBLISH sent
+	awaitPubrec                    // QoS 2: PUBLISH sent
+	awaitPubcomp                   // QoS 2: PUBREC received, PUBREL sent
+	awaitConnack                   // CONNECT sent
+	awaitRegack                    // REGISTER sent
+	awaitSuback                    // SUBSCRIBE sent
+	awaitUnsuback                  // UNSUBSCRIBE sent
 )
 
-// flow is one QoS 1 or QoS 2 publish handshake in flight. It lives in the
-// client's in-flight table and is read and written only under Client.mu;
-// whoever removes it from the table completes it, so each flow completes
-// exactly once.
+// awaited is the acknowledgement each state waits for.
+var awaited = [...]MsgType{
+	awaitPuback:   PUBACK,
+	awaitPubrec:   PUBREC,
+	awaitPubcomp:  PUBCOMP,
+	awaitConnack:  CONNACK,
+	awaitRegack:   REGACK,
+	awaitSuback:   SUBACK,
+	awaitUnsuback: UNSUBACK,
+}
+
+// flow is one acknowledged exchange in flight: a QoS 1 or QoS 2 publish
+// handshake, or a CONNECT, REGISTER, SUBSCRIBE or UNSUBSCRIBE. It lives in
+// the client's in-flight table and is read and written only under
+// Client.mu; whoever removes it from the table completes it, so each flow
+// completes exactly once.
 type flow struct {
 	pub      Publish // re-sent with DUP until the first acknowledgement
 	rel      Pubrel
+	req      Packet         // a control request, re-sent as is (SUBSCRIBE with DUP)
+	handler  MessageHandler // a SUBSCRIBE's handler, installed on its SUBACK
 	state    flowState
 	lastSent time.Time
 	retries  int
 	done     func(error)
 }
 
+// packet is what the flow re-sends when its acknowledgement is late.
+func (f *flow) packet() Packet {
+	switch {
+	case f.req != nil:
+		return f.req
+	case f.state == awaitPubcomp:
+		return &f.rel
+	}
+	return &f.pub
+}
+
 // completion is a finished flow's callback and outcome, reported outside
-// Client.mu.
+// Client.mu. A publish flow also gives back its window slot.
 type completion struct {
-	done func(error)
-	err  error
+	done    func(error)
+	err     error
+	publish bool
 }
 
 // Client is an MQTT-SN client (the device side of ProvLight's transport).
@@ -122,24 +141,17 @@ type Client struct {
 	conn   net.PacketConn
 	gwAddr net.Addr
 
-	msgID atomic.Uint32
-
-	mu        sync.Mutex
-	connected bool
-	closed    bool
-	waiters   map[ackKey]chan Packet
-	topicIDs  map[string]uint16 // topic name -> registered id
-	topicName map[uint16]string // reverse map (incl. broker REGISTERs)
-	subs      map[string]MessageHandler
-	inbound2  map[uint16][]byte // inbound QoS2 msgID -> payload pending PUBREL
-	lastSend  time.Time
-	lastRecv  time.Time // last packet from the gateway (liveness)
-
-	// pending exchanges consulted by the read loop so that topic/handler
-	// state is installed *before* the ack wakes the caller; otherwise a
-	// publication racing right behind the SUBACK/REGACK could be dropped.
-	pendingSubs map[uint16]pendingSub // SUBSCRIBE msgID -> topic+handler
-	pendingRegs map[uint16]string     // REGISTER msgID -> topic name
+	mu           sync.Mutex
+	msgID        uint16 // the last msgID handed out
+	connected    bool
+	closed       bool
+	topicIDs     map[string]uint16 // topic name -> registered id
+	topicName    map[uint16]string // reverse map (incl. broker REGISTERs)
+	subs         map[string]MessageHandler
+	inbound2     map[uint16][]byte // inbound QoS2 msgID -> payload pending PUBREL
+	inbound2Reap uint16            // the newest fresh inbound QoS2 msgID at the last reap
+	lastSend     time.Time
+	lastRecv     time.Time // last packet from the gateway (liveness)
 
 	// Stats counts protocol activity (used by tests and the evaluation).
 	stats ClientStats
@@ -148,13 +160,10 @@ type Client struct {
 	// PublishAsync handshake.
 	window chan struct{}
 
-	// flows is the in-flight publish table (msgID -> handshake), and
-	// freeFlows recycles finished entries. retransmitting records that the
-	// retransmit loop has been started (on the first QoS 1/2 publish).
-	// Guarded by mu.
-	flows          map[uint16]*flow
-	freeFlows      []*flow
-	retransmitting bool
+	// flows is the in-flight table (msgID -> exchange; CONNECT is msgID 0),
+	// and freeFlows recycles finished entries. Guarded by mu.
+	flows     map[uint16]*flow
+	freeFlows []*flow
 
 	// downNotified ensures OnDisconnect fires at most once. Guarded by mu.
 	downNotified bool
@@ -179,7 +188,8 @@ type ClientStats struct {
 	MessagesHandled uint64
 }
 
-// NewClient creates a client; call Connect before publishing at QoS >= 0.
+// NewClient creates a client and starts its two goroutines, the read loop
+// and the timer loop; call Connect before publishing at QoS >= 0.
 func NewClient(cfg ClientConfig) (*Client, error) {
 	if cfg.ClientID == "" || len(cfg.ClientID) > 23 {
 		return nil, fmt.Errorf("mqttsn: client id must be 1-23 characters, got %q", cfg.ClientID)
@@ -212,22 +222,20 @@ func NewClient(cfg ClientConfig) (*Client, error) {
 		_ = rb.SetReadBuffer(1 << 20)
 	}
 	c := &Client{
-		cfg:         cfg,
-		conn:        conn,
-		gwAddr:      gwAddr,
-		waiters:     map[ackKey]chan Packet{},
-		topicIDs:    map[string]uint16{},
-		topicName:   map[uint16]string{},
-		subs:        map[string]MessageHandler{},
-		inbound2:    map[uint16][]byte{},
-		pendingSubs: map[uint16]pendingSub{},
-		pendingRegs: map[uint16]string{},
-		window:      make(chan struct{}, cfg.InflightWindow),
-		flows:       map[uint16]*flow{},
-		done:        make(chan struct{}),
+		cfg:       cfg,
+		conn:      conn,
+		gwAddr:    gwAddr,
+		topicIDs:  map[string]uint16{},
+		topicName: map[uint16]string{},
+		subs:      map[string]MessageHandler{},
+		inbound2:  map[uint16][]byte{},
+		window:    make(chan struct{}, cfg.InflightWindow),
+		flows:     map[uint16]*flow{},
+		done:      make(chan struct{}),
 	}
-	c.wg.Add(1)
+	c.wg.Add(2)
 	go c.readLoop()
+	go c.timerLoop()
 	return c, nil
 }
 
@@ -245,11 +253,13 @@ func (c *Client) WindowOccupancy() (inFlight, capacity int) {
 	return len(c.window), cap(c.window)
 }
 
-func (c *Client) nextMsgID() uint16 {
+// freeMsgIDLocked returns the next msgID no flow holds, skipping 0, which
+// is CONNECT's. Callers hold mu.
+func (c *Client) freeMsgIDLocked() uint16 {
 	for {
-		id := uint16(c.msgID.Add(1))
-		if id != 0 {
-			return id
+		c.msgID++
+		if c.msgID != 0 && c.flows[c.msgID] == nil {
+			return c.msgID
 		}
 	}
 }
@@ -279,113 +289,71 @@ func (c *Client) write(bufp *[]byte) error {
 	return err
 }
 
-// request sends p and waits for the matching acknowledgement, driving
-// retransmissions from a retry timer. It serves the control exchanges
-// (CONNECT, REGISTER, SUBSCRIBE, UNSUBSCRIBE, PING); publishes use the
-// in-flight table instead. Many requests with distinct msgIDs may run
-// concurrently; the waiters map matches each acknowledgement to its
-// exchange. markDup marks retransmissions when non-nil.
-func (c *Client) request(p Packet, key ackKey, markDup func()) (Packet, error) {
-	// Register before sending, so the response cannot be lost to a race.
-	ch := make(chan Packet, 1)
+// exchange runs one control request as a flow in the in-flight table: it
+// builds the request for the flow's msgID, transmits it, and waits until
+// the acknowledgement, the sweep or Close completes the flow. CONNECT
+// takes msgID 0, which freeMsgIDLocked never hands out.
+func (c *Client) exchange(state flowState, handler MessageHandler, build func(msgID uint16) Packet) error {
+	errc := make(chan error, 1)
 	c.mu.Lock()
-	c.waiters[key] = ch
-	c.mu.Unlock()
-	defer func() {
-		c.mu.Lock()
-		delete(c.waiters, key)
+	var msgID uint16
+	switch {
+	case c.closed:
 		c.mu.Unlock()
-	}()
-	timer := time.NewTimer(c.cfg.RetryInterval)
-	defer timer.Stop()
-	for attempt := 0; attempt <= c.cfg.MaxRetries; attempt++ {
-		if attempt > 0 { // the timer fired: retransmit
-			if markDup != nil {
-				markDup()
-			}
-			c.mu.Lock()
-			c.stats.Retransmissions++
-			c.mu.Unlock()
-			timer.Reset(c.cfg.RetryInterval)
-		}
-		if err := c.send(p); err != nil {
-			return nil, err
-		}
-		select {
-		case ack := <-ch:
-			return ack, nil
-		case <-timer.C:
-		case <-c.done:
-			return nil, ErrClosed
-		}
+		return ErrClosed
+	case state != awaitConnack:
+		msgID = c.freeMsgIDLocked()
+	case c.flows[0] != nil:
+		c.mu.Unlock()
+		return errors.New("mqttsn: connect already in progress")
 	}
-	return nil, fmt.Errorf("%w: %s", ErrTimeout, p.Type())
+	f := c.newFlowLocked()
+	f.req = build(msgID)
+	f.handler = handler
+	f.state = state
+	f.lastSent = time.Now()
+	f.done = func(err error) { errc <- err }
+	c.flows[msgID] = f
+	bufp := marshal(f.req)
+	c.mu.Unlock()
+	if err := c.write(bufp); err != nil {
+		c.fail(msgID, f, err)
+	}
+	return <-errc
 }
 
 // Connect establishes the session.
 func (c *Client) Connect() error {
-	flags := Flags{CleanSession: c.cfg.CleanSession}
 	keepalive := uint16(c.cfg.KeepAlive / time.Second)
 	if keepalive == 0 {
 		keepalive = 1
 	}
-	conn := &Connect{Flags: flags, Duration: keepalive, ClientID: c.cfg.ClientID}
-	ack, err := c.request(conn, ackKey{CONNACK, 0}, nil)
-	if err != nil {
-		return err
-	}
-	ca := ack.(*Connack)
-	if ca.ReturnCode == RejectedCongestion {
-		return ErrCongestion
-	}
-	if ca.ReturnCode != Accepted {
-		return &ConnectRejectedError{Code: ca.ReturnCode}
-	}
-	c.mu.Lock()
-	// A concurrent Close (a supervisor abandoning an in-flight dial) may
-	// have won the race against the CONNACK; adding to the WaitGroup
-	// after its Wait started would be both a race and a leak.
-	if c.closed {
-		c.mu.Unlock()
-		return ErrClosed
-	}
-	c.connected = true
-	c.lastRecv = time.Now()
-	c.wg.Add(1)
-	c.mu.Unlock()
-	go c.keepaliveLoop()
-	return nil
+	return c.exchange(awaitConnack, nil, func(uint16) Packet {
+		return &Connect{Flags: Flags{CleanSession: c.cfg.CleanSession}, Duration: keepalive, ClientID: c.cfg.ClientID}
+	})
 }
 
 // RegisterTopic obtains (and caches) the gateway's topic id for a name.
 func (c *Client) RegisterTopic(topic string) (uint16, error) {
 	c.mu.Lock()
-	if id, ok := c.topicIDs[topic]; ok {
-		c.mu.Unlock()
-		return id, nil
-	}
+	id, ok := c.topicIDs[topic]
 	connected := c.connected
 	c.mu.Unlock()
+	if ok {
+		return id, nil
+	}
 	if !connected {
 		return 0, ErrNotConnected
 	}
-	msgID := c.nextMsgID()
-	c.mu.Lock()
-	c.pendingRegs[msgID] = topic
-	c.mu.Unlock()
-	reg := &Register{MsgID: msgID, TopicName: topic}
-	ack, err := c.request(reg, ackKey{REGACK, msgID}, nil)
-	c.mu.Lock()
-	delete(c.pendingRegs, msgID)
-	c.mu.Unlock()
+	err := c.exchange(awaitRegack, nil, func(msgID uint16) Packet {
+		return &Register{MsgID: msgID, TopicName: topic}
+	})
 	if err != nil {
 		return 0, err
 	}
-	ra := ack.(*Regack)
-	if ra.ReturnCode != Accepted {
-		return 0, fmt.Errorf("mqttsn: register %q rejected: %s", topic, ra.ReturnCode)
-	}
-	return ra.TopicID, nil
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.topicIDs[topic], nil
 }
 
 // Publish sends payload to topic at the given QoS level. The call blocks
@@ -410,12 +378,12 @@ func (c *Client) Publish(topic string, payload []byte, qos QoS) error {
 // single caller's messages reach the gateway in submission order. The rest
 // of the handshake runs in the client's in-flight table: the read loop
 // completes a QoS 1 flow on its PUBACK and steps a QoS 2 flow through
-// PUBREC, PUBREL and PUBCOMP; the retransmit loop re-sends unanswered
-// packets (a PUBLISH with DUP set) every RetryInterval. Flows may therefore
+// PUBREC, PUBREL and PUBCOMP; the timer loop re-sends unanswered packets
+// (a PUBLISH with DUP set) every RetryInterval. Flows may therefore
 // complete out of submission order. No goroutine is started per message.
 //
 // The client keeps payload until done is called; the caller may reuse it
-// from then on. done runs on the read loop, the retransmit loop, inside
+// from then on. done runs on the read loop, the timer loop, inside
 // PublishAsync, or inside Close, after the flow's window slot has been
 // released. It must not block, and it must not call Close (close the
 // client from another goroutine instead).
@@ -454,10 +422,7 @@ func (c *Client) PublishAsync(topic string, payload []byte, qos QoS, done func(e
 		done(err)
 		return
 	}
-	msgID := c.nextMsgID()
-	for c.flows[msgID] != nil {
-		msgID = c.nextMsgID()
-	}
+	msgID := c.freeMsgIDLocked()
 	f := c.newFlowLocked()
 	f.pub = Publish{Flags: Flags{QoS: qos}, TopicID: topicID, MsgID: msgID, Data: payload}
 	f.state = awaitPuback
@@ -467,11 +432,6 @@ func (c *Client) PublishAsync(topic string, payload []byte, qos QoS, done func(e
 	f.lastSent = time.Now()
 	f.done = done
 	c.flows[msgID] = f
-	if !c.retransmitting {
-		c.retransmitting = true
-		c.wg.Add(1)
-		go c.retransmitLoop()
-	}
 	// Marshal under mu: as soon as mu is released an acknowledgement or
 	// Close may complete the flow, and the caller may then reuse payload.
 	bufp := marshal(&f.pub)
@@ -496,15 +456,18 @@ func (c *Client) newFlowLocked() *flow {
 // Callers hold mu.
 func (c *Client) finishLocked(msgID uint16, f *flow, err error) completion {
 	delete(c.flows, msgID)
-	cm := completion{done: f.done, err: err}
+	cm := completion{done: f.done, err: err, publish: f.state <= awaitPubcomp}
 	*f = flow{}
 	c.freeFlows = append(c.freeFlows, f)
 	return cm
 }
 
-// report releases a finished flow's window slot and calls its callback.
+// report releases a finished publish flow's window slot and calls the
+// flow's callback.
 func (c *Client) report(cm completion) {
-	<-c.window
+	if cm.publish {
+		<-c.window
+	}
 	cm.done(cm.err)
 }
 
@@ -520,29 +483,33 @@ func (c *Client) fail(msgID uint16, f *flow, err error) {
 	c.report(cm)
 }
 
-// advance moves a publish flow along on a PUBACK, PUBREC or PUBCOMP from
-// the gateway. A QoS 1 flow completes on its PUBACK; a QoS 2 flow answers
-// its PUBREC with a PUBREL and completes on the PUBCOMP. A PUBACK carrying
-// a rejection fails a flow at either QoS, since the gateway refuses a
-// PUBLISH that way. An ack that matches no flow in the state it expects (a
-// duplicate, or one that arrived after the flow ended) is dropped.
-func (c *Client) advance(typ MsgType, msgID uint16, code ReturnCode) {
+// advance moves a flow along on an acknowledgement from the gateway. A
+// QoS 2 flow answers its PUBREC with a PUBREL; every other awaited
+// acknowledgement completes its flow, once settle has applied it to the
+// client's state, so the caller never wakes before that state is in place.
+// A PUBACK carrying a rejection fails a publish at either QoS, since the
+// gateway refuses a PUBLISH that way. An ack that matches no flow in the
+// state it expects (a duplicate, or one that arrived after the flow ended)
+// is dropped, and so is every ack once the client is closing: Close fails
+// what is left.
+func (c *Client) advance(typ MsgType, msgID, topicID uint16, code ReturnCode) {
 	var rel *[]byte
 	var cm completion
 	c.mu.Lock()
 	f := c.flows[msgID]
 	switch {
-	case f == nil:
-	case typ == PUBACK && code != Accepted && f.state != awaitPubcomp:
+	case f == nil || c.closed:
+	case typ == PUBACK && code != Accepted && f.state <= awaitPubrec:
 		cm = c.finishLocked(msgID, f, fmt.Errorf("mqttsn: publish rejected: %s", code))
-	case typ == PUBACK && f.state == awaitPuback, typ == PUBCOMP && f.state == awaitPubcomp:
-		cm = c.finishLocked(msgID, f, nil)
-	case typ == PUBREC && f.state == awaitPubrec:
+	case typ != awaited[f.state]:
+	case typ == PUBREC:
 		f.state = awaitPubcomp
 		f.retries = 0
 		f.lastSent = time.Now()
 		f.rel.MsgID = msgID
 		rel = marshal(&f.rel)
+	default:
+		cm = c.finishLocked(msgID, f, c.settleLocked(f, topicID, code))
 	}
 	c.mu.Unlock()
 	if rel != nil {
@@ -555,29 +522,81 @@ func (c *Client) advance(typ MsgType, msgID uint16, code ReturnCode) {
 	}
 }
 
-// retransmitLoop drives the in-flight table's retries, like the broker's
-// janitor: every quarter RetryInterval it sweeps the table.
-func (c *Client) retransmitLoop() {
+// settleLocked applies a flow's final acknowledgement to the client's
+// state and returns the flow's outcome: CONNACK marks the client
+// connected, REGACK installs the topic id, SUBACK the handler, and
+// UNSUBACK removes the subscription. Callers hold mu.
+func (c *Client) settleLocked(f *flow, topicID uint16, code ReturnCode) error {
+	switch r := f.req.(type) {
+	case *Connect:
+		switch code {
+		case Accepted:
+			c.connected = true
+			c.lastRecv = time.Now()
+		case RejectedCongestion:
+			return ErrCongestion
+		default:
+			return &ConnectRejectedError{Code: code}
+		}
+	case *Register:
+		if code != Accepted {
+			return fmt.Errorf("mqttsn: register %q rejected: %s", r.TopicName, code)
+		}
+		c.setTopicLocked(r.TopicName, topicID)
+	case *Subscribe:
+		if code != Accepted {
+			return fmt.Errorf("mqttsn: subscribe %q rejected: %s", r.TopicName, code)
+		}
+		c.subs[r.TopicName] = f.handler
+		if topicID != 0 {
+			c.setTopicLocked(r.TopicName, topicID)
+		}
+	case *Unsubscribe:
+		delete(c.subs, r.TopicName)
+	}
+	return nil
+}
+
+// setTopicLocked records a topic name's id both ways. Callers hold mu.
+func (c *Client) setTopicLocked(topic string, id uint16) {
+	c.topicIDs[topic] = id
+	c.topicName[id] = topic
+}
+
+// timerLoop is the client's one timer, like the broker's janitor: every
+// tick it sweeps the in-flight table and checks the keepalive. The tick is
+// a quarter RetryInterval, or the ping interval (half the keepalive) if
+// that is shorter.
+func (c *Client) timerLoop() {
 	defer c.wg.Done()
-	every := c.cfg.RetryInterval / 4
+	ping := c.cfg.KeepAlive / 2
+	if ping < 100*time.Millisecond {
+		ping = 100 * time.Millisecond
+	}
+	every := min(c.cfg.RetryInterval/4, ping)
 	if every < time.Millisecond {
 		every = time.Millisecond
 	}
 	tick := time.NewTicker(every)
 	defer tick.Stop()
+	var pinged time.Time
 	for {
 		select {
 		case <-c.done:
 			return
 		case now := <-tick.C:
 			c.sweep(now)
+			if c.keepalive(now, ping, pinged) {
+				pinged = now
+			}
 		}
 	}
 }
 
 // sweep re-sends every flow whose last packet went unanswered for
-// RetryInterval (the PUBLISH with DUP set, or the PUBREL) and fails, with
-// ErrTimeout, every flow that has already been re-sent MaxRetries times.
+// RetryInterval (a PUBLISH or SUBSCRIBE with DUP set, a PUBREL, or another
+// control request as it was) and fails, with ErrTimeout, every flow that
+// has already been re-sent MaxRetries times.
 func (c *Client) sweep(now time.Time) {
 	type resend struct {
 		msgID uint16
@@ -591,10 +610,7 @@ func (c *Client) sweep(now time.Time) {
 		if now.Sub(f.lastSent) < c.cfg.RetryInterval {
 			continue
 		}
-		var p Packet = &f.pub
-		if f.state == awaitPubcomp {
-			p = &f.rel
-		}
+		p := f.packet()
 		if f.retries >= c.cfg.MaxRetries {
 			failed = append(failed, c.finishLocked(msgID, f, fmt.Errorf("%w: %s", ErrTimeout, p.Type())))
 			continue
@@ -602,6 +618,9 @@ func (c *Client) sweep(now time.Time) {
 		f.retries++
 		f.lastSent = now
 		f.pub.Flags.DUP = true
+		if s, ok := p.(*Subscribe); ok {
+			s.Flags.DUP = true
+		}
 		c.stats.Retransmissions++
 		resends = append(resends, resend{msgID, f, marshal(p)})
 	}
@@ -616,46 +635,52 @@ func (c *Client) sweep(now time.Time) {
 	}
 }
 
+// keepalive checks a connected session's liveness at now. A gateway that
+// died without a goodbye is pure silence: a crashed node's endpoint
+// swallows datagrams, so sends keep "succeeding" while nothing ever comes
+// back. The session is declared down after the same 1.5x keepalive grace
+// the broker applies to clients, so reconnect loops (translator session
+// supervisors, cluster links) fail over on node death instead of waiting
+// for the next publish to exhaust its retries. Otherwise, at most once per
+// interval since the last ping, the client pings when idle (classic
+// keepalive) but also when it is sending without hearing back: a QoS
+// 0-only stream (e.g. cluster heartbeats) refreshes lastSend forever and
+// would otherwise suppress the ping that liveness depends on. It reports
+// whether it pinged.
+func (c *Client) keepalive(now time.Time, interval time.Duration, pinged time.Time) bool {
+	c.mu.Lock()
+	idle := now.Sub(c.lastSend)
+	silent := now.Sub(c.lastRecv)
+	connected := c.connected
+	c.mu.Unlock()
+	switch {
+	case !connected:
+		return false
+	case silent > c.cfg.KeepAlive+c.cfg.KeepAlive/2:
+		c.sessionDown(fmt.Errorf("%w: gateway silent for %v", ErrTimeout, silent.Round(time.Millisecond)))
+		return false
+	case now.Sub(pinged) < interval || idle < interval && silent < interval:
+		return false
+	}
+	// Fire-and-forget: the PINGRESP only refreshes lastRecv.
+	_ = c.send(&Pingreq{})
+	return true
+}
+
 // Subscribe registers handler for a topic name or wildcard filter. The
 // handler runs on the client's read goroutine; long work should be handed
 // off to another goroutine.
 func (c *Client) Subscribe(topic string, qos QoS, handler MessageHandler) error {
-	msgID := c.nextMsgID()
-	c.mu.Lock()
-	c.pendingSubs[msgID] = pendingSub{topic: topic, handler: handler}
-	c.mu.Unlock()
-	sub := &Subscribe{Flags: Flags{QoS: qos}, MsgID: msgID, TopicName: topic}
-	ack, err := c.request(sub, ackKey{SUBACK, msgID}, func() { sub.Flags.DUP = true })
-	c.mu.Lock()
-	delete(c.pendingSubs, msgID)
-	c.mu.Unlock()
-	if err != nil {
-		return err
-	}
-	sa := ack.(*Suback)
-	if sa.ReturnCode != Accepted {
-		return fmt.Errorf("mqttsn: subscribe %q rejected: %s", topic, sa.ReturnCode)
-	}
-	return nil
+	return c.exchange(awaitSuback, handler, func(msgID uint16) Packet {
+		return &Subscribe{Flags: Flags{QoS: qos}, MsgID: msgID, TopicName: topic}
+	})
 }
 
 // Unsubscribe removes a subscription.
 func (c *Client) Unsubscribe(topic string) error {
-	msgID := c.nextMsgID()
-	unsub := &Unsubscribe{MsgID: msgID, TopicName: topic}
-	if _, err := c.request(unsub, ackKey{UNSUBACK, msgID}, nil); err != nil {
-		return err
-	}
-	c.mu.Lock()
-	delete(c.subs, topic)
-	c.mu.Unlock()
-	return nil
-}
-
-// Ping sends a PINGREQ and waits for the PINGRESP.
-func (c *Client) Ping() error {
-	_, err := c.request(&Pingreq{}, ackKey{PINGRESP, 0}, nil)
-	return err
+	return c.exchange(awaitUnsuback, nil, func(msgID uint16) Packet {
+		return &Unsubscribe{MsgID: msgID, TopicName: topic}
+	})
 }
 
 // Disconnect cleanly ends the session and releases the client.
@@ -716,7 +741,7 @@ func (c *Client) WithContext(ctx context.Context, op func() error) error {
 	}
 }
 
-// Close releases resources without the protocol goodbye. Every publish
+// Close releases resources without the protocol goodbye. Every exchange
 // still in flight completes with ErrClosed before Close returns.
 func (c *Client) Close() {
 	c.mu.Lock()
@@ -740,50 +765,6 @@ func (c *Client) Close() {
 	c.mu.Unlock()
 	for _, cm := range failed {
 		c.report(cm)
-	}
-}
-
-func (c *Client) keepaliveLoop() {
-	defer c.wg.Done()
-	interval := c.cfg.KeepAlive / 2
-	if interval < 100*time.Millisecond {
-		interval = 100 * time.Millisecond
-	}
-	ticker := time.NewTicker(interval)
-	defer ticker.Stop()
-	for {
-		select {
-		case <-c.done:
-			return
-		case <-ticker.C:
-			c.mu.Lock()
-			idle := time.Since(c.lastSend)
-			silent := time.Since(c.lastRecv)
-			connected := c.connected
-			c.mu.Unlock()
-			if !connected {
-				continue
-			}
-			// A gateway that died without a goodbye is pure silence: a
-			// crashed node's endpoint swallows datagrams, so sends keep
-			// "succeeding" while nothing ever comes back. Declare the
-			// session down after the same 1.5x keepalive grace the broker
-			// applies to clients, so reconnect loops (translator session
-			// supervisors, cluster links) fail over on node death instead
-			// of waiting for the next publish to exhaust its retries.
-			if silent > c.cfg.KeepAlive+c.cfg.KeepAlive/2 {
-				c.sessionDown(fmt.Errorf("%w: gateway silent for %v", ErrTimeout, silent.Round(time.Millisecond)))
-				continue
-			}
-			// Ping when idle (classic keepalive) but also when we are
-			// sending without hearing back — a QoS 0-only stream (e.g.
-			// cluster heartbeats) refreshes lastSend forever and would
-			// otherwise suppress the ping that liveness depends on.
-			if idle >= interval || silent >= interval {
-				// Fire-and-forget ping; response handled by readLoop.
-				_ = c.send(&Pingreq{})
-			}
-		}
 	}
 }
 
@@ -864,64 +845,26 @@ func (c *Client) fromGateway(addr net.Addr) bool {
 	return addr.String() == c.gwAddr.String()
 }
 
-// deliverAck hands pkt to the waiter registered under key, if any.
-func (c *Client) deliverAck(key ackKey, pkt Packet) {
-	c.mu.Lock()
-	ch, ok := c.waiters[key]
-	if ok {
-		delete(c.waiters, key)
-	}
-	c.mu.Unlock()
-	if ok {
-		select {
-		case ch <- pkt:
-		default:
-		}
-	}
-}
-
 func (c *Client) dispatch(pkt Packet) {
 	switch p := pkt.(type) {
 	case *Connack:
-		c.deliverAck(ackKey{CONNACK, 0}, p)
+		c.advance(CONNACK, 0, 0, p.ReturnCode)
 	case *Regack:
-		// Install the topic mapping before waking the caller so an inbound
-		// PUBLISH racing behind the REGACK resolves its topic name.
-		c.mu.Lock()
-		if topic, ok := c.pendingRegs[p.MsgID]; ok && p.ReturnCode == Accepted {
-			c.topicIDs[topic] = p.TopicID
-			c.topicName[p.TopicID] = topic
-		}
-		c.mu.Unlock()
-		c.deliverAck(ackKey{REGACK, p.MsgID}, p)
+		c.advance(REGACK, p.MsgID, p.TopicID, p.ReturnCode)
 	case *Suback:
-		// Install the handler before waking the caller so a publication
-		// delivered right behind the SUBACK is not dropped.
-		c.mu.Lock()
-		if ps, ok := c.pendingSubs[p.MsgID]; ok && p.ReturnCode == Accepted {
-			c.subs[ps.topic] = ps.handler
-			if p.TopicID != 0 {
-				c.topicIDs[ps.topic] = p.TopicID
-				c.topicName[p.TopicID] = ps.topic
-			}
-		}
-		c.mu.Unlock()
-		c.deliverAck(ackKey{SUBACK, p.MsgID}, p)
+		c.advance(SUBACK, p.MsgID, p.TopicID, p.ReturnCode)
 	case *Unsuback:
-		c.deliverAck(ackKey{UNSUBACK, p.MsgID}, p)
+		c.advance(UNSUBACK, p.MsgID, 0, Accepted)
 	case *Puback:
-		c.advance(PUBACK, p.MsgID, p.ReturnCode)
+		c.advance(PUBACK, p.MsgID, 0, p.ReturnCode)
 	case *Pubrec:
-		c.advance(PUBREC, p.MsgID, Accepted)
+		c.advance(PUBREC, p.MsgID, 0, Accepted)
 	case *Pubcomp:
-		c.advance(PUBCOMP, p.MsgID, Accepted)
-	case *Pingresp:
-		c.deliverAck(ackKey{PINGRESP, 0}, p)
+		c.advance(PUBCOMP, p.MsgID, 0, Accepted)
 	case *Register:
 		// Broker informs us of a topic id (wildcard subscription match).
 		c.mu.Lock()
-		c.topicName[p.TopicID] = p.TopicName
-		c.topicIDs[p.TopicName] = p.TopicID
+		c.setTopicLocked(p.TopicName, p.TopicID)
 		c.mu.Unlock()
 		_ = c.send(&Regack{TopicID: p.TopicID, MsgID: p.MsgID, ReturnCode: Accepted})
 	case *Publish:
@@ -978,6 +921,7 @@ func (c *Client) handleInboundPublish(p *Publish) {
 		c.mu.Lock()
 		if _, dup := c.inbound2[p.MsgID]; !dup {
 			c.inbound2[p.MsgID] = packInbound(p.TopicID, p.Data)
+			ReapInbound2(c.inbound2, &c.inbound2Reap, p.MsgID)
 		}
 		c.mu.Unlock()
 		_ = c.send(&Pubrec{msgIDOnly{MsgID: p.MsgID}})

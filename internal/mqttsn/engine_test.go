@@ -6,6 +6,7 @@ import (
 	"net"
 	"net/netip"
 	"runtime"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -15,11 +16,12 @@ import (
 	"github.com/provlight/provlight/internal/transport"
 )
 
-// fakeGateway is a scripted MQTT-SN gateway for publish-engine tests. It
-// accepts every CONNECT and REGISTER, answers PINGREQ, and answers the
-// publish-flow packets as the test sets it. It logs each PUBLISH and
-// PUBREL it receives. Its publish path allocates nothing, so an
-// allocation count over a publish measures the client alone.
+// fakeGateway is a scripted MQTT-SN gateway for client-engine tests. It
+// accepts every CONNECT, REGISTER and SUBSCRIBE, answers PINGREQ, and
+// answers the publish-flow packets as the test sets it. It logs each
+// PUBLISH and PUBREL it receives, and, apart, each control request. Its
+// publish path allocates nothing, so an allocation count over a publish
+// measures the client alone.
 type fakeGateway struct {
 	conn *net.UDPConn
 	done chan struct{}
@@ -28,9 +30,12 @@ type fakeGateway struct {
 	dupAcks  atomic.Bool  // send every answer twice
 	reject   atomic.Bool  // answer PUBLISH with a PUBACK refusing it
 	dropRels atomic.Int32 // PUBRELs to leave unanswered before answering
+	dropCtl  atomic.Int32 // CONNECTs, REGISTERs and SUBSCRIBEs to leave unanswered
 
-	mu  sync.Mutex
-	log []gwPacket
+	mu   sync.Mutex
+	log  []gwPacket
+	ctl  []gwPacket     // control requests: CONNECT, REGISTER, SUBSCRIBE
+	peer netip.AddrPort // the client, once it has sent a packet
 
 	// Reused replies; touched only by serve.
 	out     []byte
@@ -74,6 +79,35 @@ func (g *fakeGateway) record(p gwPacket) {
 	g.mu.Unlock()
 }
 
+func (g *fakeGateway) controls() []gwPacket {
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	return append([]gwPacket(nil), g.ctl...)
+}
+
+// control logs a control request and reports whether to answer it.
+func (g *fakeGateway) control(p gwPacket) bool {
+	g.mu.Lock()
+	g.ctl = append(g.ctl, p)
+	g.mu.Unlock()
+	if g.dropCtl.Load() > 0 {
+		g.dropCtl.Add(-1)
+		return false
+	}
+	return true
+}
+
+// send sends p to the client.
+func (g *fakeGateway) send(t *testing.T, p mqttsn.Packet) {
+	t.Helper()
+	g.mu.Lock()
+	peer := g.peer
+	g.mu.Unlock()
+	if _, err := g.conn.WriteToUDPAddrPort(mqttsn.Marshal(p), peer); err != nil {
+		t.Fatal(err)
+	}
+}
+
 func (g *fakeGateway) serve() {
 	defer close(g.done)
 	buf := make([]byte, 2048)
@@ -85,6 +119,9 @@ func (g *fakeGateway) serve() {
 		if n < 2 || buf[0] == 0x01 { // test packets all have a 1-byte length
 			continue
 		}
+		g.mu.Lock()
+		g.peer = from
+		g.mu.Unlock()
 		b := buf[:n]
 		var reply mqttsn.Packet
 		switch mqttsn.MsgType(b[1]) {
@@ -120,9 +157,17 @@ func (g *fakeGateway) serve() {
 			}
 			switch p := pkt.(type) {
 			case *mqttsn.Connect:
-				reply = &mqttsn.Connack{ReturnCode: mqttsn.Accepted}
+				if g.control(gwPacket{mqttsn.CONNECT, 0, false}) {
+					reply = &mqttsn.Connack{ReturnCode: mqttsn.Accepted}
+				}
 			case *mqttsn.Register:
-				reply = &mqttsn.Regack{TopicID: 1, MsgID: p.MsgID, ReturnCode: mqttsn.Accepted}
+				if g.control(gwPacket{mqttsn.REGISTER, p.MsgID, false}) {
+					reply = &mqttsn.Regack{TopicID: 1, MsgID: p.MsgID, ReturnCode: mqttsn.Accepted}
+				}
+			case *mqttsn.Subscribe:
+				if g.control(gwPacket{mqttsn.SUBSCRIBE, p.MsgID, p.Flags.DUP}) {
+					reply = &mqttsn.Suback{TopicID: subTopicID, MsgID: p.MsgID, ReturnCode: mqttsn.Accepted}
+				}
 			case *mqttsn.Pingreq:
 				reply = &mqttsn.Pingresp{}
 			}
@@ -138,8 +183,11 @@ func (g *fakeGateway) serve() {
 	}
 }
 
-// engineClient connects a client to g with the topic "e/t" registered.
-func engineClient(t *testing.T, g *fakeGateway, cfg mqttsn.ClientConfig) *mqttsn.Client {
+// subTopicID is the topic id the fake gateway's SUBACK carries.
+const subTopicID = 2
+
+// dialClient creates a client of g, not yet connected.
+func dialClient(t *testing.T, g *fakeGateway, cfg mqttsn.ClientConfig) *mqttsn.Client {
 	t.Helper()
 	cfg.ClientID = "engine"
 	cfg.Gateway = g.addr()
@@ -148,6 +196,13 @@ func engineClient(t *testing.T, g *fakeGateway, cfg mqttsn.ClientConfig) *mqttsn
 		t.Fatal(err)
 	}
 	t.Cleanup(c.Close)
+	return c
+}
+
+// engineClient connects a client to g with the topic "e/t" registered.
+func engineClient(t *testing.T, g *fakeGateway, cfg mqttsn.ClientConfig) *mqttsn.Client {
+	t.Helper()
+	c := dialClient(t, g, cfg)
 	if err := c.Connect(); err != nil {
 		t.Fatal(err)
 	}
@@ -377,7 +432,7 @@ func TestInFlightPublishesStartNoGoroutines(t *testing.T) {
 	const window = 32
 	c := engineClient(t, g, mqttsn.ClientConfig{RetryInterval: 10 * time.Second, InflightWindow: window})
 	nop := func(error) {}
-	c.PublishAsync("e/t", []byte{0}, mqttsn.QoS2, nop) // starts the retransmit loop
+	c.PublishAsync("e/t", []byte{0}, mqttsn.QoS2, nop)
 	before := runtime.NumGoroutine()
 	for i := 1; i < window; i++ {
 		c.PublishAsync("e/t", []byte{byte(i)}, mqttsn.QoS2, nop)
@@ -412,7 +467,7 @@ func TestPublishQoS1Allocs(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	publish() // warm the pools and start the retransmit loop
+	publish() // warm the pools
 	allocs := testing.AllocsPerRun(200, publish)
 	t.Logf("%.1f allocs per QoS 1 publish", allocs)
 	if allocs > maxQoS1PublishAllocs {
@@ -470,5 +525,161 @@ func TestReadAddrPortAllocs(t *testing.T) {
 	}
 	if hidden <= own {
 		t.Errorf("ReadFrom path %.1f allocs, own socket %.1f: the source address should cost ReadFrom allocations", hidden, own)
+	}
+}
+
+// TestControlRequestsResentBySweep: a dropped REGISTER and a dropped
+// SUBSCRIBE are re-sent by the sweep with the same msgID, the SUBSCRIBE
+// flagged DUP, and each copy counts as a retransmission.
+func TestControlRequestsResentBySweep(t *testing.T) {
+	g := startFakeGateway(t)
+	c := dialClient(t, g, mqttsn.ClientConfig{RetryInterval: 40 * time.Millisecond, MaxRetries: 5})
+	if err := c.Connect(); err != nil {
+		t.Fatal(err)
+	}
+	g.dropCtl.Store(1)
+	id, err := c.RegisterTopic("e/r")
+	if err != nil || id != 1 {
+		t.Fatalf("RegisterTopic = %d, %v; want 1, nil", id, err)
+	}
+	g.dropCtl.Store(1)
+	if err := c.Subscribe("e/s", mqttsn.QoS1, func(string, []byte) {}); err != nil {
+		t.Fatal(err)
+	}
+	ctl := g.controls()
+	if len(ctl) != 5 {
+		t.Fatalf("gateway saw %+v, want CONNECT and two each of REGISTER and SUBSCRIBE", ctl)
+	}
+	for i, want := range []gwPacket{
+		{mqttsn.CONNECT, 0, false},
+		{mqttsn.REGISTER, ctl[1].msgID, false},
+		{mqttsn.REGISTER, ctl[1].msgID, false},
+		{mqttsn.SUBSCRIBE, ctl[3].msgID, false},
+		{mqttsn.SUBSCRIBE, ctl[3].msgID, true},
+	} {
+		if ctl[i] != want {
+			t.Errorf("control request %d = %+v, want %+v", i, ctl[i], want)
+		}
+	}
+	if ctl[1].msgID == ctl[3].msgID {
+		t.Errorf("REGISTER and SUBSCRIBE share msgID %d", ctl[1].msgID)
+	}
+	if st := c.Stats(); st.Retransmissions != 2 {
+		t.Errorf("Retransmissions = %d, want 2", st.Retransmissions)
+	}
+}
+
+// TestUnansweredConnectTimesOut: a CONNECT is re-sent MaxRetries times,
+// then Connect fails with ErrTimeout.
+func TestUnansweredConnectTimesOut(t *testing.T) {
+	g := startFakeGateway(t)
+	g.dropCtl.Store(1 << 20)
+	const retries = 3
+	c := dialClient(t, g, mqttsn.ClientConfig{RetryInterval: 20 * time.Millisecond, MaxRetries: retries})
+	if err := c.Connect(); !errors.Is(err, mqttsn.ErrTimeout) {
+		t.Fatalf("Connect = %v, want ErrTimeout", err)
+	}
+	if n := len(g.controls()); n != 1+retries {
+		t.Errorf("gateway saw %d CONNECTs, want %d", n, 1+retries)
+	}
+	if st := c.Stats(); st.Retransmissions != retries {
+		t.Errorf("Retransmissions = %d, want %d", st.Retransmissions, retries)
+	}
+}
+
+// TestCloseFailsWaitingRegister: Close completes a RegisterTopic waiting
+// for its REGACK with ErrClosed, without waiting out its retries.
+func TestCloseFailsWaitingRegister(t *testing.T) {
+	g := startFakeGateway(t)
+	c := dialClient(t, g, mqttsn.ClientConfig{RetryInterval: 10 * time.Second})
+	if err := c.Connect(); err != nil {
+		t.Fatal(err)
+	}
+	g.dropCtl.Store(1 << 20)
+	errc := make(chan error, 1)
+	go func() {
+		_, err := c.RegisterTopic("e/r")
+		errc <- err
+	}()
+	for deadline := time.Now().Add(5 * time.Second); len(g.controls()) < 2; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("gateway never saw the REGISTER")
+		}
+	}
+	c.Close()
+	select {
+	case err := <-errc:
+		if !errors.Is(err, mqttsn.ErrClosed) {
+			t.Errorf("RegisterTopic = %v, want ErrClosed", err)
+		}
+	case <-time.After(time.Second):
+		t.Fatal("RegisterTopic still waiting 1s after Close")
+	}
+}
+
+// TestConnectedClientRunsTwoGoroutines: a connected client with QoS 2
+// publishes in flight runs its read loop and its timer loop, and nothing
+// else.
+func TestConnectedClientRunsTwoGoroutines(t *testing.T) {
+	g := startFakeGateway(t)
+	c := engineClient(t, g, mqttsn.ClientConfig{RetryInterval: 10 * time.Second})
+	for i := 0; i < 8; i++ {
+		c.PublishAsync("e/t", []byte{byte(i)}, mqttsn.QoS2, func(error) {})
+	}
+	buf := make([]byte, 1<<20)
+	stacks := string(buf[:runtime.Stack(buf, true)])
+	const creator = "created by github.com/provlight/provlight/internal/mqttsn."
+	n := 0
+	for _, g := range strings.Split(stacks, "\n\n") {
+		if strings.Contains(g, creator+"NewClient") || strings.Contains(g, creator+"(*Client)") {
+			n++
+		}
+	}
+	if n != 2 {
+		t.Errorf("client runs %d goroutines, want 2:\n%s", n, stacks)
+	}
+}
+
+// TestInboundQoS2AbandonedMsgIDReused: a QoS 2 flow the gateway abandoned
+// before its PUBREL does not capture the msgID. Once the gateway's counter
+// has moved far past it and wrapped back, a new PUBLISH under that msgID
+// is a new message: its PUBREL delivers the new payload, once, and the
+// abandoned one never.
+func TestInboundQoS2AbandonedMsgIDReused(t *testing.T) {
+	g := startFakeGateway(t)
+	c := dialClient(t, g, mqttsn.ClientConfig{RetryInterval: 10 * time.Second})
+	if err := c.Connect(); err != nil {
+		t.Fatal(err)
+	}
+	got := make(chan string, 16)
+	if err := c.Subscribe("e/in", mqttsn.QoS2, func(_ string, payload []byte) {
+		got <- string(payload)
+	}); err != nil {
+		t.Fatal(err)
+	}
+	publish := func(msgID uint16, data string) {
+		g.send(t, &mqttsn.Publish{Flags: mqttsn.Flags{QoS: mqttsn.QoS2}, TopicID: subTopicID, MsgID: msgID, Data: []byte(data)})
+	}
+	const m = 100
+	publish(m, "old") // abandoned: no PUBREL
+	for step := uint16(1); step <= 15; step++ {
+		publish(m+step<<12, "skipped") // abandoned too
+	}
+	publish(m, "new")
+	rel := &mqttsn.Pubrel{}
+	rel.MsgID = m
+	g.send(t, rel)
+	select {
+	case p := <-got:
+		if p != "new" {
+			t.Fatalf("PUBREL delivered %q, want \"new\"", p)
+		}
+	case <-time.After(3 * time.Second):
+		t.Fatal("PUBREL delivered nothing")
+	}
+	select {
+	case p := <-got:
+		t.Errorf("delivered %q after \"new\"", p)
+	case <-time.After(100 * time.Millisecond):
 	}
 }
