@@ -20,6 +20,13 @@
 // would alone, while a burst shares one zlib pass and one QoS 2 handshake.
 // This is the paper's record grouping (§IV-C2) applied to whatever the
 // link has not yet taken, with no added latency.
+//
+// Both modes publish through one supervised broker session
+// (mqttsn.Session), which redials under a jittered backoff whenever the
+// session dies: a broker DISCONNECT or restart, a silent gateway, or a
+// PUBLISH the broker refused. In memory mode frames captured while the
+// session is down wait in the transmit queue (see Config.QueueCapacity);
+// in spool mode they wait on disk.
 package core
 
 import (
@@ -34,6 +41,7 @@ import (
 	"github.com/provlight/provlight/internal/mqttsn"
 	"github.com/provlight/provlight/internal/obs"
 	"github.com/provlight/provlight/internal/provdm"
+	"github.com/provlight/provlight/internal/resilience"
 	"github.com/provlight/provlight/internal/spool"
 	"github.com/provlight/provlight/internal/transport"
 	"github.com/provlight/provlight/internal/wal"
@@ -77,7 +85,8 @@ type Config struct {
 	// (see the package doc); that adds no wait, so a task-begin record
 	// still leaves at once.
 	GroupSize int
-	// QueueCapacity bounds the async transmit queue. Default 1024.
+	// QueueCapacity bounds the async transmit queue, where frames also
+	// wait while the broker session is down. Default 1024.
 	//
 	// Backpressure contract: when the queue is full (the broker is slower
 	// than capture, or unreachable) and no spool is configured, Capture
@@ -125,12 +134,12 @@ type Config struct {
 	// republishes them (covering lost acks and translator restarts).
 	// Default 10 s.
 	RedeliverAfter time.Duration
-	// ReconnectMinDelay / ReconnectMaxDelay bound the drainer's
-	// exponential reconnect backoff. Defaults 250 ms and 10 s. Each sleep
-	// is jittered uniformly over [d/2, d] so a fleet of edge clients that
-	// lost the same broker or translator does not reconnect in lockstep;
-	// after a congestion rejection the sleep is at least
-	// mqttsn.CongestionRetryAfter.
+	// ReconnectMinDelay / ReconnectMaxDelay bound the broker session's
+	// exponential reconnect backoff, in both modes. Defaults 250 ms and
+	// 10 s. Each sleep is jittered uniformly over [d/2, d] so a fleet of
+	// edge clients that lost the same broker or translator does not
+	// reconnect in lockstep; after a congestion rejection the sleep is at
+	// least mqttsn.CongestionRetryAfter.
 	ReconnectMinDelay time.Duration
 	ReconnectMaxDelay time.Duration
 	// WindowSize bounds how many publish handshakes the async sender keeps
@@ -149,10 +158,9 @@ type Config struct {
 	KeepAlive     time.Duration
 	RetryInterval time.Duration
 	MaxRetries    int
-	// Transport dials the broker, once in memory mode and once per
-	// drainer session in spool mode; nil means transport.UDP{}. Wrap it
-	// (netem.WrapTransport, chaos.Fault.Transport) to shape or fault the
-	// link.
+	// Transport dials the broker, once per broker session; nil means
+	// transport.UDP{}. Wrap it (netem.WrapTransport, chaos.Fault.Transport)
+	// to shape or fault the link.
 	Transport transport.Transport
 	// OnError receives asynchronous transmission errors. Default: drop.
 	//
@@ -204,8 +212,8 @@ type Stats struct {
 	// appended to the WAL; SpoolAcked is the contiguously acknowledged
 	// floor; SpoolPending is how many spooled frames still await
 	// end-to-end acknowledgement; SpoolRedeliveries counts rewind passes
-	// after ack stalls; SpoolReconnects counts broker sessions
-	// established by the drainer (the first connect included).
+	// after ack stalls. SpoolReconnects counts broker sessions established
+	// in either mode (the first connect included), despite its prefix.
 	FramesSpooled     uint64
 	SpoolAcked        uint64
 	SpoolPending      uint64
@@ -217,8 +225,8 @@ type Stats struct {
 	// primary after a failover. AckTerm is that highest seen term.
 	StaleAcks uint64
 	AckTerm   uint64
-	// Reconnect backoff state (spool mode). ReconnectAttempts counts
-	// every dial the drainer made (successful or not);
+	// Reconnect backoff state of the broker session. ReconnectAttempts
+	// counts every dial made (successful or not);
 	// ReconnectConsecFailures is the current failure streak (0 while
 	// connected); NextRetryUnixNano is when the next dial is scheduled
 	// (0 when connected or not waiting). Together they answer "is this
@@ -248,7 +256,6 @@ type Stats struct {
 // instrument code via NewWorkflow, and Close when done.
 type Client struct {
 	cfg   Config
-	mqtt  *mqttsn.Client
 	topic string
 	enc   wire.Encoder
 
@@ -270,21 +277,28 @@ type Client struct {
 
 	ctr    counters
 	closed atomic.Bool
+	// stopped is closed once the Shutdown or Abort that claimed the
+	// teardown has finished it.
+	stopped chan struct{}
 
 	// stageCapture is the capture→publish latency histogram (nil without
 	// Config.Metrics — all obs instruments are nil-safe).
 	stageCapture *obs.Histogram
 
-	sendQ chan *[]byte
-	wg    sync.WaitGroup // sender goroutine
-	inFly sync.WaitGroup // outstanding frames
-
-	// Spool mode (Config.SpoolDir): a supervised session drains the
-	// spool; c.mqtt is nil and sendQ is unused. drainWG is released when
-	// Shutdown/Abort has stopped the session.
-	spool   *spool.Spool
+	// session is the supervised broker session of both modes; its Serve
+	// is sender in memory mode and drainWith in spool mode.
 	session *mqttsn.Session
-	drainWG sync.WaitGroup
+
+	// Memory mode: captured frames wait in sendQ; next is a frame the
+	// sender took but left for the following pack, kept across sessions.
+	// inFly counts frames captured but not yet delivered or lost.
+	sendQ chan *[]byte
+	next  *[]byte
+	inFly sync.WaitGroup
+
+	// Spool mode (Config.SpoolDir): captures append to the spool and sendQ
+	// is unused.
+	spool *spool.Spool
 }
 
 // framePool recycles encoded frame buffers. A raw frame is leased in
@@ -323,6 +337,8 @@ type counters struct {
 // ctx bounds the connect and topic-registration handshakes (a nil or
 // background context means the transport's own retry budget applies); it
 // does not govern the client's lifetime — use Shutdown/Close for that.
+// Once connected, a supervised session (mqttsn.Session) redials whenever
+// the broker session dies.
 //
 // With Config.SpoolDir set, NewClient opens the spool and returns without
 // requiring the broker to be reachable: the drainer connects (and keeps
@@ -346,40 +362,66 @@ func NewClient(ctx context.Context, cfg Config) (*Client, error) {
 		// is exactly-once, so make the zero value mean that.
 		cfg.QoS = mqttsn.QoS2
 	}
-	if cfg.SpoolDir != "" {
-		return newSpoolClient(cfg)
+	if cfg.ReconnectMinDelay <= 0 {
+		cfg.ReconnectMinDelay = 250 * time.Millisecond
 	}
-	// Register the topic once up front: the long-lived connection and
-	// pre-registered topic are part of why per-event cost stays low
-	// (§VII-A: "keeps the connection to the remote server open").
-	mc, err := mqttsn.Dial(ctx, mqttsn.ClientConfig{
-		ClientID:       cfg.ClientID,
-		Gateway:        cfg.Broker,
-		Transport:      cfg.Transport,
-		KeepAlive:      cfg.KeepAlive,
-		RetryInterval:  cfg.RetryInterval,
-		MaxRetries:     cfg.MaxRetries,
-		InflightWindow: cfg.WindowSize,
-		CleanSession:   true,
-	}, func(mc *mqttsn.Client) error {
-		if _, err := mc.RegisterTopic(cfg.Topic); err != nil {
-			return fmt.Errorf("register topic %q: %w", cfg.Topic, err)
+	if cfg.ReconnectMaxDelay <= 0 {
+		cfg.ReconnectMaxDelay = 10 * time.Second
+	}
+	c := &Client{cfg: cfg, topic: cfg.Topic, stopped: make(chan struct{})}
+	serve := c.sender
+	if cfg.SpoolDir != "" {
+		if err := c.openSpool(); err != nil {
+			return nil, err
 		}
-		return nil
+		serve = c.drainWith
+	} else {
+		c.sendQ = make(chan *[]byte, cfg.QueueCapacity)
+	}
+	c.session = mqttsn.NewSession(mqttsn.SessionConfig{
+		Client: mqttsn.ClientConfig{
+			ClientID:       cfg.ClientID,
+			Gateway:        cfg.Broker,
+			Transport:      cfg.Transport,
+			KeepAlive:      cfg.KeepAlive,
+			RetryInterval:  cfg.RetryInterval,
+			MaxRetries:     cfg.MaxRetries,
+			InflightWindow: cfg.WindowSize,
+			CleanSession:   true,
+		},
+		Setup:   c.setupSession,
+		Serve:   serve,
+		Backoff: resilience.Backoff{Min: cfg.ReconnectMinDelay, Max: cfg.ReconnectMaxDelay},
+		OnDialError: func(_ int, err error) error {
+			c.reportAsync(fmt.Errorf("provlight: connect broker %s: %w", cfg.Broker, err))
+			return err
+		},
 	})
-	if err != nil {
+	// Memory mode starts connected, with its topic registered: the
+	// long-lived connection and pre-registered topic are part of why
+	// per-event cost stays low (§VII-A: "keeps the connection to the
+	// remote server open"). Spool mode captures to disk meanwhile.
+	if c.spool != nil {
+		c.session.Start()
+	} else if err := c.session.Open(ctx); err != nil {
 		return nil, fmt.Errorf("provlight: connect broker %s: %w", cfg.Broker, err)
 	}
-	c := &Client{
-		cfg:   cfg,
-		mqtt:  mc,
-		topic: cfg.Topic,
-		sendQ: make(chan *[]byte, cfg.QueueCapacity),
-	}
 	c.initMetrics()
-	c.wg.Add(1)
-	go c.sender()
 	return c, nil
+}
+
+// setupSession re-establishes what a fresh broker session needs: the
+// records topic registration and, in spool mode, the per-device ack
+// subscription, on which the translator reports end-to-end durable
+// delivery.
+func (c *Client) setupSession(mc *mqttsn.Client) error {
+	if _, err := mc.RegisterTopic(c.topic); err != nil {
+		return fmt.Errorf("register topic %q: %w", c.topic, err)
+	}
+	if c.spool == nil {
+		return nil
+	}
+	return mc.Subscribe(wire.AckTopic(c.topic), mqttsn.QoS1, c.onAck)
 }
 
 // captureNow returns the trace timestamp to stamp into the next frame, or
@@ -415,12 +457,12 @@ func (c *Client) initMetrics() {
 		e.Counter("provlight_client_async_errors_total", "Asynchronous publish errors.", float64(st.AsyncErrors), lbl...)
 		e.Counter("provlight_client_queue_full_total", "Frames dropped on a full transmit queue.", float64(st.QueueFull), lbl...)
 		e.Counter("provlight_client_frames_shed_total", "Frames shed by the spool degradation policy.", float64(st.FramesShed), lbl...)
-		e.Counter("provlight_client_reconnects_total", "Broker sessions established by the spool drainer.", float64(st.SpoolReconnects), lbl...)
+		e.Counter("provlight_client_reconnects_total", "Broker sessions established, the first connect included.", float64(st.SpoolReconnects), lbl...)
 		e.Counter("provlight_client_redeliveries_total", "Spool rewind/redelivery passes after ack stalls.", float64(st.SpoolRedeliveries), lbl...)
 		e.Counter("provlight_client_stale_acks_total", "Acks dropped for carrying a stale replication term.", float64(st.StaleAcks), lbl...)
 		mst := c.MQTTStats()
 		e.Counter("provlight_client_retransmissions_total", "MQTT-SN packet retransmissions (current session).", float64(mst.Retransmissions), lbl...)
-		if mc := c.sessionForMetrics(); mc != nil {
+		if mc := c.session.Client(); mc != nil {
 			inFly, capWin := mc.WindowOccupancy()
 			e.Gauge("provlight_client_window_inflight", "Publish handshakes currently in flight.", float64(inFly), lbl...)
 			e.Gauge("provlight_client_window_capacity", "Configured in-flight publish window.", float64(capWin), lbl...)
@@ -438,16 +480,6 @@ func (c *Client) initMetrics() {
 			e.Counter("provlight_client_spool_blocked_appends_total", "Captures stalled by the spool Block policy.", float64(st.SpoolBlockedAppends), lbl...)
 		}
 	})
-}
-
-// sessionForMetrics returns the transport session to sample window
-// occupancy from: the fixed session in direct mode, the drainer's current
-// one in spool mode (nil while disconnected).
-func (c *Client) sessionForMetrics() *mqttsn.Client {
-	if c.spool != nil {
-		return c.session.Client()
-	}
-	return c.mqtt
 }
 
 // StatsSnapshot returns a race-safe snapshot of the capture counters: each
@@ -471,12 +503,12 @@ func (c *Client) StatsSnapshot() Stats {
 		AckTerm:           c.ctr.ackTerm.Load(),
 		FramesShed:        c.ctr.framesShed.Load(),
 	}
+	ss := c.session.Stats()
+	st.SpoolReconnects = ss.Connects
+	st.ReconnectAttempts = ss.Attempts
+	st.ReconnectConsecFailures = ss.ConsecFailures
+	st.NextRetryUnixNano = ss.NextRetryUnixNano
 	if c.spool != nil {
-		ss := c.session.Stats()
-		st.SpoolReconnects = ss.Connects
-		st.ReconnectAttempts = ss.Attempts
-		st.ReconnectConsecFailures = ss.ConsecFailures
-		st.NextRetryUnixNano = ss.NextRetryUnixNano
 		st.SpoolAcked = c.spool.Floor()
 		st.SpoolPending = c.spool.Pending()
 		sp := c.spool.Stats()
@@ -495,11 +527,11 @@ func (c *Client) StatsSnapshot() Stats {
 	return st
 }
 
-// MQTTStats exposes the underlying transport counters. In spool mode the
-// counters are those of the drainer's *current* broker session (zero
-// while disconnected); they reset on reconnect.
+// MQTTStats exposes the underlying transport counters: those of the
+// *current* broker session (zero while disconnected and after Close); they
+// reset on reconnect.
 func (c *Client) MQTTStats() mqttsn.ClientStats {
-	if mc := c.sessionForMetrics(); mc != nil {
+	if mc := c.session.Client(); mc != nil {
 		return mc.Stats()
 	}
 	return mqttsn.ClientStats{}
@@ -510,24 +542,25 @@ func (c *Client) MQTTStats() mqttsn.ClientStats {
 // than the cap still goes out, alone.
 const maxPackBytes = 16 << 10
 
-// sender keeps the publish window full. It takes the next queued frame
-// and every frame already waiting behind it (up to maxPackBytes, with no
-// wait for more), compresses them into one frame and submits it as one
-// asynchronous handshake, blocking only when WindowSize handshakes are
-// already in flight. The handshake's completion callback does the error
-// accounting for every frame in the pack and recycles the buffer;
-// Flush/Close observe it through the inFly group.
-func (c *Client) sender() {
-	defer c.wg.Done()
+// sender keeps the publish window of one broker session full; it is the
+// session's Serve in memory mode and returns once the session is down. It
+// takes the next queued frame and every frame already waiting behind it
+// (up to maxPackBytes, with no wait for more), compresses them into one
+// frame and submits it as one asynchronous handshake, blocking only when
+// WindowSize handshakes are already in flight. The handshake's completion
+// callback does the error accounting for every frame in the pack and
+// recycles the buffer; Flush/Close observe it through the inFly group.
+// Frames captured while the session is down wait in sendQ for the next.
+func (c *Client) sender(mc *mqttsn.Client, down <-chan struct{}) {
 	var pack []*[]byte
 	var raws [][]byte
-	var next *[]byte // a frame that did not fit the previous pack
 	for {
-		raw := next
-		next = nil
+		raw := c.next
+		c.next = nil
 		if raw == nil {
-			var ok bool
-			if raw, ok = <-c.sendQ; !ok {
+			select {
+			case raw = <-c.sendQ:
+			case <-down:
 				return
 			}
 		}
@@ -536,12 +569,9 @@ func (c *Client) sender() {
 	fill:
 		for size < maxPackBytes {
 			select {
-			case f, ok := <-c.sendQ:
-				if !ok {
-					break fill
-				}
+			case f := <-c.sendQ:
 				if size+len(*f) > maxPackBytes {
-					next = f
+					c.next = f
 					break fill
 				}
 				pack = append(pack, f)
@@ -570,9 +600,18 @@ func (c *Client) sender() {
 			continue
 		}
 		c.ctr.publishes.Add(1)
-		c.mqtt.PublishAsync(c.topic, *bufp, c.cfg.QoS, func(err error) {
+		mc.PublishAsync(c.topic, *bufp, c.cfg.QoS, func(err error) {
 			if err != nil {
 				c.reportLost(n, err)
+				if !errors.Is(err, mqttsn.ErrTimeout) && !errors.Is(err, mqttsn.ErrClosed) {
+					// The broker refused the PUBLISH (a restarted broker
+					// holds no session for this client): recycle the
+					// session so the supervisor redials. A handshake that
+					// only ran out of retries loses its pack and keeps the
+					// session. Not from the callback itself, which may run
+					// on the client's own loops.
+					go mc.Close()
+				}
 			}
 			framePool.Put(bufp)
 			c.inFly.Add(-n)
@@ -655,20 +694,27 @@ func (c *Client) flushGroup(ctx context.Context) error {
 	return err
 }
 
-// Flush transmits any buffered group and waits for in-flight frames. In
-// spool mode it waits until every spooled frame is acknowledged end to
-// end — which blocks for as long as the broker stays unreachable; use
-// Shutdown with a deadline to stop without waiting out a partition.
+// Flush transmits any buffered group and waits until every captured frame
+// is delivered: in memory mode until each has completed its publish
+// handshake or been lost, in spool mode until each spooled frame is
+// acknowledged end to end. Either waits out a broker outage, while the
+// session redials; use Shutdown with a deadline to stop without waiting
+// out a partition.
 func (c *Client) Flush() error {
 	err := c.flushGroup(context.Background())
-	if c.spool != nil {
-		if werr := c.waitDrained(context.Background()); werr != nil && err == nil {
-			err = werr
-		}
-		return err
+	if werr := c.waitDelivered(context.Background()); err == nil {
+		err = werr
 	}
-	c.inFly.Wait()
 	return err
+}
+
+// waitDelivered blocks until every frame captured so far is delivered (see
+// Flush), or ctx expires.
+func (c *Client) waitDelivered(ctx context.Context) error {
+	if c.spool != nil {
+		return c.waitDrained(ctx)
+	}
+	return waitCtx(ctx, c.inFly.Wait)
 }
 
 // Close flushes, disconnects, and releases the client, draining in-flight
@@ -676,53 +722,88 @@ func (c *Client) Flush() error {
 // context).
 func (c *Client) Close() error { return c.Shutdown(context.Background()) }
 
-// Shutdown flushes buffered records and drains the in-flight publish
-// windows, bounded by ctx: if the context expires before every handshake
-// completes (e.g. the broker is unreachable and retries are still running),
-// the remaining frames are abandoned — the transport is force-closed, each
-// abandoned or dropped frame is accounted as an AsyncError, and the
-// context error is returned. On a clean drain the session ends with the
-// protocol goodbye, exactly like Close. Calling Shutdown (or Close) again
-// while a previous call is still draining waits for that drain under the
-// new ctx rather than returning early.
+// Shutdown flushes buffered records and waits, bounded by ctx, until every
+// captured frame is delivered (see Flush), then ends the broker session
+// with the protocol goodbye and releases the capture log. If the context
+// expires first (e.g. the broker is unreachable and retries are still
+// running), the context error is returned and the undelivered frames are
+// released: in memory mode each is counted as an AsyncError, in spool mode
+// it stays on disk for the next run, so durable shutdown never loses
+// data. Calling Shutdown (or Close) again while a previous call is still
+// draining waits for that teardown under the new ctx rather than returning
+// early.
 func (c *Client) Shutdown(ctx context.Context) error {
-	if c.spool != nil {
-		return c.shutdownSpool(ctx)
-	}
-	// Flush the buffered group before claiming the shutdown, so the
+	// Flush the buffered group before claiming the teardown, so the
 	// closed-client check in the transmit path doesn't reject our own
 	// group frame.
 	err := c.flushGroup(ctx)
 	if !c.closed.CompareAndSwap(false, true) {
-		// Another Shutdown/Close owns the teardown: honour this call's
-		// drain contract by waiting for that teardown under our ctx
-		// instead of returning early.
-		if werr := waitCtx(ctx, func() { c.wg.Wait(); c.inFly.Wait() }); werr != nil && err == nil {
+		// Another Shutdown/Close/Abort owns the teardown; wait for it
+		// under our ctx.
+		if werr := waitCtx(ctx, func() { <-c.stopped }); err == nil {
 			err = werr
 		}
 		return err
 	}
-	// Wait out any transmit that was already past the closed check, then
-	// close the queue, drain the sender, and wait for the last handshakes
-	// before the protocol goodbye.
+	// Wait out any transmit that was already past the closed check; no
+	// frame enters the log after this.
 	c.txMu.Lock()
 	c.txMu.Unlock() //nolint:staticcheck // empty critical section is the barrier
-	close(c.sendQ)
-	if werr := waitCtx(ctx, func() { c.wg.Wait(); c.inFly.Wait() }); werr != nil {
-		// Force-close the transport: pending handshakes fail with
-		// ErrClosed, their collectors count AsyncErrors and release the
-		// in-flight slots, so the abandoned waiter goroutine (and the
-		// sender, once its queue drains) finishes shortly after.
-		c.mqtt.Close()
-		if err == nil {
-			err = werr
-		}
-		return err
+	werr := c.waitDelivered(ctx)
+	c.session.Disconnect() // clean goodbye: the broker releases the session now
+	if rerr := c.release(false); err == nil {
+		err = rerr
 	}
-	if derr := c.mqtt.Disconnect(); derr != nil && err == nil {
-		err = derr
+	close(c.stopped)
+	if err == nil {
+		err = werr
 	}
 	return err
+}
+
+// Abort tears the client down as a crash would: no group flush, no drain,
+// no goodbye. In memory mode the queued frames are counted lost; in spool
+// mode no ack-mark is persisted and the spool directory is left exactly as
+// a SIGKILL would leave it, so the next NewClient with the same SpoolDir
+// resumes from the persisted state. Used by crash-recovery tests and as an
+// emergency stop; the graceful path is Shutdown/Close.
+func (c *Client) Abort() {
+	if !c.closed.CompareAndSwap(false, true) {
+		return
+	}
+	c.txMu.Lock()
+	c.txMu.Unlock() //nolint:staticcheck // barrier: wait out in-progress transmits
+	c.session.Close()
+	_ = c.release(true) // a crash releases the spool without a close error to report
+	close(c.stopped)
+}
+
+// release frees the capture log once the session has stopped: memory mode
+// counts every frame still queued as lost (stopping the session already
+// failed the frames in flight), spool mode closes the spool, or crashes it.
+func (c *Client) release(crash bool) error {
+	switch {
+	case c.spool == nil:
+		n := len(c.sendQ)
+		for i := 0; i < n; i++ {
+			framePool.Put(<-c.sendQ)
+		}
+		if c.next != nil {
+			framePool.Put(c.next)
+			c.next = nil
+			n++
+		}
+		if n > 0 {
+			c.reportLost(n, fmt.Errorf("provlight: %d frames unsent at close: %w", n, mqttsn.ErrClosed))
+			c.inFly.Add(-n)
+		}
+		return nil
+	case crash:
+		c.spool.Crash()
+		return nil
+	default:
+		return c.spool.Close()
+	}
 }
 
 // transmitOrdered encodes records into one frame and enqueues it. Callers

@@ -9,7 +9,6 @@ import (
 	"github.com/provlight/provlight/internal/mqttsn"
 	"github.com/provlight/provlight/internal/obs"
 	"github.com/provlight/provlight/internal/provdm"
-	"github.com/provlight/provlight/internal/resilience"
 	"github.com/provlight/provlight/internal/spool"
 	"github.com/provlight/provlight/internal/wire"
 )
@@ -26,60 +25,28 @@ import (
 // frame configured at QoS 2 crosses each of them at QoS 1: two packets
 // per hop instead of four.
 
-// newSpoolClient opens the spool and starts the drainer; the broker does
-// not need to be reachable.
-func newSpoolClient(cfg Config) (*Client, error) {
-	if cfg.AckWindow <= 0 {
-		cfg.AckWindow = 64
+// openSpool applies the spool-mode defaults and opens the spool; the
+// broker does not need to be reachable.
+func (c *Client) openSpool() error {
+	if c.cfg.AckWindow <= 0 {
+		c.cfg.AckWindow = 64
 	}
-	if cfg.RedeliverAfter <= 0 {
-		cfg.RedeliverAfter = 10 * time.Second
-	}
-	if cfg.ReconnectMinDelay <= 0 {
-		cfg.ReconnectMinDelay = 250 * time.Millisecond
-	}
-	if cfg.ReconnectMaxDelay <= 0 {
-		cfg.ReconnectMaxDelay = 10 * time.Second
+	if c.cfg.RedeliverAfter <= 0 {
+		c.cfg.RedeliverAfter = 10 * time.Second
 	}
 	sp, err := spool.Open(spool.Options{
-		Dir:          cfg.SpoolDir,
-		Sync:         cfg.SpoolSync,
-		SyncInterval: cfg.SpoolSyncInterval,
-		SegmentSize:  cfg.SpoolSegmentSize,
-		Quota:        cfg.SpoolQuota,
-		Policy:       cfg.SpoolPolicy,
+		Dir:          c.cfg.SpoolDir,
+		Sync:         c.cfg.SpoolSync,
+		SyncInterval: c.cfg.SpoolSyncInterval,
+		SegmentSize:  c.cfg.SpoolSegmentSize,
+		Quota:        c.cfg.SpoolQuota,
+		Policy:       c.cfg.SpoolPolicy,
 	})
 	if err != nil {
-		return nil, fmt.Errorf("provlight: open spool: %w", err)
+		return fmt.Errorf("provlight: open spool: %w", err)
 	}
-	c := &Client{
-		cfg:   cfg,
-		topic: cfg.Topic,
-		spool: sp,
-	}
-	c.session = mqttsn.NewSession(mqttsn.SessionConfig{
-		Client: mqttsn.ClientConfig{
-			ClientID:       cfg.ClientID,
-			Gateway:        cfg.Broker,
-			Transport:      cfg.Transport,
-			KeepAlive:      cfg.KeepAlive,
-			RetryInterval:  cfg.RetryInterval,
-			MaxRetries:     cfg.MaxRetries,
-			InflightWindow: cfg.WindowSize,
-			CleanSession:   true,
-		},
-		Setup:   c.setupSession,
-		Serve:   c.drainWith,
-		Backoff: resilience.Backoff{Min: cfg.ReconnectMinDelay, Max: cfg.ReconnectMaxDelay},
-		OnDialError: func(_ int, err error) error {
-			c.reportAsync(fmt.Errorf("provlight: spool connect %s: %w", cfg.Broker, err))
-			return err
-		},
-	})
-	c.initMetrics()
-	c.drainWG.Add(1)
-	c.session.Start()
-	return c, nil
+	c.spool = sp
+	return nil
 }
 
 // spoolAppend encodes records into a frame stamped with its spool
@@ -138,16 +105,6 @@ func (c *Client) reportAsync(err error) {
 func (c *Client) reportLost(n int, err error) {
 	c.ctr.asyncErrors.Add(uint64(n - 1))
 	c.reportAsync(err)
-}
-
-// setupSession re-establishes what a fresh broker session needs: the
-// records topic registration and the per-device ack subscription, on
-// which the translator reports end-to-end durable delivery.
-func (c *Client) setupSession(mc *mqttsn.Client) error {
-	if _, err := mc.RegisterTopic(c.topic); err != nil {
-		return err
-	}
-	return mc.Subscribe(wire.AckTopic(c.topic), mqttsn.QoS1, c.onAck)
 }
 
 // onAck advances the spool floor from a translator acknowledgement. Runs
@@ -317,54 +274,4 @@ func (c *Client) waitDrained(ctx context.Context) error {
 			return ctx.Err()
 		}
 	}
-}
-
-// shutdownSpool is Shutdown for spool mode: flush the group to disk, wait
-// (under ctx) for the spool to drain end to end, then stop the drainer
-// and persist the spool state. On ctx expiry the unacked frames simply
-// stay on disk for the next run — durable shutdown never loses data, it
-// only decides how long to wait for the network.
-func (c *Client) shutdownSpool(ctx context.Context) error {
-	err := c.flushGroup(nil)
-	if !c.closed.CompareAndSwap(false, true) {
-		// Another Shutdown/Close/Abort owns the teardown; wait for it
-		// under our ctx.
-		if werr := waitCtx(ctx, c.drainWG.Wait); werr != nil && err == nil {
-			err = werr
-		}
-		return err
-	}
-	werr := c.waitDrained(ctx)
-	c.session.Disconnect() // clean goodbye: the broker releases the session now
-	c.drainWG.Done()
-	if cerr := c.spool.Close(); err == nil {
-		err = cerr
-	}
-	if werr != nil && err == nil {
-		err = werr
-	}
-	return err
-}
-
-// Abort tears the client down as a crash would: no group flush, no drain,
-// no ack-mark persistence — the spool directory is left exactly as a
-// SIGKILL would leave it, and the next NewClient with the same SpoolDir
-// resumes from the persisted state. Used by crash-recovery tests and as
-// an emergency stop; the graceful path is Shutdown/Close.
-func (c *Client) Abort() {
-	if !c.closed.CompareAndSwap(false, true) {
-		return
-	}
-	if c.spool != nil {
-		c.session.Close()
-		c.drainWG.Done()
-		c.spool.Crash()
-		return
-	}
-	c.mqtt.Close()
-	c.txMu.Lock()
-	c.txMu.Unlock() //nolint:staticcheck // barrier: wait out in-progress transmits
-	close(c.sendQ)
-	c.wg.Wait()
-	c.inFly.Wait()
 }

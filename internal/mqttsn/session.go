@@ -14,26 +14,6 @@ import (
 // gateway that refused its CONNECT for congestion ("come back later").
 const CongestionRetryAfter = time.Second
 
-// Dial is the one-shot connect: create a client from cfg, connect it and
-// run setup (register topics, subscribe), all bounded by ctx. On failure
-// the client is closed.
-func Dial(ctx context.Context, cfg ClientConfig, setup func(*Client) error) (*Client, error) {
-	mc, err := NewClient(cfg)
-	if err != nil {
-		return nil, err
-	}
-	if err := mc.WithContext(ctx, func() error {
-		if err := mc.Connect(); err != nil || setup == nil {
-			return err
-		}
-		return setup(mc)
-	}); err != nil {
-		mc.Close()
-		return nil, err
-	}
-	return mc, nil
-}
-
 // SessionConfig configures a supervised Session.
 type SessionConfig struct {
 	// Client is the template for every connect; the session sets its
@@ -254,8 +234,12 @@ func (s *Session) connect(ctx context.Context) (*liveSession, error) {
 	var once sync.Once
 	markDown := func() { once.Do(func() { close(l.down) }) }
 	cfg.OnDisconnect = func(error) { markDown() }
-	mc, err := Dial(ctx, cfg, nil)
+	mc, err := NewClient(cfg)
 	if err != nil {
+		return nil, err
+	}
+	if err := mc.WithContext(ctx, mc.Connect); err != nil {
+		mc.Close()
 		return nil, err
 	}
 	l.mc = mc

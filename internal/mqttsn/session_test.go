@@ -1,7 +1,6 @@
 package mqttsn_test
 
 import (
-	"context"
 	"errors"
 	"net"
 	"sync"
@@ -149,11 +148,14 @@ func TestSession(t *testing.T) {
 		}},
 		{"congestion rejection waits at least 1s", func(t *testing.T, lb *transport.Loopback) {
 			loopBroker(t, lb, "gw", 1)
-			hog, err := mqttsn.Dial(context.Background(), fastClient(lb, "hog"), nil)
+			hog, err := mqttsn.NewClient(fastClient(lb, "hog"))
 			if err != nil {
 				t.Fatal(err)
 			}
 			defer hog.Close()
+			if err := hog.Connect(); err != nil {
+				t.Fatal(err)
+			}
 			var mu sync.Mutex
 			var starts []time.Time
 			var congested atomic.Int32
