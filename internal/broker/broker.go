@@ -30,8 +30,9 @@
 // whole gateway. The topic registry is a copy-on-write atomic snapshot
 // (reads are lock-free; registrations clone the maps), routed message
 // structs are pooled, and counters are atomics. Each session sends through
-// one FIFO (sendQ) and one in-flight table (flows) kept in enqueue order,
-// with one retransmit loop (sweep) for every flow kind. Lock order:
+// one FIFO (sendQ) and one in-flight table (flows, an mqttsn.Flows, the
+// flow engine the client drives too) kept in enqueue order, with one
+// retransmit loop (sweep) for every flow kind. Lock order:
 // clientMu before any shard mutex; a shard mutex may be held when taking
 // groupMu, never the reverse; the topic-write lock is a leaf;
 // no two shard mutexes are ever held at once.
@@ -43,7 +44,6 @@ import (
 	"log"
 	"net"
 	"net/netip"
-	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -249,35 +249,11 @@ type message struct {
 	group *consumerGroup
 }
 
-// Flow states.
-const (
-	obAwaitPuback = iota // QoS 1 PUBLISH sent
-	obAwaitPubrec        // QoS 2 PUBLISH sent
-	// obRelPending: the PUBREC arrived, but an older QoS 2 flow in the
-	// session's table has not had its PUBREL sent yet, so this release is
-	// held back. A QoS 2 subscriber delivers on PUBREL, and PUBRECs follow
-	// PUBLISH *arrival* order — which the network (a lost PUBLISH, say)
-	// may invert. The table is in enqueue order, so releasing the prefix
-	// of obRelPending flows ahead of the oldest obAwaitPubrec one makes the
-	// subscriber's delivery order match the broker's release order no
-	// matter how the PUBLISH packets interleaved on the wire. The janitor
-	// retransmits the PUBLISH (DUP) for flows parked here, so a gave-up
-	// predecessor still unblocks them: the duplicate PUBREC re-runs the
-	// walk.
-	obRelPending
-	obAwaitPubcomp // PUBREL sent
-	obAwaitRegack  // REGISTER sent
-)
-
-// flow is one outbound exchange awaiting the subscriber's acknowledgement:
-// a QoS 1 or QoS 2 PUBLISH of msg, or a REGISTER of topicID (msg nil).
-type flow struct {
-	msg      *message
-	msgID    uint16
-	topicID  uint16
-	state    uint8
-	retries  int
-	lastSent time.Time
+// outFlow is what a flow in a session's table holds: the frame of a QoS
+// 1 or QoS 2 PUBLISH, or, for a REGISTER, the topic id (msg nil).
+type outFlow struct {
+	msg     *message
+	topicID uint16
 }
 
 type session struct {
@@ -293,13 +269,10 @@ type session struct {
 	// teardown.
 	groupSubs map[string]*consumerGroup
 
-	// inbound2 holds the msgIDs of inbound QoS 2 flows routed at their
-	// first PUBLISH and still awaiting the publisher's PUBREL. A flow the
-	// publisher abandoned is dropped once its counter has moved far
-	// enough past the msgID (mqttsn.ReapInbound2), so the msgID is fresh
-	// again when the counter wraps round to it.
-	inbound2     map[uint16]struct{}
-	inbound2Reap uint16 // the newest fresh msgID at the last reap
+	// inbound holds the inbound QoS 2 flows, routed at their first
+	// PUBLISH, until the publisher's PUBREL, and the msgIDs released
+	// last, so a retransmitted PUBLISH is routed once.
+	inbound mqttsn.Inbound2[struct{}]
 
 	// sendQ holds every frame routed to the session and not yet sent, in
 	// route order: QoS 1/2 frames waiting for a window slot, and frames of
@@ -307,72 +280,19 @@ type session struct {
 	// moves its head into flows.
 	sendQ []*message
 	// flows is the in-flight table, in enqueue order: up to SendWindow
-	// PUBLISHes plus the REGISTERs of the topics sendQ waits for. It is
-	// that small, so a msgID is found by scanning it.
-	flows       []flow
-	nextMsgID   uint16
+	// PUBLISHes plus the REGISTERs of the topics sendQ waits for.
+	flows       mqttsn.Flows[outFlow]
 	knownTopics map[uint16]bool
-
-	// recentRel remembers the last released msgIDs so a duplicated or
-	// reordered PUBLISH arriving *after* its PUBREL completed is dropped
-	// as the duplicate it is, instead of being routed a second time.
-	recentRel  [64]uint16
-	recentRelN int // valid entries
-	recentRelI int // next write slot
 
 	// txMu orders the session's PUBLISH sends; see unlockAndSend.
 	txMu sync.Mutex
 }
 
-// markReleased records a completed QoS 2 msgID. Callers must hold the
-// session's shard mutex.
-func (s *session) markReleased(msgID uint16) {
-	s.recentRel[s.recentRelI] = msgID
-	s.recentRelI = (s.recentRelI + 1) % len(s.recentRel)
-	if s.recentRelN < len(s.recentRel) {
-		s.recentRelN++
-	}
-}
-
-// recentlyReleased reports whether msgID completed its QoS 2 flow
-// recently. Callers must hold the session's shard mutex.
-func (s *session) recentlyReleased(msgID uint16) bool {
-	for i := 0; i < s.recentRelN; i++ {
-		if s.recentRel[i] == msgID {
-			return true
-		}
-	}
-	return false
-}
-
-func (s *session) allocMsgID() uint16 {
-	for {
-		s.nextMsgID++
-		if s.nextMsgID == 0 {
-			continue
-		}
-		if s.flowIndex(s.nextMsgID) < 0 {
-			return s.nextMsgID
-		}
-	}
-}
-
-// flowIndex returns the index of the in-flight flow using msgID, or -1.
-// Callers must hold the session's shard mutex.
-func (s *session) flowIndex(msgID uint16) int {
-	for i := range s.flows {
-		if s.flows[i].msgID == msgID {
-			return i
-		}
-	}
-	return -1
-}
-
 // registering reports whether a REGISTER of topicID is in flight.
 // Callers must hold the session's shard mutex.
 func (s *session) registering(topicID uint16) bool {
-	for i := range s.flows {
-		if s.flows[i].state == obAwaitRegack && s.flows[i].topicID == topicID {
+	for _, f := range s.flows.Slots() {
+		if f.Await == mqttsn.REGACK && f.Payload.topicID == topicID {
 			return true
 		}
 	}
@@ -383,16 +303,13 @@ func (s *session) registering(topicID uint16) bool {
 // and then from sendQ, and appends them to out in send order. REGISTER
 // flows stay. Callers must hold the session's shard mutex.
 func (s *session) detachLocked(take func(*message) bool, out []*message) []*message {
-	flows := s.flows[:0]
-	for _, f := range s.flows {
-		if f.msg != nil && take(f.msg) {
-			out = append(out, f.msg)
-		} else {
-			flows = append(flows, f)
+	s.flows.DeleteFunc(func(f mqttsn.Flow[outFlow]) bool {
+		if m := f.Payload.msg; m != nil && take(m) {
+			out = append(out, m)
+			return true
 		}
-	}
-	clear(s.flows[len(flows):])
-	s.flows = flows
+		return false
+	})
 	queued := s.sendQ[:0]
 	for _, m := range s.sendQ {
 		if take(m) {
@@ -822,6 +739,7 @@ func (b *Broker) sweep() {
 	var expired []expiry
 	var givenUp []giveUp
 	var evictions []eviction
+	var due, gone []mqttsn.Flow[outFlow]
 	for _, sh := range b.shards {
 		sh.mu.Lock()
 		for key, s := range sh.sessions {
@@ -835,48 +753,24 @@ func (b *Broker) sweep() {
 			// One loop retransmits every flow kind: a lost REGISTER (or
 			// REGACK) must no more wedge the frames queued behind it than
 			// a lost PUBLISH.
-			gaveUp := false
-			var lost []*message
-			for i := 0; i < len(s.flows); {
-				f := &s.flows[i]
-				if now.Sub(f.lastSent) < b.cfg.RetryInterval {
-					i++
-					continue
-				}
-				if f.retries >= b.cfg.MaxRetries {
-					// The subscriber stopped acknowledging: stop retrying.
-					// The frame, or a REGISTER's queued frames, are settled
-					// below, outside the shard mutex: group frames are
-					// handed back to the group, the rest dropped and counted.
-					gone := *f
-					s.flows = slices.Delete(s.flows, i, i+1)
-					if gone.state == obAwaitRegack {
-						lost = s.settleRegisterLocked(gone.topicID, lost)
-					} else {
-						lost = append(lost, gone.msg)
-					}
-					gaveUp = true
-					continue
-				}
-				f.retries++
-				f.lastSent = now
+			due, gone = s.flows.Due(now, due[:0], gone[:0])
+			for _, f := range due {
 				b.ctr.retransmissions.Add(1)
-				switch f.state {
-				case obAwaitPubcomp:
-					rel := &mqttsn.Pubrel{}
-					rel.MsgID = f.msgID
-					resends = append(resends, resend{s.addr, rel})
-				case obAwaitRegack:
-					topic, _ := b.topicName(f.topicID)
-					resends = append(resends, resend{s.addr, &mqttsn.Register{
-						TopicID: f.topicID, MsgID: f.msgID, TopicName: topic,
-					}})
-				default:
-					resends = append(resends, resend{s.addr, publishPacket(f.msg, f.msgID, true)})
-				}
-				i++
+				resends = append(resends, resend{s.addr, b.resendPacket(f)})
 			}
-			if gaveUp {
+			// The subscriber stopped acknowledging the flows gone: the
+			// frames, and a REGISTER's queued frames, are settled below,
+			// outside the shard mutex: group frames are handed back to
+			// the group, the rest dropped and counted.
+			var lost []*message
+			for _, f := range gone {
+				if f.Payload.msg == nil {
+					lost = s.settleRegisterLocked(f.Payload.topicID, lost)
+				} else {
+					lost = append(lost, f.Payload.msg)
+				}
+			}
+			if len(gone) > 0 {
 				b.pumpAndSendLocked(s) // abandoned flows freed window slots
 			}
 			if len(lost) == 0 {
@@ -932,6 +826,21 @@ func (b *Broker) sweep() {
 			b.settleUndeliverable(g.s, m)
 		}
 	}
+}
+
+// resendPacket is the packet a due flow re-sends: its PUBLISH with DUP
+// set, its PUBREL or its REGISTER.
+func (b *Broker) resendPacket(f mqttsn.Flow[outFlow]) mqttsn.Packet {
+	switch f.Await {
+	case mqttsn.PUBCOMP:
+		rel := &mqttsn.Pubrel{}
+		rel.MsgID = f.MsgID
+		return rel
+	case mqttsn.REGACK:
+		topic, _ := b.topicName(f.Payload.topicID)
+		return &mqttsn.Register{TopicID: f.Payload.topicID, MsgID: f.MsgID, TopicName: topic}
+	}
+	return publishPacket(f.Payload.msg, f.MsgID, true)
 }
 
 // publishPacket builds the PUBLISH that carries msg; msgID is 0 for
@@ -995,17 +904,17 @@ func (b *Broker) handle(addr net.Addr, key string, pkt mqttsn.Packet) {
 	case *mqttsn.Register:
 		b.handleRegister(addr, key, p)
 	case *mqttsn.Regack:
-		b.handleRegack(addr, key, p)
+		b.handleAck(key, mqttsn.REGACK, p.MsgID, p.ReturnCode)
 	case *mqttsn.Publish:
 		b.handlePublish(addr, key, p)
 	case *mqttsn.Pubrel:
 		b.handlePubrel(addr, key, p)
 	case *mqttsn.Puback:
-		b.handlePuback(addr, key, p)
+		b.handleAck(key, mqttsn.PUBACK, p.MsgID, p.ReturnCode)
 	case *mqttsn.Pubrec:
-		b.handlePubrec(addr, key, p)
+		b.handleAck(key, mqttsn.PUBREC, p.MsgID, mqttsn.Accepted)
 	case *mqttsn.Pubcomp:
-		b.handlePubcomp(addr, key, p)
+		b.handleAck(key, mqttsn.PUBCOMP, p.MsgID, mqttsn.Accepted)
 	case *mqttsn.Subscribe:
 		b.handleSubscribe(addr, key, p)
 	case *mqttsn.Unsubscribe:
@@ -1087,7 +996,7 @@ func (b *Broker) handleConnect(addr net.Addr, key string, p *mqttsn.Connect) {
 		lastSeen:    time.Now(),
 		subs:        map[string]mqttsn.QoS{},
 		groupSubs:   map[string]*consumerGroup{},
-		inbound2:    map[uint16]struct{}{},
+		flows:       mqttsn.Flows[outFlow]{RetryInterval: b.cfg.RetryInterval, MaxRetries: b.cfg.MaxRetries},
 		knownTopics: map[uint16]bool{},
 	}
 	// Replace any session with the same client id (possibly at an old
@@ -1128,34 +1037,6 @@ func (b *Broker) handleRegister(addr net.Addr, key string, p *mqttsn.Register) {
 	b.sendTo(addr, &mqttsn.Regack{TopicID: id, MsgID: p.MsgID, ReturnCode: mqttsn.Accepted})
 }
 
-func (b *Broker) handleRegack(addr net.Addr, key string, p *mqttsn.Regack) {
-	sh := b.shardFor(key)
-	sh.mu.Lock()
-	s := sh.sessions[key]
-	var buf [4]*mqttsn.Publish
-	pubs := buf[:0]
-	var rejected []*message
-	if s != nil {
-		s.lastSeen = time.Now()
-		if i := s.flowIndex(p.MsgID); i >= 0 && s.flows[i].state == obAwaitRegack {
-			id := s.flows[i].topicID
-			s.flows = slices.Delete(s.flows, i, i+1)
-			if p.ReturnCode == mqttsn.Accepted {
-				s.knownTopics[id] = true
-			} else {
-				rejected = s.settleRegisterLocked(id, nil)
-			}
-			pubs = s.pumpLocked(b, pubs)
-		}
-	}
-	b.unlockAndSend(sh, s, pubs)
-	// A rejected registration means this subscriber can never take these
-	// frames: hand group frames back, drop and count the rest.
-	for _, m := range rejected {
-		b.settleUndeliverable(s, m)
-	}
-}
-
 func (b *Broker) handlePublish(addr net.Addr, key string, p *mqttsn.Publish) {
 	sh := b.shardFor(key)
 	sh.mu.Lock()
@@ -1192,12 +1073,7 @@ func (b *Broker) handlePublish(addr net.Addr, key string, p *mqttsn.Publish) {
 		// drain waits for). Until the PUBREL, and for a while after it, a
 		// retransmitted PUBLISH is recognised by its msgID and dropped.
 		sh.mu.Lock()
-		_, inFlight := s.inbound2[p.MsgID]
-		fresh = !inFlight && !s.recentlyReleased(p.MsgID)
-		if fresh {
-			s.inbound2[p.MsgID] = struct{}{}
-			mqttsn.ReapInbound2(s.inbound2, &s.inbound2Reap, p.MsgID)
-		}
+		fresh = s.inbound.Receive(p.MsgID, struct{}{})
 		sh.mu.Unlock()
 	}
 	if fresh {
@@ -1222,10 +1098,7 @@ func (b *Broker) handlePubrel(addr net.Addr, key string, p *mqttsn.Pubrel) {
 	sh.mu.Lock()
 	if s := sh.sessions[key]; s != nil {
 		s.lastSeen = time.Now()
-		if _, ok := s.inbound2[p.MsgID]; ok {
-			delete(s.inbound2, p.MsgID)
-			s.markReleased(p.MsgID)
-		}
+		s.inbound.Release(p.MsgID)
 	}
 	sh.mu.Unlock()
 	comp := &mqttsn.Pubcomp{}
@@ -1233,89 +1106,53 @@ func (b *Broker) handlePubrel(addr net.Addr, key string, p *mqttsn.Pubrel) {
 	b.sendTo(addr, comp)
 }
 
-func (b *Broker) handlePuback(addr net.Addr, key string, p *mqttsn.Puback) {
-	b.completeFlow(key, p.MsgID, obAwaitPuback)
-}
-
-func (b *Broker) handlePubcomp(addr net.Addr, key string, p *mqttsn.Pubcomp) {
-	b.completeFlow(key, p.MsgID, obAwaitPubcomp)
-}
-
-// completeFlow ends the flow msgID if it is in state, the one its
-// acknowledgement (PUBACK or PUBCOMP) completes, releases its frame and
-// refills the window.
-func (b *Broker) completeFlow(key string, msgID uint16, state uint8) {
+// handleAck applies a subscriber's acknowledgement to its flow. A PUBREC
+// sends the PUBRELs the table releases, in table order: all PUBRECs of a
+// session arrive on its one shard worker, so the walks never race each
+// other. A completed flow frees its window slot for the next frame, and
+// the frame, delivered, is released. A refused PUBLISH, or a refused
+// REGISTER's queued frames, are settled like the frames of a subscriber
+// that stopped acknowledging.
+func (b *Broker) handleAck(key string, typ mqttsn.MsgType, msgID uint16, code mqttsn.ReturnCode) {
 	sh := b.shardFor(key)
 	sh.mu.Lock()
+	s := sh.sessions[key]
 	var buf [4]*mqttsn.Publish
 	pubs := buf[:0]
+	var relBuf [8]mqttsn.Flow[outFlow]
+	rels := relBuf[:0]
 	var done *message
-	s := sh.sessions[key]
+	var rejected []*message
 	if s != nil {
-		s.lastSeen = time.Now()
-		if i := s.flowIndex(msgID); i >= 0 && s.flows[i].state == state {
-			done = s.flows[i].msg
-			s.flows = slices.Delete(s.flows, i, i+1)
+		now := time.Now()
+		s.lastSeen = now
+		switch f, step := s.flows.Advance(typ, msgID, code); step {
+		case mqttsn.Release:
+			rels = s.flows.Releasable(now, rels)
+		case mqttsn.Completed:
+			switch m := f.Payload.msg; {
+			case m == nil && code == mqttsn.Accepted: // a REGISTER
+				s.knownTopics[f.Payload.topicID] = true
+			case m == nil:
+				rejected = s.settleRegisterLocked(f.Payload.topicID, nil)
+			case code == mqttsn.Accepted:
+				done = m
+			default:
+				rejected = append(rejected, m)
+			}
 			pubs = s.pumpLocked(b, pubs)
 		}
 	}
 	b.unlockAndSend(sh, s, pubs)
-	b.putMsg(done)
-}
-
-func (b *Broker) handlePubrec(addr net.Addr, key string, p *mqttsn.Pubrec) {
-	sh := b.shardFor(key)
-	sh.mu.Lock()
-	s := sh.sessions[key]
-	var buf [8]uint16
-	rels := buf[:0]
-	if s != nil {
-		s.lastSeen = time.Now()
-		if i := s.flowIndex(p.MsgID); i >= 0 {
-			switch s.flows[i].state {
-			case obAwaitPubrec:
-				s.flows[i].state = obRelPending
-				s.flows[i].retries = 0
-				rels = s.releasableLocked(rels)
-			case obRelPending:
-				// Duplicate PUBREC (our DUP PUBLISH nudged the client):
-				// the blocker may have been given up since — try again.
-				rels = s.releasableLocked(rels)
-			case obAwaitPubcomp:
-				rels = append(rels, p.MsgID) // duplicate PUBREC: re-send PUBREL
-			}
-		}
-	}
-	sh.mu.Unlock()
-	for _, id := range rels {
+	for _, f := range rels {
 		rel := &mqttsn.Pubrel{}
-		rel.MsgID = id
-		b.sendTo(addr, rel)
+		rel.MsgID = f.MsgID
+		b.sendTo(s.addr, rel)
 	}
-}
-
-// releasableLocked walks the in-flight table's prefix up to the oldest
-// QoS 2 flow still awaiting its PUBREC and releases every obRelPending
-// flow on the way: each is marked obAwaitPubcomp and its msgID appended
-// to rels, in enqueue order. Marking them under the shard lock keeps the
-// release exactly-once; the caller sends the PUBRELs in slice order. All
-// PUBRECs of a session arrive on its single shard worker, so walks never
-// race each other and PUBRELs hit the wire in table order.
-func (s *session) releasableLocked(rels []uint16) []uint16 {
-	now := time.Now()
-	for i := range s.flows {
-		f := &s.flows[i]
-		switch f.state {
-		case obAwaitPubrec:
-			return rels
-		case obRelPending:
-			f.state = obAwaitPubcomp
-			f.lastSent = now
-			f.retries = 0
-			rels = append(rels, f.msgID)
-		}
+	b.putMsg(done)
+	for _, m := range rejected {
+		b.settleUndeliverable(s, m)
 	}
-	return rels
 }
 
 func (b *Broker) handleSubscribe(addr net.Addr, key string, p *mqttsn.Subscribe) {
@@ -1517,8 +1354,8 @@ func (b *Broker) PendingForTopics(match func(topic string) bool) int {
 	for _, sh := range b.shards {
 		sh.mu.Lock()
 		for _, s := range sh.sessions {
-			for i := range s.flows {
-				if m := s.flows[i].msg; m != nil && match(m.topic) {
+			for _, f := range s.flows.Slots() {
+				if m := f.Payload.msg; m != nil && match(m.topic) {
 					n++
 				}
 			}
@@ -1676,9 +1513,9 @@ func (b *Broker) deliver(s *session, msg *message) bool {
 	} else {
 		s.sendQ = append(s.sendQ, msg)
 		if !known && !s.registering(msg.topicID) {
-			f := flow{msgID: s.allocMsgID(), topicID: msg.topicID, state: obAwaitRegack, lastSent: time.Now()}
-			s.flows = append(s.flows, f)
-			reg = &mqttsn.Register{TopicID: f.topicID, MsgID: f.msgID, TopicName: msg.topic}
+			f := s.flows.Add(mqttsn.REGACK, time.Now())
+			f.Payload.topicID = msg.topicID
+			reg = &mqttsn.Register{TopicID: msg.topicID, MsgID: f.MsgID, TopicName: msg.topic}
 		}
 		pubs = s.pumpLocked(b, pubs)
 	}
@@ -1733,7 +1570,7 @@ func (s *session) pumpLocked(b *Broker, pubs []*mqttsn.Publish) []*mqttsn.Publis
 	for len(s.sendQ) > 0 && s.knownTopics[s.sendQ[0].topicID] {
 		msg := s.sendQ[0]
 		acked := msg.qos == mqttsn.QoS1 || msg.qos == mqttsn.QoS2
-		if acked && len(s.flows) >= b.cfg.SendWindow {
+		if acked && len(s.flows.Slots()) >= b.cfg.SendWindow {
 			break
 		}
 		s.sendQ[0] = nil
@@ -1743,12 +1580,9 @@ func (s *session) pumpLocked(b *Broker, pubs []*mqttsn.Publish) []*mqttsn.Publis
 			b.putMsg(msg)
 			continue
 		}
-		f := flow{msg: msg, msgID: s.allocMsgID(), topicID: msg.topicID, state: obAwaitPuback, lastSent: time.Now()}
-		if msg.qos == mqttsn.QoS2 {
-			f.state = obAwaitPubrec
-		}
-		s.flows = append(s.flows, f)
-		pubs = append(pubs, publishPacket(msg, f.msgID, false))
+		f := s.flows.Add(mqttsn.PublishAwaits(msg.qos), time.Now())
+		f.Payload.msg = msg
+		pubs = append(pubs, publishPacket(msg, f.MsgID, false))
 	}
 	if len(s.sendQ) == 0 {
 		s.sendQ = nil // release the drained backlog's backing array

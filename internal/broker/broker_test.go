@@ -540,10 +540,9 @@ func TestAbandonedQoS2Flow(t *testing.T) {
 
 // maxQoS2RoundTripAllocs bounds one QoS 2 publish/subscribe round trip
 // through the broker: decoded packets, payload copies, the routed message
-// and the packets the broker sends, 19 allocations on linux/amd64 (25-26
-// under the race detector). The broker's outbound QoS 2 bookkeeping, a
-// flow held by value in the session's in-flight table, allocates
-// nothing. Handlers that re-derive the session key from the source
+// and the packets the broker sends, 18 allocations on linux/amd64. The
+// outbound QoS 2 bookkeeping at both ends, a flow held by value in a
+// flow table, allocates nothing. Handlers that re-derive the session key from the source
 // address (2 allocations per packet) add 12 per round trip and exceed it.
 const maxQoS2RoundTripAllocs = 28
 
@@ -777,34 +776,5 @@ func TestDetachMatchingInSendOrder(t *testing.T) {
 	// to come and refill them.
 	if p := sub.await(mqttsn.PUBLISH).(*mqttsn.Publish); string(p.Data) != "b1" {
 		t.Fatalf("got %q, want b1", p.Data)
-	}
-}
-
-// TestReleasableWalksPrefix: PUBRELs go out for the held-back QoS 2
-// flows ahead of the oldest one still awaiting its PUBREC, in table
-// order, skipping the other flow kinds, without allocating.
-func TestReleasableWalksPrefix(t *testing.T) {
-	s := &session{flows: []flow{
-		{msgID: 1, state: obRelPending},
-		{msgID: 2, state: obAwaitPuback},
-		{msgID: 3, state: obAwaitRegack},
-		{msgID: 4, state: obRelPending},
-		{msgID: 5, state: obAwaitPubrec},
-		{msgID: 6, state: obRelPending},
-	}}
-	var buf [8]uint16
-	var rels []uint16
-	allocs := testing.AllocsPerRun(10, func() {
-		s.flows[0].state, s.flows[3].state = obRelPending, obRelPending
-		rels = s.releasableLocked(buf[:0])
-	})
-	if allocs != 0 {
-		t.Errorf("releasableLocked allocates %.1f times", allocs)
-	}
-	if fmt.Sprint(rels) != "[1 4]" {
-		t.Fatalf("released %v, want [1 4]", rels)
-	}
-	if s.flows[0].state != obAwaitPubcomp || s.flows[3].state != obAwaitPubcomp || s.flows[5].state != obRelPending {
-		t.Fatalf("states after release: %+v", s.flows)
 	}
 }

@@ -270,7 +270,6 @@ type sessionRemains struct {
 func (b *Broker) collectRemainsLocked(s *session) sessionRemains {
 	var r sessionRemains
 	r.msgs = s.detachLocked(func(*message) bool { return true }, nil)
-	s.flows = nil // only REGISTERs are left
 	s.sendQ = nil
 	for _, g := range s.groupSubs {
 		r.groups = append(r.groups, g)

@@ -58,8 +58,8 @@ type ClientConfig struct {
 	MaxRetries int
 	// InflightWindow bounds how many publish handshakes may be in flight at
 	// once via PublishAsync (and Publish, which wraps it). The handshakes
-	// live in the client's one in-flight table keyed by msgID: the read
-	// loop advances them on their acknowledgements and the timer loop
+	// live in the client's one flow table, in the order they started: the
+	// read loop advances them on their acknowledgements and the timer loop
 	// re-sends the ones that went unanswered. 1 restores strictly serial
 	// stop-and-wait publishing. Defaults to 16.
 	InflightWindow int
@@ -74,64 +74,40 @@ type ClientConfig struct {
 // MessageHandler receives inbound publications.
 type MessageHandler func(topic string, payload []byte)
 
-// flowState is where an acknowledged exchange stands. The publish states
-// come first: a flow in one of them holds a window slot.
-type flowState uint8
-
-const (
-	awaitPuback   flowState = iota // QoS 1: PUBLISH sent
-	awaitPubrec                    // QoS 2: PUBLISH sent
-	awaitPubcomp                   // QoS 2: PUBREC received, PUBREL sent
-	awaitConnack                   // CONNECT sent
-	awaitRegack                    // REGISTER sent
-	awaitSuback                    // SUBSCRIBE sent
-	awaitUnsuback                  // UNSUBSCRIBE sent
-)
-
-// awaited is the acknowledgement each state waits for.
-var awaited = [...]MsgType{
-	awaitPuback:   PUBACK,
-	awaitPubrec:   PUBREC,
-	awaitPubcomp:  PUBCOMP,
-	awaitConnack:  CONNACK,
-	awaitRegack:   REGACK,
-	awaitSuback:   SUBACK,
-	awaitUnsuback: UNSUBACK,
-}
-
-// flow is one acknowledged exchange in flight: a QoS 1 or QoS 2 publish
-// handshake, or a CONNECT, REGISTER, SUBSCRIBE or UNSUBSCRIBE. It lives in
-// the client's in-flight table and is read and written only under
-// Client.mu; whoever removes it from the table completes it, so each flow
-// completes exactly once.
-type flow struct {
-	pub      Publish // re-sent with DUP until the first acknowledgement
-	rel      Pubrel
-	req      Packet         // a control request, re-sent as is (SUBSCRIBE with DUP)
-	handler  MessageHandler // a SUBSCRIBE's handler, installed on its SUBACK
-	state    flowState
-	lastSent time.Time
-	retries  int
-	done     func(error)
-}
-
-// packet is what the flow re-sends when its acknowledgement is late.
-func (f *flow) packet() Packet {
-	switch {
-	case f.req != nil:
-		return f.req
-	case f.state == awaitPubcomp:
-		return &f.rel
-	}
-	return &f.pub
-}
-
-// completion is a finished flow's callback and outcome, reported outside
-// Client.mu. A publish flow also gives back its window slot.
-type completion struct {
+// clientFlow is what a flow in the client's table holds. Whoever removes
+// the flow from the table completes it, so each flow completes exactly
+// once.
+type clientFlow struct {
+	pub     Publish        // a publish flow's PUBLISH, re-sent with DUP until its first acknowledgement
+	req     Packet         // a control request, re-sent as is (SUBSCRIBE with DUP); nil for a publish
+	handler MessageHandler // a SUBSCRIBE's handler, installed on its SUBACK
 	done    func(error)
-	err     error
-	publish bool
+	// serial tells the flow from a later one that reuses its msgID after
+	// the counter wraps.
+	serial uint64
+}
+
+// packet is the flow's request, or its PUBLISH.
+func (cf *clientFlow) packet() Packet {
+	if cf.req != nil {
+		return cf.req
+	}
+	return &cf.pub
+}
+
+// completion is a finished flow and its outcome, reported outside
+// Client.mu.
+type completion struct {
+	f   clientFlow
+	err error
+}
+
+// outgoing is a flow's packet, marshalled under Client.mu and written
+// once mu is released.
+type outgoing struct {
+	msgID  uint16
+	serial uint64
+	bufp   *[]byte
 }
 
 // Client is an MQTT-SN client (the device side of ProvLight's transport).
@@ -141,17 +117,14 @@ type Client struct {
 	conn   net.PacketConn
 	gwAddr net.Addr
 
-	mu           sync.Mutex
-	msgID        uint16 // the last msgID handed out
-	connected    bool
-	closed       bool
-	topicIDs     map[string]uint16 // topic name -> registered id
-	topicName    map[uint16]string // reverse map (incl. broker REGISTERs)
-	subs         map[string]MessageHandler
-	inbound2     map[uint16][]byte // inbound QoS2 msgID -> payload pending PUBREL
-	inbound2Reap uint16            // the newest fresh inbound QoS2 msgID at the last reap
-	lastSend     time.Time
-	lastRecv     time.Time // last packet from the gateway (liveness)
+	mu        sync.Mutex
+	connected bool
+	closed    bool
+	topicIDs  map[string]uint16 // topic name -> registered id
+	topicName map[uint16]string // reverse map (incl. broker REGISTERs)
+	subs      map[string]MessageHandler
+	lastSend  time.Time
+	lastRecv  time.Time // last packet from the gateway (liveness)
 
 	// Stats counts protocol activity (used by tests and the evaluation).
 	stats ClientStats
@@ -160,10 +133,13 @@ type Client struct {
 	// PublishAsync handshake.
 	window chan struct{}
 
-	// flows is the in-flight table (msgID -> exchange; CONNECT is msgID 0),
-	// and freeFlows recycles finished entries. Guarded by mu.
-	flows     map[uint16]*flow
-	freeFlows []*flow
+	// flows is the in-flight table, in enqueue order; inbound holds the
+	// inbound QoS 2 flows until their PUBREL. serial numbers the flows
+	// started, and rel is the PUBREL marshalled last. Guarded by mu.
+	flows   Flows[clientFlow]
+	inbound Inbound2[inboundMsg]
+	serial  uint64
+	rel     Pubrel
 
 	// downNotified ensures OnDisconnect fires at most once. Guarded by mu.
 	downNotified bool
@@ -228,9 +204,8 @@ func NewClient(cfg ClientConfig) (*Client, error) {
 		topicIDs:  map[string]uint16{},
 		topicName: map[uint16]string{},
 		subs:      map[string]MessageHandler{},
-		inbound2:  map[uint16][]byte{},
 		window:    make(chan struct{}, cfg.InflightWindow),
-		flows:     map[uint16]*flow{},
+		flows:     Flows[clientFlow]{RetryInterval: cfg.RetryInterval, MaxRetries: cfg.MaxRetries},
 		done:      make(chan struct{}),
 	}
 	c.wg.Add(2)
@@ -251,17 +226,6 @@ func (c *Client) Stats() ClientStats {
 // pinned at capacity means the sender is window-limited.
 func (c *Client) WindowOccupancy() (inFlight, capacity int) {
 	return len(c.window), cap(c.window)
-}
-
-// freeMsgIDLocked returns the next msgID no flow holds, skipping 0, which
-// is CONNECT's. Callers hold mu.
-func (c *Client) freeMsgIDLocked() uint16 {
-	for {
-		c.msgID++
-		if c.msgID != 0 && c.flows[c.msgID] == nil {
-			return c.msgID
-		}
-	}
 }
 
 func (c *Client) send(p Packet) error { return c.write(marshal(p)) }
@@ -292,34 +256,49 @@ func (c *Client) write(bufp *[]byte) error {
 // exchange runs one control request as a flow in the in-flight table: it
 // builds the request for the flow's msgID, transmits it, and waits until
 // the acknowledgement, the sweep or Close completes the flow. CONNECT
-// takes msgID 0, which freeMsgIDLocked never hands out.
-func (c *Client) exchange(state flowState, handler MessageHandler, build func(msgID uint16) Packet) error {
+// takes msgID 0, which no other flow is given.
+func (c *Client) exchange(await MsgType, handler MessageHandler, build func(msgID uint16) Packet) error {
 	errc := make(chan error, 1)
 	c.mu.Lock()
-	var msgID uint16
 	switch {
 	case c.closed:
 		c.mu.Unlock()
 		return ErrClosed
-	case state != awaitConnack:
-		msgID = c.freeMsgIDLocked()
-	case c.flows[0] != nil:
+	case await == CONNACK && c.flows.Index(0) >= 0:
 		c.mu.Unlock()
 		return errors.New("mqttsn: connect already in progress")
 	}
-	f := c.newFlowLocked()
-	f.req = build(msgID)
-	f.handler = handler
-	f.state = state
-	f.lastSent = time.Now()
-	f.done = func(err error) { errc <- err }
-	c.flows[msgID] = f
-	bufp := marshal(f.req)
+	out := c.startLocked(await, clientFlow{handler: handler, done: func(err error) { errc <- err }}, build)
 	c.mu.Unlock()
-	if err := c.write(bufp); err != nil {
-		c.fail(msgID, f, err)
-	}
+	c.flush(out)
 	return <-errc
+}
+
+// startLocked adds a flow awaiting await that holds cf to the table and
+// marshals its first packet: the request build makes for the flow's
+// msgID, or, without build, cf's PUBLISH under that msgID. Marshalling
+// under mu matters: once mu is released an acknowledgement or Close may
+// complete the flow, and a publisher may then reuse its payload. Callers
+// hold mu.
+func (c *Client) startLocked(await MsgType, cf clientFlow, build func(msgID uint16) Packet) outgoing {
+	f := c.flows.Add(await, time.Now())
+	c.serial++
+	cf.serial, cf.pub.MsgID = c.serial, f.MsgID
+	if build != nil {
+		cf.req = build(f.MsgID)
+	}
+	f.Payload = cf
+	return outgoing{f.MsgID, cf.serial, marshal(f.Payload.packet())}
+}
+
+// flush writes the packets of out and fails the flow of each one the
+// socket refused.
+func (c *Client) flush(out ...outgoing) {
+	for _, o := range out {
+		if err := c.write(o.bufp); err != nil {
+			c.fail(o.msgID, o.serial, err)
+		}
+	}
 }
 
 // Connect establishes the session.
@@ -328,7 +307,7 @@ func (c *Client) Connect() error {
 	if keepalive == 0 {
 		keepalive = 1
 	}
-	return c.exchange(awaitConnack, nil, func(uint16) Packet {
+	return c.exchange(CONNACK, nil, func(uint16) Packet {
 		return &Connect{Flags: Flags{CleanSession: c.cfg.CleanSession}, Duration: keepalive, ClientID: c.cfg.ClientID}
 	})
 }
@@ -345,7 +324,7 @@ func (c *Client) RegisterTopic(topic string) (uint16, error) {
 	if !connected {
 		return 0, ErrNotConnected
 	}
-	err := c.exchange(awaitRegack, nil, func(msgID uint16) Packet {
+	err := c.exchange(REGACK, nil, func(msgID uint16) Packet {
 		return &Register{MsgID: msgID, TopicName: topic}
 	})
 	if err != nil {
@@ -422,112 +401,83 @@ func (c *Client) PublishAsync(topic string, payload []byte, qos QoS, done func(e
 		done(err)
 		return
 	}
-	msgID := c.freeMsgIDLocked()
-	f := c.newFlowLocked()
-	f.pub = Publish{Flags: Flags{QoS: qos}, TopicID: topicID, MsgID: msgID, Data: payload}
-	f.state = awaitPuback
-	if qos == QoS2 {
-		f.state = awaitPubrec
-	}
-	f.lastSent = time.Now()
-	f.done = done
-	c.flows[msgID] = f
-	// Marshal under mu: as soon as mu is released an acknowledgement or
-	// Close may complete the flow, and the caller may then reuse payload.
-	bufp := marshal(&f.pub)
+	out := c.startLocked(PublishAwaits(qos), clientFlow{pub: Publish{Flags: Flags{QoS: qos}, TopicID: topicID, Data: payload}, done: done}, nil)
 	c.mu.Unlock()
-	if err := c.write(bufp); err != nil {
-		c.fail(msgID, f, err)
-	}
-}
-
-// newFlowLocked takes a recycled flow or allocates one. Callers hold mu.
-func (c *Client) newFlowLocked() *flow {
-	if n := len(c.freeFlows); n > 0 {
-		f := c.freeFlows[n-1]
-		c.freeFlows = c.freeFlows[:n-1]
-		return f
-	}
-	return &flow{}
-}
-
-// finishLocked removes a flow from the in-flight table, recycles it and
-// returns its completion, which the caller reports once mu is released.
-// Callers hold mu.
-func (c *Client) finishLocked(msgID uint16, f *flow, err error) completion {
-	delete(c.flows, msgID)
-	cm := completion{done: f.done, err: err, publish: f.state <= awaitPubcomp}
-	*f = flow{}
-	c.freeFlows = append(c.freeFlows, f)
-	return cm
+	c.flush(out)
 }
 
 // report releases a finished publish flow's window slot and calls the
 // flow's callback.
 func (c *Client) report(cm completion) {
-	if cm.publish {
+	if cm.f.req == nil {
 		<-c.window
 	}
-	cm.done(cm.err)
+	cm.f.done(cm.err)
 }
 
-// fail completes flow f with err, unless it has completed already.
-func (c *Client) fail(msgID uint16, f *flow, err error) {
+// fail completes the flow of msgID with err, unless it has completed
+// already: serial tells it from a later flow that reused the msgID.
+func (c *Client) fail(msgID uint16, serial uint64, err error) {
+	var failed []completion
 	c.mu.Lock()
-	if c.flows[msgID] != f {
-		c.mu.Unlock()
-		return
-	}
-	cm := c.finishLocked(msgID, f, err)
+	c.flows.DeleteFunc(func(f Flow[clientFlow]) bool {
+		if f.MsgID != msgID || f.Payload.serial != serial {
+			return false
+		}
+		failed = append(failed, completion{f.Payload, err})
+		return true
+	})
 	c.mu.Unlock()
-	c.report(cm)
+	for _, cm := range failed {
+		c.report(cm)
+	}
 }
 
 // advance moves a flow along on an acknowledgement from the gateway. A
-// QoS 2 flow answers its PUBREC with a PUBREL; every other awaited
-// acknowledgement completes its flow, once settle has applied it to the
-// client's state, so the caller never wakes before that state is in place.
-// A PUBACK carrying a rejection fails a publish at either QoS, since the
-// gateway refuses a PUBLISH that way. An ack that matches no flow in the
-// state it expects (a duplicate, or one that arrived after the flow ended)
-// is dropped, and so is every ack once the client is closing: Close fails
-// what is left.
+// PUBREC holds its QoS 2 flow and sends the PUBRELs the table releases, in
+// enqueue order. Every other awaited acknowledgement completes its flow,
+// once settle has applied it to the client's state, so the caller never
+// wakes before that state is in place. A PUBACK carrying a rejection
+// fails a publish at either QoS, since the gateway refuses a PUBLISH that
+// way. An ack that matches no flow awaiting it (a duplicate, or one that
+// arrived after the flow ended) is dropped, and so is every ack once the
+// client is closing: Close fails what is left.
 func (c *Client) advance(typ MsgType, msgID, topicID uint16, code ReturnCode) {
-	var rel *[]byte
+	var obuf [4]outgoing
+	out := obuf[:0]
 	var cm completion
 	c.mu.Lock()
-	f := c.flows[msgID]
-	switch {
-	case f == nil || c.closed:
-	case typ == PUBACK && code != Accepted && f.state <= awaitPubrec:
-		cm = c.finishLocked(msgID, f, fmt.Errorf("mqttsn: publish rejected: %s", code))
-	case typ != awaited[f.state]:
-	case typ == PUBREC:
-		f.state = awaitPubcomp
-		f.retries = 0
-		f.lastSent = time.Now()
-		f.rel.MsgID = msgID
-		rel = marshal(&f.rel)
-	default:
-		cm = c.finishLocked(msgID, f, c.settleLocked(f, topicID, code))
-	}
-	c.mu.Unlock()
-	if rel != nil {
-		if err := c.write(rel); err != nil {
-			c.fail(msgID, f, err)
+	if !c.closed {
+		f, step := c.flows.Advance(typ, msgID, code)
+		switch step {
+		case Release:
+			var rbuf [4]Flow[clientFlow]
+			for _, r := range c.flows.Releasable(time.Now(), rbuf[:0]) {
+				c.rel.MsgID = r.MsgID
+				out = append(out, outgoing{r.MsgID, r.Payload.serial, marshal(&c.rel)})
+			}
+		case Completed:
+			cm = completion{f.Payload, c.settleLocked(&f.Payload, topicID, code)}
 		}
 	}
-	if cm.done != nil {
+	c.mu.Unlock()
+	c.flush(out...)
+	if cm.f.done != nil {
 		c.report(cm)
 	}
 }
 
 // settleLocked applies a flow's final acknowledgement to the client's
-// state and returns the flow's outcome: CONNACK marks the client
-// connected, REGACK installs the topic id, SUBACK the handler, and
-// UNSUBACK removes the subscription. Callers hold mu.
-func (c *Client) settleLocked(f *flow, topicID uint16, code ReturnCode) error {
+// state and returns the flow's outcome: a publish fails on a refusal,
+// CONNACK marks the client connected, REGACK installs the topic id,
+// SUBACK the handler, and UNSUBACK removes the subscription. Callers hold
+// mu.
+func (c *Client) settleLocked(f *clientFlow, topicID uint16, code ReturnCode) error {
 	switch r := f.req.(type) {
+	case nil:
+		if code != Accepted {
+			return fmt.Errorf("mqttsn: publish rejected: %s", code)
+		}
 	case *Connect:
 		switch code {
 		case Accepted:
@@ -594,45 +544,43 @@ func (c *Client) timerLoop() {
 }
 
 // sweep re-sends every flow whose last packet went unanswered for
-// RetryInterval (a PUBLISH or SUBSCRIBE with DUP set, a PUBREL, or another
-// control request as it was) and fails, with ErrTimeout, every flow that
-// has already been re-sent MaxRetries times.
+// RetryInterval and fails, with ErrTimeout, every flow that has already
+// been re-sent MaxRetries times, both in enqueue order.
 func (c *Client) sweep(now time.Time) {
-	type resend struct {
-		msgID uint16
-		f     *flow
-		bufp  *[]byte
-	}
-	var resends []resend
-	var failed []completion
 	c.mu.Lock()
-	for msgID, f := range c.flows {
-		if now.Sub(f.lastSent) < c.cfg.RetryInterval {
-			continue
-		}
-		p := f.packet()
-		if f.retries >= c.cfg.MaxRetries {
-			failed = append(failed, c.finishLocked(msgID, f, fmt.Errorf("%w: %s", ErrTimeout, p.Type())))
-			continue
-		}
-		f.retries++
-		f.lastSent = now
-		f.pub.Flags.DUP = true
-		if s, ok := p.(*Subscribe); ok {
-			s.Flags.DUP = true
-		}
+	resend, gone := c.flows.Due(now, nil, nil)
+	var out []outgoing
+	for i := range resend {
+		f := &resend[i]
 		c.stats.Retransmissions++
-		resends = append(resends, resend{msgID, f, marshal(p)})
+		out = append(out, outgoing{f.MsgID, f.Payload.serial, marshal(c.resendPacketLocked(f))})
+	}
+	var failed []completion
+	for i := range gone {
+		p := c.resendPacketLocked(&gone[i])
+		failed = append(failed, completion{gone[i].Payload, fmt.Errorf("%w: %s", ErrTimeout, p.Type())})
 	}
 	c.mu.Unlock()
-	for _, r := range resends {
-		if err := c.write(r.bufp); err != nil {
-			c.fail(r.msgID, r.f, err)
-		}
-	}
+	c.flush(out...)
 	for _, cm := range failed {
 		c.report(cm)
 	}
+}
+
+// resendPacketLocked is the packet a due flow re-sends: its PUBLISH with
+// DUP set, its PUBREL, or its request (a SUBSCRIBE with DUP set). f is a
+// copy of the flow, or, for a PUBREL, the packet is Client.rel, so it must
+// be marshalled before mu is released.
+func (c *Client) resendPacketLocked(f *Flow[clientFlow]) Packet {
+	if f.Await == PUBCOMP {
+		c.rel.MsgID = f.MsgID
+		return &c.rel
+	}
+	f.Payload.pub.Flags.DUP = true
+	if s, ok := f.Payload.req.(*Subscribe); ok {
+		s.Flags.DUP = true
+	}
+	return f.Payload.packet()
 }
 
 // keepalive checks a connected session's liveness at now. A gateway that
@@ -671,14 +619,14 @@ func (c *Client) keepalive(now time.Time, interval time.Duration, pinged time.Ti
 // handler runs on the client's read goroutine; long work should be handed
 // off to another goroutine.
 func (c *Client) Subscribe(topic string, qos QoS, handler MessageHandler) error {
-	return c.exchange(awaitSuback, handler, func(msgID uint16) Packet {
+	return c.exchange(SUBACK, handler, func(msgID uint16) Packet {
 		return &Subscribe{Flags: Flags{QoS: qos}, MsgID: msgID, TopicName: topic}
 	})
 }
 
 // Unsubscribe removes a subscription.
 func (c *Client) Unsubscribe(topic string) error {
-	return c.exchange(awaitUnsuback, nil, func(msgID uint16) Packet {
+	return c.exchange(UNSUBACK, nil, func(msgID uint16) Packet {
 		return &Unsubscribe{MsgID: msgID, TopicName: topic}
 	})
 }
@@ -756,12 +704,13 @@ func (c *Client) Close() {
 	c.conn.Close()
 	c.wg.Wait()
 	// The loops have stopped and closed admits no new flow: fail what is
-	// left in the table.
+	// left in the table, in enqueue order.
+	var failed []completion
 	c.mu.Lock()
-	failed := make([]completion, 0, len(c.flows))
-	for msgID, f := range c.flows {
-		failed = append(failed, c.finishLocked(msgID, f, ErrClosed))
-	}
+	c.flows.DeleteFunc(func(f Flow[clientFlow]) bool {
+		failed = append(failed, completion{f.Payload, ErrClosed})
+		return true
+	})
 	c.mu.Unlock()
 	for _, cm := range failed {
 		c.report(cm)
@@ -871,12 +820,7 @@ func (c *Client) dispatch(pkt Packet) {
 		c.handleInboundPublish(p)
 	case *Pubrel:
 		c.mu.Lock()
-		payload, ok := c.inbound2[p.MsgID]
-		delete(c.inbound2, p.MsgID)
-		var topic string
-		if ok {
-			topic = c.topicName[u16FromPayload(payload)]
-		}
+		in, ok := c.inbound.Release(p.MsgID)
 		c.mu.Unlock()
 		// Deliver BEFORE acknowledging the release, like the QoS 1
 		// deliver-before-PUBACK path: once the broker sees our PUBCOMP
@@ -885,7 +829,7 @@ func (c *Client) dispatch(pkt Packet) {
 		// acked-but-undelivered frame would let a migration cut ahead
 		// of it and break per-topic ordering.
 		if ok {
-			c.deliver(topic, payload[2:])
+			c.deliver(in.topic, in.data)
 		}
 		_ = c.send(&Pubcomp{msgIDOnly{MsgID: p.MsgID}})
 	case *Disconnect:
@@ -896,16 +840,11 @@ func (c *Client) dispatch(pkt Packet) {
 	}
 }
 
-// inbound QoS2 storage packs the topic id in front of the payload so the
-// topic survives until PUBREL.
-func packInbound(topicID uint16, data []byte) []byte {
-	out := make([]byte, 2+len(data))
-	out[0], out[1] = byte(topicID>>8), byte(topicID)
-	copy(out[2:], data)
-	return out
+// inboundMsg is an inbound QoS 2 message held until its PUBREL.
+type inboundMsg struct {
+	topic string
+	data  []byte
 }
-
-func u16FromPayload(b []byte) uint16 { return uint16(b[0])<<8 | uint16(b[1]) }
 
 func (c *Client) handleInboundPublish(p *Publish) {
 	c.mu.Lock()
@@ -919,10 +858,7 @@ func (c *Client) handleInboundPublish(p *Publish) {
 		_ = c.send(&Puback{TopicID: p.TopicID, MsgID: p.MsgID, ReturnCode: Accepted})
 	case QoS2:
 		c.mu.Lock()
-		if _, dup := c.inbound2[p.MsgID]; !dup {
-			c.inbound2[p.MsgID] = packInbound(p.TopicID, p.Data)
-			ReapInbound2(c.inbound2, &c.inbound2Reap, p.MsgID)
-		}
+		c.inbound.Receive(p.MsgID, inboundMsg{topic, p.Data})
 		c.mu.Unlock()
 		_ = c.send(&Pubrec{msgIDOnly{MsgID: p.MsgID}})
 	}

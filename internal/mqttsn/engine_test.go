@@ -3,6 +3,7 @@ package mqttsn_test
 import (
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"net"
 	"net/netip"
 	"runtime"
@@ -681,5 +682,96 @@ func TestInboundQoS2AbandonedMsgIDReused(t *testing.T) {
 	case p := <-got:
 		t.Errorf("delivered %q after \"new\"", p)
 	case <-time.After(100 * time.Millisecond):
+	}
+}
+
+// TestInboundQoS2LateDuplicateAfterPubrel: a DUP PUBLISH that arrives
+// after its PUBREL, followed by the gateway re-sending the PUBREL (its
+// PUBCOMP was lost), is acknowledged again but delivered only once.
+func TestInboundQoS2LateDuplicateAfterPubrel(t *testing.T) {
+	g := startFakeGateway(t)
+	c := dialClient(t, g, mqttsn.ClientConfig{RetryInterval: 10 * time.Second})
+	if err := c.Connect(); err != nil {
+		t.Fatal(err)
+	}
+	got := make(chan string, 16)
+	if err := c.Subscribe("e/in", mqttsn.QoS2, func(_ string, payload []byte) {
+		got <- string(payload)
+	}); err != nil {
+		t.Fatal(err)
+	}
+	const m = 7
+	rel := &mqttsn.Pubrel{}
+	rel.MsgID = m
+	g.send(t, &mqttsn.Publish{Flags: mqttsn.Flags{QoS: mqttsn.QoS2}, TopicID: subTopicID, MsgID: m, Data: []byte("once")})
+	g.send(t, rel)
+	g.send(t, &mqttsn.Publish{Flags: mqttsn.Flags{QoS: mqttsn.QoS2, DUP: true}, TopicID: subTopicID, MsgID: m, Data: []byte("once")})
+	g.send(t, rel)
+	select {
+	case p := <-got:
+		if p != "once" {
+			t.Fatalf("delivered %q, want \"once\"", p)
+		}
+	case <-time.After(3 * time.Second):
+		t.Fatal("PUBREL delivered nothing")
+	}
+	deadline := time.After(200 * time.Millisecond)
+	for n := 1; ; {
+		select {
+		case <-got:
+			n++
+			t.Errorf("delivered %d times, want once", n)
+		case <-deadline:
+			return
+		}
+	}
+}
+
+// TestResendAndCloseInSendOrder: unanswered publishes are re-sent in the
+// order they were sent, and Close fails them in that order.
+func TestResendAndCloseInSendOrder(t *testing.T) {
+	g := startFakeGateway(t)
+	const n = 16
+	c := engineClient(t, g, mqttsn.ClientConfig{RetryInterval: 100 * time.Millisecond, MaxRetries: 100, InflightWindow: n})
+	var mu sync.Mutex
+	var failed []int
+	for i := 0; i < n; i++ {
+		c.PublishAsync("e/t", []byte{byte(i)}, mqttsn.QoS1, func(err error) {
+			if !errors.Is(err, mqttsn.ErrClosed) {
+				t.Errorf("publish %d: outcome %v, want ErrClosed", i, err)
+			}
+			mu.Lock()
+			failed = append(failed, i)
+			mu.Unlock()
+		})
+	}
+	var pkts []gwPacket
+	for deadline := time.Now().Add(5 * time.Second); len(pkts) < 2*n; pkts = g.packets() {
+		if time.Now().After(deadline) {
+			t.Fatalf("gateway saw %d PUBLISHes, want %d sends and as many re-sends", len(pkts), n)
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+	c.Close()
+	var sent, resent []uint16
+	for _, p := range pkts[:2*n] {
+		if p.dup {
+			resent = append(resent, p.msgID)
+		} else {
+			sent = append(sent, p.msgID)
+		}
+	}
+	if fmt.Sprint(resent) != fmt.Sprint(sent) {
+		t.Errorf("re-sent %v, want the send order %v", resent, sent)
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	for i, p := range failed {
+		if p != i {
+			t.Fatalf("Close failed publishes in the order %v, want send order", failed)
+		}
+	}
+	if len(failed) != n {
+		t.Fatalf("Close failed %d publishes, want %d", len(failed), n)
 	}
 }

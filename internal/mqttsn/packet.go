@@ -4,9 +4,12 @@
 // exactly once").
 //
 // The package provides packet-level encoding/decoding for the messages the
-// pipeline exchanges and a gateway client with QoS -1/0/1/2 publish flows,
-// topic registration, subscriptions, and keepalive. Last-will messages
-// are not supported: their packets are not decoded, and the broker
+// pipeline exchanges, the flow engine both ends of a hop drive (Flows, the
+// outbound QoS 1/2 and control exchanges in flight, and Inbound2, the
+// inbound QoS 2 flows: one state machine for the broker session and the
+// client), and a gateway client with QoS -1/0/1/2 publish flows, topic
+// registration, subscriptions, and keepalive. Last-will messages are not
+// supported: their packets are not decoded, and the broker
 // (internal/broker) refuses a CONNECT that asks for one.
 package mqttsn
 
