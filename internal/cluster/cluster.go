@@ -430,7 +430,7 @@ func (c *Cluster) Leave(ctx context.Context, id string) error {
 //     loses its live forwarding paths too and demotes itself.
 //  3. Takeover: the dead node's partitions pause on the survivors; each
 //     survivor tears down its link to the dead node and harvests the
-//     retained unacked + queued frames, prepending them (in send order)
+//     kept unacknowledged + queued frames, prepending them (in send order)
 //     to its forwarding buffer for redelivery to the new owners.
 //  4. Switch + flush new-owners-first, exactly like migrate step 4.
 //
@@ -439,7 +439,7 @@ func (c *Cluster) Leave(ctx context.Context, id string) error {
 // at-least-once per moved flow; QoS 2 end-to-end dedup (device spool +
 // store target dedup) restores exactly-once above it. Per-link
 // send order is preserved; interleaving ACROSS surviving forwarders is
-// not (each survivor redelivers its own retained frames independently).
+// not (each survivor redelivers its own kept frames independently).
 func (c *Cluster) Remove(id string) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -497,11 +497,7 @@ func (c *Cluster) removeLocked(id string) error {
 	}
 	for _, n := range nodes {
 		if harvested := n.harvestLink(id); len(harvested) > 0 {
-			buf := make([]bufFrame, 0, len(harvested))
-			for _, qf := range harvested {
-				buf = append(buf, bufFrame{part: qf.part, f: qf.f})
-			}
-			n.prependBuffer(buf)
+			n.prependBuffer(harvested)
 			n.takeoverRedelivered.Add(uint64(len(harvested)))
 			c.logf("cluster: %s redelivering %d retained frames for partitions of %s", n.id, len(harvested), id)
 		}

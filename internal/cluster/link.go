@@ -15,48 +15,39 @@ import (
 // routing never echoes frames back), carrying two flows:
 //
 //   - outbound publishes: frames this node releases for partitions the
-//     peer owns, forwarded at the frame's original QoS (QoS 2 from
-//     memory-mode devices, QoS 1 from spooled ones) through a single
-//     runner, so one link's frames leave in submission order and the peer
-//     routes each as its PUBLISH arrives: per-topic order holds end to
-//     end on a loss-free link, and a lost PUBLISH is overtaken by the
-//     frames behind it;
+//     peer owns, each in its own PUBLISH at the frame's original QoS
+//     (QoS 2 from memory-mode devices, QoS 1 from spooled ones), sent in
+//     submission order through an mqttsn.Outbox; the peer routes each as
+//     its PUBLISH arrives, so per-topic order holds end to end on a
+//     loss-free link, and a lost PUBLISH is overtaken by the frames
+//     behind it;
 //   - inbound subscriptions: the node's propagated individual filters,
 //     delivered by the peer when IT releases a matching frame and
 //     re-injected into the local broker for local subscribers only.
 //
 // The link's session is supervised (mqttsn.Session), each dial stamping
-// the node's current epoch into the bridge client id. Frames are
-// RETAINED in an ordered unacked table until their QoS handshake
-// completes — a failed handshake does not count the frame lost, it keeps
-// it for replay on the next session (at-least-once across a link outage;
-// per-topic order preserved because replay is in submission order and
-// newer frames only leave the queue after replay finishes). Two exits
-// are terminal: the link being closed, and the peer refusing the dial
-// with RejectedInvalidID — the membership gate's verdict that this node
-// has been fenced out, which demotes the whole node.
+// the node's current epoch into the bridge client id. The outbox keeps
+// every frame until its QoS handshake completes and re-sends the kept
+// ones, in send order and through the window, at the start of the next
+// session (at-least-once across a link outage, per-topic order kept).
+// Two exits are terminal: the link being closed, and the peer refusing
+// the dial with RejectedInvalidID — the membership gate's verdict that
+// this node has been fenced out, which demotes the whole node.
 type link struct {
 	n       *Node
 	peer    string
 	session *mqttsn.Session
+	out     *mqttsn.Outbox[bufFrame]
 
-	q    chan queuedFrame
 	done chan struct{}
 	once sync.Once
-	wg   sync.WaitGroup
 
 	ready     chan struct{} // closed once the first session is set up
 	readyOnce sync.Once
 
-	mu      sync.Mutex
-	nextSeq uint64
-	// unacked is the retained table: every frame sent and not yet
-	// released, in send order, so its seqs are consecutive. A frame whose
-	// handshake completes ahead of older ones is marked settled and
-	// popped once everything before it has settled too.
-	unacked []retainedFrame
-	fenced  bool
-	epoch   uint64 // epoch stamped into the current session's client id
+	mu     sync.Mutex
+	fenced bool
+	epoch  uint64 // epoch stamped into the current session's client id
 
 	// hbBusy suppresses heartbeat pile-up: at most one heartbeat publish
 	// in flight per link, so a wedged window can't leak goroutines.
@@ -83,28 +74,16 @@ const (
 	LinkFenced LinkState = "fenced"
 )
 
-type queuedFrame struct {
-	part int
-	f    broker.ForwardFrame
-}
-
-// retainedFrame is a sent frame in the retained table.
-type retainedFrame struct {
-	queuedFrame
-	seq     uint64
-	settled bool
-}
-
 // newLink starts a supervised link; the first dial happens on the
 // session's goroutine, so construction never blocks and never fails.
 func newLink(n *Node, peer, addr string) *link {
 	l := &link{
 		n:     n,
 		peer:  peer,
-		q:     make(chan queuedFrame, linkQueue),
 		done:  make(chan struct{}),
 		ready: make(chan struct{}),
 	}
+	l.out = mqttsn.NewOutbox(linkQueue, packFrame, l.released)
 	cfg := n.c.cfg
 	var dialEpoch uint64 // read and written only on the session's goroutine
 	l.session = mqttsn.NewSession(mqttsn.SessionConfig{
@@ -131,11 +110,7 @@ func newLink(n *Node, peer, addr string) *link {
 			l.readyOnce.Do(func() { close(l.ready) })
 			return nil
 		},
-		Serve: func(mc *mqttsn.Client, down <-chan struct{}) {
-			if l.replay(mc) {
-				l.pump(mc, down)
-			}
-		},
+		Serve:       l.out.Serve,
 		Backoff:     resilience.Backoff{Min: 50 * time.Millisecond, Max: 2 * time.Second},
 		OnDialError: l.dialFailed,
 	})
@@ -157,99 +132,37 @@ func (l *link) dialFailed(attempt int, err error) error {
 	return err
 }
 
-// replay re-publishes the retained unacked frames in send order on a
-// fresh session, serially, before any queued frame may follow — that is
-// what preserves per-topic order across a link outage. A frame whose
-// original handshake actually completed at the peer is published twice;
-// the at-least-once degradation is absorbed downstream (QoS 2 / store
-// dedup). Returns false if the session died mid-replay.
-func (l *link) replay(mc *mqttsn.Client) bool {
-	l.mu.Lock()
-	frames := l.retainedLocked()
-	l.mu.Unlock()
-	if len(frames) == 0 {
-		return true
-	}
-	l.n.c.logf("cluster: %s->%s: replaying %d retained frame(s)", l.n.id, l.peer, len(frames))
-	for _, rf := range frames {
-		if err := mc.Publish(rf.f.Topic, rf.f.Payload, rf.f.QoS); err != nil {
-			l.n.c.logf("cluster: %s->%s: replay %q: %v", l.n.id, l.peer, rf.f.Topic, err)
-			return false
-		}
-		l.settle(rf.seq, rf.part)
-	}
-	return true
+// packFrame sends each frame in a PUBLISH of its own, at the QoS it
+// arrived with.
+func packFrame(queue []bufFrame) (int, mqttsn.Message, error) {
+	f := queue[0].f
+	return 1, mqttsn.Message{Topic: f.Topic, Payload: f.Payload, QoS: f.QoS}, nil
 }
 
-// pump is the submission loop for one session: PublishAsync transmits
-// each initial PUBLISH before returning, so frames hit the wire in queue
-// order; completion callbacks (which may run out of order) settle the
-// unacked table. A failed completion leaves its frame retained and closes
-// the client, which ends the session (down closes) for a redial.
-func (l *link) pump(mc *mqttsn.Client, down <-chan struct{}) {
-	for {
-		select {
-		case <-down:
-			return
-		case qf := <-l.q:
-			l.mu.Lock()
-			seq := l.nextSeq
-			l.nextSeq++
-			l.unacked = append(l.unacked, retainedFrame{queuedFrame: qf, seq: seq})
-			l.mu.Unlock()
-			l.wg.Add(1)
-			mc.PublishAsync(qf.f.Topic, qf.f.Payload, qf.f.QoS, func(err error) {
-				defer l.wg.Done()
-				if err != nil {
-					// Retained for replay; no pending release, no loss count.
-					l.n.c.logf("cluster: %s->%s: forward %q: %v (retained for replay)", l.n.id, l.peer, qf.f.Topic, err)
-					// Not from the callback itself, which may run on the
-					// client's own loops.
-					go mc.Close()
-					return
-				}
-				l.settle(seq, qf.part)
-			})
+// released settles frames the outbox let go: their forward hop
+// completed, or (err set) no session can carry them, which loses them.
+func (l *link) released(frames []bufFrame, _ mqttsn.Message, err error) {
+	for _, qf := range frames {
+		if err != nil {
+			l.n.linkLost.Add(1)
+			l.n.c.logf("cluster: %s->%s: forward %q: %v (lost)", l.n.id, l.peer, qf.f.Topic, err)
 		}
-	}
-}
-
-// settle marks one frame's handshake complete: out of the retained
-// table, pending counter released. Idempotent versus a replay that
-// raced a late completion.
-func (l *link) settle(seq uint64, part int) {
-	l.mu.Lock()
-	ok := false
-	if len(l.unacked) > 0 {
-		// Seqs are consecutive from the front; an older seq wraps past
-		// the end.
-		if i := seq - l.unacked[0].seq; i < uint64(len(l.unacked)) && !l.unacked[i].settled {
-			l.unacked[i].settled = true
-			ok = true
-		}
-	}
-	for len(l.unacked) > 0 && l.unacked[0].settled {
-		l.unacked[0] = retainedFrame{}
-		l.unacked = l.unacked[1:]
-	}
-	l.mu.Unlock()
-	if ok {
-		l.n.decPending(part)
+		l.n.decPending(qf.part)
 	}
 }
 
 // fence handles the terminal RejectedInvalidID dial: this node is no
-// longer a member. The retained frames are discarded (their partitions'
-// new owners serve the streams now; redelivering from a fenced node is
-// exactly the fork fencing exists to prevent) and the node demotes.
+// longer a member. The kept and queued frames are discarded (their
+// partitions' new owners serve the streams now; redelivering from a
+// fenced node is exactly the fork fencing exists to prevent) and the node
+// demotes.
 func (l *link) fence() {
 	l.mu.Lock()
 	l.fenced = true
-	dropped := l.retainedLocked()
-	l.unacked = nil
 	l.mu.Unlock()
-	for _, rf := range dropped {
-		l.n.decPending(rf.part)
+	dropped := l.out.Take()
+	for _, qf := range dropped {
+		l.n.decPending(qf.part)
 	}
 	l.n.linkLost.Add(uint64(len(dropped)))
 	l.n.c.logf("cluster: %s->%s: fenced by peer (not a member); demoting", l.n.id, l.peer)
@@ -323,61 +236,28 @@ func (l *link) health() (state LinkState, redials, epoch uint64) {
 	return state, redials, l.epoch
 }
 
-// shutdown stops the session (aborting a dial blocked in Connect, so a
-// takeover harvest never waits out a dead peer's retry budget) and waits
-// for in-flight completions, so the retained table is final.
+// shutdown stops the session, aborting a dial blocked in Connect, so a
+// takeover harvest never waits out a dead peer's retry budget. Once it
+// returns, the outbox holds what it will hold: a completion from the
+// stopped session changes nothing after Take.
 func (l *link) shutdown() {
 	l.once.Do(func() { close(l.done) })
 	l.session.Close()
-	l.wg.Wait()
 }
 
 // harvest stops the link and returns everything it still holds for the
-// peer, oldest first: the retained unacked frames in send order (already
+// peer, oldest first: the kept frames in send order (already
 // transmitted at least once — possibly routed by the peer before it
 // died, which is the documented at-least-once crash degradation), then
 // the queued frames that never went out. Pending counters are released
 // here; the caller re-forwards the frames through the takeover buffer,
 // which re-counts them. Used by Remove: a crashed owner's frames go to
 // the partitions' new owners instead of dying as linkLost.
-func (l *link) harvest() []queuedFrame {
-	out := l.stopAndTake()
+func (l *link) harvest() []bufFrame {
+	l.shutdown()
+	out := l.out.Take()
 	for _, qf := range out {
 		l.n.decPending(qf.part)
-	}
-	return out
-}
-
-// stopAndTake stops the link and takes everything it still holds for
-// the peer, oldest first: the retained frames in send order, then the
-// queued frames that never went out.
-func (l *link) stopAndTake() []queuedFrame {
-	l.shutdown()
-	var out []queuedFrame
-	l.mu.Lock()
-	for _, rf := range l.retainedLocked() {
-		out = append(out, rf.queuedFrame)
-	}
-	l.unacked = nil
-	l.mu.Unlock()
-	for {
-		select {
-		case qf := <-l.q:
-			out = append(out, qf)
-		default:
-			return out
-		}
-	}
-}
-
-// retainedLocked lists the frames still awaiting their handshake, in
-// send order. Callers hold l.mu.
-func (l *link) retainedLocked() []retainedFrame {
-	out := make([]retainedFrame, 0, len(l.unacked))
-	for _, rf := range l.unacked {
-		if !rf.settled {
-			out = append(out, rf)
-		}
 	}
 	return out
 }
@@ -388,20 +268,19 @@ func (l *link) retainedLocked() []retainedFrame {
 // link closed is redirected through the current topology (the partition
 // has a new owner by then) instead of being dropped.
 func (l *link) enqueue(part int, f broker.ForwardFrame) {
-	select {
-	case l.q <- queuedFrame{part: part, f: f}:
-	case <-l.done:
+	if !l.out.Put(bufFrame{part: part, f: f}, l.done) {
 		l.n.redirect(part, f)
 	}
 }
 
-// close releases the link. Anything still retained or queued is
+// close releases the link. Anything still kept or queued is
 // redirected through the current topology — during a graceful Leave the
 // drain has already proven both empty; on a drain timeout or node
 // shutdown the redirect delivers to the partition's new owner (or counts
 // the frame lost if this whole node is closing).
 func (l *link) close() {
-	for _, qf := range l.stopAndTake() {
+	l.shutdown()
+	for _, qf := range l.out.Take() {
 		l.n.redirect(qf.part, qf.f)
 	}
 }

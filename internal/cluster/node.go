@@ -81,8 +81,8 @@ type Node struct {
 	migratedBuf  atomic.Uint64 // frames handed off through migration buffers
 	linkLost     atomic.Uint64 // forwarded frames dropped for good (teardown, fencing)
 	// takeoverRedelivered counts frames this forwarder re-delivered to a
-	// partition's new owner after the old owner crashed (the retained
-	// unacked + queued frames a pre-self-healing cluster counted lost).
+	// partition's new owner after the old owner crashed (the kept
+	// unacknowledged + queued frames a pre-self-healing cluster counted lost).
 	takeoverRedelivered atomic.Uint64
 	// epochRefused counts bridge CONNECTs this node's membership gate
 	// refused — a non-zero value is the fingerprint of a fenced zombie
@@ -95,7 +95,8 @@ type Node struct {
 	stageForward *obs.Histogram
 }
 
-// bufFrame is one buffered frame with its precomputed partition.
+// bufFrame is one buffered or link-queued frame with its precomputed
+// partition.
 type bufFrame struct {
 	part int
 	f    broker.ForwardFrame
@@ -220,17 +221,13 @@ func (n *Node) linkTo(peer, addr string) *link {
 }
 
 // harvestLink detaches and stops the link to a crashed peer, returning
-// every frame it still held (retained unacked first, then queued, both
+// every frame it still held (kept unacknowledged first, then queued, both
 // in submission order) for redelivery to the partitions' new owners.
-func (n *Node) harvestLink(peer string) []queuedFrame {
-	n.linkMu.Lock()
-	l := n.links[peer]
-	delete(n.links, peer)
-	n.linkMu.Unlock()
-	if l == nil {
-		return nil
+func (n *Node) harvestLink(peer string) []bufFrame {
+	if l := n.detachLink(peer); l != nil {
+		return l.harvest()
 	}
-	return l.harvest()
+	return nil
 }
 
 // redirect re-routes a frame whose link went away mid-flight through the
@@ -391,13 +388,18 @@ func (n *Node) linkHealth(suspectAfter time.Duration) []LinkHealth {
 
 // dropLink tears down the link to a departed peer.
 func (n *Node) dropLink(peer string) {
-	n.linkMu.Lock()
-	l := n.links[peer]
-	delete(n.links, peer)
-	n.linkMu.Unlock()
-	if l != nil {
+	if l := n.detachLink(peer); l != nil {
 		l.close()
 	}
+}
+
+// detachLink removes the link to peer from the node, returning it.
+func (n *Node) detachLink(peer string) *link {
+	n.linkMu.Lock()
+	defer n.linkMu.Unlock()
+	l := n.links[peer]
+	delete(n.links, peer)
+	return l
 }
 
 func (n *Node) linkSnapshot() []*link {

@@ -6,14 +6,14 @@
 // transmission over MQTT-SN/UDP at QoS 2 (Table VI).
 //
 // Capture never waits on zlib or on an fsync. In memory mode it encodes
-// the frame uncompressed and queues it; the sender goroutine compresses
-// it just before publishing, with the same bytes on the wire as a
-// one-step encode. In spool mode the frame is compressed before its WAL
-// append, so it is on disk in its wire form when Capture returns, and the
-// drainer's fsync (the publish barrier) runs outside the WAL's append
-// lock.
+// the frame uncompressed and queues it in the client's outbox
+// (mqttsn.Outbox); the session's goroutine compresses it just before
+// publishing, with the same bytes on the wire as a one-step encode. In
+// spool mode the frame is compressed before its WAL append, so it is on
+// disk in its wire form when Capture returns, and the drainer's fsync
+// (the publish barrier) runs outside the WAL's append lock.
 //
-// In memory mode the sender also packs every frame already queued when it
+// In memory mode the outbox also packs every frame already queued when it
 // takes one (up to 16 KiB of raw frame) into one group frame, compressed
 // once and sent in one PUBLISH at the configured QoS. It never waits for
 // more frames to arrive: a lone frame leaves at once, byte for byte as it
@@ -24,9 +24,12 @@
 // Both modes publish through one supervised broker session
 // (mqttsn.Session), which redials under a jittered backoff whenever the
 // session dies: a broker DISCONNECT or restart, a silent gateway, or a
-// PUBLISH the broker refused. In memory mode frames captured while the
-// session is down wait in the transmit queue (see Config.QueueCapacity);
-// in spool mode they wait on disk.
+// PUBLISH the broker refused or that ran out of retries. In memory mode
+// the outbox keeps every PUBLISH until its handshake completes and
+// re-sends the kept ones, in order, on the next session, so frames are
+// delivered at least once across a session change; frames captured while
+// the session is down wait in its queue (see Config.QueueCapacity). In
+// spool mode they wait on disk.
 package core
 
 import (
@@ -85,8 +88,10 @@ type Config struct {
 	// (see the package doc); that adds no wait, so a task-begin record
 	// still leaves at once.
 	GroupSize int
-	// QueueCapacity bounds the async transmit queue, where frames also
-	// wait while the broker session is down. Default 1024.
+	// QueueCapacity bounds the frames waiting to be sent, also while the
+	// broker session is down; the PUBLISHes already sent and kept until
+	// their handshake completes are bounded by WindowSize instead.
+	// Default 1024.
 	//
 	// Backpressure contract: when the queue is full (the broker is slower
 	// than capture, or unreachable) and no spool is configured, Capture
@@ -142,8 +147,8 @@ type Config struct {
 	// least mqttsn.CongestionRetryAfter.
 	ReconnectMinDelay time.Duration
 	ReconnectMaxDelay time.Duration
-	// WindowSize bounds how many publish handshakes the async sender keeps
-	// in flight at once. Each frame holds its slot for one round trip at
+	// WindowSize bounds how many publish handshakes the client keeps in
+	// flight at once. Each frame holds its slot for one round trip at
 	// QoS 1 (spool mode) and two at QoS 2 (memory mode); the window
 	// overlaps those handshakes so throughput is no longer capped at one
 	// frame per handshake on high-latency edge links. 1 restores the
@@ -151,8 +156,10 @@ type Config struct {
 	// next is sent); frames are always *submitted* in capture order, but
 	// with WindowSize > 1 they may complete (and be routed by the broker)
 	// out of order. In memory mode a slot holds one PUBLISH, which carries
-	// every frame queued when the sender built it: frames that queue up
-	// behind a full window leave together in the next PUBLISH. Default 16.
+	// every frame queued when it was built: frames that queue up behind a
+	// full window leave together in the next PUBLISH. It also bounds the
+	// memory-mode PUBLISHes kept for a re-send on the next session.
+	// Default 16.
 	WindowSize int
 	// KeepAlive, RetryInterval, MaxRetries tune the MQTT-SN session.
 	KeepAlive     time.Duration
@@ -190,15 +197,16 @@ type Config struct {
 // storage.
 type Stats struct {
 	RecordsCaptured uint64
-	// FramesPublished counts frames queued for the sender in memory mode
+	// FramesPublished counts frames queued to be sent in memory mode
 	// (never one dropped before leaving the client) and frames the drainer
-	// publishes in spool mode. Publishes counts the PUBLISHes handed to the
-	// transport: in memory mode the sender packs every frame already queued
-	// into one, so RecordsCaptured / Publishes is the records each PUBLISH
-	// carries. BytesPublished and FramesCompressed count PUBLISH payloads
-	// where they are compressed: on the sender in memory mode, so they can
-	// trail FramesPublished until Flush; at the spool append in spool mode,
-	// where every frame is its own PUBLISH.
+	// publishes in spool mode. Publishes counts the PUBLISHes built for the
+	// transport, a re-send on a later session not included: in memory mode
+	// every frame already queued is packed into one, so RecordsCaptured /
+	// Publishes is the records each PUBLISH carries. BytesPublished and
+	// FramesCompressed count PUBLISH payloads where they are compressed:
+	// when the PUBLISH is packed in memory mode, so they can trail
+	// FramesPublished until Flush; at the spool append in spool mode, where
+	// every frame is its own PUBLISH.
 	FramesPublished  uint64
 	Publishes        uint64
 	BytesPublished   uint64
@@ -262,11 +270,11 @@ type Client struct {
 	mu    sync.Mutex // guards group
 	group []*provdm.Record
 
-	// txMu serializes encode+enqueue so frames enter sendQ in capture
-	// order. Callers that decide what to transmit under c.mu acquire txMu
-	// *before* releasing c.mu (a lock handoff); this keeps a cut group
-	// batch ordered against any capture that follows it. txMu is never
-	// held while acquiring c.mu, so the ordering is deadlock-free.
+	// txMu serializes encode+enqueue so frames enter the outbox in
+	// capture order. Callers that decide what to transmit under c.mu
+	// acquire txMu *before* releasing c.mu (a lock handoff); this keeps a
+	// cut group batch ordered against any capture that follows it. txMu is
+	// never held while acquiring c.mu, so the ordering is deadlock-free.
 	txMu sync.Mutex
 
 	// errMu serializes OnError callbacks: with WindowSize > 1 several
@@ -286,34 +294,35 @@ type Client struct {
 	stageCapture *obs.Histogram
 
 	// session is the supervised broker session of both modes; its Serve
-	// is sender in memory mode and drainWith in spool mode.
+	// is out.Serve in memory mode and drainWith in spool mode.
 	session *mqttsn.Session
 
-	// Memory mode: captured frames wait in sendQ; next is a frame the
-	// sender took but left for the following pack, kept across sessions.
-	// inFly counts frames captured but not yet delivered or lost.
-	sendQ chan *[]byte
-	next  *[]byte
+	// Memory mode: captured raw frames wait in out, and stay there until
+	// the PUBLISH that carries them completes its handshake. inFly counts
+	// frames captured but not yet delivered or lost. spare holds payload
+	// buffers of released PUBLISHes for the next pack, and raws is pack's
+	// scratch.
+	out   *mqttsn.Outbox[*[]byte]
 	inFly sync.WaitGroup
+	spare chan []byte
+	raws  [][]byte
 
-	// Spool mode (Config.SpoolDir): captures append to the spool and sendQ
+	// Spool mode (Config.SpoolDir): captures append to the spool and out
 	// is unused.
 	spool *spool.Spool
 }
 
-// framePool recycles encoded frame buffers. A raw frame is leased in
-// transmitOrdered and returned once the sender has compressed it into a
-// second lease, which is returned when its publish handshake has fully
-// completed (the transport does not retain the payload after the flow's
-// error is delivered), so the steady-state capture path allocates nothing
-// per frame.
+// framePool recycles encoded frame buffers. In memory mode a raw frame is
+// leased in transmit and returned when the PUBLISH carrying it is
+// released (the transport does not retain the payload after the flow's
+// outcome is delivered), so the steady-state capture path allocates
+// nothing per frame.
 var framePool = sync.Pool{
 	New: func() any { b := make([]byte, 0, 512); return &b },
 }
 
-// rawEncoder encodes the uncompressed frames memory mode queues; the
-// sender packs and compresses them with Client.enc
-// (wire.Encoder.CompressFrames).
+// rawEncoder encodes the uncompressed frames memory mode queues; pack
+// compresses them with Client.enc (wire.Encoder.CompressFrames).
 var rawEncoder = wire.Encoder{DisableCompression: true}
 
 // counters are the lock-free internals behind Stats.
@@ -369,14 +378,16 @@ func NewClient(ctx context.Context, cfg Config) (*Client, error) {
 		cfg.ReconnectMaxDelay = 10 * time.Second
 	}
 	c := &Client{cfg: cfg, topic: cfg.Topic, stopped: make(chan struct{})}
-	serve := c.sender
+	var serve func(*mqttsn.Client, <-chan struct{})
 	if cfg.SpoolDir != "" {
 		if err := c.openSpool(); err != nil {
 			return nil, err
 		}
 		serve = c.drainWith
 	} else {
-		c.sendQ = make(chan *[]byte, cfg.QueueCapacity)
+		c.out = mqttsn.NewOutbox(cfg.QueueCapacity, c.pack, c.released)
+		c.spare = make(chan []byte, cfg.WindowSize)
+		serve = c.out.Serve
 	}
 	c.session = mqttsn.NewSession(mqttsn.SessionConfig{
 		Client: mqttsn.ClientConfig{
@@ -537,103 +548,67 @@ func (c *Client) MQTTStats() mqttsn.ClientStats {
 	return mqttsn.ClientStats{}
 }
 
-// maxPackBytes caps the raw frame bytes the memory-mode sender packs
-// into one PUBLISH, far below MQTT-SN's 65,535-byte packet. A frame larger
-// than the cap still goes out, alone.
+// maxPackBytes caps the raw frame bytes memory mode packs into one
+// PUBLISH. A frame larger than the cap still goes out, alone; one whose
+// compressed form is over mqttsn.MaxPayload is lost.
 const maxPackBytes = 16 << 10
 
-// sender keeps the publish window of one broker session full; it is the
-// session's Serve in memory mode and returns once the session is down. It
-// takes the next queued frame and every frame already waiting behind it
-// (up to maxPackBytes, with no wait for more), compresses them into one
-// frame and submits it as one asynchronous handshake, blocking only when
-// WindowSize handshakes are already in flight. The handshake's completion
-// callback does the error accounting for every frame in the pack and
-// recycles the buffer; Flush/Close observe it through the inFly group.
-// Frames captured while the session is down wait in sendQ for the next.
-func (c *Client) sender(mc *mqttsn.Client, down <-chan struct{}) {
-	var pack []*[]byte
-	var raws [][]byte
-	for {
-		raw := c.next
-		c.next = nil
-		if raw == nil {
-			select {
-			case raw = <-c.sendQ:
-			case <-down:
-				return
+// pack builds the next memory-mode PUBLISH: the first queued frame and
+// every one behind it up to maxPackBytes, with no wait for more,
+// compressed into one frame. It is the outbox's pack, run on the
+// session's goroutine.
+func (c *Client) pack(queue []*[]byte) (int, mqttsn.Message, error) {
+	n, size := 0, 0
+	raws := c.raws[:0]
+	for _, f := range queue {
+		if n > 0 && size+len(*f) > maxPackBytes {
+			break
+		}
+		n++
+		size += len(*f)
+		raws = append(raws, *f)
+		if c.stageCapture != nil {
+			if ns, ok := wire.FrameCaptureNS(*f); ok {
+				obs.ObserveSince(c.stageCapture, ns)
 			}
 		}
-		pack = append(pack[:0], raw)
-		size := len(*raw)
-	fill:
-		for size < maxPackBytes {
-			select {
-			case f := <-c.sendQ:
-				if size+len(*f) > maxPackBytes {
-					c.next = f
-					break fill
-				}
-				pack = append(pack, f)
-				size += len(*f)
-			default:
-				break fill
-			}
-		}
-		raws = raws[:0]
-		for _, f := range pack {
-			raws = append(raws, *f)
-			if c.stageCapture != nil {
-				if ns, ok := wire.FrameCaptureNS(*f); ok {
-					obs.ObserveSince(c.stageCapture, ns)
-				}
-			}
-		}
-		bufp, err := c.wireFrame(raws)
-		for _, f := range pack {
-			framePool.Put(f)
-		}
-		n := len(pack)
-		if err != nil {
-			c.reportLost(n, err)
-			c.inFly.Add(-n)
-			continue
-		}
-		c.ctr.publishes.Add(1)
-		mc.PublishAsync(c.topic, *bufp, c.cfg.QoS, func(err error) {
-			if err != nil {
-				c.reportLost(n, err)
-				if !errors.Is(err, mqttsn.ErrTimeout) && !errors.Is(err, mqttsn.ErrClosed) {
-					// The broker refused the PUBLISH (a restarted broker
-					// holds no session for this client): recycle the
-					// session so the supervisor redials. A handshake that
-					// only ran out of retries loses its pack and keeps the
-					// session. Not from the callback itself, which may run
-					// on the client's own loops.
-					go mc.Close()
-				}
-			}
-			framePool.Put(bufp)
-			c.inFly.Add(-n)
-		})
 	}
-}
-
-// wireFrame packs queued raw frames into one compressed frame in a fresh
-// pooled buffer and counts the bytes that will go on the wire.
-func (c *Client) wireFrame(raws [][]byte) (*[]byte, error) {
-	bufp := framePool.Get().(*[]byte)
-	frame, err := c.enc.CompressFrames((*bufp)[:0], raws...)
+	c.raws = raws
+	var buf []byte
+	select {
+	case buf = <-c.spare:
+	default:
+	}
+	frame, err := c.enc.CompressFrames(buf, raws...)
+	clear(raws)
 	if err != nil {
-		framePool.Put(bufp)
-		return nil, fmt.Errorf("provlight: compress frame: %w", err)
+		return n, mqttsn.Message{}, fmt.Errorf("provlight: compress frame: %w", err)
 	}
-	*bufp = frame
+	c.ctr.publishes.Add(1)
 	c.ctr.bytesPublished.Add(uint64(len(frame)))
 	if wire.IsCompressed(frame) {
 		c.ctr.framesCompressed.Add(1)
 	}
-	return bufp, nil
+	return n, mqttsn.Message{Topic: c.topic, Payload: frame, QoS: c.cfg.QoS}, nil
+}
+
+// released recycles the frames of a PUBLISH the outbox let go: delivered
+// when err is nil, lost otherwise (a compress error, or over
+// mqttsn.MaxPayload). Runs under the outbox's lock.
+func (c *Client) released(frames []*[]byte, m mqttsn.Message, err error) {
+	if err != nil {
+		c.reportLost(len(frames), err)
+	}
+	for _, f := range frames {
+		framePool.Put(f)
+	}
+	if m.Payload != nil {
+		select {
+		case c.spare <- m.Payload[:0]:
+		default:
+		}
+	}
+	c.inFly.Add(-len(frames))
 }
 
 // Capture implements the capture.Client interface: encodes and transmits
@@ -667,11 +642,11 @@ func (c *Client) Capture(rec *provdm.Record) error {
 		c.txMu.Lock()
 		c.mu.Unlock()
 		defer c.txMu.Unlock()
-		return c.transmitOrdered(batch...)
+		return c.transmit(nil, batch...)
 	}
 	c.txMu.Lock()
 	defer c.txMu.Unlock()
-	return c.transmitOrdered(rec)
+	return c.transmit(nil, rec)
 }
 
 // flushGroup transmits any buffered group without waiting for in-flight
@@ -689,17 +664,18 @@ func (c *Client) flushGroup(ctx context.Context) error {
 	}
 	c.txMu.Lock() // handoff, as in Capture
 	c.mu.Unlock()
-	err := c.transmitOrderedCtx(ctx, batch...)
+	err := c.transmit(ctx, batch...)
 	c.txMu.Unlock()
 	return err
 }
 
 // Flush transmits any buffered group and waits until every captured frame
 // is delivered: in memory mode until each has completed its publish
-// handshake or been lost, in spool mode until each spooled frame is
-// acknowledged end to end. Either waits out a broker outage, while the
-// session redials; use Shutdown with a deadline to stop without waiting
-// out a partition.
+// handshake (a failed one is re-sent on the next session; only a frame
+// too large for one datagram is lost), in spool mode until each spooled
+// frame is acknowledged end to end. Either waits out a broker outage or a
+// partition, while the session redials; use Shutdown with a deadline to
+// stop without waiting.
 func (c *Client) Flush() error {
 	err := c.flushGroup(context.Background())
 	if werr := c.waitDelivered(context.Background()); err == nil {
@@ -762,11 +738,11 @@ func (c *Client) Shutdown(ctx context.Context) error {
 }
 
 // Abort tears the client down as a crash would: no group flush, no drain,
-// no goodbye. In memory mode the queued frames are counted lost; in spool
-// mode no ack-mark is persisted and the spool directory is left exactly as
-// a SIGKILL would leave it, so the next NewClient with the same SpoolDir
-// resumes from the persisted state. Used by crash-recovery tests and as an
-// emergency stop; the graceful path is Shutdown/Close.
+// no goodbye. In memory mode every frame not yet delivered is counted
+// lost; in spool mode no ack-mark is persisted and the spool directory is
+// left exactly as a SIGKILL would leave it, so the next NewClient with the
+// same SpoolDir resumes from the persisted state. Used by crash-recovery
+// tests and as an emergency stop; the graceful path is Shutdown/Close.
 func (c *Client) Abort() {
 	if !c.closed.CompareAndSwap(false, true) {
 		return
@@ -779,22 +755,17 @@ func (c *Client) Abort() {
 }
 
 // release frees the capture log once the session has stopped: memory mode
-// counts every frame still queued as lost (stopping the session already
-// failed the frames in flight), spool mode closes the spool, or crashes it.
+// counts every frame the outbox still holds as lost, sent or not; spool
+// mode closes the spool, or crashes it.
 func (c *Client) release(crash bool) error {
 	switch {
 	case c.spool == nil:
-		n := len(c.sendQ)
-		for i := 0; i < n; i++ {
-			framePool.Put(<-c.sendQ)
+		frames := c.out.Take()
+		for _, f := range frames {
+			framePool.Put(f)
 		}
-		if c.next != nil {
-			framePool.Put(c.next)
-			c.next = nil
-			n++
-		}
-		if n > 0 {
-			c.reportLost(n, fmt.Errorf("provlight: %d frames unsent at close: %w", n, mqttsn.ErrClosed))
+		if n := len(frames); n > 0 {
+			c.reportLost(n, fmt.Errorf("provlight: %d frames undelivered at close: %w", n, mqttsn.ErrClosed))
 			c.inFly.Add(-n)
 		}
 		return nil
@@ -806,26 +777,21 @@ func (c *Client) release(crash bool) error {
 	}
 }
 
-// transmitOrdered encodes records into one frame and enqueues it. Callers
-// must hold c.txMu, which makes the encode+enqueue atomic with respect to
-// other transmits and so preserves capture order in sendQ.
-func (c *Client) transmitOrdered(records ...*provdm.Record) error {
-	return c.transmitOrderedCtx(nil, records...)
-}
-
-// transmitOrderedCtx is transmitOrdered with a context bound on the
-// enqueue (used by Shutdown's group flush): when the transmit queue stays
-// full past ctx, the frame is dropped and counted as an async error. With
-// a nil or background ctx a full queue drops the frame immediately
-// (ErrQueueFull + StatsSnapshot.QueueFull) — capture never blocks the
-// instrumented workload. The queued frame is uncompressed; the sender
-// compresses it. In spool mode the frame goes to disk instead.
-func (c *Client) transmitOrderedCtx(ctx context.Context, records ...*provdm.Record) error {
+// transmit encodes records into one frame and enqueues it. Callers must
+// hold c.txMu, which makes the encode+enqueue atomic with respect to other
+// transmits and so preserves capture order in the outbox. With a nil or
+// background ctx a full queue drops the frame at once (ErrQueueFull +
+// StatsSnapshot.QueueFull): capture never blocks the instrumented
+// workload. Shutdown's group flush passes its ctx instead, and waits for
+// room until it expires (the frame then counts as an async error). The
+// queued frame is uncompressed; pack compresses it. In spool mode the
+// frame goes to disk instead.
+func (c *Client) transmit(ctx context.Context, records ...*provdm.Record) error {
 	if c.spool != nil {
 		return c.spoolAppend(records...)
 	}
-	// Encode uncompressed: zlib runs on the sender, so Capture pays only
-	// for the raw encode.
+	// Encode uncompressed: zlib runs in pack, so Capture pays only for the
+	// raw encode.
 	bufp := framePool.Get().(*[]byte)
 	frame, err := rawEncoder.AppendFrameSeqCapture((*bufp)[:0], 0, c.captureNow(), records...)
 	if err != nil {
@@ -837,31 +803,23 @@ func (c *Client) transmitOrderedCtx(ctx context.Context, records ...*provdm.Reco
 		framePool.Put(bufp)
 		return fmt.Errorf("provlight: client closed")
 	}
-	c.inFly.Add(1)
-	if ctx == nil || ctx.Done() == nil {
-		// Never block the capture path: a full queue (broker slower than
-		// capture, or unreachable) drops the frame and tells the caller.
-		select {
-		case c.sendQ <- bufp:
-			c.ctr.framesPublished.Add(1)
-			return nil
-		default:
-			c.inFly.Done()
-			framePool.Put(bufp)
-			c.ctr.queueFull.Add(1)
-			return ErrQueueFull
-		}
+	var stop <-chan struct{}
+	if ctx != nil {
+		stop = ctx.Done()
 	}
-	select {
-	case c.sendQ <- bufp:
+	c.inFly.Add(1)
+	if c.out.Put(bufp, stop) {
 		c.ctr.framesPublished.Add(1)
 		return nil
-	case <-ctx.Done():
-		c.inFly.Done()
-		framePool.Put(bufp)
-		c.ctr.asyncErrors.Add(1)
-		return ctx.Err()
 	}
+	c.inFly.Done()
+	framePool.Put(bufp)
+	if stop == nil {
+		c.ctr.queueFull.Add(1)
+		return ErrQueueFull
+	}
+	c.ctr.asyncErrors.Add(1)
+	return ctx.Err()
 }
 
 // Attrs builds an ordered attribute list from a map (sorted by name for

@@ -14,9 +14,10 @@ import (
 )
 
 // TestMemoryClientResumesAfterBrokerRestart: a memory-mode client whose
-// broker restarts loses at most the PUBLISH the new broker refuses (it
-// holds no session for the client), then redials, and every record
-// captured once the new session is up arrives, in capture order.
+// broker restarts keeps the PUBLISH the new broker refuses (it holds no
+// session for the client), redials, and re-sends it: the probe's records
+// arrive, every record captured once the new session is up arrives, in
+// capture order, and nothing counts as an AsyncError.
 func TestMemoryClientResumesAfterBrokerRestart(t *testing.T) {
 	mem := translate.NewMemoryTarget()
 	lb := transport.NewLoopback()
@@ -84,6 +85,18 @@ func TestMemoryClientResumesAfterBrokerRestart(t *testing.T) {
 		if got[i] != want[i] {
 			t.Fatalf("record %d is %s, want %s (capture order)", i, got[i], want[i])
 		}
+	}
+	probe := 0
+	for _, r := range mem.Records() {
+		if r.WorkflowID == "probe" {
+			probe++
+		}
+	}
+	if probe != 2 {
+		t.Errorf("%d of the probe task's 2 records arrived", probe)
+	}
+	if st := client.StatsSnapshot(); st.AsyncErrors != 0 {
+		t.Errorf("async errors = %d, want 0 (stats %+v)", st.AsyncErrors, st)
 	}
 }
 

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"context"
+	"errors"
 	"fmt"
 	"sync/atomic"
 	"testing"
@@ -81,9 +83,11 @@ func TestPackExactlyOnceInOrderUnderLoss(t *testing.T) {
 	}
 }
 
-// TestPackFailureCountsEveryFrame: when a packed PUBLISH exhausts its
-// retries, every frame in it is lost, so each counts one AsyncError, and
-// Flush still returns once the handshakes have failed.
+// TestPackFailureCountsEveryFrame: a partitioned client loses nothing,
+// although its packs run out of retries and end the session, and Flush
+// waits the partition out. Only Shutdown's deadline gives the frames up:
+// each counts one AsyncError, and OnError is called at most once per
+// PUBLISH.
 func TestPackFailureCountsEveryFrame(t *testing.T) {
 	fault := chaos.NewFault(1)
 	var reported atomic.Int64
@@ -92,25 +96,49 @@ func TestPackFailureCountsEveryFrame(t *testing.T) {
 		c.WindowSize = 1
 		c.RetryInterval = 20 * time.Millisecond
 		c.MaxRetries = 2
+		// No redial within the test, so no failed dial counts an AsyncError.
+		c.ReconnectMinDelay = time.Minute
+		c.ReconnectMaxDelay = time.Minute
 		c.OnError = func(error) { reported.Add(1) }
 	})
 	fault.Partition() // the device's sends vanish; its socket stays open
 	const tasks = 10
-	captureBurst(t, client, "lost", tasks)
+	for i := 0; i < tasks; i++ { // no workflow End, whose Flush would wait
+		captureTask(t, client, "lost", i)
+	}
+	deadline := time.Now().Add(10 * time.Second)
+	for client.StatsSnapshot().NextRetryUnixNano == 0 {
+		if time.Now().After(deadline) {
+			t.Fatalf("the session outlived its failed PUBLISH: %+v", client.StatsSnapshot())
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
 	flushed := make(chan error, 1)
 	go func() { flushed <- client.Flush() }()
 	select {
 	case err := <-flushed:
-		if err != nil {
-			t.Fatal(err)
-		}
-	case <-time.After(10 * time.Second):
-		t.Fatal("Flush did not return after the PUBLISHes failed")
+		t.Fatalf("Flush returned during the partition: %v", err)
+	case <-time.After(300 * time.Millisecond):
 	}
 	st := client.StatsSnapshot()
-	t.Logf("%d frames in %d failed PUBLISHes", st.FramesPublished, st.Publishes)
-	if st.FramesPublished != 2*tasks+2 {
-		t.Fatalf("frames queued = %d, want %d", st.FramesPublished, 2*tasks+2)
+	if st.AsyncErrors != 0 || reported.Load() != 0 {
+		t.Fatalf("%d async errors, %d reported, during the partition; want none", st.AsyncErrors, reported.Load())
+	}
+
+	ctx, cancel := context.WithTimeout(context.Background(), 200*time.Millisecond)
+	defer cancel()
+	if err := client.Shutdown(ctx); !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("shutdown error = %v, want DeadlineExceeded", err)
+	}
+	select {
+	case <-flushed:
+	case <-time.After(5 * time.Second):
+		t.Fatal("Flush still waiting after Shutdown")
+	}
+	st = client.StatsSnapshot()
+	t.Logf("%d frames in %d PUBLISHes", st.FramesPublished, st.Publishes)
+	if st.FramesPublished != 2*tasks {
+		t.Fatalf("frames queued = %d, want %d", st.FramesPublished, 2*tasks)
 	}
 	if st.AsyncErrors != st.FramesPublished {
 		t.Errorf("async errors = %d, want one per lost frame (%d)", st.AsyncErrors, st.FramesPublished)
@@ -119,6 +147,63 @@ func TestPackFailureCountsEveryFrame(t *testing.T) {
 		t.Errorf("%d PUBLISHes for %d frames: nothing was packed", st.Publishes, st.FramesPublished)
 	}
 	if n := reported.Load(); n < 1 || uint64(n) > st.Publishes {
-		t.Errorf("OnError called %d times for %d failed PUBLISHes", n, st.Publishes)
+		t.Errorf("OnError called %d times for %d PUBLISHes", n, st.Publishes)
+	}
+}
+
+// TestPackPartitionHealDeliversOnceInOrder: a burst captured while the
+// device's link is partitioned, at WindowSize 16, ends the session when
+// its PUBLISHes run out of retries; the partition heals before the
+// redial, and the next session re-sends the kept PUBLISHes, then the
+// queued frames. Every record arrives once, in capture order, and nothing
+// counts as an AsyncError.
+func TestPackPartitionHealDeliversOnceInOrder(t *testing.T) {
+	fault := chaos.NewFault(1)
+	client, mem, _ := startPipeline(t, func(c *Config) {
+		c.Transport = fault.Transport(transport.UDP{})
+		c.WindowSize = 16
+		c.RetryInterval = 50 * time.Millisecond
+		c.MaxRetries = 2
+		c.ReconnectMinDelay = 300 * time.Millisecond
+		c.ReconnectMaxDelay = 300 * time.Millisecond
+	})
+	fault.Partition()
+	var want []string
+	for i := 0; i < 60; i++ { // no workflow End, whose Flush would wait
+		captureTask(t, client, "healed", i)
+		task := fmt.Sprintf("t%d", i)
+		want = append(want, "healed/"+provdm.EventTaskBegin.String()+"/"+task, "healed/"+provdm.EventTaskEnd.String()+"/"+task)
+		if i%3 == 0 {
+			time.Sleep(time.Millisecond) // several packs
+		}
+	}
+	deadline := time.Now().Add(10 * time.Second)
+	for client.StatsSnapshot().NextRetryUnixNano == 0 {
+		if time.Now().After(deadline) {
+			t.Fatalf("the session outlived its failed PUBLISHes: %+v", client.StatsSnapshot())
+		}
+		time.Sleep(time.Millisecond)
+	}
+	fault.Heal() // before the redial, which waits at least 150 ms
+	if err := client.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	records := waitRecords(t, mem, len(want))
+	time.Sleep(100 * time.Millisecond) // let a duplicate show
+	if records = mem.Records(); len(records) != len(want) {
+		t.Fatalf("received %d records, want %d", len(records), len(want))
+	}
+	for i, r := range records {
+		if got := fmt.Sprintf("%s/%s/%s", r.WorkflowID, r.Event, r.TaskID); got != want[i] {
+			t.Fatalf("record %d is %s, want %s (capture order)", i, got, want[i])
+		}
+	}
+	st := client.StatsSnapshot()
+	t.Logf("%d records in %d PUBLISHes over %d sessions", st.RecordsCaptured, st.Publishes, st.SpoolReconnects)
+	if st.AsyncErrors != 0 {
+		t.Errorf("async errors = %d, want 0", st.AsyncErrors)
+	}
+	if st.SpoolReconnects < 2 {
+		t.Errorf("%d sessions, want a redial", st.SpoolReconnects)
 	}
 }

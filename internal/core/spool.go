@@ -51,7 +51,9 @@ func (c *Client) openSpool() error {
 
 // spoolAppend encodes records into a frame stamped with its spool
 // sequence number and appends it to the WAL. This is the whole capture
-// hot path in spool mode: one encode, one write(2). Under a disk quota
+// hot path in spool mode: one encode, one write(2). A frame over
+// mqttsn.MaxPayload could never be published: it is refused before the
+// append, and its seq is not used. Under a disk quota
 // the spool's degradation policy applies: a shed frame is counted and
 // silently dropped (the policy chose loss), a Block rejection propagates
 // as a retryable error so the caller stalls rather than loses data.
@@ -70,6 +72,9 @@ func (c *Client) spoolAppend(records ...*provdm.Record) error {
 			return nil, err
 		}
 		*bufp = frame
+		if len(frame) > mqttsn.MaxPayload {
+			return nil, fmt.Errorf("provlight: frame of %d bytes: %w", len(frame), mqttsn.ErrTooLarge)
+		}
 		size = len(frame)
 		compressed = wire.IsCompressed(frame)
 		return frame, nil
@@ -166,7 +171,7 @@ func (c *Client) drainWith(mc *mqttsn.Client, down <-chan struct{}) {
 		hopQoS = mqttsn.QoS1
 	}
 
-	// checkStall rewinds the reader when published frames sit unacked
+	// checkStall rewinds the reader when published frames sit unacknowledged
 	// with no floor progress for a full tick: the ack was lost, or the
 	// translator restarted. Redelivered frames are deduplicated
 	// downstream by their durable ids. Rewinding must also reopen the
@@ -241,6 +246,16 @@ func (c *Client) drainWith(mc *mqttsn.Client, down <-chan struct{}) {
 		// Close/Abort unblocks it.
 		mc.PublishAsync(c.topic, frame, hopQoS, func(err error) {
 			framePool.Put(bufp)
+			if errors.Is(err, mqttsn.ErrTooLarge) {
+				// Spooled by a build that did not refuse it at capture:
+				// no session can carry it, so count it lost and ack it
+				// here instead of redialing for ever.
+				c.reportAsync(fmt.Errorf("provlight: spooled frame %d lost: %w", seq, err))
+				if err := c.spool.Ack(seq); err != nil {
+					c.reportAsync(fmt.Errorf("provlight: ack %d: %w", seq, err))
+				}
+				return
+			}
 			if err != nil && !errors.Is(err, mqttsn.ErrClosed) {
 				c.reportAsync(fmt.Errorf("provlight: publish spooled frame %d: %w", seq, err))
 				// A handshake that exhausted its retries means the link is

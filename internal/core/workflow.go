@@ -54,7 +54,8 @@ func (w *Workflow) Begin() error {
 // End captures the workflow end event and flushes any grouped records.
 // In spool mode the flush ends at the disk spool (the workflow's records
 // are durable at that point); it does not wait for the broker — waiting
-// out a partition is Flush/Shutdown's job, not the workload's.
+// out a partition is Flush/Shutdown's job, not the workload's. In memory
+// mode it is a Flush, which waits out a partition.
 func (w *Workflow) End() error {
 	if !w.ended.CompareAndSwap(false, true) {
 		return fmt.Errorf("provlight: workflow %s already ended", w.id)

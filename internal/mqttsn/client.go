@@ -23,7 +23,14 @@ var (
 	// callers should back off with jitter — never retry immediately, or a
 	// rejected thundering herd re-arrives as the same herd.
 	ErrCongestion = errors.New("mqttsn: connect rejected: congestion")
+	// ErrTooLarge fails a PublishAsync whose payload is over MaxPayload.
+	ErrTooLarge = errors.New("mqttsn: payload too large for one datagram")
 )
+
+// MaxPayload is the largest PUBLISH payload that fits one IPv4 UDP
+// datagram: 65,507 bytes less the extended PUBLISH header AppendPacket
+// writes (9 bytes).
+var MaxPayload = 65507 - (len(AppendPacket(nil, &Publish{Data: make([]byte, 256)})) - 256)
 
 // ConnectRejectedError is returned by Connect for a non-congestion
 // CONNACK refusal, carrying the gateway's return code so callers can
@@ -348,7 +355,9 @@ func (c *Client) Publish(topic string, payload []byte, qos QoS) error {
 // PublishAsync starts a publish handshake and calls done exactly once with
 // the flow's outcome: nil on success, ErrTimeout (wrapped) once MaxRetries
 // retransmissions went unanswered, a rejection from the gateway, a socket
-// error, or ErrClosed when the client closes first. The call blocks only
+// error, or ErrClosed when the client closes first. A payload over
+// MaxPayload fails at once with ErrTooLarge, taking no window slot and
+// leaving the session up. The call blocks only
 // while the in-flight window is full, so a sender can keep InflightWindow
 // handshakes running without paying the QoS 2 double round trip per
 // message.
@@ -367,6 +376,10 @@ func (c *Client) Publish(topic string, payload []byte, qos QoS) error {
 // released. It must not block, and it must not call Close (close the
 // client from another goroutine instead).
 func (c *Client) PublishAsync(topic string, payload []byte, qos QoS, done func(error)) {
+	if len(payload) > MaxPayload {
+		done(fmt.Errorf("%w: %d bytes", ErrTooLarge, len(payload)))
+		return
+	}
 	topicID, err := c.RegisterTopic(topic)
 	if err != nil {
 		done(err)
