@@ -33,7 +33,6 @@ func newCrashCluster(t testing.TB, lb transport.Transport) *cluster.Cluster {
 		DrainTimeout:      20 * time.Second,
 		HeartbeatInterval: 50 * time.Millisecond,
 		SuspectTimeout:    crashSuspectTimeout,
-		LinkKeepAlive:     time.Second,
 		Logf:              t.Logf,
 	})
 	if err != nil {

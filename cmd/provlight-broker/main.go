@@ -30,10 +30,12 @@
 // forwarded/migrated/link-lost counters, the membership epoch, and
 // per-peer link health.
 //
-// In cluster mode a heartbeat failure detector runs between the nodes:
-// a node silent for -suspect-timeout (confirmed by a second peer when
-// one exists) is removed and its partitions reassigned to survivors,
-// with the frames retained on its links redelivered to the new owners.
+// In cluster mode a failure detector runs between the nodes: every
+// -heartbeat each node pings its peers over its forwarding links, and a
+// node those links have not heard for -suspect-timeout (confirmed by a
+// second peer when one exists) is removed and its partitions reassigned
+// to survivors, with the frames retained on its links redelivered to the
+// new owners.
 package main
 
 import (
@@ -78,8 +80,8 @@ func main() {
 	clusterN := flag.Int("cluster", 1, "run this many broker nodes as one logical broker (1: plain single broker, no clustering)")
 	clusterAddrs := flag.String("cluster-addrs", "", "comma-separated UDP listen addresses, one per cluster node (overrides -cluster and -addr)")
 	partitions := flag.Int("partitions", 64, "cluster topic hash-space size (fixed for the cluster's lifetime)")
-	heartbeat := flag.Duration("heartbeat", time.Second, "cluster failure-detector heartbeat interval (<0: disable detection)")
-	suspectTimeout := flag.Duration("suspect-timeout", 0, "silence before a cluster node is suspected dead (0: 5x -heartbeat)")
+	heartbeat := flag.Duration("heartbeat", time.Second, "cluster link probe (PINGREQ) and failure-detector sweep interval (<0: disable detection)")
+	suspectTimeout := flag.Duration("suspect-timeout", 0, "link silence before a cluster node is suspected dead, also the links' keepalive (0: 5x -heartbeat)")
 	statsListen := flag.String("stats-listen", "", "serve broker metrics on this HTTP address (GET /metrics, /healthz)")
 	enablePProf := flag.Bool("pprof", false, "also mount net/http/pprof on the -stats-listen mux")
 	verbose := flag.Bool("v", false, "verbose protocol logging")

@@ -55,22 +55,18 @@ type Config struct {
 	// drain before detaching its remaining frames (at-least-once) and
 	// proceeding. Default 30s.
 	DrainTimeout time.Duration
-	// HeartbeatInterval paces the failure detector: every node beats on
-	// every link this often, and the detector evaluates suspicion at the
-	// same cadence. Default 1s; negative disables the detector (and
-	// heartbeats) entirely.
+	// HeartbeatInterval paces the failure detector: every node pings the
+	// peer of every link this often, and the detector evaluates suspicion
+	// at the same cadence. Default 1s; negative disables the detector (and
+	// the pings) entirely.
 	HeartbeatInterval time.Duration
-	// SuspectTimeout is how long a peer must be silent before a node
-	// suspects it. A member is declared dead — and crash takeover runs —
-	// only when at least two members agree (the lone other member in a
-	// two-node cluster), so one bad link cannot evict a healthy node.
-	// Default 5× HeartbeatInterval.
+	// SuspectTimeout is how long a node's link to a peer must hear nothing
+	// before the node suspects the peer; it is also the links' MQTT-SN
+	// keepalive while the detector runs (30s without it). A member is
+	// declared dead — and crash takeover runs — only when at least two
+	// members agree (the lone other member in a two-node cluster), so one
+	// bad link cannot evict a healthy node. Default 5× HeartbeatInterval.
 	SuspectTimeout time.Duration
-	// LinkKeepAlive is the bridge sessions' MQTT-SN keepalive; it bounds
-	// how fast a link notices a silently dead peer (1.5× this) when no
-	// forward traffic is failing. Default 30s (heartbeats usually detect
-	// death much sooner).
-	LinkKeepAlive time.Duration
 	// OnDemoted, when set, is called (on its own goroutine) with a node's
 	// id after the node discovered it was fenced out of membership and
 	// shut itself down. Operators rejoin via Join; tests assert on it.
@@ -132,9 +128,6 @@ func New(cfg Config) (*Cluster, error) {
 	if cfg.SuspectTimeout <= 0 {
 		cfg.SuspectTimeout = 5 * cfg.HeartbeatInterval
 	}
-	if cfg.LinkKeepAlive <= 0 {
-		cfg.LinkKeepAlive = 30 * time.Second
-	}
 	tr := cfg.Transport
 	if tr == nil {
 		tr = transport.UDP{}
@@ -194,7 +187,7 @@ func (c *Cluster) registerMetrics(r *obs.Registry) {
 			e.Counter("provlight_cluster_epoch_refused_total", "Bridge connects refused because the dialer was fenced out of membership.", float64(ns.EpochRefused), lbl...)
 			for _, lh := range ns.Links {
 				plbl := []string{"node", ns.ID, "peer", lh.Peer}
-				e.Gauge("provlight_cluster_peer_heartbeat_age_seconds", "Age of the peer's last heartbeat as seen by this node (-1 before any baseline).", float64(lh.LastHeartbeatAgeMs)/1000, plbl...)
+				e.Gauge("provlight_cluster_peer_heartbeat_age_seconds", "How long this node's link to the peer has heard nothing from it.", float64(lh.LastHeartbeatAgeMs)/1000, plbl...)
 				suspect := 0.0
 				if lh.Suspect {
 					suspect = 1
@@ -223,8 +216,6 @@ func (c *Cluster) startNode(addr string) (*Node, error) {
 		fwdPending: map[int]int{},
 		links:      map[string]*link{},
 		filters:    map[string]int{},
-		lastHeard:  map[string]time.Time{},
-		peerEpoch:  map[string]uint64{},
 		subCh:      make(chan subChange, 1024),
 		done:       make(chan struct{}),
 	}
@@ -250,7 +241,7 @@ func (c *Cluster) startNode(addr string) (*Node, error) {
 	go n.subWorker()
 	if c.cfg.HeartbeatInterval > 0 {
 		n.wg.Add(1)
-		go n.heartbeatLoop(c.cfg.HeartbeatInterval)
+		go n.probeLoop(c.cfg.HeartbeatInterval)
 	}
 	c.nodes[id] = n
 	c.order = append(c.order, id)
@@ -275,7 +266,7 @@ func (c *Cluster) computeTopology(ids []string) *topology {
 }
 
 // install publishes a topology to every node and the cluster root, and
-// refreshes the gate membership snapshot and heartbeat baselines.
+// refreshes the gate membership snapshot.
 func (c *Cluster) install(tp *topology) {
 	for _, n := range c.nodes {
 		n.fmu.Lock()
@@ -286,23 +277,14 @@ func (c *Cluster) install(tp *topology) {
 	c.syncMembers()
 }
 
-// syncMembers rebuilds the lock-free membership snapshot from c.nodes
-// and seeds heartbeat baselines for every member pair, so a fresh member
-// gets a full suspicion timeout before anyone can suspect it. Caller
-// holds c.mu.
+// syncMembers rebuilds the lock-free membership snapshot from c.nodes.
+// Caller holds c.mu.
 func (c *Cluster) syncMembers() {
 	m := make(map[string]bool, len(c.nodes))
 	for id := range c.nodes {
 		m[id] = true
 	}
 	c.members.Store(&m)
-	for _, n := range c.nodes {
-		for id := range c.nodes {
-			if id != n.id {
-				n.seedHeartbeat(id)
-			}
-		}
-	}
 }
 
 // meshLinks dials every ordered node pair and waits (bounded by ctx and
@@ -392,21 +374,9 @@ func (c *Cluster) Join(ctx context.Context) (string, error) {
 func (c *Cluster) Leave(ctx context.Context, id string) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if c.closed {
-		return fmt.Errorf("cluster: closed")
-	}
-	leaving := c.nodes[id]
-	if leaving == nil {
-		return fmt.Errorf("cluster: unknown node %q", id)
-	}
-	if len(c.nodes) == 1 {
-		return fmt.Errorf("cluster: cannot remove the last node")
-	}
-	survivors := make([]string, 0, len(c.order)-1)
-	for _, oid := range c.order {
-		if oid != id {
-			survivors = append(survivors, oid)
-		}
+	leaving, survivors, err := c.departing(id)
+	if err != nil {
+		return err
 	}
 	c.migrate(ctx, c.computeTopology(survivors))
 	delete(c.nodes, id)
@@ -416,6 +386,28 @@ func (c *Cluster) Leave(ctx context.Context, id string) error {
 	}
 	leaving.close()
 	return nil
+}
+
+// departing checks that node id may leave the membership and returns it
+// with the survivors in start order. Caller holds c.mu.
+func (c *Cluster) departing(id string) (*Node, []string, error) {
+	if c.closed {
+		return nil, nil, fmt.Errorf("cluster: closed")
+	}
+	n := c.nodes[id]
+	if n == nil {
+		return nil, nil, fmt.Errorf("cluster: unknown node %q", id)
+	}
+	if len(c.nodes) == 1 {
+		return nil, nil, fmt.Errorf("cluster: cannot remove the last node")
+	}
+	survivors := make([]string, 0, len(c.order)-1)
+	for _, oid := range c.order {
+		if oid != id {
+			survivors = append(survivors, oid)
+		}
+	}
+	return n, survivors, nil
 }
 
 // Remove takes a dead (or unreachable) node out of membership WITHOUT
@@ -432,7 +424,8 @@ func (c *Cluster) Leave(ctx context.Context, id string) error {
 //     survivor tears down its link to the dead node and harvests the
 //     kept unacknowledged + queued frames, prepending them (in send order)
 //     to its forwarding buffer for redelivery to the new owners.
-//  4. Switch + flush new-owners-first, exactly like migrate step 4.
+//  4. Switch + flush new-owners-first, exactly like migrate step 4
+//     (both run through switchOver).
 //
 // Redelivered frames may already have been routed by the dead broker
 // before it died (the ack is what's missing), so takeover is
@@ -449,27 +442,15 @@ func (c *Cluster) Remove(id string) error {
 // removeLocked implements Remove with c.mu held (the detector calls it
 // inline from its sweep).
 func (c *Cluster) removeLocked(id string) error {
-	if c.closed {
-		return fmt.Errorf("cluster: closed")
-	}
-	dead := c.nodes[id]
-	if dead == nil {
-		return fmt.Errorf("cluster: unknown node %q", id)
-	}
-	if len(c.nodes) == 1 {
-		return fmt.Errorf("cluster: cannot remove the last node")
+	dead, survivors, err := c.departing(id)
+	if err != nil {
+		return err
 	}
 	c.logf("cluster: removing %s (crash takeover)", id)
 
 	// 1. Shrink membership. The dead node keeps its stale topology and
 	// epoch — that staleness is what fencing refuses if it turns out to
 	// be a zombie rather than a corpse.
-	survivors := make([]string, 0, len(c.order)-1)
-	for _, oid := range c.order {
-		if oid != id {
-			survivors = append(survivors, oid)
-		}
-	}
 	delete(c.nodes, id)
 	c.order = survivors
 	c.removed[id] = dead
@@ -483,44 +464,21 @@ func (c *Cluster) removeLocked(id string) error {
 		c.nodes[sid].b.DisconnectClientsPrefix(prefix)
 	}
 
-	// 3. Takeover: pause moved partitions, harvest links to the corpse.
+	// 3. Takeover: harvest the links to the corpse while the moved
+	// partitions are paused, then 4. switch + flush.
 	moved := map[int]bool{}
 	for _, p := range old.ownedBy(id) {
 		moved[p] = true
 	}
-	nodes := make([]*Node, 0, len(survivors))
-	for _, sid := range survivors {
-		nodes = append(nodes, c.nodes[sid])
-	}
-	for _, n := range nodes {
-		n.pause(moved)
-	}
-	for _, n := range nodes {
-		if harvested := n.harvestLink(id); len(harvested) > 0 {
-			n.prependBuffer(harvested)
-			n.takeoverRedelivered.Add(uint64(len(harvested)))
-			c.logf("cluster: %s redelivering %d retained frames for partitions of %s", n.id, len(harvested), id)
+	c.switchOver(survivors, newTopo, moved, func(nodes []*Node) {
+		for _, n := range nodes {
+			if harvested := n.harvestLink(id); len(harvested) > 0 {
+				n.prependBuffer(harvested)
+				n.takeoverRedelivered.Add(uint64(len(harvested)))
+				c.logf("cluster: %s redelivering %d retained frames for partitions of %s", n.id, len(harvested), id)
+			}
 		}
-	}
-
-	// 4. Switch + flush, new owners (of the moved partitions) first.
-	newOwners := map[string]bool{}
-	for p := range moved {
-		newOwners[newTopo.owner[p]] = true
-	}
-	switched := map[string]bool{}
-	for _, n := range nodes {
-		if newOwners[n.id] {
-			n.switchAndFlush(newTopo, moved)
-			switched[n.id] = true
-		}
-	}
-	for _, n := range nodes {
-		if !switched[n.id] {
-			n.switchAndFlush(newTopo, moved)
-		}
-	}
-	c.topo = newTopo
+	})
 	c.logf("cluster: %s removed at epoch %d; %d partitions reassigned", id, newTopo.epoch, len(moved))
 	return nil
 }
@@ -601,80 +559,77 @@ func (c *Cluster) migrate(ctx context.Context, newTopo *topology) {
 		c.install(newTopo)
 		return
 	}
-	nodes := make([]*Node, 0, len(c.order))
-	for _, id := range c.order {
-		nodes = append(nodes, c.nodes[id])
-	}
-
 	c.logf("cluster: migrating %d partitions from %d node(s)", len(moved), len(oldOwnerParts))
-
-	// 1. Pause.
-	for _, n := range nodes {
-		n.pause(moved)
-	}
-
-	// 2. Drain old owners (stable iteration for reproducible logs).
+	// Stable iteration for reproducible logs.
 	oldOwners := make([]string, 0, len(oldOwnerParts))
 	for id := range oldOwnerParts {
 		oldOwners = append(oldOwners, id)
 	}
 	sort.Strings(oldOwners)
-	for _, oid := range oldOwners {
-		o := c.nodes[oid]
-		parts := oldOwnerParts[oid]
-		match := partsMatcher(old.partitions, parts)
-		drained := c.waitDrained(ctx, nodes, o, parts, match)
-		c.logf("cluster: drain of %s done (clean=%v)", oid, drained)
-		if !drained {
-			left := o.b.DetachMatching(match)
-			if len(left) > 0 {
-				c.logf("cluster: drain timeout on %s: detached %d in-flight frames (at-least-once)", oid, len(left))
-				detached := make([]bufFrame, 0, len(left))
-				for _, f := range left {
-					detached = append(detached, bufFrame{part: PartitionOf(f.Topic, old.partitions), f: f})
+	c.switchOver(c.order, newTopo, moved, func(nodes []*Node) {
+		// 2. Drain old owners.
+		for _, oid := range oldOwners {
+			o := c.nodes[oid]
+			parts := oldOwnerParts[oid]
+			match := partsMatcher(old.partitions, parts)
+			drained := c.waitDrained(ctx, nodes, o, parts, match)
+			c.logf("cluster: drain of %s done (clean=%v)", oid, drained)
+			if !drained {
+				left := o.b.DetachMatching(match)
+				if len(left) > 0 {
+					c.logf("cluster: drain timeout on %s: detached %d in-flight frames (at-least-once)", oid, len(left))
+					detached := make([]bufFrame, 0, len(left))
+					for _, f := range left {
+						detached = append(detached, bufFrame{part: PartitionOf(f.Topic, old.partitions), f: f})
+					}
+					o.prependBuffer(detached)
 				}
-				o.prependBuffer(detached)
 			}
 		}
-	}
-
-	// 3. In-process handoff: old owners' buffers -> new owners' buffers.
-	for _, oid := range oldOwners {
-		o := c.nodes[oid]
-		buf := o.takeBuffer()
-		if len(buf) == 0 {
-			continue
-		}
-		perOwner := map[string][]bufFrame{}
-		ownerSeen := []string{}
-		for _, bf := range buf {
-			nid := newTopo.owner[bf.part]
-			if perOwner[nid] == nil {
-				ownerSeen = append(ownerSeen, nid)
+		// 3. In-process handoff: old owners' buffers -> new owners' buffers.
+		for _, oid := range oldOwners {
+			buf := c.nodes[oid].takeBuffer()
+			perOwner := map[string][]bufFrame{}
+			ownerSeen := []string{}
+			for _, bf := range buf {
+				nid := newTopo.owner[bf.part]
+				if perOwner[nid] == nil {
+					ownerSeen = append(ownerSeen, nid)
+				}
+				perOwner[nid] = append(perOwner[nid], bf)
 			}
-			perOwner[nid] = append(perOwner[nid], bf)
+			for _, nid := range ownerSeen {
+				c.nodes[nid].prependBuffer(perOwner[nid])
+			}
 		}
-		for _, nid := range ownerSeen {
-			c.nodes[nid].prependBuffer(perOwner[nid])
-		}
-	}
+	})
+}
 
-	// 4. Switch + flush: new owners first, then everyone else.
+// switchOver moves the nodes ids to newTopo: it pauses the moved
+// partitions on every node, runs handoff, which fills the nodes' buffers
+// with the frames the moved partitions' new owners must route first, then
+// switches and flushes the new owners before every other node, and
+// finally installs newTopo as the cluster's. A publisher node's younger
+// frames therefore cannot reach a new owner before the handed-off older
+// ones were routed. Caller holds c.mu.
+func (c *Cluster) switchOver(ids []string, newTopo *topology, moved map[int]bool, handoff func(nodes []*Node)) {
+	nodes := make([]*Node, 0, len(ids))
+	for _, id := range ids {
+		nodes = append(nodes, c.nodes[id])
+	}
+	for _, n := range nodes {
+		n.pause(moved)
+	}
+	handoff(nodes)
 	newOwners := map[string]bool{}
 	for p := range moved {
 		newOwners[newTopo.owner[p]] = true
 	}
-	switched := map[string]bool{}
-	for _, n := range nodes {
-		if newOwners[n.id] {
-			n.switchAndFlush(newTopo, moved)
-			switched[n.id] = true
-		}
-	}
-	c.logf("cluster: new owners switched and flushed")
-	for _, n := range nodes {
-		if !switched[n.id] {
-			n.switchAndFlush(newTopo, moved)
+	for _, first := range []bool{true, false} {
+		for _, n := range nodes {
+			if newOwners[n.id] == first {
+				n.switchAndFlush(newTopo, moved)
+			}
 		}
 	}
 	c.topo = newTopo
@@ -728,8 +683,8 @@ type LinkHealth struct {
 	State   LinkState `json:"state"`   // connected / down / fenced
 	Suspect bool      `json:"suspect"` // peer silent past the suspicion timeout
 	Redials uint64    `json:"redials"` // successful re-dials after session loss
-	// LastHeartbeatAgeMs is the age of the peer's last heartbeat (or of
-	// the local baseline if none arrived yet); -1 before any baseline.
+	// LastHeartbeatAgeMs is how long the link has heard nothing from the
+	// peer, across sessions (since the link's creation if never).
 	LastHeartbeatAgeMs int64  `json:"last_heartbeat_age_ms"`
 	Epoch              uint64 `json:"epoch"` // epoch the session dialed at
 }

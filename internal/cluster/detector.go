@@ -2,21 +2,22 @@ package cluster
 
 import "time"
 
-// Failure detection. Every node beats on its links each
-// HeartbeatInterval ("!cluster/hb/<id>", epoch payload); receivers
-// intercept the beats in their forward hook and record arrival times.
-// The detector sweeps at the same cadence and declares a member dead
-// only when enough OTHER members independently stopped hearing it —
-// min(2, members-1) confirmations — so one flaky link cannot evict a
-// healthy node, while a two-node cluster can still heal on the lone
-// survivor's word. Death triggers crash takeover (Remove): partitions
-// reassign, retained link frames redeliver, and the gate fences the
-// corpse in case it was a zombie all along.
+// Failure detection. Every inter-node link is an MQTT-SN session, and
+// every packet a link hears from its peer — an ack, a propagated frame,
+// the PINGRESP to the PINGREQ each node sends on each link every
+// HeartbeatInterval — proves the peer alive. The detector sweeps at the
+// same cadence and declares a member dead only when enough OTHER members'
+// own links to it stayed silent past SuspectTimeout — min(2, members-1)
+// confirmations — so one flaky link cannot evict a healthy node, while a
+// two-node cluster can still heal on the lone survivor's word. Death
+// triggers crash takeover (Remove): partitions reassign, retained link
+// frames redeliver, and the gate fences the corpse in case it was a
+// zombie all along.
 //
-// Heartbeats ride the link sessions themselves (QoS 0, intercepted
-// before the pause check), so they measure exactly the path forwards
-// take: a peer that can't receive forwards can't look alive, and a
-// paused migration doesn't buffer them.
+// The probes ride the links that carry forwards, so they measure exactly
+// the path forwards take, as a round trip: a peer that cannot answer its
+// forwarders cannot look alive, and a migration pause, which only buffers
+// frames, cannot make a healthy peer look dead.
 
 // detector is the cluster's sweep loop; started by New when
 // HeartbeatInterval > 0.
@@ -46,20 +47,17 @@ func (c *Cluster) sweep() {
 	}
 	var dead []string
 	for _, id := range c.order {
-		// Only members whose own beat loop demonstrably ticked within the
-		// window may testify: a corpse's frozen lastHeard map ages against
-		// every healthy peer and must not count as a confirmation.
 		confirm, eligible := 0, 0
 		for _, oid := range c.order {
 			if oid == id {
 				continue
 			}
-			o := c.nodes[oid]
-			if !o.beatRecently(now, c.cfg.SuspectTimeout) {
+			silence, ok := c.nodes[oid].linkSilence(id, now)
+			if !ok {
 				continue
 			}
 			eligible++
-			if o.heardAge(id, now) > c.cfg.SuspectTimeout {
+			if silence > c.cfg.SuspectTimeout {
 				confirm++
 			}
 		}

@@ -1,7 +1,6 @@
 package cluster
 
 import (
-	"encoding/binary"
 	"strconv"
 	"strings"
 
@@ -11,10 +10,10 @@ import (
 
 // Membership fencing. Every membership change — Join, Leave, Remove —
 // bumps a monotonic epoch carried by the topology snapshot. The epoch is
-// stamped into every bridge session's client id ("!bridge/<node>@<epoch>")
-// and into every heartbeat payload, so the question "is this forwarder a
-// current member?" is answered at the door, by each node's broker, with
-// no shared state beyond the membership snapshot:
+// stamped into every bridge session's client id ("!bridge/<node>@<epoch>"),
+// so the question "is this forwarder a current member?" is answered at
+// the door, by each node's broker, with no shared state beyond the
+// membership snapshot:
 //
 //   - A CONNECT from a bridge id whose node is a member is admitted
 //     (a slightly stale epoch is fine — the node converges on the next
@@ -53,35 +52,6 @@ func parseBridgeClientID(clientID string) (nodeID string, epoch uint64, ok bool)
 		return rest[:at], e, true
 	}
 	return rest, 0, true
-}
-
-// heartbeatPrefix namespaces the failure detector's heartbeat topics.
-// '!' keeps them out of every valid device namespace the same way the
-// bridge session prefix does, and they are valid MQTT-SN topic names
-// (no wildcards), so they ride the ordinary link publish machinery.
-const heartbeatPrefix = "!cluster/hb/"
-
-// heartbeatTopic is the topic node id beats on (one topic per sender, so
-// each link registers it once).
-func heartbeatTopic(id string) string { return heartbeatPrefix + id }
-
-// parseHeartbeatTopic recovers the sending node from a heartbeat topic.
-func parseHeartbeatTopic(topic string) (id string, ok bool) {
-	return strings.CutPrefix(topic, heartbeatPrefix)
-}
-
-// heartbeatPayload encodes the sender's epoch.
-func heartbeatPayload(epoch uint64) []byte {
-	var b [8]byte
-	binary.BigEndian.PutUint64(b[:], epoch)
-	return b[:]
-}
-
-func parseHeartbeatPayload(p []byte) uint64 {
-	if len(p) != 8 {
-		return 0
-	}
-	return binary.BigEndian.Uint64(p)
 }
 
 // connectGate builds the broker ConnectGate for one node: ordinary

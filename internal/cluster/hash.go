@@ -79,10 +79,10 @@ type topology struct {
 	owner      []string          // partition index -> owning node id
 	addrs      map[string]string // node id -> broker listen address
 	// epoch is the membership fencing token: monotonically bumped by
-	// every Join/Leave/Remove, stamped into bridge client ids and
-	// heartbeats. A node left behind by a Remove keeps its stale
-	// topology (and epoch) — that staleness is what the survivors'
-	// connect gates refuse (see epoch.go).
+	// every Join/Leave/Remove and stamped into bridge client ids. A node
+	// left behind by a Remove keeps its stale topology (and epoch) — that
+	// staleness is what the survivors' connect gates refuse (see
+	// epoch.go).
 	epoch uint64
 }
 

@@ -33,6 +33,10 @@ import (
 // Two exits are terminal: the link being closed, and the peer refusing
 // the dial with RejectedInvalidID — the membership gate's verdict that
 // this node has been fenced out, which demotes the whole node.
+//
+// Every packet the link hears from the peer (an ack, a propagated frame,
+// the PINGRESP to the node's probe) proves the peer alive; how long it
+// has heard nothing is the failure detector's only input.
 type link struct {
 	n       *Node
 	peer    string
@@ -48,17 +52,20 @@ type link struct {
 	mu     sync.Mutex
 	fenced bool
 	epoch  uint64 // epoch stamped into the current session's client id
-
-	// hbBusy suppresses heartbeat pile-up: at most one heartbeat publish
-	// in flight per link, so a wedged window can't leak goroutines.
-	hbBusy bool
+	// heard is when the last ended session last heard the peer, or when
+	// the link was created: a link that is down keeps ageing from it.
+	heard time.Time
 }
 
 // Bridge link sizing: in-flight frames per session, and the submission
 // queue (a full queue applies backpressure to the releasing broker).
+// Without the failure detector the sessions keep alive at linkKeepAlive;
+// with it, at SuspectTimeout, so a silent peer's session ends at 1.5×
+// SuspectTimeout, after the detector suspected the peer and never before.
 const (
-	linkWindow = 64
-	linkQueue  = 1024
+	linkWindow    = 64
+	linkQueue     = 1024
+	linkKeepAlive = 30 * time.Second
 )
 
 // LinkState labels a link's session for stats.
@@ -82,15 +89,20 @@ func newLink(n *Node, peer, addr string) *link {
 		peer:  peer,
 		done:  make(chan struct{}),
 		ready: make(chan struct{}),
+		heard: time.Now(),
 	}
 	l.out = mqttsn.NewOutbox(linkQueue, packFrame, l.released)
 	cfg := n.c.cfg
+	keepAlive := linkKeepAlive
+	if cfg.HeartbeatInterval > 0 {
+		keepAlive = cfg.SuspectTimeout
+	}
 	var dialEpoch uint64 // read and written only on the session's goroutine
 	l.session = mqttsn.NewSession(mqttsn.SessionConfig{
 		Client: mqttsn.ClientConfig{
 			Gateway:        addr,
 			Transport:      n.c.tr,
-			KeepAlive:      cfg.LinkKeepAlive,
+			KeepAlive:      keepAlive,
 			RetryInterval:  cfg.RetryInterval,
 			MaxRetries:     cfg.MaxRetries,
 			InflightWindow: linkWindow,
@@ -110,7 +122,12 @@ func newLink(n *Node, peer, addr string) *link {
 			l.readyOnce.Do(func() { close(l.ready) })
 			return nil
 		},
-		Serve:       l.out.Serve,
+		Serve: func(mc *mqttsn.Client, down <-chan struct{}) {
+			l.out.Serve(mc, down)
+			l.mu.Lock()
+			l.heard = mc.LastRecv()
+			l.mu.Unlock()
+		},
 		Backoff:     resilience.Backoff{Min: 50 * time.Millisecond, Max: 2 * time.Second},
 		OnDialError: l.dialFailed,
 	})
@@ -196,29 +213,27 @@ func (l *link) unsubscribe(filter string) {
 	}
 }
 
-// heartbeat publishes one failure-detector beat (QoS 0, best effort) on
-// the current session, skipping while the link is down or the previous
-// beat is still in flight.
-func (l *link) heartbeat(topic string, payload []byte) {
-	mc := l.session.Client()
-	l.mu.Lock()
-	if mc == nil || l.hbBusy {
-		l.mu.Unlock()
-		return
+// probe sends one fire-and-forget PINGREQ on the current session; a
+// live peer's PINGRESP refreshes the link's silence.
+func (l *link) probe() {
+	if mc := l.session.Client(); mc != nil {
+		_ = mc.Ping()
 	}
-	l.hbBusy = true
+}
+
+// silence is how long the link has heard nothing from its peer, across
+// sessions: the current session's last packet, or, while the link is
+// down, the last packet of the session before.
+func (l *link) silence(now time.Time) time.Duration {
+	l.mu.Lock()
+	heard := l.heard
 	l.mu.Unlock()
-	// The whole publish happens off the caller's goroutine: even the
-	// async variant can block (REGISTER handshake, send window) when the
-	// peer is dead, and the heartbeat loop iterates every link — one
-	// wedged link must not starve beats to healthy peers and turn into
-	// false suspicions.
-	go func() {
-		_ = mc.Publish(topic, payload, mqttsn.QoS0)
-		l.mu.Lock()
-		l.hbBusy = false
-		l.mu.Unlock()
-	}()
+	if mc := l.session.Client(); mc != nil {
+		if t := mc.LastRecv(); t.After(heard) {
+			heard = t
+		}
+	}
+	return now.Sub(heard)
 }
 
 // health snapshots the link's supervision state for stats.

@@ -52,26 +52,9 @@ type Node struct {
 	// must not block on peer round trips, so they enqueue and return.
 	subCh chan subChange
 
-	// hbMu guards the failure detector's receive side: when each peer's
-	// heartbeat was last heard on this node (over the peer's own link
-	// session into this broker) and the epoch it claimed. Leaf lock.
-	hbMu      sync.Mutex
-	lastHeard map[string]time.Time
-	peerEpoch map[string]uint64
-	// hbPause suppresses heartbeat SENDING (tests simulate a partitioned
-	// node with it; the node keeps running, peers just stop hearing it).
-	hbPause atomic.Bool
-
 	// demoted flips once when a peer's membership gate fences this node
 	// out; the node then closes itself so local clients fail over.
 	demoted atomic.Bool
-
-	// lastBeatAttempt (unix nanos) is stamped every heartbeat tick,
-	// whether or not beats are paused: it proves this node's loop is
-	// RUNNING. The detector only trusts confirmations from nodes that
-	// recently stamped it — a corpse's frozen lastHeard map must not
-	// count as evidence against the living.
-	lastBeatAttempt atomic.Int64
 
 	done      chan struct{}
 	closeOnce sync.Once
@@ -123,14 +106,6 @@ func (n *Node) Broker() *broker.Broker { return n.b }
 // forwardHook is the broker's Forward hook: called once per fully
 // released inbound publish. Returning true takes ownership of the frame.
 func (n *Node) forwardHook(f broker.ForwardFrame) bool {
-	// Failure-detector heartbeats ride the same link sessions as data
-	// (so they attest exactly the path forwards take) but are consumed
-	// here, BEFORE the pause check: a migration pause must never make a
-	// healthy peer look dead.
-	if peer, ok := parseHeartbeatTopic(f.Topic); ok {
-		n.recordHeartbeat(peer, parseHeartbeatPayload(f.Payload))
-		return true
-	}
 	n.fmu.Lock()
 	tp := n.topo
 	if tp == nil {
@@ -156,20 +131,20 @@ func (n *Node) forwardHook(f broker.ForwardFrame) bool {
 		}
 		return false // local routing handles it
 	}
-	addr := tp.addrs[owner]
-	// Count the frame as in flight before leaving the critical section:
-	// a drain that samples after this pause-consistent point sees it.
-	n.addPending(part)
-	n.fmu.Unlock()
-	n.forwardedOut.Add(1)
-	n.sendTo(owner, addr, part, f)
+	n.forwardUnlock(tp, owner, part, f)
 	return true
 }
 
-// sendTo hands a frame to the link for owner, dropping (with a loss
-// count) only if the peer cannot be dialed.
-func (n *Node) sendTo(owner, addr string, part int, f broker.ForwardFrame) {
-	l := n.linkTo(owner, addr)
+// forwardUnlock counts f as in flight for part, releases fmu, and hands f
+// to the link for owner, dropping it (with a loss count) only if the peer
+// cannot be dialed. Counting inside the critical section means a drain
+// that samples after this pause-consistent point sees the frame. Caller
+// holds fmu.
+func (n *Node) forwardUnlock(tp *topology, owner string, part int, f broker.ForwardFrame) {
+	n.addPending(part)
+	n.fmu.Unlock()
+	n.forwardedOut.Add(1)
+	l := n.linkTo(owner, tp.addrs[owner])
 	if l == nil {
 		n.decPending(part)
 		n.linkLost.Add(1)
@@ -231,11 +206,11 @@ func (n *Node) harvestLink(peer string) []bufFrame {
 }
 
 // redirect re-routes a frame whose link went away mid-flight through the
-// current topology: buffered if its partition is paused, submitted
-// locally if this node now owns it, forwarded to the new owner
-// otherwise. Only a node that is itself shutting down drops the frame.
-// This is what turns the old "closing a link settles its queue as lost"
-// into a requeue to the partition's new owner.
+// forward hook, as if it had just been released here: buffered if its
+// partition is paused, forwarded to the partition's owner, or submitted
+// locally if this node owns it now. Only a node that is itself shutting
+// down drops the frame. This is what turns the old "closing a link
+// settles its queue as lost" into a requeue to the partition's new owner.
 func (n *Node) redirect(part int, f broker.ForwardFrame) {
 	n.decPending(part)
 	select {
@@ -244,28 +219,9 @@ func (n *Node) redirect(part int, f broker.ForwardFrame) {
 		return
 	default:
 	}
-	n.fmu.Lock()
-	tp := n.topo
-	if tp == nil {
-		n.fmu.Unlock()
-		n.linkLost.Add(1)
-		return
-	}
-	if n.paused[part] {
-		n.buf = append(n.buf, bufFrame{part: part, f: f})
-		n.fmu.Unlock()
-		return
-	}
-	owner := tp.owner[part]
-	if owner == n.id {
-		n.fmu.Unlock()
+	if !n.forwardHook(f) {
 		n.b.Submit(f.Topic, f.Payload, f.QoS)
-		return
 	}
-	addr := tp.addrs[owner]
-	n.addPending(part)
-	n.fmu.Unlock()
-	n.sendTo(owner, addr, part, f)
 }
 
 // currentEpoch reads the installed topology's fencing epoch.
@@ -278,68 +234,41 @@ func (n *Node) currentEpoch() uint64 {
 	return n.topo.epoch
 }
 
-// recordHeartbeat notes a peer's beat (receive side of the detector).
-func (n *Node) recordHeartbeat(peer string, epoch uint64) {
-	n.hbMu.Lock()
-	n.lastHeard[peer] = time.Now()
-	n.peerEpoch[peer] = epoch
-	n.hbMu.Unlock()
-}
-
-// seedHeartbeat gives peer a fresh baseline if none exists, so a node
-// is never suspected before it had one suspicion-timeout's chance to
-// beat (fresh joiners, detector start).
-func (n *Node) seedHeartbeat(peer string) {
-	n.hbMu.Lock()
-	if _, ok := n.lastHeard[peer]; !ok {
-		n.lastHeard[peer] = time.Now()
-	}
-	n.hbMu.Unlock()
-}
-
-// heardAge returns how long ago peer's last beat arrived (0 if never
-// seeded — the detector seeds every member pair before evaluating).
-func (n *Node) heardAge(peer string, now time.Time) time.Duration {
-	n.hbMu.Lock()
-	defer n.hbMu.Unlock()
-	t, ok := n.lastHeard[peer]
-	if !ok {
-		return 0
-	}
-	return now.Sub(t)
-}
-
-// heartbeatLoop publishes this node's beat over every live link at the
-// configured interval. Sending bypasses the forward path entirely (no
-// pause, no pending counters); receiving peers consume the beat in
-// their forward hook.
-func (n *Node) heartbeatLoop(interval time.Duration) {
+// probeLoop pings the peer of every link once per interval, so an idle
+// link still hears from a live peer (see link.silence).
+func (n *Node) probeLoop(interval time.Duration) {
 	defer n.wg.Done()
 	ticker := time.NewTicker(interval)
 	defer ticker.Stop()
-	topic := heartbeatTopic(n.id)
 	for {
 		select {
 		case <-n.done:
 			return
 		case <-ticker.C:
-			n.lastBeatAttempt.Store(time.Now().UnixNano())
-			if n.hbPause.Load() {
-				continue
-			}
-			payload := heartbeatPayload(n.currentEpoch())
 			for _, l := range n.linkSnapshot() {
-				l.heartbeat(topic, payload)
+				l.probe()
 			}
 		}
 	}
 }
 
-// beatRecently reports whether this node's heartbeat loop ticked within
-// the given window — i.e. whether its observations can be trusted.
-func (n *Node) beatRecently(now time.Time, within time.Duration) bool {
-	last := n.lastBeatAttempt.Load()
-	return last != 0 && now.Sub(time.Unix(0, last)) <= within
+// linkSilence reports how long this node's own link to peer has heard
+// nothing, and whether this node may testify about peer at all: only a
+// running node with a link to peer may. A killed node has closed its
+// links, so a corpse never counts against the living.
+func (n *Node) linkSilence(peer string, now time.Time) (time.Duration, bool) {
+	select {
+	case <-n.done:
+		return 0, false
+	default:
+	}
+	n.linkMu.Lock()
+	l := n.links[peer]
+	n.linkMu.Unlock()
+	if l == nil {
+		return 0, false
+	}
+	return l.silence(now), true
 }
 
 // demote runs once, when a peer's membership gate fences this node out:
@@ -355,8 +284,8 @@ func (n *Node) demote() {
 	n.c.noteDemoted(n.id)
 }
 
-// linkHealth snapshots per-peer link supervision state plus the
-// detector's receive-side view, for stats.
+// linkHealth snapshots per-peer link supervision state and silence, for
+// stats.
 func (n *Node) linkHealth(suspectAfter time.Duration) []LinkHealth {
 	links := map[string]*link{}
 	n.linkMu.Lock()
@@ -368,19 +297,15 @@ func (n *Node) linkHealth(suspectAfter time.Duration) []LinkHealth {
 	out := make([]LinkHealth, 0, len(links))
 	for peer, l := range links {
 		state, redials, epoch := l.health()
-		h := LinkHealth{
-			Peer:    peer,
-			State:   state,
-			Redials: redials,
-			Epoch:   epoch,
-		}
-		if age := n.heardAge(peer, now); age > 0 {
-			h.LastHeartbeatAgeMs = age.Milliseconds()
-			h.Suspect = suspectAfter > 0 && age > suspectAfter
-		} else {
-			h.LastHeartbeatAgeMs = -1
-		}
-		out = append(out, h)
+		silence := l.silence(now)
+		out = append(out, LinkHealth{
+			Peer:               peer,
+			State:              state,
+			Suspect:            suspectAfter > 0 && silence > suspectAfter,
+			Redials:            redials,
+			LastHeartbeatAgeMs: silence.Milliseconds(),
+			Epoch:              epoch,
+		})
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Peer < out[j].Peer })
 	return out
@@ -536,39 +461,31 @@ func (n *Node) prependBuffer(frames []bufFrame) {
 }
 
 // switchAndFlush installs the new topology, then drains the migration
-// buffer through it — local partitions via Broker.Submit (synchronous,
-// order-preserving), remote ones via the owner's link — looping until
-// the buffer is empty, and finally unpauses the moved partitions
-// atomically with the last emptiness check so no frame can slip between
-// the flush and the resume.
+// buffer through it frame by frame, oldest first — local partitions via
+// Broker.Submit (synchronous, order-preserving), remote ones via the
+// owner's link — until the buffer is empty, and finally unpauses the
+// moved partitions atomically with the last emptiness check so no frame
+// can slip between the flush and the resume.
 func (n *Node) switchAndFlush(tp *topology, moved map[int]bool) {
 	n.fmu.Lock()
 	n.topo = tp
-	n.fmu.Unlock()
-	for {
-		n.fmu.Lock()
-		if len(n.buf) == 0 {
-			for p := range moved {
-				delete(n.paused, p)
-			}
+	for len(n.buf) > 0 {
+		bf := n.buf[0]
+		n.buf = n.buf[1:]
+		n.migratedBuf.Add(1)
+		if owner := tp.owner[bf.part]; owner != n.id {
+			n.forwardUnlock(tp, owner, bf.part, bf.f)
+		} else {
 			n.fmu.Unlock()
-			return
+			n.b.Submit(bf.f.Topic, bf.f.Payload, bf.f.QoS)
 		}
-		buf := n.buf
-		n.buf = nil
-		n.fmu.Unlock()
-		for _, bf := range buf {
-			owner := tp.owner[bf.part]
-			n.migratedBuf.Add(1)
-			if owner == n.id {
-				n.b.Submit(bf.f.Topic, bf.f.Payload, bf.f.QoS)
-				continue
-			}
-			n.addPending(bf.part)
-			n.forwardedOut.Add(1)
-			n.sendTo(owner, tp.addrs[owner], bf.part, bf.f)
-		}
+		n.fmu.Lock()
 	}
+	n.buf = nil
+	for p := range moved {
+		delete(n.paused, p)
+	}
+	n.fmu.Unlock()
 }
 
 // close stops the propagation worker, tears down every link, and closes

@@ -2,8 +2,10 @@ package cluster
 
 import (
 	"context"
+	"net"
 	"strconv"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -13,22 +15,23 @@ import (
 
 // newSelfHealCluster builds a cluster with an aggressive failure
 // detector and fast link retries, so crash tests converge in tens of
-// milliseconds instead of the production-default seconds.
-func newSelfHealCluster(t *testing.T, nodes int, onDemoted func(string)) *Cluster {
+// milliseconds instead of the production-default seconds. Its links dial
+// through the returned cut.
+func newSelfHealCluster(t *testing.T, nodes int, onDemoted func(string)) (*Cluster, *cut) {
 	t.Helper()
+	var cut cut
 	// RetryInterval stays generous: an aggressive value causes spurious
 	// QoS retransmits under race-detector load. Takeover speed does not
 	// depend on it — harvesting a dead link force-fails its in-flight
 	// frames by closing the session.
 	c, err := New(Config{
 		Nodes:             nodes,
-		Transport:         transport.NewLoopback(),
+		Transport:         transport.WrapDial(transport.NewLoopback(), cut.wrap),
 		RetryInterval:     time.Second,
 		MaxRetries:        2,
 		DrainTimeout:      20 * time.Second,
 		HeartbeatInterval: 50 * time.Millisecond,
 		SuspectTimeout:    300 * time.Millisecond,
-		LinkKeepAlive:     time.Second,
 		OnDemoted:         onDemoted,
 		Logf:              t.Logf,
 	})
@@ -36,14 +39,39 @@ func newSelfHealCluster(t *testing.T, nodes int, onDemoted func(string)) *Cluste
 		t.Fatalf("cluster.New: %v", err)
 	}
 	t.Cleanup(c.Close)
-	return c
+	return c, &cut
+}
+
+// cut is a one-way partition: once isolate names a node, every datagram
+// a dialed conn sends to that node's broker is dropped. The node keeps
+// running and its own links keep working, but its peers' links to it
+// hear nothing back.
+type cut struct{ addr atomic.Pointer[string] }
+
+func (c *cut) isolate(n *Node) {
+	addr := n.Addr()
+	c.addr.Store(&addr)
+}
+
+func (c *cut) wrap(pc net.PacketConn) net.PacketConn { return cutConn{pc, c} }
+
+type cutConn struct {
+	net.PacketConn
+	cut *cut
+}
+
+func (cc cutConn) WriteTo(p []byte, addr net.Addr) (int, error) {
+	if a := cc.cut.addr.Load(); a != nil && *a == addr.String() {
+		return len(p), nil
+	}
+	return cc.PacketConn.WriteTo(p, addr)
 }
 
 // TestDetectorRemovesDeadNode: killing a node (SIGKILL semantics — no
-// Leave, no drain) is noticed by the heartbeat detector, which removes
+// Leave, no drain) is noticed by the failure detector, which removes
 // it and reassigns its partitions to the survivors, bumping the epoch.
 func TestDetectorRemovesDeadNode(t *testing.T) {
-	c := newSelfHealCluster(t, 3, nil)
+	c, _ := newSelfHealCluster(t, 3, nil)
 	epochBefore := c.Topology().Epoch
 
 	if err := c.Kill("n2"); err != nil {
@@ -81,7 +109,7 @@ func TestDetectorRemovesDeadNode(t *testing.T) {
 // in per-topic order — the frames a pre-self-healing cluster counted
 // as linkLost.
 func TestCrashTakeoverRedelivers(t *testing.T) {
-	c := newSelfHealCluster(t, 3, nil)
+	c, _ := newSelfHealCluster(t, 3, nil)
 
 	sub := dialNode(t, c, "n0", "sub")
 	var mu sync.Mutex
@@ -152,17 +180,17 @@ func TestCrashTakeoverRedelivers(t *testing.T) {
 	}
 }
 
-// TestZombieFencedAndRejoins: a node that stops heartbeating (but keeps
-// running) is removed by the detector; when it tries to keep forwarding,
+// TestZombieFencedAndRejoins: a node its peers stop hearing from (but
+// that keeps running) is removed by the detector; when it tries to keep
+// forwarding,
 // the survivors' membership gates refuse its bridge sessions, and the
 // zombie demotes itself. A subsequent Join brings a fresh node in with
 // no partition owned by two nodes at any point.
 func TestZombieFencedAndRejoins(t *testing.T) {
 	demoted := make(chan string, 1)
-	c := newSelfHealCluster(t, 3, func(id string) { demoted <- id })
+	c, cut := newSelfHealCluster(t, 3, func(id string) { demoted <- id })
 
-	zombie := c.Node("n2")
-	zombie.hbPause.Store(true)
+	cut.isolate(c.Node("n2"))
 
 	waitFor(t, 10*time.Second, func() bool { return len(c.NodeIDs()) == 2 })
 
@@ -235,7 +263,7 @@ func TestZombieFencedAndRejoins(t *testing.T) {
 // in NodeStats, flips to suspect when a peer goes silent, and counts
 // redials after a session loss.
 func TestLinkHealthStats(t *testing.T) {
-	c := newSelfHealCluster(t, 3, nil)
+	c, cut := newSelfHealCluster(t, 3, nil)
 
 	waitFor(t, 10*time.Second, func() bool {
 		for _, st := range c.Stats() {
@@ -251,9 +279,10 @@ func TestLinkHealthStats(t *testing.T) {
 		return true
 	})
 
-	// Silence one node's beats: peers must mark the link suspect (the
-	// detector will then remove it; both observations are valid here).
-	c.Node("n2").hbPause.Store(true)
+	// Cut one node off from its peers' links: they must mark the link
+	// suspect (the detector will then remove it; both observations are
+	// valid here).
+	cut.isolate(c.Node("n2"))
 	waitFor(t, 10*time.Second, func() bool {
 		for _, st := range c.Stats() {
 			if st.ID == "n2" {
@@ -267,4 +296,29 @@ func TestLinkHealthStats(t *testing.T) {
 		}
 		return len(c.NodeIDs()) == 2 // detector already acted
 	})
+}
+
+// TestIdleClusterKeepsMembers: with no traffic at all, the probes alone
+// keep every link hearing its peer, so over ten suspicion timeouts no
+// node is removed and no link goes down or silent.
+func TestIdleClusterKeepsMembers(t *testing.T) {
+	c, _ := newSelfHealCluster(t, 3, nil)
+	suspect := c.cfg.SuspectTimeout
+	deadline := time.Now().Add(10 * suspect)
+	for time.Now().Before(deadline) {
+		if ids := c.NodeIDs(); len(ids) != 3 {
+			t.Fatalf("members %v after %v idle", ids, time.Until(deadline))
+		}
+		for _, st := range c.Stats() {
+			if len(st.Links) != 2 {
+				t.Fatalf("node %s has %d links, want 2", st.ID, len(st.Links))
+			}
+			for _, lh := range st.Links {
+				if lh.State != LinkConnected || lh.Suspect || lh.LastHeartbeatAgeMs >= suspect.Milliseconds() {
+					t.Fatalf("node %s link to %s: %+v", st.ID, lh.Peer, lh)
+				}
+			}
+		}
+		time.Sleep(suspect / 10)
+	}
 }

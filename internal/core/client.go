@@ -212,7 +212,12 @@ type Stats struct {
 	BytesPublished   uint64
 	FramesCompressed uint64
 	RecordsGrouped   uint64
-	AsyncErrors      uint64
+	// AsyncErrors counts the asynchronous errors that cost frames, one per
+	// frame lost (a lost packed PUBLISH counts every frame it carried),
+	// plus spool and acknowledgement errors. Each is also passed to
+	// OnError. A failed dial reaches OnError but is not counted here:
+	// ReconnectAttempts and ReconnectConsecFailures count those.
+	AsyncErrors uint64
 	// QueueFull counts frames dropped because the transmit queue was full
 	// (no spool configured); each drop also returned ErrQueueFull.
 	QueueFull uint64
@@ -404,7 +409,7 @@ func NewClient(ctx context.Context, cfg Config) (*Client, error) {
 		Serve:   serve,
 		Backoff: resilience.Backoff{Min: cfg.ReconnectMinDelay, Max: cfg.ReconnectMaxDelay},
 		OnDialError: func(_ int, err error) error {
-			c.reportAsync(fmt.Errorf("provlight: connect broker %s: %w", cfg.Broker, err))
+			c.onError(fmt.Errorf("provlight: connect broker %s: %w", cfg.Broker, err))
 			return err
 		},
 	})

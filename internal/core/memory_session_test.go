@@ -102,8 +102,9 @@ func TestMemoryClientResumesAfterBrokerRestart(t *testing.T) {
 
 // TestMemoryShutdownReleasesQueueWhileSessionDown: Shutdown with a short
 // deadline while the broker is gone and every redial fails returns the
-// context error promptly, counts each frame that never left the queue as
-// an AsyncError, and leaves no client goroutine behind.
+// context error promptly, counts each frame that never arrived as one
+// AsyncError and the failed redials as none, and leaves no client
+// goroutine behind.
 func TestMemoryShutdownReleasesQueueWhileSessionDown(t *testing.T) {
 	base := runtime.NumGoroutine()
 	mem := translate.NewMemoryTarget()
@@ -154,8 +155,8 @@ func TestMemoryShutdownReleasesQueueWhileSessionDown(t *testing.T) {
 		t.Fatalf("shutdown took %v, deadline was 200ms", elapsed)
 	}
 	st := client.StatsSnapshot()
-	if lost := st.FramesPublished - uint64(mem.Len()); st.AsyncErrors < lost {
-		t.Fatalf("async errors = %d, want at least the %d frames that never arrived", st.AsyncErrors, lost)
+	if lost := st.FramesPublished - uint64(mem.Len()); st.AsyncErrors != lost {
+		t.Fatalf("async errors = %d, want the %d frames that never arrived (%d dials failed)", st.AsyncErrors, lost, st.ReconnectAttempts-st.SpoolReconnects)
 	}
 	deadline = time.Now().Add(5 * time.Second)
 	for runtime.NumGoroutine() > base {

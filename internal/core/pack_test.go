@@ -96,7 +96,7 @@ func TestPackFailureCountsEveryFrame(t *testing.T) {
 		c.WindowSize = 1
 		c.RetryInterval = 20 * time.Millisecond
 		c.MaxRetries = 2
-		// No redial within the test, so no failed dial counts an AsyncError.
+		// No redial within the test, so no failed dial reaches OnError.
 		c.ReconnectMinDelay = time.Minute
 		c.ReconnectMaxDelay = time.Minute
 		c.OnError = func(error) { reported.Add(1) }

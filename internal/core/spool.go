@@ -94,10 +94,15 @@ func (c *Client) spoolAppend(records ...*provdm.Record) error {
 	return nil
 }
 
-// reportAsync counts an asynchronous error and delivers it to OnError
-// under the serialization contract.
+// reportAsync counts an asynchronous error in AsyncErrors and delivers it
+// to OnError.
 func (c *Client) reportAsync(err error) {
 	c.ctr.asyncErrors.Add(1)
+	c.onError(err)
+}
+
+// onError delivers err to OnError under the serialization contract.
+func (c *Client) onError(err error) {
 	if cb := c.cfg.OnError; cb != nil {
 		c.errMu.Lock()
 		cb(err)

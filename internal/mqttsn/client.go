@@ -605,9 +605,8 @@ func (c *Client) resendPacketLocked(f *Flow[clientFlow]) Packet {
 // for the next publish to exhaust its retries. Otherwise, at most once per
 // interval since the last ping, the client pings when idle (classic
 // keepalive) but also when it is sending without hearing back: a QoS
-// 0-only stream (e.g. cluster heartbeats) refreshes lastSend forever and
-// would otherwise suppress the ping that liveness depends on. It reports
-// whether it pinged.
+// 0-only stream refreshes lastSend forever and would otherwise suppress
+// the ping that liveness depends on. It reports whether it pinged.
 func (c *Client) keepalive(now time.Time, interval time.Duration, pinged time.Time) bool {
 	c.mu.Lock()
 	idle := now.Sub(c.lastSend)
@@ -623,9 +622,20 @@ func (c *Client) keepalive(now time.Time, interval time.Duration, pinged time.Ti
 	case now.Sub(pinged) < interval || idle < interval && silent < interval:
 		return false
 	}
-	// Fire-and-forget: the PINGRESP only refreshes lastRecv.
-	_ = c.send(&Pingreq{})
+	_ = c.Ping()
 	return true
+}
+
+// Ping sends one PINGREQ, fire-and-forget: the gateway's PINGRESP only
+// refreshes LastRecv.
+func (c *Client) Ping() error { return c.send(&Pingreq{}) }
+
+// LastRecv is when the last packet from the gateway arrived, or when the
+// session was accepted if nothing has arrived since; zero before.
+func (c *Client) LastRecv() time.Time {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.lastRecv
 }
 
 // Subscribe registers handler for a topic name or wildcard filter. The
