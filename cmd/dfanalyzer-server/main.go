@@ -5,10 +5,13 @@
 // loading the latest snapshot and replaying the WAL tail.
 //
 // Replication: -replication-listen makes a durable store the primary of
-// a replication group, shipping its WAL to followers; -replicate-from
-// runs this process as a read replica of a primary; -promote lifts a
-// (stopped) replica's data directory into a new primary under a fresh
-// term, fencing the old primary out.
+// a replication group, shipping its WAL to followers; with -min-sync N
+// every write holding a durable frame id (POST /frames from a spooling
+// pipeline) is answered only once N followers hold it, and with 503 if
+// they do not within 10 s. -replicate-from runs this process as a read
+// replica of a primary; -promote lifts a (stopped) replica's data
+// directory into a new primary under a fresh term, fencing out the old
+// primary and every writer that stamps the old term.
 package main
 
 import (
@@ -34,7 +37,7 @@ func main() {
 	replListen := flag.String("replication-listen", "", "serve WAL replication to followers on this address (primary role; requires -data-dir)")
 	replFrom := flag.String("replicate-from", "", "follow the primary's replication address as a read replica (requires -data-dir)")
 	replID := flag.String("replica-id", "", "stable follower identity for resumable replication (default: hostname)")
-	minSync := flag.Int("min-sync", 0, "followers that must acknowledge a record before it counts as committed (0 = async replication)")
+	minSync := flag.Int("min-sync", 0, "followers that must hold a write with a durable frame id before it is answered (0 = async replication)")
 	promote := flag.Bool("promote", false, "promote this data directory to primary under a new term, then serve (run against the most caught-up replica after primary loss)")
 	readyMaxLag := flag.Uint64("ready-max-lag", 0, "replica lag (records) beyond which /readyz reports not ready (0: any connected replica is ready)")
 	enablePProf := flag.Bool("pprof", false, "mount net/http/pprof on the API mux")
@@ -75,7 +78,7 @@ func main() {
 		if err != nil {
 			log.Fatalf("dfanalyzer-server: promote: %v", err)
 		}
-		log.Printf("dfanalyzer-server: promoted to primary, term %d (deposed primaries and stale translators are fenced)", term)
+		log.Printf("dfanalyzer-server: promoted to primary, term %d (the deposed primary and writers stamping an older term are fenced; writers that stamp no term are not)", term)
 	}
 
 	srv := dfanalyzer.NewServer(store)
@@ -122,13 +125,18 @@ func main() {
 	if err := srv.Start(*addr); err != nil {
 		log.Fatalf("dfanalyzer-server: %v", err)
 	}
-	defer srv.Close()
 	log.Printf("dfanalyzer-server: serving on http://%s", srv.Addr())
 	log.Printf("dfanalyzer-server: endpoints: POST /dataflow, POST /task, POST /tasks (batch), POST /frames (exactly-once), POST /query, GET /dataflow/{tag}, GET /metrics, GET /healthz, GET /readyz")
 
 	sig := make(chan os.Signal, 1)
 	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
 	<-sig
+	// Stop taking writes before replication stops: a closed replication
+	// server removes the store's commit wait, so a later write would be
+	// answered unreplicated.
+	if err := srv.Close(); err != nil {
+		log.Printf("dfanalyzer-server: close API: %v", err)
+	}
 	log.Printf("dfanalyzer-server: served %d requests", srv.Requests())
 	// Stop replication before the store: followers see a clean EOF, and a
 	// follower must not apply into a closing store.

@@ -103,7 +103,7 @@ func TestPackFailureCountsEveryFrame(t *testing.T) {
 	})
 	fault.Partition() // the device's sends vanish; its socket stays open
 	const tasks = 10
-	for i := 0; i < tasks; i++ { // no workflow End, whose Flush would wait
+	for i := 0; i < tasks; i++ {
 		captureTask(t, client, "lost", i)
 	}
 	deadline := time.Now().Add(10 * time.Second)
@@ -169,7 +169,7 @@ func TestPackPartitionHealDeliversOnceInOrder(t *testing.T) {
 	})
 	fault.Partition()
 	var want []string
-	for i := 0; i < 60; i++ { // no workflow End, whose Flush would wait
+	for i := 0; i < 60; i++ {
 		captureTask(t, client, "healed", i)
 		task := fmt.Sprintf("t%d", i)
 		want = append(want, "healed/"+provdm.EventTaskBegin.String()+"/"+task, "healed/"+provdm.EventTaskEnd.String()+"/"+task)
@@ -205,5 +205,49 @@ func TestPackPartitionHealDeliversOnceInOrder(t *testing.T) {
 	}
 	if st.SpoolReconnects < 2 {
 		t.Errorf("%d sessions, want a redial", st.SpoolReconnects)
+	}
+}
+
+// TestWorkflowEndDoesNotWait: a memory-mode workflow ends at once while
+// its device's link is partitioned (the end capture cuts the group, and
+// delivery is Flush's job); the records arrive once the partition heals.
+func TestWorkflowEndDoesNotWait(t *testing.T) {
+	fault := chaos.NewFault(1)
+	client, mem, _ := startPipeline(t, func(c *Config) {
+		c.Transport = fault.Transport(transport.UDP{})
+		c.GroupSize = 4
+		c.RetryInterval = 50 * time.Millisecond
+		c.ReconnectMinDelay = 100 * time.Millisecond
+		c.ReconnectMaxDelay = 100 * time.Millisecond
+	})
+	fault.Partition()
+	w := client.NewWorkflow("partitioned")
+	if err := w.Begin(); err != nil {
+		t.Fatal(err)
+	}
+	task := w.NewTask("t0", "tr")
+	if err := task.Begin(); err != nil {
+		t.Fatal(err)
+	}
+	if err := task.End(); err != nil {
+		t.Fatal(err)
+	}
+	ended := make(chan error, 1)
+	go func() { ended <- w.End() }()
+	select {
+	case err := <-ended:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(100 * time.Millisecond):
+		fault.Heal() // releases End, so the test's client can close
+		t.Fatal("End still waiting 100ms into a partition")
+	}
+	fault.Heal()
+	if err := client.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if records := waitRecords(t, mem, 4); len(records) != 4 {
+		t.Fatalf("received %d records, want 4", len(records))
 	}
 }

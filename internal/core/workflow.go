@@ -51,29 +51,22 @@ func (w *Workflow) Begin() error {
 	return err
 }
 
-// End captures the workflow end event and flushes any grouped records.
-// In spool mode the flush ends at the disk spool (the workflow's records
-// are durable at that point); it does not wait for the broker — waiting
-// out a partition is Flush/Shutdown's job, not the workload's. In memory
-// mode it is a Flush, which waits out a partition.
+// End captures the workflow end event, which cuts the group buffer (if
+// any) in both modes. It does not wait for delivery: waiting out an outage
+// or a partition is Flush/Shutdown's job, not the workload's.
 func (w *Workflow) End() error {
 	if !w.ended.CompareAndSwap(false, true) {
 		return fmt.Errorf("provlight: workflow %s already ended", w.id)
 	}
-	if err := w.client.Capture(&provdm.Record{
+	err := w.client.Capture(&provdm.Record{
 		Event:      provdm.EventWorkflowEnd,
 		WorkflowID: w.id,
 		Time:       time.Now(),
-	}); err != nil {
+	})
+	if err != nil {
 		w.ended.Store(false) // retryable, e.g. after ErrQueueFull
-		return err
 	}
-	if w.client.spool != nil {
-		// The group buffer (if any) was cut by the workflow-end capture
-		// above and is already on disk; nothing in flight to wait for.
-		return nil
-	}
-	return w.client.Flush()
+	return err
 }
 
 // Task is the PROV-DM Activity of the exchange model: one processing step

@@ -134,24 +134,9 @@ func (c *Client) SendTask(msg *TaskMsg) error {
 	return c.post("/task", msg)
 }
 
-// SendTasks ships a batch of task events in one request/response round
-// trip (POST /tasks): one JSON marshal and one HTTP exchange per batch
-// instead of one per task, the server-side counterpart of the capture
-// library's message grouping.
-func (c *Client) SendTasks(msgs []*TaskMsg) error {
-	if len(msgs) == 0 {
-		return nil
-	}
-	if len(msgs) == 1 {
-		return c.SendTask(msgs[0])
-	}
-	return c.post("/tasks", msgs)
-}
-
 // SendFrames ships a batch of decoded capture frames with their durable
 // identities to POST /frames: the server deduplicates redeliveries by
-// (origin, seq), making this the exactly-once counterpart of SendTasks
-// for spooling clients.
+// (origin, seq) and applies frames without one as they come.
 func (c *Client) SendFrames(frames []FrameMsg) error {
 	if len(frames) == 0 {
 		return nil

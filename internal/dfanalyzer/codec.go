@@ -21,7 +21,8 @@ import (
 // A WAL op is one header byte, opVersion<<4 | kind, then the kind's fields:
 //
 //	register : dataflow
-//	ingest   : task list
+//	ingest   : task list (no longer written; decoded as one frame with
+//	           no origin and seq 0, which replay applies as it was)
 //	frames   : uvarint count, then per frame: origin, uvarint seq, task list
 //	term     : uvarint term, uvarint term start
 //
@@ -169,8 +170,6 @@ func appendOp(b []byte, op *walOp) ([]byte, error) {
 	switch op.Kind {
 	case opRegister:
 		b = appendDataflow(b, op.Dataflow)
-	case opIngest:
-		b, err = appendTasks(b, op.Tasks)
 	case opFrames:
 		b = binary.AppendUvarint(b, uint64(len(op.Frames)))
 		for i := range op.Frames {
@@ -205,7 +204,7 @@ func decodeOp(b []byte) (*walOp, error) {
 	case opRegister:
 		op.Dataflow = d.dataflow()
 	case opIngest:
-		op.Tasks = d.tasks()
+		op.Kind, op.Frames = opFrames, []FrameMsg{{Tasks: d.tasks()}}
 	case opFrames:
 		op.Frames = make([]FrameMsg, d.count(3))
 		for i := range op.Frames {

@@ -62,7 +62,7 @@ func TestOpenRefusesUnknownFormats(t *testing.T) {
 		}
 	}
 	validOp := func() []byte {
-		b, err := appendOp(nil, &walOp{Kind: opIngest, Tasks: valueTasks(1)})
+		b, err := appendOp(nil, &walOp{Kind: opFrames, Frames: []FrameMsg{{Tasks: valueTasks(1)}}})
 		if err != nil {
 			t.Fatal(err)
 		}

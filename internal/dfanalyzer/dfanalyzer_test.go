@@ -452,7 +452,7 @@ func TestStoreConcurrentIngestSelect(t *testing.T) {
 	}
 }
 
-func TestSendTasksBatchEndpoint(t *testing.T) {
+func TestTasksBatchEndpoint(t *testing.T) {
 	srv := NewServer(nil)
 	if err := srv.Start("127.0.0.1:0"); err != nil {
 		t.Fatal(err)
@@ -473,7 +473,7 @@ func TestSendTasksBatchEndpoint(t *testing.T) {
 		})
 	}
 	before := srv.Requests()
-	if err := client.SendTasks(msgs); err != nil {
+	if err := client.post("/tasks", msgs); err != nil {
 		t.Fatal(err)
 	}
 	if got := srv.Requests() - before; got != 1 {
@@ -487,7 +487,7 @@ func TestSendTasksBatchEndpoint(t *testing.T) {
 		{Dataflow: "fltraining", Transformation: "training", ID: "ok", Status: StatusFinished},
 		{Dataflow: "fltraining", Transformation: "training", ID: "bad", Status: "NOPE"},
 	}
-	if err := client.SendTasks(bad); err == nil {
+	if err := client.post("/tasks", bad); err == nil {
 		t.Error("invalid message in batch should fail")
 	}
 }

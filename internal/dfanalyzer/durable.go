@@ -22,10 +22,11 @@ import (
 // disk is JSON, and a store refuses a file in a format it does not know
 // rather than skipping it. The HTTP API (server.go) stays JSON.
 //
-// A Store from NewStore stays purely in-memory (the historical behaviour,
-// zero overhead); OpenStore returns a durable one. The ingestion fast
-// path is unchanged for in-memory stores; durable stores serialize
-// mutations through the WAL so that replay order equals apply order.
+// A Store from NewStore stays purely in-memory; OpenStore returns a
+// durable one. Both take every write through the same path under the
+// commit lock (RegisterDataflowTerm, IngestFramesTerm); a durable store
+// also logs each write before applying it, so replay order equals apply
+// order.
 
 // snapFile is the snapshot's file name in the data directory;
 // legacySnapFile is the JSON snapshot of earlier versions, which a store
@@ -71,7 +72,6 @@ type durability struct {
 type walOp struct {
 	Kind     opKind
 	Dataflow *Dataflow  // opRegister
-	Tasks    []*TaskMsg // opIngest
 	Frames   []FrameMsg // opFrames
 	// Term/TermStart record a replication term adoption (opTerm): the new
 	// term and the WAL position where it began. Logging the term makes
@@ -156,24 +156,24 @@ func OpenStore(opts StoreOptions) (*Store, error) {
 func (s *Store) applyOp(op *walOp) error {
 	switch op.Kind {
 	case opRegister:
-		return s.registerDataflowApply(op.Dataflow)
-	case opIngest:
-		_ = s.ingestTasksApply(op.Tasks)
-		return nil
+		s.registerDataflowApply(op.Dataflow)
 	case opFrames:
 		_, _ = s.applyFrames(op.Frames)
-		return nil
 	case opTerm:
 		s.setTermState(op.Term, op.TermStart)
-		return nil
 	default:
 		return fmt.Errorf("dfanalyzer: unknown WAL op kind %d", op.Kind)
 	}
+	return nil
 }
 
 // logOp appends a mutation to the WAL (write-ahead: callers apply only
-// after this returns). Callers hold s.commitMu.
+// after this returns); a no-op for in-memory stores. Callers hold
+// s.commitMu.
 func (s *Store) logOp(op *walOp) error {
+	if s.dur == nil {
+		return nil
+	}
 	payload, err := appendOp(s.dur.opBuf[:0], op)
 	if err != nil {
 		return fmt.Errorf("dfanalyzer: encode WAL op: %w", err)
@@ -186,13 +186,13 @@ func (s *Store) logOp(op *walOp) error {
 	return nil
 }
 
-// maybeSnapshotLocked snapshots when SnapshotEvery ops accumulated. It
-// must run only *after* the logged op was applied — a snapshot cut
-// between log and apply would claim a WAL position ahead of the state it
-// captured, silently dropping that op on recovery. Callers hold
-// s.commitMu.
+// maybeSnapshotLocked snapshots when SnapshotEvery ops accumulated (never
+// for in-memory stores). It must run only *after* the logged op was
+// applied — a snapshot cut between log and apply would claim a WAL
+// position ahead of the state it captured, silently dropping that op on
+// recovery. Callers hold s.commitMu.
 func (s *Store) maybeSnapshotLocked() error {
-	if s.dur.snapshotEvery > 0 && s.dur.opsSinceSnap >= s.dur.snapshotEvery {
+	if s.dur != nil && s.dur.snapshotEvery > 0 && s.dur.opsSinceSnap >= s.dur.snapshotEvery {
 		if err := s.snapshotLocked(); err != nil {
 			return fmt.Errorf("dfanalyzer: periodic snapshot: %w", err)
 		}

@@ -55,11 +55,11 @@ func valueTasks(i int) []*TaskMsg {
 	}
 }
 
-// ingestValues feeds a store every value through both logged ingest
-// paths: phase 0 is IngestTasks, phase 1 is IngestFrames with in-batch
-// duplicates, redeliveries, frames without a durable id, and poison
-// frames whose element fails part way (a TEXT value lands before the
-// NUMERIC one fails).
+// ingestValues feeds a store every value: phase 0 as task batches
+// (IngestTasks), phase 1 as IngestFrames with in-batch duplicates,
+// redeliveries, frames without a durable id, and poison frames whose
+// element fails part way (a TEXT value lands before the NUMERIC one
+// fails).
 func ingestValues(t testing.TB, s *Store, phase int) {
 	t.Helper()
 	n := len(textValues) + len(numericValues)
@@ -195,4 +195,57 @@ func TestReplayEqualsLive(t *testing.T) {
 	fromTail := mustOpen(t, snapDir, -1)
 	defer fromTail.Close()
 	requireSameState(t, "recovered from a snapshot and a WAL tail", want, readState(t, fromTail))
+}
+
+// TestLegacyIngestOpReplays: a data directory whose WAL holds ingest ops,
+// which earlier builds logged for task batches and this one only reads,
+// opens to the rows the same batches give live, again after a reopen, and
+// on a follower fed that WAL.
+func TestLegacyIngestOpReplays(t *testing.T) {
+	live := NewStore()
+	if err := live.RegisterDataflow(valueSpec()); err != nil {
+		t.Fatal(err)
+	}
+	ingestValues(t, live, 0)
+	want := readState(t, live)
+
+	dir := t.TempDir()
+	s := mustOpen(t, dir, -1)
+	if err := s.RegisterDataflow(valueSpec()); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < len(textValues)+len(numericValues); i++ {
+		op, err := appendTasks([]byte{opVersion<<4 | byte(opIngest)}, valueTasks(i))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := s.ReplicationWAL().Append(op); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	opened := mustOpen(t, dir, -1)
+	requireSameState(t, "opened", want, readState(t, opened))
+	var recs []ReplRecord
+	if err := opened.ReplicationWAL().Replay(1, func(seq uint64, payload []byte) error {
+		recs = append(recs, ReplRecord{Seq: seq, Payload: append([]byte(nil), payload...)})
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	follower := mustOpen(t, t.TempDir(), -1)
+	defer follower.Close()
+	if err := follower.ApplyReplicatedBatch(recs); err != nil {
+		t.Fatal(err)
+	}
+	requireSameState(t, "follower", want, readState(t, follower))
+	if err := opened.Close(); err != nil {
+		t.Fatal(err)
+	}
+	reopened := mustOpen(t, dir, -1)
+	defer reopened.Close()
+	requireSameState(t, "reopened", want, readState(t, reopened))
 }

@@ -66,6 +66,10 @@ var (
 	// the store's current term (a deposed primary, or a writer that has
 	// not yet learned of a promotion).
 	ErrStaleTerm = errors.New("dfanalyzer: replication term mismatch")
+	// ErrUncommitted reports a write applied on the primary but not
+	// replicated to enough followers before the commit wait gave up (see
+	// Store.SetCommitWait). A retry is safe: dedup absorbs it.
+	ErrUncommitted = errors.New("dfanalyzer: write not replicated to enough followers")
 	// ErrDiverged reports a follower whose WAL is not a prefix of the
 	// primary's lineage; its data directory must be reset before it can
 	// follow again.
@@ -99,11 +103,12 @@ func (s *Store) CurrentTerm() uint64 { return s.repl.term.Load() }
 // began (the promotion point; 0 for term 0).
 func (s *Store) TermStartSeq() uint64 { return s.repl.termStart.Load() }
 
-// CheckWriteTerm is the fenced write guard: it rejects writes to a read
+// checkWriteTerm is the fenced write guard: it rejects writes to a read
 // replica, and — when the writer stamped a non-zero term — writes whose
 // term does not match the store's. Term 0 writers (legacy, single-node)
-// pass the term check unconditionally.
-func (s *Store) CheckWriteTerm(term uint64) error {
+// pass the term check unconditionally. A write path's verdict is the one
+// it reaches under commitMu, which every role and term change takes.
+func (s *Store) checkWriteTerm(term uint64) error {
 	if s.Role() == RoleReplica {
 		return ErrNotPrimary
 	}

@@ -162,13 +162,17 @@ func writeErr(w http.ResponseWriter, code int, err error) {
 
 // writeIngestErr maps store errors onto status codes: fencing rejections
 // (replica role, stale term) are 409 Conflict so clients can tell "you
-// are talking to the wrong node" from a malformed request.
+// are talking to the wrong node" from a malformed request, and a write
+// the commit wait gave up on is 503, which clients retry.
 func writeIngestErr(w http.ResponseWriter, err error) {
-	if errors.Is(err, ErrNotPrimary) || errors.Is(err, ErrStaleTerm) {
+	switch {
+	case errors.Is(err, ErrNotPrimary), errors.Is(err, ErrStaleTerm):
 		writeErr(w, http.StatusConflict, err)
-		return
+	case errors.Is(err, ErrUncommitted):
+		writeErr(w, http.StatusServiceUnavailable, err)
+	default:
+		writeErr(w, http.StatusBadRequest, err)
 	}
-	writeErr(w, http.StatusBadRequest, err)
 }
 
 // requestTerm extracts the writer's replication term from TermHeader
@@ -193,11 +197,7 @@ func (s *Server) handleDataflow(w http.ResponseWriter, r *http.Request) {
 			writeErr(w, http.StatusBadRequest, err)
 			return
 		}
-		if err := s.store.CheckWriteTerm(requestTerm(r)); err != nil {
-			writeIngestErr(w, err)
-			return
-		}
-		if err := s.store.RegisterDataflow(&df); err != nil {
+		if err := s.store.RegisterDataflowTerm(requestTerm(r), &df); err != nil {
 			writeIngestErr(w, err)
 			return
 		}
@@ -244,11 +244,7 @@ func (s *Server) handleTask(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusBadRequest, err)
 		return
 	}
-	if err := s.store.CheckWriteTerm(requestTerm(r)); err != nil {
-		writeIngestErr(w, err)
-		return
-	}
-	if err := s.store.IngestTask(&msg); err != nil {
+	if _, err := s.store.IngestFramesTerm(requestTerm(r), []FrameMsg{{Tasks: []*TaskMsg{&msg}}}); err != nil {
 		writeIngestErr(w, err)
 		return
 	}
@@ -278,11 +274,7 @@ func (s *Server) handleTasks(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusBadRequest, err)
 		return
 	}
-	if err := s.store.CheckWriteTerm(requestTerm(r)); err != nil {
-		writeIngestErr(w, err)
-		return
-	}
-	if err := s.store.IngestTasks(msgs); err != nil {
+	if _, err := s.store.IngestFramesTerm(requestTerm(r), []FrameMsg{{Tasks: msgs}}); err != nil {
 		writeIngestErr(w, err)
 		return
 	}

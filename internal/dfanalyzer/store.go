@@ -21,9 +21,9 @@ type Store struct {
 	mu     sync.RWMutex // guards the shard map only, not shard contents
 	shards map[string]*dataflowShard
 
-	// commitMu serializes durable mutations (WAL append + apply) so that
-	// replay order equals apply order, and guards the dedup table. It is
-	// uncontended for in-memory stores outside IngestFrames.
+	// commitMu serializes every write (fence, WAL append, apply) so that
+	// replay order equals apply order, and guards the dedup table and
+	// commitWait.
 	commitMu sync.Mutex
 	// dedup tracks applied (origin, frame seq) pairs for exactly-once
 	// ingestion of redelivered spool frames. Guarded by commitMu.
@@ -34,6 +34,9 @@ type Store struct {
 	// repl is the replication role/term state (see replication.go).
 	// Mutated under commitMu, read lock-free by the write guard.
 	repl replState
+	// commitWait holds writes with durable frame ids until they are
+	// replicated (see SetCommitWait); nil without semi-sync replication.
+	commitWait func() error
 }
 
 // dataflowShard holds everything belonging to one dataflow.
@@ -133,38 +136,38 @@ func (t *Table) upgrade(schema SetSchema) {
 	t.Schema = schema
 }
 
-// RegisterDataflow validates and installs a dataflow spec, creating empty
-// tables for every set. Re-registering a grown spec (the translator's
-// incremental schema tracker does this when new attributes appear) widens
-// existing tables in place. On a durable store the registration is
-// write-ahead logged before it is applied.
+// RegisterDataflow is RegisterDataflowTerm for an unfenced (term 0)
+// writer.
 func (s *Store) RegisterDataflow(df *Dataflow) error {
-	if err := s.CheckWriteTerm(0); err != nil {
-		return err
-	}
-	if err := df.Validate(); err != nil {
-		return err
-	}
-	if s.dur != nil {
-		s.commitMu.Lock()
-		defer s.commitMu.Unlock()
-		if err := s.logOp(&walOp{Kind: opRegister, Dataflow: df}); err != nil {
-			return err
-		}
-		if err := s.registerDataflowApply(df); err != nil {
-			return err
-		}
-		return s.maybeSnapshotLocked()
-	}
-	return s.registerDataflowApply(df)
+	return s.RegisterDataflowTerm(0, df)
 }
 
-// registerDataflowApply installs an already-validated, already-logged
-// spec.
-func (s *Store) registerDataflowApply(df *Dataflow) error {
+// RegisterDataflowTerm validates and installs a dataflow spec, creating
+// empty tables for every set. Re-registering a grown spec (the
+// translator's incremental schema tracker does this when new attributes
+// appear) widens existing tables in place. The writer's role and term are
+// checked under the commit lock, as IngestFramesTerm checks them; on a
+// durable store the registration is write-ahead logged before it is
+// applied. A registration never waits for replication.
+func (s *Store) RegisterDataflowTerm(term uint64, df *Dataflow) error {
 	if err := df.Validate(); err != nil {
 		return err
 	}
+	s.commitMu.Lock()
+	defer s.commitMu.Unlock()
+	if err := s.checkWriteTerm(term); err != nil {
+		return err
+	}
+	if err := s.logOp(&walOp{Kind: opRegister, Dataflow: df}); err != nil {
+		return err
+	}
+	s.registerDataflowApply(df)
+	return s.maybeSnapshotLocked()
+}
+
+// registerDataflowApply installs a spec that RegisterDataflowTerm
+// validated before it was logged.
+func (s *Store) registerDataflowApply(df *Dataflow) {
 	sh := s.ensureShard(df.Tag)
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
@@ -178,7 +181,6 @@ func (s *Store) registerDataflowApply(df *Dataflow) error {
 			sh.tables[set.Tag] = newTable(set)
 		}
 	}
-	return nil
 }
 
 // Dataflow returns a registered specification.
@@ -209,35 +211,18 @@ func (s *Store) Dataflows() []string {
 	return tags
 }
 
-// IngestTask stores a task message, appending its set elements to the
-// corresponding tables. begin/end messages for the same task id merge.
+// IngestTask stores one task message as a frame without a durable id
+// (see IngestFramesTerm). begin/end messages for the same task id merge.
 func (s *Store) IngestTask(m *TaskMsg) error {
 	return s.IngestTasks([]*TaskMsg{m})
 }
 
-// IngestTasks stores a batch of task messages under one lock acquisition
-// per run of same-dataflow messages (the batch endpoint's fast path).
-// On error, messages before the failing one remain ingested. On a durable
-// store the batch is validated, write-ahead logged, then applied.
+// IngestTasks stores a batch of task messages as one frame without a
+// durable id, through IngestFramesTerm for an unfenced (term 0) writer:
+// the whole batch is validated before any of it is applied.
 func (s *Store) IngestTasks(msgs []*TaskMsg) error {
-	if err := s.CheckWriteTerm(0); err != nil {
-		return err
-	}
-	if s.dur == nil {
-		return s.ingestTasksApply(msgs)
-	}
-	if err := s.validateBatch(msgs); err != nil {
-		return err
-	}
-	s.commitMu.Lock()
-	defer s.commitMu.Unlock()
-	if err := s.logOp(&walOp{Kind: opIngest, Tasks: msgs}); err != nil {
-		return err
-	}
-	if err := s.ingestTasksApply(msgs); err != nil {
-		return err
-	}
-	return s.maybeSnapshotLocked()
+	_, err := s.IngestFramesTerm(0, []FrameMsg{{Tasks: msgs}})
+	return err
 }
 
 // validateBatch rejects batches the apply path would reject, so invalid
@@ -257,11 +242,26 @@ func (s *Store) validateBatch(msgs []*TaskMsg) error {
 	return nil
 }
 
-// IngestFrames ingests decoded capture frames with their provenance
-// identities, deduplicating redeliveries: a frame whose (origin, seq) was
-// already applied is skipped entirely. Returns how many frames were newly
-// applied. This is the exactly-once ingestion path used by spooling
-// clients; frames without a durable id (Seq == 0) are always applied.
+// IngestFrames is IngestFramesTerm for an unfenced (term 0) writer.
+func (s *Store) IngestFrames(frames []FrameMsg) (applied int, err error) {
+	return s.IngestFramesTerm(0, frames)
+}
+
+// IngestFramesTerm is the store's one data write path. It ingests decoded
+// capture frames with their provenance identities, deduplicating
+// redeliveries: a frame whose (origin, seq) was already applied is
+// skipped entirely. Returns how many frames were newly applied. Frames
+// without a durable id (Seq == 0) are always applied.
+//
+// The writer's term is checked under the commit lock, before anything is
+// logged or applied (see checkWriteTerm); term 0 skips the term check but
+// not the replica-role check.
+//
+// With a commit wait installed (SetCommitWait), a call holding any frame
+// with Seq > 0 returns only once the WAL tail is replicated, duplicates
+// included, since the original write may not be replicated yet. If the
+// wait fails the local apply stands and the error wraps ErrUncommitted.
+// Frames without a durable id never wait: no ack rides on them.
 //
 // Poison frames: a frame that passes validation but still fails to apply
 // (e.g. an element whose type conflicts with the schema a later
@@ -272,17 +272,8 @@ func (s *Store) validateBatch(msgs []*TaskMsg) error {
 // and the eventual redelivery is absorbed as a duplicate. WAL replay
 // after a crash applies the same rule, so live and recovered stores
 // agree.
-func (s *Store) IngestFrames(frames []FrameMsg) (applied int, err error) {
-	return s.IngestFramesTerm(0, frames)
-}
-
-// IngestFramesTerm is IngestFrames with fenced-write semantics: the
-// writer's replication term is checked against the store's before
-// anything is logged or applied (see CheckWriteTerm). Term 0 skips the
-// term check (but not the replica-role check) for single-node
-// deployments that never adopted a term.
 func (s *Store) IngestFramesTerm(term uint64, frames []FrameMsg) (applied int, err error) {
-	if err := s.CheckWriteTerm(term); err != nil {
+	if err := s.checkWriteTerm(term); err != nil {
 		return 0, err
 	}
 	for i := range frames {
@@ -290,13 +281,34 @@ func (s *Store) IngestFramesTerm(term uint64, frames []FrameMsg) (applied int, e
 			return 0, err
 		}
 	}
+	applied, wait, err := s.commitFrames(term, frames)
+	if err != nil || wait == nil {
+		return applied, err
+	}
+	for i := range frames {
+		if frames[i].Seq > 0 {
+			if err := wait(); err != nil {
+				return applied, fmt.Errorf("%w: %v", ErrUncommitted, err)
+			}
+			break
+		}
+	}
+	return applied, nil
+}
+
+// commitFrames is IngestFramesTerm's commit section: the fence, dedup,
+// WAL append and apply, under the commit lock. It returns the installed
+// commit wait, which the caller runs, unless err is set, after the lock
+// is released.
+func (s *Store) commitFrames(term uint64, frames []FrameMsg) (applied int, wait func() error, err error) {
 	s.commitMu.Lock()
 	defer s.commitMu.Unlock()
 	// Re-check under the commit lock: a promotion or demotion that landed
 	// between the entry check and here must fence this batch too.
-	if err := s.CheckWriteTerm(term); err != nil {
-		return 0, err
+	if err := s.checkWriteTerm(term); err != nil {
+		return 0, nil, err
 	}
+	wait = s.commitWait
 	fresh := make([]FrameMsg, 0, len(frames))
 	for _, f := range frames {
 		if f.Origin != "" && f.Seq > 0 && s.dedup.applied(f.Origin, f.Seq) {
@@ -305,21 +317,24 @@ func (s *Store) IngestFramesTerm(term uint64, frames []FrameMsg) (applied int, e
 		fresh = append(fresh, f)
 	}
 	if len(fresh) == 0 {
-		return 0, nil
+		return 0, wait, nil
 	}
-	if s.dur != nil {
-		if err := s.logOp(&walOp{Kind: opFrames, Frames: fresh}); err != nil {
-			return 0, err
-		}
+	if err := s.logOp(&walOp{Kind: opFrames, Frames: fresh}); err != nil {
+		return 0, wait, err
 	}
-	applied, err = s.applyFrames(fresh)
-	if err != nil {
-		return applied, err
+	if applied, err = s.applyFrames(fresh); err == nil {
+		err = s.maybeSnapshotLocked()
 	}
-	if s.dur != nil {
-		return applied, s.maybeSnapshotLocked()
-	}
-	return applied, nil
+	return applied, wait, err
+}
+
+// SetCommitWait installs the wait IngestFramesTerm runs, outside the
+// commit lock, after a write holding a durable frame id; nil removes it.
+// replica.NewServer installs one for MinSync >= 1, and Close removes it.
+func (s *Store) SetCommitWait(wait func() error) {
+	s.commitMu.Lock()
+	defer s.commitMu.Unlock()
+	s.commitWait = wait
 }
 
 // applyFrames is the frame-apply path shared by live ingest and WAL
@@ -358,30 +373,21 @@ func (s *Store) AppliedFrameCount(origin string) uint64 {
 	return st.floor + uint64(len(st.seen))
 }
 
-// ingestTasksApply is the in-memory apply path (the historical
-// IngestTasks body).
+// ingestTasksApply applies one frame's task messages, which validateBatch
+// accepted before they were logged; applyFrames is its only caller. The
+// dataflow check stays for replay: a quarantined WAL gap can lose a
+// registration.
 func (s *Store) ingestTasksApply(msgs []*TaskMsg) error {
 	for i := 0; i < len(msgs); {
 		m := msgs[i]
-		if m == nil {
-			return fmt.Errorf("dfanalyzer: nil task message in batch")
-		}
-		if err := m.Validate(); err != nil {
-			return err
-		}
 		sh := s.shard(m.Dataflow)
 		if sh == nil || !sh.registered() {
 			return fmt.Errorf("dfanalyzer: unknown dataflow %q", m.Dataflow)
 		}
 		// Extend over the run of consecutive messages for the same
 		// dataflow so a homogeneous batch locks its shard exactly once.
-		// A nil message ends the run and is rejected by the next outer
-		// iteration.
 		j := i + 1
-		for j < len(msgs) && msgs[j] != nil && msgs[j].Dataflow == m.Dataflow {
-			if err := msgs[j].Validate(); err != nil {
-				return err
-			}
+		for j < len(msgs) && msgs[j].Dataflow == m.Dataflow {
 			j++
 		}
 		sh.mu.Lock()

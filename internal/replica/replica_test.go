@@ -280,8 +280,9 @@ func TestSemiSyncWaitCommitted(t *testing.T) {
 	if err := primary.RegisterDataflow(testSpec("df")); err != nil {
 		t.Fatal(err)
 	}
-	srv := startPrimary(t, primary, Options{MinSync: 1, HeartbeatInterval: 20 * time.Millisecond})
+	// Written before the server installs its commit wait, so they return.
 	ingestN(t, primary, "dev-1", 0, 3)
+	srv := startPrimary(t, primary, Options{MinSync: 1, HeartbeatInterval: 20 * time.Millisecond})
 	_, last := primary.WALSeqs()
 
 	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
@@ -297,9 +298,6 @@ func TestSemiSyncWaitCommitted(t *testing.T) {
 	defer cancel2()
 	if err := srv.WaitCommitted(ctx2, last); err != nil {
 		t.Fatalf("WaitCommitted with follower: %v", err)
-	}
-	if gate := srv.CommitGate(5 * time.Second); gate() != nil {
-		t.Fatal("CommitGate failed after catch-up")
 	}
 }
 

@@ -20,9 +20,10 @@ import (
 type Options struct {
 	// MinSync is how many followers must confirm a WAL position durable
 	// before WaitCommitted releases it — the semi-synchronous replication
-	// knob. 0 (the default) makes replication fully asynchronous: acks
-	// never wait, and a primary crash can lose frames acked but not yet
-	// shipped. Deployments that promote followers on failure want >= 1.
+	// knob. At >= 1 NewServer installs the store's commit wait, so a write
+	// holding a durable frame id returns, and is acked, only once it is on
+	// MinSync followers. 0 (the default) makes replication asynchronous: a
+	// primary crash can lose frames acked but not yet shipped.
 	MinSync int
 	// HeartbeatInterval is how often an idle stream sends its tail
 	// position (the follower's staleness clock). Default 500 ms.
@@ -70,6 +71,9 @@ type recMeta struct {
 	bytes uint64
 }
 
+// commitTimeout bounds the store's commit wait (dfanalyzer.ErrUncommitted).
+const commitTimeout = 10 * time.Second
+
 // NewServer wraps a durable primary store. The store is marked primary
 // (adopting term 1 if it never had one) so its term is stamped into the
 // WAL before any follower connects.
@@ -84,14 +88,24 @@ func NewServer(store *dfanalyzer.Store, opts Options) (*Server, error) {
 	if err := store.BecomePrimary(); err != nil {
 		return nil, err
 	}
-	return &Server{
+	s := &Server{
 		store:     store,
 		log:       log,
 		opts:      opts,
 		followers: map[string]*followerConn{},
 		commitCh:  make(chan struct{}),
 		stop:      make(chan struct{}),
-	}, nil
+	}
+	if opts.MinSync > 0 {
+		// The store calls the wait after appending the write, so the WAL
+		// tail read here covers it.
+		store.SetCommitWait(func() error {
+			ctx, cancel := context.WithTimeout(context.Background(), commitTimeout)
+			defer cancel()
+			return s.WaitCommitted(ctx, log.LastSeq())
+		})
+	}
+	return s, nil
 }
 
 // Start listens for follower connections on addr (e.g. "127.0.0.1:0").
@@ -141,7 +155,8 @@ func (s *Server) Addr() string {
 	return s.lis.Addr().String()
 }
 
-// Close stops accepting and severs every follower stream.
+// Close stops accepting, severs every follower stream, and removes the
+// store's commit wait: waiting writes fail, later ones no longer wait.
 func (s *Server) Close() error {
 	s.mu.Lock()
 	if s.closed {
@@ -155,6 +170,7 @@ func (s *Server) Close() error {
 		conns = append(conns, f.conn)
 	}
 	s.mu.Unlock()
+	s.store.SetCommitWait(nil)
 	if s.lis != nil {
 		_ = s.lis.Close()
 	}
@@ -440,31 +456,15 @@ func (s *Server) WaitCommitted(ctx context.Context, seq uint64) error {
 		}
 		s.mu.Lock()
 		ch := s.commitCh
-		closed := s.closed
 		s.mu.Unlock()
-		if closed {
-			return errors.New("replica: server closed while waiting for replication")
-		}
 		select {
 		case <-ch:
+		case <-s.stop:
+			return errors.New("replica: server closed while waiting for replication")
 		case <-ctx.Done():
 			return fmt.Errorf("replica: %d not replicated to %d follower(s): %w",
 				seq, s.opts.MinSync, ctx.Err())
 		}
-	}
-}
-
-// CommitGate returns a translate.Config.AckGate: each call waits (up to
-// timeout) until everything appended to the primary WAL *so far* is
-// durable on MinSync followers. Gating on the current tail rather than
-// the batch's own seq is conservative but correct — the tail includes
-// the batch.
-func (s *Server) CommitGate(timeout time.Duration) func() error {
-	return func() error {
-		seq := s.log.LastSeq()
-		ctx, cancel := context.WithTimeout(context.Background(), timeout)
-		defer cancel()
-		return s.WaitCommitted(ctx, seq)
 	}
 }
 

@@ -228,35 +228,20 @@ func NewDfAnalyzerTarget(client *dfanalyzer.Client, dataflow string) *DfAnalyzer
 // Name implements Target.
 func (*DfAnalyzerTarget) Name() string { return "dfanalyzer" }
 
-// DeliverFrames implements Target with one HTTP round trip per batch.
-// Identified frames go to the exactly-once POST /frames endpoint, where
-// the server deduplicates redeliveries by (origin, seq). Batches without
-// any durable id go to the plain POST /tasks path, which any
-// DfAnalyzer-protocol server accepts.
+// DeliverFrames implements Target with one HTTP round trip per batch, to
+// POST /frames: the server deduplicates frames with a durable id by
+// (origin, seq) and applies the rest as they come.
 func (d *DfAnalyzerTarget) DeliverFrames(frames []Frame) error {
 	if err := d.schema.sync(frames, d.client.RegisterDataflow); err != nil {
 		return err
 	}
-	for i := range frames {
-		if frames[i].Seq > 0 {
-			return d.client.SendFrames(frameMsgs(d.dataflow, frames))
-		}
-	}
-	msgs := make([]*dfanalyzer.TaskMsg, 0, len(frames))
-	for i := range frames {
-		for j := range frames[i].Records {
-			if msg, ok := dfanalyzer.RecordToTaskMsg(d.dataflow, &frames[i].Records[j]); ok {
-				msgs = append(msgs, msg)
-			}
-		}
-	}
-	return d.client.SendTasks(msgs)
+	return d.client.SendFrames(frameMsgs(d.dataflow, frames))
 }
 
-// frameMsgs translates identified frames into the store's ingestion
-// shape. Frames whose records produce no task messages (pure workflow
-// lifecycle events) still yield an — empty — FrameMsg: the store must
-// mark them applied or they would be redelivered forever.
+// frameMsgs translates frames into the store's ingestion shape. Frames
+// whose records produce no task messages (pure workflow lifecycle events)
+// still yield an — empty — FrameMsg: the store must mark identified ones
+// applied or they would be redelivered forever.
 func frameMsgs(dataflow string, frames []Frame) []dfanalyzer.FrameMsg {
 	out := make([]dfanalyzer.FrameMsg, 0, len(frames))
 	for i := range frames {

@@ -140,15 +140,6 @@ type Config struct {
 	// ack path. 0 (the default) publishes unfenced version-1 acks.
 	// Update after a failover with Translator.SetTerm.
 	Term uint64
-	// AckGate, when set, is consulted after a batch reached every target
-	// and before its end-to-end acks are published. A semi-synchronous
-	// replication deployment points this at replica.Server.CommitGate so
-	// acks are withheld until the batch is durable on enough followers —
-	// otherwise a primary crash after ack but before replication would
-	// lose frames the devices already reclaimed. If the gate errors the
-	// batch stays unacked: the spooling client redelivers it and the
-	// durable targets deduplicate.
-	AckGate func() error
 	// DisableAcks turns off end-to-end acknowledgements. By default the
 	// translator, after a batch is delivered to every target without
 	// error, publishes the durable frame ids back to each device's ack
@@ -156,7 +147,8 @@ type Config struct {
 	// disk-buffered frames only on these acks. Pair spooling clients with
 	// a durable target (StoreTarget, DfAnalyzerTarget): acks from a
 	// purely in-memory pipeline promise durability the pipeline does not
-	// have.
+	// have. A store replicating with MinSync >= 1 takes a batch only once
+	// it is on that many followers, so its acks promise that too.
 	DisableAcks bool
 	// Metrics, when set, exports the translator's counters and its live
 	// subscriptions' at scrape time, plus the translate and durable-apply
@@ -472,18 +464,7 @@ func (t *Translator) deliver(batch []Frame) {
 		// target leaves the batch unacked so the spooling client
 		// redelivers it, and the durable targets that did apply it will
 		// deduplicate the redelivery.
-		if t.cfg.AckGate != nil {
-			if err := t.cfg.AckGate(); err != nil {
-				t.ackErrs.Add(1)
-				if t.cfg.OnError != nil {
-					t.cfg.OnError(fmt.Errorf("translate: ack gate: %w", err))
-				}
-				delivered = false
-			}
-		}
-		if delivered {
-			t.publishAcks(batch)
-		}
+		t.publishAcks(batch)
 	}
 	if delivered && t.stageApply != nil {
 		// Every target took the batch: each traced frame's durable-apply

@@ -125,7 +125,6 @@ func TestFailoverExactlyOnce(t *testing.T) {
 		ClientID:      "translator-a",
 		Targets:       []translate.Target{targetA},
 		Term:          termA,
-		AckGate:       replA.CommitGate(10 * time.Second),
 		RetryInterval: 100 * time.Millisecond,
 		MaxRetries:    10,
 		OnError:       func(err error) { t.Logf("translator-a: %v", err) },
@@ -236,7 +235,6 @@ func TestFailoverExactlyOnce(t *testing.T) {
 		ClientID:      "translator-b",
 		Targets:       []translate.Target{targetB},
 		Term:          termB,
-		AckGate:       replB.CommitGate(10 * time.Second),
 		RetryInterval: 100 * time.Millisecond,
 		MaxRetries:    10,
 		OnError:       func(err error) { t.Logf("translator-b: %v", err) },
