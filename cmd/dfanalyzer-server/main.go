@@ -10,8 +10,9 @@
 // pipeline) is answered only once N followers hold it, and with 503 if
 // they do not within 10 s. -replicate-from runs this process as a read
 // replica of a primary; -promote lifts a (stopped) replica's data
-// directory into a new primary under a fresh term, fencing out the old
-// primary and every writer that stamps the old term.
+// directory into a new primary under a fresh term. No writer is told the
+// term: every write answer names it (X-Provlight-Term), writers stamp the
+// highest one they have seen, and devices drop acks from older terms.
 package main
 
 import (
@@ -78,7 +79,7 @@ func main() {
 		if err != nil {
 			log.Fatalf("dfanalyzer-server: promote: %v", err)
 		}
-		log.Printf("dfanalyzer-server: promoted to primary, term %d (the deposed primary and writers stamping an older term are fenced; writers that stamp no term are not)", term)
+		log.Printf("dfanalyzer-server: promoted to primary, term %d (writers learn it from this server's answers; devices that saw it drop the deposed primary's acks)", term)
 	}
 
 	srv := dfanalyzer.NewServer(store)

@@ -476,6 +476,7 @@ func (c *Client) initMetrics() {
 		e.Counter("provlight_client_reconnects_total", "Broker sessions established, the first connect included.", float64(st.SpoolReconnects), lbl...)
 		e.Counter("provlight_client_redeliveries_total", "Spool rewind/redelivery passes after ack stalls.", float64(st.SpoolRedeliveries), lbl...)
 		e.Counter("provlight_client_stale_acks_total", "Acks dropped for carrying a stale replication term.", float64(st.StaleAcks), lbl...)
+		e.Gauge("provlight_client_ack_term", "Highest replication term an accepted ack carried (the device's fence).", float64(st.AckTerm), lbl...)
 		mst := c.MQTTStats()
 		e.Counter("provlight_client_retransmissions_total", "MQTT-SN packet retransmissions (current session).", float64(mst.Retransmissions), lbl...)
 		if mc := c.session.Client(); mc != nil {

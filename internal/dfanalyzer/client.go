@@ -21,12 +21,15 @@ import (
 // blocking HTTP 1.1 request/response to the server, exactly like the
 // original Python/C++ libraries (paper Table VI: "HTTP 1.1, TCP,
 // request/response"). The connection is kept alive between requests.
+//
+// The client learns the replication term from the server's answers and
+// stamps it into every write (fenced failover; see replication.go).
 type Client struct {
 	base string
 	hc   *http.Client
-	// term, when non-zero, is stamped into every mutating request via
-	// TermHeader so a server on a different replication term rejects the
-	// write (fenced failover; see replication.go).
+	// term is the highest replication term any write answer carried
+	// (TermHeader), stamped into every mutating request once non-zero, so
+	// a server on a different term rejects the write. It never goes down.
 	term atomic.Uint64
 	// retry, when set via WithRetry, wraps every mutating POST in the
 	// shared resilience policy: budgeted jittered-backoff retries gated
@@ -73,12 +76,21 @@ func (c *Client) BreakerStats() resilience.BreakerStats {
 	return c.breaker.Stats()
 }
 
-// SetTerm sets the replication term stamped into subsequent writes
-// (0 disables the header — the unfenced single-node default).
-func (c *Client) SetTerm(term uint64) { c.term.Store(term) }
-
-// Term returns the replication term currently stamped into writes.
+// Term returns the replication term currently stamped into writes: the
+// highest any answer carried, 0 before the first.
 func (c *Client) Term() uint64 { return c.term.Load() }
+
+// learnTerm adopts the term an answer names when it is newer than the one
+// stamped so far. A 409 naming a newer term is adopted too, so the next
+// write passes the fence; an older one (a deposed primary's) is not.
+func (c *Client) learnTerm(resp *http.Response) {
+	term, _ := strconv.ParseUint(resp.Header.Get(TermHeader), 10, 64)
+	for cur := c.term.Load(); term > cur; cur = c.term.Load() {
+		if c.term.CompareAndSwap(cur, term) {
+			return
+		}
+	}
+}
 
 func (c *Client) post(path string, body any) error {
 	data, err := json.Marshal(body)
@@ -93,8 +105,8 @@ func (c *Client) post(path string, body any) error {
 	})
 }
 
-// postOnce performs one POST attempt. Failures the server will repeat on
-// a retry of the same request (4xx, including the 409 term fence after a
+// postOnce performs one POST attempt and learns the term its answer
+// carries. Rejections (4xx, including the 409 term fence after a
 // failover) are marked permanent; transport errors and 5xx are left
 // retryable for the resilience policy.
 func (c *Client) postOnce(path string, data []byte) error {
@@ -111,6 +123,7 @@ func (c *Client) postOnce(path string, data []byte) error {
 		return err
 	}
 	defer resp.Body.Close()
+	c.learnTerm(resp)
 	if resp.StatusCode >= 300 {
 		msg, _ := io.ReadAll(io.LimitReader(resp.Body, 512))
 		err := fmt.Errorf("dfanalyzer: %s returned %s: %s", path, resp.Status, msg)

@@ -3,6 +3,7 @@ package dfanalyzer
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"io"
 	"net/http"
 	"reflect"
@@ -12,8 +13,9 @@ import (
 )
 
 // TestWriteEndpointsFenced: every write endpoint answers 409 to a writer
-// on a stale term, and to any writer of a read replica, and applies
-// nothing; the same writes on the current term go through.
+// on a stale term, and to any writer of a read replica, 400 to a term
+// header that is not a term, and applies nothing; the same writes on the
+// current term go through.
 func TestWriteEndpointsFenced(t *testing.T) {
 	const origin = "provlight/dev-1/records"
 	writes := []struct {
@@ -25,7 +27,7 @@ func TestWriteEndpointsFenced(t *testing.T) {
 		{"/tasks", taskPair("df", 1)},
 		{"/frames", []FrameMsg{{Origin: origin, Seq: 1, Tasks: taskPair("df", 2)}}},
 	}
-	post := func(t *testing.T, base, path string, body any, term uint64) (int, string) {
+	post := func(t *testing.T, base, path string, body any, term string) (int, string) {
 		t.Helper()
 		data, err := json.Marshal(body)
 		if err != nil {
@@ -35,7 +37,7 @@ func TestWriteEndpointsFenced(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		req.Header.Set(TermHeader, strconv.FormatUint(term, 10))
+		req.Header.Set(TermHeader, term)
 		resp, err := http.DefaultClient.Do(req)
 		if err != nil {
 			t.Fatal(err)
@@ -47,13 +49,14 @@ func TestWriteEndpointsFenced(t *testing.T) {
 	cases := []struct {
 		name string
 		// setup puts a store holding dataflow "df" in the case's role and
-		// returns the term a fenced writer sends and the current term.
-		setup func(t *testing.T, s *Store) (stale, current uint64)
+		// returns the term header a fenced writer sends and the current term.
+		setup func(t *testing.T, s *Store) (fenced string, current uint64)
+		code  int
 		want  error
 		// writable: writes on the current term go through.
 		writable bool
 	}{
-		{"stale term", func(t *testing.T, s *Store) (uint64, uint64) {
+		{"stale term", func(t *testing.T, s *Store) (string, uint64) {
 			if err := s.BecomePrimary(); err != nil {
 				t.Fatal(err)
 			}
@@ -61,12 +64,19 @@ func TestWriteEndpointsFenced(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			return current - 1, current
-		}, ErrStaleTerm, true},
-		{"replica", func(t *testing.T, s *Store) (uint64, uint64) {
+			return strconv.FormatUint(current-1, 10), current
+		}, http.StatusConflict, ErrStaleTerm, true},
+		{"replica", func(t *testing.T, s *Store) (string, uint64) {
 			s.BeginFollowing()
-			return 0, 0
-		}, ErrNotPrimary, false},
+			return "0", 0
+		}, http.StatusConflict, ErrNotPrimary, false},
+		{"malformed term", func(t *testing.T, s *Store) (string, uint64) {
+			current, err := s.Promote()
+			if err != nil {
+				t.Fatal(err)
+			}
+			return strconv.FormatUint(current, 10) + "x", current
+		}, http.StatusBadRequest, errors.New("malformed " + TermHeader), true},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -74,12 +84,12 @@ func TestWriteEndpointsFenced(t *testing.T) {
 			if err := store.RegisterDataflow(testSpec("df")); err != nil {
 				t.Fatal(err)
 			}
-			stale, current := tc.setup(t, store)
+			fenced, current := tc.setup(t, store)
 			base := startServer(t, NewServer(store))
 			for _, w := range writes {
-				code, msg := post(t, base, w.path, w.body, stale)
-				if code != http.StatusConflict || !strings.Contains(msg, tc.want.Error()) {
-					t.Errorf("POST %s: %d %s, want 409 %q", w.path, code, msg, tc.want)
+				code, msg := post(t, base, w.path, w.body, fenced)
+				if code != tc.code || !strings.Contains(msg, tc.want.Error()) {
+					t.Errorf("POST %s: %d %s, want %d %q", w.path, code, msg, tc.code, tc.want)
 				}
 			}
 			if got := store.Dataflows(); !reflect.DeepEqual(got, []string{"df"}) {
@@ -95,7 +105,7 @@ func TestWriteEndpointsFenced(t *testing.T) {
 				return
 			}
 			for _, w := range writes {
-				if code, msg := post(t, base, w.path, w.body, current); code >= 300 {
+				if code, msg := post(t, base, w.path, w.body, strconv.FormatUint(current, 10)); code >= 300 {
 					t.Errorf("POST %s on the current term: %d %s", w.path, code, msg)
 				}
 			}

@@ -23,11 +23,13 @@ import (
 //     the ordinary replication stream;
 //   - promotion bumps the term by one and records the WAL position where
 //     the new term began (TermStart);
-//   - writers (translators, HTTP clients) stamp the term they believe is
-//     current into each write; the store rejects mismatches, so a
-//     translator still feeding a deposed primary — or a deposed primary
-//     accepting writes after the cluster moved on — cannot silently
-//     swallow frames that the client's spool will then discard on ack;
+//   - nothing sets a writer's term: every write answer names the term
+//     the store committed (or refused) it under, and writers (Client,
+//     translators) stamp the highest term any answer carried. The store
+//     rejects a stamped term that is not its own, so a writer that has
+//     seen a promotion cannot write to the deposed primary, and the acks
+//     a translator sends carry the term its batch was committed under,
+//     which a device that saw a newer term drops;
 //   - a rejoining follower whose WAL extends past the promotion point of
 //     a newer term has *diverged* (its tail was never replicated and the
 //     new lineage wrote different records there); the primary refuses it
@@ -106,16 +108,19 @@ func (s *Store) TermStartSeq() uint64 { return s.repl.termStart.Load() }
 // checkWriteTerm is the fenced write guard: it rejects writes to a read
 // replica, and — when the writer stamped a non-zero term — writes whose
 // term does not match the store's. Term 0 writers (legacy, single-node)
-// pass the term check unconditionally. A write path's verdict is the one
-// it reaches under commitMu, which every role and term change takes.
-func (s *Store) checkWriteTerm(term uint64) error {
+// pass the term check unconditionally. It returns the store's term either
+// way, which the write's answer carries back to the writer. A write
+// path's verdict is the one it reaches under commitMu, which every role
+// and term change takes.
+func (s *Store) checkWriteTerm(term uint64) (uint64, error) {
+	cur := s.repl.term.Load()
 	if s.Role() == RoleReplica {
-		return ErrNotPrimary
+		return cur, ErrNotPrimary
 	}
-	if cur := s.repl.term.Load(); term != 0 && term != cur {
-		return fmt.Errorf("%w: writer term %d, store term %d", ErrStaleTerm, term, cur)
+	if term != 0 && term != cur {
+		return cur, fmt.Errorf("%w: writer term %d, store term %d", ErrStaleTerm, term, cur)
 	}
-	return nil
+	return cur, nil
 }
 
 // AdoptTerm raises the store's term to term, write-ahead logging the

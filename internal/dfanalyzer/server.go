@@ -17,7 +17,9 @@ import (
 // TermHeader carries the writer's replication term on mutating requests.
 // A server whose store has a different current term rejects the write
 // with 409 Conflict, fencing deposed primaries and stale translators (see
-// replication.go). Absent or zero means an unfenced legacy writer.
+// replication.go). Absent or zero means an unfenced legacy writer; a value
+// that is not a term is answered 400. Every write answer carries the
+// store's term in the same header, which is how writers learn it.
 const TermHeader = "X-Provlight-Term"
 
 // Server exposes the store over the original tool's HTTP 1.1
@@ -77,12 +79,19 @@ func (s *Server) Start(addr string) error {
 	}
 	s.lis = lis
 	mux := http.NewServeMux()
-	mux.HandleFunc("/dataflow", s.handleDataflow)
-	mux.HandleFunc("/dataflow/", s.handleDataflowGet)
-	mux.HandleFunc("/task", s.handleTask)
-	mux.HandleFunc("/tasks", s.handleTasks)
-	mux.HandleFunc("/frames", s.handleFrames)
-	mux.HandleFunc("/query", s.handleQuery)
+	register := serveWrite(s, http.StatusCreated, s.registerDataflow)
+	mux.HandleFunc("POST /dataflow", register)
+	mux.HandleFunc("PUT /dataflow", register)
+	mux.HandleFunc("POST /task", serveWrite(s, http.StatusOK, s.ingestTask))
+	mux.HandleFunc("POST /tasks", serveWrite(s, http.StatusOK, s.ingestTasks))
+	mux.HandleFunc("POST /frames", serveWrite(s, http.StatusOK, s.ingestFrames))
+	mux.HandleFunc("GET /dataflow", func(w http.ResponseWriter, _ *http.Request) {
+		writeJSON(w, http.StatusOK, s.store.Dataflows())
+	})
+	mux.HandleFunc("GET /dataflow/", s.handleDataflowGet)
+	mux.HandleFunc("GET /task", s.handleTask)
+	mux.HandleFunc("GET /tasks", s.handleTasks)
+	mux.HandleFunc("POST /query", s.handleQuery)
 	if s.Metrics != nil {
 		s.registerMetrics(s.Metrics)
 	}
@@ -175,38 +184,66 @@ func writeIngestErr(w http.ResponseWriter, err error) {
 	}
 }
 
-// requestTerm extracts the writer's replication term from TermHeader
-// (0 when absent or unparseable — the unfenced legacy writer).
-func requestTerm(r *http.Request) uint64 {
+// requestTerm extracts the writer's replication term from TermHeader (0
+// when absent — the unfenced legacy writer). A value that is not a term
+// is an error: read as 0 it would pass the fence.
+func requestTerm(r *http.Request) (uint64, error) {
 	h := r.Header.Get(TermHeader)
-	if h == "" {
-		return 0
-	}
 	term, err := strconv.ParseUint(h, 10, 64)
-	if err != nil {
-		return 0
+	if err != nil && h != "" {
+		return 0, fmt.Errorf("dfanalyzer: malformed %s %q", TermHeader, h)
 	}
-	return term
+	return term, nil
 }
 
-func (s *Server) handleDataflow(w http.ResponseWriter, r *http.Request) {
-	switch r.Method {
-	case http.MethodPost, http.MethodPut:
-		var df Dataflow
-		if err := json.NewDecoder(r.Body).Decode(&df); err != nil {
-			writeErr(w, http.StatusBadRequest, err)
-			return
+// serveWrite returns a write endpoint's handler: it decodes the request
+// body as a T and has write apply it at the request's term. The answer is
+// write's body with code, or the status its error maps to (400 for a
+// malformed term header or body), and names in TermHeader the store's
+// term the write was committed (or refused) under, 409 and 503 included:
+// that is how writers learn the term.
+func serveWrite[T any](s *Server, code int, write func(term uint64, v T) (committed uint64, body any, err error)) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		var v T
+		committed, body := s.store.CurrentTerm(), any(nil)
+		term, err := requestTerm(r)
+		if err == nil {
+			err = json.NewDecoder(r.Body).Decode(&v)
 		}
-		if err := s.store.RegisterDataflowTerm(requestTerm(r), &df); err != nil {
+		if err == nil {
+			committed, body, err = write(term, v)
+		}
+		w.Header().Set(TermHeader, strconv.FormatUint(committed, 10))
+		if err != nil {
 			writeIngestErr(w, err)
 			return
 		}
-		writeJSON(w, http.StatusCreated, map[string]string{"status": "registered", "tag": df.Tag})
-	case http.MethodGet:
-		writeJSON(w, http.StatusOK, s.store.Dataflows())
-	default:
-		w.WriteHeader(http.StatusMethodNotAllowed)
+		writeJSON(w, code, body)
 	}
+}
+
+func (s *Server) registerDataflow(term uint64, df Dataflow) (uint64, any, error) {
+	committed, err := s.store.RegisterDataflowTerm(term, &df)
+	return committed, map[string]string{"status": "registered", "tag": df.Tag}, err
+}
+
+func (s *Server) ingestTask(term uint64, msg TaskMsg) (uint64, any, error) {
+	_, committed, err := s.store.IngestFramesTerm(term, []FrameMsg{{Tasks: []*TaskMsg{&msg}}})
+	return committed, map[string]string{"status": "ok"}, err
+}
+
+func (s *Server) ingestTasks(term uint64, msgs []*TaskMsg) (uint64, any, error) {
+	_, committed, err := s.store.IngestFramesTerm(term, []FrameMsg{{Tasks: msgs}})
+	return committed, map[string]any{"status": "ok", "ingested": len(msgs)}, err
+}
+
+// ingestFrames is the exactly-once ingestion endpoint: a batch of decoded
+// capture frames with their (origin, seq) identities, deduplicated by the
+// store. The answer reports how many frames were newly applied versus
+// skipped as redeliveries.
+func (s *Server) ingestFrames(term uint64, frames []FrameMsg) (uint64, any, error) {
+	applied, committed, err := s.store.IngestFramesTerm(term, frames)
+	return committed, map[string]any{"status": "ok", "applied": applied, "deduplicated": len(frames) - applied}, err
 }
 
 func (s *Server) handleDataflowGet(w http.ResponseWriter, r *http.Request) {
@@ -219,97 +256,33 @@ func (s *Server) handleDataflowGet(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, df)
 }
 
+// handleTask is the catalog lookup: GET /task?dataflow=...&id=... serves
+// the remote half of the Source interface's Task accessor. The store
+// copies the entry out under its shard lock, so serialization here never
+// races with a concurrent begin/end merge.
 func (s *Server) handleTask(w http.ResponseWriter, r *http.Request) {
-	if r.Method == http.MethodGet {
-		// Catalog lookup: GET /task?dataflow=...&id=... serves the remote
-		// half of the Source interface's Task accessor. The store copies
-		// the entry out under its shard lock, so serialization here never
-		// races with a concurrent begin/end merge.
-		dataflow := r.URL.Query().Get("dataflow")
-		id := r.URL.Query().Get("id")
-		info, err := s.store.Task(r.Context(), dataflow, id)
-		if err != nil {
-			writeErr(w, http.StatusNotFound, err)
-			return
-		}
-		writeJSON(w, http.StatusOK, info)
-		return
-	}
-	if r.Method != http.MethodPost {
-		w.WriteHeader(http.StatusMethodNotAllowed)
-		return
-	}
-	var msg TaskMsg
-	if err := json.NewDecoder(r.Body).Decode(&msg); err != nil {
-		writeErr(w, http.StatusBadRequest, err)
-		return
-	}
-	if _, err := s.store.IngestFramesTerm(requestTerm(r), []FrameMsg{{Tasks: []*TaskMsg{&msg}}}); err != nil {
-		writeIngestErr(w, err)
-		return
-	}
-	writeJSON(w, http.StatusOK, map[string]string{"status": "ok"})
-}
-
-func (s *Server) handleTasks(w http.ResponseWriter, r *http.Request) {
-	if r.Method == http.MethodGet {
-		// Catalog listing: GET /tasks?dataflow=... serves the remote half
-		// of Source.Tasks — the whole catalog in one round trip.
-		// A nil catalog (unknown dataflow) serializes as JSON null, which
-		// the client decodes back to nil — symmetric with the local store.
-		infos, err := s.store.Tasks(r.Context(), r.URL.Query().Get("dataflow"))
-		if err != nil {
-			writeErr(w, http.StatusBadRequest, err)
-			return
-		}
-		writeJSON(w, http.StatusOK, infos)
-		return
-	}
-	if r.Method != http.MethodPost {
-		w.WriteHeader(http.StatusMethodNotAllowed)
-		return
-	}
-	var msgs []*TaskMsg
-	if err := json.NewDecoder(r.Body).Decode(&msgs); err != nil {
-		writeErr(w, http.StatusBadRequest, err)
-		return
-	}
-	if _, err := s.store.IngestFramesTerm(requestTerm(r), []FrameMsg{{Tasks: msgs}}); err != nil {
-		writeIngestErr(w, err)
-		return
-	}
-	writeJSON(w, http.StatusOK, map[string]any{"status": "ok", "ingested": len(msgs)})
-}
-
-// handleFrames is the exactly-once ingestion endpoint: a batch of decoded
-// capture frames with their (origin, seq) identities, deduplicated by the
-// store. The response reports how many frames were newly applied versus
-// skipped as redeliveries.
-func (s *Server) handleFrames(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		w.WriteHeader(http.StatusMethodNotAllowed)
-		return
-	}
-	var frames []FrameMsg
-	if err := json.NewDecoder(r.Body).Decode(&frames); err != nil {
-		writeErr(w, http.StatusBadRequest, err)
-		return
-	}
-	applied, err := s.store.IngestFramesTerm(requestTerm(r), frames)
+	info, err := s.store.Task(r.Context(), r.URL.Query().Get("dataflow"), r.URL.Query().Get("id"))
 	if err != nil {
-		writeIngestErr(w, err)
+		writeErr(w, http.StatusNotFound, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, map[string]any{
-		"status": "ok", "applied": applied, "deduplicated": len(frames) - applied,
-	})
+	writeJSON(w, http.StatusOK, info)
+}
+
+// handleTasks is the catalog listing: GET /tasks?dataflow=... serves the
+// remote half of Source.Tasks — the whole catalog in one round trip. A
+// nil catalog (unknown dataflow) serializes as JSON null, which the
+// client decodes back to nil — symmetric with the local store.
+func (s *Server) handleTasks(w http.ResponseWriter, r *http.Request) {
+	infos, err := s.store.Tasks(r.Context(), r.URL.Query().Get("dataflow"))
+	if err != nil {
+		writeErr(w, http.StatusBadRequest, err)
+		return
+	}
+	writeJSON(w, http.StatusOK, infos)
 }
 
 func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		w.WriteHeader(http.StatusMethodNotAllowed)
-		return
-	}
 	var q Query
 	if err := json.NewDecoder(r.Body).Decode(&q); err != nil {
 		writeErr(w, http.StatusBadRequest, err)

@@ -139,30 +139,33 @@ func (t *Table) upgrade(schema SetSchema) {
 // RegisterDataflow is RegisterDataflowTerm for an unfenced (term 0)
 // writer.
 func (s *Store) RegisterDataflow(df *Dataflow) error {
-	return s.RegisterDataflowTerm(0, df)
+	_, err := s.RegisterDataflowTerm(0, df)
+	return err
 }
 
 // RegisterDataflowTerm validates and installs a dataflow spec, creating
 // empty tables for every set. Re-registering a grown spec (the
 // translator's incremental schema tracker does this when new attributes
 // appear) widens existing tables in place. The writer's role and term are
-// checked under the commit lock, as IngestFramesTerm checks them; on a
-// durable store the registration is write-ahead logged before it is
-// applied. A registration never waits for replication.
-func (s *Store) RegisterDataflowTerm(term uint64, df *Dataflow) error {
+// checked under the commit lock, as IngestFramesTerm checks them, and the
+// store's term there is returned; on a durable store the registration is
+// write-ahead logged before it is applied. A registration never waits for
+// replication.
+func (s *Store) RegisterDataflowTerm(term uint64, df *Dataflow) (uint64, error) {
 	if err := df.Validate(); err != nil {
-		return err
+		return s.CurrentTerm(), err
 	}
 	s.commitMu.Lock()
 	defer s.commitMu.Unlock()
-	if err := s.checkWriteTerm(term); err != nil {
-		return err
+	cur, err := s.checkWriteTerm(term)
+	if err != nil {
+		return cur, err
 	}
 	if err := s.logOp(&walOp{Kind: opRegister, Dataflow: df}); err != nil {
-		return err
+		return cur, err
 	}
 	s.registerDataflowApply(df)
-	return s.maybeSnapshotLocked()
+	return cur, s.maybeSnapshotLocked()
 }
 
 // registerDataflowApply installs a spec that RegisterDataflowTerm
@@ -221,7 +224,7 @@ func (s *Store) IngestTask(m *TaskMsg) error {
 // durable id, through IngestFramesTerm for an unfenced (term 0) writer:
 // the whole batch is validated before any of it is applied.
 func (s *Store) IngestTasks(msgs []*TaskMsg) error {
-	_, err := s.IngestFramesTerm(0, []FrameMsg{{Tasks: msgs}})
+	_, _, err := s.IngestFramesTerm(0, []FrameMsg{{Tasks: msgs}})
 	return err
 }
 
@@ -244,13 +247,16 @@ func (s *Store) validateBatch(msgs []*TaskMsg) error {
 
 // IngestFrames is IngestFramesTerm for an unfenced (term 0) writer.
 func (s *Store) IngestFrames(frames []FrameMsg) (applied int, err error) {
-	return s.IngestFramesTerm(0, frames)
+	applied, _, err = s.IngestFramesTerm(0, frames)
+	return applied, err
 }
 
 // IngestFramesTerm is the store's one data write path. It ingests decoded
 // capture frames with their provenance identities, deduplicating
 // redeliveries: a frame whose (origin, seq) was already applied is
-// skipped entirely. Returns how many frames were newly applied. Frames
+// skipped entirely. Returns how many frames were newly applied and the
+// store's term under the commit lock: the term the batch was committed
+// (or refused) under, which writers learn and stamp from then on. Frames
 // without a durable id (Seq == 0) are always applied.
 //
 // The writer's term is checked under the commit lock, before anything is
@@ -272,41 +278,36 @@ func (s *Store) IngestFrames(frames []FrameMsg) (applied int, err error) {
 // and the eventual redelivery is absorbed as a duplicate. WAL replay
 // after a crash applies the same rule, so live and recovered stores
 // agree.
-func (s *Store) IngestFramesTerm(term uint64, frames []FrameMsg) (applied int, err error) {
-	if err := s.checkWriteTerm(term); err != nil {
-		return 0, err
-	}
+func (s *Store) IngestFramesTerm(term uint64, frames []FrameMsg) (applied int, committed uint64, err error) {
 	for i := range frames {
 		if err := s.validateBatch(frames[i].Tasks); err != nil {
-			return 0, err
+			return 0, s.CurrentTerm(), err
 		}
 	}
-	applied, wait, err := s.commitFrames(term, frames)
+	applied, committed, wait, err := s.commitFrames(term, frames)
 	if err != nil || wait == nil {
-		return applied, err
+		return applied, committed, err
 	}
 	for i := range frames {
 		if frames[i].Seq > 0 {
 			if err := wait(); err != nil {
-				return applied, fmt.Errorf("%w: %v", ErrUncommitted, err)
+				return applied, committed, fmt.Errorf("%w: %v", ErrUncommitted, err)
 			}
 			break
 		}
 	}
-	return applied, nil
+	return applied, committed, nil
 }
 
 // commitFrames is IngestFramesTerm's commit section: the fence, dedup,
-// WAL append and apply, under the commit lock. It returns the installed
-// commit wait, which the caller runs, unless err is set, after the lock
-// is released.
-func (s *Store) commitFrames(term uint64, frames []FrameMsg) (applied int, wait func() error, err error) {
+// WAL append and apply, under the commit lock. It returns the store's
+// term there and the installed commit wait, which the caller runs,
+// unless err is set, after the lock is released.
+func (s *Store) commitFrames(term uint64, frames []FrameMsg) (applied int, committed uint64, wait func() error, err error) {
 	s.commitMu.Lock()
 	defer s.commitMu.Unlock()
-	// Re-check under the commit lock: a promotion or demotion that landed
-	// between the entry check and here must fence this batch too.
-	if err := s.checkWriteTerm(term); err != nil {
-		return 0, nil, err
+	if committed, err = s.checkWriteTerm(term); err != nil {
+		return 0, committed, nil, err
 	}
 	wait = s.commitWait
 	fresh := make([]FrameMsg, 0, len(frames))
@@ -317,15 +318,15 @@ func (s *Store) commitFrames(term uint64, frames []FrameMsg) (applied int, wait 
 		fresh = append(fresh, f)
 	}
 	if len(fresh) == 0 {
-		return 0, wait, nil
+		return 0, committed, wait, nil
 	}
 	if err := s.logOp(&walOp{Kind: opFrames, Frames: fresh}); err != nil {
-		return 0, wait, err
+		return 0, committed, wait, err
 	}
 	if applied, err = s.applyFrames(fresh); err == nil {
 		err = s.maybeSnapshotLocked()
 	}
-	return applied, wait, err
+	return applied, committed, wait, err
 }
 
 // SetCommitWait installs the wait IngestFramesTerm runs, outside the

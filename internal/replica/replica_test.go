@@ -338,15 +338,15 @@ func TestFencedFailover(t *testing.T) {
 
 	// Writers that learned the new term are accepted by the new primary
 	// and rejected by the deposed one.
-	if _, err := replica.IngestFramesTerm(newTerm, frameBatch("df", "dev-2", 1)); err != nil {
+	if _, _, err := replica.IngestFramesTerm(newTerm, frameBatch("df", "dev-2", 1)); err != nil {
 		t.Fatalf("new primary rejected current-term write: %v", err)
 	}
-	if _, err := primary.IngestFramesTerm(newTerm, frameBatch("df", "dev-2", 2)); !errors.Is(err, dfanalyzer.ErrStaleTerm) {
+	if _, _, err := primary.IngestFramesTerm(newTerm, frameBatch("df", "dev-2", 2)); !errors.Is(err, dfanalyzer.ErrStaleTerm) {
 		t.Fatalf("deposed primary accepted new-term write: %v", err)
 	}
 	// And a zombie writer still on the old term is rejected by the new
 	// primary.
-	if _, err := replica.IngestFramesTerm(oldTerm, frameBatch("df", "dev-2", 3)); !errors.Is(err, dfanalyzer.ErrStaleTerm) {
+	if _, _, err := replica.IngestFramesTerm(oldTerm, frameBatch("df", "dev-2", 3)); !errors.Is(err, dfanalyzer.ErrStaleTerm) {
 		t.Fatalf("new primary accepted stale-term write: %v", err)
 	}
 

@@ -238,6 +238,12 @@ func (d *DfAnalyzerTarget) DeliverFrames(frames []Frame) error {
 	return d.client.SendFrames(frameMsgs(d.dataflow, frames))
 }
 
+// committedTerm is the client's stamped term. After a delivered batch it
+// is the term the server committed it under: a server commits a stamped
+// term only when it is its own, and a client stamping none adopts the
+// committing server's term from the answer.
+func (d *DfAnalyzerTarget) committedTerm() uint64 { return d.client.Term() }
+
 // frameMsgs translates frames into the store's ingestion shape. Frames
 // whose records produce no task messages (pure workflow lifecycle events)
 // still yield an — empty — FrameMsg: the store must mark identified ones
@@ -267,12 +273,8 @@ type StoreTarget struct {
 	store    *dfanalyzer.Store
 	dataflow string
 	schema   *schemaSync
-
-	// term, when non-zero, is stamped into every ingest so a store on a
-	// different replication term rejects the write (fenced failover; see
-	// dfanalyzer's replication.go). Updated via SetTerm after a failover,
-	// alongside Translator.SetTerm.
-	term atomic.Uint64
+	// committed is the term the store committed the last batch under.
+	committed atomic.Uint64
 }
 
 // NewStoreTarget creates a target that ingests into store under the given
@@ -284,22 +286,22 @@ func NewStoreTarget(store *dfanalyzer.Store, dataflow string) *StoreTarget {
 // Store returns the backing store (for queries and snapshots).
 func (s *StoreTarget) Store() *dfanalyzer.Store { return s.store }
 
-// SetTerm sets the replication term stamped into subsequent ingests
-// (0 disables the check — the unfenced single-node default).
-func (s *StoreTarget) SetTerm(term uint64) { s.term.Store(term) }
-
 // Name implements Target.
 func (*StoreTarget) Name() string { return "store" }
 
 // DeliverFrames implements Target: one IngestFrames call per batch,
-// deduplicated by the store.
+// deduplicated by the store. The target stamps no term: the store is its
+// own, and the role check still fences it once it turns replica.
 func (s *StoreTarget) DeliverFrames(frames []Frame) error {
 	if err := s.schema.sync(frames, s.store.RegisterDataflow); err != nil {
 		return err
 	}
-	_, err := s.store.IngestFramesTerm(s.term.Load(), frameMsgs(s.dataflow, frames))
+	_, term, err := s.store.IngestFramesTerm(0, frameMsgs(s.dataflow, frames))
+	s.committed.Store(term)
 	return err
 }
+
+func (s *StoreTarget) committedTerm() uint64 { return s.committed.Load() }
 
 // ProvLakeTarget forwards records to a ProvLake manager service.
 type ProvLakeTarget struct {

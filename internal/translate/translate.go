@@ -39,6 +39,14 @@ type Target interface {
 	DeliverFrames(frames []Frame) error
 }
 
+// storeBacked is implemented by the targets that write to a
+// dfanalyzer.Store (StoreTarget, DfAnalyzerTarget): committedTerm is the
+// replication term the store committed the last delivered batch under,
+// which the translator stamps into that batch's acks.
+type storeBacked interface {
+	committedTerm() uint64
+}
+
 // FrameTarget is the former name of Target, kept as an alias because the
 // benchmark module (capbench/wrap.go) still names it.
 type FrameTarget = Target
@@ -132,14 +140,6 @@ type Config struct {
 	MaxRetries    int
 	// OnError receives asynchronous delivery errors.
 	OnError func(error)
-	// Term is the replication term of the primary store this translator
-	// feeds, stamped into every end-to-end acknowledgement (wire ack
-	// payload version 2). Spooling clients ignore acks whose term is lower
-	// than the highest they have seen, which fences a zombie translator —
-	// one still feeding a deposed primary after a failover — out of the
-	// ack path. 0 (the default) publishes unfenced version-1 acks.
-	// Update after a failover with Translator.SetTerm.
-	Term uint64
 	// DisableAcks turns off end-to-end acknowledgements. By default the
 	// translator, after a batch is delivered to every target without
 	// error, publishes the durable frame ids back to each device's ack
@@ -149,6 +149,14 @@ type Config struct {
 	// purely in-memory pipeline promise durability the pipeline does not
 	// have. A store replicating with MinSync >= 1 takes a batch only once
 	// it is on that many followers, so its acks promise that too.
+	//
+	// Each ack carries the replication term the store-backed targets
+	// reported committing its batch under (the highest, wire ack payload
+	// version 2; 0, an unfenced version-1 ack, for a store that never
+	// adopted a term). Spooling clients drop acks from a term lower than
+	// the highest they have seen, which fences a zombie translator — one
+	// still feeding a deposed primary after a failover — out of the ack
+	// path. Nothing sets the term: the targets learn it from the store.
 	DisableAcks bool
 	// Metrics, when set, exports the translator's counters and its live
 	// subscriptions' at scrape time, plus the translate and durable-apply
@@ -193,8 +201,7 @@ type Translator struct {
 	acksSent     atomic.Uint64
 	ackErrs      atomic.Uint64
 
-	// term is the replication term stamped into acks (Config.Term,
-	// updated by SetTerm after a failover).
+	// term is the replication term stamped into the last batch's acks.
 	term atomic.Uint64
 
 	work    chan Frame
@@ -255,7 +262,6 @@ func New(ctx context.Context, cfg Config) (*Translator, error) {
 		hub:    newHub(),
 		work:   make(chan Frame, 256),
 	}
-	t.term.Store(cfg.Term)
 	subscribe := func(mc *mqttsn.Client) error {
 		if err := mc.Subscribe(t.filter, mqttsn.QoS2, t.onMessage); err != nil {
 			return fmt.Errorf("subscribe %q: %w", t.filter, err)
@@ -342,23 +348,8 @@ func (t *Translator) newSession(clientID string, home int, setup func(*mqttsn.Cl
 // Sessions reports how many broker sessions the translator holds.
 func (t *Translator) Sessions() int { return len(t.consumers) }
 
-// SetTerm updates the replication term stamped into end-to-end acks —
-// called after a failover, when the translator is repointed at a promoted
-// store. Terms are monotonic: a lower term than the current one is
-// ignored (a stale failover script must never un-fence the ack path).
-func (t *Translator) SetTerm(term uint64) {
-	for {
-		cur := t.term.Load()
-		if term <= cur {
-			return
-		}
-		if t.term.CompareAndSwap(cur, term) {
-			return
-		}
-	}
-}
-
-// Term returns the replication term currently stamped into acks.
+// Term returns the replication term stamped into the last delivered
+// batch's acks.
 func (t *Translator) Term() uint64 { return t.term.Load() }
 
 // Stats returns a snapshot of translator counters.
@@ -449,10 +440,13 @@ func (t *Translator) deliver(batch []Frame) {
 		n += uint64(len(batch[i].Records))
 	}
 	delivered := true
+	var term uint64
 	for _, target := range t.cfg.Targets {
 		if err := target.DeliverFrames(batch); err != nil {
 			t.reportDeliveryError(target, err)
 			delivered = false
+		} else if st, ok := target.(storeBacked); ok {
+			term = max(term, st.committedTerm())
 		}
 	}
 	// Live fan-out after target delivery: a subscription observes the
@@ -464,7 +458,8 @@ func (t *Translator) deliver(batch []Frame) {
 		// target leaves the batch unacked so the spooling client
 		// redelivers it, and the durable targets that did apply it will
 		// deduplicate the redelivery.
-		t.publishAcks(batch)
+		t.term.Store(term)
+		t.publishAcks(batch, term)
 	}
 	if delivered && t.stageApply != nil {
 		// Every target took the batch: each traced frame's durable-apply
@@ -480,8 +475,9 @@ func (t *Translator) deliver(batch []Frame) {
 }
 
 // publishAcks sends the delivered frames' durable ids back to their
-// devices: one QoS 1 message per origin topic, on its wire.AckTopic.
-func (t *Translator) publishAcks(batch []Frame) {
+// devices, stamped with term: one QoS 1 message per origin topic, on its
+// wire.AckTopic.
+func (t *Translator) publishAcks(batch []Frame, term uint64) {
 	var acks map[string][]uint64
 	for i := range batch {
 		if batch[i].Seq == 0 {
@@ -507,7 +503,6 @@ func (t *Translator) publishAcks(batch []Frame) {
 		t.ackErrs.Add(uint64(len(acks)))
 		return
 	}
-	term := t.term.Load()
 	for origin, seqs := range acks {
 		payload := wire.AppendAckPayload(nil, term, seqs)
 		mc.PublishAsync(wire.AckTopic(origin), payload, mqttsn.QoS1, t.ackDone)

@@ -86,7 +86,7 @@ func zombieFrame(seq uint64) []dfanalyzer.FrameMsg {
 // (translator, replication server, store) is SIGKILLed; zombie writes
 // land on the deposed primary after its followers are gone; the
 // most-caught-up follower is promoted under term 2; the survivor
-// re-points; a new translator (term-stamped) resumes; and the client
+// re-points; a new translator (told no term) resumes; and the client
 // drains. The promoted store must hold every client record exactly once,
 // stale-term writes must be rejected in both directions, and the deposed
 // primary must be refused on rejoin as diverged.
@@ -119,12 +119,10 @@ func TestFailoverExactlyOnce(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 120*time.Second)
 	defer cancel()
 	targetA := translate.NewStoreTarget(storeA, "provlight")
-	targetA.SetTerm(termA)
 	trA, err := translate.New(ctx, translate.Config{
 		Broker:        b.Addr(),
 		ClientID:      "translator-a",
 		Targets:       []translate.Target{targetA},
-		Term:          termA,
 		RetryInterval: 100 * time.Millisecond,
 		MaxRetries:    10,
 		OnError:       func(err error) { t.Logf("translator-a: %v", err) },
@@ -175,7 +173,7 @@ func TestFailoverExactlyOnce(t *testing.T) {
 	// and still believes it is the term-1 primary; writes land on it but
 	// can never reach the promoted lineage.
 	for seq := uint64(1); seq <= 3; seq++ {
-		if _, err := storeA.IngestFramesTerm(termA, zombieFrame(seq)); err != nil {
+		if _, _, err := storeA.IngestFramesTerm(termA, zombieFrame(seq)); err != nil {
 			t.Fatalf("zombie write %d on deposed primary: %v", seq, err)
 		}
 	}
@@ -198,12 +196,12 @@ func TestFailoverExactlyOnce(t *testing.T) {
 
 	// Fencing, both directions, at the store layer:
 	// the promoted store rejects writes stamped with the deposed term...
-	if _, err := storeB.IngestFramesTerm(termA, zombieFrame(100)); !errors.Is(err, dfanalyzer.ErrStaleTerm) {
+	if _, _, err := storeB.IngestFramesTerm(termA, zombieFrame(100)); !errors.Is(err, dfanalyzer.ErrStaleTerm) {
 		t.Fatalf("stale-term write on promoted store: %v, want ErrStaleTerm", err)
 	}
 	// ...and the deposed primary rejects writes stamped with the new term
 	// (it cannot masquerade as the new lineage).
-	if _, err := storeA.IngestFramesTerm(termB, zombieFrame(101)); !errors.Is(err, dfanalyzer.ErrStaleTerm) {
+	if _, _, err := storeA.IngestFramesTerm(termB, zombieFrame(101)); !errors.Is(err, dfanalyzer.ErrStaleTerm) {
 		t.Fatalf("new-term write on deposed store: %v, want ErrStaleTerm", err)
 	}
 
@@ -227,14 +225,13 @@ func TestFailoverExactlyOnce(t *testing.T) {
 		return fC2.AppliedSeq() == last && storeC.CurrentTerm() == termB
 	})
 
-	// New translator against the promoted store, acks fenced to term 2.
+	// New translator against the promoted store, told no term: its acks
+	// carry the term the store committed each batch under.
 	targetB := translate.NewStoreTarget(storeB, "provlight")
-	targetB.SetTerm(termB)
 	trB, err := translate.New(ctx, translate.Config{
 		Broker:        b.Addr(),
 		ClientID:      "translator-b",
 		Targets:       []translate.Target{targetB},
-		Term:          termB,
 		RetryInterval: 100 * time.Millisecond,
 		MaxRetries:    10,
 		OnError:       func(err error) { t.Logf("translator-b: %v", err) },
