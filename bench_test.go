@@ -407,7 +407,6 @@ func BenchmarkMQTTSNPublishWindowed(b *testing.B) {
 				ClientID:       "bench-windowed",
 				Gateway:        gw.Addr(),
 				Transport:      netem.WrapTransport(transport.UDP{}, netem.Profile{Delay: 50 * time.Millisecond}),
-				RetryInterval:  2 * time.Second,
 				InflightWindow: window,
 			})
 			if err != nil {
@@ -447,7 +446,7 @@ func BenchmarkBrokerFanIn(b *testing.B) {
 	for _, members := range []int{1, 2, 4} {
 		members := members
 		b.Run(fmt.Sprintf("netem25ms/sessions%d", members), func(b *testing.B) {
-			gw, err := broker.New(broker.Config{Addr: "127.0.0.1:0", RetryInterval: 2 * time.Second})
+			gw, err := broker.New(broker.Config{Addr: "127.0.0.1:0"})
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -456,12 +455,10 @@ func BenchmarkBrokerFanIn(b *testing.B) {
 			shaped := netem.WrapTransport(transport.UDP{}, netem.Profile{Delay: 25 * time.Millisecond})
 			for m := 0; m < members; m++ {
 				c, err := mqttsn.NewClient(mqttsn.ClientConfig{
-					ClientID:      fmt.Sprintf("fanin-member-%d", m),
-					Gateway:       gw.Addr(),
-					Transport:     shaped,
-					RetryInterval: 2 * time.Second,
-					MaxRetries:    10,
-					CleanSession:  true,
+					ClientID:     fmt.Sprintf("fanin-member-%d", m),
+					Gateway:      gw.Addr(),
+					Transport:    shaped,
+					CleanSession: true,
 				})
 				if err != nil {
 					b.Fatal(err)
@@ -483,8 +480,6 @@ func BenchmarkBrokerFanIn(b *testing.B) {
 				c, err := mqttsn.NewClient(mqttsn.ClientConfig{
 					ClientID:       fmt.Sprintf("fanin-pub-%d", p),
 					Gateway:        gw.Addr(),
-					RetryInterval:  time.Second,
-					MaxRetries:     10,
 					InflightWindow: 64,
 					CleanSession:   true,
 				})
@@ -542,18 +537,16 @@ func BenchmarkBrokerFanIn(b *testing.B) {
 // deliver path (one publisher, one wildcard subscriber) on localhost,
 // with allocation accounting across the whole route path.
 func BenchmarkBrokerRouteQoS1(b *testing.B) {
-	gw, err := broker.New(broker.Config{Addr: "127.0.0.1:0", RetryInterval: 200 * time.Millisecond})
+	gw, err := broker.New(broker.Config{Addr: "127.0.0.1:0"})
 	if err != nil {
 		b.Fatal(err)
 	}
 	defer gw.Close()
 	newClient := func(id string) *mqttsn.Client {
 		c, err := mqttsn.NewClient(mqttsn.ClientConfig{
-			ClientID:      id,
-			Gateway:       gw.Addr(),
-			RetryInterval: 200 * time.Millisecond,
-			MaxRetries:    10,
-			CleanSession:  true,
+			ClientID:     id,
+			Gateway:      gw.Addr(),
+			CleanSession: true,
 		})
 		if err != nil {
 			b.Fatal(err)
@@ -851,20 +844,18 @@ func BenchmarkTranslatorPipelineSessions(b *testing.B) {
 	for _, sessions := range []int{1, 2, 4} {
 		sessions := sessions
 		b.Run(fmt.Sprintf("netem25ms/sessions%d", sessions), func(b *testing.B) {
-			gw, err := broker.New(broker.Config{Addr: "127.0.0.1:0", RetryInterval: 2 * time.Second})
+			gw, err := broker.New(broker.Config{Addr: "127.0.0.1:0"})
 			if err != nil {
 				b.Fatal(err)
 			}
 			defer gw.Close()
 			mem := translate.NewMemoryTarget()
 			tr, err := translate.New(context.Background(), translate.Config{
-				Broker:        gw.Addr(),
-				ClientID:      "bench-group",
-				Sessions:      sessions,
-				RetryInterval: 2 * time.Second,
-				MaxRetries:    10,
-				Targets:       []translate.Target{mem},
-				Transport:     netem.WrapTransport(transport.UDP{}, netem.Profile{Delay: 25 * time.Millisecond}),
+				Broker:    gw.Addr(),
+				ClientID:  "bench-group",
+				Sessions:  sessions,
+				Targets:   []translate.Target{mem},
+				Transport: netem.WrapTransport(transport.UDP{}, netem.Profile{Delay: 25 * time.Millisecond}),
 			})
 			if err != nil {
 				b.Fatal(err)

@@ -29,7 +29,6 @@ func newCrashCluster(t testing.TB, lb transport.Transport) *cluster.Cluster {
 	cl, err := cluster.New(cluster.Config{
 		Nodes:             3,
 		Transport:         lb,
-		RetryInterval:     time.Second,
 		DrainTimeout:      20 * time.Second,
 		HeartbeatInterval: 50 * time.Millisecond,
 		SuspectTimeout:    crashSuspectTimeout,
@@ -85,13 +84,11 @@ func TestClusterPipelineCrash(t *testing.T) {
 	}
 	defer store.Close()
 	tr, err := translate.New(context.Background(), translate.Config{
-		ClusterAddrs:  addrs,
-		Transport:     lb,
-		ClientID:      "crash-translator",
-		KeepAlive:     300 * time.Millisecond,
-		RetryInterval: 200 * time.Millisecond,
-		MaxRetries:    10,
-		Targets:       []translate.Target{translate.NewStoreTarget(store, "provlight")},
+		ClusterAddrs: addrs,
+		Transport:    lb,
+		ClientID:     "crash-translator",
+		KeepAlive:    300 * time.Millisecond,
+		Targets:      []translate.Target{translate.NewStoreTarget(store, "provlight")},
 	})
 	if err != nil {
 		t.Fatalf("translate.New: %v", err)
@@ -110,7 +107,6 @@ func TestClusterPipelineCrash(t *testing.T) {
 			WindowSize:     16,
 			AckWindow:      32,
 			RedeliverAfter: 500 * time.Millisecond,
-			RetryInterval:  time.Second,
 			OnError:        func(err error) { t.Logf("device: %v", err) },
 		})
 		if err != nil {
@@ -232,14 +228,12 @@ func TestTranslatorFailoverOnNodeDeath(t *testing.T) {
 
 	mem := translate.NewMemoryTarget()
 	tr, err := translate.New(context.Background(), translate.Config{
-		ClusterAddrs:  cl.Addrs(),
-		Transport:     lb,
-		ClientID:      "failover-translator",
-		KeepAlive:     300 * time.Millisecond,
-		RetryInterval: 200 * time.Millisecond,
-		MaxRetries:    10,
-		Targets:       []translate.Target{mem},
-		DisableAcks:   true,
+		ClusterAddrs: cl.Addrs(),
+		Transport:    lb,
+		ClientID:     "failover-translator",
+		KeepAlive:    300 * time.Millisecond,
+		Targets:      []translate.Target{mem},
+		DisableAcks:  true,
 	})
 	if err != nil {
 		t.Fatalf("translate.New: %v", err)

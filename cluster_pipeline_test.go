@@ -22,11 +22,10 @@ import (
 func TestClusterPipelineLeave(t *testing.T) {
 	lb := transport.NewLoopback()
 	cl, err := cluster.New(cluster.Config{
-		Nodes:         3,
-		Transport:     lb,
-		RetryInterval: 2 * time.Second,
-		DrainTimeout:  20 * time.Second,
-		Logf:          t.Logf,
+		Nodes:        3,
+		Transport:    lb,
+		DrainTimeout: 20 * time.Second,
+		Logf:         t.Logf,
 	})
 	if err != nil {
 		t.Fatalf("cluster.New: %v", err)
@@ -35,13 +34,11 @@ func TestClusterPipelineLeave(t *testing.T) {
 
 	mem := translate.NewMemoryTarget()
 	tr, err := translate.New(context.Background(), translate.Config{
-		ClusterAddrs:  cl.Addrs(),
-		Transport:     lb,
-		ClientID:      "cluster-translator",
-		RetryInterval: 2 * time.Second,
-		MaxRetries:    10,
-		Targets:       []translate.Target{mem},
-		DisableAcks:   true,
+		ClusterAddrs: cl.Addrs(),
+		Transport:    lb,
+		ClientID:     "cluster-translator",
+		Targets:      []translate.Target{mem},
+		DisableAcks:  true,
 	})
 	if err != nil {
 		t.Fatalf("translate.New: %v", err)

@@ -342,11 +342,10 @@ func runClusterFanIn(n, devices, tasks int, delay time.Duration) clusterRun {
 		leaver = fmt.Sprintf("n%d", n)
 	}
 	cl, err := cluster.New(cluster.Config{
-		Nodes:         startNodes,
-		Transport:     lb,
-		Partitions:    clusterPartitions,
-		RetryInterval: 2 * time.Second,
-		DrainTimeout:  30 * time.Second,
+		Nodes:        startNodes,
+		Transport:    lb,
+		Partitions:   clusterPartitions,
+		DrainTimeout: 30 * time.Second,
 	})
 	if err != nil {
 		log.Fatalf("provbench: cluster.New: %v", err)
@@ -374,13 +373,11 @@ func runClusterFanIn(n, devices, tasks int, delay time.Duration) clusterRun {
 	mem := translate.NewMemoryTarget()
 	shaped := netem.WrapTransport(lb, netem.Profile{Delay: delay})
 	tr, err := translate.New(context.Background(), translate.Config{
-		ClusterAddrs:  cl.Addrs(),
-		Transport:     shaped,
-		ClientID:      "bench-cluster-xlate",
-		RetryInterval: 2 * time.Second,
-		MaxRetries:    10,
-		Targets:       []translate.Target{mem},
-		DisableAcks:   true,
+		ClusterAddrs: cl.Addrs(),
+		Transport:    shaped,
+		ClientID:     "bench-cluster-xlate",
+		Targets:      []translate.Target{mem},
+		DisableAcks:  true,
 	})
 	if err != nil {
 		log.Fatalf("provbench: translate.New: %v", err)

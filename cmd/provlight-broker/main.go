@@ -5,12 +5,15 @@
 //
 // Usage:
 //
-//	provlight-broker -addr 0.0.0.0:1883 [-retry 1s] [-max-retries 5] \
-//	    [-send-window 32] [-shards 16] \
+//	provlight-broker -addr 0.0.0.0:1883 [-send-window 32] [-shards 16] \
 //	    [-max-sessions 0] [-connect-rate 0] \
 //	    [-cluster 1] [-cluster-addrs host:port,host:port,...] \
 //	    [-partitions 64] [-heartbeat 1s] [-suspect-timeout 5s] \
 //	    [-stats-listen 127.0.0.1:1884] [-v]
+//
+// Each subscriber session re-sends an unacknowledged packet after a
+// timeout measured from that session's own round trips (RFC 6298, see
+// mqttsn.Flows), so no flag sets it.
 //
 // -max-sessions and -connect-rate enable overload admission control:
 // past either limit, new CONNECTs are rejected with a congestion CONNACK
@@ -70,8 +73,6 @@ func serveStats(listen string, reg *obs.Registry, pprofOn bool) func() {
 
 func main() {
 	addr := flag.String("addr", "127.0.0.1:1883", "UDP listen address")
-	retry := flag.Duration("retry", time.Second, "retransmission interval")
-	maxRetries := flag.Int("max-retries", 5, "outbound retransmissions before giving a frame up (group frames re-route instead)")
 	sendWindow := flag.Int("send-window", 32, "in-flight QoS 1/2 messages per subscriber session")
 	shards := flag.Int("shards", 16, "session-table stripes (each with its own handler goroutine)")
 	maxSessions := flag.Int("max-sessions", 0, "admission control: reject new CONNECTs past this many live sessions (0: unlimited)")
@@ -101,14 +102,12 @@ func main() {
 
 	if *clusterN > 1 || len(nodeAddrs) > 0 {
 		ccfg := cluster.Config{
-			Nodes:               *clusterN,
-			Addrs:               nodeAddrs,
-			Partitions:          *partitions,
-			BrokerRetryInterval: *retry,
-			BrokerMaxRetries:    *maxRetries,
-			HeartbeatInterval:   *heartbeat,
-			SuspectTimeout:      *suspectTimeout,
-			Metrics:             reg,
+			Nodes:             *clusterN,
+			Addrs:             nodeAddrs,
+			Partitions:        *partitions,
+			HeartbeatInterval: *heartbeat,
+			SuspectTimeout:    *suspectTimeout,
+			Metrics:           reg,
 		}
 		if *verbose {
 			ccfg.Logf = log.Printf
@@ -149,15 +148,13 @@ func main() {
 	}
 
 	cfg := broker.Config{
-		Addr:          *addr,
-		RetryInterval: *retry,
-		MaxRetries:    *maxRetries,
-		SendWindow:    *sendWindow,
-		Shards:        *shards,
-		MaxSessions:   *maxSessions,
-		ConnectRate:   *connectRate,
-		ConnectBurst:  *connectBurst,
-		Metrics:       reg,
+		Addr:         *addr,
+		SendWindow:   *sendWindow,
+		Shards:       *shards,
+		MaxSessions:  *maxSessions,
+		ConnectRate:  *connectRate,
+		ConnectBurst: *connectBurst,
+		Metrics:      reg,
 	}
 	if *verbose {
 		cfg.Logf = log.Printf

@@ -32,8 +32,6 @@ func newSpoolingClient(t testing.TB, brokerAddr, spoolDir string) *provlight.Cli
 		ClientID:          "edge-1",
 		SpoolDir:          spoolDir,
 		Transport:         lossy,
-		RetryInterval:     100 * time.Millisecond,
-		MaxRetries:        10,
 		AckWindow:         32,
 		RedeliverAfter:    500 * time.Millisecond,
 		ReconnectMinDelay: 50 * time.Millisecond,
@@ -59,11 +57,9 @@ func startDurableTranslator(t testing.TB, brokerAddr, storeDir, clientID string)
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
 	tr, err := translate.New(ctx, translate.Config{
-		Broker:        brokerAddr,
-		ClientID:      clientID,
-		Targets:       []translate.Target{translate.NewStoreTarget(store, "provlight")},
-		RetryInterval: 100 * time.Millisecond,
-		MaxRetries:    10,
+		Broker:   brokerAddr,
+		ClientID: clientID,
+		Targets:  []translate.Target{translate.NewStoreTarget(store, "provlight")},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -121,7 +117,7 @@ func TestKillRestartExactlyOnce(t *testing.T) {
 		t.Skip("crash e2e in -short mode")
 	}
 	spoolDir, storeDir := t.TempDir(), t.TempDir()
-	b, err := broker.New(broker.Config{Addr: "127.0.0.1:0", RetryInterval: 100 * time.Millisecond})
+	b, err := broker.New(broker.Config{Addr: "127.0.0.1:0"})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -11,12 +11,10 @@ import (
 func dialRaw(t *testing.T, b *Broker, id string) *mqttsn.Client {
 	t.Helper()
 	c, err := mqttsn.NewClient(mqttsn.ClientConfig{
-		ClientID:      id,
-		Gateway:       b.Addr(),
-		KeepAlive:     5 * time.Second,
-		RetryInterval: 150 * time.Millisecond,
-		MaxRetries:    10,
-		CleanSession:  true,
+		ClientID:     id,
+		Gateway:      b.Addr(),
+		KeepAlive:    5 * time.Second,
+		CleanSession: true,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -26,7 +24,7 @@ func dialRaw(t *testing.T, b *Broker, id string) *mqttsn.Client {
 }
 
 func TestAdmissionSessionCap(t *testing.T) {
-	b, err := New(Config{Addr: "127.0.0.1:0", RetryInterval: 150 * time.Millisecond, MaxSessions: 2})
+	b, err := New(Config{Addr: "127.0.0.1:0", MaxSessions: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -53,7 +51,7 @@ func TestAdmissionSessionCap(t *testing.T) {
 
 func TestAdmissionConnectRate(t *testing.T) {
 	// Burst of 2, refilling far too slowly to matter inside the test.
-	b, err := New(Config{Addr: "127.0.0.1:0", RetryInterval: 150 * time.Millisecond, ConnectRate: 0.001, ConnectBurst: 2})
+	b, err := New(Config{Addr: "127.0.0.1:0", ConnectRate: 0.001, ConnectBurst: 2})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -87,17 +87,14 @@ type Config struct {
 	// Wrap it (netem.WrapTransport, chaos.Fault.Transport) to shape or
 	// fault the link.
 	Transport transport.Transport
-	// RetryInterval is the outbound acknowledgement timeout. Default 1s.
-	RetryInterval time.Duration
-	// MaxRetries bounds outbound retransmissions. Default 5.
-	MaxRetries int
 	// SendWindow bounds how many QoS 1/2 messages may be in flight to one
 	// subscriber at a time, REGISTERs in flight counted in (a REGISTER
 	// itself never waits for a slot); the rest queue in arrival order and
 	// are sent as earlier ones complete. Without it a fan-in burst (many devices,
 	// one translator) floods the subscriber's UDP socket buffer, and
 	// datagrams dropped there must all be recovered by timed
-	// retransmissions — or are lost for good once MaxRetries is spent.
+	// retransmissions — or are lost for good once the session's give-up
+	// budget (mqttsn.Flows.Budget) is spent.
 	// Default 32.
 	SendWindow int
 	// Shards is the number of session-table stripes, each with its own
@@ -163,8 +160,8 @@ type Stats struct {
 	DuplicatesDropped uint64
 	Retransmissions   uint64
 	SessionsExpired   uint64
-	// DeliveryGiveUps counts QoS 1/2 frames dropped for good: abandoned
-	// after MaxRetries (or at session teardown) with no consumer group to
+	// DeliveryGiveUps counts QoS 1/2 frames dropped for good: given up
+	// unacknowledged (or at session teardown) with no consumer group to
 	// hand them back to.
 	DeliveryGiveUps uint64
 	// GroupRerouted counts frames re-delivered to a surviving
@@ -222,7 +219,7 @@ func EmitStats(e *obs.Emitter, st Stats, lbl ...string) {
 	e.Counter("provlight_broker_messages_routed_total", "Frames routed to local subscribers.", float64(st.MessagesRouted), lbl...)
 	e.Counter("provlight_broker_duplicates_dropped_total", "QoS 2 duplicate publishes dropped.", float64(st.DuplicatesDropped), lbl...)
 	e.Counter("provlight_broker_retransmissions_total", "Outbound retransmissions.", float64(st.Retransmissions), lbl...)
-	e.Counter("provlight_broker_delivery_giveups_total", "QoS 1/2 frames abandoned after MaxRetries with no group to reclaim them.", float64(st.DeliveryGiveUps), lbl...)
+	e.Counter("provlight_broker_delivery_giveups_total", "QoS 1/2 frames given up unacknowledged with no group to reclaim them.", float64(st.DeliveryGiveUps), lbl...)
 	e.Counter("provlight_broker_group_rerouted_total", "Frames re-delivered to a surviving consumer-group member.", float64(st.GroupRerouted), lbl...)
 	e.Counter("provlight_broker_backlog_dropped_total", "Frames discarded because their subscriber session ended.", float64(st.BacklogDropped), lbl...)
 	e.Counter("provlight_broker_congestion_rejected_total", "CONNECTs refused by admission control.", float64(st.CongestionRejected), lbl...)
@@ -280,7 +277,10 @@ type session struct {
 	// moves its head into flows.
 	sendQ []*message
 	// flows is the in-flight table, in enqueue order: up to SendWindow
-	// PUBLISHes plus the REGISTERs of the topics sendQ waits for.
+	// PUBLISHes plus the REGISTERs of the topics sendQ waits for. The
+	// broker's socket is never shaped (netem and chaos wrap dialed
+	// sockets), so its writes return at once and a flow's clock starts
+	// when its packet is handed out (mqttsn.Flows.Sent).
 	flows       mqttsn.Flows[outFlow]
 	knownTopics map[uint16]bool
 
@@ -456,12 +456,6 @@ type Broker struct {
 
 // New creates a broker and starts serving on its socket.
 func New(cfg Config) (*Broker, error) {
-	if cfg.RetryInterval <= 0 {
-		cfg.RetryInterval = time.Second
-	}
-	if cfg.MaxRetries <= 0 {
-		cfg.MaxRetries = 5
-	}
 	if cfg.SendWindow <= 0 {
 		cfg.SendWindow = 32
 	}
@@ -479,7 +473,7 @@ func New(cfg Config) (*Broker, error) {
 	// The broker is the fan-in point of the whole continuum: a burst from
 	// N windowed publishers can exceed the kernel's default receive
 	// buffer (a few hundred datagrams) and every dropped datagram costs a
-	// RetryInterval stall somewhere. Grow the buffer when the socket
+	// retransmission timeout somewhere. Grow the buffer when the socket
 	// supports it; best-effort (errors just keep the kernel default).
 	if rb, ok := conn.(interface{ SetReadBuffer(int) error }); ok {
 		_ = rb.SetReadBuffer(4 << 20)
@@ -702,10 +696,11 @@ func (b *Broker) shardWorker(sh *shard) {
 	}
 }
 
-// janitor retransmits stale outbound messages and expires dead sessions.
+// janitor retransmits stale outbound messages and expires dead sessions,
+// every quarter mqttsn.MinRTO, so a re-send is at most that late.
 func (b *Broker) janitor() {
 	defer b.wg.Done()
-	tick := time.NewTicker(b.cfg.RetryInterval / 2)
+	tick := time.NewTicker(mqttsn.MinRTO / 4)
 	defer tick.Stop()
 	for {
 		select {
@@ -756,6 +751,7 @@ func (b *Broker) sweep() {
 			due, gone = s.flows.Due(now, due[:0], gone[:0])
 			for _, f := range due {
 				b.ctr.retransmissions.Add(1)
+				s.flows.Sent(f.MsgID, f.Await, now)
 				resends = append(resends, resend{s.addr, b.resendPacket(f)})
 			}
 			// The subscriber stopped acknowledging the flows gone: the
@@ -770,6 +766,11 @@ func (b *Broker) sweep() {
 					lost = append(lost, f.Payload.msg)
 				}
 			}
+			// A held flow whose flow ahead left the table moves on.
+			for _, f := range s.flows.Releasable(nil) {
+				s.flows.Sent(f.MsgID, f.Await, now)
+				resends = append(resends, resend{s.addr, b.resendPacket(f)})
+			}
 			if len(gone) > 0 {
 				b.pumpAndSendLocked(s) // abandoned flows freed window slots
 			}
@@ -777,8 +778,8 @@ func (b *Broker) sweep() {
 				continue
 			}
 			givenUp = append(givenUp, giveUp{s: s, msgs: lost})
-			// A session that exhausted MaxRetries on a flow AND has been
-			// completely silent for the whole give-up horizon (no ack,
+			// A session that gave a flow up AND has been completely
+			// silent for the whole give-up budget (no ack,
 			// no ping — nothing moved lastSeen) is indistinguishable
 			// from dead: evict it from its groups so the handoff below
 			// cannot assign the frames right back to it (it re-joins by
@@ -787,7 +788,7 @@ func (b *Broker) sweep() {
 			// pinging, keeps lastSeen fresh, and only ever loses the
 			// individual frame — never its membership.
 			if len(s.groupSubs) > 0 &&
-				now.Sub(s.lastSeen) > time.Duration(b.cfg.MaxRetries)*b.cfg.RetryInterval {
+				now.Sub(s.lastSeen) > s.flows.Budget() {
 				ev := eviction{s: s}
 				for _, g := range s.groupSubs {
 					ev.groups = append(ev.groups, g)
@@ -996,7 +997,6 @@ func (b *Broker) handleConnect(addr net.Addr, key string, p *mqttsn.Connect) {
 		lastSeen:    time.Now(),
 		subs:        map[string]mqttsn.QoS{},
 		groupSubs:   map[string]*consumerGroup{},
-		flows:       mqttsn.Flows[outFlow]{RetryInterval: b.cfg.RetryInterval, MaxRetries: b.cfg.MaxRetries},
 		knownTopics: map[uint16]bool{},
 	}
 	// Replace any session with the same client id (possibly at an old
@@ -1126,9 +1126,12 @@ func (b *Broker) handleAck(key string, typ mqttsn.MsgType, msgID uint16, code mq
 	if s != nil {
 		now := time.Now()
 		s.lastSeen = now
-		switch f, step := s.flows.Advance(typ, msgID, code); step {
+		switch f, step := s.flows.Advance(typ, msgID, code, now); step {
 		case mqttsn.Release:
-			rels = s.flows.Releasable(now, rels)
+			rels = s.flows.Releasable(rels)
+			for _, f := range rels {
+				s.flows.Sent(f.MsgID, f.Await, now)
+			}
 		case mqttsn.Completed:
 			switch m := f.Payload.msg; {
 			case m == nil && code == mqttsn.Accepted: // a REGISTER
@@ -1513,7 +1516,8 @@ func (b *Broker) deliver(s *session, msg *message) bool {
 	} else {
 		s.sendQ = append(s.sendQ, msg)
 		if !known && !s.registering(msg.topicID) {
-			f := s.flows.Add(mqttsn.REGACK, time.Now())
+			f := s.flows.Add(mqttsn.REGACK)
+			s.flows.Sent(f.MsgID, f.Await, time.Now())
 			f.Payload.topicID = msg.topicID
 			reg = &mqttsn.Register{TopicID: msg.topicID, MsgID: f.MsgID, TopicName: msg.topic}
 		}
@@ -1580,7 +1584,8 @@ func (s *session) pumpLocked(b *Broker, pubs []*mqttsn.Publish) []*mqttsn.Publis
 			b.putMsg(msg)
 			continue
 		}
-		f := s.flows.Add(mqttsn.PublishAwaits(msg.qos), time.Now())
+		f := s.flows.Add(mqttsn.PublishAwaits(msg.qos))
+		s.flows.Sent(f.MsgID, f.Await, time.Now())
 		f.Payload.msg = msg
 		pubs = append(pubs, publishPacket(msg, f.MsgID, false))
 	}

@@ -15,7 +15,7 @@ import (
 
 func newTestBroker(t *testing.T) *Broker {
 	t.Helper()
-	b, err := New(Config{Addr: "127.0.0.1:0", RetryInterval: 150 * time.Millisecond})
+	b, err := New(Config{Addr: "127.0.0.1:0"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -26,12 +26,10 @@ func newTestBroker(t *testing.T) *Broker {
 func newTestClient(t *testing.T, b *Broker, id string) *mqttsn.Client {
 	t.Helper()
 	c, err := mqttsn.NewClient(mqttsn.ClientConfig{
-		ClientID:      id,
-		Gateway:       b.Addr(),
-		KeepAlive:     5 * time.Second,
-		RetryInterval: 150 * time.Millisecond,
-		MaxRetries:    10,
-		CleanSession:  true,
+		ClientID:     id,
+		Gateway:      b.Addr(),
+		KeepAlive:    5 * time.Second,
+		CleanSession: true,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -106,6 +104,7 @@ func TestPublishSubscribeQoS2(t *testing.T) {
 }
 
 func TestQoS2ExactlyOnceUnderLossAndDuplication(t *testing.T) {
+	t.Parallel() // every lost packet waits at least mqttsn.MinRTO
 	b := newTestBroker(t)
 	sub := newTestClient(t, b, "sub-eo")
 
@@ -123,12 +122,10 @@ func TestQoS2ExactlyOnceUnderLossAndDuplication(t *testing.T) {
 	// Publisher over a lossy, duplicating link.
 	lossy := netem.WrapTransport(transport.UDP{}, netem.Profile{LossRate: 0.25, DupRate: 0.25, Seed: 11})
 	pub, err := mqttsn.NewClient(mqttsn.ClientConfig{
-		ClientID:      "pub-eo",
-		Gateway:       b.Addr(),
-		Transport:     lossy,
-		RetryInterval: 100 * time.Millisecond,
-		MaxRetries:    30,
-		CleanSession:  true,
+		ClientID:     "pub-eo",
+		Gateway:      b.Addr(),
+		Transport:    lossy,
+		CleanSession: true,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -432,8 +429,8 @@ func TestQoS2Receive(t *testing.T) {
 		}},
 		{"abandoned flow does not delay the frames behind it", func(t *testing.T, b *Broker, pub *rawClient, id uint16, got <-chan string) {
 			// msgID 1 never gets its PUBREL. Holding 2 and 3 behind it
-			// would stall them for (MaxRetries+1)·RetryInterval = 6 s,
-			// twice waitFor's timeout.
+			// would stall them for the 6 s give-up budget, twice
+			// waitFor's timeout.
 			for m := uint16(1); m <= 3; m++ {
 				pub.publish2(id, m, false, fmt.Sprintf("m%d", m))
 			}
@@ -478,9 +475,9 @@ func TestQoS2Receive(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			// A 1 s retry interval with the default 5 retries: any
-			// head-of-line hold would outlast every wait below.
-			b, err := New(Config{Addr: "127.0.0.1:0", RetryInterval: time.Second})
+			// A head-of-line hold would last the 6 s give-up budget and
+			// outlast every wait below.
+			b, err := New(Config{Addr: "127.0.0.1:0"})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -496,15 +493,14 @@ func TestQoS2Receive(t *testing.T) {
 }
 
 // TestAbandonedQoS2Flow: a QoS 2 flow whose publisher never sends the
-// PUBREL keeps its msgID however long the publisher goes on retrying, even
-// past the broker's own retry horizon. It gives the msgID up only once the
+// PUBREL keeps its msgID however long the publisher goes on retrying: the
+// inbound table keeps no clock. It gives the msgID up only once the
 // publisher's 16-bit counter has moved half the msgID space past it, so a
 // fresh PUBLISH reusing the msgID after the wrap is routed, not dropped as a
 // duplicate.
 func TestAbandonedQoS2Flow(t *testing.T) {
 	const topic = "wf/abandoned"
-	// The broker's retry horizon, (MaxRetries+1)·RetryInterval, is 40 ms.
-	b, err := New(Config{Addr: "127.0.0.1:0", RetryInterval: 20 * time.Millisecond, MaxRetries: 1})
+	b, err := New(Config{Addr: "127.0.0.1:0"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -581,7 +577,7 @@ func TestPublishSubscribeQoS2Allocs(t *testing.T) {
 // order — a frame on a topic it already knows included, since nothing
 // overtakes a frame waiting for its topic's registration.
 func TestRegisterRetransmittedThenQueueFlushes(t *testing.T) {
-	b, err := New(Config{Addr: "127.0.0.1:0", RetryInterval: 200 * time.Millisecond})
+	b, err := New(Config{Addr: "127.0.0.1:0"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -620,19 +616,21 @@ func TestRegisterRetransmittedThenQueueFlushes(t *testing.T) {
 		}
 		sub.send(&mqttsn.Puback{TopicID: got.TopicID, MsgID: got.MsgID, ReturnCode: mqttsn.Accepted})
 	}
-	sub.silent(500 * time.Millisecond) // more than two retry intervals
+	sub.silent(500 * time.Millisecond) // more than two floor timeouts (mqttsn.MinRTO)
 	if st := b.Stats(); st.Retransmissions != 1 || st.DeliveryGiveUps != 0 {
 		t.Fatalf("retransmissions = %d, give-ups = %d; want 1 and 0", st.Retransmissions, st.DeliveryGiveUps)
 	}
 }
 
 // TestUnansweredRegisterSettlesQueuedFrames: the frames queued behind a
-// REGISTER the subscriber never answers (MaxRetries spent) or rejects are
+// REGISTER the subscriber never answers (re-sent after 1 s and 2 s more,
+// then given up at the 6 s budget) or rejects are
 // settled like any undeliverable frame, and none is sent to that
 // subscriber: a consumer-group member's go to the other member, in order,
 // and an individual subscriber's are counted in DeliveryGiveUps.
 func TestUnansweredRegisterSettlesQueuedFrames(t *testing.T) {
-	const maxRetries = 2
+	t.Parallel()
+	const retries = 2
 	for _, tc := range []struct {
 		name          string
 		group, reject bool
@@ -643,7 +641,8 @@ func TestUnansweredRegisterSettlesQueuedFrames(t *testing.T) {
 		{"subscriber rejects", false, true},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			b, err := New(Config{Addr: "127.0.0.1:0", RetryInterval: 50 * time.Millisecond, MaxRetries: maxRetries})
+			t.Parallel()
+			b, err := New(Config{Addr: "127.0.0.1:0"})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -673,7 +672,7 @@ func TestUnansweredRegisterSettlesQueuedFrames(t *testing.T) {
 			if tc.reject {
 				sub.send(&mqttsn.Regack{TopicID: reg.TopicID, MsgID: reg.MsgID, ReturnCode: mqttsn.RejectedNotSupported})
 			} else {
-				for i := 0; i < maxRetries; i++ {
+				for i := 0; i < retries; i++ {
 					if again := sub.await(mqttsn.REGISTER).(*mqttsn.Register); *again != *reg {
 						t.Fatalf("retransmission %v, want %v", again, reg)
 					}
@@ -717,7 +716,7 @@ func TestUnansweredRegisterSettlesQueuedFrames(t *testing.T) {
 // and queued, and DetachMatching returns them in send order (in flight
 // first, then queued), leaving the other topics' frames in place.
 func TestDetachMatchingInSendOrder(t *testing.T) {
-	b, err := New(Config{Addr: "127.0.0.1:0", RetryInterval: 10 * time.Second, SendWindow: 3})
+	b, err := New(Config{Addr: "127.0.0.1:0", SendWindow: 3})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -229,7 +229,7 @@ func (b *Broker) rerouteGroup(msg *message, from *session) {
 }
 
 // settleUndeliverable settles a frame its subscriber will never take
-// (MaxRetries spent, or a rejected/abandoned REGISTER): group frames are
+// (its flow given up, or a rejected/abandoned REGISTER): group frames are
 // handed back to the group excluding that subscriber, the rest are
 // dropped and counted. Must be called without any shard mutex held.
 func (b *Broker) settleUndeliverable(s *session, msg *message) {

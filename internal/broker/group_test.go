@@ -123,14 +123,12 @@ func TestSharedSubscriptionPartitioning(t *testing.T) {
 
 // TestGroupRebalanceReroutesBacklog kills a group member that stopped
 // acknowledging and checks that its queued and in-flight frames are handed
-// back to the group (GroupRerouted) instead of being dropped at
-// MaxRetries, and that the survivor ends up with every frame.
+// back to the group (GroupRerouted) instead of being dropped when given
+// up, and that the survivor ends up with every frame.
 func TestGroupRebalanceReroutesBacklog(t *testing.T) {
 	b, err := New(Config{
-		Addr:          "127.0.0.1:0",
-		RetryInterval: 100 * time.Millisecond,
-		MaxRetries:    2,
-		SendWindow:    4,
+		Addr:       "127.0.0.1:0",
+		SendWindow: 4,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -170,8 +168,8 @@ func TestGroupRebalanceReroutesBacklog(t *testing.T) {
 	}
 
 	// Every frame must eventually reach the survivor: frames routed to the
-	// dead member are re-routed when it gives up at MaxRetries or when its
-	// keepalive (1 s) expires.
+	// dead member are re-routed when its keepalive (1 s) expires, well
+	// before the 6 s give-up budget.
 	want := topics * 2
 	deadline := time.Now().Add(15 * time.Second)
 	for survivor.total() < want {
@@ -191,15 +189,14 @@ func TestGroupRebalanceReroutesBacklog(t *testing.T) {
 }
 
 // TestGiveUpAccountingForDeadSubscriber is the regression test for the
-// backlog give-up accounting fix: frames abandoned at MaxRetries for an
-// unresponsive individual (non-group) subscriber must be counted in
+// backlog give-up accounting fix: frames given up at the 6 s budget for
+// an unresponsive individual (non-group) subscriber must be counted in
 // Stats.DeliveryGiveUps / BacklogDropped instead of vanishing silently.
 func TestGiveUpAccountingForDeadSubscriber(t *testing.T) {
+	t.Parallel()
 	b, err := New(Config{
-		Addr:          "127.0.0.1:0",
-		RetryInterval: 80 * time.Millisecond,
-		MaxRetries:    2,
-		SendWindow:    4,
+		Addr:       "127.0.0.1:0",
+		SendWindow: 4,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -227,7 +224,8 @@ func TestGiveUpAccountingForDeadSubscriber(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	deadline := time.Now().Add(10 * time.Second)
+	// Two budgets: the window's frames, then the two queued behind them.
+	deadline := time.Now().Add(20 * time.Second)
 	for {
 		if st := b.Stats(); st.DeliveryGiveUps >= n {
 			break
@@ -246,10 +244,8 @@ func TestGiveUpAccountingForDeadSubscriber(t *testing.T) {
 // remaining member keeps consuming.
 func TestJanitorChurnReleasesGroupState(t *testing.T) {
 	b, err := New(Config{
-		Addr:          "127.0.0.1:0",
-		RetryInterval: 80 * time.Millisecond,
-		MaxRetries:    3,
-		SendWindow:    8,
+		Addr:       "127.0.0.1:0",
+		SendWindow: 8,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -282,12 +278,10 @@ func TestJanitorChurnReleasesGroupState(t *testing.T) {
 	// Churn: short-keepalive members join and silently die mid-stream.
 	for round := 0; round < 3; round++ {
 		c, err := mqttsn.NewClient(mqttsn.ClientConfig{
-			ClientID:      fmt.Sprintf("churn-%d", round),
-			Gateway:       b.Addr(),
-			KeepAlive:     time.Second,
-			RetryInterval: 80 * time.Millisecond,
-			MaxRetries:    5,
-			CleanSession:  true,
+			ClientID:     fmt.Sprintf("churn-%d", round),
+			Gateway:      b.Addr(),
+			KeepAlive:    time.Second,
+			CleanSession: true,
 		})
 		if err != nil {
 			t.Fatal(err)

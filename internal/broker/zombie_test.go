@@ -14,7 +14,7 @@ import (
 // janitor expired (its pings lost during an overload window) in a zombie
 // state forever: pinging happily, subscribed to nothing.
 func TestPingFromExpiredSessionGetsDisconnect(t *testing.T) {
-	b, err := New(Config{Addr: "127.0.0.1:0", RetryInterval: 100 * time.Millisecond})
+	b, err := New(Config{Addr: "127.0.0.1:0"})
 	if err != nil {
 		t.Fatal(err)
 	}

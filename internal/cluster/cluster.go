@@ -47,10 +47,6 @@ type Config struct {
 	// Partitions is the hash-space size (default 64). It bounds
 	// migration granularity, not throughput; it cannot change after New.
 	Partitions int
-	// RetryInterval / MaxRetries tune the bridge links' QoS machinery
-	// (defaults: client defaults).
-	RetryInterval time.Duration
-	MaxRetries    int
 	// DrainTimeout bounds how long a migration waits for an old owner to
 	// drain before detaching its remaining frames (at-least-once) and
 	// proceeding. Default 30s.
@@ -71,10 +67,6 @@ type Config struct {
 	// id after the node discovered it was fenced out of membership and
 	// shut itself down. Operators rejoin via Join; tests assert on it.
 	OnDemoted func(id string)
-	// BrokerRetryInterval / BrokerMaxRetries are passed to each node's
-	// broker config (zero keeps broker defaults).
-	BrokerRetryInterval time.Duration
-	BrokerMaxRetries    int
 	// Metrics, when set, exports the whole cluster through one scrape-time
 	// collector (per-node broker counters, forward/migration/self-healing
 	// counters, per-peer link health labeled node+peer) and feeds each
@@ -222,8 +214,6 @@ func (c *Cluster) startNode(addr string) (*Node, error) {
 	b, err := broker.New(broker.Config{
 		Addr:          addr,
 		Transport:     c.tr,
-		RetryInterval: c.cfg.BrokerRetryInterval,
-		MaxRetries:    c.cfg.BrokerMaxRetries,
 		Forward:       n.forwardHook,
 		OnSubscribe:   n.onSubscribe,
 		OnUnsubscribe: n.onUnsubscribe,

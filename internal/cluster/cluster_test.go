@@ -44,11 +44,10 @@ func TestRendezvousMinimalMovement(t *testing.T) {
 func newTestCluster(t *testing.T, nodes int) *Cluster {
 	t.Helper()
 	c, err := New(Config{
-		Nodes:         nodes,
-		Transport:     transport.NewLoopback(),
-		RetryInterval: 2 * time.Second,
-		DrainTimeout:  20 * time.Second,
-		Logf:          t.Logf,
+		Nodes:        nodes,
+		Transport:    transport.NewLoopback(),
+		DrainTimeout: 20 * time.Second,
+		Logf:         t.Logf,
 	})
 	if err != nil {
 		t.Fatalf("cluster.New: %v", err)
@@ -64,10 +63,9 @@ func dialNode(t *testing.T, c *Cluster, id, clientID string) *mqttsn.Client {
 		t.Fatalf("no node %q", id)
 	}
 	mc, err := mqttsn.NewClient(mqttsn.ClientConfig{
-		ClientID:      clientID,
-		Gateway:       n.Addr(),
-		Transport:     c.tr,
-		RetryInterval: 2 * time.Second,
+		ClientID:  clientID,
+		Gateway:   n.Addr(),
+		Transport: c.tr,
 	})
 	if err != nil {
 		t.Fatalf("client %s: %v", clientID, err)

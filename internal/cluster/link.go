@@ -103,8 +103,6 @@ func newLink(n *Node, peer, addr string) *link {
 			Gateway:        addr,
 			Transport:      n.c.tr,
 			KeepAlive:      keepAlive,
-			RetryInterval:  cfg.RetryInterval,
-			MaxRetries:     cfg.MaxRetries,
 			InflightWindow: linkWindow,
 			CleanSession:   true,
 		},

@@ -22,9 +22,7 @@ func TestLinkReplaysAfterOutage(t *testing.T) {
 	c, err := New(Config{
 		Nodes:             2,
 		Transport:         fault.Transport(lb), // the links dial through the fault
-		RetryInterval:     50 * time.Millisecond,
-		MaxRetries:        3,
-		HeartbeatInterval: -1, // a partitioned peer must not be removed
+		HeartbeatInterval: -1,                  // a partitioned peer must not be removed
 		DrainTimeout:      20 * time.Second,
 		Logf:              t.Logf,
 	})
@@ -34,10 +32,9 @@ func TestLinkReplaysAfterOutage(t *testing.T) {
 	t.Cleanup(c.Close)
 	dial := func(node, clientID string) *mqttsn.Client {
 		mc, err := mqttsn.NewClient(mqttsn.ClientConfig{
-			ClientID:      clientID,
-			Gateway:       c.Node(node).Addr(),
-			Transport:     lb, // devices are not partitioned
-			RetryInterval: time.Second,
+			ClientID:  clientID,
+			Gateway:   c.Node(node).Addr(),
+			Transport: lb, // devices are not partitioned
 		})
 		if err != nil {
 			t.Fatal(err)

@@ -20,15 +20,12 @@ import (
 func newSelfHealCluster(t *testing.T, nodes int, onDemoted func(string)) (*Cluster, *cut) {
 	t.Helper()
 	var cut cut
-	// RetryInterval stays generous: an aggressive value causes spurious
-	// QoS retransmits under race-detector load. Takeover speed does not
-	// depend on it — harvesting a dead link force-fails its in-flight
-	// frames by closing the session.
+	// Takeover speed does not depend on the links' retransmission timer:
+	// harvesting a dead link force-fails its in-flight frames by closing
+	// the session.
 	c, err := New(Config{
 		Nodes:             nodes,
 		Transport:         transport.WrapDial(transport.NewLoopback(), cut.wrap),
-		RetryInterval:     time.Second,
-		MaxRetries:        2,
 		DrainTimeout:      20 * time.Second,
 		HeartbeatInterval: 50 * time.Millisecond,
 		SuspectTimeout:    300 * time.Millisecond,

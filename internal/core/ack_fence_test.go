@@ -38,8 +38,6 @@ func TestStaleAckTermFencing(t *testing.T) {
 		Broker:            "127.0.0.1:9", // no broker: spool only
 		ClientID:          "fence-device",
 		SpoolDir:          t.TempDir(),
-		RetryInterval:     50 * time.Millisecond,
-		MaxRetries:        1,
 		ReconnectMinDelay: time.Hour, // keep the drainer out of the way
 		ReconnectMaxDelay: time.Hour,
 	})
@@ -67,6 +65,13 @@ func TestStaleAckTermFencing(t *testing.T) {
 	st := client.StatsSnapshot()
 	if st.SpoolAcked != 1 || st.AckTerm != 5 || st.StaleAcks != 0 {
 		t.Fatalf("after term-5 ack: %+v", st)
+	}
+
+	// A late lower-term copy of an ack already applied is no stale ack.
+	ack(3, 1)
+	st = client.StatsSnapshot()
+	if st.SpoolAcked != 1 || st.StaleAcks != 0 || st.AckTerm != 5 {
+		t.Fatalf("after a term-3 copy of the applied ack: %+v", st)
 	}
 
 	// Lower term: the whole ack is ignored, floor stays put.

@@ -161,10 +161,8 @@ type Config struct {
 	// memory-mode PUBLISHes kept for a re-send on the next session.
 	// Default 16.
 	WindowSize int
-	// KeepAlive, RetryInterval, MaxRetries tune the MQTT-SN session.
-	KeepAlive     time.Duration
-	RetryInterval time.Duration
-	MaxRetries    int
+	// KeepAlive is the MQTT-SN session's keepalive.
+	KeepAlive time.Duration
 	// Transport dials the broker, once per broker session; nil means
 	// transport.UDP{}. Wrap it (netem.WrapTransport, chaos.Fault.Transport)
 	// to shape or fault the link.
@@ -234,8 +232,10 @@ type Stats struct {
 	SpoolReconnects   uint64
 	// StaleAcks counts end-to-end acknowledgements dropped because they
 	// carried a replication term lower than the highest this client has
-	// seen — acks from a zombie translator still feeding a deposed
-	// primary after a failover. AckTerm is that highest seen term.
+	// seen and named a frame the spool still holds — acks from a zombie
+	// translator still feeding a deposed primary after a failover; a late
+	// copy of an ack already applied is not counted. AckTerm is that
+	// highest seen term.
 	StaleAcks uint64
 	AckTerm   uint64
 	// Reconnect backoff state of the broker session. ReconnectAttempts
@@ -400,8 +400,6 @@ func NewClient(ctx context.Context, cfg Config) (*Client, error) {
 			Gateway:        cfg.Broker,
 			Transport:      cfg.Transport,
 			KeepAlive:      cfg.KeepAlive,
-			RetryInterval:  cfg.RetryInterval,
-			MaxRetries:     cfg.MaxRetries,
 			InflightWindow: cfg.WindowSize,
 			CleanSession:   true,
 		},
@@ -483,6 +481,7 @@ func (c *Client) initMetrics() {
 			inFly, capWin := mc.WindowOccupancy()
 			e.Gauge("provlight_client_window_inflight", "Publish handshakes currently in flight.", float64(inFly), lbl...)
 			e.Gauge("provlight_client_window_capacity", "Configured in-flight publish window.", float64(capWin), lbl...)
+			e.Gauge("provlight_client_retry_timeout_seconds", "MQTT-SN retransmission timeout, measured from the session's round trips.", mc.Stats().RetryTimeout.Seconds(), lbl...)
 		}
 		if c.spool != nil {
 			e.Gauge("provlight_client_spool_pending", "Spooled frames awaiting end-to-end acknowledgement.", float64(st.SpoolPending), lbl...)

@@ -19,19 +19,16 @@ func startPipeline(t *testing.T, cfgMod func(*Config)) (*Client, *translate.Memo
 	t.Helper()
 	mem := translate.NewMemoryTarget()
 	srv, err := StartServer(context.Background(), ServerConfig{
-		Addr:          "127.0.0.1:0",
-		Targets:       []translate.Target{mem},
-		RetryInterval: 150 * time.Millisecond,
+		Addr:    "127.0.0.1:0",
+		Targets: []translate.Target{mem},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(srv.Close)
 	cfg := Config{
-		Broker:        srv.Addr(),
-		ClientID:      "device-1",
-		RetryInterval: 150 * time.Millisecond,
-		MaxRetries:    10,
+		Broker:   srv.Addr(),
+		ClientID: "device-1",
 	}
 	if cfgMod != nil {
 		cfgMod(&cfg)
@@ -301,7 +298,7 @@ func TestTranslatorsShareConsumerGroup(t *testing.T) {
 	// translators consume in parallel. They scale out by sharing one
 	// consumer group, so the broker splits the device topics between them
 	// and every record is stored exactly once.
-	b, err := broker.New(broker.Config{Addr: "127.0.0.1:0", RetryInterval: 150 * time.Millisecond})
+	b, err := broker.New(broker.Config{Addr: "127.0.0.1:0"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -310,12 +307,10 @@ func TestTranslatorsShareConsumerGroup(t *testing.T) {
 	var trs []*translate.Translator
 	for i := 0; i < 2; i++ {
 		tr, err := translate.New(context.Background(), translate.Config{
-			Broker:        b.Addr(),
-			ClientID:      fmt.Sprintf("tableix-%d", i),
-			Group:         "tableix",
-			Targets:       []translate.Target{mem},
-			RetryInterval: 150 * time.Millisecond,
-			MaxRetries:    10,
+			Broker:   b.Addr(),
+			ClientID: fmt.Sprintf("tableix-%d", i),
+			Group:    "tableix",
+			Targets:  []translate.Target{mem},
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -326,10 +321,8 @@ func TestTranslatorsShareConsumerGroup(t *testing.T) {
 	const devices = 4
 	for d := 0; d < devices; d++ {
 		client, err := NewClient(context.Background(), Config{
-			Broker:        b.Addr(),
-			ClientID:      fmt.Sprintf("device-%d", d),
-			RetryInterval: 150 * time.Millisecond,
-			MaxRetries:    10,
+			Broker:   b.Addr(),
+			ClientID: fmt.Sprintf("device-%d", d),
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -500,10 +493,8 @@ func TestClientShutdownExpiredDeadlineAbandons(t *testing.T) {
 	// Kill the broker under the client, queue frames whose QoS 2 handshakes
 	// can never complete, and check that Shutdown gives up at the deadline
 	// instead of hanging, accounting the abandoned frames as async errors.
-	client, _, srv := startPipeline(t, func(c *Config) {
-		c.RetryInterval = 200 * time.Millisecond
-		c.MaxRetries = 50 // retry budget far beyond the shutdown deadline
-	})
+	// The give-up budget (6 s) is far beyond the shutdown deadline.
+	client, _, srv := startPipeline(t, nil)
 	wf := client.NewWorkflow("doomed")
 	if err := wf.Begin(); err != nil {
 		t.Fatal(err)
@@ -593,10 +584,9 @@ func TestServerSessionsConsumerGroup(t *testing.T) {
 	// parallel devices must arrive exactly once with per-workflow order.
 	mem := translate.NewMemoryTarget()
 	srv, err := StartServer(context.Background(), ServerConfig{
-		Addr:          "127.0.0.1:0",
-		Targets:       []translate.Target{mem},
-		Sessions:      3,
-		RetryInterval: 150 * time.Millisecond,
+		Addr:     "127.0.0.1:0",
+		Targets:  []translate.Target{mem},
+		Sessions: 3,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -608,10 +598,8 @@ func TestServerSessionsConsumerGroup(t *testing.T) {
 	const devices = 4
 	for d := 0; d < devices; d++ {
 		client, err := NewClient(context.Background(), Config{
-			Broker:        srv.Addr(),
-			ClientID:      fmt.Sprintf("gdev-%d", d),
-			RetryInterval: 150 * time.Millisecond,
-			MaxRetries:    10,
+			Broker:   srv.Addr(),
+			ClientID: fmt.Sprintf("gdev-%d", d),
 			// Stop-and-wait: overlapping handshakes (WindowSize > 1) may
 			// complete out of order by design, and this test asserts strict
 			// per-workflow order — what it pins is the *group's* stickiness,

@@ -59,8 +59,6 @@ func TestFailedTargetBatchRedeliveredExactlyOnce(t *testing.T) {
 		Transport:         lb,
 		ClientID:          "failing-target-device",
 		SpoolDir:          t.TempDir(),
-		RetryInterval:     100 * time.Millisecond,
-		MaxRetries:        10,
 		RedeliverAfter:    300 * time.Millisecond,
 		ReconnectMinDelay: 50 * time.Millisecond,
 	})

@@ -35,15 +35,14 @@ type loopServer struct {
 
 func startLoopServer(t *testing.T, lb *transport.Loopback, targets ...translate.Target) *loopServer {
 	t.Helper()
-	b, err := broker.New(broker.Config{Addr: loopAddr, Transport: lb, RetryInterval: 150 * time.Millisecond})
+	b, err := broker.New(broker.Config{Addr: loopAddr, Transport: lb})
 	if err != nil {
 		t.Fatal(err)
 	}
 	tr, err := translate.New(context.Background(), translate.Config{
-		Broker:        loopAddr,
-		Transport:     lb,
-		Targets:       targets,
-		RetryInterval: 150 * time.Millisecond,
+		Broker:    loopAddr,
+		Transport: lb,
+		Targets:   targets,
 	})
 	if err != nil {
 		b.Close()
@@ -67,8 +66,6 @@ func enospcClient(t *testing.T, lb *transport.Loopback, policy spool.DegradePoli
 		SpoolDir:          t.TempDir(),
 		SpoolSegmentSize:  256, // several sealed segments from a small stream
 		SpoolPolicy:       policy,
-		RetryInterval:     100 * time.Millisecond,
-		MaxRetries:        3,
 		RedeliverAfter:    500 * time.Millisecond,
 		ReconnectMinDelay: 20 * time.Millisecond,
 		ReconnectMaxDelay: 100 * time.Millisecond,
@@ -110,6 +107,7 @@ func drainAndCount(t *testing.T, client *Client, lb *transport.Loopback) (Stats,
 // — no frame is shed — and freeing space lets capture resume and the
 // spool drain cleanly with every admitted frame delivered exactly once.
 func TestENOSPCBlockStallsThenDrains(t *testing.T) {
+	t.Parallel()
 	lb := transport.NewLoopback()
 	client := enospcClient(t, lb, spool.Block)
 
@@ -160,6 +158,7 @@ func TestENOSPCBlockStallsThenDrains(t *testing.T) {
 // Detection must not break recovery: after the faults heal, every
 // admitted frame still drains exactly once.
 func TestENOSPCMetricsSurfaceSpoolFailures(t *testing.T) {
+	t.Parallel()
 	lb := transport.NewLoopback()
 	reg := obs.NewRegistry()
 	dir := t.TempDir()
@@ -170,8 +169,6 @@ func TestENOSPCMetricsSurfaceSpoolFailures(t *testing.T) {
 		SpoolDir:          dir,
 		SpoolSegmentSize:  256,
 		SpoolPolicy:       spool.Block,
-		RetryInterval:     100 * time.Millisecond,
-		MaxRetries:        3,
 		RedeliverAfter:    500 * time.Millisecond,
 		ReconnectMinDelay: 20 * time.Millisecond,
 		ReconnectMaxDelay: 100 * time.Millisecond,
@@ -254,6 +251,7 @@ func TestENOSPCMetricsSurfaceSpoolFailures(t *testing.T) {
 // sheds arriving frames (Capture reports success; the policy chose the
 // loss) and counts them; surviving frames drain exactly once.
 func TestENOSPCDropNewShedsAndCounts(t *testing.T) {
+	t.Parallel()
 	lb := transport.NewLoopback()
 	client := enospcClient(t, lb, spool.DropNew)
 
@@ -297,6 +295,7 @@ func TestENOSPCDropNewShedsAndCounts(t *testing.T) {
 // floor only ever advances, sheds are counted by class, and after space
 // returns the surviving tail drains cleanly.
 func TestENOSPCDropOldestShedsPrefix(t *testing.T) {
+	t.Parallel()
 	lb := transport.NewLoopback()
 	client := enospcClient(t, lb, spool.DropOldestUnacked)
 

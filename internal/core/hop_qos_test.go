@@ -83,16 +83,15 @@ func TestHopQoSPerMode(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			mem := translate.NewMemoryTarget()
 			srv, err := StartServer(context.Background(), ServerConfig{
-				Addr:          "127.0.0.1:0",
-				Targets:       []translate.Target{mem},
-				RetryInterval: 150 * time.Millisecond,
+				Addr:    "127.0.0.1:0",
+				Targets: []translate.Target{mem},
 			})
 			if err != nil {
 				t.Fatal(err)
 			}
 			defer srv.Close()
 			tally := newPacketTally()
-			cfg := Config{Broker: srv.Addr(), ClientID: "hop-" + name, RetryInterval: 2 * time.Second, Transport: tally.transport()}
+			cfg := Config{Broker: srv.Addr(), ClientID: "hop-" + name, Transport: tally.transport()}
 			if spooled {
 				cfg.SpoolDir = t.TempDir()
 			}

@@ -26,8 +26,6 @@ func TestMemoryClientResumesAfterBrokerRestart(t *testing.T) {
 		Broker:            loopAddr,
 		Transport:         lb,
 		ClientID:          "restart-device",
-		RetryInterval:     100 * time.Millisecond,
-		MaxRetries:        3,
 		ReconnectMinDelay: 20 * time.Millisecond,
 		ReconnectMaxDelay: 100 * time.Millisecond,
 	})
@@ -108,15 +106,13 @@ func TestMemoryClientResumesAfterBrokerRestart(t *testing.T) {
 func TestMemoryShutdownReleasesQueueWhileSessionDown(t *testing.T) {
 	base := runtime.NumGoroutine()
 	mem := translate.NewMemoryTarget()
-	lb := transport.NewLoopback()
-	srv := startLoopServer(t, lb, mem)
+	lb := &refuseDial{Transport: transport.NewLoopback()}
+	srv := startLoopServer(t, lb.Transport.(*transport.Loopback), mem)
 	client, err := NewClient(context.Background(), Config{
 		Broker:            loopAddr,
 		Transport:         lb,
 		ClientID:          "down-device",
 		KeepAlive:         time.Second,
-		RetryInterval:     50 * time.Millisecond,
-		MaxRetries:        2,
 		ReconnectMinDelay: 20 * time.Millisecond,
 		ReconnectMaxDelay: 50 * time.Millisecond,
 	})
@@ -132,6 +128,7 @@ func TestMemoryShutdownReleasesQueueWhileSessionDown(t *testing.T) {
 	}
 	waitRecords(t, mem, 6)
 	srv.Close()
+	lb.down.Store(true)
 	// The keep-alive declares the silent broker dead; redials then fail.
 	deadline := time.Now().Add(10 * time.Second)
 	for client.StatsSnapshot().ReconnectConsecFailures < 1 {

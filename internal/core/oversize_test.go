@@ -40,9 +40,8 @@ func TestOversizedFrameDoesNotWedge(t *testing.T) {
 	start := func(t *testing.T) (*translate.MemoryTarget, *Server) {
 		mem := translate.NewMemoryTarget()
 		srv, err := StartServer(context.Background(), ServerConfig{
-			Addr:          "127.0.0.1:0",
-			Targets:       []translate.Target{mem},
-			RetryInterval: 150 * time.Millisecond,
+			Addr:    "127.0.0.1:0",
+			Targets: []translate.Target{mem},
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -55,8 +54,6 @@ func TestOversizedFrameDoesNotWedge(t *testing.T) {
 			Broker:            srv.Addr(),
 			ClientID:          "big-device",
 			SpoolDir:          spoolDir,
-			RetryInterval:     100 * time.Millisecond,
-			MaxRetries:        5,
 			RedeliverAfter:    time.Second,
 			ReconnectMinDelay: 10 * time.Millisecond,
 			ReconnectMaxDelay: 50 * time.Millisecond,

@@ -49,8 +49,6 @@ func TestPackExactlyOnceInOrderUnderLoss(t *testing.T) {
 	client, mem, _ := startPipeline(t, func(c *Config) {
 		c.Transport = netem.WrapTransport(transport.UDP{}, netem.Profile{LossRate: 0.25, DupRate: 0.25, Seed: 11})
 		c.WindowSize = 1
-		c.RetryInterval = 100 * time.Millisecond
-		c.MaxRetries = 30
 	})
 	// Bursts paced below the handshake time, so several packs leave.
 	var want []string
@@ -84,7 +82,7 @@ func TestPackExactlyOnceInOrderUnderLoss(t *testing.T) {
 }
 
 // TestPackFailureCountsEveryFrame: a partitioned client loses nothing,
-// although its packs run out of retries and end the session, and Flush
+// although the silence ends its session (1.5 keepalives), and Flush
 // waits the partition out. Only Shutdown's deadline gives the frames up:
 // each counts one AsyncError, and OnError is called at most once per
 // PUBLISH.
@@ -94,8 +92,7 @@ func TestPackFailureCountsEveryFrame(t *testing.T) {
 	client, _, _ := startPipeline(t, func(c *Config) {
 		c.Transport = fault.Transport(transport.UDP{})
 		c.WindowSize = 1
-		c.RetryInterval = 20 * time.Millisecond
-		c.MaxRetries = 2
+		c.KeepAlive = 200 * time.Millisecond
 		// No redial within the test, so no failed dial reaches OnError.
 		c.ReconnectMinDelay = time.Minute
 		c.ReconnectMaxDelay = time.Minute
@@ -109,7 +106,7 @@ func TestPackFailureCountsEveryFrame(t *testing.T) {
 	deadline := time.Now().Add(10 * time.Second)
 	for client.StatsSnapshot().NextRetryUnixNano == 0 {
 		if time.Now().After(deadline) {
-			t.Fatalf("the session outlived its failed PUBLISH: %+v", client.StatsSnapshot())
+			t.Fatalf("the session outlived the partition: %+v", client.StatsSnapshot())
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
@@ -153,7 +150,7 @@ func TestPackFailureCountsEveryFrame(t *testing.T) {
 
 // TestPackPartitionHealDeliversOnceInOrder: a burst captured while the
 // device's link is partitioned, at WindowSize 16, ends the session when
-// its PUBLISHes run out of retries; the partition heals before the
+// the silence outlasts 1.5 keepalives; the partition heals before the
 // redial, and the next session re-sends the kept PUBLISHes, then the
 // queued frames. Every record arrives once, in capture order, and nothing
 // counts as an AsyncError.
@@ -162,8 +159,7 @@ func TestPackPartitionHealDeliversOnceInOrder(t *testing.T) {
 	client, mem, _ := startPipeline(t, func(c *Config) {
 		c.Transport = fault.Transport(transport.UDP{})
 		c.WindowSize = 16
-		c.RetryInterval = 50 * time.Millisecond
-		c.MaxRetries = 2
+		c.KeepAlive = 200 * time.Millisecond
 		c.ReconnectMinDelay = 300 * time.Millisecond
 		c.ReconnectMaxDelay = 300 * time.Millisecond
 	})
@@ -180,7 +176,7 @@ func TestPackPartitionHealDeliversOnceInOrder(t *testing.T) {
 	deadline := time.Now().Add(10 * time.Second)
 	for client.StatsSnapshot().NextRetryUnixNano == 0 {
 		if time.Now().After(deadline) {
-			t.Fatalf("the session outlived its failed PUBLISHes: %+v", client.StatsSnapshot())
+			t.Fatalf("the session outlived the partition: %+v", client.StatsSnapshot())
 		}
 		time.Sleep(time.Millisecond)
 	}
@@ -216,7 +212,6 @@ func TestWorkflowEndDoesNotWait(t *testing.T) {
 	client, mem, _ := startPipeline(t, func(c *Config) {
 		c.Transport = fault.Transport(transport.UDP{})
 		c.GroupSize = 4
-		c.RetryInterval = 50 * time.Millisecond
 		c.ReconnectMinDelay = 100 * time.Millisecond
 		c.ReconnectMaxDelay = 100 * time.Millisecond
 	})

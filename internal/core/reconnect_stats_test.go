@@ -2,6 +2,9 @@ package core
 
 import (
 	"context"
+	"errors"
+	"net"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -15,15 +18,15 @@ import (
 // reconnect clears the failure streak. Run with -race: the counters are
 // read here while the drainer goroutine writes them.
 func TestReconnectCountersSurface(t *testing.T) {
-	// No broker listens on loopAddr yet, so the drainer's dials fail.
-	lb := transport.NewLoopback()
+	// No broker listens on loopAddr yet, and its host refuses the
+	// drainer's dials.
+	lb := &refuseDial{Transport: transport.NewLoopback()}
+	lb.down.Store(true)
 	client, err := NewClient(context.Background(), Config{
 		Broker:            loopAddr,
 		Transport:         lb,
 		ClientID:          "retry-stats-device",
 		SpoolDir:          t.TempDir(),
-		RetryInterval:     100 * time.Millisecond,
-		MaxRetries:        3,
 		RedeliverAfter:    500 * time.Millisecond,
 		ReconnectMinDelay: 20 * time.Millisecond,
 		ReconnectMaxDelay: 100 * time.Millisecond,
@@ -49,8 +52,9 @@ func TestReconnectCountersSurface(t *testing.T) {
 		time.Sleep(5 * time.Millisecond)
 	}
 
-	srv := startLoopServer(t, lb, translate.NewMemoryTarget())
+	srv := startLoopServer(t, lb.Transport.(*transport.Loopback), translate.NewMemoryTarget())
 	defer srv.Close()
+	lb.down.Store(false)
 
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
@@ -67,4 +71,19 @@ func TestReconnectCountersSurface(t *testing.T) {
 	if st.ReconnectAttempts < 2 {
 		t.Fatalf("attempt counter regressed: %+v", st)
 	}
+}
+
+// refuseDial fails every dial while down is set, as a host with no
+// listener on the port does, so each failure comes at once rather than
+// after a silent broker's 6 s give-up budget.
+type refuseDial struct {
+	transport.Transport
+	down atomic.Bool
+}
+
+func (r *refuseDial) Dial(addr string) (net.PacketConn, net.Addr, error) {
+	if r.down.Load() {
+		return nil, nil, errors.New("connection refused")
+	}
+	return r.Transport.Dial(addr)
 }

@@ -3,7 +3,6 @@ package core
 import (
 	"context"
 	"fmt"
-	"time"
 
 	"github.com/provlight/provlight/internal/broker"
 	"github.com/provlight/provlight/internal/obs"
@@ -30,8 +29,6 @@ type ServerConfig struct {
 	// the fan-in path scales horizontally instead of squeezing through
 	// one session's outbound window. Default 1.
 	Sessions int
-	// RetryInterval tunes broker and translator retransmissions.
-	RetryInterval time.Duration
 	// MaxSessions, ConnectRate and ConnectBurst pass through to the
 	// broker's overload admission control (see broker.Config): past either
 	// limit new CONNECTs get a congestion CONNACK instead of a session.
@@ -59,12 +56,11 @@ func StartServer(ctx context.Context, cfg ServerConfig) (*Server, error) {
 		return nil, fmt.Errorf("provlight: server requires at least one target")
 	}
 	b, err := broker.New(broker.Config{
-		Addr:          cfg.Addr,
-		RetryInterval: cfg.RetryInterval,
-		MaxSessions:   cfg.MaxSessions,
-		ConnectRate:   cfg.ConnectRate,
-		ConnectBurst:  cfg.ConnectBurst,
-		Metrics:       cfg.Metrics,
+		Addr:         cfg.Addr,
+		MaxSessions:  cfg.MaxSessions,
+		ConnectRate:  cfg.ConnectRate,
+		ConnectBurst: cfg.ConnectBurst,
+		Metrics:      cfg.Metrics,
 	})
 	if err != nil {
 		return nil, err
@@ -73,12 +69,11 @@ func StartServer(ctx context.Context, cfg ServerConfig) (*Server, error) {
 		broker.CollectStats(cfg.Metrics, "", b.Stats)
 	}
 	tr, err := translate.New(ctx, translate.Config{
-		Broker:        b.Addr(),
-		Targets:       cfg.Targets,
-		Sessions:      cfg.Sessions,
-		RetryInterval: cfg.RetryInterval,
-		OnError:       cfg.OnError,
-		Metrics:       cfg.Metrics,
+		Broker:   b.Addr(),
+		Targets:  cfg.Targets,
+		Sessions: cfg.Sessions,
+		OnError:  cfg.OnError,
+		Metrics:  cfg.Metrics,
 	})
 	if err != nil {
 		b.Close()

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"time"
 
 	"github.com/provlight/provlight/internal/mqttsn"
@@ -138,7 +139,10 @@ func (c *Client) onAck(_ string, payload []byte) {
 		for {
 			cur := c.ctr.ackTerm.Load()
 			if term < cur {
-				c.ctr.staleAcks.Add(1)
+				// A late copy of an ack already applied is harmless.
+				if slices.ContainsFunc(seqs, func(seq uint64) bool { return !c.spool.Acked(seq) }) {
+					c.ctr.staleAcks.Add(1)
+				}
 				return // zombie translator: ignore the whole ack
 			}
 			if term == cur || c.ctr.ackTerm.CompareAndSwap(cur, term) {

@@ -74,9 +74,8 @@ func TestQueueFullDropsAndCounts(t *testing.T) {
 func TestSpoolPipelineEndToEnd(t *testing.T) {
 	mem := translate.NewMemoryTarget()
 	srv, err := StartServer(context.Background(), ServerConfig{
-		Addr:          "127.0.0.1:0",
-		Targets:       []translate.Target{mem},
-		RetryInterval: 150 * time.Millisecond,
+		Addr:    "127.0.0.1:0",
+		Targets: []translate.Target{mem},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -86,8 +85,6 @@ func TestSpoolPipelineEndToEnd(t *testing.T) {
 		Broker:            srv.Addr(),
 		ClientID:          "spool-device",
 		SpoolDir:          t.TempDir(),
-		RetryInterval:     150 * time.Millisecond,
-		MaxRetries:        10,
 		RedeliverAfter:    500 * time.Millisecond,
 		ReconnectMinDelay: 50 * time.Millisecond,
 	})
@@ -127,8 +124,6 @@ func TestSpoolSurvivesBrokerOutage(t *testing.T) {
 		Transport:         lb,
 		ClientID:          "outage-device",
 		SpoolDir:          t.TempDir(),
-		RetryInterval:     100 * time.Millisecond,
-		MaxRetries:        3,
 		RedeliverAfter:    500 * time.Millisecond,
 		ReconnectMinDelay: 50 * time.Millisecond,
 		ReconnectMaxDelay: 200 * time.Millisecond,
@@ -172,9 +167,8 @@ func TestSpoolSurvivesBrokerOutage(t *testing.T) {
 func TestSpoolClientCrashResume(t *testing.T) {
 	store := translate.NewStoreTarget(newTestStore(t), "provlight")
 	srv, err := StartServer(context.Background(), ServerConfig{
-		Addr:          "127.0.0.1:0",
-		Targets:       []translate.Target{store},
-		RetryInterval: 150 * time.Millisecond,
+		Addr:    "127.0.0.1:0",
+		Targets: []translate.Target{store},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -187,8 +181,6 @@ func TestSpoolClientCrashResume(t *testing.T) {
 			ClientID:          id,
 			Topic:             DefaultTopic("crash-device"), // same identity across restarts
 			SpoolDir:          dir,
-			RetryInterval:     150 * time.Millisecond,
-			MaxRetries:        10,
 			RedeliverAfter:    400 * time.Millisecond,
 			ReconnectMinDelay: 50 * time.Millisecond,
 		})
@@ -253,8 +245,6 @@ func TestSpoolReconnectsAfterMidStreamBrokerDeath(t *testing.T) {
 		Transport:         lb,
 		ClientID:          "midstream-device",
 		SpoolDir:          t.TempDir(),
-		RetryInterval:     100 * time.Millisecond,
-		MaxRetries:        3,
 		RedeliverAfter:    400 * time.Millisecond,
 		ReconnectMinDelay: 50 * time.Millisecond,
 		ReconnectMaxDelay: 200 * time.Millisecond,

@@ -55,8 +55,9 @@ func NewClient(baseURL string) *Client {
 // and max, gated by a circuit breaker that opens after repeated
 // failures (so a down server costs one fast rejection per delivery
 // instead of a full backoff ladder). Rejections the server will repeat
-// (4xx, including the 409 term fence) are never retried. Returns c for
-// chaining; call before the first request.
+// (4xx, including the 409 term fence) and a commit-wait 503, which has
+// already waited the store's commit wait out, are never retried. Returns
+// c for chaining; call before the first request.
 func (c *Client) WithRetry(budget int, min, max time.Duration) *Client {
 	c.breaker = &resilience.Breaker{}
 	c.retry = &resilience.Retry{
@@ -107,8 +108,9 @@ func (c *Client) post(path string, body any) error {
 
 // postOnce performs one POST attempt and learns the term its answer
 // carries. Rejections (4xx, including the 409 term fence after a
-// failover) are marked permanent; transport errors and 5xx are left
-// retryable for the resilience policy.
+// failover) and a commit-wait 503 (UncommittedHeader, wrapping
+// ErrUncommitted) are marked permanent; transport errors and other 5xx
+// are left retryable for the resilience policy.
 func (c *Client) postOnce(path string, data []byte) error {
 	req, err := http.NewRequest(http.MethodPost, c.base+path, bytes.NewReader(data))
 	if err != nil {
@@ -127,7 +129,10 @@ func (c *Client) postOnce(path string, data []byte) error {
 	if resp.StatusCode >= 300 {
 		msg, _ := io.ReadAll(io.LimitReader(resp.Body, 512))
 		err := fmt.Errorf("dfanalyzer: %s returned %s: %s", path, resp.Status, msg)
-		if resp.StatusCode < 500 {
+		switch {
+		case resp.Header.Get(UncommittedHeader) != "":
+			return resilience.Permanent(fmt.Errorf("%w: %w", ErrUncommitted, err))
+		case resp.StatusCode < 500:
 			return resilience.Permanent(err)
 		}
 		return err

@@ -22,6 +22,12 @@ import (
 // store's term in the same header, which is how writers learn it.
 const TermHeader = "X-Provlight-Term"
 
+// UncommittedHeader marks the 503 answer to a write the store applied but
+// could not commit within its commit wait (ErrUncommitted). A retry would
+// only wait the commit wait out again, so clients take it as final; the
+// writer's redelivery re-offers the frames, and dedup absorbs them.
+const UncommittedHeader = "X-Provlight-Uncommitted"
+
 // Server exposes the store over the original tool's HTTP 1.1
 // request/response interface (uWSGI-style, Fig. 5 of the paper).
 type Server struct {
@@ -172,12 +178,14 @@ func writeErr(w http.ResponseWriter, code int, err error) {
 // writeIngestErr maps store errors onto status codes: fencing rejections
 // (replica role, stale term) are 409 Conflict so clients can tell "you
 // are talking to the wrong node" from a malformed request, and a write
-// the commit wait gave up on is 503, which clients retry.
+// the commit wait gave up on is 503 marked with UncommittedHeader, which
+// clients do not retry.
 func writeIngestErr(w http.ResponseWriter, err error) {
 	switch {
 	case errors.Is(err, ErrNotPrimary), errors.Is(err, ErrStaleTerm):
 		writeErr(w, http.StatusConflict, err)
 	case errors.Is(err, ErrUncommitted):
+		w.Header().Set(UncommittedHeader, "1")
 		writeErr(w, http.StatusServiceUnavailable, err)
 	default:
 		writeErr(w, http.StatusBadRequest, err)

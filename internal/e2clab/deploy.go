@@ -58,9 +58,8 @@ func Deploy(cfg *Config) (*Deployment, error) {
 	dfaTarget := translate.NewDfAnalyzerTarget(
 		dfanalyzer.NewClient("http://"+pm.DfAnalyzer.Addr()), "e2clab")
 	srv, err := core.StartServer(context.Background(), core.ServerConfig{
-		Addr:          "127.0.0.1:0",
-		Targets:       []translate.Target{pm.Memory, dfaTarget},
-		RetryInterval: 200 * time.Millisecond,
+		Addr:    "127.0.0.1:0",
+		Targets: []translate.Target{pm.Memory, dfaTarget},
 	})
 	if err != nil {
 		pm.DfAnalyzer.Close()
@@ -89,12 +88,10 @@ func Deploy(cfg *Config) (*Deployment, error) {
 			for i := 0; i < svc.Quantity; i++ {
 				clientID := fmt.Sprintf("%s-%s-%d", layer.Name, svc.Name, i)
 				client, err := core.NewClient(context.Background(), core.Config{
-					Broker:        srv.Addr(),
-					ClientID:      clientID,
-					GroupSize:     svc.GroupSize,
-					RetryInterval: 200 * time.Millisecond,
-					MaxRetries:    15,
-					Transport:     link,
+					Broker:    srv.Addr(),
+					ClientID:  clientID,
+					GroupSize: svc.GroupSize,
+					Transport: link,
 				})
 				if err != nil {
 					d.Close()

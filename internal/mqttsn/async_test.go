@@ -16,7 +16,7 @@ import (
 // startBroker returns a broker with fast retransmission for test pace.
 func startBroker(t *testing.T) *broker.Broker {
 	t.Helper()
-	b, err := broker.New(broker.Config{Addr: "127.0.0.1:0", RetryInterval: 150 * time.Millisecond})
+	b, err := broker.New(broker.Config{Addr: "127.0.0.1:0"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -26,12 +26,6 @@ func startBroker(t *testing.T) *broker.Broker {
 
 func connectClient(t *testing.T, cfg mqttsn.ClientConfig) *mqttsn.Client {
 	t.Helper()
-	if cfg.RetryInterval == 0 {
-		cfg.RetryInterval = 150 * time.Millisecond
-	}
-	if cfg.MaxRetries == 0 {
-		cfg.MaxRetries = 10
-	}
 	cfg.CleanSession = true
 	c, err := mqttsn.NewClient(cfg)
 	if err != nil {
@@ -77,8 +71,6 @@ func TestConcurrentPublishAsyncQoS2ExactlyOnceLossy(t *testing.T) {
 		ClientID:       "pub-async",
 		Gateway:        b.Addr(),
 		Transport:      lossy,
-		RetryInterval:  100 * time.Millisecond,
-		MaxRetries:     30,
 		InflightWindow: 8,
 	})
 
@@ -130,7 +122,6 @@ func TestPublishAsyncWindowLimitsInflight(t *testing.T) {
 		ClientID:       "pub-window",
 		Gateway:        b.Addr(),
 		Transport:      shaped,
-		RetryInterval:  time.Second,
 		InflightWindow: 8,
 	})
 	// Pre-register so timing below covers only publish flows.

@@ -58,17 +58,12 @@ type ClientConfig struct {
 	// KeepAlive is the session keepalive; the client pings at half this
 	// interval when idle. Defaults to 60s.
 	KeepAlive time.Duration
-	// RetryInterval is the acknowledgement timeout before retransmission.
-	// Defaults to 1s.
-	RetryInterval time.Duration
-	// MaxRetries bounds retransmissions per in-flight message. Defaults to 5.
-	MaxRetries int
 	// InflightWindow bounds how many publish handshakes may be in flight at
 	// once via PublishAsync (and Publish, which wraps it). The handshakes
 	// live in the client's one flow table, in the order they started: the
 	// read loop advances them on their acknowledgements and the timer loop
-	// re-sends the ones that went unanswered. 1 restores strictly serial
-	// stop-and-wait publishing. Defaults to 16.
+	// re-sends the ones that went unanswered (see Flows). 1 restores
+	// strictly serial stop-and-wait publishing. Defaults to 16.
 	InflightWindow int
 	// CleanSession requests a fresh session.
 	CleanSession bool
@@ -109,10 +104,12 @@ type completion struct {
 	err error
 }
 
-// outgoing is a flow's packet, marshalled under Client.mu and written
-// once mu is released.
+// outgoing is a packet marshalled under Client.mu and written once mu is
+// released. A flow's packet (serial non-zero) names the flow and what it
+// awaits, for its write to start the flow's clock.
 type outgoing struct {
 	msgID  uint16
+	await  MsgType
 	serial uint64
 	bufp   *[]byte
 }
@@ -132,6 +129,8 @@ type Client struct {
 	subs      map[string]MessageHandler
 	lastSend  time.Time
 	lastRecv  time.Time // last packet from the gateway (liveness)
+	// dispatching: the read loop is handling the packet read at lastRecv.
+	dispatching bool
 
 	// Stats counts protocol activity (used by tests and the evaluation).
 	stats ClientStats
@@ -169,6 +168,8 @@ type ClientStats struct {
 	Retransmissions uint64
 	PublishesSent   uint64
 	MessagesHandled uint64
+	// RetryTimeout is the flow table's current RTO (Flows.RTO).
+	RetryTimeout time.Duration
 }
 
 // NewClient creates a client and starts its two goroutines, the read loop
@@ -179,12 +180,6 @@ func NewClient(cfg ClientConfig) (*Client, error) {
 	}
 	if cfg.KeepAlive <= 0 {
 		cfg.KeepAlive = 60 * time.Second
-	}
-	if cfg.RetryInterval <= 0 {
-		cfg.RetryInterval = time.Second
-	}
-	if cfg.MaxRetries <= 0 {
-		cfg.MaxRetries = 5
 	}
 	if cfg.InflightWindow <= 0 {
 		cfg.InflightWindow = 16
@@ -212,7 +207,6 @@ func NewClient(cfg ClientConfig) (*Client, error) {
 		topicName: map[uint16]string{},
 		subs:      map[string]MessageHandler{},
 		window:    make(chan struct{}, cfg.InflightWindow),
-		flows:     Flows[clientFlow]{RetryInterval: cfg.RetryInterval, MaxRetries: cfg.MaxRetries},
 		done:      make(chan struct{}),
 	}
 	c.wg.Add(2)
@@ -225,7 +219,9 @@ func NewClient(cfg ClientConfig) (*Client, error) {
 func (c *Client) Stats() ClientStats {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.stats
+	st := c.stats
+	st.RetryTimeout = c.flows.RTO()
+	return st
 }
 
 // WindowOccupancy reports how many publish handshakes are currently in
@@ -235,7 +231,7 @@ func (c *Client) WindowOccupancy() (inFlight, capacity int) {
 	return len(c.window), cap(c.window)
 }
 
-func (c *Client) send(p Packet) error { return c.write(marshal(p)) }
+func (c *Client) send(p Packet) error { return c.write(outgoing{bufp: marshal(p)}) }
 
 // marshal encodes p into a pooled buffer, which write returns to the pool.
 // Once p is marshalled the datagram no longer refers to p's payload.
@@ -245,17 +241,22 @@ func marshal(p Packet) *[]byte {
 	return bufp
 }
 
-// write sends one marshalled datagram to the gateway and recycles it.
-func (c *Client) write(bufp *[]byte) error {
-	data := *bufp
+// write sends one marshalled datagram to the gateway, recycles it and
+// starts its flow's clock.
+func (c *Client) write(o outgoing) error {
+	data := *o.bufp
 	_, err := c.conn.WriteTo(data, c.gwAddr)
 	n := len(data)
-	*bufp = data[:0]
-	sendBufPool.Put(bufp)
+	*o.bufp = data[:0]
+	sendBufPool.Put(o.bufp)
+	now := time.Now()
 	c.mu.Lock()
 	c.stats.PacketsSent++
 	c.stats.BytesSent += uint64(n)
-	c.lastSend = time.Now()
+	c.lastSend = now
+	if o.serial != 0 {
+		c.flows.Sent(o.msgID, o.await, now)
+	}
 	c.mu.Unlock()
 	return err
 }
@@ -288,21 +289,21 @@ func (c *Client) exchange(await MsgType, handler MessageHandler, build func(msgI
 // complete the flow, and a publisher may then reuse its payload. Callers
 // hold mu.
 func (c *Client) startLocked(await MsgType, cf clientFlow, build func(msgID uint16) Packet) outgoing {
-	f := c.flows.Add(await, time.Now())
+	f := c.flows.Add(await)
 	c.serial++
 	cf.serial, cf.pub.MsgID = c.serial, f.MsgID
 	if build != nil {
 		cf.req = build(f.MsgID)
 	}
 	f.Payload = cf
-	return outgoing{f.MsgID, cf.serial, marshal(f.Payload.packet())}
+	return outgoing{f.MsgID, await, cf.serial, marshal(f.Payload.packet())}
 }
 
 // flush writes the packets of out and fails the flow of each one the
 // socket refused.
 func (c *Client) flush(out ...outgoing) {
 	for _, o := range out {
-		if err := c.write(o.bufp); err != nil {
+		if err := c.write(o); err != nil {
 			c.fail(o.msgID, o.serial, err)
 		}
 	}
@@ -353,8 +354,8 @@ func (c *Client) Publish(topic string, payload []byte, qos QoS) error {
 }
 
 // PublishAsync starts a publish handshake and calls done exactly once with
-// the flow's outcome: nil on success, ErrTimeout (wrapped) once MaxRetries
-// retransmissions went unanswered, a rejection from the gateway, a socket
+// the flow's outcome: nil on success, ErrTimeout (wrapped) once the flow
+// went unanswered for Flows.Budget, a rejection from the gateway, a socket
 // error, or ErrClosed when the client closes first. A payload over
 // MaxPayload fails at once with ErrTooLarge, taking no window slot and
 // leaving the session up. The call blocks only
@@ -367,7 +368,7 @@ func (c *Client) Publish(topic string, payload []byte, qos QoS) error {
 // of the handshake runs in the client's in-flight table: the read loop
 // completes a QoS 1 flow on its PUBACK and steps a QoS 2 flow through
 // PUBREC, PUBREL and PUBCOMP; the timer loop re-sends unanswered packets
-// (a PUBLISH with DUP set) every RetryInterval. Flows may therefore
+// (a PUBLISH with DUP set) after the measured timeout. Flows may therefore
 // complete out of submission order. No goroutine is started per message.
 //
 // The client keeps payload until done is called; the caller may reuse it
@@ -461,14 +462,10 @@ func (c *Client) advance(typ MsgType, msgID, topicID uint16, code ReturnCode) {
 	var cm completion
 	c.mu.Lock()
 	if !c.closed {
-		f, step := c.flows.Advance(typ, msgID, code)
+		f, step := c.flows.Advance(typ, msgID, code, time.Now())
 		switch step {
 		case Release:
-			var rbuf [4]Flow[clientFlow]
-			for _, r := range c.flows.Releasable(time.Now(), rbuf[:0]) {
-				c.rel.MsgID = r.MsgID
-				out = append(out, outgoing{r.MsgID, r.Payload.serial, marshal(&c.rel)})
-			}
+			out = c.releaseLocked(out)
 		case Completed:
 			cm = completion{f.Payload, c.settleLocked(&f.Payload, topicID, code)}
 		}
@@ -478,6 +475,17 @@ func (c *Client) advance(typ MsgType, msgID, topicID uint16, code ReturnCode) {
 	if cm.f.done != nil {
 		c.report(cm)
 	}
+}
+
+// releaseLocked appends the PUBRELs of the flows the table releases, in
+// enqueue order, to out. Callers hold mu.
+func (c *Client) releaseLocked(out []outgoing) []outgoing {
+	var rbuf [4]Flow[clientFlow]
+	for _, r := range c.flows.Releasable(rbuf[:0]) {
+		c.rel.MsgID = r.MsgID
+		out = append(out, outgoing{r.MsgID, PUBCOMP, r.Payload.serial, marshal(&c.rel)})
+	}
+	return out
 }
 
 // settleLocked applies a flow's final acknowledgement to the client's
@@ -527,20 +535,15 @@ func (c *Client) setTopicLocked(topic string, id uint16) {
 }
 
 // timerLoop is the client's one timer, like the broker's janitor: every
-// tick it sweeps the in-flight table and checks the keepalive. The tick is
-// a quarter RetryInterval, or the ping interval (half the keepalive) if
-// that is shorter.
+// quarter MinRTO it sweeps the in-flight table and checks the keepalive,
+// so a re-send is at most that late.
 func (c *Client) timerLoop() {
 	defer c.wg.Done()
 	ping := c.cfg.KeepAlive / 2
 	if ping < 100*time.Millisecond {
 		ping = 100 * time.Millisecond
 	}
-	every := min(c.cfg.RetryInterval/4, ping)
-	if every < time.Millisecond {
-		every = time.Millisecond
-	}
-	tick := time.NewTicker(every)
+	tick := time.NewTicker(MinRTO / 4)
 	defer tick.Stop()
 	var pinged time.Time
 	for {
@@ -556,23 +559,28 @@ func (c *Client) timerLoop() {
 	}
 }
 
-// sweep re-sends every flow whose last packet went unanswered for
-// RetryInterval and fails, with ErrTimeout, every flow that has already
-// been re-sent MaxRetries times, both in enqueue order.
+// sweep re-sends every flow Flows.Due hands out and fails, with
+// ErrTimeout, every flow it gives up, both in enqueue order, and sends the
+// PUBRELs of held flows whose flow ahead has left the table.
 func (c *Client) sweep(now time.Time) {
 	c.mu.Lock()
+	if c.dispatching && now.Sub(c.lastRecv) > MinRTO/4 {
+		c.mu.Unlock() // the read loop is deaf; see readLoop
+		return
+	}
 	resend, gone := c.flows.Due(now, nil, nil)
 	var out []outgoing
 	for i := range resend {
 		f := &resend[i]
 		c.stats.Retransmissions++
-		out = append(out, outgoing{f.MsgID, f.Payload.serial, marshal(c.resendPacketLocked(f))})
+		out = append(out, outgoing{f.MsgID, f.Await, f.Payload.serial, marshal(c.resendPacketLocked(f))})
 	}
 	var failed []completion
 	for i := range gone {
 		p := c.resendPacketLocked(&gone[i])
 		failed = append(failed, completion{gone[i].Payload, fmt.Errorf("%w: %s", ErrTimeout, p.Type())})
 	}
+	out = c.releaseLocked(out)
 	c.mu.Unlock()
 	c.flush(out...)
 	for _, cm := range failed {
@@ -796,12 +804,22 @@ func (c *Client) readLoop() {
 		if err != nil {
 			continue // drop malformed datagrams
 		}
+		read := time.Now()
 		c.mu.Lock()
 		c.stats.PacketsReceived++
 		c.stats.BytesReceived += uint64(n)
-		c.lastRecv = time.Now()
+		c.lastRecv, c.dispatching = read, true
 		c.mu.Unlock()
 		c.dispatch(pkt)
+		// A dispatch that kept the loop from reading for long (a PUBREL
+		// queued behind a pack on a shaped link, a slow handler) left
+		// answers unread: that span is not time they went unanswered.
+		c.mu.Lock()
+		if done := time.Now(); done.Sub(read) > MinRTO/4 {
+			c.flows.Deaf(read, done)
+		}
+		c.dispatching = false
+		c.mu.Unlock()
 	}
 }
 

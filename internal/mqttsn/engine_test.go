@@ -282,7 +282,7 @@ func TestPublishCompletesOnceOnSuccess(t *testing.T) {
 		g := startFakeGateway(t)
 		g.ack.Store(true)
 		g.dupAcks.Store(true)
-		c := engineClient(t, g, mqttsn.ClientConfig{RetryInterval: 5 * time.Second, InflightWindow: 4})
+		c := engineClient(t, g, mqttsn.ClientConfig{InflightWindow: 4})
 		const n = 20
 		o := newOutcomes(n)
 		for i := 0; i < n; i++ {
@@ -301,16 +301,21 @@ func TestPublishCompletesOnceOnSuccess(t *testing.T) {
 	}
 }
 
-// TestPublishGivesUpAfterMaxRetries: an unanswered publish is re-sent
-// MaxRetries times, every copy after the first flagged DUP and carrying
-// the same msgID, then fails once with ErrTimeout.
-func TestPublishGivesUpAfterMaxRetries(t *testing.T) {
+// TestPublishGivesUpAfterBudget: an unanswered publish is re-sent, every
+// copy after the first flagged DUP and carrying the same msgID, then fails
+// once with ErrTimeout when the budget (6 s on loopback) runs out. The
+// backed-off timeout stays on the session.
+func TestPublishGivesUpAfterBudget(t *testing.T) {
+	t.Parallel()
 	g := startFakeGateway(t)
-	const retries = 3
-	c := engineClient(t, g, mqttsn.ClientConfig{RetryInterval: 20 * time.Millisecond, MaxRetries: retries})
+	c := engineClient(t, g, mqttsn.ClientConfig{})
 	o := newOutcomes(1)
+	start := time.Now()
 	c.PublishAsync("e/t", []byte("lost"), mqttsn.QoS1, o.done(0))
 	o.wait(t, 100*time.Millisecond)
+	if took := time.Since(start); took < 6*time.Second || took > 7*time.Second {
+		t.Errorf("publish gave up after %v, want the 6s budget", took)
+	}
 	o.each(t, func(_ int, err error) {
 		if !errors.Is(err, mqttsn.ErrTimeout) {
 			t.Errorf("outcome = %v, want ErrTimeout", err)
@@ -318,16 +323,20 @@ func TestPublishGivesUpAfterMaxRetries(t *testing.T) {
 	})
 	assertWindowEmpty(t, c)
 	pkts := g.packets()
-	if len(pkts) != 1+retries {
-		t.Fatalf("gateway saw %d PUBLISHes, want %d: %+v", len(pkts), 1+retries, pkts)
+	if len(pkts) < 2 {
+		t.Fatalf("gateway saw %d PUBLISHes, want re-sends: %+v", len(pkts), pkts)
 	}
 	for i, p := range pkts {
 		if p.typ != mqttsn.PUBLISH || p.msgID != pkts[0].msgID || p.dup != (i > 0) {
 			t.Errorf("packet %d = %+v, want PUBLISH msgID %d dup=%v", i, p, pkts[0].msgID, i > 0)
 		}
 	}
-	if st := c.Stats(); st.Retransmissions != retries {
-		t.Errorf("Retransmissions = %d, want %d", st.Retransmissions, retries)
+	st := c.Stats()
+	if st.Retransmissions != uint64(len(pkts)-1) {
+		t.Errorf("Retransmissions = %d, want %d", st.Retransmissions, len(pkts)-1)
+	}
+	if st.RetryTimeout <= mqttsn.MinRTO {
+		t.Errorf("RetryTimeout = %v after re-sends, want it backed off past %v", st.RetryTimeout, mqttsn.MinRTO)
 	}
 }
 
@@ -338,7 +347,7 @@ func TestQoS2StepsPubrecPubrelPubcomp(t *testing.T) {
 	g := startFakeGateway(t)
 	g.ack.Store(true)
 	g.dropRels.Store(1)
-	c := engineClient(t, g, mqttsn.ClientConfig{RetryInterval: 100 * time.Millisecond, MaxRetries: 5})
+	c := engineClient(t, g, mqttsn.ClientConfig{})
 	o := newOutcomes(1)
 	c.PublishAsync("e/t", []byte("two"), mqttsn.QoS2, o.done(0))
 	time.Sleep(50 * time.Millisecond) // PUBREC answered, first PUBREL dropped
@@ -381,7 +390,7 @@ func TestQoS2StepsPubrecPubrelPubcomp(t *testing.T) {
 func TestPublishRejected(t *testing.T) {
 	g := startFakeGateway(t)
 	g.reject.Store(true)
-	c := engineClient(t, g, mqttsn.ClientConfig{RetryInterval: time.Second})
+	c := engineClient(t, g, mqttsn.ClientConfig{})
 	o := newOutcomes(2)
 	c.PublishAsync("e/t", []byte("q1"), mqttsn.QoS1, o.done(0))
 	c.PublishAsync("e/t", []byte("q2"), mqttsn.QoS2, o.done(1))
@@ -399,7 +408,7 @@ func TestPublishRejected(t *testing.T) {
 // fails at once.
 func TestCloseFailsInFlightPublishes(t *testing.T) {
 	g := startFakeGateway(t)
-	c := engineClient(t, g, mqttsn.ClientConfig{RetryInterval: 10 * time.Second, InflightWindow: 8})
+	c := engineClient(t, g, mqttsn.ClientConfig{InflightWindow: 8})
 	const n = 8
 	o := newOutcomes(n + 1)
 	for i := 0; i < n; i++ {
@@ -431,7 +440,7 @@ func TestCloseFailsInFlightPublishes(t *testing.T) {
 func TestInFlightPublishesStartNoGoroutines(t *testing.T) {
 	g := startFakeGateway(t)
 	const window = 32
-	c := engineClient(t, g, mqttsn.ClientConfig{RetryInterval: 10 * time.Second, InflightWindow: window})
+	c := engineClient(t, g, mqttsn.ClientConfig{InflightWindow: window})
 	nop := func(error) {}
 	c.PublishAsync("e/t", []byte{0}, mqttsn.QoS2, nop)
 	before := runtime.NumGoroutine()
@@ -458,7 +467,7 @@ const maxQoS1PublishAllocs = 5
 func TestPublishQoS1Allocs(t *testing.T) {
 	g := startFakeGateway(t)
 	g.ack.Store(true)
-	c := engineClient(t, g, mqttsn.ClientConfig{RetryInterval: 10 * time.Second})
+	c := engineClient(t, g, mqttsn.ClientConfig{})
 	payload := make([]byte, 200)
 	errc := make(chan error, 1)
 	done := func(err error) { errc <- err }
@@ -500,7 +509,7 @@ func TestReadAddrPortAllocs(t *testing.T) {
 	g.ack.Store(true)
 	payload := make([]byte, 200)
 	measure := func(t *testing.T, tr transport.Transport) float64 {
-		c := engineClient(t, g, mqttsn.ClientConfig{RetryInterval: 10 * time.Second, Transport: tr})
+		c := engineClient(t, g, mqttsn.ClientConfig{Transport: tr})
 		errc := make(chan error, 1)
 		done := func(err error) { errc <- err }
 		publish := func() {
@@ -534,7 +543,7 @@ func TestReadAddrPortAllocs(t *testing.T) {
 // flagged DUP, and each copy counts as a retransmission.
 func TestControlRequestsResentBySweep(t *testing.T) {
 	g := startFakeGateway(t)
-	c := dialClient(t, g, mqttsn.ClientConfig{RetryInterval: 40 * time.Millisecond, MaxRetries: 5})
+	c := dialClient(t, g, mqttsn.ClientConfig{})
 	if err := c.Connect(); err != nil {
 		t.Fatal(err)
 	}
@@ -570,15 +579,21 @@ func TestControlRequestsResentBySweep(t *testing.T) {
 	}
 }
 
-// TestUnansweredConnectTimesOut: a CONNECT is re-sent MaxRetries times,
-// then Connect fails with ErrTimeout.
+// TestUnansweredConnectTimesOut: a CONNECT, with no round trip measured
+// yet, is re-sent after the initial 1 s and then 2 s more, and Connect
+// fails with ErrTimeout at the 6 s budget.
 func TestUnansweredConnectTimesOut(t *testing.T) {
+	t.Parallel()
 	g := startFakeGateway(t)
 	g.dropCtl.Store(1 << 20)
-	const retries = 3
-	c := dialClient(t, g, mqttsn.ClientConfig{RetryInterval: 20 * time.Millisecond, MaxRetries: retries})
+	const retries = 2
+	c := dialClient(t, g, mqttsn.ClientConfig{})
+	start := time.Now()
 	if err := c.Connect(); !errors.Is(err, mqttsn.ErrTimeout) {
 		t.Fatalf("Connect = %v, want ErrTimeout", err)
+	}
+	if took := time.Since(start); took < 6*time.Second || took > 7*time.Second {
+		t.Errorf("Connect gave up after %v, want the 6s budget", took)
 	}
 	if n := len(g.controls()); n != 1+retries {
 		t.Errorf("gateway saw %d CONNECTs, want %d", n, 1+retries)
@@ -592,7 +607,7 @@ func TestUnansweredConnectTimesOut(t *testing.T) {
 // for its REGACK with ErrClosed, without waiting out its retries.
 func TestCloseFailsWaitingRegister(t *testing.T) {
 	g := startFakeGateway(t)
-	c := dialClient(t, g, mqttsn.ClientConfig{RetryInterval: 10 * time.Second})
+	c := dialClient(t, g, mqttsn.ClientConfig{})
 	if err := c.Connect(); err != nil {
 		t.Fatal(err)
 	}
@@ -623,7 +638,7 @@ func TestCloseFailsWaitingRegister(t *testing.T) {
 // else.
 func TestConnectedClientRunsTwoGoroutines(t *testing.T) {
 	g := startFakeGateway(t)
-	c := engineClient(t, g, mqttsn.ClientConfig{RetryInterval: 10 * time.Second})
+	c := engineClient(t, g, mqttsn.ClientConfig{})
 	for i := 0; i < 8; i++ {
 		c.PublishAsync("e/t", []byte{byte(i)}, mqttsn.QoS2, func(error) {})
 	}
@@ -648,7 +663,7 @@ func TestConnectedClientRunsTwoGoroutines(t *testing.T) {
 // abandoned one never.
 func TestInboundQoS2AbandonedMsgIDReused(t *testing.T) {
 	g := startFakeGateway(t)
-	c := dialClient(t, g, mqttsn.ClientConfig{RetryInterval: 10 * time.Second})
+	c := dialClient(t, g, mqttsn.ClientConfig{})
 	if err := c.Connect(); err != nil {
 		t.Fatal(err)
 	}
@@ -690,7 +705,7 @@ func TestInboundQoS2AbandonedMsgIDReused(t *testing.T) {
 // PUBCOMP was lost), is acknowledged again but delivered only once.
 func TestInboundQoS2LateDuplicateAfterPubrel(t *testing.T) {
 	g := startFakeGateway(t)
-	c := dialClient(t, g, mqttsn.ClientConfig{RetryInterval: 10 * time.Second})
+	c := dialClient(t, g, mqttsn.ClientConfig{})
 	if err := c.Connect(); err != nil {
 		t.Fatal(err)
 	}
@@ -732,7 +747,7 @@ func TestInboundQoS2LateDuplicateAfterPubrel(t *testing.T) {
 func TestResendAndCloseInSendOrder(t *testing.T) {
 	g := startFakeGateway(t)
 	const n = 16
-	c := engineClient(t, g, mqttsn.ClientConfig{RetryInterval: 100 * time.Millisecond, MaxRetries: 100, InflightWindow: n})
+	c := engineClient(t, g, mqttsn.ClientConfig{InflightWindow: n})
 	var mu sync.Mutex
 	var failed []int
 	for i := 0; i < n; i++ {

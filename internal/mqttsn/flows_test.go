@@ -17,6 +17,23 @@ func msgIDs[P any](fs []Flow[P]) []uint16 {
 	return ids
 }
 
+// sendFlow adds a flow awaiting await whose first packet is written at
+// now.
+func sendFlow[P any](fl *Flows[P], await MsgType, now time.Time) uint16 {
+	id := fl.Add(await).MsgID
+	fl.Sent(id, await, now)
+	return id
+}
+
+// dueAndSend runs Due at now and writes every re-send at once.
+func dueAndSend[P any](fl *Flows[P], now time.Time) (resend, gone []Flow[P]) {
+	resend, gone = fl.Due(now, nil, nil)
+	for _, f := range resend {
+		fl.Sent(f.MsgID, f.Await, now)
+	}
+	return resend, gone
+}
+
 // TestFlowsAllocateMsgIDs: a msgID is the next one after the last handed
 // out that is neither 0 (CONNECT's) nor held by a flow, and the counter
 // wraps round the 16-bit space.
@@ -40,7 +57,7 @@ func TestFlowsAllocateMsgIDs(t *testing.T) {
 			}
 			var got []uint16
 			for _, await := range tc.adds {
-				got = append(got, fl.Add(await, time.Time{}).MsgID)
+				got = append(got, fl.Add(await).MsgID)
 			}
 			if fmt.Sprint(got) != fmt.Sprint(tc.want) {
 				t.Fatalf("msgIDs %v, want %v", got, tc.want)
@@ -97,16 +114,16 @@ func TestFlowsAdvance(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			var fl Flows[string]
 			for _, await := range []MsgType{PUBACK, PUBREC, REGACK, CONNACK} {
-				f := fl.Add(await, time.Time{})
+				f := fl.Add(await)
 				f.Payload = fmt.Sprint(f.MsgID)
 			}
 			for i, a := range tc.acks {
-				f, step := fl.Advance(a.typ, a.msgID, a.code)
+				f, step := fl.Advance(a.typ, a.msgID, a.code, time.Time{})
 				if step != a.want {
 					t.Fatalf("ack %d (%s %d %s): step %d, want %d", i, a.typ, a.msgID, a.code, step, a.want)
 				}
 				if step == Release {
-					fl.Releasable(time.Time{}, nil)
+					fl.Releasable(nil)
 				}
 				if step == Completed && f.Payload != fmt.Sprint(a.msgID) {
 					t.Errorf("ack %d completed the flow holding %q, want %d's", i, f.Payload, a.msgID)
@@ -136,7 +153,7 @@ func TestReleasableWalksPrefix(t *testing.T) {
 	allocs := testing.AllocsPerRun(10, func() {
 		fl.slots[0].Await, fl.slots[0].held = PUBREC, true
 		fl.slots[3].Await, fl.slots[3].held = PUBREC, true
-		rels = fl.Releasable(time.Time{}, buf[:0])
+		rels = fl.Releasable(buf[:0])
 	})
 	if allocs != 0 {
 		t.Errorf("Releasable allocates %.1f times", allocs)
@@ -150,53 +167,251 @@ func TestReleasableWalksPrefix(t *testing.T) {
 	}
 }
 
-// TestFlowsDue: a flow is re-sent each RetryInterval its packet goes
-// unanswered, MaxRetries times, then given up; both in enqueue order. A
-// PUBREC restarts the count of a held flow, and a released flow re-sends
-// its PUBREL.
+// TestFlowsDue: a flow is re-sent each time its packet goes unanswered
+// for its wait, which doubles with each re-send, and given up once it has
+// gone unanswered for the budget (6 s before any sample); both in enqueue
+// order. A held flow is neither, and a released flow re-sends its PUBREL.
 func TestFlowsDue(t *testing.T) {
 	const ms = time.Millisecond
 	t0 := time.Unix(0, 0)
-	fl := Flows[int]{RetryInterval: 10 * ms, MaxRetries: 2}
-	fl.Add(PUBACK, t0)           // 1
-	fl.Add(PUBREC, t0.Add(5*ms)) // 2
-	fl.Add(SUBACK, t0)           // 3
-	fl.Add(PUBREC, t0)           // 4
+	var fl Flows[int]
+	sendFlow(&fl, PUBACK, t0)             // 1
+	sendFlow(&fl, PUBREC, t0.Add(500*ms)) // 2
+	sendFlow(&fl, SUBACK, t0)             // 3
+	sendFlow(&fl, PUBREC, t0)             // 4
 	for i, step := range []struct {
 		at           time.Duration
 		pubrec       uint16 // a PUBREC for this msgID comes first
 		resend, gone string
 	}{
-		{at: 9 * ms, resend: "[]", gone: "[]"},
-		{at: 10 * ms, resend: "[1 3 4]", gone: "[]"},
-		{at: 15 * ms, resend: "[2]", gone: "[]"},
-		{at: 20 * ms, pubrec: 4, resend: "[1 3 4]", gone: "[]"},
-		{at: 25 * ms, resend: "[2]", gone: "[]"},
-		{at: 30 * ms, resend: "[4]", gone: "[1 3]"},
-		{at: 35 * ms, pubrec: 2, resend: "[]", gone: "[]"}, // releases 2, and 4 behind it
-		{at: 45 * ms, resend: "[2 4]", gone: "[]"},
-		{at: 55 * ms, resend: "[2 4]", gone: "[]"},
-		{at: 65 * ms, resend: "[]", gone: "[2 4]"},
+		{at: 999 * ms, resend: "[]", gone: "[]"},
+		{at: 1000 * ms, resend: "[1 3 4]", gone: "[]"},
+		{at: 1500 * ms, resend: "[2]", gone: "[]"},
+		{at: 3000 * ms, pubrec: 4, resend: "[1 3]", gone: "[]"},
+		{at: 3500 * ms, resend: "[2]", gone: "[]"},
+		{at: 6000 * ms, resend: "[]", gone: "[1 3]"},
+		{at: 6400 * ms, pubrec: 2, resend: "[]", gone: "[]"}, // releases 2, and 4 behind it
+		{at: 10400 * ms, resend: "[2 4]", gone: "[]"},
+		{at: 12400 * ms, resend: "[]", gone: "[2 4]"},
 	} {
 		now := t0.Add(step.at)
 		if step.pubrec != 0 {
-			if _, s := fl.Advance(PUBREC, step.pubrec, Accepted); s != Release {
+			if _, s := fl.Advance(PUBREC, step.pubrec, Accepted, now); s != Release {
 				t.Fatalf("step %d: PUBREC %d gave step %d", i, step.pubrec, s)
 			}
-			fl.Releasable(now, nil)
+			for _, r := range fl.Releasable(nil) {
+				fl.Sent(r.MsgID, r.Await, now)
+			}
 		}
-		resend, gone := fl.Due(now, nil, nil)
+		resend, gone := dueAndSend(&fl, now)
 		if fmt.Sprint(msgIDs(resend)) != step.resend || fmt.Sprint(msgIDs(gone)) != step.gone {
 			t.Fatalf("step %d at %v: resend %v, gone %v; want %s, %s", i, step.at, msgIDs(resend), msgIDs(gone), step.resend, step.gone)
 		}
 		for _, f := range resend {
-			if step.at >= 45*ms && f.Await != PUBCOMP {
+			if step.at >= 6400*ms && f.Await != PUBCOMP {
 				t.Errorf("step %d: released flow %d re-sends for %s, want its PUBREL", i, f.MsgID, f.Await)
 			}
 		}
 	}
 	if n := len(fl.Slots()); n != 0 {
 		t.Fatalf("%d flows left after every one gave up", n)
+	}
+}
+
+// TestGoneFlowReleasesHeld: a QoS 2 flow held behind one that never got
+// its PUBREC is not re-sent; once the flow ahead gives up, Releasable
+// hands out its PUBREL.
+func TestGoneFlowReleasesHeld(t *testing.T) {
+	t0 := time.Unix(0, 0)
+	var fl Flows[int]
+	sendFlow(&fl, PUBREC, t0)
+	held := sendFlow(&fl, PUBREC, t0)
+	if _, s := fl.Advance(PUBREC, held, Accepted, t0); s != Release || len(fl.Releasable(nil)) != 0 {
+		t.Fatalf("PUBREC behind an unanswered flow: step %d, or released", s)
+	}
+	resend, gone := dueAndSend(&fl, t0.Add(5*time.Second))
+	if fmt.Sprint(msgIDs(resend), msgIDs(gone)) != "[1] []" {
+		t.Fatalf("before the budget: resend %v, gone %v; want [1], []", msgIDs(resend), msgIDs(gone))
+	}
+	resend, gone = dueAndSend(&fl, t0.Add(6*time.Second))
+	if fmt.Sprint(msgIDs(resend), msgIDs(gone)) != "[] [1]" {
+		t.Fatalf("at the budget: resend %v, gone %v; want [], [1]", msgIDs(resend), msgIDs(gone))
+	}
+	if rels := fl.Releasable(nil); fmt.Sprint(msgIDs(rels)) != "[2]" || rels[0].Await != PUBCOMP {
+		t.Fatalf("released %+v after the flow ahead gave up, want 2 awaiting its PUBCOMP", rels)
+	}
+}
+
+// TestRTOEstimate: the first round trip R sets SRTT = R and RTTVAR = R/2,
+// later ones RTTVAR = 3/4·RTTVAR + 1/4·|SRTT − R| and SRTT = 7/8·SRTT +
+// 1/8·R, and RTO = SRTT + 4·RTTVAR within [MinRTO, MaxRTO] (RFC 6298
+// §2). The budget is six RTOs, and at least 6 s.
+func TestRTOEstimate(t *testing.T) {
+	const ms = time.Millisecond
+	type sample struct{ r, srtt, rttvar, rto, budget time.Duration }
+	for _, tc := range []struct {
+		name    string
+		samples []sample
+	}{
+		{"first and later samples", []sample{
+			{400 * ms, 400 * ms, 200 * ms, 1200 * ms, 7200 * ms},
+			{800 * ms, 450 * ms, 250 * ms, 1450 * ms, 8700 * ms},
+			{450 * ms, 450 * ms, 1875 * ms / 10, 1200 * ms, 7200 * ms},
+		}},
+		{"floor", []sample{{10 * ms, 10 * ms, 5 * ms, MinRTO, 6 * time.Second}}},
+		{"cap", []sample{{30 * time.Second, 30 * time.Second, 15 * time.Second, MaxRTO, 6 * MaxRTO}}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var fl Flows[int]
+			if fl.RTO() != InitialRTO || fl.Budget() != 6*time.Second {
+				t.Fatalf("before a sample: RTO %v, budget %v; want %v, 6s", fl.RTO(), fl.Budget(), InitialRTO)
+			}
+			now := time.Unix(0, 0)
+			for i, s := range tc.samples {
+				id := sendFlow(&fl, PUBACK, now)
+				now = now.Add(s.r)
+				fl.Advance(PUBACK, id, Accepted, now)
+				if fl.srtt != s.srtt || fl.rttvar != s.rttvar || fl.RTO() != s.rto || fl.Budget() != s.budget {
+					t.Fatalf("sample %d (%v): SRTT %v, RTTVAR %v, RTO %v, budget %v; want %v, %v, %v, %v",
+						i, s.r, fl.srtt, fl.rttvar, fl.RTO(), fl.Budget(), s.srtt, s.rttvar, s.rto, s.budget)
+				}
+			}
+		})
+	}
+}
+
+// TestRTOKarn: the acknowledgement of a re-sent flow times nothing, at
+// either step of a QoS 2 flow, so the backed-off RTO stands until a flow
+// never re-sent is answered.
+func TestRTOKarn(t *testing.T) {
+	const ms = time.Millisecond
+	t0 := time.Unix(0, 0)
+	var fl Flows[int]
+	q1 := sendFlow(&fl, PUBACK, t0)
+	q2 := sendFlow(&fl, PUBREC, t0)
+	if resend, _ := dueAndSend(&fl, t0.Add(time.Second)); len(resend) != 2 {
+		t.Fatalf("re-sent %v, want both flows", msgIDs(resend))
+	}
+	now := t0.Add(1010 * ms)
+	fl.Advance(PUBACK, q1, Accepted, now)
+	fl.Advance(PUBREC, q2, Accepted, now)
+	for _, r := range fl.Releasable(nil) {
+		fl.Sent(r.MsgID, r.Await, now)
+	}
+	fl.Advance(PUBCOMP, q2, Accepted, now.Add(10*ms))
+	if fl.base != 0 || fl.RTO() != 2*time.Second {
+		t.Fatalf("after acks of re-sent flows: measured RTO %v, RTO %v; want no sample and the backed-off 2s", fl.base, fl.RTO())
+	}
+	id := sendFlow(&fl, PUBACK, now)
+	fl.Advance(PUBACK, id, Accepted, now.Add(300*ms))
+	if fl.base == 0 || fl.RTO() != 900*ms {
+		t.Fatalf("after a fresh flow's 300ms round trip: RTO %v, want 900ms", fl.RTO())
+	}
+}
+
+// TestRTOBackoff: on a fast link (RTO at the floor), a flow to a silent
+// peer is re-sent after 0.2, 0.4, 0.8 and 1.6 s more, each re-send
+// doubling its wait and the table's RTO, and gives up 6 s after its
+// first write. A flow started later waits the backed-off RTO; the backoff
+// does not grow the budget.
+func TestRTOBackoff(t *testing.T) {
+	const ms = time.Millisecond
+	t0 := time.Unix(0, 0)
+	var fl Flows[int]
+	fl.Advance(PUBACK, sendFlow(&fl, PUBACK, t0), Accepted, t0.Add(10*ms))
+	if fl.RTO() != MinRTO {
+		t.Fatalf("RTO %v after a 10ms round trip, want the floor", fl.RTO())
+	}
+	sendFlow(&fl, PUBREC, t0)
+	for i, step := range []struct {
+		at, rto time.Duration
+		resent  bool
+		givesUp bool
+	}{
+		{at: 199 * ms, rto: MinRTO},
+		{at: 200 * ms, rto: 400 * ms, resent: true},
+		{at: 599 * ms, rto: 400 * ms},
+		{at: 600 * ms, rto: 800 * ms, resent: true},
+		{at: 1400 * ms, rto: 1600 * ms, resent: true},
+		{at: 3000 * ms, rto: 3200 * ms, resent: true},
+		{at: 5999 * ms, rto: 3200 * ms},
+		{at: 6000 * ms, rto: 3200 * ms, givesUp: true},
+	} {
+		resend, gone := dueAndSend(&fl, t0.Add(step.at))
+		if (len(resend) == 1) != step.resent || (len(gone) == 1) != step.givesUp || fl.RTO() != step.rto {
+			t.Fatalf("step %d at %v: resend %v, gone %v, RTO %v; want resent %v, gone %v, RTO %v",
+				i, step.at, msgIDs(resend), msgIDs(gone), fl.RTO(), step.resent, step.givesUp, step.rto)
+		}
+	}
+	if fl.Budget() != 6*time.Second {
+		t.Fatalf("budget %v after backing off, want 6s", fl.Budget())
+	}
+	now := t0.Add(7 * time.Second)
+	sendFlow(&fl, PUBACK, now)
+	if resend, _ := dueAndSend(&fl, now.Add(3199*ms)); len(resend) != 0 {
+		t.Fatalf("new flow re-sent after 3.199s, want the backed-off 3.2s")
+	}
+	if resend, _ := dueAndSend(&fl, now.Add(3200*ms)); len(resend) != 1 {
+		t.Fatalf("new flow not re-sent after the backed-off 3.2s")
+	}
+}
+
+// TestFlowsWaitForWrite: a flow is never due, nor given up, while the
+// write of its packet is pending: its first PUBLISH, a re-send, or its
+// PUBREL. A write reported for a packet the flow no longer awaits an
+// answer to (its PUBLISH after the PUBREC came) starts no clock.
+func TestFlowsWaitForWrite(t *testing.T) {
+	const ms = time.Millisecond
+	t0 := time.Unix(0, 0)
+	var fl Flows[int]
+	id := fl.Add(PUBREC).MsgID
+	late := t0.Add(100 * time.Second)
+	if resend, gone := fl.Due(late, nil, nil); len(resend)+len(gone) != 0 {
+		t.Fatalf("flow handed out before its first write: resend %v, gone %v", msgIDs(resend), msgIDs(gone))
+	}
+	fl.Sent(id, PUBREC, late) // a write that took 100 s on a shaped link
+	if resend, _ := fl.Due(late.Add(999*ms), nil, nil); len(resend) != 0 {
+		t.Fatal("flow re-sent before its wait from the write")
+	}
+	if resend, _ := fl.Due(late.Add(time.Second), nil, nil); len(resend) != 1 {
+		t.Fatal("flow not re-sent a wait after its write")
+	}
+	if resend, gone := fl.Due(late.Add(time.Hour), nil, nil); len(resend)+len(gone) != 0 {
+		t.Fatalf("flow handed out while its re-send is being written: resend %v, gone %v", msgIDs(resend), msgIDs(gone))
+	}
+	now := late.Add(time.Hour)
+	fl.Sent(id, PUBREC, now)
+	fl.Advance(PUBREC, id, Accepted, now)
+	fl.Releasable(nil)
+	fl.Sent(id, PUBREC, now) // the PUBLISH's write, reported after the PUBREC
+	if resend, gone := fl.Due(now.Add(time.Hour), nil, nil); len(resend)+len(gone) != 0 {
+		t.Fatalf("flow handed out before its PUBREL was written: resend %v, gone %v", msgIDs(resend), msgIDs(gone))
+	}
+	fl.Sent(id, PUBCOMP, now.Add(time.Hour))
+	if _, s := fl.Advance(PUBCOMP, id, Accepted, now.Add(time.Hour+ms)); s != Completed {
+		t.Fatalf("PUBCOMP gave step %d", s)
+	}
+}
+
+// TestFlowsDeaf: a span in which the caller could not read answers is
+// taken off every clock started before its end, so a flow waiting through
+// it is due that much later, one written during it waits from its end,
+// and one written after it is untouched.
+func TestFlowsDeaf(t *testing.T) {
+	const ms = time.Millisecond
+	t0 := time.Unix(0, 0)
+	var fl Flows[int]
+	sendFlow(&fl, PUBACK, t0)             // 1: due at 1.7 s after the shift
+	sendFlow(&fl, PUBACK, t0.Add(500*ms)) // 2: written mid-span, due at 1.9 s
+	fl.Deaf(t0.Add(200*ms), t0.Add(900*ms))
+	sendFlow(&fl, PUBACK, t0.Add(950*ms)) // 3: due at 1.95 s
+	for _, step := range []struct {
+		at   time.Duration
+		want string
+	}{{1699 * ms, "[]"}, {1700 * ms, "[1]"}, {1899 * ms, "[]"}, {1900 * ms, "[2]"}, {1950 * ms, "[3]"}} {
+		if resend, _ := dueAndSend(&fl, t0.Add(step.at)); fmt.Sprint(msgIDs(resend)) != step.want {
+			t.Fatalf("at %v: re-sent %v, want %s", step.at, msgIDs(resend), step.want)
+		}
 	}
 }
 
@@ -258,35 +473,41 @@ func TestInbound2(t *testing.T) {
 }
 
 // TestFlowsSteadyStateAllocs: once the table and its buffers have grown,
-// a window of publishes sent, acknowledged, released, swept and completed
-// allocates nothing, and neither does the receiver's side.
+// a window of publishes sent, re-sent, acknowledged, released and
+// completed allocates nothing, and neither does the receiver's side. One
+// fresh flow's round trip per window ends the window's backoff.
 func TestFlowsSteadyStateAllocs(t *testing.T) {
-	fl := Flows[*int]{RetryInterval: time.Second, MaxRetries: 3}
+	var fl Flows[*int]
 	var in Inbound2[struct{}]
 	var rels, resend, gone []Flow[*int]
 	now := time.Unix(0, 0)
 	window := func() {
 		for i := 0; i < 16; i++ {
-			fl.Add(PublishAwaits(QoS(1+i%2)), now)
+			sendFlow(&fl, PublishAwaits(QoS(1+i%2)), now)
 		}
-		now = now.Add(2 * time.Second)
+		now = now.Add(fl.RTO())
 		resend, gone = fl.Due(now, resend[:0], gone[:0])
+		for _, f := range resend {
+			fl.Sent(f.MsgID, f.Await, now)
+		}
 		for _, f := range fl.Slots() {
 			in.Receive(f.MsgID, struct{}{})
 		}
 		for len(fl.Slots()) > 0 {
 			f := fl.Slots()[0]
 			if f.Await == PUBREC {
-				fl.Advance(PUBREC, f.MsgID, Accepted)
-				rels = fl.Releasable(now, rels[:0])
+				fl.Advance(PUBREC, f.MsgID, Accepted, now)
+				rels = fl.Releasable(rels[:0])
 				for _, r := range rels {
+					fl.Sent(r.MsgID, r.Await, now)
 					in.Release(r.MsgID)
 				}
 				continue
 			}
 			in.Release(f.MsgID)
-			fl.Advance(f.Await, f.MsgID, Accepted)
+			fl.Advance(f.Await, f.MsgID, Accepted, now)
 		}
+		fl.Advance(PUBACK, sendFlow(&fl, PUBACK, now), Accepted, now)
 	}
 	window()
 	if allocs := testing.AllocsPerRun(100, window); allocs != 0 {

@@ -14,17 +14,24 @@ import (
 	"github.com/provlight/provlight/internal/transport"
 )
 
-// dialLog wraps a transport and records the gateway of every dial.
+// dialLog wraps a transport and records the gateway of every dial. A dial
+// to a gateway in refuse fails at once, as to a host that answers with
+// port unreachable, where a silent one would fail the CONNECT only after
+// the 6 s give-up budget.
 type dialLog struct {
 	transport.Transport
-	mu    sync.Mutex
-	addrs []string
+	refuse map[string]bool
+	mu     sync.Mutex
+	addrs  []string
 }
 
 func (d *dialLog) Dial(addr string) (net.PacketConn, net.Addr, error) {
 	d.mu.Lock()
 	d.addrs = append(d.addrs, addr)
 	d.mu.Unlock()
+	if d.refuse[addr] {
+		return nil, nil, errors.New("refused")
+	}
 	return d.Transport.Dial(addr)
 }
 
@@ -36,7 +43,7 @@ func (d *dialLog) dialed() []string {
 
 func loopBroker(t *testing.T, lb *transport.Loopback, addr string, maxSessions int) *broker.Broker {
 	t.Helper()
-	b, err := broker.New(broker.Config{Addr: addr, Transport: lb, RetryInterval: 50 * time.Millisecond, MaxSessions: maxSessions})
+	b, err := broker.New(broker.Config{Addr: addr, Transport: lb, MaxSessions: maxSessions})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -44,17 +51,14 @@ func loopBroker(t *testing.T, lb *transport.Loopback, addr string, maxSessions i
 	return b
 }
 
-// fastClient fails a dial to a silent gateway within ~40 ms and notices a
-// silent gateway within ~300 ms.
+// fastClient notices a silent gateway within ~300 ms.
 func fastClient(tr transport.Transport, id string) mqttsn.ClientConfig {
 	return mqttsn.ClientConfig{
-		ClientID:      id,
-		Gateway:       "gw",
-		Transport:     tr,
-		KeepAlive:     200 * time.Millisecond,
-		RetryInterval: 20 * time.Millisecond,
-		MaxRetries:    1,
-		CleanSession:  true,
+		ClientID:     id,
+		Gateway:      "gw",
+		Transport:    tr,
+		KeepAlive:    200 * time.Millisecond,
+		CleanSession: true,
 	}
 }
 
@@ -112,7 +116,7 @@ func TestSession(t *testing.T) {
 		}},
 		{"stop during backoff returns promptly", func(t *testing.T, lb *transport.Loopback) {
 			s := mqttsn.NewSession(mqttsn.SessionConfig{
-				Client:  fastClient(lb, "backoff"),
+				Client:  fastClient(&dialLog{Transport: lb, refuse: map[string]bool{"gw": true}}, "backoff"),
 				Backoff: resilience.Backoff{Min: 10 * time.Second, Max: 10 * time.Second},
 			})
 			s.Start()
@@ -120,9 +124,7 @@ func TestSession(t *testing.T) {
 			closesPromptly(t, s)
 		}},
 		{"stop during blocked Connect returns promptly", func(t *testing.T, lb *transport.Loopback) {
-			cfg := fastClient(lb, "blocked")
-			cfg.RetryInterval, cfg.MaxRetries = 10*time.Second, 5
-			s := mqttsn.NewSession(mqttsn.SessionConfig{Client: cfg, Backoff: fast})
+			s := mqttsn.NewSession(mqttsn.SessionConfig{Client: fastClient(lb, "blocked"), Backoff: fast})
 			s.Start()
 			waitFor(t, "dial", func() bool { return s.Stats().Attempts == 1 })
 			time.Sleep(50 * time.Millisecond)
@@ -131,7 +133,7 @@ func TestSession(t *testing.T) {
 		{"permanent error ends the session", func(t *testing.T, lb *transport.Loopback) {
 			var failures atomic.Int32
 			s := mqttsn.NewSession(mqttsn.SessionConfig{
-				Client:  fastClient(lb, "permanent"),
+				Client:  fastClient(&dialLog{Transport: lb, refuse: map[string]bool{"gw": true}}, "permanent"),
 				Backoff: fast,
 				OnDialError: func(_ int, err error) error {
 					failures.Add(1)
@@ -189,7 +191,7 @@ func TestSession(t *testing.T) {
 			}
 		}},
 		{"gateways rotate home first", func(t *testing.T, lb *transport.Loopback) {
-			log := &dialLog{Transport: lb}
+			log := &dialLog{Transport: lb, refuse: map[string]bool{"gw-a": true, "gw-b": true}}
 			c := loopBroker(t, lb, "gw-c", 0)
 			s := mqttsn.NewSession(mqttsn.SessionConfig{
 				Client:   fastClient(log, "rotate"),
@@ -212,6 +214,9 @@ func TestSession(t *testing.T) {
 		}},
 	}
 	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) { tc.run(t, transport.NewLoopback()) })
+		t.Run(tc.name, func(t *testing.T) {
+			t.Parallel()
+			tc.run(t, transport.NewLoopback())
+		})
 	}
 }

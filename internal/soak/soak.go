@@ -221,13 +221,11 @@ func Run(ctx context.Context, opts Options) (*Report, error) {
 			SpoolPolicy: opts.Policy,
 			// Overload-tolerant pacing: at soak scale the broker runs far
 			// past saturation during the capture phase, and aggressive
-			// retransmit/reconnect timers turn transient drops into a
+			// reconnect timers turn transient drops into a
 			// congestion-collapse spiral (every timeout re-offers a whole
-			// publish window). Small windows and patient retries keep the
-			// broker responsive; the spool absorbs the backlog.
+			// publish window). Small windows keep the broker responsive;
+			// the spool absorbs the backlog.
 			AckWindow:         16,
-			RetryInterval:     time.Second,
-			MaxRetries:        6,
 			RedeliverAfter:    10 * time.Second,
 			ReconnectMinDelay: 250 * time.Millisecond,
 			ReconnectMaxDelay: 8 * time.Second,

@@ -39,7 +39,7 @@ func (c *countTarget) count() int {
 // otherwise leaves the whole pipeline permanently deaf after an overload
 // window exhausts the session's retries.
 func TestTranslatorRedialsDeadSession(t *testing.T) {
-	b, err := broker.New(broker.Config{Addr: "127.0.0.1:0", RetryInterval: 100 * time.Millisecond})
+	b, err := broker.New(broker.Config{Addr: "127.0.0.1:0"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -56,13 +56,11 @@ func TestTranslatorRedialsDeadSession(t *testing.T) {
 
 	tgt := &countTarget{}
 	tr, err := New(context.Background(), Config{
-		Broker:        b.Addr(),
-		ClientID:      "redial-tr",
-		Targets:       []Target{tgt},
-		Transport:     dial,
-		RetryInterval: 100 * time.Millisecond,
-		MaxRetries:    3,
-		DisableAcks:   true,
+		Broker:      b.Addr(),
+		ClientID:    "redial-tr",
+		Targets:     []Target{tgt},
+		Transport:   dial,
+		DisableAcks: true,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -134,10 +134,8 @@ type Config struct {
 	// the queue into one delivery round; it never waits for more than are
 	// already queued. Default 64; 1 disables batching.
 	BatchSize int
-	// KeepAlive / RetryInterval / MaxRetries tune the broker session.
-	KeepAlive     time.Duration
-	RetryInterval time.Duration
-	MaxRetries    int
+	// KeepAlive is the broker session's keepalive.
+	KeepAlive time.Duration
 	// OnError receives asynchronous delivery errors.
 	OnError func(error)
 	// DisableAcks turns off end-to-end acknowledgements. By default the
@@ -323,13 +321,11 @@ func New(ctx context.Context, cfg Config) (*Translator, error) {
 func (t *Translator) newSession(clientID string, home int, setup func(*mqttsn.Client) error) *mqttsn.Session {
 	return mqttsn.NewSession(mqttsn.SessionConfig{
 		Client: mqttsn.ClientConfig{
-			ClientID:      clientID,
-			Gateway:       t.cfg.Broker,
-			Transport:     t.cfg.Transport,
-			KeepAlive:     t.cfg.KeepAlive,
-			RetryInterval: t.cfg.RetryInterval,
-			MaxRetries:    t.cfg.MaxRetries,
-			CleanSession:  true,
+			ClientID:     clientID,
+			Gateway:      t.cfg.Broker,
+			Transport:    t.cfg.Transport,
+			KeepAlive:    t.cfg.KeepAlive,
+			CleanSession: true,
 		},
 		Gateways: t.cfg.ClusterAddrs,
 		Home:     home,

@@ -46,11 +46,9 @@ func sampleRecords(n int) []provdm.Record {
 func publishRecords(t *testing.T, brokerAddr string, records []provdm.Record) {
 	t.Helper()
 	pub, err := mqttsn.NewClient(mqttsn.ClientConfig{
-		ClientID:      "pub-device",
-		Gateway:       brokerAddr,
-		RetryInterval: 150 * time.Millisecond,
-		MaxRetries:    10,
-		CleanSession:  true,
+		ClientID:     "pub-device",
+		Gateway:      brokerAddr,
+		CleanSession: true,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -72,7 +70,7 @@ func publishRecords(t *testing.T, brokerAddr string, records []provdm.Record) {
 }
 
 func TestTranslatorToAllTargets(t *testing.T) {
-	b, err := broker.New(broker.Config{Addr: "127.0.0.1:0", RetryInterval: 150 * time.Millisecond})
+	b, err := broker.New(broker.Config{Addr: "127.0.0.1:0"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,9 +89,7 @@ func TestTranslatorToAllTargets(t *testing.T) {
 
 	mem := NewMemoryTarget()
 	tr, err := New(context.Background(), Config{
-		Broker:        b.Addr(),
-		RetryInterval: 150 * time.Millisecond,
-		MaxRetries:    10,
+		Broker: b.Addr(),
 		Targets: []Target{
 			mem,
 			NewDfAnalyzerTarget(dfanalyzer.NewClient("http://"+dfaSrv.Addr()), "wf"),
@@ -167,7 +163,7 @@ func TestTranslatorToAllTargets(t *testing.T) {
 }
 
 func TestTranslatorSurvivesGarbageFrames(t *testing.T) {
-	b, err := broker.New(broker.Config{Addr: "127.0.0.1:0", RetryInterval: 150 * time.Millisecond})
+	b, err := broker.New(broker.Config{Addr: "127.0.0.1:0"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -175,11 +171,9 @@ func TestTranslatorSurvivesGarbageFrames(t *testing.T) {
 	mem := NewMemoryTarget()
 	var gotErr error
 	tr, err := New(context.Background(), Config{
-		Broker:        b.Addr(),
-		RetryInterval: 150 * time.Millisecond,
-		MaxRetries:    10,
-		Targets:       []Target{mem},
-		OnError:       func(err error) { gotErr = err },
+		Broker:  b.Addr(),
+		Targets: []Target{mem},
+		OnError: func(err error) { gotErr = err },
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -187,8 +181,7 @@ func TestTranslatorSurvivesGarbageFrames(t *testing.T) {
 	defer tr.Close()
 
 	pub, err := mqttsn.NewClient(mqttsn.ClientConfig{
-		ClientID: "garbage", Gateway: b.Addr(),
-		RetryInterval: 150 * time.Millisecond, MaxRetries: 10, CleanSession: true,
+		ClientID: "garbage", Gateway: b.Addr(), CleanSession: true,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -257,19 +250,17 @@ func (c *countingTarget) DeliverFrames(frames []Frame) error {
 // asserts exactly-once accounting: every frame delivered once, and the
 // translator's own counters agree with the target's after Drain.
 func TestTranslatorBatchDelivery(t *testing.T) {
-	b, err := broker.New(broker.Config{Addr: "127.0.0.1:0", RetryInterval: 150 * time.Millisecond})
+	b, err := broker.New(broker.Config{Addr: "127.0.0.1:0"})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer b.Close()
 	counting := &countingTarget{}
 	tr, err := New(context.Background(), Config{
-		Broker:        b.Addr(),
-		RetryInterval: 150 * time.Millisecond,
-		MaxRetries:    10,
-		BatchSize:     8,
-		Targets:       []Target{counting},
-		OnError:       func(err error) { t.Errorf("translator error: %v", err) },
+		Broker:    b.Addr(),
+		BatchSize: 8,
+		Targets:   []Target{counting},
+		OnError:   func(err error) { t.Errorf("translator error: %v", err) },
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -345,18 +336,16 @@ func (o *slowOrderTarget) snapshot() []provdm.Record {
 // varying time: the records must reach the target, and a live
 // subscription, in capture order.
 func TestTranslatorDeliversWorkflowInOrder(t *testing.T) {
-	b, err := broker.New(broker.Config{Addr: "127.0.0.1:0", RetryInterval: 150 * time.Millisecond})
+	b, err := broker.New(broker.Config{Addr: "127.0.0.1:0"})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer b.Close()
 	target := &slowOrderTarget{}
 	tr, err := New(context.Background(), Config{
-		Broker:        b.Addr(),
-		RetryInterval: 150 * time.Millisecond,
-		MaxRetries:    10,
-		Targets:       []Target{target},
-		OnError:       func(err error) { t.Errorf("translator error: %v", err) },
+		Broker:  b.Addr(),
+		Targets: []Target{target},
+		OnError: func(err error) { t.Errorf("translator error: %v", err) },
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -438,18 +427,16 @@ func TestDfAnalyzerTargetRetriesRegistration(t *testing.T) {
 // topics across the sessions, and the target must see every record
 // exactly once with per-device order intact.
 func TestMultiSessionConsumerGroup(t *testing.T) {
-	b, err := broker.New(broker.Config{Addr: "127.0.0.1:0", RetryInterval: 150 * time.Millisecond})
+	b, err := broker.New(broker.Config{Addr: "127.0.0.1:0"})
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(b.Close)
 	mem := NewMemoryTarget()
 	tr, err := New(context.Background(), Config{
-		Broker:        b.Addr(),
-		Targets:       []Target{mem},
-		Sessions:      3,
-		RetryInterval: 150 * time.Millisecond,
-		MaxRetries:    10,
+		Broker:   b.Addr(),
+		Targets:  []Target{mem},
+		Sessions: 3,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -468,8 +455,7 @@ func TestMultiSessionConsumerGroup(t *testing.T) {
 			defer wg.Done()
 			id := fmt.Sprintf("dev-%d", d)
 			pub, err := mqttsn.NewClient(mqttsn.ClientConfig{
-				ClientID: id, Gateway: b.Addr(),
-				RetryInterval: 150 * time.Millisecond, MaxRetries: 10, CleanSession: true,
+				ClientID: id, Gateway: b.Addr(), CleanSession: true,
 			})
 			if err != nil {
 				t.Error(err)

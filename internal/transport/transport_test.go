@@ -30,7 +30,7 @@ func TestBrokerClientOverTransports(t *testing.T) {
 		tr := tr
 		t.Run(name, func(t *testing.T) {
 			t.Parallel()
-			b, err := broker.New(broker.Config{Transport: tr, RetryInterval: 200 * time.Millisecond})
+			b, err := broker.New(broker.Config{Transport: tr})
 			if err != nil {
 				t.Fatalf("broker.New: %v", err)
 			}
@@ -38,7 +38,6 @@ func TestBrokerClientOverTransports(t *testing.T) {
 
 			sub, err := mqttsn.NewClient(mqttsn.ClientConfig{
 				ClientID: "sub", Gateway: b.Addr(), Transport: tr,
-				RetryInterval: 200 * time.Millisecond,
 			})
 			if err != nil {
 				t.Fatalf("sub client: %v", err)
@@ -56,7 +55,6 @@ func TestBrokerClientOverTransports(t *testing.T) {
 
 			pub, err := mqttsn.NewClient(mqttsn.ClientConfig{
 				ClientID: "pub", Gateway: b.Addr(), Transport: tr,
-				RetryInterval: 200 * time.Millisecond,
 			})
 			if err != nil {
 				t.Fatalf("pub client: %v", err)

@@ -26,11 +26,10 @@ func TestObservabilityEndToEnd(t *testing.T) {
 	reg := obs.NewRegistry()
 	lb := transport.NewLoopback()
 	cl, err := cluster.New(cluster.Config{
-		Nodes:         2,
-		Transport:     lb,
-		RetryInterval: 2 * time.Second,
-		Metrics:       reg,
-		Logf:          t.Logf,
+		Nodes:     2,
+		Transport: lb,
+		Metrics:   reg,
+		Logf:      t.Logf,
 	})
 	if err != nil {
 		t.Fatalf("cluster.New: %v", err)
@@ -39,14 +38,12 @@ func TestObservabilityEndToEnd(t *testing.T) {
 
 	mem := translate.NewMemoryTarget()
 	tr, err := translate.New(context.Background(), translate.Config{
-		ClusterAddrs:  cl.Addrs(),
-		Transport:     lb,
-		ClientID:      "obs-translator",
-		RetryInterval: 2 * time.Second,
-		MaxRetries:    10,
-		Targets:       []translate.Target{mem},
-		DisableAcks:   true,
-		Metrics:       reg,
+		ClusterAddrs: cl.Addrs(),
+		Transport:    lb,
+		ClientID:     "obs-translator",
+		Targets:      []translate.Target{mem},
+		DisableAcks:  true,
+		Metrics:      reg,
 	})
 	if err != nil {
 		t.Fatalf("translate.New: %v", err)

@@ -77,7 +77,7 @@ func TestPromotionTermLearned(t *testing.T) {
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), 120*time.Second)
 	defer cancel()
-	b, err := broker.New(broker.Config{Addr: "127.0.0.1:0", RetryInterval: 100 * time.Millisecond})
+	b, err := broker.New(broker.Config{Addr: "127.0.0.1:0"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -122,8 +122,6 @@ func TestPromotionTermLearned(t *testing.T) {
 		ClientID:          "edge-1",
 		SpoolDir:          t.TempDir(),
 		Transport:         netem.WrapTransport(transport.UDP{}, netem.Profile{LossRate: 0.25, DupRate: 0.10, Seed: 2001}),
-		RetryInterval:     100 * time.Millisecond,
-		MaxRetries:        10,
 		AckWindow:         32,
 		RedeliverAfter:    500 * time.Millisecond,
 		ReconnectMinDelay: 50 * time.Millisecond,

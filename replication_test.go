@@ -96,7 +96,7 @@ func TestFailoverExactlyOnce(t *testing.T) {
 	}
 	spoolDir := t.TempDir()
 	dirA, dirB, dirC := t.TempDir(), t.TempDir(), t.TempDir()
-	b, err := broker.New(broker.Config{Addr: "127.0.0.1:0", RetryInterval: 100 * time.Millisecond})
+	b, err := broker.New(broker.Config{Addr: "127.0.0.1:0"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -120,12 +120,10 @@ func TestFailoverExactlyOnce(t *testing.T) {
 	defer cancel()
 	targetA := translate.NewStoreTarget(storeA, "provlight")
 	trA, err := translate.New(ctx, translate.Config{
-		Broker:        b.Addr(),
-		ClientID:      "translator-a",
-		Targets:       []translate.Target{targetA},
-		RetryInterval: 100 * time.Millisecond,
-		MaxRetries:    10,
-		OnError:       func(err error) { t.Logf("translator-a: %v", err) },
+		Broker:   b.Addr(),
+		ClientID: "translator-a",
+		Targets:  []translate.Target{targetA},
+		OnError:  func(err error) { t.Logf("translator-a: %v", err) },
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -229,12 +227,10 @@ func TestFailoverExactlyOnce(t *testing.T) {
 	// carry the term the store committed each batch under.
 	targetB := translate.NewStoreTarget(storeB, "provlight")
 	trB, err := translate.New(ctx, translate.Config{
-		Broker:        b.Addr(),
-		ClientID:      "translator-b",
-		Targets:       []translate.Target{targetB},
-		RetryInterval: 100 * time.Millisecond,
-		MaxRetries:    10,
-		OnError:       func(err error) { t.Logf("translator-b: %v", err) },
+		Broker:   b.Addr(),
+		ClientID: "translator-b",
+		Targets:  []translate.Target{targetB},
+		OnError:  func(err error) { t.Logf("translator-b: %v", err) },
 	})
 	if err != nil {
 		t.Fatal(err)
