@@ -223,6 +223,7 @@ func TestClusterPipelineCrash(t *testing.T) {
 // the survivors (including takeover redelivery of frames retained toward
 // the corpse), so the target must end with every record exactly once.
 func TestTranslatorFailoverOnNodeDeath(t *testing.T) {
+	t.Parallel() // mostly waits: the redial's CONNECT to the dead node gives up at the 6 s budget
 	lb := transport.NewLoopback()
 	cl := newCrashCluster(t, lb)
 

@@ -116,6 +116,7 @@ func TestKillRestartExactlyOnce(t *testing.T) {
 	if testing.Short() {
 		t.Skip("crash e2e in -short mode")
 	}
+	t.Parallel() // mostly waits for re-sends on the lossy link
 	spoolDir, storeDir := t.TempDir(), t.TempDir()
 	b, err := broker.New(broker.Config{Addr: "127.0.0.1:0"})
 	if err != nil {

@@ -280,7 +280,7 @@ type session struct {
 	// PUBLISHes plus the REGISTERs of the topics sendQ waits for. The
 	// broker's socket is never shaped (netem and chaos wrap dialed
 	// sockets), so its writes return at once and a flow's clock starts
-	// when its packet is handed out (mqttsn.Flows.Sent).
+	// when its packet is handed out.
 	flows       mqttsn.Flows[outFlow]
 	knownTopics map[uint16]bool
 
@@ -697,23 +697,27 @@ func (b *Broker) shardWorker(sh *shard) {
 }
 
 // janitor retransmits stale outbound messages and expires dead sessions,
-// every quarter mqttsn.MinRTO, so a re-send is at most that late.
+// sweeping again when the last sweep said.
 func (b *Broker) janitor() {
 	defer b.wg.Done()
-	tick := time.NewTicker(mqttsn.MinRTO / 4)
+	tick := time.NewTimer(mqttsn.InitialRTO / 2)
 	defer tick.Stop()
 	for {
 		select {
 		case <-b.done:
 			return
 		case <-tick.C:
-			b.sweep()
+			tick.Reset(b.sweep())
 		}
 	}
 }
 
-func (b *Broker) sweep() {
+// sweep returns when to sweep next: in a quarter mqttsn.MinRTO while a
+// session has flows in flight, so a re-send is at most that late, or in
+// half the InitialRTO when none has any.
+func (b *Broker) sweep() time.Duration {
 	now := time.Now()
+	every := mqttsn.InitialRTO / 2
 	type resend struct {
 		addr net.Addr
 		pkt  mqttsn.Packet
@@ -767,12 +771,14 @@ func (b *Broker) sweep() {
 				}
 			}
 			// A held flow whose flow ahead left the table moves on.
-			for _, f := range s.flows.Releasable(nil) {
-				s.flows.Sent(f.MsgID, f.Await, now)
+			for _, f := range s.flows.Releasable(now, nil) {
 				resends = append(resends, resend{s.addr, b.resendPacket(f)})
 			}
 			if len(gone) > 0 {
 				b.pumpAndSendLocked(s) // abandoned flows freed window slots
+			}
+			if len(s.flows.Slots()) > 0 {
+				every = mqttsn.MinRTO / 4
 			}
 			if len(lost) == 0 {
 				continue
@@ -827,6 +833,7 @@ func (b *Broker) sweep() {
 			b.settleUndeliverable(g.s, m)
 		}
 	}
+	return every
 }
 
 // resendPacket is the packet a due flow re-sends: its PUBLISH with DUP
@@ -1128,10 +1135,7 @@ func (b *Broker) handleAck(key string, typ mqttsn.MsgType, msgID uint16, code mq
 		s.lastSeen = now
 		switch f, step := s.flows.Advance(typ, msgID, code, now); step {
 		case mqttsn.Release:
-			rels = s.flows.Releasable(rels)
-			for _, f := range rels {
-				s.flows.Sent(f.MsgID, f.Await, now)
-			}
+			rels = s.flows.Releasable(now, rels)
 		case mqttsn.Completed:
 			switch m := f.Payload.msg; {
 			case m == nil && code == mqttsn.Accepted: // a REGISTER
@@ -1516,8 +1520,7 @@ func (b *Broker) deliver(s *session, msg *message) bool {
 	} else {
 		s.sendQ = append(s.sendQ, msg)
 		if !known && !s.registering(msg.topicID) {
-			f := s.flows.Add(mqttsn.REGACK)
-			s.flows.Sent(f.MsgID, f.Await, time.Now())
+			f := s.flows.Add(mqttsn.REGACK, time.Now())
 			f.Payload.topicID = msg.topicID
 			reg = &mqttsn.Register{TopicID: msg.topicID, MsgID: f.MsgID, TopicName: msg.topic}
 		}
@@ -1584,8 +1587,7 @@ func (s *session) pumpLocked(b *Broker, pubs []*mqttsn.Publish) []*mqttsn.Publis
 			b.putMsg(msg)
 			continue
 		}
-		f := s.flows.Add(mqttsn.PublishAwaits(msg.qos))
-		s.flows.Sent(f.MsgID, f.Await, time.Now())
+		f := s.flows.Add(mqttsn.PublishAwaits(msg.qos), time.Now())
 		f.Payload.msg = msg
 		pubs = append(pubs, publishPacket(msg, f.MsgID, false))
 	}

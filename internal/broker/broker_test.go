@@ -577,6 +577,7 @@ func TestPublishSubscribeQoS2Allocs(t *testing.T) {
 // order — a frame on a topic it already knows included, since nothing
 // overtakes a frame waiting for its topic's registration.
 func TestRegisterRetransmittedThenQueueFlushes(t *testing.T) {
+	t.Parallel() // waits out a re-send
 	b, err := New(Config{Addr: "127.0.0.1:0"})
 	if err != nil {
 		t.Fatal(err)
@@ -623,14 +624,14 @@ func TestRegisterRetransmittedThenQueueFlushes(t *testing.T) {
 }
 
 // TestUnansweredRegisterSettlesQueuedFrames: the frames queued behind a
-// REGISTER the subscriber never answers (re-sent after 1 s and 2 s more,
-// then given up at the 6 s budget) or rejects are
+// REGISTER the subscriber never answers (re-sent after 1 s, then 2 s and
+// 2 s more, then given up at the 6 s budget) or rejects are
 // settled like any undeliverable frame, and none is sent to that
 // subscriber: a consumer-group member's go to the other member, in order,
 // and an individual subscriber's are counted in DeliveryGiveUps.
 func TestUnansweredRegisterSettlesQueuedFrames(t *testing.T) {
 	t.Parallel()
-	const retries = 2
+	const retries = 3
 	for _, tc := range []struct {
 		name          string
 		group, reject bool

@@ -126,6 +126,7 @@ func TestSharedSubscriptionPartitioning(t *testing.T) {
 // back to the group (GroupRerouted) instead of being dropped when given
 // up, and that the survivor ends up with every frame.
 func TestGroupRebalanceReroutesBacklog(t *testing.T) {
+	t.Parallel() // waits out the dead member's keepalive expiry
 	b, err := New(Config{
 		Addr:       "127.0.0.1:0",
 		SendWindow: 4,
@@ -243,6 +244,7 @@ func TestGiveUpAccountingForDeadSubscriber(t *testing.T) {
 // state, and backlogged frames — the group registry ends empty and the
 // remaining member keeps consuming.
 func TestJanitorChurnReleasesGroupState(t *testing.T) {
+	t.Parallel() // waits out keepalive expiries
 	b, err := New(Config{
 		Addr:       "127.0.0.1:0",
 		SendWindow: 8,

@@ -46,6 +46,7 @@ func captureBurst(t *testing.T, c *Client, wf string, n int) []string {
 // record still arrives exactly once, in capture order (WindowSize 1 keeps
 // the hop's order; the broker-translator leg is loss-free).
 func TestPackExactlyOnceInOrderUnderLoss(t *testing.T) {
+	t.Parallel() // waits out re-sends on the lossy link
 	client, mem, _ := startPipeline(t, func(c *Config) {
 		c.Transport = netem.WrapTransport(transport.UDP{}, netem.Profile{LossRate: 0.25, DupRate: 0.25, Seed: 11})
 		c.WindowSize = 1

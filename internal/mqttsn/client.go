@@ -129,8 +129,6 @@ type Client struct {
 	subs      map[string]MessageHandler
 	lastSend  time.Time
 	lastRecv  time.Time // last packet from the gateway (liveness)
-	// dispatching: the read loop is handling the packet read at lastRecv.
-	dispatching bool
 
 	// Stats counts protocol activity (used by tests and the evaluation).
 	stats ClientStats
@@ -150,8 +148,12 @@ type Client struct {
 	// downNotified ensures OnDisconnect fires at most once. Guarded by mu.
 	downNotified bool
 
-	done chan struct{}
-	wg   sync.WaitGroup
+	// release wakes the timer loop to send the PUBRELs a PUBREC released:
+	// the read loop writes none, for a shaped link could hold the write up
+	// behind a pack while answers wait unread, and time out.
+	release chan struct{}
+	done    chan struct{}
+	wg      sync.WaitGroup
 }
 
 // sendBufPool holds scratch buffers for marshaling outgoing packets.
@@ -207,6 +209,7 @@ func NewClient(cfg ClientConfig) (*Client, error) {
 		topicName: map[uint16]string{},
 		subs:      map[string]MessageHandler{},
 		window:    make(chan struct{}, cfg.InflightWindow),
+		release:   make(chan struct{}, 1),
 		done:      make(chan struct{}),
 	}
 	c.wg.Add(2)
@@ -289,7 +292,7 @@ func (c *Client) exchange(await MsgType, handler MessageHandler, build func(msgI
 // complete the flow, and a publisher may then reuse its payload. Callers
 // hold mu.
 func (c *Client) startLocked(await MsgType, cf clientFlow, build func(msgID uint16) Packet) outgoing {
-	f := c.flows.Add(await)
+	f := c.flows.Add(await, time.Time{})
 	c.serial++
 	cf.serial, cf.pub.MsgID = c.serial, f.MsgID
 	if build != nil {
@@ -448,30 +451,31 @@ func (c *Client) fail(msgID uint16, serial uint64, err error) {
 }
 
 // advance moves a flow along on an acknowledgement from the gateway. A
-// PUBREC holds its QoS 2 flow and sends the PUBRELs the table releases, in
-// enqueue order. Every other awaited acknowledgement completes its flow,
-// once settle has applied it to the client's state, so the caller never
-// wakes before that state is in place. A PUBACK carrying a rejection
-// fails a publish at either QoS, since the gateway refuses a PUBLISH that
-// way. An ack that matches no flow awaiting it (a duplicate, or one that
-// arrived after the flow ended) is dropped, and so is every ack once the
-// client is closing: Close fails what is left.
+// PUBREC holds its QoS 2 flow and wakes the timer loop to send the PUBRELs
+// the table releases, in enqueue order. Every other awaited
+// acknowledgement completes its flow, once settle has applied it to the
+// client's state, so the caller never wakes before that state is in
+// place. A PUBACK carrying a rejection fails a publish at either QoS,
+// since the gateway refuses a PUBLISH that way. An ack that matches no
+// flow awaiting it (a duplicate, or one that arrived after the flow
+// ended) is dropped, and so is every ack once the client is closing:
+// Close fails what is left.
 func (c *Client) advance(typ MsgType, msgID, topicID uint16, code ReturnCode) {
-	var obuf [4]outgoing
-	out := obuf[:0]
 	var cm completion
 	c.mu.Lock()
 	if !c.closed {
 		f, step := c.flows.Advance(typ, msgID, code, time.Now())
 		switch step {
 		case Release:
-			out = c.releaseLocked(out)
+			select {
+			case c.release <- struct{}{}:
+			default:
+			}
 		case Completed:
 			cm = completion{f.Payload, c.settleLocked(&f.Payload, topicID, code)}
 		}
 	}
 	c.mu.Unlock()
-	c.flush(out...)
 	if cm.f.done != nil {
 		c.report(cm)
 	}
@@ -481,7 +485,7 @@ func (c *Client) advance(typ MsgType, msgID, topicID uint16, code ReturnCode) {
 // enqueue order, to out. Callers hold mu.
 func (c *Client) releaseLocked(out []outgoing) []outgoing {
 	var rbuf [4]Flow[clientFlow]
-	for _, r := range c.flows.Releasable(rbuf[:0]) {
+	for _, r := range c.flows.Releasable(time.Time{}, rbuf[:0]) {
 		c.rel.MsgID = r.MsgID
 		out = append(out, outgoing{r.MsgID, PUBCOMP, r.Payload.serial, marshal(&c.rel)})
 	}
@@ -534,40 +538,39 @@ func (c *Client) setTopicLocked(topic string, id uint16) {
 	c.topicName[id] = topic
 }
 
-// timerLoop is the client's one timer, like the broker's janitor: every
-// quarter MinRTO it sweeps the in-flight table and checks the keepalive,
-// so a re-send is at most that late.
+// timerLoop is the client's one timer, like the broker's janitor: it
+// sweeps the in-flight table when a PUBREC released flows and on every
+// tick, which also checks the keepalive. The tick is what sweep returns,
+// or the ping interval (half the keepalive) if that is shorter.
 func (c *Client) timerLoop() {
 	defer c.wg.Done()
-	ping := c.cfg.KeepAlive / 2
-	if ping < 100*time.Millisecond {
-		ping = 100 * time.Millisecond
-	}
-	tick := time.NewTicker(MinRTO / 4)
+	ping := max(c.cfg.KeepAlive/2, 100*time.Millisecond)
+	tick := time.NewTimer(min(InitialRTO/4, ping))
 	defer tick.Stop()
 	var pinged time.Time
 	for {
 		select {
 		case <-c.done:
 			return
+		case <-c.release:
+			c.sweep(time.Now())
 		case now := <-tick.C:
-			c.sweep(now)
+			every := c.sweep(now)
 			if c.keepalive(now, ping, pinged) {
 				pinged = now
 			}
+			tick.Reset(min(every, ping))
 		}
 	}
 }
 
 // sweep re-sends every flow Flows.Due hands out and fails, with
 // ErrTimeout, every flow it gives up, both in enqueue order, and sends the
-// PUBRELs of held flows whose flow ahead has left the table.
-func (c *Client) sweep(now time.Time) {
+// PUBRELs of the flows the table releases. It returns when to sweep next:
+// in a quarter MinRTO while flows are in flight, so a re-send is at most
+// that late, and in a quarter InitialRTO when none is.
+func (c *Client) sweep(now time.Time) time.Duration {
 	c.mu.Lock()
-	if c.dispatching && now.Sub(c.lastRecv) > MinRTO/4 {
-		c.mu.Unlock() // the read loop is deaf; see readLoop
-		return
-	}
 	resend, gone := c.flows.Due(now, nil, nil)
 	var out []outgoing
 	for i := range resend {
@@ -581,11 +584,16 @@ func (c *Client) sweep(now time.Time) {
 		failed = append(failed, completion{gone[i].Payload, fmt.Errorf("%w: %s", ErrTimeout, p.Type())})
 	}
 	out = c.releaseLocked(out)
+	every := InitialRTO / 4
+	if len(c.flows.Slots()) > 0 {
+		every = MinRTO / 4
+	}
 	c.mu.Unlock()
 	c.flush(out...)
 	for _, cm := range failed {
 		c.report(cm)
 	}
+	return every
 }
 
 // resendPacketLocked is the packet a due flow re-sends: its PUBLISH with
@@ -804,22 +812,12 @@ func (c *Client) readLoop() {
 		if err != nil {
 			continue // drop malformed datagrams
 		}
-		read := time.Now()
 		c.mu.Lock()
 		c.stats.PacketsReceived++
 		c.stats.BytesReceived += uint64(n)
-		c.lastRecv, c.dispatching = read, true
+		c.lastRecv = time.Now()
 		c.mu.Unlock()
 		c.dispatch(pkt)
-		// A dispatch that kept the loop from reading for long (a PUBREL
-		// queued behind a pack on a shaped link, a slow handler) left
-		// answers unread: that span is not time they went unanswered.
-		c.mu.Lock()
-		if done := time.Now(); done.Sub(read) > MinRTO/4 {
-			c.flows.Deaf(read, done)
-		}
-		c.dispatching = false
-		c.mu.Unlock()
 	}
 }
 

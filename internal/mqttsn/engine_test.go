@@ -304,7 +304,9 @@ func TestPublishCompletesOnceOnSuccess(t *testing.T) {
 // TestPublishGivesUpAfterBudget: an unanswered publish is re-sent, every
 // copy after the first flagged DUP and carrying the same msgID, then fails
 // once with ErrTimeout when the budget (6 s on loopback) runs out. The
-// backed-off timeout stays on the session.
+// CONNECT and REGISTER put the RTO at the floor, so the re-sends go out at
+// 0.2, 0.6, 1.4, 3 and 5 s, the last wait capped at a third of the
+// budget, and the backed-off 2 s timeout stays on the session.
 func TestPublishGivesUpAfterBudget(t *testing.T) {
 	t.Parallel()
 	g := startFakeGateway(t)
@@ -323,8 +325,8 @@ func TestPublishGivesUpAfterBudget(t *testing.T) {
 	})
 	assertWindowEmpty(t, c)
 	pkts := g.packets()
-	if len(pkts) < 2 {
-		t.Fatalf("gateway saw %d PUBLISHes, want re-sends: %+v", len(pkts), pkts)
+	if len(pkts) != 6 {
+		t.Fatalf("gateway saw %d PUBLISHes, want 1+5: %+v", len(pkts), pkts)
 	}
 	for i, p := range pkts {
 		if p.typ != mqttsn.PUBLISH || p.msgID != pkts[0].msgID || p.dup != (i > 0) {
@@ -335,8 +337,8 @@ func TestPublishGivesUpAfterBudget(t *testing.T) {
 	if st.Retransmissions != uint64(len(pkts)-1) {
 		t.Errorf("Retransmissions = %d, want %d", st.Retransmissions, len(pkts)-1)
 	}
-	if st.RetryTimeout <= mqttsn.MinRTO {
-		t.Errorf("RetryTimeout = %v after re-sends, want it backed off past %v", st.RetryTimeout, mqttsn.MinRTO)
+	if st.RetryTimeout != 2*time.Second {
+		t.Errorf("RetryTimeout = %v after re-sends, want it backed off to 2s", st.RetryTimeout)
 	}
 }
 
@@ -580,13 +582,14 @@ func TestControlRequestsResentBySweep(t *testing.T) {
 }
 
 // TestUnansweredConnectTimesOut: a CONNECT, with no round trip measured
-// yet, is re-sent after the initial 1 s and then 2 s more, and Connect
-// fails with ErrTimeout at the 6 s budget.
+// yet, is re-sent after the initial 1 s and then 2 s and 2 s more (the
+// wait capped at a third of the budget), and Connect fails with
+// ErrTimeout at the 6 s budget.
 func TestUnansweredConnectTimesOut(t *testing.T) {
 	t.Parallel()
 	g := startFakeGateway(t)
 	g.dropCtl.Store(1 << 20)
-	const retries = 2
+	const retries = 3
 	c := dialClient(t, g, mqttsn.ClientConfig{})
 	start := time.Now()
 	if err := c.Connect(); !errors.Is(err, mqttsn.ErrTimeout) {

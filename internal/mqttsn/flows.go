@@ -50,8 +50,9 @@ type Flow[P any] struct {
 	Payload P
 
 	held bool
-	// resent: a packet of the flow went out twice, so an acknowledgement
+	// resent: the packet awaiting an answer went out twice, so its answer
 	// cannot tell which copy it answers and times nothing (Karn's rule).
+	// A PUBREL is a new packet: its PUBCOMP times it if it went out once.
 	resent bool
 	// since is when the packet awaiting an answer was first written, and
 	// sent when it was last written: zero while its write is pending. The
@@ -79,11 +80,12 @@ func PublishAwaits(qos QoS) MsgType {
 }
 
 // Add appends a flow awaiting await and returns it for the caller to
-// fill in Payload; its clock starts when the caller reports the write of
-// its first packet with Sent. A CONNECT's flow (awaiting CONNACK) takes
-// msgID 0; every other flow gets the next msgID after the last one handed
-// out that is neither 0 nor held by a flow.
-func (t *Flows[P]) Add(await MsgType) *Flow[P] {
+// fill in Payload. Its clock starts at now, when its first packet was
+// written, or, if now is zero, when the caller reports that write with
+// Sent. A CONNECT's flow (awaiting CONNACK) takes msgID 0; every other
+// flow gets the next msgID after the last one handed out that is neither
+// 0 nor held by a flow.
+func (t *Flows[P]) Add(await MsgType, now time.Time) *Flow[P] {
 	var id uint16
 	if await != CONNACK {
 		for {
@@ -94,7 +96,7 @@ func (t *Flows[P]) Add(await MsgType) *Flow[P] {
 		}
 		id = t.last
 	}
-	t.slots = append(t.slots, Flow[P]{MsgID: id, Await: await, wait: t.RTO()})
+	t.slots = append(t.slots, Flow[P]{MsgID: id, Await: await, since: now, sent: now, wait: t.RTO()})
 	return &t.slots[len(t.slots)-1]
 }
 
@@ -116,42 +118,27 @@ func (t *Flows[P]) Sent(msgID uint16, await MsgType, now time.Time) {
 	}
 }
 
-// Deaf takes the span from..to, in which the caller could not read
-// answers, off every started clock: an answer that waited unread is not
-// one that went unanswered.
-func (t *Flows[P]) Deaf(from, to time.Time) {
-	shift := func(at time.Time) time.Time {
-		if at.IsZero() || !at.Before(to) {
-			return at
-		}
-		if at.Before(from) {
-			return at.Add(to.Sub(from))
-		}
-		return to
-	}
-	for i := range t.slots {
-		f := &t.slots[i]
-		f.since, f.sent = shift(f.since), shift(f.sent)
-	}
-}
-
 // RTO is the wait a packet sent now starts with.
 func (t *Flows[P]) RTO() time.Duration { return cmp.Or(t.rto, InitialRTO) }
 
 // Budget is how long a flow's packet may go unanswered, from its first
-// write, before Due gives the flow up; a backoff does not lengthen it.
+// write, before Due gives the flow up; a backoff does not lengthen it. No
+// wait backs off past a third of it, so every flow goes out at least three
+// times before it gives up, whatever the table's backoff.
 func (t *Flows[P]) Budget() time.Duration {
 	return max(minGiveUp, giveUpRTOs*cmp.Or(t.base, InitialRTO))
 }
 
 // measure takes the round trip of f's packet, answered at now, into the
-// estimate (RFC 6298 §2), unless the flow was re-sent or its write is
-// still pending. The sample ends any backoff.
+// estimate (RFC 6298 §2), unless the packet went out twice. An answer
+// that came before the caller reported the write (a loopback round trip
+// beating the writer back to the caller's mutex) is a zero round trip.
+// The sample ends any backoff.
 func (t *Flows[P]) measure(f *Flow[P], now time.Time) {
-	if f.resent || f.sent.IsZero() {
+	if f.resent {
 		return
 	}
-	if r := now.Sub(f.sent); t.base == 0 {
+	if r := now.Sub(cmp.Or(f.sent, now)); t.base == 0 {
 		t.srtt, t.rttvar = r, r/2
 	} else {
 		t.rttvar = (3*t.rttvar + (t.srtt - r).Abs()) / 4
@@ -187,7 +174,7 @@ func (t *Flows[P]) DeleteFunc(del func(Flow[P]) bool) {
 // refuses a PUBLISH that way); Advance then returns it, removed. Any
 // PUBREC of a QoS 2 flow holds it (again, if its PUBREL went out already
 // and was lost) and returns Release. The first acknowledgement of each
-// packet is a round-trip sample.
+// packet sent once is a round-trip sample.
 func (t *Flows[P]) Advance(typ MsgType, msgID uint16, code ReturnCode, now time.Time) (Flow[P], Step) {
 	i := t.Index(msgID)
 	if i < 0 {
@@ -202,6 +189,7 @@ func (t *Flows[P]) Advance(typ MsgType, msgID uint16, code ReturnCode, now time.
 			f.resent = true // its PUBREL goes out again
 		case !f.held:
 			t.measure(f, now)
+			f.resent = false
 		}
 		f.Await, f.held = PUBREC, true
 		return Flow[P]{}, Release
@@ -215,9 +203,10 @@ func (t *Flows[P]) Advance(typ MsgType, msgID uint16, code ReturnCode, now time.
 }
 
 // Releasable releases the held flows ahead of the oldest QoS 2 flow still
-// awaiting its PUBREC: each now awaits its PUBCOMP, its PUBREL to be sent
-// and reported with Sent, and a copy of it is appended to out, in enqueue
-// order, for the caller to send the PUBRELs in that order.
+// awaiting its PUBREC: each now awaits its PUBCOMP, its PUBREL written at
+// now (or, if now is zero, reported with Sent), and a copy of it is
+// appended to out, in enqueue order, for the caller to send the PUBRELs
+// in that order.
 //
 // A QoS 2 receiver delivers on PUBREL, and PUBRECs follow the order the
 // PUBLISHes arrived in, which the network (a lost PUBLISH, say) may
@@ -225,7 +214,7 @@ func (t *Flows[P]) Advance(typ MsgType, msgID uint16, code ReturnCode, now time.
 // enqueue order whatever the wire did. A held flow is answered, so Due
 // neither re-sends nor gives it up: it waits for the flow ahead to leave
 // the table, however it leaves, and the caller's next walk releases it.
-func (t *Flows[P]) Releasable(out []Flow[P]) []Flow[P] {
+func (t *Flows[P]) Releasable(now time.Time, out []Flow[P]) []Flow[P] {
 	for i := range t.slots {
 		f := &t.slots[i]
 		if f.Await != PUBREC {
@@ -235,7 +224,7 @@ func (t *Flows[P]) Releasable(out []Flow[P]) []Flow[P] {
 			return out
 		}
 		f.Await, f.held = PUBCOMP, false
-		f.since, f.sent, f.wait = time.Time{}, time.Time{}, t.RTO()
+		f.since, f.sent, f.wait = now, now, t.RTO()
 		out = append(out, *f)
 	}
 	return out
@@ -245,10 +234,10 @@ func (t *Flows[P]) Releasable(out []Flow[P]) []Flow[P] {
 // wait, appending a copy of it to resend: the caller re-sends, by the
 // copy's Await, the PUBLISH with DUP set (PUBACK or PUBREC), the PUBREL
 // (PUBCOMP), or the request itself, a SUBSCRIBE with DUP set, and reports
-// the write with Sent. Each re-send doubles the flow's wait and backs the
-// table's RTO off to it until the next sample. A flow unanswered for
-// Budget since its packet's first write is removed and appended to gone
-// instead. Both come out in enqueue order; a held flow, or one whose
+// the write with Sent. Each re-send doubles the flow's wait, up to a third
+// of the Budget, and backs the table's RTO off to it until the next
+// sample. A flow unanswered for Budget since its packet's first write is
+// removed and appended to gone instead. Both come out in enqueue order; a held flow, or one whose
 // write is pending, is neither.
 func (t *Flows[P]) Due(now time.Time, resend, gone []Flow[P]) ([]Flow[P], []Flow[P]) {
 	budget := t.Budget()
@@ -260,7 +249,7 @@ func (t *Flows[P]) Due(now time.Time, resend, gone []Flow[P]) ([]Flow[P], []Flow
 			gone = append(gone, f)
 			continue
 		case now.Sub(f.sent) >= f.wait:
-			f.wait = min(2*f.wait, MaxRTO)
+			f.wait = min(2*f.wait, budget/3, MaxRTO)
 			t.rto = max(t.RTO(), f.wait)
 			f.sent, f.resent = time.Time{}, true
 			resend = append(resend, f)

@@ -20,9 +20,7 @@ func msgIDs[P any](fs []Flow[P]) []uint16 {
 // sendFlow adds a flow awaiting await whose first packet is written at
 // now.
 func sendFlow[P any](fl *Flows[P], await MsgType, now time.Time) uint16 {
-	id := fl.Add(await).MsgID
-	fl.Sent(id, await, now)
-	return id
+	return fl.Add(await, now).MsgID
 }
 
 // dueAndSend runs Due at now and writes every re-send at once.
@@ -57,7 +55,7 @@ func TestFlowsAllocateMsgIDs(t *testing.T) {
 			}
 			var got []uint16
 			for _, await := range tc.adds {
-				got = append(got, fl.Add(await).MsgID)
+				got = append(got, fl.Add(await, time.Time{}).MsgID)
 			}
 			if fmt.Sprint(got) != fmt.Sprint(tc.want) {
 				t.Fatalf("msgIDs %v, want %v", got, tc.want)
@@ -114,7 +112,7 @@ func TestFlowsAdvance(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			var fl Flows[string]
 			for _, await := range []MsgType{PUBACK, PUBREC, REGACK, CONNACK} {
-				f := fl.Add(await)
+				f := fl.Add(await, time.Time{})
 				f.Payload = fmt.Sprint(f.MsgID)
 			}
 			for i, a := range tc.acks {
@@ -123,7 +121,7 @@ func TestFlowsAdvance(t *testing.T) {
 					t.Fatalf("ack %d (%s %d %s): step %d, want %d", i, a.typ, a.msgID, a.code, step, a.want)
 				}
 				if step == Release {
-					fl.Releasable(nil)
+					fl.Releasable(time.Time{}, nil)
 				}
 				if step == Completed && f.Payload != fmt.Sprint(a.msgID) {
 					t.Errorf("ack %d completed the flow holding %q, want %d's", i, f.Payload, a.msgID)
@@ -153,7 +151,7 @@ func TestReleasableWalksPrefix(t *testing.T) {
 	allocs := testing.AllocsPerRun(10, func() {
 		fl.slots[0].Await, fl.slots[0].held = PUBREC, true
 		fl.slots[3].Await, fl.slots[3].held = PUBREC, true
-		rels = fl.Releasable(buf[:0])
+		rels = fl.Releasable(time.Time{}, buf[:0])
 	})
 	if allocs != 0 {
 		t.Errorf("Releasable allocates %.1f times", allocs)
@@ -168,9 +166,10 @@ func TestReleasableWalksPrefix(t *testing.T) {
 }
 
 // TestFlowsDue: a flow is re-sent each time its packet goes unanswered
-// for its wait, which doubles with each re-send, and given up once it has
-// gone unanswered for the budget (6 s before any sample); both in enqueue
-// order. A held flow is neither, and a released flow re-sends its PUBREL.
+// for its wait, which doubles with each re-send up to a third of the
+// budget, and
+// given up once it has gone unanswered for the budget (6 s before any
+// sample); both in enqueue order. A held flow is neither, and a released flow re-sends its PUBREL.
 func TestFlowsDue(t *testing.T) {
 	const ms = time.Millisecond
 	t0 := time.Unix(0, 0)
@@ -189,8 +188,12 @@ func TestFlowsDue(t *testing.T) {
 		{at: 1500 * ms, resend: "[2]", gone: "[]"},
 		{at: 3000 * ms, pubrec: 4, resend: "[1 3]", gone: "[]"},
 		{at: 3500 * ms, resend: "[2]", gone: "[]"},
+		{at: 5000 * ms, resend: "[1 3]", gone: "[]"},
+		{at: 5500 * ms, resend: "[2]", gone: "[]"},
 		{at: 6000 * ms, resend: "[]", gone: "[1 3]"},
 		{at: 6400 * ms, pubrec: 2, resend: "[]", gone: "[]"}, // releases 2, and 4 behind it
+		{at: 8399 * ms, resend: "[]", gone: "[]"},
+		{at: 8400 * ms, resend: "[2 4]", gone: "[]"},
 		{at: 10400 * ms, resend: "[2 4]", gone: "[]"},
 		{at: 12400 * ms, resend: "[]", gone: "[2 4]"},
 	} {
@@ -199,9 +202,7 @@ func TestFlowsDue(t *testing.T) {
 			if _, s := fl.Advance(PUBREC, step.pubrec, Accepted, now); s != Release {
 				t.Fatalf("step %d: PUBREC %d gave step %d", i, step.pubrec, s)
 			}
-			for _, r := range fl.Releasable(nil) {
-				fl.Sent(r.MsgID, r.Await, now)
-			}
+			fl.Releasable(now, nil)
 		}
 		resend, gone := dueAndSend(&fl, now)
 		if fmt.Sprint(msgIDs(resend)) != step.resend || fmt.Sprint(msgIDs(gone)) != step.gone {
@@ -226,7 +227,7 @@ func TestGoneFlowReleasesHeld(t *testing.T) {
 	var fl Flows[int]
 	sendFlow(&fl, PUBREC, t0)
 	held := sendFlow(&fl, PUBREC, t0)
-	if _, s := fl.Advance(PUBREC, held, Accepted, t0); s != Release || len(fl.Releasable(nil)) != 0 {
+	if _, s := fl.Advance(PUBREC, held, Accepted, t0); s != Release || len(fl.Releasable(t0, nil)) != 0 {
 		t.Fatalf("PUBREC behind an unanswered flow: step %d, or released", s)
 	}
 	resend, gone := dueAndSend(&fl, t0.Add(5*time.Second))
@@ -237,7 +238,7 @@ func TestGoneFlowReleasesHeld(t *testing.T) {
 	if fmt.Sprint(msgIDs(resend), msgIDs(gone)) != "[] [1]" {
 		t.Fatalf("at the budget: resend %v, gone %v; want [], [1]", msgIDs(resend), msgIDs(gone))
 	}
-	if rels := fl.Releasable(nil); fmt.Sprint(msgIDs(rels)) != "[2]" || rels[0].Await != PUBCOMP {
+	if rels := fl.Releasable(t0.Add(6*time.Second), nil); fmt.Sprint(msgIDs(rels)) != "[2]" || rels[0].Await != PUBCOMP {
 		t.Fatalf("released %+v after the flow ahead gave up, want 2 awaiting its PUBCOMP", rels)
 	}
 }
@@ -280,9 +281,11 @@ func TestRTOEstimate(t *testing.T) {
 	}
 }
 
-// TestRTOKarn: the acknowledgement of a re-sent flow times nothing, at
-// either step of a QoS 2 flow, so the backed-off RTO stands until a flow
-// never re-sent is answered.
+// TestRTOKarn: the answer to a packet that went out twice times nothing,
+// so the backed-off RTO stands until a packet sent once is answered. A
+// QoS 2 flow's PUBREL is a new packet: its PUBCOMP times it even after the
+// PUBLISH was re-sent, unless the PUBREL itself went out twice, re-sent on
+// a timeout or again on a duplicate PUBREC.
 func TestRTOKarn(t *testing.T) {
 	const ms = time.Millisecond
 	t0 := time.Unix(0, 0)
@@ -295,25 +298,45 @@ func TestRTOKarn(t *testing.T) {
 	now := t0.Add(1010 * ms)
 	fl.Advance(PUBACK, q1, Accepted, now)
 	fl.Advance(PUBREC, q2, Accepted, now)
-	for _, r := range fl.Releasable(nil) {
-		fl.Sent(r.MsgID, r.Await, now)
-	}
-	fl.Advance(PUBCOMP, q2, Accepted, now.Add(10*ms))
+	fl.Releasable(now, nil)
 	if fl.base != 0 || fl.RTO() != 2*time.Second {
-		t.Fatalf("after acks of re-sent flows: measured RTO %v, RTO %v; want no sample and the backed-off 2s", fl.base, fl.RTO())
+		t.Fatalf("after the answers to re-sent PUBLISHes: measured RTO %v, RTO %v; want no sample and the backed-off 2s", fl.base, fl.RTO())
 	}
-	id := sendFlow(&fl, PUBACK, now)
-	fl.Advance(PUBACK, id, Accepted, now.Add(300*ms))
+	now = now.Add(300 * ms)
+	fl.Advance(PUBCOMP, q2, Accepted, now)
 	if fl.base == 0 || fl.RTO() != 900*ms {
-		t.Fatalf("after a fresh flow's 300ms round trip: RTO %v, want 900ms", fl.RTO())
+		t.Fatalf("after the PUBCOMP of a PUBREL sent once, 300ms on: RTO %v, want 900ms", fl.RTO())
 	}
+
+	timeout := sendFlow(&fl, PUBREC, now) // its PUBREL re-sent on a timeout
+	dup := sendFlow(&fl, PUBREC, now)     // its PUBREL sent again on a duplicate PUBREC
+	fl.Advance(PUBREC, timeout, Accepted, now)
+	fl.Advance(PUBREC, dup, Accepted, now)
+	fl.Releasable(now, nil)
+	fl.Advance(PUBREC, dup, Accepted, now)
+	fl.Releasable(now, nil)
+	srtt, rttvar := fl.srtt, fl.rttvar // after the two PUBRECs' samples
+	notTimed := func(what string) {
+		t.Helper()
+		if fl.srtt != srtt || fl.rttvar != rttvar {
+			t.Fatalf("%s timed: SRTT %v, RTTVAR %v; want %v, %v", what, fl.srtt, fl.rttvar, srtt, rttvar)
+		}
+	}
+	fl.Advance(PUBCOMP, dup, Accepted, now.Add(10*ms))
+	notTimed("the PUBCOMP of a PUBREL sent again on a duplicate PUBREC")
+	if resend, _ := dueAndSend(&fl, now.Add(fl.RTO())); fmt.Sprint(msgIDs(resend)) != fmt.Sprint([]uint16{timeout}) {
+		t.Fatalf("re-sent %v, want the PUBREL of %d", msgIDs(resend), timeout)
+	}
+	fl.Advance(PUBCOMP, timeout, Accepted, now.Add(fl.RTO()+10*ms))
+	notTimed("the PUBCOMP of a PUBREL re-sent on a timeout")
 }
 
 // TestRTOBackoff: on a fast link (RTO at the floor), a flow to a silent
-// peer is re-sent after 0.2, 0.4, 0.8 and 1.6 s more, each re-send
-// doubling its wait and the table's RTO, and gives up 6 s after its
-// first write. A flow started later waits the backed-off RTO; the backoff
-// does not grow the budget.
+// peer is re-sent after 0.2, 0.4, 0.8, 1.6 and 2 s more, each re-send
+// doubling its wait and the table's RTO up to a third of the budget, and
+// gives up 6 s after its first write. Flows started later wait the
+// backed-off RTO, so each is re-sent twice before it gives up; the
+// backoff does not grow the budget.
 func TestRTOBackoff(t *testing.T) {
 	const ms = time.Millisecond
 	t0 := time.Unix(0, 0)
@@ -333,9 +356,11 @@ func TestRTOBackoff(t *testing.T) {
 		{at: 599 * ms, rto: 400 * ms},
 		{at: 600 * ms, rto: 800 * ms, resent: true},
 		{at: 1400 * ms, rto: 1600 * ms, resent: true},
-		{at: 3000 * ms, rto: 3200 * ms, resent: true},
-		{at: 5999 * ms, rto: 3200 * ms},
-		{at: 6000 * ms, rto: 3200 * ms, givesUp: true},
+		{at: 3000 * ms, rto: 2000 * ms, resent: true},
+		{at: 4999 * ms, rto: 2000 * ms},
+		{at: 5000 * ms, rto: 2000 * ms, resent: true},
+		{at: 5999 * ms, rto: 2000 * ms},
+		{at: 6000 * ms, rto: 2000 * ms, givesUp: true},
 	} {
 		resend, gone := dueAndSend(&fl, t0.Add(step.at))
 		if (len(resend) == 1) != step.resent || (len(gone) == 1) != step.givesUp || fl.RTO() != step.rto {
@@ -346,25 +371,43 @@ func TestRTOBackoff(t *testing.T) {
 	if fl.Budget() != 6*time.Second {
 		t.Fatalf("budget %v after backing off, want 6s", fl.Budget())
 	}
-	now := t0.Add(7 * time.Second)
-	sendFlow(&fl, PUBACK, now)
-	if resend, _ := dueAndSend(&fl, now.Add(3199*ms)); len(resend) != 0 {
-		t.Fatalf("new flow re-sent after 3.199s, want the backed-off 3.2s")
-	}
-	if resend, _ := dueAndSend(&fl, now.Add(3200*ms)); len(resend) != 1 {
-		t.Fatalf("new flow not re-sent after the backed-off 3.2s")
+	for _, start := range []time.Duration{7 * time.Second, 14 * time.Second} {
+		now := t0.Add(start)
+		id := sendFlow(&fl, PUBACK, now)
+		for _, step := range []struct {
+			at           time.Duration
+			resend, gone []uint16
+		}{
+			{1999 * ms, nil, nil}, {2000 * ms, []uint16{id}, nil},
+			{3999 * ms, nil, nil}, {4000 * ms, []uint16{id}, nil},
+			{5999 * ms, nil, nil}, {6000 * ms, nil, []uint16{id}},
+		} {
+			resend, gone := dueAndSend(&fl, now.Add(step.at))
+			if fmt.Sprint(msgIDs(resend), msgIDs(gone)) != fmt.Sprint(step.resend, step.gone) {
+				t.Fatalf("flow started at %v, at +%v: resend %v, gone %v; want %v, %v",
+					start, step.at, msgIDs(resend), msgIDs(gone), step.resend, step.gone)
+			}
+		}
 	}
 }
 
 // TestFlowsWaitForWrite: a flow is never due, nor given up, while the
 // write of its packet is pending: its first PUBLISH, a re-send, or its
 // PUBREL. A write reported for a packet the flow no longer awaits an
-// answer to (its PUBLISH after the PUBREC came) starts no clock.
+// answer to (its PUBLISH after the PUBREC came) starts no clock, and an
+// answer that came first is a zero round trip.
 func TestFlowsWaitForWrite(t *testing.T) {
 	const ms = time.Millisecond
 	t0 := time.Unix(0, 0)
+	var fast Flows[int]
+	early := fast.Add(CONNACK, time.Time{}).MsgID
+	fast.Advance(CONNACK, early, Accepted, t0)
+	fast.Sent(early, CONNACK, t0.Add(ms))
+	if fast.srtt != 0 || fast.RTO() != MinRTO {
+		t.Fatalf("answer before the write was reported: SRTT %v, RTO %v; want 0 and the floor", fast.srtt, fast.RTO())
+	}
 	var fl Flows[int]
-	id := fl.Add(PUBREC).MsgID
+	id := fl.Add(PUBREC, time.Time{}).MsgID
 	late := t0.Add(100 * time.Second)
 	if resend, gone := fl.Due(late, nil, nil); len(resend)+len(gone) != 0 {
 		t.Fatalf("flow handed out before its first write: resend %v, gone %v", msgIDs(resend), msgIDs(gone))
@@ -382,7 +425,7 @@ func TestFlowsWaitForWrite(t *testing.T) {
 	now := late.Add(time.Hour)
 	fl.Sent(id, PUBREC, now)
 	fl.Advance(PUBREC, id, Accepted, now)
-	fl.Releasable(nil)
+	fl.Releasable(time.Time{}, nil)
 	fl.Sent(id, PUBREC, now) // the PUBLISH's write, reported after the PUBREC
 	if resend, gone := fl.Due(now.Add(time.Hour), nil, nil); len(resend)+len(gone) != 0 {
 		t.Fatalf("flow handed out before its PUBREL was written: resend %v, gone %v", msgIDs(resend), msgIDs(gone))
@@ -390,28 +433,6 @@ func TestFlowsWaitForWrite(t *testing.T) {
 	fl.Sent(id, PUBCOMP, now.Add(time.Hour))
 	if _, s := fl.Advance(PUBCOMP, id, Accepted, now.Add(time.Hour+ms)); s != Completed {
 		t.Fatalf("PUBCOMP gave step %d", s)
-	}
-}
-
-// TestFlowsDeaf: a span in which the caller could not read answers is
-// taken off every clock started before its end, so a flow waiting through
-// it is due that much later, one written during it waits from its end,
-// and one written after it is untouched.
-func TestFlowsDeaf(t *testing.T) {
-	const ms = time.Millisecond
-	t0 := time.Unix(0, 0)
-	var fl Flows[int]
-	sendFlow(&fl, PUBACK, t0)             // 1: due at 1.7 s after the shift
-	sendFlow(&fl, PUBACK, t0.Add(500*ms)) // 2: written mid-span, due at 1.9 s
-	fl.Deaf(t0.Add(200*ms), t0.Add(900*ms))
-	sendFlow(&fl, PUBACK, t0.Add(950*ms)) // 3: due at 1.95 s
-	for _, step := range []struct {
-		at   time.Duration
-		want string
-	}{{1699 * ms, "[]"}, {1700 * ms, "[1]"}, {1899 * ms, "[]"}, {1900 * ms, "[2]"}, {1950 * ms, "[3]"}} {
-		if resend, _ := dueAndSend(&fl, t0.Add(step.at)); fmt.Sprint(msgIDs(resend)) != step.want {
-			t.Fatalf("at %v: re-sent %v, want %s", step.at, msgIDs(resend), step.want)
-		}
 	}
 }
 
@@ -497,9 +518,8 @@ func TestFlowsSteadyStateAllocs(t *testing.T) {
 			f := fl.Slots()[0]
 			if f.Await == PUBREC {
 				fl.Advance(PUBREC, f.MsgID, Accepted, now)
-				rels = fl.Releasable(rels[:0])
+				rels = fl.Releasable(now, rels[:0])
 				for _, r := range rels {
-					fl.Sent(r.MsgID, r.Await, now)
 					in.Release(r.MsgID)
 				}
 				continue

@@ -75,6 +75,7 @@ func TestPromotionTermLearned(t *testing.T) {
 	if testing.Short() {
 		t.Skip("promotion e2e in -short mode")
 	}
+	t.Parallel() // mostly waits: the commit timeout, and re-sends on a lossy link
 	ctx, cancel := context.WithTimeout(context.Background(), 120*time.Second)
 	defer cancel()
 	b, err := broker.New(broker.Config{Addr: "127.0.0.1:0"})

@@ -94,6 +94,7 @@ func TestFailoverExactlyOnce(t *testing.T) {
 	if testing.Short() {
 		t.Skip("failover e2e in -short mode")
 	}
+	t.Parallel() // mostly waits for re-sends on the lossy link
 	spoolDir := t.TempDir()
 	dirA, dirB, dirC := t.TempDir(), t.TempDir(), t.TempDir()
 	b, err := broker.New(broker.Config{Addr: "127.0.0.1:0"})
